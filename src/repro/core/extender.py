@@ -11,14 +11,22 @@ what the Generator consumes to build AlterEgos, and its size is the
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.layers import LayerPartition
-from repro.core.metapaths import build_pruned_adjacency, enumerate_meta_paths
+from repro.core.metapath_kernel import frontier_xsim_map
+from repro.core.metapaths import (
+    PrunedAdjacency,
+    build_pruned_adjacency,
+    enumerate_meta_paths,
+)
 from repro.core.xsim import SignificanceCache, path_certainty, path_similarity
+from repro.data.matrix import numpy_available
 from repro.data.ratings import RatingTable
 from repro.errors import ConfigError, SimilarityError
+from repro.obs import get_registry, observe_stage_seconds
 from repro.similarity.graph import ItemGraph
 
 #: source item → (target item → X-Sim value)
@@ -60,6 +68,60 @@ class ExtenderConfig:
         return self
 
 
+def _fold_item(item: str, partition: LayerPartition,
+               adjacency: PrunedAdjacency, significance: SignificanceCache,
+               config: ExtenderConfig) -> tuple[dict[str, float], int]:
+    """Per-path DFS + Definition-6 fold for one source item: its
+    ``target → X-Sim`` row and the number of meta-paths enumerated."""
+    # terminal target item → (Σ c_p, Σ c_p · s_p)
+    accumulator: dict[str, tuple[float, float]] = {}
+    n_paths = 0
+    paths = enumerate_meta_paths(
+        item, partition, adjacency,
+        significance_of=significance.significance,
+        max_paths=config.max_paths_per_item)
+    for path in paths:
+        n_paths += 1
+        if config.weight_by_significance:
+            try:
+                similarity = path_similarity(path.edges)
+            except SimilarityError:
+                continue  # zero-significance path: no evidence
+        else:
+            similarity = (sum(sim for sim, _ in path.edges) / len(path.edges))
+        if config.weight_by_certainty:
+            hops = zip(path.items, path.items[1:])
+            certainty = path_certainty([significance.normalized(a, b) for a, b in hops])
+            if certainty <= 0.0:
+                continue
+        else:
+            certainty = 1.0
+        total_c, weighted = accumulator.get(path.terminal, (0.0, 0.0))
+        accumulator[path.terminal] = (
+            total_c + certainty, weighted + certainty * similarity)
+    values = {
+        target: weighted / total_c
+        for target, (total_c, weighted) in accumulator.items()
+        if total_c > 0.0}
+    return values, n_paths
+
+
+def extend_item_reference(item: str, partition: LayerPartition,
+                          adjacency: PrunedAdjacency,
+                          significance: SignificanceCache,
+                          config: ExtenderConfig) -> dict[str, float]:
+    """``I(item)``: the X-Sim value of every target item *item* reaches.
+
+    The per-item reference the paper describes — one DFS over the pruned
+    adjacency, every meta-path folded with Definition 6. It is the
+    Extender's ``REPRO_PURE_PYTHON`` path, the per-task body of the
+    simulated Spark job (:mod:`repro.engine.xmap_job`, Fig. 11) and the
+    oracle the frontier kernel is tested against; targets appear in the
+    order the DFS first reaches them.
+    """
+    return _fold_item(item, partition, adjacency, significance, config)[0]
+
+
 class Extender:
     """Computes the cross-domain X-Sim map from the baseline graph."""
 
@@ -70,6 +132,14 @@ class Extender:
                table: RatingTable, source_domain: str,
                significance: SignificanceCache | None = None) -> XSimMap:
         """Aggregate meta-path similarities for every source item.
+
+        With NumPy available the map comes from the level-synchronous
+        kernel of :mod:`repro.core.metapath_kernel`; under
+        ``REPRO_PURE_PYTHON`` from :func:`extend_item_reference` per
+        item. Both give the same map, bit for bit. Stage timings and
+        path/pair counts land in the process-global ``repro.obs``
+        registry (``extender_stage_seconds``, ``extender_paths_total``,
+        ``extender_pairs_total``).
 
         Args:
             graph: baseline graph ``G_ac`` from the Baseliner.
@@ -85,46 +155,49 @@ class Extender:
         Returns:
             The X-Sim map. Source items with no meta-path into the target
             domain are simply absent.
+
+        Raises:
+            ConfigError: *source_domain* is not one of the partition's
+                two domains.
         """
+        if source_domain not in partition.domains:
+            raise ConfigError(
+                f"source_domain {source_domain!r} is not a domain of the "
+                f"partition; have {partition.domains}")
+        started = time.perf_counter()
         if significance is None:
             significance = SignificanceCache(table)
         adjacency = build_pruned_adjacency(graph, partition, self.config.k)
-        xsim_map: XSimMap = {}
         source_items = sorted(
             item for item in graph.items
             if partition.domain_of(item) == source_domain)
-        for item in source_items:
-            # terminal target item → (Σ c_p, Σ c_p · s_p)
-            accumulator: dict[str, tuple[float, float]] = {}
-            paths = enumerate_meta_paths(
-                item, partition, adjacency,
-                significance_of=significance.significance,
-                max_paths=self.config.max_paths_per_item)
-            for path in paths:
-                if self.config.weight_by_significance:
-                    try:
-                        similarity = path_similarity(path.edges)
-                    except SimilarityError:
-                        continue  # zero-significance path: no evidence
-                else:
-                    similarity = (sum(sim for sim, _ in path.edges) / len(path.edges))
-                if self.config.weight_by_certainty:
-                    hops = zip(path.items, path.items[1:])
-                    certainty = path_certainty(
-                        [significance.normalized(a, b) for a, b in hops])
-                    if certainty <= 0.0:
-                        continue
-                else:
-                    certainty = 1.0
-                total_c, weighted = accumulator.get(path.terminal, (0.0, 0.0))
-                accumulator[path.terminal] = (
-                    total_c + certainty, weighted + certainty * similarity)
-            values = {
-                target: weighted / total_c
-                for target, (total_c, weighted) in accumulator.items()
-                if total_c > 0.0}
-            if values:
-                xsim_map[item] = values
+        pruned = time.perf_counter()
+        if numpy_available():
+            xsim_map, n_paths, stages = frontier_xsim_map(
+                source_items, partition, adjacency, source_domain,
+                significance, self.config)
+            stages["prune"] += pruned - started
+        else:
+            # The DFS folds each path as it is enumerated, so the pure
+            # path has no separate aggregate stage.
+            xsim_map = {}
+            n_paths = 0
+            for item in source_items:
+                values, enumerated = _fold_item(
+                    item, partition, adjacency, significance, self.config)
+                n_paths += enumerated
+                if values:
+                    xsim_map[item] = values
+            stages = {"prune": pruned - started, "expand": time.perf_counter() - pruned}
+        observe_stage_seconds("extender", stages)
+        registry = get_registry()
+        registry.counter(
+            "extender_paths_total",
+            "meta-paths enumerated by Extender.extend").inc(n_paths)
+        registry.counter(
+            "extender_pairs_total",
+            "(source, target) pairs given an X-Sim value").inc(
+                count_heterogeneous_pairs(xsim_map))
         return xsim_map
 
 

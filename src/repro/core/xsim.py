@@ -28,12 +28,17 @@ from repro.similarity.significance import SignificanceTable
 class SignificanceCache:
     """Memoised significance lookups over one rating table.
 
-    Significance is evaluated once per graph edge but read once per
-    *meta-path through* that edge, so caching is what keeps the extender
-    at O(km) instead of O(km · path count). Misses go straight to the
-    table's interned :class:`~repro.data.matrix.MatrixRatingStore`
-    (one sorted-column merge over precomputed like/dislike flags) rather
-    than re-intersecting ``Rating`` dicts pair by pair.
+    Each pair's Definition-2 count is computed at most once however
+    often it is read. The reference DFS
+    (:func:`~repro.core.extender.extend_item_reference`) reads an edge
+    once per *meta-path through* it, so there the cache is what keeps
+    enumeration at dict-hit cost per hop; the Extender's frontier kernel
+    reads each pruned edge once per ``extend`` and carries the value in
+    its CSR, so it only relies on the cache for the pair's two
+    directions and for a preload. Misses go straight to the table's
+    interned :class:`~repro.data.matrix.MatrixRatingStore` (one
+    sorted-column merge over precomputed like/dislike flags) rather than
+    re-intersecting ``Rating`` dicts pair by pair.
 
     A :class:`~repro.similarity.significance.SignificanceTable` from the
     sharded Baseliner sweep can be ingested up front (*preload*): every

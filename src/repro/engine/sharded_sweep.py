@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from repro.data.matrix import MatrixRatingStore, PairAccumulation
 from repro.data.ratings import Rating, RatingTable
 from repro.engine.cluster import ClusterSpec
-from repro.obs.metrics import get_registry
+from repro.obs.metrics import observe_stage_seconds
 from repro.engine.metrics import StageReport
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.scheduler import stage_makespan
@@ -132,26 +132,6 @@ def resolve_edge_partitions(
     return n_edge_partitions
 
 
-#: sweep stages span microseconds (tiny fixtures) to minutes (full
-#: builds): 1 ms doubling to ~9 minutes.
-_STAGE_BUCKETS = tuple(0.001 * (2.0**i) for i in range(20))
-
-
-def _observe_stage_seconds(prefix: str, stages: dict[str, float]) -> None:
-    """Record per-stage wall timings into the process-global registry —
-    the construction of a stats dataclass *is* the measurement event,
-    so every sweep/update shows up on ``/metrics`` without the engine
-    knowing anything about serving."""
-    histogram = get_registry().histogram(
-        f"{prefix}_stage_seconds",
-        f"wall seconds per {prefix} stage",
-        labels=("stage",),
-        buckets=_STAGE_BUCKETS,
-    )
-    for stage, seconds in stages.items():
-        histogram.labels(stage).observe(seconds)
-
-
 @dataclass(frozen=True)
 class SweepStats:
     """Observability of one sharded sweep.
@@ -200,7 +180,7 @@ class SweepStats:
     assembly_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        _observe_stage_seconds(
+        observe_stage_seconds(
             "sweep",
             {
                 "shards": sum(self.durations),
@@ -639,7 +619,7 @@ class IncrementalUpdateStats:
     wal_seq: int | None = None
 
     def __post_init__(self) -> None:
-        _observe_stage_seconds(
+        observe_stage_seconds(
             "incremental_update",
             {
                 "append": self.append_seconds,

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.extender import ExtenderConfig, extend_item_reference
 from repro.core.layers import LayerPartition
-from repro.core.metapaths import build_pruned_adjacency, enumerate_meta_paths
-from repro.core.xsim import SignificanceCache, path_certainty, path_similarity
+from repro.core.metapaths import build_pruned_adjacency
+from repro.core.xsim import SignificanceCache
 from repro.data.dataset import CrossDomainDataset
 from repro.engine.cluster import ClusterSpec
 from repro.engine.dataset_api import DataflowContext
 from repro.engine.metrics import ExecutionReport, merge_reports
-from repro.errors import SimilarityError
 from repro.similarity.graph import ItemGraph
 
 
@@ -135,32 +135,15 @@ def run_xmap_job(data: CrossDomainDataset, cluster: ClusterSpec,
     # factor broadcasts (one rank-sized record per entity).
     adjacency_broadcast = context.broadcast(adjacency, n_records=len(adjacency))
     significance = SignificanceCache(merged)
+    extender_config = ExtenderConfig(k=prune_k, max_paths_per_item=max_paths_per_item)
 
     # Stage group 4: per-item meta-path extension (the heavy phase).
     source_items = context.parallelize(sorted(data.source.items))
 
     def extend_item(item):
-        accumulator: dict[str, tuple[float, float]] = {}
-        paths = enumerate_meta_paths(
-            item, partition, adjacency_broadcast.value,
-            significance_of=significance.significance,
-            max_paths=max_paths_per_item)
-        for path in paths:
-            try:
-                similarity = path_similarity(path.edges)
-            except SimilarityError:
-                continue
-            certainty = path_certainty([
-                significance.normalized(a, b)
-                for a, b in zip(path.items, path.items[1:])])
-            if certainty <= 0.0:
-                continue
-            total, weighted = accumulator.get(path.terminal, (0.0, 0.0))
-            accumulator[path.terminal] = (
-                total + certainty, weighted + certainty * similarity)
-        return [((item, target), weighted / total)
-                for target, (total, weighted) in sorted(accumulator.items())
-                if total > 0.0]
+        values = extend_item_reference(
+            item, partition, adjacency_broadcast.value, significance, extender_config)
+        return [((item, target), value) for target, value in sorted(values.items())]
 
     xsim_edges = source_items.flat_map(extend_item)
     xsim_rows, report = xsim_edges.collect_with_report()

@@ -22,6 +22,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     get_registry,
     merge_snapshots,
+    observe_stage_seconds,
     render_prometheus,
 )
 from repro.obs.trace import (
@@ -45,6 +46,7 @@ __all__ = [
     "get_registry",
     "log_enabled",
     "merge_snapshots",
+    "observe_stage_seconds",
     "render_prometheus",
     "span",
 ]

@@ -50,8 +50,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "STAGE_BUCKETS",
     "get_registry",
     "merge_snapshots",
+    "observe_stage_seconds",
     "render_prometheus",
 ]
 
@@ -63,6 +65,11 @@ LATENCY_BUCKETS = tuple(0.0005 * (2.0**i) for i in range(15))
 #: coalescer batch-size buckets: powers of two up to the default
 #: ``max_batch`` envelope.
 BATCH_BUCKETS = tuple(float(2**i) for i in range(9))
+
+#: offline stages (sweep, incremental update, extender) span
+#: microseconds on tiny fixtures to minutes on full builds: 1 ms
+#: doubling to ~9 minutes.
+STAGE_BUCKETS = tuple(0.001 * (2.0**i) for i in range(20))
 
 
 def _label_key(values: tuple[str, ...]) -> str:
@@ -420,3 +427,18 @@ _GLOBAL = MetricsRegistry()
 
 def get_registry() -> MetricsRegistry:
     return _GLOBAL
+
+
+def observe_stage_seconds(prefix: str, stages: dict[str, float]) -> None:
+    """Record per-stage wall timings of one offline job run into the
+    process-global registry as ``<prefix>_stage_seconds{stage=...}``,
+    so every sweep/update/extend shows up on ``/metrics`` without the
+    offline layers knowing anything about serving."""
+    histogram = get_registry().histogram(
+        f"{prefix}_stage_seconds",
+        f"wall seconds per {prefix} stage",
+        labels=("stage",),
+        buckets=STAGE_BUCKETS,
+    )
+    for stage, seconds in stages.items():
+        histogram.labels(stage).observe(seconds)

@@ -33,6 +33,7 @@ DETERMINISM_EXEMPT = ("src/repro/data/synthetic.py",)
 #: branches numpy-free.
 DISPATCH_MODULES = (
     "src/repro/cf/item_knn.py",
+    "src/repro/core/metapath_kernel.py",
     "src/repro/data/matrix.py",
     "src/repro/serving/service.py",
     "src/repro/serving/snapshot.py",
