@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import gc
 
-from conftest import RESULTS_DIR, record_json
+from conftest import record_json, write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
 from repro.data.matrix import numpy_available
@@ -115,8 +115,7 @@ def test_assembly_partitioning():
          f"(backend: {backend}, {N_SHARDS} shards, index built)", ""]
         + lines) + "\n"
     if selected_sizes() == SIZES:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"assembly_{backend}.txt").write_text(rendered)
+        write_result(f"assembly_{backend}.txt", rendered)
         record_json("assembly", backend, {
             "n_shards": N_SHARDS,
             "sizes": payload_sizes,

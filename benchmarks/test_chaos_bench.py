@@ -43,7 +43,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from conftest import RESULTS_DIR, record_json
+from conftest import record_json, write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
 from repro.data.matrix import numpy_available
@@ -239,8 +239,7 @@ def test_chaos_goodput_and_overload_shedding():
          f"seed 7, overload legs at ~2.5x clean capacity", ""]
         + lines) + "\n"
     if selected_sizes() == SIZES:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"chaos_{backend}.txt").write_text(rendered)
+        write_result(f"chaos_{backend}.txt", rendered)
         record_json("chaos", backend, {
             "k": CF_K,
             "n_workers": N_WORKERS,

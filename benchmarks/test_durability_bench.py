@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 import random
 
-from conftest import RESULTS_DIR, record_json
+from conftest import record_json, write_result
 from test_serving_bench import _timed
 from test_similarity_bench import _random_ratings
 
@@ -178,8 +178,7 @@ def test_durability_throughput_and_recovery(tmp_path):
     recovery_payload = _bench_recovery(tmp_path, lines)
     rendered = "\n".join(lines) + "\n"
     if selected_sizes() == SIZES:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"durability_{backend}.txt").write_text(rendered)
+        write_result(f"durability_{backend}.txt", rendered)
         record_json("durability", backend,
                     {"append": append_payload, "recovery": recovery_payload})
     print()

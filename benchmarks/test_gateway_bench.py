@@ -46,7 +46,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from conftest import RESULTS_DIR, record_json
+from conftest import record_json, write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
 from repro.data.matrix import numpy_available
@@ -286,8 +286,7 @@ def test_gateway_throughput_and_tail_latency():
          f"over HTTP (backend: {backend}, k={CF_K}); poisson tail "
          f"measured during live publishes", ""] + lines) + "\n"
     if selected_sizes() == SIZES:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"gateway_{backend}.txt").write_text(rendered)
+        write_result(f"gateway_{backend}.txt", rendered)
         record_json("gateway", backend, {
             "k": CF_K,
             "n_workers": N_WORKERS,

@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import random
 
-from conftest import RESULTS_DIR, record_json
+from conftest import record_json, write_result
 from test_serving_bench import _timed
 from test_similarity_bench import _random_ratings
 
@@ -152,8 +152,7 @@ def test_incremental_update_speedup():
          f"(backend: {backend}, store + Eq-6 sweep + graph + index)",
          ""] + lines) + "\n"
     if selected_sizes() == SIZES:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"incremental_{backend}.txt").write_text(rendered)
+        write_result(f"incremental_{backend}.txt", rendered)
         record_json("incremental", backend, {"sizes": payload_sizes})
     print()
     print(rendered)

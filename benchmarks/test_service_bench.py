@@ -32,7 +32,7 @@ import gc
 import random
 import time
 
-from conftest import RESULTS_DIR, record_json
+from conftest import record_json, write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
 from repro.data.matrix import numpy_available
@@ -159,8 +159,7 @@ def test_service_batched_throughput_and_cache():
         [f"recommendation service: batched vs per-request Top-{TOP_N} "
          f"(backend: {backend}, k=50)", ""] + lines) + "\n"
     if selected_sizes() == SIZES:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"service_{backend}.txt").write_text(rendered)
+        write_result(f"service_{backend}.txt", rendered)
         record_json("service", backend, {"k": 50, "sizes": payload_sizes,})
     print()
     print(rendered)

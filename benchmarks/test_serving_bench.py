@@ -31,7 +31,7 @@ import gc
 import random
 import time
 
-from conftest import RESULTS_DIR, record_json
+from conftest import record_json, write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
 from repro.cf.item_knn import ItemKNNRecommender
@@ -116,8 +116,7 @@ def test_serving_speedup():
         [f"serve-time predict latency: pairwise vs NeighborIndex "
          f"(backend: {backend}, k=50)", ""] + lines) + "\n"
     if selected_sizes() == SIZES:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"serving_{backend}.txt").write_text(rendered)
+        write_result(f"serving_{backend}.txt", rendered)
         record_json("serving", backend, {"k": 50, "sizes": payload_sizes,})
     print()
     print(rendered)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import gc
 import time
 
-from conftest import RESULTS_DIR
+from conftest import write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
 from repro.data.matrix import numpy_available
@@ -102,7 +102,6 @@ def test_shard_scaling():
         [f"sharded Eq-6 sweep scaling (backend: {backend})", ""]
         + lines) + "\n"
     if selected_sizes() == SIZES:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"sharded_sweep_{backend}.txt").write_text(rendered)
+        write_result(f"sharded_sweep_{backend}.txt", rendered)
     print()
     print(rendered)

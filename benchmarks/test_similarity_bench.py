@@ -25,7 +25,7 @@ import os
 import random
 import time
 
-from conftest import RESULTS_DIR
+from conftest import write_result
 
 from repro.data.matrix import numpy_available
 from repro.data.ratings import Rating, RatingTable
@@ -120,8 +120,7 @@ def _persist(name: str, header: str, lines: list[str]) -> str:
     # Size-filtered smoke runs print but never overwrite the committed
     # full-scale results.
     if selected_sizes() == SIZES:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        (RESULTS_DIR / f"{name}_{backend}.txt").write_text(rendered)
+        write_result(f"{name}_{backend}.txt", rendered)
     print()
     print(rendered)
     return rendered

@@ -51,6 +51,15 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
     _np = None
 
 
+#: :meth:`MatrixRatingStore.splice_row_refresh` rebuilds an adjacency
+#: row's dict whole once the entries it places there outnumber the ones
+#: it keeps. Setting an entry from Python costs a few times a slot of a
+#: C-speed ``dict(zip(...))`` over the whole row, so past parity a
+#: rebuild is the cheaper way to write the same dict; below it the patch
+#: is, by the row's degree. Either way the row's contents are the same.
+_PATCH_MAX_RATIO = 1
+
+
 def numpy_available() -> bool:
     """Whether the NumPy fast path can be used (installed and not
     disabled via the ``REPRO_PURE_PYTHON`` environment variable;
@@ -136,13 +145,41 @@ class AssemblyResult(NamedTuple):
     index: "NeighborIndex | None"
 
 
+class RowSplice(NamedTuple):
+    """What one incremental refresh changed, in the shape
+    :meth:`~repro.similarity.graph.ItemGraph.apply_delta` adopts.
+
+    Attributes:
+        index: the refreshed index (``None`` when the sweep keeps none).
+        affected: ascending item indexes inside the blast radius — the
+            touched items, their current co-rated partners and their
+            pre-update neighbors.
+        rows: item name → complete new neighbor dict, for rows rebuilt
+            whole.
+        patches: ``(item, neighbor, weight)`` directed entries to set in
+            the affected rows that were not rebuilt (consumed once).
+        edges_added / edges_removed: undirected edges that appeared /
+            vanished, ``(i, j)`` with ``i < j``, ascending.
+        n_changed_entries: directed entries the refresh ranked and
+            placed.
+    """
+
+    index: "NeighborIndex | None"
+    affected: list[int]
+    rows: dict[str, dict[str, float]]
+    patches: Iterable[tuple[str, str, float]]
+    edges_added: tuple[tuple[str, str], ...]
+    edges_removed: tuple[tuple[str, str], ...]
+    n_changed_entries: int
+
+
 class StoreDelta:
     """What one :meth:`MatrixRatingStore.append_ratings` batch changed.
 
     Everything downstream of an append consumes this record: the delta
     Eq-6 re-accumulation reads the touched flags, the accumulation fold
     remaps old pair keys through :attr:`item_map`, and the
-    ``NeighborIndex`` row refresh rebuilds exactly the rows the batch
+    ``NeighborIndex`` refresh re-ranks exactly the entries the batch
     could have moved.
 
     Interning stays sorted across an append: new users and items are
@@ -1595,8 +1632,10 @@ class MatrixRatingStore:
                              min_common_users: int = 1,
                              min_abs_similarity: float = 0.0,
                              with_index: bool = True):
-        """Re-assemble only the adjacency rows an append could have
-        moved.
+        """Re-assemble, whole, every adjacency row an append could have
+        moved — the pure-python refresh and the reference
+        :meth:`splice_row_refresh` is tested against (the NumPy sweep
+        takes that entry-level path instead).
 
         *acc* is the already-folded full accumulation of the appended
         store. The affected rows are the touched items (their norms —
@@ -1605,8 +1644,10 @@ class MatrixRatingStore:
         items' *pre-update* partners, so rows that lost their last edge
         are refreshed to empty too).
 
-        Returns ``(rows, index_update, affected)``: *rows* maps item
-        name → complete new neighbor dict (possibly empty), *affected*
+        Returns ``(rows, index_update, affected)``: *rows* maps every
+        affected item's name → complete new neighbor dict (possibly
+        empty, unchanged entries re-ranked along with the moved ones),
+        *affected*
         is the ascending index list the rows cover, and *index_update*
         is the ``(sizes, neighbor ids, weights)`` flat-row bundle
         :meth:`NeighborIndex.updated` splices — per-row sizes aligned
@@ -1636,19 +1677,9 @@ class MatrixRatingStore:
                 in_r[_np.asarray(extra_rows, dtype=_np.int64)] = True
             if acc.n_pairs:
                 emask = in_r[left_all] | in_r[right_all]
-                left = left_all[emask]
-                right = right_all[emask]
-                sums = acc.sums[emask]
-                counts = acc.counts[emask]
-                denominators = (self.item_centered_norms[left]
-                                * self.item_centered_norms[right])
-                keep = (counts >= min_common_users) & (sums != 0.0) \
-                    & (denominators != 0.0)
-                left, right = left[keep], right[keep]
-                sims = _np.clip(sums[keep] / denominators[keep], -1.0, 1.0)
-                if min_abs_similarity > 0.0:
-                    keep = _np.abs(sims) >= min_abs_similarity
-                    left, right, sims = left[keep], right[keep], sims[keep]
+                left, right, sims = self._edge_weights_numpy(
+                    left_all[emask], right_all[emask], acc.sums[emask],
+                    acc.counts[emask], min_common_users, min_abs_similarity)
             else:
                 left = _np.zeros(0, dtype=_np.int64)
                 right = left.copy()
@@ -1729,23 +1760,145 @@ class MatrixRatingStore:
         index_update = (sizes, flat_ids, flat_wts) if with_index else None
         return rows, index_update, affected_list
 
+    def splice_row_refresh(self, acc: PairAccumulation, delta: "StoreDelta",
+                           index: "NeighborIndex",
+                           min_common_users: int = 1,
+                           min_abs_similarity: float = 0.0) -> RowSplice:
+        """Refresh *index* (the base store's complete index) after an
+        append by re-ranking only the entries the batch could have
+        moved — the NumPy backend's refresh; :meth:`assemble_row_refresh`
+        is the whole-row reference.
+
+        An Eq-6 weight reads one pair sum and two item norms, and an
+        append moves those only at ``delta.touched_items``: an entry
+        with neither endpoint touched keeps its bits and — ``item_map``
+        being monotone — its place in the ``(row, −weight, id)`` order.
+        So the new index is those kept entries merged
+        (:func:`~repro.similarity.knn.merge_ranked_entries`) with the
+        filtered weights of *acc*'s touched-endpoint pairs, ranked by
+        one small ``lexsort`` — equal to a fresh assembly bit for bit. A
+        touched row keeps nothing, so whole-row rebuild is the merge's
+        degenerate case, not a second path. Adjacency dicts are rebuilt
+        whole (:attr:`RowSplice.rows`) for touched rows and wherever
+        the placed entries outnumber the kept ones
+        (:data:`_PATCH_MAX_RATIO`), and patched per entry elsewhere.
+        """
+        from repro.similarity.knn import NeighborIndex, merge_ranked_entries
+
+        if index.k is not None:
+            raise SimilarityError(
+                f"cannot splice an index truncated to top-{index.k}: a "
+                f"dropped entry may promote a neighbor the index no "
+                f"longer stores")
+        items = self.items
+        n_items = len(items)
+        touched = _np.zeros(n_items, dtype=bool)
+        if delta.touched_items:
+            touched[delta.touched_items] = True
+        affected = touched.copy()
+
+        # Insert side: one scan of the accumulation, shared by the blast
+        # radius (raw pairs) and the entries to place (filtered pairs).
+        left = acc.keys // n_items
+        right = acc.keys % n_items
+        moved = touched[left] | touched[right]
+        left, right = left[moved], right[moved]
+        affected[left] = True
+        affected[right] = True
+        left, right, sims = self._edge_weights_numpy(
+            left, right, acc.sums[moved], acc.counts[moved],
+            min_common_users, min_abs_similarity)
+        src = _np.concatenate([left, right])
+        tgt = _np.concatenate([right, left])
+        wts = _np.concatenate([sims, sims])
+        narrow = _np.min_scalar_type(n_items)  # 16-bit keys radix-sort
+        order = _np.lexsort((tgt.astype(narrow), -wts, src.astype(narrow)))
+        src, tgt, wts = src[order], tgt[order], wts[order]
+
+        # Kept side: old entries, remapped, with no touched endpoint.
+        imap = _np.asarray(delta.item_map, dtype=_np.int64)
+        owner = _np.repeat(imap, _np.diff(index.ptr))
+        ids = imap[index.neighbor_ids]
+        lost_target = touched[ids]
+        dropped = touched[owner] | lost_target
+        affected[owner[lost_target]] = True  # pre-update partners
+        keep = ~dropped
+        ptr, neighbor_ids, weights = merge_ranked_entries(
+            n_items, (owner[keep], ids[keep], index.weights[keep]),
+            (src, tgt, wts))
+
+        # Edge census: pair keys dropped vs placed (both duplicate-free;
+        # acc.keys ascend, so new_keys and `added` already do).
+        gone = _np.nonzero(dropped)[0]
+        gone = gone[owner[gone] < ids[gone]]
+        old_keys = owner[gone] * n_items + ids[gone]
+        new_keys = left * n_items + right
+        added = _np.setdiff1d(new_keys, old_keys, assume_unique=True)
+        removed = _np.sort(_np.setdiff1d(old_keys, new_keys, assume_unique=True))
+
+        if self._item_names_obj is None:
+            self._item_names_obj = _np.asarray(items, dtype=object)
+        names = self._item_names_obj
+        sizes = _np.diff(ptr)
+        placed = _np.bincount(src, minlength=n_items)
+        rebuilt = touched | (placed > _PATCH_MAX_RATIO * (sizes - placed))
+        rebuilt_rows = _np.nonzero(rebuilt)[0]
+        row_sizes = sizes[rebuilt_rows]
+        ends = _np.cumsum(row_sizes)
+        flat = _np.arange(int(row_sizes.sum())) \
+            + _np.repeat(ptr[rebuilt_rows] - (ends - row_sizes), row_sizes)
+        row_names = names[neighbor_ids[flat]].tolist()
+        row_wts = weights[flat].tolist()
+        rows = {
+            items[i]: dict(zip(row_names[b - size:b], row_wts[b - size:b]))
+            for i, size, b in zip(rebuilt_rows.tolist(), row_sizes.tolist(),
+                                  ends.tolist())}
+        patched = ~rebuilt[src]
+
+        def _edges(keys):
+            return tuple((items[key // n_items], items[key % n_items])
+                         for key in keys.tolist())
+
+        return RowSplice(
+            index=NeighborIndex(items, self.item_index, ptr, neighbor_ids, weights),
+            affected=_np.nonzero(affected)[0].tolist(),
+            rows=rows,
+            patches=zip(names[src[patched]].tolist(),
+                        names[tgt[patched]].tolist(), wts[patched].tolist()),
+            edges_added=_edges(added),
+            edges_removed=_edges(removed),
+            n_changed_entries=len(src))
+
     def _pairs_from_accumulation_numpy(self, acc: PairAccumulation,
-                                       min_common_users: int):
+                                       min_common_users: int,
+                                       min_abs_similarity: float = 0.0):
         """The filtered Eq-6 pairs of an accumulation as three aligned
         arrays ``(left item idx, right item idx, similarity)``, or None
         when no pair survives."""
         if len(acc.keys) == 0:
             return None
         n_items = len(self.items)
-        uniq, sums, counts = acc.keys, acc.sums, acc.counts
-        left = uniq // n_items
-        right = uniq % n_items
+        return self._edge_weights_numpy(
+            acc.keys // n_items, acc.keys % n_items, acc.sums, acc.counts,
+            min_common_users, min_abs_similarity)
+
+    def _edge_weights_numpy(self, left, right, sums, counts,
+                            min_common_users: int,
+                            min_abs_similarity: float = 0.0):
+        """The Eq-6 filter / normalise / clip tail over aligned pair
+        arrays: ``(left, right, similarity)`` of the pairs that are
+        edges. Element-wise, so a pair's weight has the same bits
+        whichever subset of the accumulation it is computed in."""
         denominators = (self.item_centered_norms[left]
                         * self.item_centered_norms[right])
         keep = (counts >= min_common_users) & (sums != 0.0) \
             & (denominators != 0.0)
-        similarities = _np.clip(sums[keep] / denominators[keep], -1.0, 1.0)
-        return left[keep], right[keep], similarities
+        left, right = left[keep], right[keep]
+        sims = _np.clip(sums[keep] / denominators[keep], -1.0, 1.0)
+        if min_abs_similarity > 0.0:
+            keep = _np.abs(sims) >= min_abs_similarity
+            left, right, sims = left[keep], right[keep], sims[keep]
+        return left, right, sims
 
     def _iter_index_pairs_python(self, acc: PairAccumulation,
                                  min_common_users: int
@@ -1991,15 +2144,10 @@ class MatrixRatingStore:
         # normalise / clip tail runs on each partition's own pairs.
         partition_edges = []
         for acc in parts:
-            arrays = self._pairs_from_accumulation_numpy(acc, min_common_users)
-            if arrays is None:
-                partition_edges.append((empty_int, empty_int, empty_float))
-                continue
-            left, right, sims = arrays
-            if min_abs_similarity > 0.0:
-                keep = _np.abs(sims) >= min_abs_similarity
-                left, right, sims = left[keep], right[keep], sims[keep]
-            partition_edges.append((left, right, sims))
+            arrays = self._pairs_from_accumulation_numpy(
+                acc, min_common_users, min_abs_similarity)
+            partition_edges.append(
+                (empty_int, empty_int, empty_float) if arrays is None else arrays)
 
         # Stage B: reversed-edge exchange. Forward (left → right) edges
         # already sit in the partition owning their source row; the

@@ -61,16 +61,21 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.data.matrix import MatrixRatingStore, PairAccumulation
+from repro.data.matrix import (
+    MatrixRatingStore,
+    PairAccumulation,
+    RowSplice,
+    StoreDelta,
+)
 from repro.data.ratings import Rating, RatingTable
 from repro.engine.cluster import ClusterSpec
-from repro.obs.metrics import observe_stage_seconds
+from repro.obs.metrics import get_registry, observe_stage_seconds
 from repro.engine.metrics import StageReport
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.scheduler import stage_makespan
-from repro.errors import EngineError
+from repro.errors import DataError, EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Iterable
@@ -570,6 +575,18 @@ def sharded_adjacency(
     )
 
 
+_M_REJECTED = get_registry().counter(
+    "incremental_batches_rejected_total",
+    "update batches refused by validation before reaching the log")
+_M_ENTRIES_CHANGED = get_registry().counter(
+    "incremental_entries_changed_total",
+    "directed adjacency entries incremental updates ranked and placed")
+_M_ROWS = get_registry().counter(
+    "incremental_rows_total",
+    "adjacency rows incremental updates refreshed, by how",
+    labels=("mode",))
+
+
 @dataclass(frozen=True)
 class IncrementalUpdateStats:
     """Observability of one :meth:`IncrementalSweep.update` call.
@@ -581,18 +598,25 @@ class IncrementalUpdateStats:
             moved.
         n_touched_items: items inside the batch's blast radius (every
             item a touched user rates).
-        n_affected_rows: adjacency / ``NeighborIndex`` rows re-assembled.
+        n_affected_rows: adjacency / ``NeighborIndex`` rows inside the
+            blast radius (touched items, their current partners and
+            their pre-update neighbors).
+        n_rebuilt_rows: affected rows whose adjacency dict was rebuilt
+            whole; the other affected rows were patched per entry.
+        n_changed_entries: directed entries the refresh ranked and
+            placed — with *n_affected_rows*, whether an update moved a
+            lot or merely touched a lot.
         delta_pairs: distinct pairs the delta re-accumulation recomputed.
         append_seconds: store append (array patch + targeted recompute).
         delta_seconds: restricted Eq-6 re-accumulation.
         fold_seconds: folding the delta over the retained accumulation.
-        refresh_seconds: affected-row assembly + graph/index splice.
+        refresh_seconds: entry re-ranking + graph/index splice.
         total_seconds: the whole update, table derivation included.
         edges_added / edges_removed: undirected edges that appeared /
             vanished, as ``(i, j)`` with ``i < j`` — what lets the
             Baseliner patch its edge census without a recount.
         affected_items: item ids (ascending) whose adjacency /
-            ``NeighborIndex`` rows were re-assembled — the exact
+            ``NeighborIndex`` rows could have changed — the exact
             blast radius a serving-side row cache must evict
             (``n_affected_rows`` is its length).
         batch_users: user ids (ascending) with ratings in the batch.
@@ -617,8 +641,13 @@ class IncrementalUpdateStats:
     affected_items: tuple[str, ...] = ()
     batch_users: tuple[str, ...] = ()
     wal_seq: int | None = None
+    n_rebuilt_rows: int = 0
+    n_changed_entries: int = 0
 
     def __post_init__(self) -> None:
+        _M_ENTRIES_CHANGED.inc(self.n_changed_entries)
+        _M_ROWS.labels("rebuilt").inc(self.n_rebuilt_rows)
+        _M_ROWS.labels("patched").inc(self.n_affected_rows - self.n_rebuilt_rows)
         observe_stage_seconds(
             "incremental_update",
             {
@@ -649,9 +678,12 @@ class IncrementalSweep:
     2. a restricted Eq-6 re-accumulation recomputes exactly the pairs
        the batch could have moved, shard-faithfully (per-shard deltas
        merged in shard order), and folds into the retained accumulation;
-    3. only the affected adjacency rows are re-assembled and spliced
-       into the graph and index; Definition-2 counts (when maintained)
-       are patched for the same pairs.
+    3. only the entries with a touched endpoint are re-ranked and
+       merged into the graph and index
+       (:meth:`~repro.data.matrix.MatrixRatingStore.splice_row_refresh`;
+       the pure-python backend re-assembles the affected rows whole);
+       Definition-2 counts (when maintained) are patched for the same
+       pairs.
 
     Equality contract (property-tested in ``tests/test_incremental.py``):
     after any sequence of updates, the store, accumulation, graph,
@@ -672,10 +704,10 @@ class IncrementalSweep:
         with_significance: also maintain the bulk Definition-2 counts.
         with_index: keep a serving index attached to the graph.
         wal: a :class:`~repro.durability.log.RatingLog` to append every
-            update batch to **before** applying it — the write-ahead
-            discipline: after a crash the log always holds at least
-            what the in-memory state absorbed, so replaying it over the
-            last checkpoint reconstructs the sweep exactly
+            valid update batch to **before** applying it — the
+            write-ahead discipline: after a crash the log always holds
+            at least what the in-memory state absorbed, so replaying it
+            over the last checkpoint reconstructs the sweep exactly
             (:mod:`repro.durability.manager`). ``None`` (the default)
             keeps the sweep purely in-memory.
     """
@@ -730,16 +762,23 @@ class IncrementalSweep:
         """Append *batch* and patch the store, accumulation, graph,
         index and significance counts in place of a rebuild.
 
-        With a ``wal`` attached, the batch is logged (and acknowledged
-        by the log's group-commit discipline) before any in-memory
-        state moves — log-then-apply, never the reverse.
+        With a ``wal`` attached, the batch is validated, then logged
+        (and acknowledged by the log's group-commit discipline) before
+        any in-memory state moves — log-then-apply, never the reverse,
+        and never a record that replay would refuse: a batch the table
+        rejects raises :class:`~repro.errors.DataError` and leaves log
+        and sweep untouched.
         """
         started = time.perf_counter()
         batch = list(batch)
+        try:
+            new_table = self.table.with_ratings(batch)
+        except DataError:
+            _M_REJECTED.inc()
+            raise
         wal_seq = None
         if self.wal is not None:
             wal_seq = self.wal.append(batch)
-        new_table = self.table.with_ratings(batch)
 
         append_start = time.perf_counter()
         new_store, delta = self.store.append_ratings(batch)
@@ -783,38 +822,11 @@ class IncrementalSweep:
         fold_seconds = time.perf_counter() - fold_start
 
         refresh_start = time.perf_counter()
-        # Rows that may have lost an edge: the touched items' partners
-        # *before* the update (an appended batch can drive an Eq-6
-        # numerator to exactly zero, dropping the edge).
-        item_index = new_store.item_index
-        old_partner_rows: set[int] = set()
-        touched_names = [new_store.items[i] for i in delta.touched_items]
-        for name in touched_names:
-            for neighbor in self.graph.neighbors(name):
-                old_partner_rows.add(item_index[neighbor])
-        rows, index_update, affected = new_store.assemble_row_refresh(
-            new_acc,
-            delta,
-            extra_rows=sorted(old_partner_rows),
-            min_common_users=self.min_common_users,
-            min_abs_similarity=self.min_abs_similarity,
-            with_index=self.index is not None,
-        )
-        old_rows = {name: self.graph.neighbors(name) for name in rows}
-        new_index = None
-        if self.index is not None:
-            sizes, flat_ids, flat_weights = index_update
-            new_index = self.index.updated(
-                new_store.items,
-                item_index,
-                affected,
-                sizes,
-                flat_ids,
-                flat_weights,
-                item_map=delta.item_map,
-            )
-        self.graph.apply_delta(rows, new_items=delta.new_items, index=new_index)
-        self.index = new_index
+        refreshed = self._refresh(new_store, new_acc, delta)
+        self.graph.apply_delta(
+            refreshed.rows, new_items=delta.new_items, index=refreshed.index,
+            patches=refreshed.patches, removed=refreshed.edges_removed)
+        self.index = refreshed.index
         refresh_seconds = time.perf_counter() - refresh_start
 
         if self.with_significance:
@@ -826,53 +838,71 @@ class IncrementalSweep:
         self.store = new_store
         self.accumulation = new_acc
 
-        edges_added, edges_removed = _edge_census_diff(old_rows, rows)
         return IncrementalUpdateStats(
             n_batch=len({(r.user, r.item) for r in batch}),
             n_new_users=len(delta.new_users),
             n_new_items=len(delta.new_items),
             n_touched_users=len(delta.touched_users),
             n_touched_items=len(delta.touched_items),
-            n_affected_rows=len(affected),
+            n_affected_rows=len(refreshed.affected),
             delta_pairs=delta_acc.n_pairs,
             append_seconds=append_seconds,
             delta_seconds=delta_seconds,
             fold_seconds=fold_seconds,
             refresh_seconds=refresh_seconds,
             total_seconds=time.perf_counter() - started,
-            edges_added=edges_added,
-            edges_removed=edges_removed,
-            affected_items=tuple(new_store.items[i] for i in affected),
+            edges_added=refreshed.edges_added,
+            edges_removed=refreshed.edges_removed,
+            affected_items=tuple(new_store.items[i] for i in refreshed.affected),
             batch_users=tuple(sorted({r.user for r in batch})),
             wal_seq=wal_seq,
+            n_rebuilt_rows=len(refreshed.rows),
+            n_changed_entries=refreshed.n_changed_entries,
         )
 
+    def _refresh(self, new_store: MatrixRatingStore, new_acc: PairAccumulation,
+                 delta: StoreDelta) -> RowSplice:
+        """What the folded accumulation changes in graph and index: the
+        entry-level splice on the NumPy backend, the whole-row reference
+        otherwise (and for a sweep that keeps no index to splice)."""
+        if self.index is not None and new_store.uses_numpy:
+            return new_store.splice_row_refresh(
+                new_acc, delta, self.index,
+                min_common_users=self.min_common_users,
+                min_abs_similarity=self.min_abs_similarity)
+        return self._refresh_whole_rows(new_store, new_acc, delta)
 
-def _edge_census_diff(
-    old_rows: Mapping[str, Mapping[str, float]],
-    new_rows: Mapping[str, Mapping[str, float]],
-) -> tuple[tuple[tuple[str, str], ...], tuple[tuple[str, str], ...]]:
-    """Added/removed undirected edges between two row bundles over the
-    same key set.
-
-    Every changed edge has both endpoints inside the bundle, so per-row
-    key diffs cover the census exactly; the ``i < j`` guard dedupes the
-    two sightings. The common case — weights moved, membership did not —
-    takes the C-speed dict-keys equality fast path, which is what keeps
-    the census from costing O(edges) Python work per update.
-    """
-    added = []
-    removed = []
-    for item, old_row in old_rows.items():
-        new_row = new_rows[item]
-        old_keys = old_row.keys()
-        new_keys = new_row.keys()
-        if old_keys == new_keys:
-            continue
-        for other in new_keys - old_keys:
-            if item < other:
-                added.append((item, other))
-        for other in old_keys - new_keys:
-            if item < other:
-                removed.append((item, other))
-    return tuple(sorted(added)), tuple(sorted(removed))
+    def _refresh_whole_rows(self, new_store: MatrixRatingStore,
+                            new_acc: PairAccumulation,
+                            delta: StoreDelta) -> RowSplice:
+        """Re-assemble every affected row whole — the pure-python path
+        and the oracle the splice is tested against."""
+        # Rows that may have lost an edge: the touched items' partners
+        # *before* the update (an appended batch can drive an Eq-6
+        # numerator to exactly zero, dropping the edge).
+        item_index = new_store.item_index
+        old_partner_rows = {
+            item_index[neighbor]
+            for i in delta.touched_items
+            for neighbor in self.graph.neighbors(new_store.items[i])}
+        rows, index_update, affected = new_store.assemble_row_refresh(
+            new_acc,
+            delta,
+            extra_rows=sorted(old_partner_rows),
+            min_common_users=self.min_common_users,
+            min_abs_similarity=self.min_abs_similarity,
+            with_index=self.index is not None,
+        )
+        new_index = None
+        if self.index is not None:
+            new_index = self.index.updated(
+                new_store.items, item_index, affected, *index_update,
+                item_map=delta.item_map)
+        # Every changed edge has both endpoints among the rows.
+        before = {(i, j) for i in rows for j in self.graph.neighbors(i) if i < j}
+        after = {(i, j) for i, row in rows.items() for j in row if i < j}
+        edges_added = tuple(sorted(after - before))
+        edges_removed = tuple(sorted(before - after))
+        return RowSplice(
+            new_index, affected, rows, (), edges_added, edges_removed,
+            n_changed_entries=sum(len(row) for row in rows.values()))

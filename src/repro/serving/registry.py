@@ -13,9 +13,8 @@ a half-swapped model, they just serve the version they pinned.
 
 The writer side closes the loop with the incremental path: a registry
 built over an :class:`~repro.engine.sharded_sweep.IncrementalSweep`
-publishes each :meth:`update` as the next version via the existing
-``assemble_row_refresh`` / ``NeighborIndex.updated`` splice — O(delta),
-not a rebuild — and hands the update's
+publishes each :meth:`update` as the next version via the sweep's
+entry-level index splice — O(delta), not a rebuild — and hands the update's
 :class:`~repro.engine.sharded_sweep.IncrementalUpdateStats` census to
 subscribers (the service's caches use it for delta-targeted eviction).
 

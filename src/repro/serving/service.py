@@ -28,7 +28,7 @@ contract wired to the registry's update census
 
 * the **ranked-row cache** (:meth:`similar_items`) keys materialised
   neighbor rows by item; an incremental update evicts **only the rows
-  of the items its census re-assembled** (``affected_items`` — exact:
+  of the items its census names** (``affected_items`` — exact:
   a stored row and its item mean can only move for an affected item),
   so row hit rates survive online appends;
 * the **response cache** (Top-N answers) is version-scoped: any

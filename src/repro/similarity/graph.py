@@ -253,30 +253,43 @@ class ItemGraph:
 
     def apply_delta(self, rows: Mapping[str, dict[str, float]],
                     new_items: Iterable[str] = (),
-                    index: NeighborIndex | None = None) -> None:
-        """Adopt re-assembled adjacency rows in place — the incremental
-        update path's targeted alternative to mutate-and-
-        :meth:`_invalidate`.
+                    index: NeighborIndex | None = None,
+                    patches: Iterable[tuple[str, str, float]] = (),
+                    removed: Iterable[tuple[str, str]] = ()) -> None:
+        """Adopt an incremental refresh in place — the update path's
+        targeted alternative to mutate-and-:meth:`_invalidate`.
 
-        *rows* maps item → complete new neighbor dict (adopted without
-        copying; the caller keeps no reference) and must leave the
-        adjacency symmetric — both endpoints of every changed edge have
-        to appear in *rows*, which is what
+        *rows* maps item → complete new neighbor dict for the rows the
+        refresh rebuilt whole (adopted without copying; the caller keeps
+        no reference). Every other changed row is patched per entry:
+        *patches* are directed ``(item, neighbor, weight)`` entries to
+        set, *removed* the undirected edges that vanished (dropped from
+        both endpoint rows). Together they must leave the adjacency
+        symmetric — every changed directed entry appears in a rebuilt
+        row or a patch, which both
+        :meth:`~repro.data.matrix.MatrixRatingStore.splice_row_refresh`
+        and the whole-row
         :meth:`~repro.data.matrix.MatrixRatingStore.assemble_row_refresh`
-        guarantees. *new_items* become vertices (isolated unless a row
-        says otherwise); *index* replaces the backing index wholesale
-        (``None`` drops it — pass the
-        :meth:`~repro.similarity.knn.NeighborIndex.updated` splice to
-        keep O(k) serving). Only the replaced rows' memoized rankings
-        are invalidated; untouched rows keep their cache.
+        (all *rows*, no patches) guarantee. *new_items* become vertices
+        (isolated unless a row says otherwise); *index* replaces the
+        backing index wholesale (``None`` drops it). Only the changed
+        rows' memoized rankings are invalidated.
         """
         adjacency = self._adjacency
         for item in new_items:
             adjacency.setdefault(item, {})
         cache = self._ranked_cache
-        for item, row in rows.items():
-            adjacency[item] = row
+        adjacency.update(rows)
+        if cache:
+            for item in rows:
+                cache.pop(item, None)
+        for item, neighbor, weight in patches:
+            adjacency[item][neighbor] = weight
             if cache:
+                cache.pop(item, None)
+        for edge in removed:
+            for item, neighbor in (edge, edge[::-1]):
+                adjacency[item].pop(neighbor, None)
                 cache.pop(item, None)
         self._index = index
 

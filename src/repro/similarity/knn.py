@@ -64,6 +64,40 @@ def top_k(similarities: Mapping[str, float] | Iterable[tuple[str, float]],
     return heapq.nsmallest(k, candidates, key=lambda pair: (-pair[1], pair[0]))
 
 
+def merge_ranked_entries(n_items: int, kept, placed):
+    """Merge two ``(owner, neighbor ids, weights)`` entry bundles (NumPy
+    arrays, each sorted by ``(owner, −weight, id)`` — row order, then
+    serving rank) into one index's ``(ptr, neighbor_ids, weights)``.
+
+    Each *placed* entry is bisected into its owner's *kept* row on
+    ``(−weight, id)``: ids are distinct within a row, so that is a total
+    order and the merge has one outcome — the row a full re-rank would
+    produce. All entries halve their interval per step; those whose
+    owner kept nothing (a row replaced whole) start converged and skip
+    the bisect.
+    """
+    kept_owner, kept_ids, kept_wts = kept
+    owner, ids, wts = placed
+    kept_sizes = _np.bincount(kept_owner, minlength=n_items)
+    kept_ptr = _np.zeros(n_items + 1, dtype=_np.int64)
+    _np.cumsum(kept_sizes, out=kept_ptr[1:])
+    at = kept_ptr[owner]
+    live = _np.nonzero(at < kept_ptr[owner + 1])[0]
+    lo, hi = at[live], kept_ptr[owner[live] + 1]
+    live_wts, live_ids = wts[live], ids[live]
+    for _ in range(int(kept_sizes.max(initial=0)).bit_length()):
+        mid = _np.minimum((lo + hi) >> 1, len(kept_ids) - 1)
+        ahead = (lo < hi) & (
+            (kept_wts[mid] > live_wts)
+            | ((kept_wts[mid] == live_wts) & (kept_ids[mid] < live_ids)))
+        lo = _np.where(ahead, mid + 1, lo)
+        hi = _np.where(ahead, hi, mid)
+    at[live] = lo
+    ptr = _np.zeros(n_items + 1, dtype=_np.int64)
+    _np.cumsum(kept_sizes + _np.bincount(owner, minlength=n_items), out=ptr[1:])
+    return ptr, _np.insert(kept_ids, at, ids), _np.insert(kept_wts, at, wts)
+
+
 class NeighborIndex:
     """Per-item rank-ordered neighbor ids and weights in flat arrays.
 
@@ -210,58 +244,43 @@ class NeighborIndex:
     def updated(self, items: Sequence[str], item_index: Mapping[str, int],
                 updated_rows: Sequence[int], row_sizes, row_ids,
                 row_weights, item_map=None) -> "NeighborIndex":
-        """A new index over *items* with the given rows replaced.
+        """A new index over *items* with the given rows replaced whole —
+        the pure-python backend's incremental splice, and the reference
+        :meth:`~repro.data.matrix.MatrixRatingStore.splice_row_refresh`
+        (which re-ranks entries, not rows) is tested against.
 
-        This is the incremental-update splice: *item_map* maps this
-        index's item indexes into the new interning (``None`` when the
-        item set did not change — the map is strictly increasing, as
+        *item_map* maps this index's item indexes into the new interning
+        (``None`` when the item set did not change — the map is strictly
+        increasing, as
         :meth:`~repro.data.matrix.MatrixRatingStore.append_ratings`
         guarantees). *updated_rows* are the ascending new-space indexes
         being replaced; their rank-ordered contents arrive as one flat
         bundle — per-row *row_sizes* aligned with *updated_rows*, and
         *row_ids* / *row_weights* concatenated in row order, exactly as
         :meth:`~repro.data.matrix.MatrixRatingStore.assemble_row_refresh`
-        emits them (no per-row slicing on either side). Rows not
-        updated are carried over with their neighbor ids remapped;
-        remapping is monotone, so carried rows keep their rank order
-        (descending weight, ascending neighbor index) without
-        re-sorting. New items without an update get empty rows.
-
-        The result is bit-identical to re-assembling the whole index
-        from the updated adjacency — copying flat arrays is cheap; it
-        is the per-row ranking work this avoids.
+        emits them. Rows not updated are carried over with their
+        neighbor ids remapped; remapping is monotone, so carried rows
+        keep their rank order without re-sorting. New items without an
+        update get empty rows. The result is bit-identical to
+        re-assembling the whole index from the updated adjacency.
         """
         n_new = len(items)
         use_numpy = _np is not None and isinstance(self.neighbor_ids, _np.ndarray)
         if use_numpy:
-            n_old = self.n_items
-            imap = (_np.arange(n_old, dtype=_np.int64) if item_map is None
+            imap = (_np.arange(self.n_items, dtype=_np.int64) if item_map is None
                     else _np.asarray(item_map, dtype=_np.int64))
-            old_sizes = _np.diff(self.ptr)
-            owner_new = _np.repeat(imap, old_sizes)
-            ids_new = (imap[self.neighbor_ids] if self.n_entries else self.neighbor_ids)
             upd_idx = _np.asarray(updated_rows, dtype=_np.int64)
-            upd_sizes = _np.asarray(row_sizes, dtype=_np.int64)
-            updated_flag = _np.zeros(n_new, dtype=bool)
-            if len(upd_idx):
-                updated_flag[upd_idx] = True
-            keep = ~updated_flag[owner_new] if len(owner_new) else \
-                _np.zeros(0, dtype=bool)
-            kept_owner = owner_new[keep]
-            # Both sides are owner-sorted and owner-disjoint, so the
-            # splice is a sorted merge (np.insert) — no re-sort.
-            upd_owner = _np.repeat(upd_idx, upd_sizes)
-            pos = _np.searchsorted(kept_owner, upd_owner)
-            neighbor_ids = _np.insert(
-                ids_new[keep], pos, _np.asarray(row_ids, dtype=_np.int64))
-            weights = _np.insert(
-                self.weights[keep], pos,
-                _np.asarray(row_weights, dtype=_np.float64))
-            sizes_new = _np.zeros(n_new, dtype=_np.int64)
-            sizes_new[imap] = old_sizes
-            sizes_new[upd_idx] = upd_sizes
-            ptr = _np.zeros(n_new + 1, dtype=_np.int64)
-            _np.cumsum(sizes_new, out=ptr[1:])
+            replaced = _np.zeros(n_new, dtype=bool)
+            replaced[upd_idx] = True
+            owner = _np.repeat(imap, _np.diff(self.ptr))
+            keep = ~replaced[owner]
+            # Replaced rows keep nothing: the merge's degenerate case.
+            ptr, neighbor_ids, weights = merge_ranked_entries(
+                n_new,
+                (owner[keep], imap[self.neighbor_ids][keep], self.weights[keep]),
+                (_np.repeat(upd_idx, _np.asarray(row_sizes, dtype=_np.int64)),
+                 _np.asarray(row_ids, dtype=_np.int64),
+                 _np.asarray(row_weights, dtype=_np.float64)))
             return NeighborIndex(items, item_index, ptr, neighbor_ids,
                                  weights, k=self.k)
         imap_list = (list(range(self.n_items)) if item_map is None else item_map)

@@ -47,7 +47,8 @@ from repro.durability.manager import (
     DurableSweep,
 )
 from repro.engine.sharded_sweep import IncrementalSweep
-from repro.errors import DurabilityError
+from repro.errors import DataError, DurabilityError
+from repro.obs.metrics import get_registry
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import RecommendationService
 from repro.serving.snapshot import STORE_ARRAY_NAMES
@@ -424,6 +425,28 @@ class TestDurableSweep:
         assert any("crc mismatch" in repair
                    for repair in recovered.last_recovery.log_repairs)
         assert_sweeps_equal(recovered, _reference({}, table, batches, len(batches) - 1))
+        recovered.close()
+
+    @pytest.mark.parametrize("bad_value", [99.0, float("nan"), float("inf")])
+    def test_rejected_batch_never_reaches_the_log(self, tmp_path, bad_value):
+        """A batch the table refuses must not leave a record behind:
+        replay would refuse it too, and every later recovery would die
+        on it."""
+        table, batches = _scenario()
+        rejected = get_registry().counter("incremental_batches_rejected_total")
+        durable = DurableSweep(tmp_path / "store", table, **_WRITER_KWARGS)
+        durable.update(batches[0])
+        before = rejected.value
+        with pytest.raises(DataError, match="outside scale"):
+            durable.update(batches[1] + _batch(("u5", "i1", bad_value, 950)))
+        assert rejected.value == before + 1
+        assert durable.log.last_seq == 1
+        assert durable.applied_seq == 1
+        assert durable.update(batches[1]).wal_seq == 2
+        durable.close()
+        recovered = DurableSweep.recover(tmp_path / "store")
+        assert recovered.applied_seq == 2
+        assert_sweeps_equal(recovered, _reference({}, table, batches, 2))
         recovered.close()
 
 

@@ -1,14 +1,17 @@
-"""scripts/check_paper_artifacts.py against a throwaway git repository."""
+"""scripts/check_paper_artifacts.py against a throwaway git repository,
+and the write guard that keeps ``benchmarks/results/`` out of plain runs."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "check_paper_artifacts.py"
+REPO = Path(__file__).resolve().parent.parent
+SCRIPT = REPO / "scripts" / "check_paper_artifacts.py"
 
 
 @pytest.fixture()
@@ -58,3 +61,31 @@ def test_fails_on_an_unacknowledged_move_and_passes_once_named(gate, capsys):
     with (root / "CHANGES.md").open("a") as changes:
         changes.write("- PR 2: fig11.txt and table9 moved because ...\n")
     assert module.main() == 0
+
+
+def test_results_are_written_only_on_a_recording_run(tmp_path, monkeypatch):
+    """Every write under ``benchmarks/results/`` goes through
+    ``benchmarks/conftest.py::write_result``; without
+    ``REPRO_BENCH_RECORD=1`` (a plain Tier-1 run) the tree stays clean."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmarks_conftest", REPO / "benchmarks" / "conftest.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path / "results")
+
+    monkeypatch.delenv("REPRO_BENCH_RECORD", raising=False)
+    harness.write_result("fig1b.txt", "pairs 1\n")
+    harness.record_json("gateway", "numpy", {"p50_ms": 3.0})
+    assert not (tmp_path / "results").exists()
+
+    monkeypatch.setenv("REPRO_BENCH_RECORD", "1")
+    harness.write_result("fig1b.txt", "pairs 1\n")
+    harness.record_json("gateway", "numpy", {"p50_ms": 3.0})
+    harness.record_json("gateway", "pure_python", {"p50_ms": 9.0})
+    assert (tmp_path / "results" / "fig1b.txt").read_text() == "pairs 1\n"
+    merged = json.loads((tmp_path / "results" / "BENCH_gateway.json").read_text())
+    assert sorted(merged["backends"]) == ["numpy", "pure_python"]
+
+    # No bench file reaches around the helper.
+    for bench in (REPO / "benchmarks").glob("test_*_bench.py"):
+        assert "RESULTS_DIR" not in bench.read_text(), bench.name
