@@ -248,7 +248,7 @@ async def _drive_traffic(work: Path, registry, pure_python: bool,
                       backoff_base=0.05, backoff_cap=0.5,
                       worker_env={**plan.to_env(), "REPRO_OBS_LOG": "1"})
     await pool.start()
-    server = GatewayServer(pool, max_delay=0.005)
+    server = GatewayServer(pool)
     await server.start()
     loop = asyncio.get_running_loop()
     responses: list = []
@@ -281,7 +281,7 @@ async def _drive_traffic(work: Path, registry, pure_python: bool,
         stats = pool.stats()
 
         # --- shed probe: a one-slot admission window under a burst ---
-        tiny = GatewayServer(pool, max_delay=0.005, max_inflight=1, max_queue=0)
+        tiny = GatewayServer(pool, max_inflight=1, max_queue=0)
         await tiny.start()
         try:
             shed_responses: list = []

@@ -10,7 +10,7 @@ networked topology — a :class:`~repro.gateway.server.GatewayServer`
 over a 2-worker :class:`~repro.gateway.supervisor.WorkerPool`, each
 worker a fresh subprocess memmapping the catalog — then fires
 concurrent mixed traffic (single-user ``/recommend``, which exercises
-the coalescing window, plus ``/similar_items``) from several client
+the coalescer, plus ``/similar_items``) from several client
 threads **while publishing two incremental rating batches** through
 the live registry. The update batches re-rate well-connected items, so
 consecutive versions genuinely rank differently — a mixed response
@@ -181,7 +181,7 @@ async def _drive_traffic(work: Path, registry, pure_python: bool,
     pool = WorkerPool(work / "catalog", n_workers=2,
                       poll_interval=0.05, pure_python=pure_python)
     await pool.start()
-    server = GatewayServer(pool, max_delay=0.005)
+    server = GatewayServer(pool)
     await server.start()
     loop = asyncio.get_running_loop()
     responses: list = []

@@ -200,11 +200,10 @@ def _add_fleet_arguments(parser) -> None:
     parser.add_argument("--pure-python", action="store_true",
                         help="run workers on the pure-Python backend")
     parser.add_argument("--max-batch", type=int, default=32,
-                        help="flush a coalescing window at this many "
-                             "pending requests")
-    parser.add_argument("--max-delay", type=float, default=0.002,
-                        help="flush a partial window after this many "
-                             "seconds")
+                        help="most single-user requests one coalesced "
+                             "frame may carry (a request leaves at once "
+                             "while a worker is idle; frames only fill "
+                             "while every worker is busy)")
     parser.add_argument("--poll-interval", type=float, default=0.2,
                         help="idle watcher poll period inside workers")
     parser.add_argument("--response-cache-size", type=int, default=1024,
@@ -458,7 +457,6 @@ def _make_pool_and_server(args, port: int = 0, host: str = "127.0.0.1"):
         allow_stale=args.allow_stale)
     server = GatewayServer(pool, host=host, port=port,
                            max_batch=args.max_batch,
-                           max_delay=args.max_delay,
                            max_inflight=args.max_inflight,
                            max_queue=args.max_queue)
     return pool, server

@@ -7,7 +7,8 @@ topology::
             clients (HTTP/1.1 keep-alive)
                       │
               GatewayServer            asyncio, stdlib only
-          coalesce → batch windows     (max_batch / max_delay)
+          natural batching: leave at   (frames ≤ max_batch, formed
+          once if a worker is idle     only while all workers are busy)
                       │
                WorkerPool              checkout routing, retries,
           version handshake (min_version), restart-on-death

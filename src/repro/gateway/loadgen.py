@@ -10,7 +10,7 @@ Two arrival disciplines, because they answer different questions:
 * **open loop** (:func:`run_open_loop`) — a Poisson process schedules
   arrivals at a target rate λ (exponential inter-arrival gaps) and
   latency is measured **from the scheduled arrival time**, so requests
-  that queue behind a slow window are charged for the wait. This is
+  that queue behind a slow frame are charged for the wait. This is
   the honest tail-latency discipline: a closed loop self-throttles
   around slowness and hides exactly the p99/p999 behaviour an SLA
   cares about (the coordinated-omission trap).
@@ -261,7 +261,7 @@ def run_open_loop(
     """Poisson arrivals at *rate_qps* for *duration_s* seconds.
 
     Latency is measured from each request's **scheduled** arrival —
-    a request delayed behind a slow batch window or a worker restart
+    a request delayed behind a slow frame or a worker restart
     accrues that delay — so the tail percentiles are
     coordinated-omission-free.
     """

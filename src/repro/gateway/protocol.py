@@ -57,6 +57,19 @@ HEADER_BYTES = 4
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
+def positive_int(params: dict, name: str, error: type[Exception]) -> int:
+    """A read's list-length parameter (``n``, ``k``; default 10),
+    refused below 1 with *error* on both sides of the wire — the
+    gateway answers 400, the worker a non-retryable error, so a direct
+    ``pool.call`` is covered too. A negative one would come back as a
+    Python negative slice of the ranking: a wrong answer served as a
+    200."""
+    value = int(params.get(name, 10))
+    if value < 1:
+        raise error(f"{name!r} must be >= 1, got {value}")
+    return value
+
+
 def encode_frame(payload: dict) -> bytes:
     """The wire bytes for one message (header + JSON body)."""
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")

@@ -8,21 +8,42 @@ economics the service layer already proved in-process
 order of magnitude cheaper per user than per-request serving): many
 concurrent ``/recommend`` clients are coalesced into one worker call.
 
-The window is two-knobbed, both per-server:
+Batching is **natural**: there is no timer and no window to tune. The
+coalescer keeps at most one frame in flight per live pool worker.
 
-* ``max_batch`` — a flush fires the moment this many requests are
-  pending (a full window never waits);
-* ``max_delay`` — the first request of a window starts a timer; a
-  partial window flushes when it expires, so a lone request pays at
-  most ``max_delay`` extra latency.
+* While a worker is idle (fewer frames in flight than the pool has
+  live workers) a single-user ``/recommend`` leaves at once as a frame
+  of one — an unloaded request pays no wait at all.
+* Requests that arrive while every worker is busy accumulate, and the
+  instant a frame returns the oldest waiter leaves with everyone who
+  asked for the same ``n`` (one worker call serves one batch shape),
+  capped at ``max_batch`` — so frames fill exactly when, and exactly
+  as much as, the fleet is behind.
 
-Flushes group pending requests by ``n`` (one worker call serves one
-batch shape) and dispatch each group as its own task, so a second
-window can fill — and route to a second worker — while the first is
-still being scored: batching and multi-process parallelism compose
-rather than serialise.
+The invariant, in the form a simulator can check, holds after every
+submit and every frame return: *pending ≠ ∅ ⇒ in-flight coalesced
+frames ≥ max(1, live workers) — the worker count of a healthy fleet;
+every submitted future resolves exactly once; a frame carries ≤
+``max_batch`` users of one ``n``; a frame that fails or is cancelled
+still frees its slot and pumps the queue.* Monotonic reads and tagged
+staleness are the pool's business (the ``min_version`` handshake) and
+do not depend on *when* a frame leaves, which is why no delay is worth
+paying for here.
 
-On top of the batching window the server is an **admission
+"Busy" is counted, not observed: the coalescer's own frames against
+the pool's live workers. A dead or restarting worker, or a slot behind
+an open breaker, is not alive and is not counted — the queue fills
+behind the workers that are left (one frame stays allowed with none
+alive, so callers fail through the pool's deadline instead of parking
+here). Two cases the count does not see: a live worker busy
+with a call that does not come through the coalescer
+(``/similar_items``, a multi-user ``POST /recommend``, a metrics poll)
+still counts as free, so a single may leave as a frame of one and wait
+in the pool's checkout instead of accumulating; and a frame the pool
+is backing off before a retry still counts as in flight while its
+worker is free.
+
+On top of the coalescer the server is an **admission
 controller**: at most ``max_inflight`` data requests run concurrently,
 at most ``max_queue`` more may wait for a slot, and anything beyond
 that is **shed immediately** with ``429 Too Many Requests`` and a
@@ -81,9 +102,11 @@ import asyncio
 import json
 import logging
 import time
+from typing import NamedTuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import GatewayError
+from repro.gateway.protocol import positive_int
 from repro.gateway.supervisor import WorkerPool
 from repro.obs.metrics import (
     BATCH_BUCKETS,
@@ -94,7 +117,6 @@ from repro.obs.metrics import (
 from repro.obs.trace import TraceContext, event, span
 
 DEFAULT_MAX_BATCH = 32
-DEFAULT_MAX_DELAY = 0.002
 DEFAULT_MAX_INFLIGHT = 64
 DEFAULT_MAX_QUEUE = 128
 DEFAULT_RETRY_AFTER = 1
@@ -112,19 +134,29 @@ def _error_body(code: str, message: str) -> dict:
     return {"error": {"code": code, "message": message}}
 
 
+class _Member(NamedTuple):
+    """One waiting single-user request."""
+
+    user: str
+    n: int
+    future: asyncio.Future
+    trace: TraceContext | None
+    submitted: float
+
+
 class _Batcher:
-    """Coalesce single-user recommend requests into worker batches.
+    """Coalesce single-user recommend requests into worker frames by
+    natural batching (see the module docstring for the invariant).
 
     Single-threaded by construction — every method runs on the event
-    loop — so the pending list needs no lock; the flush path just has
-    to be careful to detach the list before awaiting anything.
+    loop — so the pending list needs no lock; :meth:`_pump` detaches a
+    frame's members before anything is awaited.
     """
 
     def __init__(
         self,
         pool: WorkerPool,
         max_batch: int,
-        max_delay: float,
         request_timeout: float | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
@@ -132,23 +164,28 @@ class _Batcher:
             raise GatewayError(f"max_batch must be >= 1, got {max_batch}")
         self.pool = pool
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self.request_timeout = request_timeout
         registry = registry if registry is not None else MetricsRegistry()
         self._m_flushes = registry.counter(
-            "gateway_coalescer_flushes_total", "coalescing windows flushed"
+            "gateway_coalescer_flushes_total", "coalesced frames dispatched"
         )
         self._m_coalesced = registry.counter(
             "gateway_coalesced_requests_total",
-            "single-user requests that rode a coalescing window",
+            "single-user requests that left in a coalesced frame",
         )
         self._m_batch_size = registry.histogram(
             "gateway_coalesced_batch_size",
-            "requests per flushed coalescing window",
+            "requests per coalesced frame",
             buckets=BATCH_BUCKETS,
         )
-        self._pending: list[tuple[str, int, asyncio.Future, TraceContext | None]] = []
-        self._timer: asyncio.TimerHandle | None = None
+        self._m_wait = registry.histogram(
+            "gateway_coalesce_wait_seconds",
+            "submit until the request's frame leaves (0 while a worker is idle)",
+        )
+        self._pending: list[_Member] = []
+        #: in-flight frames; the set is what keeps each task referenced
+        #: (the loop holds tasks weakly) and what close() cancels.
+        self._frames: set[asyncio.Task] = set()
 
     @property
     def n_flushes(self) -> int:
@@ -158,70 +195,112 @@ class _Batcher:
     def n_coalesced(self) -> int:
         return int(self._m_coalesced.value)
 
+    @property
+    def n_pending(self) -> int:
+        return len(self._pending)
+
+    @property
+    def n_in_flight(self) -> int:
+        return len(self._frames)
+
     async def submit(
         self, user: str, n: int, trace: TraceContext | None = None
     ) -> tuple[int, list, bool]:
-        """One user's Top-N through the current window; resolves to
+        """One user's Top-N through the coalescer; resolves to
         ``(version, recommendations, stale)``."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append((user, n, future, trace))
-        if len(self._pending) >= self.max_batch:
-            self._flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.max_delay, self._flush)
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        self._pending.append(_Member(user, n, future, trace, time.perf_counter()))
+        self._pump()
         return await future
 
-    def _flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending:
-            return
-        window, self._pending = self._pending, []
-        self._m_flushes.inc()
-        self._m_coalesced.inc(len(window))
-        self._m_batch_size.observe(float(len(window)))
-        groups: dict[int, list[tuple[str, asyncio.Future, TraceContext | None]]] = {}
-        for user, n, future, trace in window:
-            groups.setdefault(n, []).append((user, future, trace))
-        for n, group in groups.items():
-            asyncio.ensure_future(self._dispatch(n, group))
+    def _pump(self) -> None:
+        """Send frames while there is someone waiting and a live worker
+        not already serving one of ours."""
+        # Never below one: with nobody alive the frame waits in the
+        # pool's checkout and fails by its deadline, and it is that
+        # frame's return which pumps whoever queued behind it.
+        slots = max(1, self.pool.n_alive)
+        while self._pending and len(self._frames) < slots:
+            # The oldest waiter picks the batch shape; everyone behind
+            # it with the same n rides along, up to max_batch. Members
+            # whose client went away (cancelled future) are dropped.
+            frame: list[_Member] = []
+            rest: list[_Member] = []
+            for member in self._pending:
+                if member.future.done():
+                    continue
+                same_shape = not frame or member.n == frame[0].n
+                if same_shape and len(frame) < self.max_batch:
+                    frame.append(member)
+                else:
+                    rest.append(member)
+            self._pending = rest
+            if not frame:
+                return
+            now = time.perf_counter()
+            for member in frame:
+                self._m_wait.observe(now - member.submitted)
+            self._m_flushes.inc()
+            self._m_coalesced.inc(len(frame))
+            self._m_batch_size.observe(float(len(frame)))
+            task = asyncio.ensure_future(self._dispatch(frame))
+            self._frames.add(task)
+            task.add_done_callback(self._frame_done)
 
-    async def _dispatch(
-        self, n: int, group: list[tuple[str, asyncio.Future, TraceContext | None]]
-    ) -> None:
-        users = [user for user, _, _ in group]
-        # The batch travels under the first member's trace (one frame,
-        # one trace); the flush event names every member so a batched
-        # request's own id still leads to the worker-side span.
-        first_trace = next((trace for _, _, trace in group if trace is not None), None)
-        batch_trace = first_trace.child() if first_trace is not None else None
-        event(
-            "gateway.flush",
-            batch_trace,
-            batch_size=len(group),
-            member_trace_ids=[
-                trace.trace_id for _, _, trace in group if trace is not None
-            ],
-        )
+    def _frame_done(self, task: asyncio.Task) -> None:
+        self._frames.discard(task)
+        self._pump()
+
+    async def close(self) -> None:
+        """Fail whoever still waits, cancel the frames still out (their
+        members fail the same way) and wait for them to unwind."""
+        waiting, self._pending = self._pending, []
+        self._fail(waiting, GatewayError("gateway shut down before dispatch"))
+        frames = list(self._frames)
+        for task in frames:
+            task.cancel()
+        await asyncio.gather(*frames, return_exceptions=True)
+
+    @staticmethod
+    def _fail(frame: list[_Member], exc: Exception) -> None:
+        for member in frame:
+            if not member.future.done():
+                member.future.set_exception(exc)
+
+    async def _dispatch(self, frame: list[_Member]) -> None:
+        """One frame's round trip; resolves every member's future —
+        result, the pool's error, or cancellation — exactly once."""
         try:
+            # The frame travels under the first member's trace (one
+            # frame, one trace); the flush event names every member so
+            # a batched request's own id still leads to the worker-side
+            # span.
+            traces = [member.trace for member in frame if member.trace is not None]
+            batch_trace = traces[0].child() if traces else None
+            event(
+                "gateway.flush",
+                batch_trace,
+                batch_size=len(frame),
+                member_trace_ids=[trace.trace_id for trace in traces],
+            )
             response = await self.pool.call(
                 "recommend",
-                {"users": users, "n": n},
+                {"users": [member.user for member in frame], "n": frame[0].n},
                 timeout=self.request_timeout,
                 trace=batch_trace,
             )
+            version = response["version"]
+            stale = bool(response.get("stale"))
+            answers = list(zip(frame, response["results"], strict=True))
+        except asyncio.CancelledError:
+            self._fail(frame, GatewayError("coalesced frame cancelled at shutdown"))
+            raise
         except Exception as exc:
-            for _, future, _ in group:
-                if not future.done():
-                    future.set_exception(exc)
+            self._fail(frame, exc)
             return
-        version = response["version"]
-        stale = bool(response.get("stale"))
-        for (_, future, _), result in zip(group, response["results"]):
-            if not future.done():
-                future.set_result((version, result, stale))
+        for member, result in answers:
+            if not member.future.done():
+                member.future.set_result((version, result, stale))
 
 
 class GatewayServer:
@@ -233,7 +312,6 @@ class GatewayServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = DEFAULT_MAX_BATCH,
-        max_delay: float = DEFAULT_MAX_DELAY,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_queue: int = DEFAULT_MAX_QUEUE,
         request_timeout: float | None = None,
@@ -260,7 +338,6 @@ class GatewayServer:
         self.batcher = _Batcher(
             pool,
             max_batch,
-            max_delay,
             request_timeout=self.request_timeout,
             registry=self.registry,
         )
@@ -291,6 +368,10 @@ class GatewayServer:
         )
         self._m_queued = self.registry.gauge(
             "gateway_queued", "data requests waiting for an inflight slot"
+        )
+        self._m_pending = self.registry.gauge(
+            "gateway_coalescer_pending",
+            "single-user requests waiting for a frame (every worker busy)",
         )
         self._started_monotonic: float | None = None
         self._inflight = 0
@@ -359,6 +440,7 @@ class GatewayServer:
                 grace,
                 self._inflight,
             )
+        await self.batcher.close()
         await self.pool.close()
 
     async def serve_forever(self) -> None:  # pragma: no cover - CLI path
@@ -390,7 +472,7 @@ class GatewayServer:
                 request = await self._read_request(reader)
                 if request is None:
                     return
-                method, target, headers, body = request
+                method, target, headers, body, malformed = request
                 self._m_http_requests.inc()
                 trace = TraceContext.from_request_id(headers.get("x-request-id"))
                 with span(
@@ -400,15 +482,20 @@ class GatewayServer:
                     method=method,
                     target=target,
                 ) as request_span:
-                    status, payload, extra = await self._route(
-                        method, target, body, trace
-                    )
+                    if malformed is None:
+                        status, payload, extra = await self._route(
+                            method, target, body, trace
+                        )
+                    else:
+                        status, extra = 400, None
+                        payload = _error_body("bad_request", malformed)
                     request_span.fields["status"] = status
                 self._m_responses.labels(str(status)).inc()
                 keep_alive = (
-                    headers.get("connection", "keep-alive").lower()
-                    != "close"
-                ) and not self._draining
+                    malformed is None
+                    and headers.get("connection", "keep-alive").lower() != "close"
+                    and not self._draining
+                )
                 self._write_response(
                     writer, status, payload, keep_alive, extra,
                     request_id=trace.trace_id,
@@ -435,7 +522,11 @@ class GatewayServer:
     @staticmethod
     async def _read_request(
         reader: asyncio.StreamReader,
-    ) -> tuple[str, str, dict, bytes] | None:
+    ) -> tuple[str, str, dict, bytes, str | None] | None:
+        """``(method, target, headers, body, malformed)``, or ``None``
+        when the peer is gone. *malformed* names what is wrong with a
+        request that arrived whole but cannot be honoured; the caller
+        answers it 400 and closes (the stream position is unknowable)."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except (
@@ -447,18 +538,22 @@ class GatewayServer:
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3:
-            return None
+            return "", "", {}, b"", "malformed request line"
         method, target, _http_version = parts
         headers: dict[str, str] = {}
         for line in lines[1:]:
             name, separator, value = line.partition(":")
             if separator:
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
-        if length > _MAX_BODY_BYTES:
-            return None
+        # A few ASCII digits or nothing: int() would also take "-5",
+        # "+5", "1_0", and refuses (ValueError) thousands of digits.
+        declared = headers.get("content-length", "0")
+        plausible = declared.isascii() and declared.isdigit() and len(declared) <= 12
+        length = int(declared) if plausible else -1
+        if not 0 <= length <= _MAX_BODY_BYTES:
+            return method, target, headers, b"", "bad Content-Length"
         body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
+        return method, target, headers, body, None
 
     @staticmethod
     def _write_response(
@@ -604,6 +699,8 @@ class GatewayServer:
             "batch": {
                 "flushes": self.batcher.n_flushes,
                 "coalesced": self.batcher.n_coalesced,
+                "pending": self.batcher.n_pending,
+                "in_flight": self.batcher.n_in_flight,
             },
         }
         return (200 if healthy else 503), payload
@@ -615,6 +712,7 @@ class GatewayServer:
         self._m_uptime.set(self.uptime_s)
         self._m_inflight.set(self._inflight)
         self._m_queued.set(self._waiting)
+        self._m_pending.set(self.batcher.n_pending)
         snapshots = [self.registry.snapshot()]
         collect = getattr(self.pool, "collect_metrics", None)
         if collect is not None:
@@ -629,7 +727,7 @@ class GatewayServer:
     async def _recommend(
         self, query: dict, trace: TraceContext | None = None
     ) -> tuple[int, dict]:
-        n = int(query.get("n", 10))
+        n = positive_int(query, "n", ValueError)
         users = query.get("users")
         if users is not None:
             if not isinstance(users, list) or not users:
@@ -671,7 +769,7 @@ class GatewayServer:
         item = query.get("item")
         if not item:
             return 400, _error_body("bad_request", "missing 'item' parameter")
-        params: dict = {"item": str(item), "k": int(query.get("k", 10))}
+        params: dict = {"item": str(item), "k": positive_int(query, "k", ValueError)}
         if query.get("minimum") is not None:
             params["minimum"] = float(query["minimum"])
         response = await self.pool.call(

@@ -208,8 +208,9 @@ class WorkerHandle:
         try:
             write_frame(self.writer, payload)
             await self.writer.drain()
-            response = await asyncio.wait_for(read_frame(self.reader), timeout)
-        except asyncio.TimeoutError:
+            async with asyncio.timeout(timeout):
+                response = await read_frame(self.reader)
+        except TimeoutError:
             self.kill()
             raise GatewayError(
                 f"worker {self.worker_id} (pid {self.pid}) gave no "
@@ -221,6 +222,11 @@ class WorkerHandle:
                 f"worker {self.worker_id} (pid {self.pid}) died "
                 f"mid-request: {exc}"
             ) from exc
+        except asyncio.CancelledError:
+            # The caller is gone mid round trip; the stream now holds
+            # (or will hold) a response nobody reads.
+            self.kill()
+            raise
         if response is None:
             self.kill()
             raise GatewayError(
@@ -607,25 +613,25 @@ class WorkerPool:
     # ------------------------------------------------------------------
 
     async def _checkout(self, timeout: float) -> WorkerHandle:
-        deadline = asyncio.get_running_loop().time() + timeout
-        while True:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
-                raise GatewayError(
-                    "no live worker became available within "
-                    f"{timeout:.1f}s"
-                )
-            try:
-                handle = await asyncio.wait_for(self._idle.get(), remaining)
-            except asyncio.TimeoutError:
-                raise GatewayError(
-                    "no live worker became available within "
-                    f"{timeout:.1f}s"
-                ) from None
-            if handle.alive and handle.proc.poll() is None:
-                return handle
-            # A corpse left in the queue by a death; skip it — its
-            # slot loop already arranged the replacement.
+        handle = self._checkout_nowait()
+        if handle is not None:
+            return handle  # the unloaded path: no wait, no timer
+        # asyncio.timeout, not wait_for: a cancelled wait_for still
+        # returns what its inner get() took, and a handle handed to a
+        # cancelled hedge checkout is in nobody's hands — a live worker
+        # that never re-enters rotation.
+        try:
+            async with asyncio.timeout(timeout):
+                while True:
+                    handle = await self._idle.get()
+                    if handle.alive and handle.proc.poll() is None:
+                        return handle
+                    # A corpse left in the queue by a death; skip it —
+                    # its slot loop already arranged the replacement.
+        except TimeoutError:
+            raise GatewayError(
+                f"no live worker became available within {timeout:.1f}s"
+            ) from None
 
     def _checkout_nowait(self) -> WorkerHandle | None:
         """An idle live worker right now, or ``None`` (the hedge path
@@ -690,14 +696,14 @@ class WorkerPool:
         }
         if trace is not None:
             payload["trace"] = trace.to_wire()
-        primary = asyncio.ensure_future(self._call_one(handle, payload, remaining))
         hedge_after = self.hedge_delay
         if (
             hedge_after is None
             or method not in READ_METHODS
             or remaining <= hedge_after
         ):
-            return await primary
+            return await self._call_one(handle, payload, remaining)
+        primary = asyncio.ensure_future(self._call_one(handle, payload, remaining))
         done, _pending = await asyncio.wait({primary}, timeout=hedge_after)
         if done:
             return primary.result()
@@ -868,6 +874,12 @@ class WorkerPool:
             for slot in self._slots
             if (handle := slot.live_handle()) is not None
         ]
+
+    @property
+    def n_alive(self) -> int:
+        """Slots holding a live worker right now — what the coalescer
+        sizes its in-flight frame count against."""
+        return len(self.alive_workers())
 
     def worker_details(self) -> list[dict]:
         """Per-slot fleet shape — what ``/healthz`` exposes so an

@@ -33,7 +33,7 @@ Two request-level contracts ride in the frame:
 
 * ``budget_ms`` — the remaining deadline budget the gateway stamped at
   dispatch. A request whose budget is already exhausted (it sat behind
-  a slow window or a retry storm) is answered with a ``deadline``
+  a slow frame or a retry storm) is answered with a ``deadline``
   error instead of being computed: late work is dead work, and
   skipping it is what keeps an overloaded fleet from queueing.
 * ``allow_stale`` — the gateway's degraded-mode marker. The worker
@@ -53,7 +53,7 @@ import time
 
 from repro.errors import GatewayError, ReproError, StaleModelError
 from repro.faults.plan import InjectedFault, fault_point
-from repro.gateway.protocol import recv_frame, send_frame
+from repro.gateway.protocol import positive_int, recv_frame, send_frame
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import TraceContext, event, span
 from repro.serving.service import RecommendationService
@@ -202,7 +202,7 @@ class WorkerApp:
         users = params.get("users")
         if not isinstance(users, list) or not users:
             raise GatewayError("recommend needs a non-empty 'users' list")
-        n = int(params.get("n", 10))
+        n = positive_int(params, "n", GatewayError)
         min_version = int(params.get("min_version", 0))
         allow_stale = bool(params.get("allow_stale"))
         self._fresh(min_version)
@@ -218,7 +218,7 @@ class WorkerApp:
         item = params.get("item")
         if not isinstance(item, str):
             raise GatewayError("similar_items needs an 'item' string")
-        k = int(params.get("k", 10))
+        k = positive_int(params, "k", GatewayError)
         minimum = params.get("minimum")
         if minimum is not None:
             minimum = float(minimum)

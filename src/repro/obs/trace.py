@@ -4,7 +4,7 @@ A :class:`TraceContext` is born at HTTP ingress (honouring a
 well-formed incoming ``X-Request-Id``), echoed back on **every**
 response as ``X-Request-Id``, and carried in every protocol frame as a
 top-level ``"trace"`` field — so one id follows a request from the
-client, through the coalescing window and the pool's retry/hedge
+client, through the coalescer and the pool's retry/hedge
 machinery, into the worker subprocess that scored it, and back into
 every log line any of those layers emitted.
 

@@ -286,6 +286,84 @@ def test_hedged_read_beats_a_delayed_worker(catalog_source):
     _run(scenario())
 
 
+class _FakeHandle:
+    """The slice of WorkerHandle the pool's routing touches."""
+
+    alive = True
+    slot = None
+    version = 0
+
+    def __init__(self, worker_id: int) -> None:
+        self.worker_id = worker_id
+        self.gate = asyncio.Event()
+        self.proc = self
+
+    def poll(self) -> None:  # a live process
+        return None
+
+    async def call(self, payload, timeout):
+        await self.gate.wait()
+        return {"ok": True, "version": 1, "results": []}
+
+
+def test_hedge_checkout_cancelled_as_a_worker_frees_does_not_leak_it(tmp_path):
+    """The hedge races the slow primary against a *waiting* checkout
+    and cancels the checkout when the primary wins. If a sibling is
+    released in that same instant the checkout must not walk off with
+    it: a handle taken by a cancelled checkout is in nobody's hands
+    and never re-enters rotation (seen as hedged goodput collapsing to
+    a fraction of unhedged, then 'no live worker became available')."""
+    async def scenario():
+        pool = WorkerPool(tmp_path, n_workers=2, hedge_delay=0.01)
+        primary, sibling = _FakeHandle(0), _FakeHandle(1)
+        attempt = asyncio.ensure_future(
+            pool._dispatch(primary, "recommend", {"users": ["a"]}, 5.0))
+        # Past hedge_delay with no idle sibling: the checkout is parked.
+        await asyncio.sleep(0.05)
+        assert not attempt.done() and pool.n_hedged == 0
+        primary.gate.set()       # the primary answers ...
+        pool._release(sibling)   # ... as the sibling comes back.
+        response = await asyncio.wait_for(attempt, 5.0)
+        assert response["ok"]
+        await asyncio.sleep(0)   # let the cancelled checkout unwind
+        idle = {pool._checkout_nowait(), pool._checkout_nowait()}
+        assert idle == {primary, sibling}
+
+    _run(scenario())
+
+
+@pytest.mark.slow
+def test_cancelled_call_buries_its_worker_instead_of_leaking_it(catalog_source):
+    """A call cancelled mid round trip leaves a response nobody will
+    read on the worker's stream: the worker must be killed (and its
+    slot respawned), not left checked out forever or re-queued
+    desynchronised."""
+    source, _ = catalog_source
+    plan = FaultPlan(seed=5, rules=[
+        # The first worker answers its first data frame 2s late.
+        FaultRule("gateway.worker.send", "delay", delay_s=2.0,
+                  after=2, times=1, max_spawn_seq=1)])
+
+    async def scenario():
+        pool = WorkerPool(
+            source, n_workers=1, call_timeout=15, poll_interval=0.05,
+            backoff_base=0.01, worker_env=plan.to_env())
+        await pool.start()
+        try:
+            victim = pool.alive_workers()[0]
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(
+                    pool.call("recommend", {"users": ["u001"], "n": 4}), 0.2)
+            response = await pool.call("recommend", {"users": ["u001"], "n": 4})
+            assert response["ok"] and response["results"][0]
+            assert victim not in pool.alive_workers()
+            assert pool.n_restarts == 1
+        finally:
+            await pool.close()
+
+    _run(scenario())
+
+
 # ----------------------------------------------------------------------
 # The HTTP edge: shedding, drain, sanitized errors, healthz detail
 # ----------------------------------------------------------------------
@@ -296,6 +374,8 @@ class _FakePool:
     subprocesses: answers after an optional event, or raises."""
 
     call_timeout = 5.0
+    n_workers = 1
+    n_alive = 1
 
     def __init__(self, gate: asyncio.Event | None = None,
                  error: GatewayError | None = None) -> None:
@@ -326,9 +406,7 @@ class _FakePool:
 def test_overload_sheds_with_429_and_retry_after():
     async def scenario():
         gate = asyncio.Event()
-        server = GatewayServer(
-            _FakePool(gate=gate), max_inflight=1, max_queue=1,
-            max_delay=0.001)
+        server = GatewayServer(_FakePool(gate=gate), max_inflight=1, max_queue=1)
         first = asyncio.ensure_future(
             server._route("GET", "/recommend?user=a&n=3", b""))
         second = asyncio.ensure_future(
@@ -367,6 +445,80 @@ def test_error_bodies_are_sanitized():
     _run(scenario())
 
 
+async def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes, read to EOF (the server must answer and close)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(request)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(), 5.0)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /recommend?user=a HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+    b"POST /recommend HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+    b"POST /recommend HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+    b"POST /recommend HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n",
+    b"GET /recommend?user=a\r\n\r\n",
+    b"GET  /recommend?user=a  HTTP/1.1\r\n\r\n",
+], ids=["length-abc", "length-negative", "length-huge", "length-5000-digits",
+        "two-part-line",
+        "five-part-line"])
+def test_malformed_http_is_answered_400_not_dropped(request_bytes, caplog):
+    """Hostile framing at ingress: a structured 400 with a request id
+    and a counter, then close — never a silent drop, never an
+    unhandled exception in the connection callback."""
+    async def scenario():
+        pool = _FakePool()
+        server = GatewayServer(pool)
+        await server.start()
+        try:
+            raw = await _raw_exchange(server.port, request_bytes)
+            status, metrics, _ = await server._route("GET", "/metrics", b"")
+        finally:
+            await server.close()
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0] == "HTTP/1.1 400 Bad Request"
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert headers["Connection"] == "close"
+        assert len(headers["X-Request-Id"]) == 16
+        assert json.loads(body)["error"]["code"] == "bad_request"
+        assert 'gateway_http_responses_total{code="400"} 1' in metrics
+        assert "gateway_http_requests_total 1" in metrics
+        assert pool.n_calls == 0
+
+    with caplog.at_level("ERROR", logger="asyncio"):
+        _run(scenario())
+    assert not [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
+
+
+@pytest.mark.parametrize("target", [
+    "/recommend?user=a&n=-3",
+    "/recommend?user=a&n=0",
+    "/similar_items?item=i001&k=0",
+    "/similar_items?item=i001&k=-1",
+])
+def test_non_positive_list_lengths_are_400_never_a_slice(target):
+    """``n=-3`` used to come back 200 with every recommendation except
+    the last three — a Python negative slice served as an answer."""
+    async def scenario():
+        pool = _FakePool()
+        server = GatewayServer(pool)
+        status, payload, _ = await server._route("GET", target, b"")
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+        status, payload, _ = await server._route(
+            "POST", "/recommend", json.dumps({"users": ["a", "b"], "n": -3}).encode())
+        assert status == 400
+        assert pool.n_calls == 0
+
+    _run(scenario())
+
+
 def test_draining_server_refuses_new_data_requests():
     async def scenario():
         server = GatewayServer(_FakePool())
@@ -387,7 +539,7 @@ def test_drain_finishes_inflight_and_leaves_no_orphans(catalog_source):
     async def scenario():
         pool = WorkerPool(source, n_workers=2, call_timeout=15, poll_interval=0.05)
         await pool.start()
-        server = GatewayServer(pool, max_delay=0.002)
+        server = GatewayServer(pool)
         await server.start()
         import http.client
 

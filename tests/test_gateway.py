@@ -256,6 +256,15 @@ def test_worker_app_rejects_bad_requests_cleanly(tmp_path):
     app, _ = _worker_app(tmp_path)
     bad_users = app.handle({"method": "recommend", "params": {}})
     assert not bad_users["ok"] and not bad_users["error"]["retryable"]
+    # A direct pool.call cannot get a negative slice out of the worker
+    # either: n / k below 1 are refused, not computed.
+    for method, params in (
+            ("recommend", {"users": ["u001"], "n": -3}),
+            ("recommend", {"users": ["u001"], "n": 0}),
+            ("similar_items", {"item": "i000", "k": 0})):
+        refused = app.handle({"method": method, "params": params})
+        assert not refused["ok"] and not refused["error"]["retryable"]
+        assert "must be >= 1" in refused["error"]["message"]
     unknown = app.handle({"method": "frobnicate"})
     assert not unknown["ok"]
     assert unknown["error"]["type"] == "unknown_method"
@@ -276,6 +285,299 @@ def test_pinned_entry_points_refuse_and_version_scope(tiny_table):
     sim_version, row = service.similar_items_pinned("a", 2)
     assert sim_version == 1
     assert row == service.similar_items("a", 2)
+
+
+# ----------------------------------------------------------------------
+# Natural batching: the coalescer against a stub pool (no subprocess,
+# no sleeps — every wait is for a counted event, bounded by wait_for)
+# ----------------------------------------------------------------------
+
+_BOUND = 5.0  # seconds; a lost wake-up fails the test instead of hanging it
+
+
+class _HeldFrame:
+    def __init__(self, users: list[str], n: int) -> None:
+        self.users = users
+        self.n = n
+        self.gate = asyncio.Event()
+        self.error: Exception | None = None
+
+    def release(self, error: Exception | None = None) -> None:
+        self.error = error
+        self.gate.set()
+
+
+class _HeldPool:
+    """A two-worker pool whose every ``call`` parks until the test
+    releases it, and which checks the coalescer's invariant on both
+    edges of every frame."""
+
+    n_workers = 2
+    n_alive = 2  # a test stands in for a death by lowering it
+    call_timeout = 5.0
+
+    def __init__(self) -> None:
+        self.frames: list[_HeldFrame] = []
+        self.batcher = None
+        self._bell = asyncio.Event()
+
+    def _check_invariant(self) -> None:
+        batcher = self.batcher
+        assert batcher.n_in_flight <= self.n_workers
+        if batcher.n_pending:
+            assert batcher.n_in_flight >= max(1, self.n_alive)
+
+    async def call(self, method, params=None, timeout=None, trace=None):
+        assert method == "recommend"
+        frame = _HeldFrame(list(params["users"]), params["n"])
+        assert 1 <= len(frame.users) <= self.batcher.max_batch
+        self._check_invariant()
+        self.frames.append(frame)
+        self._bell.set()
+        await frame.gate.wait()
+        self._check_invariant()
+        if frame.error is not None:
+            raise frame.error
+        return {"ok": True, "version": 7,
+                "results": [[[f"for-{user}", float(frame.n)]] for user in frame.users]}
+
+    def stats(self) -> dict:
+        return {"n_workers": self.n_workers, "alive": self.n_workers,
+                "fleet_version": 7}
+
+    def worker_details(self) -> list:
+        return []
+
+    async def arrived(self, count: int) -> None:
+        """Until *count* frames have reached the pool (bounded)."""
+        async def wait() -> None:
+            while len(self.frames) < count:
+                self._bell.clear()
+                await self._bell.wait()
+
+        await asyncio.wait_for(wait(), _BOUND)
+
+
+def _held_batcher(max_batch: int = 32):
+    pool = _HeldPool()
+    server = GatewayServer(pool, max_batch=max_batch)
+    pool.batcher = server.batcher
+    return pool, server
+
+
+def _submit_all(batcher, users, n: int = 5) -> list[asyncio.Task]:
+    return [asyncio.ensure_future(batcher.submit(user, n)) for user in users]
+
+
+async def _pending_reaches(batcher, count: int) -> None:
+    while batcher.n_pending < count:
+        await asyncio.sleep(0)  # a bare yield: lets the submit tasks start
+
+
+async def _results(tasks) -> list:
+    return await asyncio.wait_for(asyncio.gather(*tasks), _BOUND)
+
+
+def test_batcher_sends_at_once_while_idle_and_batches_while_all_busy():
+    async def scenario():
+        pool, server = _held_batcher()
+        batcher = server.batcher
+        first = _submit_all(batcher, ["a", "b"])
+        late = _submit_all(batcher, ["c", "d", "e", "f"])
+        await pool.arrived(2)
+        # Two idle workers: two single-user frames, nobody waited for
+        # the other; everyone behind them waits for a worker, not a timer.
+        assert [frame.users for frame in pool.frames] == [["a"], ["b"]]
+        assert (batcher.n_in_flight, batcher.n_pending) == (2, 4)
+        status, health, _ = await server._route("GET", "/healthz", b"")
+        assert health["batch"]["pending"] == 4
+        assert health["batch"]["in_flight"] == 2
+        _, text, _ = await server._route("GET", "/metrics", b"")
+        assert _parse_prom(text)["gateway_coalescer_pending"] == 4
+
+        pool.frames[0].release()
+        await pool.arrived(3)
+        # One worker came back: the whole queue leaves as ONE frame.
+        assert pool.frames[2].users == ["c", "d", "e", "f"]
+        assert (batcher.n_in_flight, batcher.n_pending) == (2, 0)
+        pool.frames[1].release()
+        pool.frames[2].release()
+        answers = await _results(first + late)
+        assert answers == [(7, [[f"for-{user}", 5.0]], False) for user in "abcdef"]
+        assert (batcher.n_flushes, batcher.n_coalesced) == (3, 6)
+        assert (batcher.n_in_flight, batcher.n_pending) == (0, 0)
+        # The wait is visible: six observations, and only the four
+        # that found both workers busy can have waited at all.
+        _, text, _ = await server._route("GET", "/metrics", b"")
+        samples = _parse_prom(text)
+        assert samples["gateway_coalesce_wait_seconds_count"] == 6
+        assert samples["gateway_coalescer_pending"] == 0
+
+    _run(scenario())
+
+
+def test_batcher_max_batch_splits_an_overfull_queue():
+    async def scenario():
+        pool, server = _held_batcher(max_batch=3)
+        users = [f"u{i}" for i in range(9)]
+        tasks = _submit_all(server.batcher, users)
+        await pool.arrived(2)
+        expected = [["u0"], ["u1"], ["u2", "u3", "u4"], ["u5", "u6", "u7"], ["u8"]]
+        for index in range(len(expected)):
+            await pool.arrived(index + 1)
+            pool.frames[index].release()
+        answers = await _results(tasks)
+        assert [frame.users for frame in pool.frames] == expected
+        assert [answer[1][0][0] for answer in answers] == [f"for-{u}" for u in users]
+
+    _run(scenario())
+
+
+def test_batcher_never_mixes_n_in_one_frame():
+    async def scenario():
+        pool, server = _held_batcher()
+        batcher = server.batcher
+        holders = _submit_all(batcher, ["h1", "h2"])
+        await pool.arrived(2)
+        mixed = [asyncio.ensure_future(batcher.submit(user, n))
+                 for user, n in (("a", 5), ("b", 3), ("c", 5), ("d", 3))]
+        pool.frames[0].release()
+        await pool.arrived(3)
+        # The oldest waiter's n picks the shape; the other n keeps its
+        # place in line for the next free worker.
+        assert (pool.frames[2].users, pool.frames[2].n) == (["a", "c"], 5)
+        assert batcher.n_pending == 2
+        pool.frames[1].release()
+        await pool.arrived(4)
+        assert (pool.frames[3].users, pool.frames[3].n) == (["b", "d"], 3)
+        pool.frames[2].release()
+        pool.frames[3].release()
+        answers = await _results(holders + mixed)
+        assert [answer[1][0][1] for answer in answers[2:]] == [5.0, 3.0, 5.0, 3.0]
+
+    _run(scenario())
+
+
+def test_batcher_failed_frame_fails_its_members_and_frees_the_slot():
+    async def scenario():
+        pool, server = _held_batcher()
+        batcher = server.batcher
+        holders = _submit_all(batcher, ["h1", "h2"])
+        await pool.arrived(2)
+        doomed = _submit_all(batcher, ["a", "b", "c"])
+        pool.frames[0].release()
+        await pool.arrived(3)
+        survivors = _submit_all(batcher, ["x", "y"])
+        pool.frames[2].release(GatewayError("worker 3 died mid-request"))
+        # No lost wake-up: the failed frame's slot goes to the queue.
+        await pool.arrived(4)
+        assert pool.frames[3].users == ["x", "y"]
+        for task in doomed:
+            with pytest.raises(GatewayError, match="died mid-request"):
+                await asyncio.wait_for(task, _BOUND)
+        pool.frames[1].release()
+        pool.frames[3].release()
+        answers = await _results(holders + survivors)
+        assert [answer[1][0][0] for answer in answers] == [
+            "for-h1", "for-h2", "for-x", "for-y"]
+        assert (batcher.n_in_flight, batcher.n_pending) == (0, 0)
+
+    _run(scenario())
+
+
+def test_batcher_survives_members_whose_client_went_away():
+    async def scenario():
+        pool, server = _held_batcher()
+        batcher = server.batcher
+        holders = _submit_all(batcher, ["h1", "h2"])
+        await pool.arrived(2)
+        waiting = _submit_all(batcher, ["a", "gone", "b"])
+        await asyncio.wait_for(_pending_reaches(batcher, 3), _BOUND)
+        # One client leaves while queued, one (h2) while its frame is out.
+        waiting[1].cancel()
+        holders[1].cancel()
+        pool.frames[0].release()
+        await pool.arrived(3)
+        assert pool.frames[2].users == ["a", "b"]
+        pool.frames[1].release()
+        pool.frames[2].release()
+        answers = await _results([holders[0], waiting[0], waiting[2]])
+        assert [answer[1][0][0] for answer in answers] == ["for-h1", "for-a", "for-b"]
+        assert waiting[1].cancelled() and holders[1].cancelled()
+        # A queue of nothing but departed clients sends no frame at all.
+        third = _submit_all(batcher, ["k1", "k2"])
+        await pool.arrived(5)
+        ghosts = _submit_all(batcher, ["g1", "g2"])
+        await asyncio.wait_for(_pending_reaches(batcher, 2), _BOUND)
+        for task in ghosts:
+            task.cancel()
+        pool.frames[3].release()
+        pool.frames[4].release()
+        await _results(third)
+        assert len(pool.frames) == 5
+        assert (batcher.n_in_flight, batcher.n_pending) == (0, 0)
+
+    _run(scenario())
+
+
+def test_batcher_counts_live_workers_not_slots():
+    async def scenario():
+        pool, server = _held_batcher()
+        batcher = server.batcher
+        pool.n_alive = 1  # the other slot is dead or restarting
+        tasks = _submit_all(batcher, ["a", "b", "c"])
+        await pool.arrived(1)
+        await asyncio.wait_for(_pending_reaches(batcher, 2), _BOUND)
+        # One live worker, one frame: b does not leave as a frame of
+        # one to wait in the pool's checkout — it waits here, with c.
+        assert [frame.users for frame in pool.frames] == [["a"]]
+        assert (batcher.n_in_flight, batcher.n_pending) == (1, 2)
+        pool.frames[0].release()
+        await pool.arrived(2)
+        assert pool.frames[1].users == ["b", "c"]
+        # The replacement is up: the very next submit finds it.
+        pool.n_alive = 2
+        tasks += _submit_all(batcher, ["d"])
+        await pool.arrived(3)
+        assert pool.frames[2].users == ["d"]
+        assert (batcher.n_in_flight, batcher.n_pending) == (2, 0)
+        pool.frames[1].release()
+        pool.frames[2].release()
+        answers = await _results(tasks)
+        assert [answer[1][0][0] for answer in answers] == [
+            "for-a", "for-b", "for-c", "for-d"]
+        # Nobody alive: one frame at a time still leaves, so callers
+        # fail by the pool's deadline instead of parking in the queue.
+        pool.n_alive = 0
+        orphans = _submit_all(batcher, ["x", "y"])
+        for index, user in ((3, "x"), (4, "y")):
+            await pool.arrived(index + 1)
+            assert pool.frames[index].users == [user]
+            pool.frames[index].release(
+                GatewayError("no live worker became available within 5.0s"))
+        for task in orphans:
+            with pytest.raises(GatewayError, match="no live worker"):
+                await asyncio.wait_for(task, _BOUND)
+        assert (batcher.n_in_flight, batcher.n_pending) == (0, 0)
+
+    _run(scenario())
+
+
+def test_batcher_close_resolves_every_future_exactly_once():
+    async def scenario():
+        pool, server = _held_batcher()
+        batcher = server.batcher
+        tasks = _submit_all(batcher, ["a", "b", "c", "d"])
+        await pool.arrived(2)
+        assert (batcher.n_in_flight, batcher.n_pending) == (2, 2)
+        await asyncio.wait_for(batcher.close(), _BOUND)
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(*tasks, return_exceptions=True), _BOUND)
+        assert all(isinstance(outcome, GatewayError) for outcome in outcomes)
+        assert len(pool.frames) == 2  # the queue was failed, not sent
+        assert (batcher.n_in_flight, batcher.n_pending) == (0, 0)
+
+    _run(scenario())
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +603,29 @@ def _http_get(port: int, target: str) -> dict:
         conn.close()
 
 
+def _send_get(port: int, target: str) -> socket.socket:
+    """Connect and put one GET on the wire without waiting for any of
+    it to be read."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=30)
+    sock.sendall(
+        f"GET {target} HTTP/1.1\r\nHost: gateway\r\nConnection: close\r\n\r\n"
+        .encode("latin-1"))
+    return sock
+
+
+def _read_json_response(sock: socket.socket) -> dict:
+    import http.client
+
+    try:
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        body = response.read()
+        assert response.status == 200, (response.status, body)
+        return json.loads(body)
+    finally:
+        sock.close()
+
+
 @pytest.fixture()
 def published_catalog(tmp_path):
     registry = _registry(_table())
@@ -317,24 +642,31 @@ def test_gateway_serves_and_converges_across_publishes(published_catalog):
     async def scenario():
         pool = WorkerPool(source, n_workers=2, call_timeout=30, poll_interval=0.05)
         await pool.start()
-        server = GatewayServer(pool, max_delay=0.005)
+        server = GatewayServer(pool)
         await server.start()
         loop = asyncio.get_running_loop()
         try:
             users = [f"u{i:03d}" for i in range(12)]
+            # Concurrent by construction: all 12 connections are opened
+            # and written before the event loop gets to look (nothing
+            # is awaited in between — the listener's backlog completes
+            # each handshake in the kernel), so the fleet meets the
+            # whole burst at once rather than one client thread at a
+            # time, which this 40-user model outruns.
+            burst = [_send_get(server.port, f"/recommend?user={user}&n=5")
+                     for user in users]
             payloads = await asyncio.gather(*[
-                loop.run_in_executor(
-                    None, _http_get, server.port,
-                    f"/recommend?user={user}&n=5")
-                for user in users])
+                loop.run_in_executor(None, _read_json_response, sock)
+                for sock in burst])
             for user, payload in zip(users, payloads):
                 assert payload["version"] == 1
                 _, expected = reference.recommend_batch_pinned([user], 5)
                 _assert_close(
                     [tuple(p) for p in payload["recommendations"]],
                     expected[0])
-            # Coalescing really happened: 12 concurrent requests made
-            # strictly fewer worker batches than requests.
+            # Coalescing really happened: the requests that found both
+            # workers busy left together, so 12 concurrent requests
+            # made strictly fewer worker frames than requests.
             assert server.batcher.n_coalesced == 12
             assert server.batcher.n_flushes < 12
 
@@ -468,7 +800,7 @@ def test_gateway_request_ids_and_metrics(published_catalog):
     async def scenario():
         pool = WorkerPool(source, n_workers=1, call_timeout=30, poll_interval=0.05)
         await pool.start()
-        server = GatewayServer(pool, max_delay=0.005)
+        server = GatewayServer(pool)
         await server.start()
         loop = asyncio.get_running_loop()
 

@@ -239,6 +239,41 @@ _RULE_FIXTURES = [
         """,
     ),
     (
+        "REP403",
+        "src/repro/gateway/flush.py",
+        """\
+        import asyncio
+
+
+        class Batcher:
+            def flush(self, group):
+                asyncio.ensure_future(self.dispatch(group))
+        """,
+        """\
+        import asyncio
+
+
+        class Batcher:
+            def flush(self, group):
+                task = asyncio.ensure_future(self.dispatch(group))
+                self.frames.add(task)
+                task.add_done_callback(self.frames.discard)
+        """,
+    ),
+    (
+        "REP403",
+        "src/repro/cli.py",
+        """\
+        async def run(loop, serve):
+            loop.create_task(serve())
+        """,
+        """\
+        async def run(loop, serve):
+            server = loop.create_task(serve())
+            await server
+        """,
+    ),
+    (
         "REP501",
         "src/repro/util.py",
         """\

@@ -7,6 +7,7 @@ from reprolint.core import Rule
 from reprolint.rules.asyncio_hygiene import (
     BlockingCallInAsyncRule,
     CancelledErrorSwallowedRule,
+    UnreferencedTaskRule,
 )
 from reprolint.rules.backend import NumpyImportRule, NumpyInFallbackRule
 from reprolint.rules.determinism import (
@@ -28,6 +29,7 @@ ALL_RULES: tuple[Rule, ...] = (
     UnsyncedRenameRule(),
     BlockingCallInAsyncRule(),
     CancelledErrorSwallowedRule(),
+    UnreferencedTaskRule(),
     BareExceptRule(),
     SilentExceptionRule(),
     FaultPointDriftRule(),

@@ -15,6 +15,13 @@
   Python 3.8+ a plain ``except Exception`` cannot catch
   ``CancelledError`` — this rule flags exactly the handler shapes
   that *can*.
+* **REP403 unreferenced-task** — ``asyncio.create_task(...)`` /
+  ``ensure_future(...)`` as a bare expression statement. The loop
+  holds tasks weakly, so a task nothing references can be collected
+  mid-flight, and nothing can await, cancel or drain it. The
+  incident: the gateway coalescer's ``ensure_future(self._dispatch(…))``
+  — frames in flight that ``drain()`` could not see. Keep the handle
+  (a set with ``add_done_callback(set.discard)`` is enough).
 """
 
 from __future__ import annotations
@@ -91,7 +98,7 @@ class BlockingCallInAsyncRule(_AsyncTreeRule):
     )
     rationale = (
         "the gateway multiplexes every client on one loop; one "
-        "blocking call stalls the whole coalescing window"
+        "blocking call stalls every coalesced frame behind it"
     )
 
     def check(self, source: SourceFile) -> Iterable[Finding]:
@@ -170,4 +177,34 @@ class CancelledErrorSwallowedRule(_AsyncTreeRule):
                     f"{catches} in async def {func.name} can swallow "
                     "CancelledError; re-raise it (narrow the handler "
                     "or add `except asyncio.CancelledError: raise`)",
+                )
+
+
+_TASK_SPAWNERS = {"create_task", "ensure_future"}
+
+
+class UnreferencedTaskRule(_AsyncTreeRule):
+    id = "REP403"
+    name = "unreferenced-task"
+    description = (
+        "create_task / ensure_future result discarded (used as an "
+        "expression statement)"
+    )
+    rationale = (
+        "the loop references tasks weakly; the coalescer's dispatch "
+        "tasks were invisible to drain() until they were kept in a set"
+    )
+
+    def check(self, source: SourceFile) -> Iterable[Finding]:
+        for node in ast.walk(source.tree):
+            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
+                continue
+            chain = _attr_chain(node.value.func)
+            if chain and chain[-1] in _TASK_SPAWNERS:
+                yield self.finding(
+                    source,
+                    node,
+                    f"{'.'.join(chain)}(...) result is discarded; keep "
+                    "the task (e.g. in a set, discarded on done) so it "
+                    "can be awaited or cancelled",
                 )
