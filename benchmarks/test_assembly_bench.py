@@ -34,7 +34,6 @@ import gc
 from conftest import record_json, write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
-from repro.data.matrix import numpy_available
 from repro.data.ratings import RatingTable
 from repro.engine.sharded_sweep import sharded_adjacency
 
@@ -64,7 +63,7 @@ def _best_run(store, n_edge_partitions: int, repeats: int = 3):
 
 def test_assembly_partitioning():
     """Back-half seconds per edge-partition count, equality-checked."""
-    backend = "numpy" if numpy_available() else "pure_python"
+    backend = "numpy"
     lines = [f"{'size':<8} {'partitions':>10} {'back_half_s':>12} "
              f"{'split_s':>8} {'merge_s':>8} {'assembly_s':>11} "
              f"{'max_merge_s':>12}"]

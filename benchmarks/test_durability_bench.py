@@ -34,7 +34,6 @@ from conftest import record_json, write_result
 from test_serving_bench import _timed
 from test_similarity_bench import _random_ratings
 
-from repro.data.matrix import numpy_available
 from repro.data.ratings import Rating, RatingTable
 from repro.durability.log import RatingLog
 from repro.durability.manager import CheckpointPolicy, DurableSweep
@@ -170,7 +169,7 @@ def _bench_recovery(tmp_path, lines: list) -> list:
 
 
 def test_durability_throughput_and_recovery(tmp_path):
-    backend = "numpy" if numpy_available() else "pure_python"
+    backend = "numpy"
     lines = [f"durability: WAL append qps by fsync discipline, recovery "
              f"time vs replayed log length (backend: {backend})", ""]
     append_payload = _bench_append(tmp_path, lines)

@@ -15,8 +15,8 @@ Three load levels per size, in order:
   the worker count every worker is busy, so arrivals accumulate and
   leave together when a frame returns (natural batching): one
   ``recommend_batch_pinned`` pass answers several clients, and this
-  level is where batching shows up as throughput. On the NumPy backend
-  the largest size must show requests **riding shared frames** (mean
+  level is where batching shows up as throughput.
+  The largest size must show requests **riding shared frames** (mean
   coalesced batch size > 1.5 over the leg) and clear **≥2× the serial
   qps** (a serial request waits for nothing — it leaves the moment it
   arrives — so the floor is high and 2× is what sharing must buy).
@@ -52,7 +52,6 @@ from pathlib import Path
 from conftest import record_json, write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
-from repro.data.matrix import numpy_available
 from repro.data.ratings import Rating, RatingTable
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.gateway import GatewayServer, WorkerPool
@@ -69,22 +68,12 @@ CF_K = 50
 N_WORKERS = 2
 N_REQUEST_USERS = 200
 
-#: per-backend load knobs — the pure-Python backend serves every
-#: request through the reference loop, so it gets a lighter stream
-#: (same rule as the service bench).
+#: load knobs
 KNOBS = {
-    "numpy": {
-        "serial_requests": 120,
-        "concurrency": 16,
-        "requests_per_client": 30,
-        "poisson_duration_s": 4.0,
-    },
-    "pure_python": {
-        "serial_requests": 30,
-        "concurrency": 8,
-        "requests_per_client": 10,
-        "poisson_duration_s": 4.0,
-    },
+    "serial_requests": 120,
+    "concurrency": 16,
+    "requests_per_client": 30,
+    "poisson_duration_s": 4.0,
 }
 
 #: incremental publishes fired during the poisson window.
@@ -144,11 +133,11 @@ def _tracing_leg(host: str, port: int, users: list[str], n_requests: int) -> dic
 
 
 async def _bench_one_size(work: Path, registry, users: list[str],
-                          pure_python: bool, knobs: dict,
+                          knobs: dict,
                           with_tracing_leg: bool = False) -> dict:
     """Serial → closed → poisson-under-publishes against one fleet."""
     pool = WorkerPool(
-        work / "catalog", n_workers=N_WORKERS, pure_python=pure_python,
+        work / "catalog", n_workers=N_WORKERS,
         poll_interval=0.1, response_cache_size=0)
     await pool.start()
     server = GatewayServer(pool)
@@ -220,8 +209,7 @@ async def _bench_one_size(work: Path, registry, users: list[str],
 
 
 def test_gateway_throughput_and_tail_latency():
-    backend = "numpy" if numpy_available() else "pure_python"
-    knobs = KNOBS[backend]
+    backend = "numpy"
     lines = [f"{'size':<8} {'qps(serial)':>11} {'qps(closed)':>11} "
              f"{'speedup':>8} {'batch':>6} {'p50ms':>7} {'p99ms':>7} "
              f"{'p999ms':>8} {'publishes':>9} {'restarts':>8}"]
@@ -241,7 +229,7 @@ def test_gateway_throughput_and_tail_latency():
         catalog.attach(registry)
         try:
             report = asyncio.run(_bench_one_size(
-                work, registry, users, backend == "pure_python", knobs,
+                work, registry, users, KNOBS,
                 with_tracing_leg=(name == largest)))
         finally:
             catalog.detach()
@@ -310,20 +298,20 @@ def test_gateway_throughput_and_tail_latency():
     print(rendered)
     # The wall-clock acceptance bar only means something at full scale
     # on a quiet machine — size-filtered smoke runs check correctness.
-    if numpy_available() and "large" in speedups:
+    if "large" in speedups:
         # What the closed leg is there to protect: requests that arrive
         # while both workers are busy ride shared frames, and that is
         # worth throughput. Sized from six large-only runs: batch mean
         # 2.8-3.4, closed/serial 3.3-5.4x.
         assert batch_means["large"] > 1.5, (
             f"closed-loop mean coalesced batch size "
-            f"{batch_means['large']:.2f}: {KNOBS[backend]['concurrency']} "
+            f"{batch_means['large']:.2f}: {KNOBS['concurrency']} "
             f"clients over {N_WORKERS} workers should share frames")
         assert speedups["large"] >= 2.0, (
             f"closed-loop gateway throughput {speedups['large']:.1f}x "
             f"below the 2x target over the serial baseline at the "
             f"largest size")
-    if numpy_available() and "large" in tracing_by_size:
+    if "large" in tracing_by_size:
         overhead = tracing_by_size["large"]
         # Rendering and emitting a request's span/event lines is a
         # fixed cost, not a share of a latency that other work can

@@ -21,7 +21,7 @@ rows at every size.
 Before any timing is reported the two paths are checked **equal**: the
 updated adjacency and ``NeighborIndex`` must match the rebuilt ones bit
 for bit (the incremental path's standing contract, property-tested in
-``tests/test_incremental.py``). On the NumPy backend the largest size
+``tests/test_incremental.py``). The largest size
 must show ≥5× lower wall-clock for the update — the acceptance bar for
 the incremental-update PR. Results go to
 ``benchmarks/results/incremental_{backend}.txt`` and the
@@ -37,7 +37,6 @@ from conftest import record_json, write_result
 from test_serving_bench import _timed
 from test_similarity_bench import _random_ratings
 
-from repro.data.matrix import numpy_available
 from repro.data.ratings import Rating, RatingTable
 from repro.engine.sharded_sweep import IncrementalSweep
 
@@ -95,7 +94,7 @@ def _index_tuple(index):
 
 def test_incremental_update_speedup():
     """Batch append via IncrementalSweep.update vs a full rebuild."""
-    backend = "numpy" if numpy_available() else "pure_python"
+    backend = "numpy"
     lines = [f"{'size':<8} {'ratings':>8} {'batch':>6} {'rebuild_s':>10} "
              f"{'update_s':>9} {'speedup':>8} {'affected_rows':>14} "
              f"{'delta_pairs':>12}"]
@@ -158,7 +157,7 @@ def test_incremental_update_speedup():
     print(rendered)
     # The wall-clock acceptance bar only means something at full scale
     # on a quiet machine — size-filtered smoke runs check correctness.
-    if numpy_available() and "large" in speedups:
+    if "large" in speedups:
         assert speedups["large"] >= 5.0, (
             f"incremental update speedup {speedups['large']:.1f}x below "
             f"the 5x target at the largest size")

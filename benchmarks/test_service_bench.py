@@ -9,7 +9,7 @@ Two claims under measurement:
   against the per-request reference (one
   :meth:`~repro.cf.item_knn.ItemKNNRecommender.recommend` call per
   user, a Python candidate loop each). Responses are asserted
-  **identical** before timings count, and on the NumPy backend the
+  **identical** before timings count, and the
   largest size must show ≥5× batched throughput — the acceptance bar
   for the serving-service PR. Response caches are disabled for the
   throughput comparison so both paths really recompute.
@@ -35,7 +35,6 @@ import time
 from conftest import record_json, write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
-from repro.data.matrix import numpy_available
 from repro.data.ratings import Rating, RatingTable
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.serving.registry import ModelRegistry
@@ -43,10 +42,8 @@ from repro.serving.service import RecommendationService
 
 #: users per batched request — large enough that per-call overhead
 #: vanishes, small enough that the per-request reference stays
-#: tractable (the pure-Python backend serves both paths identically
-#: through the reference loop, so it gets a smaller stream).
-N_BATCH_USERS_NUMPY = 200
-N_BATCH_USERS_PYTHON = 40
+#: tractable.
+N_BATCH_USERS = 200
 TOP_N = 10
 
 #: incremental-update rounds for the cache section, and queries per
@@ -81,8 +78,7 @@ def _update_batch(rng: random.Random, round_id: int):
 
 
 def test_service_batched_throughput_and_cache():
-    backend = "numpy" if numpy_available() else "pure_python"
-    n_batch_users = (N_BATCH_USERS_NUMPY if numpy_available() else N_BATCH_USERS_PYTHON)
+    backend = "numpy"
     lines = [f"{'size':<8} {'users':>6} {'per_req_s':>10} {'batched_s':>10} "
              f"{'qps(req)':>9} {'qps(batch)':>10} {'speedup':>8} "
              f"{'build_s':>8} {'row_hit%':>9} {'evicted/upd':>12}"]
@@ -96,7 +92,7 @@ def test_service_batched_throughput_and_cache():
 
         # -- throughput: batched vs per-request, caches off ------------
         service = RecommendationService(registry, response_cache_size=0)
-        users = sorted(table.users)[:n_batch_users]
+        users = sorted(table.users)[:N_BATCH_USERS]
         service.recommend_batch(users[:2], TOP_N)  # warm the layout
         per_request, per_request_s = _timed(
             lambda: [service.recommend(user, TOP_N) for user in users])
@@ -165,7 +161,7 @@ def test_service_batched_throughput_and_cache():
     print(rendered)
     # The wall-clock acceptance bar only means something at full scale
     # on a quiet machine — size-filtered smoke runs check correctness.
-    if numpy_available() and "large" in speedups:
+    if "large" in speedups:
         assert speedups["large"] >= 5.0, (
             f"batched throughput {speedups['large']:.1f}x below the 5x "
             f"target at the largest size")

@@ -18,8 +18,8 @@ fresh stream of distinct pairs, so the pairwise path's per-pair
 similarity cache never coasts on a previous repeat.
 
 Predictions are cross-checked (≤1e-9 — the two paths differ only in
-Eq-6 numerator summation order) before timings are reported. On the
-NumPy backend the largest size must show ≥5× per-predict speedup — the
+Eq-6 numerator summation order) before timings are reported.
+The largest size must show ≥5× per-predict speedup — the
 acceptance bar for the serving-index PR. Results go to
 ``benchmarks/results/serving_{backend}.txt`` and the machine-readable
 ``BENCH_serving.json`` (full-size runs only).
@@ -35,7 +35,6 @@ from conftest import record_json, write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
 from repro.cf.item_knn import ItemKNNRecommender
-from repro.data.matrix import numpy_available
 from repro.data.ratings import RatingTable
 
 #: predictions per timed run — enough to dominate per-call overhead,
@@ -68,7 +67,7 @@ def _timed(fn):
 
 def test_serving_speedup():
     """Per-item predict latency: pairwise intersections vs index scans."""
-    backend = "numpy" if numpy_available() else "pure_python"
+    backend = "numpy"
     lines = [f"{'size':<8} {'predicts':>8} {'pairwise_s':>11} "
              f"{'indexed_s':>10} {'us/pred(pair)':>14} "
              f"{'us/pred(idx)':>13} {'speedup':>8} {'index_build_s':>14}"]
@@ -122,7 +121,7 @@ def test_serving_speedup():
     print(rendered)
     # The wall-clock acceptance bar only means something at full scale
     # on a quiet machine — size-filtered smoke runs check correctness.
-    if numpy_available() and "large" in speedups:
+    if "large" in speedups:
         assert speedups["large"] >= 5.0, (
             f"serve-time speedup {speedups['large']:.1f}x below the 5x "
             f"target at the largest size")

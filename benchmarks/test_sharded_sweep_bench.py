@@ -31,7 +31,6 @@ import time
 from conftest import write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
-from repro.data.matrix import numpy_available
 from repro.data.ratings import RatingTable
 from repro.engine.sharded_sweep import sharded_adjacency
 
@@ -97,7 +96,7 @@ def test_shard_scaling():
             lines.append(f"{name:<8} {label:<16} {seconds:>9.3f} "
                          f"{store_s / seconds:>8.2f}x {max_shard:>12.3f}")
         lines.append("")
-    backend = "numpy" if numpy_available() else "pure_python"
+    backend = "numpy"
     rendered = "\n".join(
         [f"sharded Eq-6 sweep scaling (backend: {backend})", ""]
         + lines) + "\n"

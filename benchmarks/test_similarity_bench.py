@@ -12,10 +12,9 @@ synthetic rating tables at three sizes:
   against :func:`~repro.similarity.significance.significance_reference`.
 
 Timings are printed (run with ``-s``) and persisted to
-``benchmarks/results/similarity_*.txt``. On the NumPy backend the
+``benchmarks/results/similarity_*.txt``. The
 largest graph-build case is asserted ≥5× faster than the reference —
-the acceptance bar for the indexed-store PR; the pure-Python fallback
-only has to not regress.
+the acceptance bar for the indexed-store PR.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import time
 
 from conftest import write_result
 
-from repro.data.matrix import numpy_available
 from repro.data.ratings import Rating, RatingTable
 from repro.similarity.adjusted_cosine import (
     all_pairs_adjusted_cosine_reference,
@@ -115,7 +113,7 @@ def _reference_graph_build(table: RatingTable) -> ItemGraph:
 
 
 def _persist(name: str, header: str, lines: list[str]) -> str:
-    backend = "numpy" if numpy_available() else "pure_python"
+    backend = "numpy"
     rendered = "\n".join([f"{header} (backend: {backend})", ""] + lines) + "\n"
     # Size-filtered smoke runs print but never overwrite the committed
     # full-scale results.
@@ -161,7 +159,7 @@ def test_graph_build_speedup():
              "graph build: all-pairs adjusted cosine (Eq 6)", lines)
     # The wall-clock acceptance bar only means something at full scale on
     # a quiet machine — size-filtered smoke runs check correctness only.
-    if numpy_available() and "large" in speedups:
+    if "large" in speedups:
         assert speedups["large"] >= 5.0, (
             f"graph build speedup {speedups['large']:.1f}x below the 5x "
             f"target at the largest size")

@@ -2,7 +2,7 @@
 
 What CI's chaos-smoke job runs::
 
-    python scripts/chaos_smoke.py [work_dir] [--pure-python] [--keep]
+    python scripts/chaos_smoke.py [work_dir] [--keep]
 
 Same oracle discipline as ``gateway_smoke.py`` — concurrent mixed
 traffic over a 2-worker fleet during two live publishes, every 200
@@ -234,15 +234,14 @@ def _client_loop(port: int, client_id: int, users: list[str],
         out.append((client_id, seq, kind, key, payload["version"], payload[field]))
 
 
-async def _drive_traffic(work: Path, registry, pure_python: bool,
-                         users: list[str], items: list[str]):
+async def _drive_traffic(work: Path, registry, users: list[str], items: list[str]):
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.gateway import GatewayServer, WorkerPool
 
     plan = _fault_plan()
     pool = WorkerPool(work / "catalog", n_workers=2,
-                      poll_interval=0.05, pure_python=pure_python,
+                      poll_interval=0.05,
                       call_timeout=10.0, retries=3,
                       hedge_delay=0.25,
                       backoff_base=0.05, backoff_cap=0.5,
@@ -390,15 +389,13 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _reference_services(catalog, pure_python: bool) -> dict:
+def _reference_services(catalog) -> dict:
     from repro.serving.service import RecommendationService
     from repro.serving.snapshot import ModelSnapshot
 
     references = {}
     for version in catalog.versions():
-        snapshot = ModelSnapshot.load(
-            catalog.root / f"v-{version:08d}",
-            use_numpy=False if pure_python else None)
+        snapshot = ModelSnapshot.load(catalog.root / f"v-{version:08d}")
         references[version] = RecommendationService(snapshot)
     return references
 
@@ -504,7 +501,7 @@ def _check_telemetry(telemetry: dict, retry_counts: list, shed_stats: dict,
     return failures
 
 
-def _drive(work_dir: str, pure_python: bool, seed: int) -> int:
+def _drive(work_dir: str, seed: int) -> int:
     from repro.engine.sharded_sweep import IncrementalSweep
     from repro.serving.registry import ModelRegistry
     from repro.serving.watch import SnapshotCatalog
@@ -532,11 +529,11 @@ def _drive(work_dir: str, pure_python: bool, seed: int) -> int:
 
     (responses, errors, retry_counts, stats, shed_failures, shed_stats,
      drain_failures, telemetry) = asyncio.run(
-        _drive_traffic(work, registry, pure_python, users, items))
+        _drive_traffic(work, registry, users, items))
     for error in errors:
         print(f"chaos-smoke: request FAILED: {error}")
 
-    references = _reference_services(catalog, pure_python)
+    references = _reference_services(catalog)
     failures = _verify(responses, references)
     if not errors:
         failures.extend(_check_telemetry(
@@ -556,9 +553,8 @@ def _drive(work_dir: str, pure_python: bool, seed: int) -> int:
     for failure in failures[:10]:
         print(f"chaos-smoke: {failure}")
 
-    label = "pure-python" if pure_python else "numpy"
     ok = not failures and not errors
-    print(f"chaos-smoke[{label}]: {len(responses)} correct responses "
+    print(f"chaos-smoke: {len(responses)} correct responses "
           f"({len(retry_counts)} transparent retries) under plan seed "
           f"{PLAN_SEED}; fleet restarts={stats['n_restarts']} "
           f"spawn_failures={stats['n_spawn_failures']} "
@@ -579,9 +575,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("work_dir", nargs="?", default=None,
                         help="working directory (default: fresh temp "
                              "dir, removed at exit)")
-    parser.add_argument("--pure-python", action="store_true",
-                        help="run the worker fleet on the pure-Python "
-                             "backend")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--keep", action="store_true",
                         help="keep the working directory for debugging")
@@ -589,7 +582,7 @@ def main(argv: list[str] | None = None) -> int:
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="chaos-smoke-")
     if not args.keep:
         atexit.register(shutil.rmtree, work_dir, ignore_errors=True)
-    return _drive(work_dir, args.pure_python, args.seed)
+    return _drive(work_dir, args.seed)
 
 
 if __name__ == "__main__":

@@ -10,8 +10,7 @@ directory **with** ``--keep`` because a later step inspects the killed
 store, while repeated local runs leave nothing behind.
 
 generates a deterministic rating plan (a base table plus a stream of
-append batches), then for each backend leg (NumPy and
-``REPRO_PURE_PYTHON=1``) spawns a **writer subprocess** that builds a
+append batches), then spawns a **writer subprocess** that builds a
 :class:`~repro.durability.manager.DurableSweep` on a fresh store
 directory and applies the batches one by one — group commit of 1, fsync
 on, checkpoint every 7 batches — and ``SIGKILL``\\ s it at a randomized
@@ -40,7 +39,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import json
-import os
 import random
 import shutil
 import subprocess
@@ -162,9 +160,7 @@ def _check(store_dir: str, plan_path: str) -> int:
                                   served_predict, served_topn)
     ok = worst <= TOLERANCE and topn_ok
     repairs = "; ".join(report.log_repairs) or "none"
-    backend = recovered_service.registry.current().backend
-    print(f"crash-smoke: backend={backend} "
-          f"applied={applied}/{len(plan['batches'])} "
+    print(f"crash-smoke: applied={applied}/{len(plan['batches'])} "
           f"replayed={report.replayed_batches} repairs=[{repairs}] "
           f"max|Δpredict|={worst:.3e} "
           f"topn={'ok' if topn_ok else 'MISMATCH'} "
@@ -184,28 +180,23 @@ def _drive(work_dir: str, seed: int | None) -> int:
     print(f"crash-smoke: seed={seed} "
           f"({N_BATCHES} batches x {BATCH_SIZE} ratings)")
 
-    failures = 0
-    for label, overrides in (("numpy", {"REPRO_PURE_PYTHON": ""}),
-                             ("pure-python", {"REPRO_PURE_PYTHON": "1"})):
-        store = work / f"store_{label}"
-        env = {**os.environ, **overrides}
-        writer = subprocess.Popen(
-            [sys.executable, __file__, "--writer", str(store), str(plan_path)], env=env)
-        # The floor clears store creation; the ceiling lands past the
-        # stream's end often enough to also cover the clean-exit case.
-        delay = rng.uniform(0.5, 1.0 + N_BATCHES * WRITER_DELAY)
-        time.sleep(delay)
-        if writer.poll() is None:
-            writer.kill()  # SIGKILL: no atexit, no flush, no goodbye
-            writer.wait()
-            outcome = f"killed after {delay:.2f}s"
-        else:
-            outcome = f"finished before the {delay:.2f}s kill"
-        print(f"crash-smoke[{label}]: writer {outcome}")
-        check = subprocess.run(
-            [sys.executable, __file__, "--check", str(store), str(plan_path)], env=env)
-        failures += 0 if check.returncode == 0 else 1
-    return 1 if failures else 0
+    store = work / "store"
+    writer = subprocess.Popen(
+        [sys.executable, __file__, "--writer", str(store), str(plan_path)])
+    # The floor clears store creation; the ceiling lands past the
+    # stream's end often enough to also cover the clean-exit case.
+    delay = rng.uniform(0.5, 1.0 + N_BATCHES * WRITER_DELAY)
+    time.sleep(delay)
+    if writer.poll() is None:
+        writer.kill()  # SIGKILL: no atexit, no flush, no goodbye
+        writer.wait()
+        outcome = f"killed after {delay:.2f}s"
+    else:
+        outcome = f"finished before the {delay:.2f}s kill"
+    print(f"crash-smoke: writer {outcome}")
+    check = subprocess.run(
+        [sys.executable, __file__, "--check", str(store), str(plan_path)])
+    return 0 if check.returncode == 0 else 1
 
 
 def main(argv: list[str]) -> int:

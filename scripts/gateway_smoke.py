@@ -2,7 +2,7 @@
 
 What CI's gateway-smoke job runs::
 
-    python scripts/gateway_smoke.py [work_dir] [--pure-python] [--keep]
+    python scripts/gateway_smoke.py [work_dir] [--keep]
 
 The driver builds a small rating trace and publishes it as version 1
 of a :class:`~repro.serving.watch.SnapshotCatalog`, starts the real
@@ -172,14 +172,12 @@ def _client_loop(port: int, client_id: int, users: list[str],
             return
 
 
-async def _drive_traffic(work: Path, registry, pure_python: bool,
-                         users: list[str], items: list[str]):
+async def _drive_traffic(work: Path, registry, users: list[str], items: list[str]):
     from repro.gateway import GatewayServer, WorkerPool
 
     from concurrent.futures import ThreadPoolExecutor
 
-    pool = WorkerPool(work / "catalog", n_workers=2,
-                      poll_interval=0.05, pure_python=pure_python)
+    pool = WorkerPool(work / "catalog", n_workers=2, poll_interval=0.05)
     await pool.start()
     server = GatewayServer(pool)
     await server.start()
@@ -261,15 +259,13 @@ def _check_metrics(metrics: dict, responses: list, stales: list) -> list[str]:
     return failures
 
 
-def _reference_services(catalog, pure_python: bool) -> dict:
+def _reference_services(catalog) -> dict:
     from repro.serving.service import RecommendationService
     from repro.serving.snapshot import ModelSnapshot
 
     references = {}
     for version in catalog.versions():
-        snapshot = ModelSnapshot.load(
-            catalog.root / f"v-{version:08d}",
-            use_numpy=False if pure_python else None)
+        snapshot = ModelSnapshot.load(catalog.root / f"v-{version:08d}")
         references[version] = RecommendationService(snapshot)
     return references
 
@@ -314,7 +310,7 @@ def _verify(responses: list, references: dict) -> list[str]:
     return failures
 
 
-def _drive(work_dir: str, pure_python: bool, seed: int) -> int:
+def _drive(work_dir: str, seed: int) -> int:
     from repro.engine.sharded_sweep import IncrementalSweep
     from repro.serving.registry import ModelRegistry
     from repro.serving.watch import SnapshotCatalog
@@ -330,11 +326,11 @@ def _drive(work_dir: str, pure_python: bool, seed: int) -> int:
     items = [f"i{i:03d}" for i in range(N_ITEMS)]
 
     responses, errors, stales, metrics, stats = asyncio.run(
-        _drive_traffic(work, registry, pure_python, users, items))
+        _drive_traffic(work, registry, users, items))
     for error in errors:
         print(f"gateway-smoke: request FAILED: {error}")
 
-    references = _reference_services(catalog, pure_python)
+    references = _reference_services(catalog)
     failures = _verify(responses, references)
     if not errors:
         failures.extend(_check_metrics(metrics, responses, stales))
@@ -351,12 +347,11 @@ def _drive(work_dir: str, pure_python: bool, seed: int) -> int:
     for failure in failures[:10]:
         print(f"gateway-smoke: {failure}")
 
-    label = "pure-python" if pure_python else "numpy"
     ok = not failures and not errors
     per_version = {
         version: sum(1 for r in responses if r[4] == version)
         for version in versions_seen}
-    print(f"gateway-smoke[{label}]: {len(responses)} responses over "
+    print(f"gateway-smoke: {len(responses)} responses over "
           f"versions {per_version}, fleet={stats['alive']} alive / "
           f"{stats['n_restarts']} restarts, "
           f"metrics gate over {len(metrics)} samples, "
@@ -371,9 +366,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("work_dir", nargs="?", default=None,
                         help="working directory (default: fresh temp "
                              "dir, removed at exit)")
-    parser.add_argument("--pure-python", action="store_true",
-                        help="run the worker fleet on the pure-Python "
-                             "backend")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--keep", action="store_true",
                         help="keep the working directory for debugging")
@@ -381,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     work_dir = args.work_dir or tempfile.mkdtemp(prefix="gateway-smoke-")
     if not args.keep:
         atexit.register(shutil.rmtree, work_dir, ignore_errors=True)
-    return _drive(work_dir, args.pure_python, args.seed)
+    return _drive(work_dir, args.seed)
 
 
 if __name__ == "__main__":

@@ -12,9 +12,8 @@ from it, while repeated local runs leave nothing behind.
 fits the deterministic item-mode pipeline on the trace in-process,
 saves a :class:`~repro.serving.snapshot.ModelSnapshot`, computes
 reference predictions and Top-N lists from the in-memory pipeline, then
-re-invokes this script in a **fresh interpreter** (twice: once on the
-NumPy backend, once under ``REPRO_PURE_PYTHON=1`` — the cross-backend
-leg) to serve the same probes from the loaded snapshot, and diffs:
+re-invokes this script in a **fresh interpreter** to serve the same
+probes from the loaded snapshot, and diffs:
 every prediction must agree within 1e-9 (they are bit-identical in
 practice) and every Top-N list must match item for item.
 
@@ -33,7 +32,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -85,7 +83,6 @@ def _serve(snapshot_dir: str, probes_path: str, out_path: str) -> int:
     users = probes["users"]
     responses = service.recommend_batch(users, n=probes["top_n"])
     out = {
-        "backend": snapshot.backend,
         "predict": {
             f"{user}\t{item}": service.predict(user, item)
             for user in users for item in probes["items"]},
@@ -114,25 +111,20 @@ def _drive(trace_dir: str, snapshot_dir: str) -> int:
         for user in users for item in items}
     reference_topn = {user: pipeline.recommend(user, n=TOP_N) for user in users}
 
-    failures = 0
-    for label, overrides in (("numpy", {"REPRO_PURE_PYTHON": ""}),
-                             ("pure-python", {"REPRO_PURE_PYTHON": "1"})):
-        out_path = Path(snapshot_dir) / f"smoke_served_{label}.json"
-        env = {**os.environ, **overrides}
-        subprocess.run(
-            [sys.executable, __file__, "--serve", snapshot_dir,
-             str(probes_path), str(out_path)],
-            check=True, env=env)
-        served = json.loads(out_path.read_text(encoding="utf-8"))
-        worst, topn_ok = diff_serving(
-            reference_predict, reference_topn,
-            served["predict"], served["topn"])
-        ok = worst <= TOLERANCE and topn_ok
-        failures += 0 if ok else 1
-        print(f"serving-smoke[{label}]: backend={served['backend']} "
-              f"max|Δpredict|={worst:.3e} topn={'ok' if topn_ok else 'MISMATCH'} "
-              f"-> {'PASS' if ok else 'FAIL'}")
-    return 1 if failures else 0
+    out_path = Path(snapshot_dir) / "smoke_served.json"
+    subprocess.run(
+        [sys.executable, __file__, "--serve", snapshot_dir,
+         str(probes_path), str(out_path)],
+        check=True)
+    served = json.loads(out_path.read_text(encoding="utf-8"))
+    worst, topn_ok = diff_serving(
+        reference_predict, reference_topn,
+        served["predict"], served["topn"])
+    ok = worst <= TOLERANCE and topn_ok
+    print(f"serving-smoke: max|Δpredict|={worst:.3e} "
+          f"topn={'ok' if topn_ok else 'MISMATCH'} "
+          f"-> {'PASS' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def main(argv: list[str]) -> int:
@@ -140,7 +132,7 @@ def main(argv: list[str]) -> int:
         return _serve(argv[2], argv[3], argv[4])
     parser = argparse.ArgumentParser(
         description="serving smoke: build, snapshot, re-serve from a "
-                    "fresh process on both backends, diff")
+                    "fresh process, diff")
     parser.add_argument("trace_dir", help="trace directory to fit on")
     parser.add_argument("snapshot_dir", nargs="?", default=None,
                         help="snapshot directory (default: fresh temp "

@@ -1,8 +1,14 @@
-"""Legacy setuptools entry point.
+"""Setuptools entry point (there is no pyproject.toml).
 
-Kept alongside pyproject.toml because offline environments without the
-``wheel`` package need the --no-use-pep517 editable-install path.
+``pip install -e .`` works offline with ``--no-use-pep517`` where the
+``wheel`` package is missing.
 """
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy"],
+)

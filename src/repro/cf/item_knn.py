@@ -25,16 +25,13 @@ Eq-6 accumulation and per-pair dot products (property-tested at 1e-9).
 
 from __future__ import annotations
 
+import numpy as _np
+
 from repro.cf.predictor import BaseRecommender
 from repro.data.ratings import RatingTable
 from repro.errors import ConfigError
 from repro.similarity.adjusted_cosine import adjusted_cosine
 from repro.similarity.knn import NeighborIndex, top_k
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 
 class ItemKNNRecommender(BaseRecommender):
@@ -118,8 +115,7 @@ class ItemKNNRecommender(BaseRecommender):
         return self._index
 
     def _rated_lookup(self, user: str):
-        """Cached membership test over the user's rated item *indexes* —
-        a boolean mask on the NumPy backend, a set on the fallback."""
+        """Cached boolean mask over the user's rated item *indexes*."""
         cached = self._rated_cache.get(user)
         if cached is None:
             store = self.table.matrix()
@@ -131,11 +127,8 @@ class ItemKNNRecommender(BaseRecommender):
             else:
                 start, end = int(store.user_ptr[u]), int(store.user_ptr[u + 1])
                 row = store.user_item_idx[start:end]
-            if store.uses_numpy:
-                cached = _np.zeros(store.n_items, dtype=bool)
-                cached[_np.asarray(row, dtype=_np.int64)] = True
-            else:
-                cached = set(row)
+            cached = _np.zeros(store.n_items, dtype=bool)
+            cached[_np.asarray(row, dtype=_np.int64)] = True
             self._rated_cache[user] = cached
         return cached
 
@@ -160,24 +153,13 @@ class ItemKNNRecommender(BaseRecommender):
         rated = self._rated_lookup(user)
         items = store.items
         k = self.k
-        if store.uses_numpy:
-            selected = rated[ids]
-            if self.positive_only:
-                selected &= weights > 0.0
-            positions = _np.nonzero(selected)[0][:k]
-            return [(items[j], weight)
-                    for j, weight in zip(ids[positions].tolist(),
-                                         weights[positions].tolist())]
-        neighbors: list[tuple[str, float]] = []
-        positive_only = self.positive_only
-        for j, weight in zip(ids, weights):
-            if positive_only and weight <= 0.0:
-                break  # rows are weight-descending: nothing left to keep
-            if j in rated:
-                neighbors.append((items[j], weight))
-                if len(neighbors) == k:
-                    break
-        return neighbors
+        selected = rated[ids]
+        if self.positive_only:
+            selected &= weights > 0.0
+        positions = _np.nonzero(selected)[0][:k]
+        return [(items[j], weight)
+                for j, weight in zip(ids[positions].tolist(),
+                                     weights[positions].tolist())]
 
     def _rated_neighbors_pairwise(self, user: str,
                                   item: str) -> list[tuple[str, float]]:

@@ -197,8 +197,6 @@ def _add_fleet_arguments(parser) -> None:
                              "watches (snapshot, catalog, or durable "
                              "store)")
     parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--pure-python", action="store_true",
-                        help="run workers on the pure-Python backend")
     parser.add_argument("--max-batch", type=int, default=32,
                         help="most single-user requests one coalesced "
                              "frame may carry (a request leaves at once "
@@ -337,7 +335,7 @@ def _cmd_snapshot(args) -> int:
     snapshot = ModelSnapshot.load(args.snapshot)
     significance = snapshot.significance
     print(f"model snapshot at {args.snapshot}")
-    print(f"  version={snapshot.version} backend={snapshot.backend}")
+    print(f"  version={snapshot.version}")
     print(f"  users={snapshot.n_users} items={snapshot.n_items} "
           f"ratings={snapshot.n_ratings}")
     print(f"  serving: k={snapshot.cf_k} "
@@ -448,7 +446,6 @@ def _make_pool_and_server(args, port: int = 0, host: str = "127.0.0.1"):
 
     pool = WorkerPool(
         args.watch, n_workers=args.workers,
-        pure_python=args.pure_python,
         call_timeout=args.call_timeout,
         retries=args.retries,
         poll_interval=args.poll_interval,

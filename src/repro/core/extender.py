@@ -23,7 +23,6 @@ from repro.core.metapaths import (
     enumerate_meta_paths,
 )
 from repro.core.xsim import SignificanceCache, path_certainty, path_similarity
-from repro.data.matrix import numpy_available
 from repro.data.ratings import RatingTable
 from repro.errors import ConfigError, SimilarityError
 from repro.obs import get_registry, observe_stage_seconds
@@ -114,8 +113,8 @@ def extend_item_reference(item: str, partition: LayerPartition,
 
     The per-item reference the paper describes — one DFS over the pruned
     adjacency, every meta-path folded with Definition 6. It is the
-    Extender's ``REPRO_PURE_PYTHON`` path, the per-task body of the
-    simulated Spark job (:mod:`repro.engine.xmap_job`, Fig. 11) and the
+    per-task body of the simulated Spark job
+    (:mod:`repro.engine.xmap_job`, Fig. 11) and the
     oracle the frontier kernel is tested against; targets appear in the
     order the DFS first reaches them.
     """
@@ -133,13 +132,12 @@ class Extender:
                significance: SignificanceCache | None = None) -> XSimMap:
         """Aggregate meta-path similarities for every source item.
 
-        With NumPy available the map comes from the level-synchronous
-        kernel of :mod:`repro.core.metapath_kernel`; under
-        ``REPRO_PURE_PYTHON`` from :func:`extend_item_reference` per
-        item. Both give the same map, bit for bit. Stage timings and
-        path/pair counts land in the process-global ``repro.obs``
-        registry (``extender_stage_seconds``, ``extender_paths_total``,
-        ``extender_pairs_total``).
+        The map comes from the level-synchronous kernel of
+        :mod:`repro.core.metapath_kernel`, which gives the same map as
+        :func:`extend_item_reference` per item, bit for bit. Stage
+        timings and path/pair counts land in the process-global
+        ``repro.obs`` registry (``extender_stage_seconds``,
+        ``extender_paths_total``, ``extender_pairs_total``).
 
         Args:
             graph: baseline graph ``G_ac`` from the Baseliner.
@@ -172,23 +170,10 @@ class Extender:
             item for item in graph.items
             if partition.domain_of(item) == source_domain)
         pruned = time.perf_counter()
-        if numpy_available():
-            xsim_map, n_paths, stages = frontier_xsim_map(
-                source_items, partition, adjacency, source_domain,
-                significance, self.config)
-            stages["prune"] += pruned - started
-        else:
-            # The DFS folds each path as it is enumerated, so the pure
-            # path has no separate aggregate stage.
-            xsim_map = {}
-            n_paths = 0
-            for item in source_items:
-                values, enumerated = _fold_item(
-                    item, partition, adjacency, significance, self.config)
-                n_paths += enumerated
-                if values:
-                    xsim_map[item] = values
-            stages = {"prune": pruned - started, "expand": time.perf_counter() - pruned}
+        xsim_map, n_paths, stages = frontier_xsim_map(
+            source_items, partition, adjacency, source_domain,
+            significance, self.config)
+        stages["prune"] += pruned - started
         observe_stage_seconds("extender", stages)
         registry = get_registry()
         registry.counter(

@@ -1,4 +1,4 @@
-"""Level-synchronous meta-path kernel for the Extender (NumPy backend).
+"""Level-synchronous meta-path kernel for the Extender.
 
 The per-item DFS of :func:`~repro.core.metapaths.enumerate_meta_paths`
 unfolds a *layered* graph: every item sits in exactly one layer and a
@@ -37,13 +37,10 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, NamedTuple
 
+import numpy as _np
+
 from repro.core.layers import LAYER_CHAIN, Layer, LayerPartition
 from repro.core.metapaths import LayerKey, PrunedAdjacency
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.extender import ExtenderConfig, XSimMap

@@ -13,7 +13,7 @@ from §6.1 (:mod:`repro.data.splits`).
 """
 
 from repro.data.dataset import CrossDomainDataset, Dataset
-from repro.data.matrix import MatrixRatingStore, numpy_available
+from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.data.splits import (
     TrainTestSplit,
@@ -29,7 +29,6 @@ __all__ = [
     "MatrixRatingStore",
     "Rating",
     "RatingTable",
-    "numpy_available",
     "SyntheticConfig",
     "TrainTestSplit",
     "amazon_like",

@@ -19,13 +19,11 @@ hashing string tuples and re-deriving user means from objects.
   like/dislike flags (Definition 2) and per-user item-centered norms
   (Eq 1), all computed once at construction.
 
-The store has a NumPy fast path and a pure-Python fallback behind the
-same API, selected at construction (``REPRO_PURE_PYTHON=1`` forces the
-fallback — the CI matrix uses it). Means and norms are always computed
-with ``math.fsum`` in pure Python so both backends share bit-identical
-scalars; the pair accumulation orders of the two backends are aligned
-(users ascending, one sequential add per co-rating) so the two paths
-produce *identical* similarity graphs, not merely close ones.
+The store is NumPy-backed. Means and norms are computed with
+``math.fsum`` (exact, one final rounding), so they do not depend on
+accumulation order; the pair accumulation visits users in one canonical
+order (one sequential add per co-rating), so an appended store and a
+rebuild produce *identical* similarity graphs, not merely close ones.
 
 Build one store per pipeline run via :meth:`RatingTable.matrix`, which
 memoizes on the (immutable) table — every string-keyed similarity entry
@@ -36,19 +34,15 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as _np
 
 from repro.errors import SimilarityError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.data.ratings import Rating, RatingTable
     from repro.similarity.knn import NeighborIndex
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 
 #: :meth:`MatrixRatingStore.splice_row_refresh` rebuilds an adjacency
@@ -60,38 +54,8 @@ except ImportError:  # pragma: no cover - the image bakes numpy in
 _PATCH_MAX_RATIO = 1
 
 
-def numpy_available() -> bool:
-    """Whether the NumPy fast path can be used (installed and not
-    disabled via the ``REPRO_PURE_PYTHON`` environment variable;
-    ``"0"`` and the empty string count as unset)."""
-    return _np is not None and os.environ.get("REPRO_PURE_PYTHON", "") in ("", "0")
-
-
 def _clip1(value: float) -> float:
     return max(-1.0, min(1.0, value))
-
-
-def _intersect_sorted(a: Sequence[int], b: Sequence[int]
-                      ) -> tuple[list[int], list[int]]:
-    """Positions of the common values of two strictly-increasing int
-    sequences (the pure-Python profile intersection)."""
-    pos_a: list[int] = []
-    pos_b: list[int] = []
-    i = j = 0
-    len_a, len_b = len(a), len(b)
-    while i < len_a and j < len_b:
-        x = a[i]
-        y = b[j]
-        if x == y:
-            pos_a.append(i)
-            pos_b.append(j)
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return pos_a, pos_b
 
 
 class PairAccumulation:
@@ -102,13 +66,11 @@ class PairAccumulation:
     engine's sharded sweep ships between processes. Pairs are encoded as
     ``left * n_items + right`` integer keys with ``left < right``.
 
-    On the NumPy backend ``keys`` is a strictly-increasing int64 array and
-    ``sums`` / ``counts`` / ``agree`` are aligned value arrays. On the
-    pure-Python backend ``keys`` is ``None`` and the other three are dicts
-    over the same integer pair keys.
+    ``keys`` is a strictly-increasing int64 array and ``sums`` /
+    ``counts`` / ``agree`` are value arrays aligned with it.
 
     Attributes:
-        keys: unique pair keys (NumPy backend only).
+        keys: unique pair keys.
         sums: Eq-6 numerator partial sums per pair.
         counts: co-rating contribution counts per pair (``|Y_i ∩ Y_j|``
             restricted to the accumulated users) — exact integers.
@@ -127,7 +89,7 @@ class PairAccumulation:
     @property
     def n_pairs(self) -> int:
         """Distinct co-rated pairs accumulated."""
-        return len(self.sums) if self.keys is None else len(self.keys)
+        return len(self.keys)
 
 
 class AssemblyResult(NamedTuple):
@@ -242,19 +204,6 @@ def _insert_map(old_names: Sequence[str], inserted: Sequence[str]) -> list[int]:
     return out
 
 
-def _list_insert(base: list, positions: Sequence[int], values: list) -> list:
-    """``np.insert`` for plain lists: *positions* are non-decreasing
-    offsets into *base*; equal positions insert in the given order."""
-    out: list = []
-    prev = 0
-    for pos, value in zip(positions, values):
-        out.extend(base[prev:pos])
-        out.append(value)
-        prev = pos
-    out.extend(base[prev:])
-    return out
-
-
 class MatrixRatingStore:
     """Integer-interned, array-backed view of one :class:`RatingTable`.
 
@@ -270,16 +219,11 @@ class MatrixRatingStore:
         "user_item_centered", "user_item_centered_norms",
         "item_ptr", "item_user_idx", "item_values", "item_centered",
         "item_likes", "item_centered_norms", "item_raw_norms",
-        "_use_numpy", "_triu_cache", "_item_names_obj", "_like_dicts",
+        "_triu_cache", "_item_names_obj", "_like_dicts",
         "_user_likes",
     )
 
-    def __init__(self, table: "RatingTable", use_numpy: bool | None = None) -> None:
-        if use_numpy is None:
-            use_numpy = numpy_available()
-        elif use_numpy and _np is None:
-            raise SimilarityError("use_numpy=True requested but numpy is not installed")
-        self._use_numpy = bool(use_numpy)
+    def __init__(self, table: "RatingTable") -> None:
         self._triu_cache: dict[int, tuple] = {}
         self._item_names_obj = None
         self._like_dicts: list[dict[int, bool] | None] | None = None
@@ -297,108 +241,60 @@ class MatrixRatingStore:
         self.n_ratings = n
         self.global_mean = table.global_mean()
 
-        # One pass over the Rating objects, then everything else is sorts
-        # (np.lexsort on the fast path, list sorts on the fallback) and
-        # vectorised arithmetic over flat columns. All sums of float sets
-        # go through math.fsum, which is *exact* (single final rounding),
-        # so means and norms are independent of accumulation order and
-        # identical across backends; centering is one element-wise IEEE
-        # subtraction either way.
-        if self._use_numpy:
-            rows = [(user_index[r.user], item_index[r.item], r.value) for r in table]
-            if rows:
-                user_raw, item_raw, value_raw = zip(*rows)
-            else:
-                user_raw = item_raw = value_raw = ()
-            user_arr = _np.asarray(user_raw, dtype=_np.int64)
-            item_arr = _np.asarray(item_raw, dtype=_np.int64)
-            value_arr = _np.asarray(value_raw, dtype=_np.float64)
-            csr_order = _np.lexsort((item_arr, user_arr))
-            user_csr = user_arr[csr_order]
-            item_csr = item_arr[csr_order]
-            value_csr = value_arr[csr_order]
-            user_ptr_arr = _np.searchsorted(user_csr, _np.arange(len(users) + 1))
-            user_ptr = user_ptr_arr.tolist()
-            value_csr_list = value_csr.tolist()
-            user_means = [
-                math.fsum(value_csr_list[user_ptr[k]:user_ptr[k + 1]])
-                / (user_ptr[k + 1] - user_ptr[k])
-                for k in range(len(users))]
-            csc_order = _np.lexsort((user_csr, item_csr))
-            item_csc = item_csr[csc_order]
-            item_values_arr = value_csr[csc_order]
-            item_ptr_arr = _np.searchsorted(item_csc, _np.arange(len(items) + 1))
-            item_ptr = item_ptr_arr.tolist()
-            item_values_list = item_values_arr.tolist()
-            item_means = [
-                math.fsum(item_values_list[item_ptr[k]:item_ptr[k + 1]])
-                / (item_ptr[k + 1] - item_ptr[k])
-                for k in range(len(items))]
-            user_means_arr = _np.asarray(user_means, dtype=_np.float64)
-            item_means_arr = _np.asarray(item_means, dtype=_np.float64)
-            user_centered_arr = value_csr - user_means_arr[user_csr]
-            self.user_means = user_means_arr
-            self.item_means = item_means_arr
-            self.user_ptr = user_ptr_arr
-            self.user_item_idx = item_csr
-            self.user_values = value_csr
-            self.user_centered = user_centered_arr
-            self.user_item_centered = value_csr - item_means_arr[item_csr]
-            self.item_ptr = item_ptr_arr
-            self.item_user_idx = user_csr[csc_order]
-            self.item_values = item_values_arr
-            self.item_centered = user_centered_arr[csc_order]
-            self.item_likes = item_values_arr >= item_means_arr[item_csc]
-            user_item_centered_sq = (
-                self.user_item_centered * self.user_item_centered).tolist()
-            item_centered_sq = (self.item_centered * self.item_centered).tolist()
-            item_raw_sq = (item_values_arr * item_values_arr).tolist()
+        # One pass over the Rating objects, then everything else is
+        # np.lexsort and vectorised arithmetic over flat columns. All
+        # sums of float sets go through math.fsum, which is *exact*
+        # (single final rounding), so means and norms are independent of
+        # accumulation order; centering is one element-wise IEEE
+        # subtraction.
+        rows = [(user_index[r.user], item_index[r.item], r.value) for r in table]
+        if rows:
+            user_raw, item_raw, value_raw = zip(*rows)
         else:
-            triples = sorted((user_index[r.user], item_index[r.item], r.value)
-                             for r in table)
-            if triples:
-                user_col, item_col, value_col = map(list, zip(*triples))
-            else:
-                user_col, item_col, value_col = [], [], []
-            user_ptr = [0] * (len(users) + 1)
-            for u in user_col:
-                user_ptr[u + 1] += 1
-            for k in range(len(users)):
-                user_ptr[k + 1] += user_ptr[k]
-            user_means = [
-                math.fsum(value_col[user_ptr[k]:user_ptr[k + 1]])
-                / (user_ptr[k + 1] - user_ptr[k])
-                for k in range(len(users))]
-            perm = sorted(range(n), key=lambda k: (item_col[k], user_col[k]))
-            item_ptr = [0] * (len(items) + 1)
-            for k in perm:
-                item_ptr[item_col[k] + 1] += 1
-            for k in range(len(items)):
-                item_ptr[k + 1] += item_ptr[k]
-            item_values = [value_col[k] for k in perm]
-            item_means = [
-                math.fsum(item_values[item_ptr[k]:item_ptr[k + 1]])
-                / (item_ptr[k + 1] - item_ptr[k])
-                for k in range(len(items))]
-            user_centered = [value_col[k] - user_means[user_col[k]] for k in range(n)]
-            self.user_means = user_means
-            self.item_means = item_means
-            self.user_ptr = user_ptr
-            self.user_item_idx = item_col
-            self.user_values = value_col
-            self.user_centered = user_centered
-            self.user_item_centered = [
-                value_col[k] - item_means[item_col[k]] for k in range(n)]
-            self.item_ptr = item_ptr
-            self.item_user_idx = [user_col[k] for k in perm]
-            self.item_values = item_values
-            self.item_centered = [user_centered[k] for k in perm]
-            self.item_likes = [
-                item_values[k] >= item_means[item_col[perm[k]]]
-                for k in range(n)]
-            user_item_centered_sq = [c * c for c in self.user_item_centered]
-            item_centered_sq = [c * c for c in self.item_centered]
-            item_raw_sq = [v * v for v in item_values]
+            user_raw = item_raw = value_raw = ()
+        user_arr = _np.asarray(user_raw, dtype=_np.int64)
+        item_arr = _np.asarray(item_raw, dtype=_np.int64)
+        value_arr = _np.asarray(value_raw, dtype=_np.float64)
+        csr_order = _np.lexsort((item_arr, user_arr))
+        user_csr = user_arr[csr_order]
+        item_csr = item_arr[csr_order]
+        value_csr = value_arr[csr_order]
+        user_ptr_arr = _np.searchsorted(user_csr, _np.arange(len(users) + 1))
+        user_ptr = user_ptr_arr.tolist()
+        value_csr_list = value_csr.tolist()
+        user_means = [
+            math.fsum(value_csr_list[user_ptr[k]:user_ptr[k + 1]])
+            / (user_ptr[k + 1] - user_ptr[k])
+            for k in range(len(users))]
+        csc_order = _np.lexsort((user_csr, item_csr))
+        item_csc = item_csr[csc_order]
+        item_values_arr = value_csr[csc_order]
+        item_ptr_arr = _np.searchsorted(item_csc, _np.arange(len(items) + 1))
+        item_ptr = item_ptr_arr.tolist()
+        item_values_list = item_values_arr.tolist()
+        item_means = [
+            math.fsum(item_values_list[item_ptr[k]:item_ptr[k + 1]])
+            / (item_ptr[k + 1] - item_ptr[k])
+            for k in range(len(items))]
+        user_means_arr = _np.asarray(user_means, dtype=_np.float64)
+        item_means_arr = _np.asarray(item_means, dtype=_np.float64)
+        user_centered_arr = value_csr - user_means_arr[user_csr]
+        self.user_means = user_means_arr
+        self.item_means = item_means_arr
+        self.user_ptr = user_ptr_arr
+        self.user_item_idx = item_csr
+        self.user_values = value_csr
+        self.user_centered = user_centered_arr
+        self.user_item_centered = value_csr - item_means_arr[item_csr]
+        self.item_ptr = item_ptr_arr
+        self.item_user_idx = user_csr[csc_order]
+        self.item_values = item_values_arr
+        self.item_centered = user_centered_arr[csc_order]
+        self.item_likes = item_values_arr >= item_means_arr[item_csc]
+        user_item_centered_sq = (
+            self.user_item_centered * self.user_item_centered).tolist()
+        item_centered_sq = (self.item_centered * self.item_centered).tolist()
+        item_raw_sq = (item_values_arr * item_values_arr).tolist()
 
         user_item_centered_norms = [
             math.sqrt(math.fsum(user_item_centered_sq[user_ptr[k]:user_ptr[k + 1]]))
@@ -409,25 +305,14 @@ class MatrixRatingStore:
         item_raw_norms = [
             math.sqrt(math.fsum(item_raw_sq[item_ptr[k]:item_ptr[k + 1]]))
             for k in range(len(items))]
-        if self._use_numpy:
-            self.user_item_centered_norms = _np.asarray(
-                user_item_centered_norms, dtype=_np.float64)
-            self.item_centered_norms = _np.asarray(
-                item_centered_norms, dtype=_np.float64)
-            self.item_raw_norms = _np.asarray(item_raw_norms, dtype=_np.float64)
-        else:
-            self.user_item_centered_norms = user_item_centered_norms
-            self.item_centered_norms = item_centered_norms
-            self.item_raw_norms = item_raw_norms
+        self.user_item_centered_norms = _np.asarray(
+            user_item_centered_norms, dtype=_np.float64)
+        self.item_centered_norms = _np.asarray(item_centered_norms, dtype=_np.float64)
+        self.item_raw_norms = _np.asarray(item_raw_norms, dtype=_np.float64)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def uses_numpy(self) -> bool:
-        """Whether this store runs on the NumPy fast path."""
-        return self._use_numpy
 
     @property
     def n_users(self) -> int:
@@ -438,10 +323,8 @@ class MatrixRatingStore:
         return len(self.items)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        backend = "numpy" if self._use_numpy else "python"
         return (f"MatrixRatingStore(users={self.n_users}, "
-                f"items={self.n_items}, ratings={self.n_ratings}, "
-                f"backend={backend})")
+                f"items={self.n_items}, ratings={self.n_ratings})")
 
     # ------------------------------------------------------------------
     # Column / row slices
@@ -468,28 +351,17 @@ class MatrixRatingStore:
         """Dot product of two *value_column* slices over the intersection
         of the corresponding (strictly increasing) *index_column* slices.
 
-        The one intersection kernel every pairwise metric shares —
-        ``intersect1d`` on the NumPy path, a two-pointer merge on the
-        fallback.
+        The one intersection kernel every pairwise metric shares.
         """
         start_a, end_a = slice_a
         start_b, end_b = slice_b
-        if self._use_numpy:
-            _, pos_a, pos_b = _np.intersect1d(
-                index_column[start_a:end_a], index_column[start_b:end_b],
-                assume_unique=True, return_indices=True)
-            if len(pos_a) == 0:
-                return 0.0
-            return float(_np.dot(value_column[start_a:end_a][pos_a],
-                                 value_column[start_b:end_b][pos_b]))
-        pos_a, pos_b = _intersect_sorted(index_column[start_a:end_a],
-                                         index_column[start_b:end_b])
-        values_a = value_column[start_a:end_a]
-        values_b = value_column[start_b:end_b]
-        total = 0.0
-        for x, y in zip(pos_a, pos_b):
-            total += values_a[x] * values_b[y]
-        return total
+        _, pos_a, pos_b = _np.intersect1d(
+            index_column[start_a:end_a], index_column[start_b:end_b],
+            assume_unique=True, return_indices=True)
+        if len(pos_a) == 0:
+            return 0.0
+        return float(_np.dot(value_column[start_a:end_a][pos_a],
+                             value_column[start_b:end_b][pos_b]))
 
     def _common_values(self, index_column, value_column,
                        slice_a: tuple[int, int],
@@ -498,17 +370,11 @@ class MatrixRatingStore:
         """Aligned value pairs over the intersection, as plain lists."""
         start_a, end_a = slice_a
         start_b, end_b = slice_b
-        if self._use_numpy:
-            _, pos_a, pos_b = _np.intersect1d(
-                index_column[start_a:end_a], index_column[start_b:end_b],
-                assume_unique=True, return_indices=True)
-            return (value_column[start_a:end_a][pos_a].tolist(),
-                    value_column[start_b:end_b][pos_b].tolist())
-        pos_a, pos_b = _intersect_sorted(index_column[start_a:end_a],
-                                         index_column[start_b:end_b])
-        values_a = value_column[start_a:end_a]
-        values_b = value_column[start_b:end_b]
-        return ([values_a[x] for x in pos_a], [values_b[y] for y in pos_b])
+        _, pos_a, pos_b = _np.intersect1d(
+            index_column[start_a:end_a], index_column[start_b:end_b],
+            assume_unique=True, return_indices=True)
+        return (value_column[start_a:end_a][pos_a].tolist(),
+                value_column[start_b:end_b][pos_b].tolist())
 
     def adjusted_cosine(self, item_i: str, item_j: str) -> float:
         """Eq 6 over the precomputed centered columns and norms."""
@@ -589,8 +455,8 @@ class MatrixRatingStore:
         Typical item profiles have tens-to-hundreds of raters, where a
         small-dict probe loop beats array set-intersection constants by a
         wide margin — this is the Definition-2 hot path the Extender's
-        significance sweeps hit, so it gets the dict treatment on both
-        backends (the result is an integer count; no float concerns).
+        significance sweeps hit, so it gets the dict treatment (the
+        result is an integer count; no float concerns).
         """
         if self._like_dicts is None:
             self._like_dicts = [None] * len(self.items)
@@ -599,9 +465,8 @@ class MatrixRatingStore:
             start, end = self._item_col(idx)
             users = self.item_user_idx[start:end]
             likes = self.item_likes[start:end]
-            if self._use_numpy:
-                users = users.tolist()
-                likes = likes.tolist()
+            users = users.tolist()
+            likes = likes.tolist()
             cached = dict(zip(users, likes))
             self._like_dicts[idx] = cached
         return cached
@@ -673,21 +538,18 @@ class MatrixRatingStore:
     ) -> Iterator[tuple[str, str, float]]:
         """Yield ``(i, j, sim)`` for every co-rated item pair (Eq 6).
 
-        Both backends accumulate the numerators in the same canonical
-        order (profile-length groups ascending, user index ascending
-        within a group, one sequential add per co-rating), so they
-        produce bit-identical sums and therefore identical graphs. Pairs
+        The numerators accumulate in one canonical order
+        (profile-length groups ascending, user index ascending within a
+        group, one sequential add per co-rating), so the sums — and
+        therefore the graph — are reproducible bit for bit. Pairs
         come out sorted by (i, j) with ``i < j`` (interning is
         lexicographic, so integer order is string order).
 
-        Peak memory on the NumPy path is one ``(key, value)`` pair per
+        Peak memory is one ``(key, value)`` pair per
         co-rating contribution (``Σ_u |X_u|²`` entries); cap skewed
         profiles with *max_profile_size* as the paper's Spark job does.
         """
-        if self._use_numpy:
-            yield from self._all_pairs_numpy(min_common_users, max_profile_size)
-        else:
-            yield from self._all_pairs_python(min_common_users, max_profile_size)
+        yield from self._all_pairs_numpy(min_common_users, max_profile_size)
 
     @property
     def user_likes(self):
@@ -699,14 +561,7 @@ class MatrixRatingStore:
         significance counts into the Eq-6 pass. Built lazily and cached.
         """
         if self._user_likes is None:
-            if self._use_numpy:
-                self._user_likes = (
-                    self.user_values >= self.item_means[self.user_item_idx])
-            else:
-                self._user_likes = [
-                    self.user_values[k]
-                    >= self.item_means[self.user_item_idx[k]]
-                    for k in range(self.n_ratings)]
+            self._user_likes = self.user_values >= self.item_means[self.user_item_idx]
         return self._user_likes
 
     def eligible_users(self, max_profile_size: int | None = None,
@@ -720,29 +575,20 @@ class MatrixRatingStore:
         to the subset, so every shard accumulates exactly as the full
         sweep would over those users.
         """
-        if self._use_numpy:
-            lengths = _np.diff(self.user_ptr)
-            if users is None:
-                mask = lengths >= 2
-                if max_profile_size is not None:
-                    mask &= lengths <= max_profile_size
-                eligible = _np.nonzero(mask)[0]
-            else:
-                candidates = _np.asarray(users, dtype=_np.int64)
-                sub = lengths[candidates] if len(candidates) else candidates
-                mask = sub >= 2
-                if max_profile_size is not None:
-                    mask &= sub <= max_profile_size
-                eligible = candidates[mask]
-            return eligible[_np.argsort(lengths[eligible], kind="stable")]
-        ptr = self.user_ptr
-        candidates = range(len(self.users)) if users is None else users
-        eligible = [
-            u for u in candidates
-            if ptr[u + 1] - ptr[u] >= 2
-            and (max_profile_size is None or ptr[u + 1] - ptr[u] <= max_profile_size)]
-        eligible.sort(key=lambda u: (ptr[u + 1] - ptr[u], u))
-        return eligible
+        lengths = _np.diff(self.user_ptr)
+        if users is None:
+            mask = lengths >= 2
+            if max_profile_size is not None:
+                mask &= lengths <= max_profile_size
+            eligible = _np.nonzero(mask)[0]
+        else:
+            candidates = _np.asarray(users, dtype=_np.int64)
+            sub = lengths[candidates] if len(candidates) else candidates
+            mask = sub >= 2
+            if max_profile_size is not None:
+                mask &= sub <= max_profile_size
+            eligible = candidates[mask]
+        return eligible[_np.argsort(lengths[eligible], kind="stable")]
 
     def _contribution_arrays_numpy(self, eligible, with_significance: bool):
         """The batched Eq-6 fan-out over *eligible* (canonical order) as
@@ -753,9 +599,8 @@ class MatrixRatingStore:
         gather + one broadcasted multiply instead of a per-user Python
         iteration. The contribution order (length groups ascending,
         users ascending within a group, triu pair order within a user)
-        is mirrored exactly by the pure-Python fallback, and bincount
-        adds sequentially in input order — hence bit-identical sums and
-        identical output graphs across backends.
+        is canonical, and bincount adds sequentially in input order —
+        hence the same sums, bit for bit, on every run.
         """
         n_items = len(self.items)
         lengths = _np.diff(self.user_ptr)
@@ -813,79 +658,6 @@ class MatrixRatingStore:
                 agree_counts = _np.bincount(inverse[agree], minlength=len(uniq))
         return PairAccumulation(uniq, sums, counts, agree_counts)
 
-    def _accumulate_python(self, eligible, with_significance: bool,
-                           pair_flags=None) -> PairAccumulation:
-        """Dict-based per-shard accumulation (pure-Python backend), in
-        the same canonical order as the NumPy batches.
-
-        *pair_flags* (the delta re-accumulation's restriction) is an
-        ``(in_touched, in_batch)`` pair of per-item boolean lists:
-        contributions are kept only for pairs with both endpoints
-        touched, or — when *in_batch* is given — at least one endpoint
-        in the batch (the like-flag blast radius). Filtering skips
-        pairs, never reorders them, so the kept pairs accumulate
-        exactly as the unrestricted sweep would.
-        """
-        n_items = len(self.items)
-        sums: dict[int, float] = {}
-        counts: dict[int, int] = {}
-        agree: dict[int, int] | None = {} if with_significance else None
-        in_touched = in_batch = None
-        if pair_flags is not None:
-            in_touched, in_batch = pair_flags
-        ptr = self.user_ptr
-        idx_all = self.user_item_idx
-        centered_all = self.user_centered
-        likes_all = self.user_likes if with_significance else None
-        for u in eligible:
-            start, end = ptr[u], ptr[u + 1]
-            length = end - start
-            idx = idx_all[start:end]
-            centered = centered_all[start:end]
-            if with_significance:
-                likes = likes_all[start:end]
-                for a in range(length):
-                    idx_a = idx[a]
-                    base = idx_a * n_items
-                    centered_a = centered[a]
-                    like_a = likes[a]
-                    for b in range(a + 1, length):
-                        idx_b = idx[b]
-                        if in_touched is not None and not (
-                                (in_touched[idx_a] and in_touched[idx_b])
-                                or (in_batch is not None
-                                    and (in_batch[idx_a] or in_batch[idx_b]))):
-                            continue
-                        key = base + idx_b
-                        value = centered_a * centered[b]
-                        if key in sums:
-                            sums[key] += value
-                            counts[key] += 1
-                        else:
-                            sums[key] = value
-                            counts[key] = 1
-                        if like_a == likes[b]:
-                            agree[key] = agree.get(key, 0) + 1
-            else:
-                for a in range(length):
-                    idx_a = idx[a]
-                    base = idx_a * n_items
-                    centered_a = centered[a]
-                    for b in range(a + 1, length):
-                        idx_b = idx[b]
-                        if in_touched is not None and not (
-                                in_touched[idx_a] and in_touched[idx_b]):
-                            continue
-                        key = base + idx_b
-                        value = centered_a * centered[b]
-                        if key in sums:
-                            sums[key] += value
-                            counts[key] += 1
-                        else:
-                            sums[key] = value
-                            counts[key] = 1
-        return PairAccumulation(None, sums, counts, agree)
-
     def pair_accumulation(self, users: Sequence[int] | None = None,
                           max_profile_size: int | None = None,
                           with_significance: bool = False
@@ -901,8 +673,6 @@ class MatrixRatingStore:
         excludes anyone).
         """
         eligible = self.eligible_users(max_profile_size, users)
-        if not self._use_numpy:
-            return self._accumulate_python(eligible, with_significance)
         if len(eligible) == 0:
             empty_int = _np.zeros(0, dtype=_np.int64)
             return PairAccumulation(
@@ -932,24 +702,6 @@ class MatrixRatingStore:
             raise SimilarityError(
                 "cannot merge accumulations with and without "
                 "significance counts")
-        if not self._use_numpy:
-            sums: dict[int, float] = {}
-            counts: dict[int, int] = {}
-            agree: dict[int, int] | None = {} if with_significance else None
-            for part in parts:
-                part_counts = part.counts
-                part_agree = part.agree
-                for key, value in part.sums.items():
-                    if key in sums:
-                        sums[key] += value
-                        counts[key] += part_counts[key]
-                    else:
-                        sums[key] = value
-                        counts[key] = part_counts[key]
-                if with_significance:
-                    for key, value in part_agree.items():
-                        agree[key] = agree.get(key, 0) + value
-            return PairAccumulation(None, sums, counts, agree)
         if not parts:
             return self.pair_accumulation(users=(), with_significance=with_significance)
         keys_cat = _np.concatenate([part.keys for part in parts])
@@ -979,9 +731,7 @@ class MatrixRatingStore:
     def _bisect_column(self, column, start: int, end: int, needle: int) -> int:
         """Leftmost position of *needle* in the strictly-increasing
         ``column[start:end]`` slice, as an absolute offset."""
-        if self._use_numpy:
-            return start + int(_np.searchsorted(column[start:end], needle))
-        return bisect.bisect_left(column, needle, start, end)
+        return start + int(_np.searchsorted(column[start:end], needle))
 
     def append_ratings(self, batch: "Iterable[Rating]"
                        ) -> tuple["MatrixRatingStore", "StoreDelta"]:
@@ -1001,7 +751,7 @@ class MatrixRatingStore:
         Equality contract (property-tested in
         ``tests/test_incremental.py``): the appended store is
         **bit-identical** to ``MatrixRatingStore(table.with_ratings(
-        batch))`` on the same backend — untouched scalars are copied,
+        batch))`` — untouched scalars are copied,
         touched ones recomputed with the exact operations (``math.fsum``
         means and norms, element-wise IEEE centering) the constructor
         uses. The base store is never mutated.
@@ -1024,7 +774,7 @@ class MatrixRatingStore:
 
         # Classify the batch: value replacements patch in place, new
         # pairs become (sorted) insertion records with their offsets
-        # into the *old* arrays — np.insert / _list_insert semantics.
+        # into the *old* arrays — np.insert semantics.
         replacements_csr: list[tuple[int, float]] = []
         replacements_csc: list[tuple[int, float]] = []
         inserts: list[tuple[int, int, float]] = []
@@ -1077,7 +827,6 @@ class MatrixRatingStore:
         n_new = self.n_ratings + len(inserts)
 
         new = MatrixRatingStore.__new__(MatrixRatingStore)
-        new._use_numpy = self._use_numpy
         new._triu_cache = {}
         new._item_names_obj = None
         new._like_dicts = None
@@ -1089,23 +838,16 @@ class MatrixRatingStore:
         new.n_ratings = n_new
         new.global_mean = self.global_mean
 
-        if self._use_numpy:
-            self._append_arrays_numpy(
-                new, user_map, item_map, replacements_csr, replacements_csc,
-                csr_positions, csr_inserts, csc_positions, csc_inserts,
-                touched_users, batch_items)
-        else:
-            self._append_arrays_python(
-                new, user_map, item_map, replacements_csr, replacements_csc,
-                csr_positions, csr_inserts, csc_positions, csc_inserts,
-                touched_users, batch_items)
+        self._append_arrays_numpy(
+            new, user_map, item_map, replacements_csr, replacements_csc,
+            csr_positions, csr_inserts, csc_positions, csc_inserts,
+            touched_users, batch_items)
 
         # Touched items: everything in a touched user's new profile.
         touched_set: set[int] = set()
         for u in touched_users:
             start, end = new._user_row(u)
-            row = new.user_item_idx[start:end]
-            touched_set.update(row.tolist() if self._use_numpy else row)
+            touched_set.update(new.user_item_idx[start:end].tolist())
         touched_items = sorted(touched_set)
 
         new._finalise_append(touched_users, touched_items, batch_items, n_new)
@@ -1121,7 +863,7 @@ class MatrixRatingStore:
                              csr_positions, csr_inserts,
                              csc_positions, csc_inserts,
                              touched_users, batch_items) -> None:
-        """Patch the CSR/CSC arrays of the appended store (NumPy)."""
+        """Patch the CSR/CSC arrays of the appended store."""
         imap = _np.asarray(item_map, dtype=_np.int64)
         umap = _np.asarray(user_map, dtype=_np.int64)
         n_users_new = len(new.users)
@@ -1186,182 +928,70 @@ class MatrixRatingStore:
         user_norms[umap] = self.user_item_centered_norms
         new.user_item_centered_norms = user_norms
 
-    def _append_arrays_python(self, new, user_map, item_map,
-                              replacements_csr, replacements_csc,
-                              csr_positions, csr_inserts,
-                              csc_positions, csc_inserts,
-                              touched_users, batch_items) -> None:
-        """Patch the CSR/CSC lists of the appended store (fallback)."""
-        n_users_new = len(new.users)
-        n_items_new = len(new.items)
-        csr_item_ids = [i for _, i, _ in csr_inserts]
-        csr_values = [v for _, _, v in csr_inserts]
-        csc_user_ids = [u for _, u, _ in csc_inserts]
-        csc_values = [v for _, _, v in csc_inserts]
-
-        remapped_idx = [item_map[x] for x in self.user_item_idx]
-        new.user_item_idx = _list_insert(remapped_idx, csr_positions, csr_item_ids)
-        values = list(self.user_values)
-        for pos, value in replacements_csr:
-            values[pos] = value
-        new.user_values = _list_insert(values, csr_positions, csr_values)
-        new.user_centered = _list_insert(
-            list(self.user_centered), csr_positions, [0.0] * len(csr_values))
-        new.user_item_centered = _list_insert(
-            list(self.user_item_centered), csr_positions,
-            [0.0] * len(csr_values))
-
-        lengths = [0] * n_users_new
-        for k in range(len(self.users)):
-            lengths[user_map[k]] = self.user_ptr[k + 1] - self.user_ptr[k]
-        for u_new, _, _ in csr_inserts:
-            lengths[u_new] += 1
-        user_ptr = [0] * (n_users_new + 1)
-        for k in range(n_users_new):
-            user_ptr[k + 1] = user_ptr[k] + lengths[k]
-        new.user_ptr = user_ptr
-
-        user_means = [0.0] * n_users_new
-        for k in range(len(self.users)):
-            user_means[user_map[k]] = self.user_means[k]
-        new.user_means = user_means
-
-        remapped_users = [user_map[x] for x in self.item_user_idx]
-        new.item_user_idx = _list_insert(remapped_users, csc_positions, csc_user_ids)
-        col_values = list(self.item_values)
-        for pos, value in replacements_csc:
-            col_values[pos] = value
-        new.item_values = _list_insert(col_values, csc_positions, csc_values)
-        new.item_centered = _list_insert(
-            list(self.item_centered), csc_positions,
-            [0.0] * len(csc_values))
-        new.item_likes = _list_insert(
-            list(self.item_likes), csc_positions,
-            [False] * len(csc_values))
-
-        col_lengths = [0] * n_items_new
-        for k in range(len(self.items)):
-            col_lengths[item_map[k]] = self.item_ptr[k + 1] - self.item_ptr[k]
-        for i_new, _, _ in csc_inserts:
-            col_lengths[i_new] += 1
-        item_ptr = [0] * (n_items_new + 1)
-        for k in range(n_items_new):
-            item_ptr[k + 1] = item_ptr[k] + col_lengths[k]
-        new.item_ptr = item_ptr
-
-        item_means = [0.0] * n_items_new
-        norms = [0.0] * n_items_new
-        raw_norms = [0.0] * n_items_new
-        for k in range(len(self.items)):
-            item_means[item_map[k]] = self.item_means[k]
-            norms[item_map[k]] = self.item_centered_norms[k]
-            raw_norms[item_map[k]] = self.item_raw_norms[k]
-        new.item_means = item_means
-        new.item_centered_norms = norms
-        new.item_raw_norms = raw_norms
-        user_norms = [0.0] * n_users_new
-        for k in range(len(self.users)):
-            user_norms[user_map[k]] = self.user_item_centered_norms[k]
-        new.user_item_centered_norms = user_norms
-
     def _finalise_append(self, touched_users, touched_items, batch_items,
                          n_new: int) -> None:
         """Recompute the derived scalars the batch moved, on the *new*
         store (self), with the exact operations the constructor uses —
         ``math.fsum`` means/norms and element-wise IEEE centering — so
         the appended store is bit-identical to a rebuild."""
-        use_numpy = self._use_numpy
-
-        def _seq(values):
-            return values.tolist() if use_numpy else values
-
         # User means first — centered values feed off them.
         for u in touched_users:
             start, end = self._user_row(u)
-            values = _seq(self.user_values[start:end])
+            values = self.user_values[start:end].tolist()
             mean = math.fsum(values) / len(values)
             self.user_means[u] = mean
-            if use_numpy:
-                self.user_centered[start:end] = \
-                    self.user_values[start:end] - mean
-            else:
-                for p in range(start, end):
-                    self.user_centered[p] = self.user_values[p] - mean
+            self.user_centered[start:end] = self.user_values[start:end] - mean
 
         # Item means for the batch's items (only their columns changed).
         for i in batch_items:
             start, end = self._item_col(i)
-            values = _seq(self.item_values[start:end])
+            values = self.item_values[start:end].tolist()
             self.item_means[i] = math.fsum(values) / len(values)
 
         # CSC centered values follow the touched users' new means: a
         # touched user's ratings all live in touched-item columns.
         for i in touched_items:
             start, end = self._item_col(i)
-            if use_numpy:
-                self.item_centered[start:end] = (
-                    self.item_values[start:end]
-                    - self.user_means[self.item_user_idx[start:end]])
-            else:
-                for p in range(start, end):
-                    self.item_centered[p] = (
-                        self.item_values[p]
-                        - self.user_means[self.item_user_idx[p]])
+            self.item_centered[start:end] = (
+                self.item_values[start:end]
+                - self.user_means[self.item_user_idx[start:end]])
             seg = self.item_centered[start:end]
-            self.item_centered_norms[i] = math.sqrt(math.fsum(
-                _seq(seg * seg) if use_numpy else [c * c for c in seg]))
+            self.item_centered_norms[i] = math.sqrt(math.fsum((seg * seg).tolist()))
 
         # Like flags and raw norms follow the batch items' new means.
         for i in batch_items:
             start, end = self._item_col(i)
             mean = self.item_means[i]
-            if use_numpy:
-                self.item_likes[start:end] = \
-                    self.item_values[start:end] >= mean
-            else:
-                for p in range(start, end):
-                    self.item_likes[p] = self.item_values[p] >= mean
+            self.item_likes[start:end] = self.item_values[start:end] >= mean
             seg = self.item_values[start:end]
-            self.item_raw_norms[i] = math.sqrt(math.fsum(
-                _seq(seg * seg) if use_numpy else [v * v for v in seg]))
+            self.item_raw_norms[i] = math.sqrt(math.fsum((seg * seg).tolist()))
 
         # Eq-1 centering (value − item mean) for every rating of a
         # batch item, then the affected users' norms: the touched users
         # (row membership changed) plus every rater of a batch item.
         affected_users = set(touched_users)
-        if use_numpy:
-            in_batch = _np.zeros(len(self.items), dtype=bool)
-            in_batch[batch_items] = True
-            mask = in_batch[self.user_item_idx] if n_new else \
-                _np.zeros(0, dtype=bool)
-            self.user_item_centered[mask] = (
-                self.user_values[mask]
-                - self.item_means[self.user_item_idx[mask]])
-        else:
-            in_batch_list = [False] * len(self.items)
-            for i in batch_items:
-                in_batch_list[i] = True
-            for p in range(n_new):
-                idx = self.user_item_idx[p]
-                if in_batch_list[idx]:
-                    self.user_item_centered[p] = (
-                        self.user_values[p] - self.item_means[idx])
+        in_batch = _np.zeros(len(self.items), dtype=bool)
+        in_batch[batch_items] = True
+        mask = in_batch[self.user_item_idx] if n_new else \
+            _np.zeros(0, dtype=bool)
+        self.user_item_centered[mask] = (
+            self.user_values[mask]
+            - self.item_means[self.user_item_idx[mask]])
         for i in batch_items:
             start, end = self._item_col(i)
-            col_users = self.item_user_idx[start:end]
-            affected_users.update(_seq(col_users))
+            affected_users.update(self.item_user_idx[start:end].tolist())
         for u in sorted(affected_users):
             start, end = self._user_row(u)
             seg = self.user_item_centered[start:end]
             self.user_item_centered_norms[u] = math.sqrt(math.fsum(
-                _seq(seg * seg) if use_numpy else [c * c for c in seg]))
+                (seg * seg).tolist()))
 
         # fsum is exact whatever the order, so summing the patched value
         # column equals the rebuild's sum over the table bit for bit.
         # (An empty store keeps the base's scale-midpoint global mean,
         # copied before this runs.)
         if n_new:
-            self.global_mean = math.fsum(_seq(self.user_values)) / n_new
+            self.global_mean = math.fsum(self.user_values.tolist()) / n_new
 
     def delta_candidates(self, delta: "StoreDelta", with_significance: bool = False):
         """Ascending user indexes that can contribute to the pairs
@@ -1371,52 +1001,25 @@ class MatrixRatingStore:
         One O(ratings) scan; the sharded delta computes this once and
         intersects per shard instead of re-scanning per shard.
         """
-        if self._use_numpy:
-            n_items = len(self.items)
-            if self.n_ratings == 0 or not delta.touched_items:
-                return _np.zeros(0, dtype=_np.int64)
-            flags_it = _np.zeros(n_items, dtype=bool)
-            flags_it[delta.touched_items] = True
-            hits = _np.concatenate((
-                [0], _np.cumsum(flags_it[self.user_item_idx], dtype=_np.int64)))
-            it_count = hits[self.user_ptr[1:]] - hits[self.user_ptr[:-1]]
-            candidate = it_count >= 2
-            if with_significance:
-                flags_ib = _np.zeros(n_items, dtype=bool)
-                if delta.batch_items:
-                    flags_ib[delta.batch_items] = True
-                ib_hits = _np.concatenate((
-                    [0], _np.cumsum(flags_ib[self.user_item_idx], dtype=_np.int64)))
-                ib_count = (ib_hits[self.user_ptr[1:]] - ib_hits[self.user_ptr[:-1]])
-                candidate |= (ib_count >= 1) \
-                    & (_np.diff(self.user_ptr) >= 2)
-            return _np.nonzero(candidate)[0]
-        flags_it_list = [False] * len(self.items)
-        for i in delta.touched_items:
-            flags_it_list[i] = True
-        flags_ib_list = None
+        n_items = len(self.items)
+        if self.n_ratings == 0 or not delta.touched_items:
+            return _np.zeros(0, dtype=_np.int64)
+        flags_it = _np.zeros(n_items, dtype=bool)
+        flags_it[delta.touched_items] = True
+        hits = _np.concatenate((
+            [0], _np.cumsum(flags_it[self.user_item_idx], dtype=_np.int64)))
+        it_count = hits[self.user_ptr[1:]] - hits[self.user_ptr[:-1]]
+        candidate = it_count >= 2
         if with_significance:
-            flags_ib_list = [False] * len(self.items)
-            for i in delta.batch_items:
-                flags_ib_list[i] = True
-        ptr = self.user_ptr
-        idx_all = self.user_item_idx
-        candidates: list[int] = []
-        for u in range(len(self.users)):
-            start, end = ptr[u], ptr[u + 1]
-            if end - start < 2:
-                continue
-            it_hits = 0
-            ib_hits = 0
-            for p in range(start, end):
-                idx = idx_all[p]
-                if flags_it_list[idx]:
-                    it_hits += 1
-                if flags_ib_list is not None and flags_ib_list[idx]:
-                    ib_hits += 1
-            if it_hits >= 2 or ib_hits >= 1:
-                candidates.append(u)
-        return candidates
+            flags_ib = _np.zeros(n_items, dtype=bool)
+            if delta.batch_items:
+                flags_ib[delta.batch_items] = True
+            ib_hits = _np.concatenate((
+                [0], _np.cumsum(flags_ib[self.user_item_idx], dtype=_np.int64)))
+            ib_count = (ib_hits[self.user_ptr[1:]] - ib_hits[self.user_ptr[:-1]])
+            candidate |= (ib_count >= 1) \
+                & (_np.diff(self.user_ptr) >= 2)
+        return _np.nonzero(candidate)[0]
 
     def delta_pair_accumulation(self, delta: "StoreDelta",
                                 users: Sequence[int] | None = None,
@@ -1451,93 +1054,77 @@ class MatrixRatingStore:
         n_items = len(self.items)
         if candidates is None:
             candidates = self.delta_candidates(delta, with_significance)
-        if self._use_numpy:
-            flags_it = _np.zeros(n_items, dtype=bool)
-            if delta.touched_items:
-                flags_it[delta.touched_items] = True
-            flags_ib = None
-            if with_significance:
-                flags_ib = _np.zeros(n_items, dtype=bool)
-                if delta.batch_items:
-                    flags_ib[delta.batch_items] = True
-            empty_int = _np.zeros(0, dtype=_np.int64)
-            empty = PairAccumulation(
-                empty_int, _np.zeros(0, dtype=_np.float64),
-                empty_int.copy(),
-                empty_int.copy() if with_significance else None)
-            if self.n_ratings == 0 or not delta.touched_items:
-                return empty
-            candidates = _np.asarray(candidates, dtype=_np.int64)
-            if users is not None:
-                candidates = _np.intersect1d(
-                    candidates, _np.asarray(users, dtype=_np.int64),
-                    assume_unique=True)
-            eligible = self.eligible_users(users=candidates)
-            if len(eligible) == 0:
-                return empty
-            ptr = self.user_ptr
-            idx_all = self.user_item_idx
-            centered_all = self.user_centered
-            likes_all = self.user_likes if with_significance else None
-            key_parts = []
-            value_parts = []
-            agree_parts = []
-            for u in eligible.tolist():
-                start, end = int(ptr[u]), int(ptr[u + 1])
-                idx = idx_all[start:end]
-                if with_significance and flags_ib[idx].any():
-                    # A batch item's mean moved, so *every* pair through
-                    # it is affected — full fan-out, then the pair mask.
-                    rows, cols = self._triu(end - start)
-                    ids_a = idx[rows]
-                    ids_b = idx[cols]
-                    keep = (flags_it[ids_a] & flags_it[ids_b]) \
-                        | flags_ib[ids_a] | flags_ib[ids_b]
-                    ids_a, ids_b = ids_a[keep], ids_b[keep]
-                    centered = centered_all[start:end]
-                    values = (centered[rows] * centered[cols])[keep]
-                    likes = likes_all[start:end]
-                    agrees = (likes[rows] == likes[cols])[keep]
-                else:
-                    # Only both-touched pairs are affected: the fan-out
-                    # is quadratic in the touched sub-profile.
-                    sub = _np.nonzero(flags_it[idx])[0]
-                    if len(sub) < 2:
-                        continue
-                    rows, cols = self._triu(len(sub))
-                    ids_a = idx[sub][rows]
-                    ids_b = idx[sub][cols]
-                    centered = centered_all[start:end][sub]
-                    values = centered[rows] * centered[cols]
-                    agrees = None
-                    if with_significance:
-                        likes = likes_all[start:end][sub]
-                        agrees = likes[rows] == likes[cols]
-                key_parts.append(ids_a * n_items + ids_b)
-                value_parts.append(values)
-                if with_significance:
-                    agree_parts.append(agrees)
-            if not key_parts:
-                return empty
-            return self._reduce_contributions_numpy(
-                _np.concatenate(key_parts),
-                _np.concatenate(value_parts),
-                _np.concatenate(agree_parts) if with_significance else None)
-        flags_it_list = [False] * n_items
-        for i in delta.touched_items:
-            flags_it_list[i] = True
-        flags_ib_list = None
+        flags_it = _np.zeros(n_items, dtype=bool)
+        if delta.touched_items:
+            flags_it[delta.touched_items] = True
+        flags_ib = None
         if with_significance:
-            flags_ib_list = [False] * n_items
-            for i in delta.batch_items:
-                flags_ib_list[i] = True
+            flags_ib = _np.zeros(n_items, dtype=bool)
+            if delta.batch_items:
+                flags_ib[delta.batch_items] = True
+        empty_int = _np.zeros(0, dtype=_np.int64)
+        empty = PairAccumulation(
+            empty_int, _np.zeros(0, dtype=_np.float64),
+            empty_int.copy(),
+            empty_int.copy() if with_significance else None)
+        if self.n_ratings == 0 or not delta.touched_items:
+            return empty
+        candidates = _np.asarray(candidates, dtype=_np.int64)
         if users is not None:
-            shard = set(users)
-            candidates = [u for u in candidates if u in shard]
+            candidates = _np.intersect1d(
+                candidates, _np.asarray(users, dtype=_np.int64),
+                assume_unique=True)
         eligible = self.eligible_users(users=candidates)
-        return self._accumulate_python(
-            eligible, with_significance,
-            pair_flags=(flags_it_list, flags_ib_list))
+        if len(eligible) == 0:
+            return empty
+        ptr = self.user_ptr
+        idx_all = self.user_item_idx
+        centered_all = self.user_centered
+        likes_all = self.user_likes if with_significance else None
+        key_parts = []
+        value_parts = []
+        agree_parts = []
+        for u in eligible.tolist():
+            start, end = int(ptr[u]), int(ptr[u + 1])
+            idx = idx_all[start:end]
+            if with_significance and flags_ib[idx].any():
+                # A batch item's mean moved, so *every* pair through
+                # it is affected — full fan-out, then the pair mask.
+                rows, cols = self._triu(end - start)
+                ids_a = idx[rows]
+                ids_b = idx[cols]
+                keep = (flags_it[ids_a] & flags_it[ids_b]) \
+                    | flags_ib[ids_a] | flags_ib[ids_b]
+                ids_a, ids_b = ids_a[keep], ids_b[keep]
+                centered = centered_all[start:end]
+                values = (centered[rows] * centered[cols])[keep]
+                likes = likes_all[start:end]
+                agrees = (likes[rows] == likes[cols])[keep]
+            else:
+                # Only both-touched pairs are affected: the fan-out
+                # is quadratic in the touched sub-profile.
+                sub = _np.nonzero(flags_it[idx])[0]
+                if len(sub) < 2:
+                    continue
+                rows, cols = self._triu(len(sub))
+                ids_a = idx[sub][rows]
+                ids_b = idx[sub][cols]
+                centered = centered_all[start:end][sub]
+                values = centered[rows] * centered[cols]
+                agrees = None
+                if with_significance:
+                    likes = likes_all[start:end][sub]
+                    agrees = likes[rows] == likes[cols]
+            key_parts.append(ids_a * n_items + ids_b)
+            value_parts.append(values)
+            if with_significance:
+                agree_parts.append(agrees)
+        if not key_parts:
+            return empty
+        return self._reduce_contributions_numpy(
+            _np.concatenate(key_parts),
+            _np.concatenate(value_parts),
+            _np.concatenate(agree_parts) if with_significance else None)
 
     def apply_accumulation_delta(self, acc: PairAccumulation,
                                  delta_acc: PairAccumulation,
@@ -1559,72 +1146,39 @@ class MatrixRatingStore:
                 "counts into one without (or vice versa)")
         n_old = delta.n_old_items
         n_new = len(self.items)
-        if self._use_numpy:
-            flags_it = _np.zeros(n_new, dtype=bool)
-            if delta.touched_items:
-                flags_it[delta.touched_items] = True
-            flags_ib = None
-            if with_significance:
-                flags_ib = _np.zeros(n_new, dtype=bool)
-                if delta.batch_items:
-                    flags_ib[delta.batch_items] = True
-            if len(acc.keys):
-                imap = _np.asarray(delta.item_map, dtype=_np.int64)
-                left = imap[acc.keys // n_old]
-                right = imap[acc.keys % n_old]
-                keys = left * n_new + right
-                affected = flags_it[left] & flags_it[right]
-                if with_significance:
-                    affected |= flags_ib[left] | flags_ib[right]
-                keep = ~affected
-                kept_keys = keys[keep]
-                kept_sums = acc.sums[keep]
-                kept_counts = acc.counts[keep]
-                kept_agree = (acc.agree[keep] if with_significance else None)
-            else:
-                kept_keys = acc.keys
-                kept_sums = acc.sums
-                kept_counts = acc.counts
-                kept_agree = acc.agree
-            pos = _np.searchsorted(kept_keys, delta_acc.keys)
-            return PairAccumulation(
-                _np.insert(kept_keys, pos, delta_acc.keys),
-                _np.insert(kept_sums, pos, delta_acc.sums),
-                _np.insert(kept_counts, pos, delta_acc.counts),
-                _np.insert(kept_agree, pos, delta_acc.agree)
-                if with_significance else None)
-        flags_it_list = [False] * n_new
-        for i in delta.touched_items:
-            flags_it_list[i] = True
-        flags_ib_list = [False] * n_new
+        flags_it = _np.zeros(n_new, dtype=bool)
+        if delta.touched_items:
+            flags_it[delta.touched_items] = True
+        flags_ib = None
         if with_significance:
-            for i in delta.batch_items:
-                flags_ib_list[i] = True
-        imap_list = delta.item_map
-        sums: dict[int, float] = {}
-        counts: dict[int, int] = {}
-        agree: dict[int, int] | None = {} if with_significance else None
-        acc_counts = acc.counts
-        acc_agree = acc.agree
-        for key, value in acc.sums.items():
-            old_left, old_right = divmod(key, n_old)
-            left = imap_list[old_left]
-            right = imap_list[old_right]
-            if (flags_it_list[left] and flags_it_list[right]) or \
-                    flags_ib_list[left] or flags_ib_list[right]:
-                continue
-            new_key = left * n_new + right
-            sums[new_key] = value
-            counts[new_key] = acc_counts[key]
+            flags_ib = _np.zeros(n_new, dtype=bool)
+            if delta.batch_items:
+                flags_ib[delta.batch_items] = True
+        if len(acc.keys):
+            imap = _np.asarray(delta.item_map, dtype=_np.int64)
+            left = imap[acc.keys // n_old]
+            right = imap[acc.keys % n_old]
+            keys = left * n_new + right
+            affected = flags_it[left] & flags_it[right]
             if with_significance:
-                hits = acc_agree.get(key)
-                if hits is not None:
-                    agree[new_key] = hits
-        sums.update(delta_acc.sums)
-        counts.update(delta_acc.counts)
-        if with_significance:
-            agree.update(delta_acc.agree)
-        return PairAccumulation(None, sums, counts, agree)
+                affected |= flags_ib[left] | flags_ib[right]
+            keep = ~affected
+            kept_keys = keys[keep]
+            kept_sums = acc.sums[keep]
+            kept_counts = acc.counts[keep]
+            kept_agree = (acc.agree[keep] if with_significance else None)
+        else:
+            kept_keys = acc.keys
+            kept_sums = acc.sums
+            kept_counts = acc.counts
+            kept_agree = acc.agree
+        pos = _np.searchsorted(kept_keys, delta_acc.keys)
+        return PairAccumulation(
+            _np.insert(kept_keys, pos, delta_acc.keys),
+            _np.insert(kept_sums, pos, delta_acc.sums),
+            _np.insert(kept_counts, pos, delta_acc.counts),
+            _np.insert(kept_agree, pos, delta_acc.agree)
+            if with_significance else None)
 
     def assemble_row_refresh(self, acc: PairAccumulation,
                              delta: "StoreDelta",
@@ -1633,9 +1187,8 @@ class MatrixRatingStore:
                              min_abs_similarity: float = 0.0,
                              with_index: bool = True):
         """Re-assemble, whole, every adjacency row an append could have
-        moved — the pure-python refresh and the reference
-        :meth:`splice_row_refresh` is tested against (the NumPy sweep
-        takes that entry-level path instead).
+        moved — the refresh of a sweep that keeps no index, and the
+        reference :meth:`splice_row_refresh` is tested against.
 
         *acc* is the already-folded full accumulation of the appended
         store. The affected rows are the touched items (their norms —
@@ -1657,108 +1210,58 @@ class MatrixRatingStore:
         build for those items.
         """
         items = self.items
-        if self._use_numpy:
-            n_items = len(items)
-            flags_it = _np.zeros(n_items, dtype=bool)
-            if delta.touched_items:
-                flags_it[delta.touched_items] = True
-            # Affected rows first, from the raw pair keys (cheap key
-            # arithmetic); the Eq-6 filter/normalise/clip tail then runs
-            # only on the affected subset — element-wise, so the kept
-            # weights are bit-identical to the full assembly's.
-            in_r = flags_it.copy()
-            if acc.n_pairs:
-                left_all = acc.keys // n_items
-                right_all = acc.keys % n_items
-                touch = flags_it[left_all] | flags_it[right_all]
-                in_r[left_all[touch]] = True
-                in_r[right_all[touch]] = True
-            if len(extra_rows):
-                in_r[_np.asarray(extra_rows, dtype=_np.int64)] = True
-            if acc.n_pairs:
-                emask = in_r[left_all] | in_r[right_all]
-                left, right, sims = self._edge_weights_numpy(
-                    left_all[emask], right_all[emask], acc.sums[emask],
-                    acc.counts[emask], min_common_users, min_abs_similarity)
-            else:
-                left = _np.zeros(0, dtype=_np.int64)
-                right = left.copy()
-                sims = _np.zeros(0, dtype=_np.float64)
-            fwd = in_r[left]
-            rev = in_r[right]
-            src = _np.concatenate([left[fwd], right[rev]])
-            tgt = _np.concatenate([right[fwd], left[rev]])
-            wts = _np.concatenate([sims[fwd], sims[rev]])
-            order = _np.lexsort((tgt, -wts, src))
-            src, tgt, wts = src[order], tgt[order], wts[order]
-            affected = _np.nonzero(in_r)[0]
-            starts = _np.searchsorted(src, affected)
-            ends = _np.searchsorted(src, affected + 1)
-            if self._item_names_obj is None:
-                self._item_names_obj = _np.asarray(items, dtype=object)
-            rows: dict[str, dict[str, float]] = {}
-            tgt_names = self._item_names_obj[tgt].tolist() if len(tgt) \
-                else []
-            wts_list = wts.tolist()
-            for k, i in enumerate(affected.tolist()):
-                a, b = int(starts[k]), int(ends[k])
-                rows[items[i]] = dict(zip(tgt_names[a:b], wts_list[a:b]))
-            index_update = None
-            if with_index:
-                # tgt/wts are already the affected rows' rank-ordered
-                # contents concatenated in row order — hand them over
-                # wholesale, no per-row slicing.
-                index_update = (ends - starts, tgt, wts)
-            return rows, index_update, affected.tolist()
-        flags_it_list = [False] * len(items)
-        for i in delta.touched_items:
-            flags_it_list[i] = True
-        # Key order is irrelevant here — only the per-row rank sort
-        # below is observable — so iterate the accumulation unsorted
-        # instead of paying _iter_index_pairs_python's global sort.
-        norms = self.item_centered_norms
         n_items = len(items)
-        counts_map = acc.counts
-        pairs = []
-        for key, numerator in acc.sums.items():
-            if counts_map[key] < min_common_users or numerator == 0.0:
-                continue
-            left, right = divmod(key, n_items)
-            denominator = norms[left] * norms[right]
-            if denominator == 0.0:
-                continue
-            sim = _clip1(numerator / denominator)
-            if abs(sim) >= min_abs_similarity:
-                pairs.append((left, right, sim))
-        in_r = list(flags_it_list)
-        for left, right, _ in pairs:
-            if flags_it_list[left] or flags_it_list[right]:
-                in_r[left] = True
-                in_r[right] = True
-        for i in extra_rows:
-            in_r[i] = True
-        row_lists: dict[int, list[tuple[int, float]]] = {
-            i: [] for i in range(len(items)) if in_r[i]}
-        for left, right, sim in pairs:
-            if in_r[left]:
-                row_lists[left].append((right, sim))
-            if in_r[right]:
-                row_lists[right].append((left, sim))
-        rows = {}
-        affected_list = sorted(row_lists)
-        sizes: list[int] = []
-        flat_ids: list[int] = []
-        flat_wts: list[float] = []
-        for i in affected_list:
-            row = row_lists[i]
-            row.sort(key=lambda edge: (-edge[1], edge[0]))
-            rows[items[i]] = {items[t]: w for t, w in row}
-            if with_index:
-                sizes.append(len(row))
-                flat_ids.extend(t for t, _ in row)
-                flat_wts.extend(w for _, w in row)
-        index_update = (sizes, flat_ids, flat_wts) if with_index else None
-        return rows, index_update, affected_list
+        flags_it = _np.zeros(n_items, dtype=bool)
+        if delta.touched_items:
+            flags_it[delta.touched_items] = True
+        # Affected rows first, from the raw pair keys (cheap key
+        # arithmetic); the Eq-6 filter/normalise/clip tail then runs
+        # only on the affected subset — element-wise, so the kept
+        # weights are bit-identical to the full assembly's.
+        in_r = flags_it.copy()
+        if acc.n_pairs:
+            left_all = acc.keys // n_items
+            right_all = acc.keys % n_items
+            touch = flags_it[left_all] | flags_it[right_all]
+            in_r[left_all[touch]] = True
+            in_r[right_all[touch]] = True
+        if len(extra_rows):
+            in_r[_np.asarray(extra_rows, dtype=_np.int64)] = True
+        if acc.n_pairs:
+            emask = in_r[left_all] | in_r[right_all]
+            left, right, sims = self._edge_weights_numpy(
+                left_all[emask], right_all[emask], acc.sums[emask],
+                acc.counts[emask], min_common_users, min_abs_similarity)
+        else:
+            left = _np.zeros(0, dtype=_np.int64)
+            right = left.copy()
+            sims = _np.zeros(0, dtype=_np.float64)
+        fwd = in_r[left]
+        rev = in_r[right]
+        src = _np.concatenate([left[fwd], right[rev]])
+        tgt = _np.concatenate([right[fwd], left[rev]])
+        wts = _np.concatenate([sims[fwd], sims[rev]])
+        order = _np.lexsort((tgt, -wts, src))
+        src, tgt, wts = src[order], tgt[order], wts[order]
+        affected = _np.nonzero(in_r)[0]
+        starts = _np.searchsorted(src, affected)
+        ends = _np.searchsorted(src, affected + 1)
+        if self._item_names_obj is None:
+            self._item_names_obj = _np.asarray(items, dtype=object)
+        rows: dict[str, dict[str, float]] = {}
+        tgt_names = self._item_names_obj[tgt].tolist() if len(tgt) \
+            else []
+        wts_list = wts.tolist()
+        for k, i in enumerate(affected.tolist()):
+            a, b = int(starts[k]), int(ends[k])
+            rows[items[i]] = dict(zip(tgt_names[a:b], wts_list[a:b]))
+        index_update = None
+        if with_index:
+            # tgt/wts are already the affected rows' rank-ordered
+            # contents concatenated in row order — hand them over
+            # wholesale, no per-row slicing.
+            index_update = (ends - starts, tgt, wts)
+        return rows, index_update, affected.tolist()
 
     def splice_row_refresh(self, acc: PairAccumulation, delta: "StoreDelta",
                            index: "NeighborIndex",
@@ -1766,8 +1269,7 @@ class MatrixRatingStore:
                            min_abs_similarity: float = 0.0) -> RowSplice:
         """Refresh *index* (the base store's complete index) after an
         append by re-ranking only the entries the batch could have
-        moved — the NumPy backend's refresh; :meth:`assemble_row_refresh`
-        is the whole-row reference.
+        moved; :meth:`assemble_row_refresh` is the whole-row reference.
 
         An Eq-6 weight reads one pair sum and two item norms, and an
         append moves those only at ``delta.touched_items``: an entry
@@ -1900,35 +1402,6 @@ class MatrixRatingStore:
             left, right, sims = left[keep], right[keep], sims[keep]
         return left, right, sims
 
-    def _iter_index_pairs_python(self, acc: PairAccumulation,
-                                 min_common_users: int
-                                 ) -> Iterator[tuple[int, int, float]]:
-        """Yield the filtered ``(left idx, right idx, sim)`` pairs of a
-        dict-backed accumulation, sorted by pair key."""
-        norms = self.item_centered_norms
-        n_items = len(self.items)
-        sums, counts = acc.sums, acc.counts
-        for key in sorted(sums):
-            if counts[key] < min_common_users:
-                continue
-            numerator = sums[key]
-            if numerator == 0.0:
-                continue
-            left, right = divmod(key, n_items)
-            denominator = norms[left] * norms[right]
-            if denominator == 0.0:
-                continue
-            yield left, right, _clip1(numerator / denominator)
-
-    def _iter_pairs_from_accumulation_python(self, acc: PairAccumulation,
-                                             min_common_users: int
-                                             ) -> Iterator[tuple[str, str, float]]:
-        """Yield the filtered ``(i, j, sim)`` pairs of a dict-backed
-        accumulation, sorted by pair key."""
-        items = self.items
-        for left, right, sim in self._iter_index_pairs_python(acc, min_common_users):
-            yield items[left], items[right], sim
-
     def significance_from_accumulation(
             self, acc: PairAccumulation
     ) -> tuple[dict[tuple[str, str], int], dict[tuple[str, str], int]]:
@@ -1948,20 +1421,13 @@ class MatrixRatingStore:
         n_items = len(items)
         raw: dict[tuple[str, str], int] = {}
         common: dict[tuple[str, str], int] = {}
-        if self._use_numpy:
-            lefts = (acc.keys // n_items).tolist()
-            rights = (acc.keys % n_items).tolist()
-            for l_idx, r_idx, agrees, cnt in zip(
-                    lefts, rights, acc.agree.tolist(), acc.counts.tolist()):
-                pair = (items[l_idx], items[r_idx])
-                raw[pair] = agrees
-                common[pair] = cnt
-        else:
-            for key in sorted(acc.sums):
-                l_idx, r_idx = divmod(key, n_items)
-                pair = (items[l_idx], items[r_idx])
-                raw[pair] = acc.agree.get(key, 0)
-                common[pair] = acc.counts[key]
+        lefts = (acc.keys // n_items).tolist()
+        rights = (acc.keys % n_items).tolist()
+        for l_idx, r_idx, agrees, cnt in zip(
+                lefts, rights, acc.agree.tolist(), acc.counts.tolist()):
+            pair = (items[l_idx], items[r_idx])
+            raw[pair] = agrees
+            common[pair] = cnt
         return raw, common
 
     def _pair_arrays_numpy(self, min_common_users: int, max_profile_size: int | None):
@@ -1992,7 +1458,7 @@ class MatrixRatingStore:
         :meth:`all_pairs_adjusted_cosine` yields (every item present,
         isolated ones with an empty neighbor dict; edges with
         ``|sim| < min_abs_similarity`` dropped), but built without a
-        per-edge Python loop: on the NumPy path the directed edge list is
+        per-edge Python loop: the directed edge list is
         sorted once and each item's neighbor dict is one C-speed
         ``dict(zip(...))`` over a contiguous slice. This is what
         :func:`~repro.similarity.graph.build_similarity_graph` adopts
@@ -2054,36 +1520,16 @@ class MatrixRatingStore:
         if n_partitions == 1:
             return [acc]
         n_items = len(self.items)
-        if self._use_numpy:
-            owner_arr = _np.asarray(owners, dtype=_np.int64)
-            part_of = owner_arr[acc.keys // n_items] if len(acc.keys) \
-                else _np.zeros(0, dtype=_np.int64)
-            parts = []
-            for p in range(n_partitions):
-                mask = part_of == p
-                parts.append(PairAccumulation(
-                    acc.keys[mask], acc.sums[mask], acc.counts[mask],
-                    None if acc.agree is None else acc.agree[mask]))
-            return parts
-        sums: list[dict[int, float]] = [{} for _ in range(n_partitions)]
-        counts: list[dict[int, int]] = [{} for _ in range(n_partitions)]
-        agree: list[dict[int, int]] | None = (
-            None if acc.agree is None
-            else [{} for _ in range(n_partitions)])
-        acc_counts = acc.counts
-        acc_agree = acc.agree
-        for key, value in acc.sums.items():
-            p = owners[key // n_items]
-            sums[p][key] = value
-            counts[p][key] = acc_counts[key]
-            if agree is not None:
-                hits = acc_agree.get(key)
-                if hits is not None:
-                    agree[p][key] = hits
-        return [PairAccumulation(
-            None, sums[p], counts[p],
-            None if agree is None else agree[p])
-            for p in range(n_partitions)]
+        owner_arr = _np.asarray(owners, dtype=_np.int64)
+        part_of = owner_arr[acc.keys // n_items] if len(acc.keys) \
+            else _np.zeros(0, dtype=_np.int64)
+        parts = []
+        for p in range(n_partitions):
+            mask = part_of == p
+            parts.append(PairAccumulation(
+                acc.keys[mask], acc.sums[mask], acc.counts[mask],
+                None if acc.agree is None else acc.agree[mask]))
+        return parts
 
     def assemble_from_partitions(
             self, parts: Sequence[PairAccumulation],
@@ -2122,11 +1568,7 @@ class MatrixRatingStore:
                 raise SimilarityError(
                     f"owners has {len(owners)} entries for "
                     f"{len(self.items)} items")
-        if self._use_numpy:
-            return self._assemble_numpy(
-                parts, owners, min_common_users, min_abs_similarity,
-                with_adjacency, with_index, index_k)
-        return self._assemble_python(
+        return self._assemble_numpy(
             parts, owners, min_common_users, min_abs_similarity,
             with_adjacency, with_index, index_k)
 
@@ -2235,51 +1677,3 @@ class MatrixRatingStore:
             index = NeighborIndex(items, self.item_index, ptr,
                                   neighbor_ids, weights, k=index_k)
         return AssemblyResult(adjacency=adjacency, index=index)
-
-    def _assemble_python(self, parts, owners, min_common_users,
-                         min_abs_similarity, with_adjacency, with_index,
-                         index_k) -> "AssemblyResult":
-        from repro.similarity.knn import NeighborIndex
-
-        items = self.items
-        adjacency = ({item: {} for item in items} if with_adjacency else None)
-        rows: list[list[tuple[int, float]]] | None = (
-            [[] for _ in items] if with_index else None)
-        for acc in parts:
-            for left, right, sim in self._iter_index_pairs_python(
-                    acc, min_common_users):
-                if abs(sim) < min_abs_similarity:
-                    continue
-                if with_adjacency:
-                    adjacency[items[left]][items[right]] = sim
-                    adjacency[items[right]][items[left]] = sim
-                if with_index:
-                    rows[left].append((right, sim))
-                    rows[right].append((left, sim))
-        index = None
-        if with_index:
-            ptr = [0]
-            neighbor_ids: list[int] = []
-            weights: list[float] = []
-            for row in rows:
-                # Serving rank: descending weight, ascending neighbor
-                # index (== lexicographic id; interning is sorted).
-                row.sort(key=lambda edge: (-edge[1], edge[0]))
-                selected = row if index_k is None else row[:index_k]
-                for neighbor, weight in selected:
-                    neighbor_ids.append(neighbor)
-                    weights.append(weight)
-                ptr.append(len(neighbor_ids))
-            index = NeighborIndex(items, self.item_index, ptr,
-                                  neighbor_ids, weights, k=index_k)
-        return AssemblyResult(adjacency=adjacency, index=index)
-
-    def _all_pairs_python(self, min_common_users: int,
-                          max_profile_size: int | None
-                          ) -> Iterator[tuple[str, str, float]]:
-        # Same accumulation order as the NumPy batches (length groups
-        # ascending, user index ascending within a group) so the two
-        # backends produce bit-identical numerator sums.
-        yield from self._iter_pairs_from_accumulation_python(
-            self.pair_accumulation(max_profile_size=max_profile_size),
-            min_common_users)

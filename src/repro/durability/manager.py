@@ -15,7 +15,7 @@ durability loop:
 * :meth:`DurableSweep.recover` loads the last complete checkpoint and
   replays the log tail through the same incremental machinery,
   reconstructing a store / index / edge census **bit-identical** (per
-  backend and shard count) to the never-crashed run — the property the
+  shard count) to the never-crashed run — the property the
   incremental path already guarantees for ``update == rebuild``,
   composed with the snapshot round trip (tested under injected crashes
   at every crash point, and under real ``kill -9``, in
@@ -340,7 +340,6 @@ class DurableSweep:
         *,
         n_shards: int | None = None,
         processes: int | None = None,
-        use_numpy: bool | None = None,
         policy: CheckpointPolicy | None = None,
         group_commit: int | None = None,
         fsync: bool | None = None,
@@ -354,10 +353,10 @@ class DurableSweep:
         to the last valid record) and replays every record past the
         checkpoint watermark through
         :meth:`~repro.engine.sharded_sweep.IncrementalSweep.update`.
-        The result is bit-identical (per backend / shard count) to a
+        The result is bit-identical (per shard count) to a
         writer that never crashed after its last durable append.
 
-        Overrides (*n_shards*, *processes*, *use_numpy*, *policy*,
+        Overrides (*n_shards*, *processes*, *policy*,
         *group_commit*, *fsync*) default to the persisted
         configuration. The recovery telemetry lands in
         :attr:`last_recovery`.
@@ -391,7 +390,7 @@ class DurableSweep:
         checkpoint_seq = int(pointer["applied_seq"])
         snapshot_path = directory / pointer["snapshot"]
 
-        snapshot = ModelSnapshot.load(snapshot_path, use_numpy=use_numpy)
+        snapshot = ModelSnapshot.load(snapshot_path)
         if group_commit is None:
             group_commit = int(config["group_commit"])
         if fsync is None:

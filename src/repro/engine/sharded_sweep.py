@@ -230,8 +230,8 @@ def shard_user_indices(store: MatrixRatingStore, n_shards: int) -> list[list[int
 
     Routing hashes the *user id strings* with the engine's
     :class:`~repro.engine.partitioner.HashPartitioner`, so the layout is
-    a pure function of (user set, shard count): stable across processes,
-    runs and backends. Each shard's index list is ascending — interning
+    a pure function of (user set, shard count): stable across processes
+    and runs. Each shard's index list is ascending — interning
     is sorted, so position equals row index.
     """
     return HashPartitioner(n_shards).split(store.users)
@@ -681,7 +681,7 @@ class IncrementalSweep:
     3. only the entries with a touched endpoint are re-ranked and
        merged into the graph and index
        (:meth:`~repro.data.matrix.MatrixRatingStore.splice_row_refresh`;
-       the pure-python backend re-assembles the affected rows whole);
+       a sweep that keeps no index re-assembles the affected rows whole);
        Definition-2 counts (when maintained) are patched for the same
        pairs.
 
@@ -689,8 +689,8 @@ class IncrementalSweep:
     after any sequence of updates, the store, accumulation, graph,
     index and significance counts are **bit-identical** to a fresh
     :class:`IncrementalSweep` built on the final table with the same
-    shard count and backend — and within 1e-9 across shard counts and
-    backends, per the sweep's standing contract.
+    shard count — and within 1e-9 across shard counts, per the sweep's
+    standing contract.
 
     Args:
         table: the initial aggregated rating table.
@@ -863,9 +863,9 @@ class IncrementalSweep:
     def _refresh(self, new_store: MatrixRatingStore, new_acc: PairAccumulation,
                  delta: StoreDelta) -> RowSplice:
         """What the folded accumulation changes in graph and index: the
-        entry-level splice on the NumPy backend, the whole-row reference
-        otherwise (and for a sweep that keeps no index to splice)."""
-        if self.index is not None and new_store.uses_numpy:
+        entry-level splice, or the whole-row reference for a sweep that
+        keeps no index to splice."""
+        if self.index is not None:
             return new_store.splice_row_refresh(
                 new_acc, delta, self.index,
                 min_common_users=self.min_common_users,
@@ -875,8 +875,8 @@ class IncrementalSweep:
     def _refresh_whole_rows(self, new_store: MatrixRatingStore,
                             new_acc: PairAccumulation,
                             delta: StoreDelta) -> RowSplice:
-        """Re-assemble every affected row whole — the pure-python path
-        and the oracle the splice is tested against."""
+        """Re-assemble every affected row whole — the path of a sweep
+        that keeps no index and the oracle the splice is tested against."""
         # Rows that may have lost an edge: the touched items' partners
         # *before* the update (an appended batch can drive an Eq-6
         # numerator to exactly zero, dropping the edge).

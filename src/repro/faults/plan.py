@@ -30,9 +30,12 @@ torn       frame points only: send half the frame, then ``SIGKILL`` —
 Rules are scheduled per rule, not globally: each rule counts the
 visits whose point matches its (glob) pattern, fires from visit
 ``after`` on, at most ``times`` times, each time with ``probability``
-drawn from a :class:`random.Random` seeded by ``(plan seed, rule
-index)`` — so two processes given the same plan make the same decision
-sequence, and a recorded failure reproduces from its seed.
+drawn from a :class:`random.Random` seeded by ``(plan seed, spawn
+sequence number, rule index)`` — so a recorded failure reproduces from
+its seed, while the workers of one fleet (each spawned with its own
+sequence number) do not fire in lockstep: were they to share a
+schedule, a frame retried from one worker to the next could meet the
+same firing visit again and exhaust its retries on a low-rate rule.
 
 ``max_spawn_seq`` gates a rule on the **spawn sequence number** the
 supervisor exports to each worker it forks (``REPRO_FAULT_SPAWN_SEQ``):
@@ -63,6 +66,11 @@ _M_INJECTED = get_registry().counter(
     "faults_injected_total",
     "fault-plan rules that fired, by kind and point",
     labels=("kind", "point"),
+)
+_M_DELAY_SECONDS = get_registry().counter(
+    "faults_injected_delay_seconds_total",
+    "seconds of sleep the plan's delay rules injected, by point",
+    labels=("point",),
 )
 _M_PLANS = get_registry().counter(
     "fault_plans_installed_total", "fault plans armed in this process"
@@ -154,20 +162,24 @@ class FaultPlan:
     """A seeded, serialisable schedule of fault rules.
 
     The plan itself is immutable data plus per-process counters; two
-    processes holding the same plan (same seed, same rules) draw the
-    same probability sequence per rule, so a subprocess fleet under one
-    ``REPRO_FAULT_PLAN`` misbehaves reproducibly per worker.
+    processes holding the same plan (same seed, same rules) at the same
+    spawn sequence number draw the same probability sequence per rule,
+    so a subprocess fleet under one ``REPRO_FAULT_PLAN`` misbehaves
+    reproducibly per worker — and differently from worker to worker.
     """
 
     seed: int = 0
     rules: list[FaultRule] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        # One RNG per rule, seeded by (plan seed, rule index) folded
-        # into an int — hash() is salted per process, so it must not
-        # be involved anywhere in this derivation.
+        # One RNG per rule, seeded by (plan seed, spawn sequence, rule
+        # index) folded into an int — hash() is salted per process, so
+        # it must not be involved anywhere in this derivation. Spawn
+        # sequence 0 (every in-process plan, and a fleet's first
+        # worker) folds to the (seed, index) value alone.
+        spawn_seq = _spawn_seq()
         self._states = [
-            _RuleState(rng=random.Random((self.seed << 32) ^ index))
+            _RuleState(rng=random.Random((self.seed << 32) ^ (spawn_seq << 16) ^ index))
             for index in range(len(self.rules))
         ]
         self.visited: dict[str, int] = {}
@@ -212,6 +224,8 @@ class FaultPlan:
             # passes through — counting here covers plain and frame
             # points alike, in whichever process the plan is armed.
             _M_INJECTED.labels(decision.kind, point).inc()
+            if decision.kind == "delay":
+                _M_DELAY_SECONDS.labels(point).inc(decision.delay_s)
         return decision
 
     # ------------------------------------------------------------------

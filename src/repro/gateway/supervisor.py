@@ -279,7 +279,6 @@ class WorkerPool:
             watches (a :class:`~repro.serving.watch.SnapshotCatalog`
             root, a durable store, or a single snapshot directory).
         n_workers: fleet size (slot count).
-        pure_python: run workers on the pure-Python backend.
         call_timeout: the default per-request deadline budget — the
             whole retry loop for one request runs against it.
         retries: extra attempts for a request whose worker died or
@@ -304,7 +303,6 @@ class WorkerPool:
         self,
         watch: str | Path,
         n_workers: int = 2,
-        pure_python: bool = False,
         call_timeout: float = DEFAULT_CALL_TIMEOUT,
         retries: int = 2,
         poll_interval: float = 0.2,
@@ -325,7 +323,6 @@ class WorkerPool:
             raise GatewayError(f"n_workers must be >= 1, got {n_workers}")
         self.watch = Path(watch)
         self.n_workers = n_workers
-        self.pure_python = pure_python
         self.call_timeout = call_timeout
         self.retries = retries
         self.poll_interval = poll_interval
@@ -536,8 +533,6 @@ class WorkerPool:
             "--response-cache-size",
             str(self.response_cache_size),
         ]
-        if self.pure_python:
-            argv.append("--pure-python")
         env = dict(os.environ)
         env.update(self.worker_env)
         env["PYTHONPATH"] = _worker_pythonpath()

@@ -4,7 +4,7 @@ A worker is spawned by the :class:`~repro.gateway.supervisor.WorkerPool`
 as a fresh interpreter (``python -m repro.gateway.worker``) holding one
 end of a ``socketpair`` on an inherited file descriptor. It builds a
 :class:`~repro.serving.watch.RegistryWatcher` over the shared snapshot
-source — on the NumPy backend the model arrays are memory-mapped, so N
+source — the model arrays are memory-mapped, so N
 workers on one host share the bytes through the page cache — then
 answers length-prefixed JSON requests strictly one at a time.
 
@@ -315,7 +315,6 @@ def main(argv: list[str] | None = None) -> int:
         help="snapshot source directory (catalog, durable store, or "
         "single snapshot)",
     )
-    parser.add_argument("--pure-python", action="store_true")
     parser.add_argument("--poll-interval", type=float, default=DEFAULT_POLL_INTERVAL)
     parser.add_argument("--load-timeout", type=float, default=DEFAULT_LOAD_TIMEOUT)
     parser.add_argument("--row-cache-size", type=int, default=4096)
@@ -323,11 +322,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sock = socket.socket(fileno=args.fd)
-    use_numpy = False if args.pure_python else None
     # A kill here is a worker dying *during* snapshot load, before its
     # first health OK; a delay rule is a slow-loading source.
     fault_point(LOAD_FAULT_POINT)
-    watcher = RegistryWatcher(args.watch, use_numpy=use_numpy)
+    watcher = RegistryWatcher(args.watch)
     wait_for_model(watcher, timeout=args.load_timeout)
     service = RecommendationService(
         watcher.registry,

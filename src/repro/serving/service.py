@@ -10,8 +10,8 @@ Two serving paths answer Top-N:
 * **per-request** — :meth:`recommend` delegates to the pinned
   snapshot's :class:`~repro.cf.item_knn.ItemKNNRecommender`, one
   Python-level candidate loop per user (the reference path);
-* **batched** — :meth:`recommend_batch` serves many users per call: on
-  the NumPy backend each user is one vectorized pass over the pinned
+* **batched** — :meth:`recommend_batch` serves many users per call:
+  each user is one vectorized pass over the pinned
   index's flat arrays (the contributing entries are gathered through a
   per-version transposed entry index — only the user's rated items'
   rows are touched — rank-capped at k per row, then Eq-4
@@ -44,17 +44,14 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as _np
+
 from repro.errors import ServingError, StaleModelError
 from repro.serving.registry import ModelRegistry
 from repro.serving.snapshot import ModelSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.sharded_sweep import IncrementalUpdateStats
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 
 class LRUCache:
@@ -486,11 +483,9 @@ class RecommendationService:
         self, snapshot: ModelSnapshot, users: Sequence[str], n: int
     ) -> list[list[tuple[str, float]]]:
         store = snapshot.store
-        # The vectorized pass needs the NumPy backend; the pure-Python
-        # store is served by the reference path, identically. (Top-N
-        # over a truncated index is unservable on either path —
-        # snapshot.recommender() raises the explanatory ServingError.)
-        if not store.uses_numpy or snapshot.index.k is not None:
+        if snapshot.index.k is not None:
+            # Top-N over a truncated index is unservable:
+            # snapshot.recommender() raises the explanatory ServingError.
             recommender = snapshot.recommender()
             return [recommender.recommend(user, n) for user in users]
 

@@ -29,26 +29,22 @@ On-disk format (one directory per snapshot)::
                          # merged domain's — outside the serving store)
     alterego.json        # source item → [[target, weight], ...]
 
-The array encoding is deliberately backend-neutral: the NumPy backend
-loads every ``.bin`` as a read-only ``np.memmap`` (zero copies, the
-page cache is the working set), the pure-Python backend
-(``REPRO_PURE_PYTHON=1``) reads the same bytes through ``array.array``.
-Either backend loads snapshots written by the other, and a save → load
-round trip is **bit-identical** per backend — floats travel as their
-exact IEEE-754 bytes, never through decimal text (property-tested in
-``tests/test_serving.py``).
+Every ``.bin`` loads as a read-only ``np.memmap`` (zero copies, the
+page cache is the working set), and a save → load round trip is
+**bit-identical** — floats travel as their exact IEEE-754 bytes, never
+through decimal text (property-tested in ``tests/test_serving.py``).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
-from array import array as _pyarray
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.data.matrix import MatrixRatingStore, numpy_available
+import numpy as _np
+
+from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import DEFAULT_SCALE, Rating, RatingTable
 from repro.durability.faults import crash_point
 from repro.errors import ServingError
@@ -59,11 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cf.item_knn import ItemKNNRecommender
     from repro.engine.sharded_sweep import IncrementalSweep
     from repro.similarity.graph import ItemGraph
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
 
 _MANIFEST = "MANIFEST.json"
 _FORMAT = "xmap-model-snapshot"
@@ -103,7 +94,6 @@ _SIG_ARRAYS: tuple[tuple[str, str], ...] = (
 )
 
 _NP_DTYPES = {"i8": "<i8", "f8": "<f8", "b1": "|b1"}
-_PY_TYPECODES = {"i8": "q", "f8": "d"}
 _ITEM_SIZES = {"i8": 8, "f8": 8, "b1": 1}
 
 
@@ -131,21 +121,13 @@ def _dump_array(path: Path, values, kind: str) -> None:
     fsynced — the manifest only means "complete" if every array it
     names is on stable storage before the manifest is."""
     crash_point("snapshot.array.write")
-    if _np is not None and isinstance(values, _np.ndarray):
-        if isinstance(values, _np.memmap):
-            # Saving a loaded snapshot (possibly into its own
-            # directory): materialise first — tofile truncates the
-            # target, and writing a file while it is the array's own
-            # backing store would fault mid-read.
-            values = _np.array(values)
-        values.astype(_np.dtype(_NP_DTYPES[kind]), copy=False).tofile(path)
-    elif kind == "b1":
-        path.write_bytes(bytes(bytearray(1 if value else 0 for value in values)))
-    else:
-        buffer = _pyarray(_PY_TYPECODES[kind], values)
-        if sys.byteorder == "big":  # pragma: no cover - LE everywhere
-            buffer.byteswap()
-        path.write_bytes(buffer.tobytes())
+    if isinstance(values, _np.memmap):
+        # Saving a loaded snapshot (possibly into its own
+        # directory): materialise first — tofile truncates the
+        # target, and writing a file while it is the array's own
+        # backing store would fault mid-read.
+        values = _np.array(values)
+    _np.asarray(values, dtype=_np.dtype(_NP_DTYPES[kind])).tofile(path)
     crash_point("snapshot.array.fsync")
     _fsync_file(path)
 
@@ -171,41 +153,24 @@ def _validate_array_bytes(path: Path, kind: str, size: int) -> None:
         )
 
 
-def _read_array(path: Path, kind: str, size: int, use_numpy: bool):
-    """Read one raw array back — a read-only ``np.memmap`` on the NumPy
-    backend (zero-copy; the OS pages it in on demand), a plain list on
-    the pure-Python one. Byte length is validated against the manifest
-    before anything is mapped or decoded."""
+def _read_array(path: Path, kind: str, size: int):
+    """Read one raw array back as a read-only ``np.memmap`` (zero-copy;
+    the OS pages it in on demand). Byte length is validated against the
+    manifest before anything is mapped."""
     _validate_array_bytes(path, kind, size)
-    if use_numpy:
-        dtype = _np.dtype(_NP_DTYPES[kind])
-        if size == 0:
-            return _np.zeros(0, dtype=dtype)
-        try:
-            data = _np.memmap(path, dtype=dtype, mode="r")
-        except (OSError, ValueError) as exc:
-            raise ServingError(f"cannot map snapshot array {path}: {exc}") from exc
-        if len(data) != size:
-            raise ServingError(
-                f"snapshot array {path.name} has {len(data)} entries, "
-                f"manifest says {size}"
-            )
-        return data
-    raw = path.read_bytes()
-    if kind == "b1":
-        out = [bool(byte) for byte in raw]
-    else:
-        buffer = _pyarray(_PY_TYPECODES[kind])
-        buffer.frombytes(raw)
-        if sys.byteorder == "big":  # pragma: no cover - LE everywhere
-            buffer.byteswap()
-        out = buffer.tolist()
-    if len(out) != size:
+    dtype = _np.dtype(_NP_DTYPES[kind])
+    if size == 0:
+        return _np.zeros(0, dtype=dtype)
+    try:
+        data = _np.memmap(path, dtype=dtype, mode="r")
+    except (OSError, ValueError) as exc:
+        raise ServingError(f"cannot map snapshot array {path}: {exc}") from exc
+    if len(data) != size:
         raise ServingError(
-            f"snapshot array {path.name} has {len(out)} entries, "
+            f"snapshot array {path.name} has {len(data)} entries, "
             f"manifest says {size}"
         )
-    return out
+    return data
 
 
 def _dump_ids(path: Path, ids: Sequence[str], what: str) -> None:
@@ -238,12 +203,10 @@ def _store_from_arrays(
     arrays: Mapping[str, object],
     n_ratings: int,
     global_mean: float,
-    use_numpy: bool,
 ) -> MatrixRatingStore:
     """Rebuild a :class:`MatrixRatingStore` from loaded arrays — the
     constructor's end state without the construction pass."""
     store = MatrixRatingStore.__new__(MatrixRatingStore)
-    store._use_numpy = use_numpy
     store._triu_cache = {}
     store._item_names_obj = None
     store._like_dicts = None
@@ -455,16 +418,11 @@ class ModelSnapshot:
     def n_ratings(self) -> int:
         return self.store.n_ratings
 
-    @property
-    def backend(self) -> str:
-        return "numpy" if self.store.uses_numpy else "python"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ModelSnapshot(version={self.version}, "
             f"users={self.n_users}, items={self.n_items}, "
-            f"ratings={self.n_ratings}, k={self.cf_k}, "
-            f"backend={self.backend})"
+            f"ratings={self.n_ratings}, k={self.cf_k})"
         )
 
     @property
@@ -666,7 +624,7 @@ class ModelSnapshot:
             "format": _FORMAT,
             "format_version": _FORMAT_VERSION,
             "byte_order": "little",
-            "backend_written": self.backend,
+            "backend_written": "numpy",  # format-v1 key; load ignores it
             "version": self.version,
             "cf_k": self.cf_k,
             "positive_only": self.positive_only,
@@ -697,16 +655,8 @@ class ModelSnapshot:
         return path
 
     @classmethod
-    def load(cls, directory, use_numpy: bool | None = None) -> "ModelSnapshot":
-        """Load a snapshot directory written by :meth:`save`.
-
-        *use_numpy* selects the in-memory backend (default: whatever
-        :func:`~repro.data.matrix.numpy_available` says — so
-        ``REPRO_PURE_PYTHON=1`` loads any snapshot into plain lists);
-        the on-disk bytes are backend-neutral, so either backend loads
-        snapshots written by the other and serves identical
-        predictions.
-        """
+    def load(cls, directory) -> "ModelSnapshot":
+        """Load a snapshot directory written by :meth:`save`."""
         path = Path(directory)
         manifest_path = path / _MANIFEST
         if not manifest_path.exists():
@@ -733,10 +683,6 @@ class ModelSnapshot:
             )
         if manifest.get("byte_order") != "little":  # pragma: no cover
             raise ServingError("snapshot byte order must be little-endian")
-        if use_numpy is None:
-            use_numpy = numpy_available()
-        elif use_numpy and _np is None:  # pragma: no cover - baked in
-            raise ServingError("use_numpy=True requested but numpy is not installed")
 
         entries = manifest["arrays"]
 
@@ -744,9 +690,7 @@ class ModelSnapshot:
             entry = entries.get(name)
             if entry is None:
                 raise ServingError(f"snapshot {path} is missing array {name!r}")
-            return _read_array(
-                path / f"{name}.bin", entry["kind"], entry["size"], use_numpy
-            )
+            return _read_array(path / f"{name}.bin", entry["kind"], entry["size"])
 
         users = _read_ids(path / "users.txt")
         items = _read_ids(path / "items.txt")
@@ -763,7 +707,6 @@ class ModelSnapshot:
             arrays,
             manifest["n_ratings"],
             float(manifest["global_mean"]),
-            use_numpy,
         )
         index = NeighborIndex(
             items,

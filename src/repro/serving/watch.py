@@ -20,8 +20,8 @@ is the cross-process half of the same contract:
   :meth:`~repro.serving.registry.ModelRegistry.publish`, so everything
   downstream — pinning, cache invalidation, the version handshake —
   behaves exactly as it does in-process. Loads go through
-  :meth:`~repro.serving.snapshot.ModelSnapshot.load`, so on the NumPy
-  backend every worker process memory-maps the same bytes and the page
+  :meth:`~repro.serving.snapshot.ModelSnapshot.load`, so
+  every worker process memory-maps the same bytes and the page
   cache is shared across the fleet for free.
 
 Three source layouts are watched, detected per poll:
@@ -252,11 +252,9 @@ class RegistryWatcher:
         self,
         source,
         registry: ModelRegistry | None = None,
-        use_numpy: bool | None = None,
     ) -> None:
         self.source = Path(source)
         self.registry = registry if registry is not None else ModelRegistry()
-        self.use_numpy = use_numpy
         self.n_loads = 0
         self._fingerprint: tuple | None = None
 
@@ -281,7 +279,7 @@ class RegistryWatcher:
             return None
         fingerprint, snapshot_path, version_hint = reference
         try:
-            snapshot = ModelSnapshot.load(snapshot_path, use_numpy=self.use_numpy)
+            snapshot = ModelSnapshot.load(snapshot_path)
         except (ServingError, OSError, ValueError):
             return None
         next_version = self.version + 1

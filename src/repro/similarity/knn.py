@@ -21,10 +21,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Mapping, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+import numpy as _np
 
 
 def top_k(similarities: Mapping[str, float] | Iterable[tuple[str, float]],
@@ -111,9 +108,8 @@ class NeighborIndex:
 
     Determinism contract (property-tested in ``tests/test_graph_knn.py``
     and ``tests/test_sharded_sweep.py``): rows are a pure function of
-    the adjacency they were assembled from — identical across backends
-    (NumPy arrays vs plain lists hold the same values in the same
-    order), across shard counts of the sweep that produced the
+    the adjacency they were assembled from — identical across shard
+    counts of the sweep that produced the
     accumulation (weights to ≤1e-9, exact at one shard), and across
     edge-partition counts of the assembly (bit-identical: partitioning
     moves *where* a row is assembled, never its contents).
@@ -161,8 +157,8 @@ class NeighborIndex:
         return int(self.ptr[idx + 1]) - int(self.ptr[idx])
 
     def row(self, idx: int):
-        """The rank-ordered ``(neighbor ids, weights)`` slices for an
-        item *index* — arrays on the NumPy backend, lists otherwise."""
+        """The rank-ordered ``(neighbor ids, weights)`` array slices
+        for an item *index*."""
         start, end = int(self.ptr[idx]), int(self.ptr[idx + 1])
         return self.neighbor_ids[start:end], self.weights[start:end]
 
@@ -234,8 +230,7 @@ class NeighborIndex:
             name = items[int(nid)]
             if among is not None and name not in among:
                 continue
-            # float() strips NumPy scalars; the bit patterns are
-            # untouched, so results compare equal across backends.
+            # float() strips NumPy scalars; the bit patterns are untouched.
             out.append((name, float(weight)))
             if len(out) == k:
                 return out, True
@@ -245,7 +240,7 @@ class NeighborIndex:
                 updated_rows: Sequence[int], row_sizes, row_ids,
                 row_weights, item_map=None) -> "NeighborIndex":
         """A new index over *items* with the given rows replaced whole —
-        the pure-python backend's incremental splice, and the reference
+        the reference
         :meth:`~repro.data.matrix.MatrixRatingStore.splice_row_refresh`
         (which re-ranks entries, not rows) is tested against.
 
@@ -265,66 +260,31 @@ class NeighborIndex:
         re-assembling the whole index from the updated adjacency.
         """
         n_new = len(items)
-        use_numpy = _np is not None and isinstance(self.neighbor_ids, _np.ndarray)
-        if use_numpy:
-            imap = (_np.arange(self.n_items, dtype=_np.int64) if item_map is None
-                    else _np.asarray(item_map, dtype=_np.int64))
-            upd_idx = _np.asarray(updated_rows, dtype=_np.int64)
-            replaced = _np.zeros(n_new, dtype=bool)
-            replaced[upd_idx] = True
-            owner = _np.repeat(imap, _np.diff(self.ptr))
-            keep = ~replaced[owner]
-            # Replaced rows keep nothing: the merge's degenerate case.
-            ptr, neighbor_ids, weights = merge_ranked_entries(
-                n_new,
-                (owner[keep], imap[self.neighbor_ids][keep], self.weights[keep]),
-                (_np.repeat(upd_idx, _np.asarray(row_sizes, dtype=_np.int64)),
-                 _np.asarray(row_ids, dtype=_np.int64),
-                 _np.asarray(row_weights, dtype=_np.float64)))
-            return NeighborIndex(items, item_index, ptr, neighbor_ids,
-                                 weights, k=self.k)
-        imap_list = (list(range(self.n_items)) if item_map is None else item_map)
-        reverse = [-1] * n_new
-        for old, new_idx in enumerate(imap_list):
-            reverse[new_idx] = old
-        row_bounds = [0]
-        for size in row_sizes:
-            row_bounds.append(row_bounds[-1] + size)
-        updated_at = {idx: k for k, idx in enumerate(updated_rows)}
-        ptr = [0]
-        neighbor_ids: list[int] = []
-        weights: list[float] = []
-        for idx in range(n_new):
-            slot = updated_at.get(idx)
-            if slot is not None:
-                start, end = row_bounds[slot], row_bounds[slot + 1]
-                neighbor_ids.extend(int(n) for n in row_ids[start:end])
-                weights.extend(float(w) for w in row_weights[start:end])
-            elif reverse[idx] >= 0:
-                start = self.ptr[reverse[idx]]
-                end = self.ptr[reverse[idx] + 1]
-                neighbor_ids.extend(imap_list[n] for n in self.neighbor_ids[start:end])
-                weights.extend(self.weights[start:end])
-            ptr.append(len(neighbor_ids))
+        imap = (_np.arange(self.n_items, dtype=_np.int64) if item_map is None
+                else _np.asarray(item_map, dtype=_np.int64))
+        upd_idx = _np.asarray(updated_rows, dtype=_np.int64)
+        replaced = _np.zeros(n_new, dtype=bool)
+        replaced[upd_idx] = True
+        owner = _np.repeat(imap, _np.diff(self.ptr))
+        keep = ~replaced[owner]
+        # Replaced rows keep nothing: the merge's degenerate case.
+        ptr, neighbor_ids, weights = merge_ranked_entries(
+            n_new,
+            (owner[keep], imap[self.neighbor_ids][keep], self.weights[keep]),
+            (_np.repeat(upd_idx, _np.asarray(row_sizes, dtype=_np.int64)),
+             _np.asarray(row_ids, dtype=_np.int64),
+             _np.asarray(row_weights, dtype=_np.float64)))
         return NeighborIndex(items, item_index, ptr, neighbor_ids, weights, k=self.k)
 
     def row_owners(self):
         """Flat-entry → owning item index map (``owners[t]`` is the row
         that ``neighbor_ids[t]`` / ``weights[t]`` belong to).
 
-        The expansion the batched serving pass scatter-adds by — an
-        int64 array on the NumPy backend, a list otherwise. Pure
-        function of :attr:`ptr`; callers cache it per index (the
-        service keys it by published version).
+        The expansion the batched serving pass scatter-adds by, as an
+        int64 array. Pure function of :attr:`ptr`; callers cache it per
+        index (the service keys it by published version).
         """
-        if _np is not None and isinstance(self.neighbor_ids, _np.ndarray):
-            return _np.repeat(
-                _np.arange(self.n_items, dtype=_np.int64),
-                _np.diff(self.ptr))
-        owners: list[int] = []
-        for idx in range(self.n_items):
-            owners.extend([idx] * (int(self.ptr[idx + 1]) - int(self.ptr[idx])))
-        return owners
+        return _np.repeat(_np.arange(self.n_items, dtype=_np.int64), _np.diff(self.ptr))
 
     def neighbor_dict(self, item: str) -> dict[str, float]:
         """The full stored row as a ``neighbor id → weight`` dict (a

@@ -14,7 +14,7 @@ Contracts under test:
   enumerated crash point in a write/checkpoint stream (torn mid-frame
   appends and mid-checkpoint deaths included), recovering the store
   yields stores / indexes / adjacency / significance census
-  bit-identical (per backend, per shard count) to a writer that never
+  bit-identical (per shard count) to a writer that never
   crashed past the durable prefix. Crashes *during recovery itself*
   are swept the same way.
 * **kill -9** — the same property under real uncatchable ``SIGKILL``
@@ -37,7 +37,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.data.matrix import numpy_available
 from repro.data.ratings import Rating, RatingTable
 from repro.durability.faults import InjectedCrash, injected_crashes
 from repro.durability.log import SEGMENT_MAGIC, RatingLog
@@ -53,19 +52,15 @@ from repro.serving.registry import ModelRegistry
 from repro.serving.service import RecommendationService
 from repro.serving.snapshot import STORE_ARRAY_NAMES
 
-_BACKENDS = [pytest.param(True, id="numpy"), pytest.param(False, id="pure-python")]
+# Id only, no argument: keeps the "[numpy]" suffix these tests have
+# always had, so lists and logs that name a test keep naming it.
+_numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _toggle_backend(monkeypatch, use_numpy):
-    if use_numpy and not numpy_available():
-        pytest.skip("numpy fast path unavailable")
-    monkeypatch.setenv("REPRO_PURE_PYTHON", "" if use_numpy else "1")
-
-
 def _aslist(values):
-    return values.tolist() if hasattr(values, "tolist") else list(values)
+    return values.tolist()
 
 
 def _batch(*specs) -> list[Rating]:
@@ -340,9 +335,8 @@ class TestCheckpointPolicy:
 
 
 class TestDurableSweep:
-    @pytest.mark.parametrize("use_numpy", _BACKENDS)
-    def test_recover_equals_never_crashed_run(self, monkeypatch, tmp_path, use_numpy):
-        _toggle_backend(monkeypatch, use_numpy)
+    @_numpy_id
+    def test_recover_equals_never_crashed_run(self, tmp_path):
         table, batches = _scenario()
         _run_writer(tmp_path / "store", table, batches)
         recovered = DurableSweep.recover(tmp_path / "store")
@@ -466,12 +460,11 @@ def _recover_and_check(store_dir, table, batches, references) -> None:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
-def test_recovery_bit_identical_at_every_crash_point(monkeypatch, tmp_path, use_numpy):
+@_numpy_id
+def test_recovery_bit_identical_at_every_crash_point(tmp_path):
     """Enumerate every crash point the write/checkpoint stream visits,
     then die at each one and prove recovery reconstructs the exact
     never-crashed state for the durable prefix."""
-    _toggle_backend(monkeypatch, use_numpy)
     table, batches = _scenario()
     with injected_crashes(after=None) as recorder:
         _run_writer(tmp_path / "clean", table, batches)
@@ -501,14 +494,12 @@ def test_recovery_bit_identical_at_every_crash_point(monkeypatch, tmp_path, use_
     assert skipped_preborn < n_points / 3
 
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
+@_numpy_id
 @pytest.mark.parametrize("preparation", ["torn-append", "lost-log"])
-def test_crash_during_recovery_is_recoverable(
-        monkeypatch, tmp_path, use_numpy, preparation):
+def test_crash_during_recovery_is_recoverable(tmp_path, preparation):
     """Recovery itself (repair truncation, segment unlinks, log reset)
     can die at any of its own crash points; a second recovery still
     lands on the exact same state."""
-    _toggle_backend(monkeypatch, use_numpy)
     table, batches = _scenario()
     crashed = tmp_path / "crashed"
     if preparation == "torn-append":
@@ -560,11 +551,10 @@ durable.close()
 """
 
 
-def _subprocess_env(use_numpy: bool, crash_index: int | None) -> dict:
+def _subprocess_env(crash_index: int | None) -> dict:
     env = {**os.environ,
            "PYTHONPATH": str(_SRC) + os.pathsep
-           + os.environ.get("PYTHONPATH", ""),
-           "REPRO_PURE_PYTHON": "" if use_numpy else "1"}
+           + os.environ.get("PYTHONPATH", "")}
     env.pop("REPRO_CRASH_POINT", None)
     env.pop("REPRO_CRASH_KILL", None)
     if crash_index is not None:
@@ -575,9 +565,8 @@ def _subprocess_env(use_numpy: bool, crash_index: int | None) -> dict:
 
 @pytest.mark.crash
 @pytest.mark.slow
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
-def test_kill9_writer_recovers_bit_identical(monkeypatch, tmp_path, use_numpy):
-    _toggle_backend(monkeypatch, use_numpy)
+@_numpy_id
+def test_kill9_writer_recovers_bit_identical(tmp_path):
     table, batches = _scenario()
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
@@ -602,7 +591,7 @@ def test_kill9_writer_recovers_bit_identical(monkeypatch, tmp_path, use_numpy):
         store_dir = tmp_path / f"kill{index}"
         result = subprocess.run(
             [sys.executable, str(script), str(plan), str(store_dir)],
-            env=_subprocess_env(use_numpy, index),
+            env=_subprocess_env(index),
             capture_output=True, text=True, timeout=120)
         assert result.returncode == -signal.SIGKILL, result.stderr
         if not (store_dir / CHECKPOINT_FILE).exists():
@@ -625,7 +614,7 @@ def test_kill9_env_activation_matches_named_point(tmp_path):
         encoding="utf-8")
     script = tmp_path / "writer.py"
     script.write_text(_WRITER_SCRIPT, encoding="utf-8")
-    env = _subprocess_env(True, None)
+    env = _subprocess_env(None)
     env["REPRO_CRASH_POINT"] = "wal.fsync:1"
     env["REPRO_CRASH_KILL"] = "1"
     result = subprocess.run(
@@ -634,7 +623,7 @@ def test_kill9_env_activation_matches_named_point(tmp_path):
     assert result.returncode == -signal.SIGKILL, result.stderr
     clean = subprocess.run(
         [sys.executable, str(script), str(plan), str(tmp_path / "s2")],
-        env=_subprocess_env(True, None),
+        env=_subprocess_env(None),
         capture_output=True, text=True, timeout=120)
     assert clean.returncode == 0, clean.stderr
 
@@ -660,12 +649,11 @@ def _assert_serving_equal(got: RecommendationService,
         assert all(abs(a[1] - b[1]) <= tolerance for a, b in zip(got_topn, want_topn))
 
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
-def test_registry_recover_serves_identically(monkeypatch, tmp_path, use_numpy):
+@_numpy_id
+def test_registry_recover_serves_identically(tmp_path):
     """Interleaved publish/update rounds, a crash, recovery via
     ModelRegistry.recover, more rounds — the recovered registry serves
     within 1e-9 of the never-crashed one throughout."""
-    _toggle_backend(monkeypatch, use_numpy)
     table, batches = _scenario(seed=5)
     durable = DurableSweep(tmp_path / "store", table,
                            policy=CheckpointPolicy(max_batches=2),

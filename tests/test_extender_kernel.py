@@ -2,9 +2,7 @@
 
 Every comparison is dict ``==`` on floats: the kernel must reproduce
 :func:`repro.core.extender.extend_item_reference` bit for bit, including
-which keys are absent. Under ``REPRO_PURE_PYTHON=1`` ``Extender.extend``
-*is* the reference loop, so the same file then checks that loop and the
-telemetry around it.
+which keys are absent.
 """
 
 from __future__ import annotations

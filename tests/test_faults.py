@@ -97,6 +97,30 @@ def test_probability_decisions_are_deterministic_per_seed():
     assert any(firings(7)) and not all(firings(7))
 
 
+def test_spawn_seq_decorrelates_the_workers_of_one_plan(monkeypatch):
+    """Workers sharing a plan draw different schedules (a frame retried
+    on a sibling must not meet the same firing visit), each reproducible
+    from (seed, spawn sequence, rule); spawn 0 is the unsequenced one."""
+    raw = FaultPlan(seed=7, rules=[
+        FaultRule("test.p", "error", probability=0.5),
+        FaultRule("test.q", "delay", probability=0.5)]).to_json()
+
+    def firings(spawn_seq: str | None) -> list[list[bool]]:
+        if spawn_seq is None:
+            monkeypatch.delenv(SPAWN_SEQ_ENV, raising=False)
+        else:
+            monkeypatch.setenv(SPAWN_SEQ_ENV, spawn_seq)
+        plan = FaultPlan.from_json(raw)  # what a worker arms at start-up
+        return [[plan.decide(point) is not None for _ in range(64)]
+                for point in ("test.p", "test.q")]
+
+    assert firings("1") == firings("1")
+    for first, second in zip(firings("1"), firings("2")):
+        assert first != second  # per rule, not just per plan
+    assert firings("0") == firings(None)
+    assert firings("1") != firings(None)
+
+
 def test_spawn_seq_gates_rules(monkeypatch):
     plan = FaultPlan(rules=[FaultRule("test.p", "error", max_spawn_seq=2)])
     monkeypatch.setenv(SPAWN_SEQ_ENV, "1")

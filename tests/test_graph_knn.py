@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.data.matrix import MatrixRatingStore, numpy_available
+from repro.data.matrix import MatrixRatingStore
 from repro.errors import GraphError
 from repro.similarity.graph import ItemGraph, build_similarity_graph
 from repro.similarity.knn import top_k
@@ -113,16 +113,13 @@ class TestBuildSimilarityGraph:
 class TestNeighborIndex:
     """The precomputed serving index: rank-ordered flat rows."""
 
-    def _store(self, table, use_numpy):
-        if use_numpy and not numpy_available():
-            pytest.skip("numpy fast path unavailable")
-        return MatrixRatingStore(table, use_numpy=use_numpy)
+    # Id only, no argument: keeps the "[numpy]" suffix these tests have
+    # always had, so lists and logs that name a test keep naming it.
+    _numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
 
-    @pytest.mark.parametrize("use_numpy", [
-        pytest.param(True, id="numpy"),
-        pytest.param(False, id="pure-python")])
-    def test_rows_are_topk_of_adjacency(self, tiny_table, use_numpy):
-        store = self._store(tiny_table, use_numpy)
+    @_numpy_id
+    def test_rows_are_topk_of_adjacency(self, tiny_table):
+        store = MatrixRatingStore(tiny_table)
         adjacency = store.build_adjacency()
         index = store.neighbor_index()
         for item in store.items:
@@ -131,11 +128,9 @@ class TestNeighborIndex:
             assert index.degree(item) == len(adjacency[item])
             assert index.neighbor_dict(item) == adjacency[item]
 
-    @pytest.mark.parametrize("use_numpy", [
-        pytest.param(True, id="numpy"),
-        pytest.param(False, id="pure-python")])
-    def test_truncated_rows_are_prefixes(self, tiny_table, use_numpy):
-        store = self._store(tiny_table, use_numpy)
+    @_numpy_id
+    def test_truncated_rows_are_prefixes(self, tiny_table):
+        store = MatrixRatingStore(tiny_table)
         full = store.neighbor_index()
         truncated = store.neighbor_index(k=2)
         assert truncated.k == 2

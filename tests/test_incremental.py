@@ -3,7 +3,7 @@
 The equality contract under test, at every layer: appending a batch
 through the incremental machinery produces **the same object a full
 rebuild would** — bit-identical store arrays, accumulations, adjacency
-and serving-index rows on a fixed backend and shard count, and within
+and serving-index rows on a fixed shard count, and within
 the standing 1e-9 sweep tolerance across shard counts. Batches cover
 the hard cases: new users, new items, ratings from existing users, and
 value overrides of existing (user, item) pairs.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.alterego import AlterEgoGenerator, OnlineAlterEgoUpdater
 from repro.core.baseliner import Baseliner
 from repro.data.dataset import CrossDomainDataset, Dataset
-from repro.data.matrix import MatrixRatingStore, numpy_available
+from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import ConfigError
@@ -62,7 +62,7 @@ _STORE_ARRAYS = (
 
 
 def _aslist(values):
-    return values.tolist() if hasattr(values, "tolist") else list(values)
+    return values.tolist()
 
 
 def assert_stores_equal(appended: MatrixRatingStore,
@@ -83,15 +83,8 @@ def assert_stores_equal(appended: MatrixRatingStore,
 def _acc_tuple(store, acc):
     """Canonical (keys, sums, counts, agree) view of an accumulation —
     float equality is exact, so == means bit-identical."""
-    if store.uses_numpy:
-        return (acc.keys.tolist(), acc.sums.tolist(), acc.counts.tolist(),
-                None if acc.agree is None else acc.agree.tolist())
-    keys = sorted(acc.sums)
-    return (keys,
-            [acc.sums[k] for k in keys],
-            [acc.counts[k] for k in keys],
-            None if acc.agree is None
-            else [acc.agree.get(k, 0) for k in keys])
+    return (acc.keys.tolist(), acc.sums.tolist(), acc.counts.tolist(),
+            None if acc.agree is None else acc.agree.tolist())
 
 
 def _index_tuple(index):
@@ -101,25 +94,21 @@ def _index_tuple(index):
             _aslist(index.neighbor_ids), _aslist(index.weights), index.k)
 
 
-def _store(table, use_numpy):
-    if use_numpy and not numpy_available():
-        pytest.skip("numpy fast path unavailable")
-    return MatrixRatingStore(table, use_numpy=use_numpy)
-
-
-_BACKENDS = [pytest.param(True, id="numpy"), pytest.param(False, id="pure-python")]
+# Id only, no argument: keeps the "[numpy]" suffix these tests have
+# always had, so lists and logs that name a test keep naming it.
+_numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
 
 
 # -- store append == rebuild (the tentpole's base contract) -------------
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
+@_numpy_id
 @_common
 @given(data=base_and_batch())
-def test_append_ratings_equals_rebuild(data, use_numpy):
+def test_append_ratings_equals_rebuild(data):
     base, batch = data
     table = RatingTable(base)
-    appended, delta = _store(table, use_numpy).append_ratings(batch)
-    rebuilt = _store(table.with_ratings(batch), use_numpy)
+    appended, delta = MatrixRatingStore(table).append_ratings(batch)
+    rebuilt = MatrixRatingStore(table.with_ratings(batch))
     assert_stores_equal(appended, rebuilt)
     # The delta's interning maps are consistent with the new store.
     for old_idx, name in enumerate(sorted(table.items)):
@@ -128,19 +117,19 @@ def test_append_ratings_equals_rebuild(data, use_numpy):
         assert appended.users[delta.user_map[old_idx]] == name
 
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
-def test_append_to_empty_store(use_numpy):
+@_numpy_id
+def test_append_to_empty_store():
     table = RatingTable()
     batch = [Rating("u", "a", 3.0, 0), Rating("v", "a", 5.0, 1)]
-    appended, delta = _store(table, use_numpy).append_ratings(batch)
-    assert_stores_equal(appended, _store(table.with_ratings(batch), use_numpy))
+    appended, delta = MatrixRatingStore(table).append_ratings(batch)
+    assert_stores_equal(appended, MatrixRatingStore(table.with_ratings(batch)))
     assert delta.new_users == ("u", "v")
     assert delta.new_items == ("a",)
 
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
-def test_empty_batch_is_identity(tiny_table, use_numpy):
-    store = _store(tiny_table, use_numpy)
+@_numpy_id
+def test_empty_batch_is_identity(tiny_table):
+    store = MatrixRatingStore(tiny_table)
     appended, delta = store.append_ratings([])
     assert_stores_equal(appended, store)
     assert delta.touched_users == []
@@ -149,13 +138,13 @@ def test_empty_batch_is_identity(tiny_table, use_numpy):
 
 # -- delta accumulation fold == full sweep ------------------------------
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
+@_numpy_id
 @pytest.mark.parametrize("with_significance", [False, True])
 @_common
 @given(data=base_and_batch())
-def test_delta_fold_equals_full_accumulation(data, use_numpy, with_significance):
+def test_delta_fold_equals_full_accumulation(data, with_significance):
     base, batch = data
-    store = _store(RatingTable(base), use_numpy)
+    store = MatrixRatingStore(RatingTable(base))
     old_acc = store.pair_accumulation(with_significance=with_significance)
     new_store, delta = store.append_ratings(batch)
     delta_acc = new_store.delta_pair_accumulation(
@@ -167,18 +156,10 @@ def test_delta_fold_equals_full_accumulation(data, use_numpy, with_significance)
 
 # -- end to end: IncrementalSweep.update == fresh build -----------------
 
-def _toggle_backend(monkeypatch, use_numpy):
-    if use_numpy and not numpy_available():
-        pytest.skip("numpy fast path unavailable")
-    monkeypatch.setenv("REPRO_PURE_PYTHON", "" if use_numpy else "1")
-
-
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
+@_numpy_id
 @pytest.mark.parametrize("n_shards", [1, 3])
 @pytest.mark.parametrize("with_significance", [False, True])
-def test_sweep_update_equals_rebuild(monkeypatch, use_numpy, n_shards,
-                                     with_significance):
-    _toggle_backend(monkeypatch, use_numpy)
+def test_sweep_update_equals_rebuild(n_shards, with_significance):
     rng = random.Random(7)
     base, pairs = [], set()
     for _ in range(60):
@@ -208,10 +189,9 @@ def test_sweep_update_equals_rebuild(monkeypatch, use_numpy, n_shards,
         assert sweep.common_raters == fresh.common_raters
 
 
-def test_sweep_update_across_shard_counts_1e9(monkeypatch):
+def test_sweep_update_across_shard_counts_1e9():
     """Incremental at 2 shards vs fresh at 1 shard: the standing
     cross-shard contract (≤1e-9 weights, identical structure)."""
-    monkeypatch.setenv("REPRO_PURE_PYTHON", "")
     rng = random.Random(11)
     base = [Rating(f"u{rng.randint(0, 9)}", f"i{rng.randint(0, 9)}",
                    float(rng.randint(1, 5)), timestep=k)
@@ -232,8 +212,7 @@ def test_sweep_update_across_shard_counts_1e9(monkeypatch):
             assert abs(got[neighbor] - sim) < 1e-9
 
 
-def test_update_reports_edge_census(monkeypatch):
-    monkeypatch.setenv("REPRO_PURE_PYTHON", "")
+def test_update_reports_edge_census():
     base = [Rating("u1", "a", 5.0), Rating("u1", "b", 3.0),
             Rating("u2", "b", 4.0), Rating("u2", "c", 2.0)]
     sweep = IncrementalSweep(RatingTable(base))

@@ -1,19 +1,17 @@
 """The entry-level splice behind ``IncrementalSweep.update``.
 
-Three implementations must agree after every batch: the NumPy splice
+Three implementations must agree after every batch: the splice
 (:meth:`MatrixRatingStore.splice_row_refresh` — re-rank only the entries
 with a touched endpoint, merge them into the kept ones), the whole-row
-reference (:meth:`MatrixRatingStore.assemble_row_refresh` — what the
-pure-python backend runs) and a fresh build over the final table.
+reference (:meth:`MatrixRatingStore.assemble_row_refresh` — what a
+sweep that keeps no index runs) and a fresh build over the final table.
 Equality is exact: adjacency by dict equality, ``ptr`` /
 ``neighbor_ids`` / ``weights`` bit for bit, and the per-update
 ``affected_items`` and edge census.
 
 The small tables of ``tests/test_incremental.py`` mostly rebuild every
 affected row; the ``amazon_like`` tables here are large enough that one
-update both patches rows per entry and rebuilds others whole. Under
-``REPRO_PURE_PYTHON=1`` both sweeps run the reference and the file
-degenerates to append == rebuild.
+update both patches rows per entry and rebuilds others whole.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.data.matrix import MatrixRatingStore, numpy_available
+from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.data.synthetic import SyntheticConfig, amazon_like
 from repro.engine.sharded_sweep import IncrementalSweep
@@ -120,7 +118,6 @@ def test_splice_equals_reference_equals_rebuild(
         min_abs_similarity=min_abs_similarity)
 
 
-@pytest.mark.skipif(not numpy_available(), reason="the splice is the NumPy path")
 @pytest.mark.parametrize("shape", range(len(_SHAPES)))
 def test_one_update_runs_both_regimes(shape):
     """A head user re-rating one item moves their mean, so every item
@@ -206,8 +203,7 @@ def test_new_items_mid_alphabet_remap_kept_entries():
     assert stats.n_new_items == 3
     # c/e/g/i are outside the blast radius; m/o/q are partners of k.
     assert stats.affected_items == ("b", "d", "k", "m", "n", "o", "q")
-    if numpy_available():
-        assert stats.n_rebuilt_rows == 4  # the touched rows b, d, k, n
+    assert stats.n_rebuilt_rows == 4  # the touched rows b, d, k, n
 
 
 def test_equal_weights_merge_in_id_order():
@@ -223,8 +219,7 @@ def test_equal_weights_merge_in_id_order():
     sweep.update(batch)
     assert sweep.index.top("x", 4) == [("p", 1.0), ("q", 1.0), ("r", 1.0), ("y", -1.0)]
     assert stats.edges_added == stats.edges_removed == ()
-    if numpy_available():
-        assert stats.n_rebuilt_rows == 3  # q, z, zz; x is patched in place
+    assert stats.n_rebuilt_rows == 3  # q, z, zz; x is patched in place
 
 
 def test_item_without_a_prior_row_gains_one():
@@ -243,7 +238,6 @@ def test_empty_batch_and_empty_base():
     _run_and_compare(RatingTable(), [_ratings({"u1": {"a": 5.0, "b": 1.0}})])
 
 
-@pytest.mark.skipif(not numpy_available(), reason="the splice is the NumPy path")
 def test_truncated_index_is_refused():
     """Dropping an entry from a top-k row may promote a neighbor the
     index no longer stores — the splice must refuse, never patch."""

@@ -4,8 +4,8 @@ The store-backed similarity layer must be a drop-in replacement for the
 original object-graph implementations: same string-keyed signatures, same
 values (to 1e-9), same guard semantics. These tests pit the fast paths
 against the retained ``*_reference`` oracles on random tables — including
-the ``min_common_users`` / ``max_profile_size`` guards — and check that
-the NumPy and pure-Python backends produce *identical* graphs.
+the ``min_common_users`` / ``max_profile_size`` guards — and check the
+store's arrays, exactly, against their definitions over the table.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.data.matrix import MatrixRatingStore, numpy_available
+from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.errors import SimilarityError
 from repro.similarity.adjusted_cosine import (
@@ -81,16 +81,35 @@ def test_all_pairs_matches_reference_with_guards(table, min_common, max_profile)
 
 @_common
 @given(table=rating_tables())
-def test_numpy_and_python_backends_identical(table):
-    if not numpy_available():
-        pytest.skip("numpy fast path unavailable")
-    fast = list(MatrixRatingStore(table, use_numpy=True).all_pairs_adjusted_cosine())
-    fallback = list(MatrixRatingStore(
-        table, use_numpy=False).all_pairs_adjusted_cosine())
-    # Same pairs, same order, bit-identical similarities: both backends
-    # accumulate the Eq-6 numerators in the same sequential order and
-    # share the fsum-computed norms.
-    assert fast == fallback
+def test_store_arrays_match_table_oracle(table):
+    """Exact: fsum rounds once whatever the order, centering is one IEEE op."""
+    store = MatrixRatingStore(table)
+    users, items = store.users, store.items
+    assert (users, items) == (sorted(table.users), sorted(table.items))
+    u_mean = [math.fsum(r.value for r in table.user_profile(u).values())
+              / len(table.user_profile(u)) for u in users]
+    i_mean = [math.fsum(r.value for r in table.item_profile(i).values())
+              / len(table.item_profile(i)) for i in items]
+    assert (store.user_means.tolist(), store.item_means.tolist()) == (u_mean, i_mean)
+    for k, user in enumerate(users):  # CSR rows: ascending and complete
+        row = store.user_item_idx[slice(*store._user_row(k))].tolist()
+        assert [items[j] for j in row] == sorted(table.user_profile(user))
+        eq1 = [table.value(user, items[j]) - i_mean[j] for j in row]
+        assert store.user_item_centered[slice(*store._user_row(k))].tolist() == eq1
+        assert store.user_item_centered_norms[k] == math.sqrt(
+            math.fsum(c * c for c in eq1))
+    for k, item in enumerate(items):  # CSC columns: ascending and complete
+        col = store.item_user_idx[slice(*store._item_col(k))].tolist()
+        assert [users[u] for u in col] == sorted(table.item_profile(item))
+        values = [table.value(users[u], item) for u in col]
+        assert store.item_values[slice(*store._item_col(k))].tolist() == values
+        assert store.item_likes[slice(*store._item_col(k))].tolist() == [
+            v >= i_mean[k] for v in values]
+        centered = [v - u_mean[u] for v, u in zip(values, col)]
+        assert store.item_centered[slice(*store._item_col(k))].tolist() == centered
+        assert store.item_centered_norms[k] == math.sqrt(
+            math.fsum(c * c for c in centered))
+        assert store.item_raw_norms[k] == math.sqrt(math.fsum(v * v for v in values))
 
 
 @_common
@@ -244,11 +263,6 @@ class TestStoreBasics:
     def test_unknown_users_pearson_zero(self, tiny_table):
         assert pearson_users(tiny_table, "u1", "ghost") == 0.0
         assert pearson_users(tiny_table, "ghost", "phantom") == 0.0
-
-    def test_pure_python_env_var_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        table = RatingTable([Rating("u", "a", 3.0), Rating("u", "b", 4.0)])
-        assert not table.matrix().uses_numpy
 
 
 class TestGraphBulkAndTopK:

@@ -90,14 +90,14 @@ _RULE_FIXTURES = [
         "REP102",
         "src/repro/core/sample.py",
         """\
-        import numpy as np  # reprolint: disable=REP201
+        import numpy as np
 
 
         def draw(n):
             return np.random.default_rng().random(n)
         """,
         """\
-        import numpy as np  # reprolint: disable=REP201
+        import numpy as np
 
 
         def draw(n, seed):
@@ -120,39 +120,6 @@ _RULE_FIXTURES = [
 
         def elapsed(t0):
             return time.monotonic() - t0
-        """,
-    ),
-    (
-        "REP201",
-        "src/repro/engine/mathy.py",
-        """\
-        import numpy as np
-
-
-        def mean(xs):
-            return float(np.mean(xs))
-        """,
-        """\
-        def mean(xs):
-            return sum(xs) / len(xs)
-        """,
-    ),
-    (
-        "REP202",
-        "src/repro/data/matrix.py",
-        """\
-        def dot(a, b, use_numpy, np):
-            if use_numpy:
-                return np.dot(a, b)
-            else:
-                return np.dot(a, b)
-        """,
-        """\
-        def dot(a, b, use_numpy, np):
-            if use_numpy:
-                return np.dot(a, b)
-            else:
-                return sum(x * y for x, y in zip(a, b))
         """,
     ),
     (
@@ -413,23 +380,6 @@ def test_determinism_rules_skip_synthetic_and_gateway(tmp_path):
         "src/repro/gateway/jitter.py",
     )
     assert "REP102" not in rule_ids(result)
-
-
-def test_fallback_rule_follows_polarity_flips(tmp_path):
-    write(
-        tmp_path,
-        "src/repro/data/matrix.py",
-        """\
-        def norm(xs, use_numpy, np):
-            if not use_numpy:
-                return np.linalg.norm(xs)
-            return np.linalg.norm(xs)
-        """,
-    )
-    result = check(tmp_path, "src/repro/data/matrix.py")
-    findings = [f for f in result.findings if f.rule == "REP202"]
-    # Only the `not use_numpy` body (the pure side) is flagged.
-    assert [f.line for f in findings] == [3]
 
 
 def test_drift_rule_flags_both_directions(tmp_path):

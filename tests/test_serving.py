@@ -2,10 +2,9 @@
 
 Contracts under test:
 
-* **Snapshot round trip** — save → load is bit-identical per backend
+* **Snapshot round trip** — save → load is bit-identical
   (every store array, the index flat rows, the significance census,
-  the AlterEgo mapping), and a snapshot written by one backend loads
-  under the other with value-equal arrays and identical predictions.
+  the AlterEgo mapping).
 * **Registry hot swap** — publishes are atomic, pinned readers keep a
   coherent version while updates land (checked under a real thread),
   superseded versions are retired once unpinned.
@@ -17,6 +16,7 @@ Contracts under test:
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from tempfile import TemporaryDirectory
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.baseliner import Baseliner
 from repro.core.pipeline import NXMapRecommender, XMapConfig
-from repro.data.matrix import MatrixRatingStore, numpy_available
+from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.data.synthetic import SyntheticConfig, amazon_like
 from repro.engine.sharded_sweep import IncrementalSweep
@@ -37,7 +37,9 @@ from repro.serving.service import LRUCache, RecommendationService
 from repro.serving.snapshot import STORE_ARRAY_NAMES, ModelSnapshot
 from repro.similarity.significance import SignificanceTable
 
-_BACKENDS = [pytest.param(True, id="numpy"), pytest.param(False, id="pure-python")]
+# Id only, no argument: keeps the "[numpy]" suffix these tests have
+# always had, so lists and logs that name a test keep naming it.
+_numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
 
 _common = settings(max_examples=25, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -57,14 +59,11 @@ def tables(draw, min_size=2, max_size=30):
 
 
 def _aslist(values):
-    return values.tolist() if hasattr(values, "tolist") else list(values)
+    return values.tolist()
 
 
-def _snapshot(table: RatingTable, use_numpy: bool, k: int = 10,
-              **kwargs) -> ModelSnapshot:
-    if use_numpy and not numpy_available():
-        pytest.skip("numpy fast path unavailable")
-    store = MatrixRatingStore(table, use_numpy=use_numpy)
+def _snapshot(table: RatingTable, k: int = 10, **kwargs) -> ModelSnapshot:
+    store = MatrixRatingStore(table)
     return ModelSnapshot(store, store.neighbor_index(), cf_k=k,
                          scale=table.scale, **kwargs)
 
@@ -105,14 +104,14 @@ def _probe_pairs(table: RatingTable):
 # Snapshot round trips
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
+@_numpy_id
 @_common
 @given(table=tables())
-def test_snapshot_roundtrip_bit_identical(table, use_numpy):
-    snapshot = _snapshot(table, use_numpy)
+def test_snapshot_roundtrip_bit_identical(table):
+    snapshot = _snapshot(table)
     with TemporaryDirectory() as directory:
         snapshot.save(directory)
-        loaded = ModelSnapshot.load(directory, use_numpy=use_numpy)
+        loaded = ModelSnapshot.load(directory)
         assert_snapshots_equal(loaded, snapshot)
         reference = snapshot.recommender()
         served = loaded.recommender()
@@ -121,49 +120,39 @@ def test_snapshot_roundtrip_bit_identical(table, use_numpy):
                 == reference.predict(user, item)
 
 
-@pytest.mark.parametrize("writer_numpy,reader_numpy", [
-    pytest.param(True, False, id="numpy-to-pure-python"),
-    pytest.param(False, True, id="pure-python-to-numpy"),
-])
-@_common
-@given(table=tables())
-def test_snapshot_loads_across_backends(table, writer_numpy, reader_numpy):
-    if not numpy_available():
-        pytest.skip("numpy fast path unavailable")
-    snapshot = _snapshot(table, writer_numpy)
-    with TemporaryDirectory() as directory:
-        snapshot.save(directory)
-        loaded = ModelSnapshot.load(directory, use_numpy=reader_numpy)
-        assert loaded.store.uses_numpy == reader_numpy
-        assert_snapshots_equal(loaded, snapshot)
-        reference = snapshot.recommender()
-        served = loaded.recommender()
-        for user, item in _probe_pairs(table):
-            assert served.predict(user, item) \
-                == reference.predict(user, item)
+def test_manifest_naming_the_removed_backend_still_loads(tiny_table, tmp_path):
+    """``backend_written`` only ever recorded who wrote the bytes, never
+    how: a catalog the second backend left behind loads unchanged."""
+    snapshot = _snapshot(tiny_table)
+    snapshot.save(tmp_path)
+    manifest_path = tmp_path / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert manifest["backend_written"] == "numpy"
+    manifest["backend_written"] = "python"
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert_snapshots_equal(ModelSnapshot.load(tmp_path), snapshot)
 
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
-def test_snapshot_extras_roundtrip(tiny_table, use_numpy):
+@_numpy_id
+def test_snapshot_extras_roundtrip(tiny_table):
     significance = SignificanceTable(
         raw={("a", "b"): 2, ("b", "m-only"): 1},
         common={("a", "b"): 3, ("b", "m-only"): 1})
     alterego = {"m1": (("a", 0.75), ("b", 0.25)), "m2": (("d", 1.0),)}
-    snapshot = _snapshot(tiny_table, use_numpy,
-                         significance=significance, alterego=alterego)
+    snapshot = _snapshot(tiny_table, significance=significance, alterego=alterego)
     with TemporaryDirectory() as directory:
         snapshot.save(directory)
-        loaded = ModelSnapshot.load(directory, use_numpy=use_numpy)
+        loaded = ModelSnapshot.load(directory)
         assert_snapshots_equal(loaded, snapshot)
         assert loaded.item_mapping() == {"m1": "a", "m2": "d"}
 
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
-def test_snapshot_table_and_graph_match_sources(tiny_table, use_numpy):
-    snapshot = _snapshot(tiny_table, use_numpy)
+@_numpy_id
+def test_snapshot_table_and_graph_match_sources(tiny_table):
+    snapshot = _snapshot(tiny_table)
     with TemporaryDirectory() as directory:
         snapshot.save(directory)
-        loaded = ModelSnapshot.load(directory, use_numpy=use_numpy)
+        loaded = ModelSnapshot.load(directory)
     # The reconstructed table holds exactly the original ratings (sans
     # timesteps) and adopts the loaded store instead of re-interning.
     table = loaded.table()
@@ -174,7 +163,7 @@ def test_snapshot_table_and_graph_match_sources(tiny_table, use_numpy):
         assert table.value(rating.user, rating.item) == rating.value
     assert table.matrix() is loaded.store
     # The derived graph equals the graph assembled with the adjacency.
-    adjacency = MatrixRatingStore(tiny_table, use_numpy=use_numpy).build_adjacency()
+    adjacency = MatrixRatingStore(tiny_table).build_adjacency()
     graph = loaded.graph()
     assert set(graph.items) == set(adjacency)
     for item, row in adjacency.items():
@@ -328,7 +317,7 @@ def test_registry_publish_pin_retire(tiny_table):
     assert registry.current_version() == 1
     pinned = registry.pin()
     assert pinned.version == 1
-    second = _snapshot(tiny_table, numpy_available(), k=5)
+    second = _snapshot(tiny_table, k=5)
     assert registry.publish(second) == 2
     # v1 stays retained (and coherent) while pinned; new readers get v2.
     assert registry.versions() == [1, 2]
@@ -352,7 +341,7 @@ def test_registry_honours_preassigned_versions(tiny_table, tmp_path):
     assert registry.current_version() == 7
     assert loaded.version == 7
     # The next unversioned publish continues from there...
-    follow_up = _snapshot(tiny_table, numpy_available(), k=5)
+    follow_up = _snapshot(tiny_table, k=5)
     assert registry.publish(follow_up) == 8
     # ...and a stale pre-assigned version cannot move the registry back.
     stale = ModelSnapshot.from_table(tiny_table, k=5, version=3)
@@ -487,11 +476,11 @@ def test_baseliner_serving_registry(two_domain_micro):
 # Service
 # ----------------------------------------------------------------------
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
+@_numpy_id
 @_common
 @given(table=tables(min_size=4))
-def test_batched_equals_per_request(table, use_numpy):
-    snapshot = _snapshot(table, use_numpy, k=3)
+def test_batched_equals_per_request(table):
+    snapshot = _snapshot(table, k=3)
     service = RecommendationService(snapshot, response_cache_size=0)
     users = sorted(table.users) + ["nobody"]
     batched = service.recommend_batch(users, 4)
@@ -499,9 +488,9 @@ def test_batched_equals_per_request(table, use_numpy):
     assert batched == [reference.recommend(user, 4) for user in users]
 
 
-@pytest.mark.parametrize("use_numpy", _BACKENDS)
-def test_batched_mixes_cache_hits_and_misses(tiny_table, use_numpy):
-    snapshot = _snapshot(tiny_table, use_numpy, k=5)
+@_numpy_id
+def test_batched_mixes_cache_hits_and_misses(tiny_table):
+    snapshot = _snapshot(tiny_table, k=5)
     service = RecommendationService(snapshot)
     users = sorted(tiny_table.users)
     warm = service.recommend(users[0], 3)  # prime one response
@@ -559,7 +548,7 @@ def test_plain_publish_clears_all_caches(tiny_table):
     service.recommend("u1", 2)
     assert service.stats()["row_cache"]["size"] == 1
     assert service.stats()["response_cache"]["size"] == 1
-    registry.publish(_snapshot(tiny_table, numpy_available(), k=5))
+    registry.publish(_snapshot(tiny_table, k=5))
     assert service.stats()["row_cache"]["size"] == 0
     assert service.stats()["response_cache"]["size"] == 0
 
@@ -588,7 +577,7 @@ def test_service_close_detaches_from_registry(tiny_table):
     assert service.recommend("u1", 2)
     assert service.stats()["response_cache"]["size"] == 0
     survivor.recommend("u1", 2)
-    registry.publish(_snapshot(tiny_table, numpy_available(), k=5))
+    registry.publish(_snapshot(tiny_table, k=5))
     assert survivor.stats()["response_cache"]["size"] == 0  # invalidated
     registry.unsubscribe(service._on_publish)  # unknown → no-op
 

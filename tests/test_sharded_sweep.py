@@ -3,7 +3,7 @@
 The contract (see ``repro/engine/sharded_sweep.py``):
 
 * one shard ⇒ **bit-identical** to the single-process store path
-  (``MatrixRatingStore.build_adjacency``) on both backends;
+  (``MatrixRatingStore.build_adjacency``);
 * fixed shard count ⇒ bit-identical whichever executor runs the shards
   (serial in-driver vs a forked ``multiprocessing`` pool);
 * any shard count ⇒ similarities agree with the store path to 1e-9
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.core.baseliner import Baseliner
 from repro.core.xsim import SignificanceCache
-from repro.data.matrix import MatrixRatingStore, numpy_available
+from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.engine.sharded_sweep import (
     resolve_edge_partitions,
@@ -54,13 +54,9 @@ def rating_tables(draw, min_size=4, max_size=40):
 _common = settings(max_examples=40, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
 
-_backends = [pytest.param(True, id="numpy"), pytest.param(False, id="pure-python")]
-
-
-def _store(table, use_numpy):
-    if use_numpy and not numpy_available():
-        pytest.skip("numpy fast path unavailable")
-    return MatrixRatingStore(table, use_numpy=use_numpy)
+# Id only, no argument: keeps the "[numpy]" suffix these tests have
+# always had, so lists and logs that name a test keep naming it.
+_numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
 
 
 def _max_abs_diff(left: dict, right: dict) -> float:
@@ -75,31 +71,31 @@ def _max_abs_diff(left: dict, right: dict) -> float:
 
 # -- the tentpole's correctness contract --------------------------------
 
-@pytest.mark.parametrize("use_numpy", _backends)
+@_numpy_id
 @_common
 @given(table=rating_tables())
-def test_one_shard_bit_identical_to_store_path(table, use_numpy):
-    store = _store(table, use_numpy)
+def test_one_shard_bit_identical_to_store_path(table):
+    store = MatrixRatingStore(table)
     result = sharded_adjacency(store, n_shards=1, with_significance=True)
     assert result.adjacency == store.build_adjacency()
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 7])
-@pytest.mark.parametrize("use_numpy", _backends)
+@_numpy_id
 @_common
 @given(table=rating_tables())
-def test_sharded_matches_store_path_1e9(table, use_numpy, n_shards):
-    store = _store(table, use_numpy)
+def test_sharded_matches_store_path_1e9(table, n_shards):
+    store = MatrixRatingStore(table)
     result = sharded_adjacency(store, n_shards=n_shards)
     assert _max_abs_diff(result.adjacency, store.build_adjacency()) < 1e-9
 
 
-@pytest.mark.parametrize("use_numpy", _backends)
+@_numpy_id
 @_common
 @given(table=rating_tables(), min_common=st.integers(1, 3),
        min_abs=st.sampled_from([0.0, 0.2]))
-def test_sharded_respects_edge_guards(table, use_numpy, min_common, min_abs):
-    store = _store(table, use_numpy)
+def test_sharded_respects_edge_guards(table, min_common, min_abs):
+    store = MatrixRatingStore(table)
     result = sharded_adjacency(
         store, n_shards=3, min_common_users=min_common,
         min_abs_similarity=min_abs)
@@ -108,21 +104,21 @@ def test_sharded_respects_edge_guards(table, use_numpy, min_common, min_abs):
     assert _max_abs_diff(result.adjacency, reference) < 1e-9
 
 
-@pytest.mark.parametrize("use_numpy", _backends)
+@_numpy_id
 @_common
 @given(table=rating_tables(), max_profile=st.sampled_from([2, 3, 5]))
-def test_sharded_respects_profile_cap(table, use_numpy, max_profile):
-    store = _store(table, use_numpy)
+def test_sharded_respects_profile_cap(table, max_profile):
+    store = MatrixRatingStore(table)
     result = sharded_adjacency(store, n_shards=3, max_profile_size=max_profile)
     reference = store.build_adjacency(max_profile_size=max_profile)
     assert _max_abs_diff(result.adjacency, reference) < 1e-9
 
 
-@pytest.mark.parametrize("use_numpy", _backends)
+@_numpy_id
 @_common
 @given(table=rating_tables(), n_shards=st.integers(1, 7))
-def test_significance_counts_exact_for_any_shard_count(table, use_numpy, n_shards):
-    store = _store(table, use_numpy)
+def test_significance_counts_exact_for_any_shard_count(table, n_shards):
+    store = MatrixRatingStore(table)
     result = sharded_adjacency(store, n_shards=n_shards, with_significance=True)
     for (item_i, item_j), raw in result.significance.items():
         assert item_i < item_j
@@ -138,8 +134,8 @@ def test_significance_counts_exact_for_any_shard_count(table, use_numpy, n_shard
                 assert (item_i, item_j) in result.common_raters
 
 
-@pytest.mark.parametrize("use_numpy", _backends)
-def test_pool_and_serial_executors_bit_identical(use_numpy):
+@_numpy_id
+def test_pool_and_serial_executors_bit_identical():
     # One fixed mid-sized table (a fork pool per hypothesis example
     # would dominate the suite's runtime).
     import random
@@ -153,7 +149,7 @@ def test_pool_and_serial_executors_bit_identical(use_numpy):
             continue
         seen.add(pair)
         ratings.append(Rating(pair[0], pair[1], float(rng.randint(1, 5)), len(ratings)))
-    store = _store(RatingTable(ratings), use_numpy)
+    store = MatrixRatingStore(RatingTable(ratings))
     serial = sharded_adjacency(store, n_shards=5, processes=0, with_significance=True)
     pooled = sharded_adjacency(store, n_shards=5, processes=3, with_significance=True)
     assert serial.adjacency == pooled.adjacency
@@ -165,10 +161,10 @@ def test_pool_and_serial_executors_bit_identical(use_numpy):
 # -- the partitioned assembly back half ---------------------------------
 
 @pytest.mark.parametrize("n_partitions", [1, 2, 7])
-@pytest.mark.parametrize("use_numpy", _backends)
+@_numpy_id
 @_common
 @given(table=rating_tables())
-def test_partitioned_assembly_matches_driver_path(table, use_numpy, n_partitions):
+def test_partitioned_assembly_matches_driver_path(table, n_partitions):
     """Item-partitioned merge + assembly vs the single driver pass.
 
     Splitting pairs by left item never reorders any per-pair addition,
@@ -176,7 +172,7 @@ def test_partitioned_assembly_matches_driver_path(table, use_numpy, n_partitions
     the one-partition pass at any partition count — and both stay
     within the 1e-9 contract of the unsharded store path.
     """
-    store = _store(table, use_numpy)
+    store = MatrixRatingStore(table)
     partitioned = sharded_adjacency(
         store, n_shards=3, n_edge_partitions=n_partitions,
         with_significance=True)
@@ -192,23 +188,23 @@ def test_partitioned_assembly_matches_driver_path(table, use_numpy, n_partitions
         driver.stats.report.records_out
 
 
-@pytest.mark.parametrize("use_numpy", _backends)
+@_numpy_id
 @_common
 @given(table=rating_tables())
-def test_one_shard_one_partition_bit_identical(table, use_numpy):
-    store = _store(table, use_numpy)
+def test_one_shard_one_partition_bit_identical(table):
+    store = MatrixRatingStore(table)
     result = sharded_adjacency(store, n_shards=1, n_edge_partitions=1)
     assert result.adjacency == store.build_adjacency()
 
 
 @pytest.mark.parametrize("n_partitions", [1, 3])
-@pytest.mark.parametrize("use_numpy", _backends)
+@_numpy_id
 @_common
 @given(table=rating_tables())
-def test_index_selected_during_assembly(table, use_numpy, n_partitions):
+def test_index_selected_during_assembly(table, n_partitions):
     """The NeighborIndex rows assembled per partition are exactly the
     top-k ranking of the adjacency rows, at every partition count."""
-    store = _store(table, use_numpy)
+    store = MatrixRatingStore(table)
     result = sharded_adjacency(
         store, n_shards=2, n_edge_partitions=n_partitions, with_index=True)
     assert result.index is not None
@@ -218,11 +214,11 @@ def test_index_selected_during_assembly(table, use_numpy, n_partitions):
         assert result.index.neighbor_dict(item) == neighbors
 
 
-@pytest.mark.parametrize("use_numpy", _backends)
+@_numpy_id
 @_common
 @given(table=rating_tables(), index_k=st.sampled_from([1, 2, 5]))
-def test_index_truncation_during_assembly(table, use_numpy, index_k):
-    store = _store(table, use_numpy)
+def test_index_truncation_during_assembly(table, index_k):
+    store = MatrixRatingStore(table)
     result = sharded_adjacency(
         store, n_shards=2, n_edge_partitions=3, with_index=True,
         index_k=index_k)
@@ -255,13 +251,6 @@ class TestShardLayout:
         assert flat == list(range(store.n_users))
         for shard in shards:
             assert shard == sorted(shard)
-
-    def test_layout_is_backend_independent(self, tiny_table):
-        if not numpy_available():
-            pytest.skip("numpy fast path unavailable")
-        fast = MatrixRatingStore(tiny_table, use_numpy=True)
-        slow = MatrixRatingStore(tiny_table, use_numpy=False)
-        assert shard_user_indices(fast, 4) == shard_user_indices(slow, 4)
 
     def test_stats_cover_all_shards(self, tiny_table):
         result = sharded_adjacency(tiny_table.matrix(), n_shards=3)
@@ -358,26 +347,6 @@ class TestBaselinerIntegration:
     def test_preloaded_cache_matches_lazy_lookups(self, small_trace):
         merged = small_trace.merged()
         baseline = Baseliner(n_shards=3).compute(small_trace, merged=merged)
-        preloaded = SignificanceCache(merged, preload=baseline.significance)
-        lazy = SignificanceCache(merged)
-        for item_i, item_j, _ in baseline.graph.edges():
-            assert preloaded.significance(item_i, item_j) == \
-                lazy.significance(item_i, item_j)
-            assert preloaded.normalized(item_i, item_j) == \
-                lazy.normalized(item_i, item_j)
-
-    def test_preloaded_cache_pure_python_backend(self, small_trace, monkeypatch):
-        """The sharded-significance → SignificanceCache preload path on
-        the pure-Python store backend (tier-1 only exercised it on
-        NumPy before): preloaded and lazy lookups must stay
-        bit-identical there too."""
-        monkeypatch.setenv("REPRO_PURE_PYTHON", "1")
-        # data.merged() derives a fresh table per call, so its memoized
-        # store is built under the patched backend selection.
-        merged = small_trace.merged()
-        assert not merged.matrix().uses_numpy
-        baseline = Baseliner(n_shards=3).compute(small_trace, merged=merged)
-        assert baseline.significance is not None
         preloaded = SignificanceCache(merged, preload=baseline.significance)
         lazy = SignificanceCache(merged)
         for item_i, item_j, _ in baseline.graph.edges():

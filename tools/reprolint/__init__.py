@@ -2,9 +2,9 @@
 
 The general-purpose linters (ruff, mypy) cannot see the invariants this
 codebase actually depends on: deterministic artifacts require
-``stable_hash`` instead of salted ``hash()``; the pure-Python fallback
-must never touch ``np.``; every write-then-rename must fsync the tmp
-file before the rename and the directory after; asyncio code must not
+``stable_hash`` instead of salted ``hash()``; every write-then-rename
+must fsync the tmp file before the rename and the directory after;
+asyncio code must not
 block the loop or swallow ``CancelledError``; and every named fault or
 crash point wired into a test must still exist in ``src/``. Each of
 those rules encodes an incident the repo already had once — see the

@@ -2,9 +2,8 @@
 
 reprolint is deliberately *not* generic — every constant here names a
 real seam of this repository. Keep the lists in sync with the module
-docstrings they mirror (``repro.data.matrix`` for the backend split,
-``repro.durability.faults`` / ``repro.faults.plan`` for the fault-point
-registry).
+docstrings they mirror (``repro.durability.faults`` /
+``repro.faults.plan`` for the fault-point registry).
 """
 
 from __future__ import annotations
@@ -26,30 +25,6 @@ DETERMINISTIC_TREES = (
 #: The one module allowed to consume entropy freely: the synthetic
 #: trace generator is seeded at its API boundary.
 DETERMINISM_EXEMPT = ("src/repro/data/synthetic.py",)
-
-#: Modules that implement the NumPy-vs-pure-python dual-backend
-#: dispatch (``try: import numpy as _np`` + ``use_numpy`` branches).
-#: Only these may import numpy *and* they must keep their pure
-#: branches numpy-free.
-DISPATCH_MODULES = (
-    "src/repro/cf/item_knn.py",
-    "src/repro/core/metapath_kernel.py",
-    "src/repro/data/matrix.py",
-    "src/repro/serving/service.py",
-    "src/repro/serving/snapshot.py",
-    "src/repro/similarity/knn.py",
-)
-
-#: NumPy-native features with no pure-python contract: the ALS
-#: competitor, the privacy mechanisms, the AlterEgo sampler and the
-#: synthetic generator (all documented numpy-only in README).
-NUMPY_NATIVE = (
-    "src/repro/competitors/als.py",
-    "src/repro/core/alterego.py",
-    "src/repro/data/synthetic.py",
-    "src/repro/engine/als_job.py",
-    "src/repro/privacy/",
-)
 
 #: Where async code runs on the event loop and must neither block it
 #: nor swallow cancellation.

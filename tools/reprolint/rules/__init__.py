@@ -9,7 +9,6 @@ from reprolint.rules.asyncio_hygiene import (
     CancelledErrorSwallowedRule,
     UnreferencedTaskRule,
 )
-from reprolint.rules.backend import NumpyImportRule, NumpyInFallbackRule
 from reprolint.rules.determinism import (
     SaltedHashRule,
     UnseededRandomRule,
@@ -24,8 +23,6 @@ ALL_RULES: tuple[Rule, ...] = (
     SaltedHashRule(),
     UnseededRandomRule(),
     WallClockRule(),
-    NumpyImportRule(),
-    NumpyInFallbackRule(),
     UnsyncedRenameRule(),
     BlockingCallInAsyncRule(),
     CancelledErrorSwallowedRule(),

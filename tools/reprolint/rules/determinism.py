@@ -1,5 +1,5 @@
 """Determinism rules: the artifact trees must be bit-identical across
-processes, backends and re-runs.
+processes and re-runs.
 
 * **REP101 salted-hash** — builtin ``hash()`` is salted per process
   (PYTHONHASHSEED); partition routing or tie-breaking on it churns
