@@ -49,7 +49,7 @@ def _best_run(store, n_edge_partitions: int, repeats: int = 3):
         gc.disable()
         try:
             result = sharded_adjacency(
-                store, n_shards=N_SHARDS, processes=0,
+                store, n_shards=N_SHARDS,
                 n_edge_partitions=n_edge_partitions, with_index=True)
         finally:
             gc.enable()

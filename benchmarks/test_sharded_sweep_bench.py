@@ -1,17 +1,17 @@
 """Shard-scaling microbenchmark for the partitioned Eq-6 sweep.
 
 Measures ``sharded_adjacency`` against the single-process store path
-(``MatrixRatingStore.build_adjacency``) across shard counts and
-executors, on the same synthetic tables as ``test_similarity_bench``.
+(``MatrixRatingStore.build_adjacency``) across shard counts, on the
+same synthetic tables as ``test_similarity_bench``.
 
 Two caveats the numbers must be read with:
 
-* this container exposes **one CPU**, so the process-pool rows measure
-  fork + pickle-back overhead, not parallel speedup — the column to
-  watch is ``max_shard_s``, the slowest single shard of the run: it is
-  the accumulation-stage critical path a pool would be bound by on real
-  cores (merge + adjacency assembly stay on the driver), and it shrinks
-  roughly linearly with the shard count;
+* shards run one after another in the driver, so ``seconds`` grows with
+  the shard count — the column to watch is ``max_shard_s``, the slowest
+  single shard of the run: it is the accumulation-stage critical path a
+  parallel executor would be bound by on real cores (merge + adjacency
+  assembly stay on the driver), and it shrinks roughly linearly with
+  the shard count;
 * the ``+sig`` row folds the Definition-2 significance counts for every
   co-rated pair into the same pass — its delta over the plain 4-shard
   row is the *total* cost of bulk significance (the per-pair lookups it
@@ -64,14 +64,12 @@ def _max_abs_diff(left: dict, right: dict) -> float:
 
 
 def test_shard_scaling():
-    """Store path vs sharded serial/pool executors, per size."""
+    """Store path vs the sharded sweep at 1, 2 and 4 shards, per size."""
     configs = [
-        ("serial x1", dict(n_shards=1, processes=0)),
-        ("serial x2", dict(n_shards=2, processes=0)),
-        ("serial x4", dict(n_shards=4, processes=0)),
-        ("pool2  x4", dict(n_shards=4, processes=2)),
-        ("pool4  x4", dict(n_shards=4, processes=4)),
-        ("serial x4 +sig", dict(n_shards=4, processes=0, with_significance=True)),
+        ("x1", dict(n_shards=1)),
+        ("x2", dict(n_shards=2)),
+        ("x4", dict(n_shards=4)),
+        ("x4 +sig", dict(n_shards=4, with_significance=True)),
     ]
     lines = [f"{'size':<8} {'config':<16} {'seconds':>9} {'vs_store':>9} "
              f"{'max_shard_s':>12}"]

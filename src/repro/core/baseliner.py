@@ -98,9 +98,6 @@ class Baseliner:
             reads ``REPRO_SHARDS``, 1 is the single-process store path.
             The sharded sweep additionally bulk-computes the
             Definition-2 significance counts in the same pass.
-        shard_processes: worker pool size for the sharded sweep;
-            ``None`` reads ``REPRO_SHARD_PROCS``, 0/1 runs the shards on
-            the serial executor (same output bit for bit).
         n_edge_partitions: item-partition count for the merge + assembly
             back half of the sharded sweep; ``None`` reads
             ``REPRO_EDGE_PARTITIONS`` and defaults to the shard count.
@@ -119,13 +116,11 @@ class Baseliner:
     def __init__(self, min_common_users: int = 1,
                  min_abs_similarity: float = 0.0,
                  n_shards: int | None = None,
-                 shard_processes: int | None = None,
                  n_edge_partitions: int | None = None,
                  keep_state: bool = False) -> None:
         self.min_common_users = min_common_users
         self.min_abs_similarity = min_abs_similarity
         self.n_shards = n_shards
-        self.shard_processes = shard_processes
         self.n_edge_partitions = n_edge_partitions
         self.keep_state = keep_state
 
@@ -149,7 +144,6 @@ class Baseliner:
         if self.keep_state:
             state = IncrementalSweep(
                 merged, n_shards=self.n_shards,
-                processes=self.shard_processes,
                 min_common_users=self.min_common_users,
                 min_abs_similarity=self.min_abs_similarity,
                 with_significance=resolve_n_shards(self.n_shards) > 1)
@@ -160,7 +154,6 @@ class Baseliner:
         elif resolve_n_shards(self.n_shards) > 1:
             result = sharded_adjacency(
                 merged, n_shards=self.n_shards,
-                processes=self.shard_processes,
                 min_common_users=self.min_common_users,
                 min_abs_similarity=self.min_abs_similarity,
                 with_significance=True,

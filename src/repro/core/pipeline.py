@@ -73,9 +73,6 @@ class XMapConfig:
             dataflow engine (``None`` reads ``REPRO_SHARDS``; 1 is the
             single-process store path). Sharded runs also bulk-compute
             the Definition-2 counts the Extender consumes.
-        shard_processes: worker pool size for the sharded sweep
-            (``None`` reads ``REPRO_SHARD_PROCS``; 0/1 = serial
-            executor, same output bit for bit).
         n_edge_partitions: item-partition count for the sweep's merge +
             adjacency-assembly back half (``None`` reads
             ``REPRO_EDGE_PARTITIONS`` and defaults to the shard count;
@@ -103,7 +100,6 @@ class XMapConfig:
     rho: float = 0.1
     min_common_users: int = 1
     n_shards: int | None = None
-    shard_processes: int | None = None
     n_edge_partitions: int | None = None
     incremental: bool = False
     seed: int = 0
@@ -127,10 +123,6 @@ class XMapConfig:
             raise ConfigError(
                 f"n_shards must be >= 1 (or None to read REPRO_SHARDS), "
                 f"got {self.n_shards}")
-        if self.shard_processes is not None and self.shard_processes < 0:
-            raise ConfigError(
-                f"shard_processes must be >= 0 (or None to read "
-                f"REPRO_SHARD_PROCS), got {self.shard_processes}")
         if self.n_edge_partitions is not None and self.n_edge_partitions < 1:
             raise ConfigError(
                 f"n_edge_partitions must be >= 1 (or None to read "
@@ -196,7 +188,6 @@ class _PipelineBase:
         baseliner = Baseliner(
             min_common_users=self.config.min_common_users,
             n_shards=self.config.n_shards,
-            shard_processes=self.config.shard_processes,
             n_edge_partitions=self.config.n_edge_partitions,
             keep_state=self.config.incremental)
         self.baseline = baseliner.compute(data, merged=merged)

@@ -62,8 +62,8 @@ class PairAccumulation:
     """Reduced Eq-6 pair accumulation over one user subset (one shard).
 
     Produced by :meth:`MatrixRatingStore.pair_accumulation` and merged by
-    :meth:`MatrixRatingStore.merge_accumulations` — the unit of work the
-    engine's sharded sweep ships between processes. Pairs are encoded as
+    :meth:`MatrixRatingStore.merge_accumulations` — the unit of work of
+    the engine's sharded sweep. Pairs are encoded as
     ``left * n_items + right`` integer keys with ``left < right``.
 
     ``keys`` is a strictly-increasing int64 array and ``sums`` /
@@ -690,8 +690,7 @@ class MatrixRatingStore:
         The integer counts merge exactly (addition of non-negative ints
         is associative). The float numerator partials are added per pair
         sequentially in part order, so for a fixed shard layout the
-        merged sums are deterministic and independent of *how* the shards
-        were executed (serial or process pool) — and a single-part merge
+        merged sums are deterministic — and a single-part merge
         returns the part untouched, which is what makes the 1-shard sweep
         bit-identical to the unsharded store path.
         """

@@ -1,10 +1,7 @@
 """Durability: write-ahead rating log, checkpoints, crash recovery.
 
-Three layers, bottom up:
+Two layers, bottom up:
 
-* :mod:`repro.durability.faults` — named crash points and the
-  deterministic :class:`~repro.durability.faults.CrashInjector`
-  (raise-or-``SIGKILL``) the whole layer is tested under.
 * :mod:`repro.durability.log` — :class:`~repro.durability.log.RatingLog`,
   the append-only CRC-framed segment-rotated batch log with fsync group
   commit and torn-tail repair.
@@ -15,40 +12,23 @@ Three layers, bottom up:
   :class:`~repro.durability.manager.CheckpointPolicy`, prunes the log
   below the watermark, and recovers bit-identically after any crash.
 
-The manager's names are exported lazily (PEP 562): the snapshot writer
-imports the fault hooks from this package, and an eager manager import
-would close that cycle back through :mod:`repro.serving.snapshot`
-mid-initialisation.
+Every dangerous filesystem transition in both (and in the snapshot
+writer) is a named :func:`~repro.faults.plan.fault_point`; the whole
+layer is tested by dying at each one under a
+:class:`~repro.faults.plan.FaultPlan` (raise-or-``SIGKILL``).
 """
 
 from __future__ import annotations
 
-from repro.durability.faults import (
-    CrashInjector,
-    InjectedCrash,
-    crash_point,
-    injected_crashes,
-)
 from repro.durability.log import LogInfo, LogRecord, RatingLog, SegmentInfo
-
-_MANAGER_EXPORTS = ("CheckpointPolicy", "DurableSweep", "RecoveryReport")
+from repro.durability.manager import CheckpointPolicy, DurableSweep, RecoveryReport
 
 __all__ = [
-    "CrashInjector",
-    "InjectedCrash",
-    "crash_point",
-    "injected_crashes",
+    "CheckpointPolicy",
+    "DurableSweep",
     "LogInfo",
     "LogRecord",
     "RatingLog",
+    "RecoveryReport",
     "SegmentInfo",
-    *_MANAGER_EXPORTS,
 ]
-
-
-def __getattr__(name: str):
-    if name in _MANAGER_EXPORTS:
-        from repro.durability import manager
-
-        return getattr(manager, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

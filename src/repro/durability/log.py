@@ -48,10 +48,10 @@ Durability discipline:
   snapshot manager, not in the log.
 
 Every dangerous transition (frame write, fsync, rotation, truncation,
-unlink) is bracketed by :func:`~repro.durability.faults.crash_point`
-hooks, and when an injector is armed the frame write is split around a
-crash point so a death there leaves a **genuinely torn frame** through
-the normal code path.
+unlink) is bracketed by :func:`~repro.faults.plan.fault_point` hooks,
+and when a fault plan is armed the frame write is split around a fault
+point so a death there leaves a **genuinely torn frame** through the
+normal code path.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ from typing import Iterable, Iterator, NamedTuple
 from zlib import crc32
 
 from repro.data.ratings import Rating
-from repro.durability import faults
 from repro.errors import DurabilityError
+from repro.faults.plan import active_plan, fault_point
 from repro.obs.metrics import get_registry
 
 _M_APPENDS = get_registry().counter(
@@ -324,12 +324,12 @@ class RatingLog:
         keep = {info.path for info in self._segments}
         for _, path in names:
             if path not in keep:
-                faults.crash_point("wal.repair.unlink")
+                fault_point("wal.repair.unlink")
                 path.unlink()
         for pos, info in enumerate(self._segments):
             if not info.torn:
                 continue
-            faults.crash_point("wal.repair.truncate")
+            fault_point("wal.repair.truncate")
             with open(info.path, "r+b") as handle:
                 if info.valid_bytes < len(SEGMENT_MAGIC):
                     handle.truncate(0)
@@ -347,7 +347,7 @@ class RatingLog:
                 max(info.valid_bytes, len(SEGMENT_MAGIC)),
                 None,
             )
-        faults.crash_point("wal.repair.dirsync")
+        fault_point("wal.repair.dirsync")
         _fsync_dir(self.directory)
 
     # ------------------------------------------------------------------
@@ -369,7 +369,7 @@ class RatingLog:
                 and active.n_records > 0
             ):
                 self.sync()
-                faults.crash_point("wal.rotate.close")
+                fault_point("wal.rotate.close")
                 self._file.close()
                 self._file = None
         if self._file is None:
@@ -380,11 +380,11 @@ class RatingLog:
             ):
                 first_seq = self.last_seq + 1
                 path = self.directory / _segment_name(first_seq)
-                faults.crash_point("wal.rotate.create")
+                fault_point("wal.rotate.create")
                 self._file = open(path, "xb")
                 self._file.write(SEGMENT_MAGIC)
                 self._file.flush()
-                faults.crash_point("wal.rotate.dirsync")
+                fault_point("wal.rotate.dirsync")
                 _fsync_dir(self.directory)
                 fresh = SegmentInfo(
                     path,
@@ -414,15 +414,15 @@ class RatingLog:
         crc = crc32(_CRC_PREFIX.pack(seq, len(payload)) + payload)
         frame = _HEADER.pack(seq, len(payload), crc) + payload
         handle = self._active_file(len(frame))
-        faults.crash_point("wal.append.write")
-        if faults.is_active() and len(frame) > 1:
-            # Under an armed injector the frame lands in two flushed
-            # halves with a crash point between them, so dying there
+        fault_point("wal.append.write")
+        if active_plan() is not None and len(frame) > 1:
+            # Under an armed fault plan the frame lands in two flushed
+            # halves with a fault point between them, so dying there
             # leaves a real torn frame for recovery to truncate.
             split = max(1, len(frame) // 2)
             handle.write(frame[:split])
             handle.flush()
-            faults.crash_point("wal.append.torn")
+            fault_point("wal.append.torn")
             handle.write(frame[split:])
         else:
             handle.write(frame)
@@ -448,7 +448,7 @@ class RatingLog:
         """fsync the active segment; returns the durable watermark."""
         self._require_writable()
         if self._pending and self._file is not None:
-            faults.crash_point("wal.fsync")
+            fault_point("wal.fsync")
             if self.fsync_enabled:
                 started = time.perf_counter()
                 os.fsync(self._file.fileno())
@@ -492,11 +492,11 @@ class RatingLog:
         deleted = 0
         while len(self._segments) > 1 and self._segments[0].last_seq <= upto_seq:
             info = self._segments.pop(0)
-            faults.crash_point("wal.prune.unlink")
+            fault_point("wal.prune.unlink")
             info.path.unlink()
             deleted += 1
         if deleted:
-            faults.crash_point("wal.prune.dirsync")
+            fault_point("wal.prune.dirsync")
             _fsync_dir(self.directory)
         return deleted
 
@@ -515,10 +515,10 @@ class RatingLog:
             self._file.close()
             self._file = None
         for info in self._segments:
-            faults.crash_point("wal.reset.unlink")
+            fault_point("wal.reset.unlink")
             info.path.unlink()
         path = self.directory / _segment_name(seq + 1)
-        faults.crash_point("wal.reset.create")
+        fault_point("wal.reset.create")
         with open(path, "xb") as handle:
             handle.write(SEGMENT_MAGIC)
             handle.flush()

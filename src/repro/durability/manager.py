@@ -51,10 +51,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from repro.durability import faults
 from repro.durability.log import LogInfo, RatingLog, _fsync_dir
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import DurabilityError
+from repro.faults.plan import fault_point
 from repro.serving.snapshot import ModelSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -158,7 +158,6 @@ class DurableSweep:
         table: "RatingTable | None" = None,
         *,
         n_shards: int | None = None,
-        processes: int | None = None,
         min_common_users: int = 1,
         min_abs_similarity: float = 0.0,
         with_significance: bool = False,
@@ -194,7 +193,6 @@ class DurableSweep:
         self.sweep = IncrementalSweep(
             table,
             n_shards=n_shards,
-            processes=processes,
             min_common_users=min_common_users,
             min_abs_similarity=min_abs_similarity,
             with_significance=with_significance,
@@ -277,7 +275,7 @@ class DurableSweep:
         self.log.sync()
         seq = self.applied_seq
         snapshot_dir = self.directory / _SNAPSHOT_DIR / _checkpoint_name(seq)
-        faults.crash_point("checkpoint.snapshot.save")
+        fault_point("checkpoint.snapshot.save")
         ModelSnapshot.from_sweep(
             self.sweep,
             cf_k=self.cf_k,
@@ -303,16 +301,16 @@ class DurableSweep:
             },
         }
         tmp_path = self.directory / (CHECKPOINT_FILE + ".tmp")
-        faults.crash_point("checkpoint.pointer.write")
+        fault_point("checkpoint.pointer.write")
         with open(tmp_path, "w", encoding="utf-8") as handle:
             json.dump(pointer, handle, indent=2, sort_keys=True)
             handle.write("\n")
             handle.flush()
-            faults.crash_point("checkpoint.pointer.fsync")
+            fault_point("checkpoint.pointer.fsync")
             os.fsync(handle.fileno())
-        faults.crash_point("checkpoint.pointer.rename")
+        fault_point("checkpoint.pointer.rename")
         os.replace(tmp_path, self.directory / CHECKPOINT_FILE)
-        faults.crash_point("checkpoint.pointer.dirsync")
+        fault_point("checkpoint.pointer.dirsync")
         _fsync_dir(self.directory)
 
         # Compaction below the adopted watermark: old log segments and
@@ -323,7 +321,7 @@ class DurableSweep:
         snapshots_root = self.directory / _SNAPSHOT_DIR
         for stale in sorted(snapshots_root.iterdir()):
             if stale.name != _checkpoint_name(seq) and stale.is_dir():
-                faults.crash_point("checkpoint.prune.snapshot")
+                fault_point("checkpoint.prune.snapshot")
                 shutil.rmtree(stale)
         self._batches_since_checkpoint = 0
         self._last_checkpoint_monotonic = time.monotonic()
@@ -339,7 +337,6 @@ class DurableSweep:
         directory,
         *,
         n_shards: int | None = None,
-        processes: int | None = None,
         policy: CheckpointPolicy | None = None,
         group_commit: int | None = None,
         fsync: bool | None = None,
@@ -356,10 +353,9 @@ class DurableSweep:
         The result is bit-identical (per shard count) to a
         writer that never crashed after its last durable append.
 
-        Overrides (*n_shards*, *processes*, *policy*,
-        *group_commit*, *fsync*) default to the persisted
-        configuration. The recovery telemetry lands in
-        :attr:`last_recovery`.
+        Overrides (*n_shards*, *policy*, *group_commit*, *fsync*)
+        default to the persisted configuration. The recovery telemetry
+        lands in :attr:`last_recovery`.
         """
         started = time.perf_counter()
         directory = Path(directory)
@@ -421,7 +417,6 @@ class DurableSweep:
         instance.sweep = IncrementalSweep(
             snapshot.table(),
             n_shards=n_shards,
-            processes=processes,
             min_common_users=int(config["min_common_users"]),
             min_abs_similarity=float(config["min_abs_similarity"]),
             with_significance=bool(config["with_significance"]),

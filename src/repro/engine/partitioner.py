@@ -7,15 +7,16 @@ for strings, and a simulator whose partition sizes change between runs
 would make every timing test flaky.
 
 ``repr``-stability is what makes this safe to use across *real*
-processes too (the sharded Eq-6 sweep hands per-shard user sets to a
-``multiprocessing`` pool): for the key types the engine shuffles —
+processes too (the sharded Eq-6 sweep's shard layout has to come out
+the same in the process that recovers a durable store as in the one
+that wrote it): for the key types the engine shuffles —
 ``str``, ``bytes``, ``int``, ``bool``, ``None``, and ``float``, plus
 tuples of them — CPython's ``repr`` is a pure function of the value.
 Floats in particular repr as the shortest round-tripping decimal string
 (guaranteed since CPython 3.1), identical in every process and on every
 platform for finite values, infinities and NaN; so a tuple key like
-``("u42", 3.5)`` lands on the same partition in the driver and in every
-worker. Two classes of keys silently violate this and are rejected with
+``("u42", 3.5)`` lands on the same partition in every process. Two
+classes of keys silently violate this and are rejected with
 :class:`~repro.errors.EngineError` instead of partitioning
 nondeterministically: objects falling back to ``object.__repr__``
 (their repr embeds the per-process ``id()``) and sets/frozensets at any

@@ -23,18 +23,14 @@ execution substrate of the offline pipeline:
   had become the larger half of graph build, see
   ``benchmarks/results/sharded_sweep_*``).
 
-Shards execute on a serial in-driver executor or on a ``fork``-based
-``multiprocessing`` pool; shard tasks are submitted largest-first (the
-LPT discipline of :func:`~repro.engine.scheduler.stage_makespan`), and
-the measured per-shard durations are reported as a real
-:class:`~repro.engine.metrics.StageReport` so real runs and simulated
-runs speak the same vocabulary.
+Shards execute one after another in the driver; the measured per-shard
+durations are kept in :class:`SweepStats`, whose maximum is the critical
+path a parallel executor would be bound by.
 
 Determinism contract — property-tested in ``tests/test_sharded_sweep.py``:
 
-* for a **fixed shard count**, the output is bit-identical whichever
-  executor runs the shards (the merge adds per-shard partials in shard
-  index order, never completion order);
+* for a **fixed shard count**, the output is a pure function of the
+  table (the merge adds per-shard partials in shard index order);
 * with **one shard** the sweep *is* the unsharded store path —
   bit-identical to
   :meth:`~repro.data.matrix.MatrixRatingStore.build_adjacency`;
@@ -47,21 +43,17 @@ Determinism contract — property-tested in ``tests/test_sharded_sweep.py``:
   bit-identical to the single driver pass for any ``n_edge_partitions``.
 
 Shard count comes from the ``n_shards`` argument or the ``REPRO_SHARDS``
-environment variable (the CI matrix runs a ``REPRO_SHARDS=4`` leg);
-worker processes from ``processes`` or ``REPRO_SHARD_PROCS`` (default:
-serial; asking for more workers than shards draws a ``RuntimeWarning`` —
-the extra forks are pure overhead). The assembly partition count comes
-from ``n_edge_partitions`` / ``REPRO_EDGE_PARTITIONS`` and defaults to
-the shard count.
+environment variable (the CI matrix runs a ``REPRO_SHARDS=4`` leg). The
+assembly partition count comes from ``n_edge_partitions`` /
+``REPRO_EDGE_PARTITIONS`` and defaults to the shard count.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.data.matrix import (
     MatrixRatingStore,
@@ -70,11 +62,8 @@ from repro.data.matrix import (
     StoreDelta,
 )
 from repro.data.ratings import Rating, RatingTable
-from repro.engine.cluster import ClusterSpec
 from repro.obs.metrics import get_registry, observe_stage_seconds
-from repro.engine.metrics import StageReport
 from repro.engine.partitioner import HashPartitioner
-from repro.engine.scheduler import stage_makespan
 from repro.errors import DataError, EngineError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -84,7 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.similarity.knn import NeighborIndex
 
 _SHARDS_ENV = "REPRO_SHARDS"
-_PROCS_ENV = "REPRO_SHARD_PROCS"
 _EDGE_PARTITIONS_ENV = "REPRO_EDGE_PARTITIONS"
 
 
@@ -111,16 +99,6 @@ def resolve_n_shards(n_shards: int | None = None) -> int:
     return n_shards
 
 
-def resolve_processes(processes: int | None = None) -> int:
-    """The effective worker-pool size: the explicit argument, else
-    ``REPRO_SHARD_PROCS``, else 0 (serial in-driver execution)."""
-    if processes is None:
-        return _positive_int_env(_PROCS_ENV, 0)
-    if processes < 0:
-        raise EngineError(f"processes must be >= 0, got {processes}")
-    return processes
-
-
 def resolve_edge_partitions(
     n_edge_partitions: int | None = None,
     n_shards: int = 1,
@@ -143,18 +121,12 @@ class SweepStats:
 
     Attributes:
         n_shards: shard count the layout was computed for.
-        processes: pool size used (0 = serial in-driver execution).
         shard_users: eligible users per shard.
-        shard_costs: estimated pair contributions per shard
-            (``Σ |X_u|·(|X_u|−1)/2``) — the LPT submission weights.
         shard_pairs: distinct co-rated pairs each shard produced.
         durations: measured per-shard wall seconds, indexed by shard.
         merge_seconds: wall seconds spent merging the shard bincounts
             (summed over item partitions when assembly is partitioned —
             each partition merges only its own pairs).
-        report: the shard stage as an engine
-            :class:`~repro.engine.metrics.StageReport` (LPT makespan of
-            the measured durations on ``max(processes, 1)`` slots).
         n_edge_partitions: item-partition count of the assembly stage
             (1 = the single driver pass). The assembly fields below are
             filled by :func:`sharded_adjacency` — length-1 tuples on
@@ -171,13 +143,10 @@ class SweepStats:
     """
 
     n_shards: int
-    processes: int
     shard_users: tuple[int, ...]
-    shard_costs: tuple[int, ...]
     shard_pairs: tuple[int, ...]
     durations: tuple[float, ...]
     merge_seconds: float
-    report: StageReport
     n_edge_partitions: int = 1
     split_seconds: float = 0.0
     partition_pairs: tuple[int, ...] = ()
@@ -237,165 +206,45 @@ def shard_user_indices(store: MatrixRatingStore, n_shards: int) -> list[list[int
     return HashPartitioner(n_shards).split(store.users)
 
 
-def _shard_costs(
-    store: MatrixRatingStore,
-    shards: Sequence[Sequence[int]],
-    max_profile_size: int | None,
-) -> list[int]:
-    """Estimated pair contributions per shard — the quadratic fan-out
-    ``Σ |X_u|·(|X_u|−1)/2`` over the shard's eligible users."""
-    ptr = store.user_ptr
-    costs = []
-    for shard in shards:
-        total = 0
-        for u in shard:
-            length = int(ptr[u + 1]) - int(ptr[u])
-            if length < 2:
-                continue
-            if max_profile_size is not None and length > max_profile_size:
-                continue
-            total += length * (length - 1) // 2
-        costs.append(total)
-    return costs
-
-
-# Worker-side state for the process pool. The pool is created with the
-# ``fork`` start method, so the initializer arguments reach the workers
-# by address-space inheritance — the store's arrays are never pickled.
-_worker_store: MatrixRatingStore | None = None
-_worker_max_profile: int | None = None
-_worker_significance = False
-
-
-def _init_worker(
-    store: MatrixRatingStore,
-    max_profile_size: int | None,
-    with_significance: bool,
-) -> None:
-    global _worker_store, _worker_max_profile, _worker_significance
-    _worker_store = store
-    _worker_max_profile = max_profile_size
-    _worker_significance = with_significance
-
-
-def _run_shard(task: tuple[int, list[int]]) -> tuple[int, PairAccumulation, float]:
-    shard_id, users = task
-    start = time.perf_counter()
-    acc = _worker_store.pair_accumulation(
-        users,
-        max_profile_size=_worker_max_profile,
-        with_significance=_worker_significance,
-    )
-    return shard_id, acc, time.perf_counter() - start
-
-
-def _fork_context():
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
-def _warn_excess_processes(processes: int, n_shards: int) -> None:
-    """Satellite guard: asking for more workers than shards is silently
-    wasteful (the pool is clamped, but every forked worker still pays
-    startup and result-pickling overhead) — say so once per sweep."""
-    if processes > n_shards:
-        warnings.warn(
-            f"shard_processes={processes} exceeds n_shards={n_shards}: "
-            f"only {n_shards} shard tasks exist, so the pool is clamped "
-            f"to {n_shards} and the extra workers would only add fork "
-            f"overhead. On single-CPU containers prefer the serial "
-            f"executor and read max(durations) as the parallel critical "
-            f"path (see benchmarks/results/sharded_sweep_*).",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def _execute_shards(
     store: MatrixRatingStore,
     n_shards: int,
-    processes: int,
     max_profile_size: int | None,
     with_significance: bool,
-) -> tuple[list[list[int]], list[int], list[PairAccumulation], list[float], int]:
-    """Partition the users, submit the shard tasks (LPT) and run them.
+) -> tuple[list[list[int]], list[PairAccumulation], list[float]]:
+    """Partition the users and run the shard tasks in the driver.
 
-    Returns ``(shards, costs, parts, durations, effective_processes)``
-    with *parts* indexed by shard id whatever executor ran them.
+    Returns ``(shards, parts, durations)``, each indexed by shard id.
     """
     shards = shard_user_indices(store, n_shards)
-    costs = _shard_costs(store, shards, max_profile_size)
-    # LPT submission: largest shard first, so a pool never ends with one
-    # big straggler queued behind small tasks (the same discipline the
-    # simulated scheduler applies to stage tasks).
-    submission = sorted(range(n_shards), key=lambda s: (-costs[s], s))
-    tasks = [(shard_id, shards[shard_id]) for shard_id in submission]
-
-    parts: list[PairAccumulation | None] = [None] * n_shards
-    durations = [0.0] * n_shards
-    pool_size = min(processes, n_shards) if processes > 1 else 0
-    context = _fork_context() if pool_size > 1 else None
-    if context is not None:
-        with context.Pool(
-            pool_size,
-            initializer=_init_worker,
-            initargs=(store, max_profile_size, with_significance),
-        ) as pool:
-            for shard_id, acc, elapsed in pool.imap_unordered(_run_shard, tasks):
-                parts[shard_id] = acc
-                durations[shard_id] = elapsed
-        effective_processes = pool_size
-    else:
-        # Serial executor (also the fallback when fork is unavailable):
-        # same tasks, same submission order, same merge.
-        _init_worker(store, max_profile_size, with_significance)
-        for task in tasks:
-            shard_id, acc, elapsed = _run_shard(task)
-            parts[shard_id] = acc
-            durations[shard_id] = elapsed
-        _init_worker(None, None, False)
-        effective_processes = 0
-    return shards, costs, parts, durations, effective_processes
+    parts: list[PairAccumulation] = []
+    durations: list[float] = []
+    for users in shards:
+        start = time.perf_counter()
+        parts.append(
+            store.pair_accumulation(
+                users,
+                max_profile_size=max_profile_size,
+                with_significance=with_significance,
+            )
+        )
+        durations.append(time.perf_counter() - start)
+    return shards, parts, durations
 
 
 def _sweep_stats(
-    n_shards: int,
     shards,
-    costs,
     parts,
     durations,
-    effective_processes: int,
-    records_out: int,
     merge_seconds: float,
     **assembly_fields,
 ) -> SweepStats:
-    slots = max(effective_processes, 1)
-    executor = f"pool={slots}" if effective_processes else "serial"
-    report = StageReport(
-        stage_id=0,
-        description=f"sharded Eq-6 sweep ({n_shards} shards, {executor})",
-        n_tasks=n_shards,
-        records_in=sum(len(shard) for shard in shards),
-        records_out=records_out,
-        shuffle_records=sum(part.n_pairs for part in parts),
-        task_durations=tuple(durations),
-        makespan=stage_makespan(
-            durations,
-            ClusterSpec(n_machines=slots, n_slots_per_machine=1),
-        ),
-    )
     return SweepStats(
-        n_shards=n_shards,
-        processes=effective_processes,
+        n_shards=len(shards),
         shard_users=tuple(len(shard) for shard in shards),
-        shard_costs=tuple(costs),
         shard_pairs=tuple(part.n_pairs for part in parts),
         durations=tuple(durations),
         merge_seconds=merge_seconds,
-        report=report,
         **assembly_fields,
     )
 
@@ -403,7 +252,6 @@ def _sweep_stats(
 def sharded_pair_accumulation(
     store: MatrixRatingStore,
     n_shards: int | None = None,
-    processes: int | None = None,
     max_profile_size: int | None = None,
     with_significance: bool = False,
 ) -> tuple[PairAccumulation, SweepStats]:
@@ -411,16 +259,12 @@ def sharded_pair_accumulation(
 
     Returns the merged :class:`~repro.data.matrix.PairAccumulation` plus
     the sweep's :class:`SweepStats`. Shards are merged in shard-index
-    order whatever executor ran them, which is what makes the result a
-    pure function of (table, shard count).
+    order, which is what makes the result a pure function of (table,
+    shard count).
     """
-    n_shards = resolve_n_shards(n_shards)
-    processes = resolve_processes(processes)
-    _warn_excess_processes(processes, n_shards)
-    shards, costs, parts, durations, effective_processes = _execute_shards(
+    shards, parts, durations = _execute_shards(
         store,
-        n_shards,
-        processes,
+        resolve_n_shards(n_shards),
         max_profile_size,
         with_significance,
     )
@@ -428,23 +272,12 @@ def sharded_pair_accumulation(
     merge_start = time.perf_counter()
     merged = store.merge_accumulations(parts)
     merge_seconds = time.perf_counter() - merge_start
-    stats = _sweep_stats(
-        n_shards,
-        shards,
-        costs,
-        parts,
-        durations,
-        effective_processes,
-        records_out=merged.n_pairs,
-        merge_seconds=merge_seconds,
-    )
-    return merged, stats
+    return merged, _sweep_stats(shards, parts, durations, merge_seconds)
 
 
 def sharded_adjacency(
     table: RatingTable | MatrixRatingStore,
     n_shards: int | None = None,
-    processes: int | None = None,
     min_common_users: int = 1,
     min_abs_similarity: float = 0.0,
     max_profile_size: int | None = None,
@@ -460,9 +293,6 @@ def sharded_adjacency(
             or a prebuilt store.
         n_shards: shard count; ``None`` reads ``REPRO_SHARDS`` (1 =
             unsharded, bit-identical to the store path).
-        processes: worker pool size; ``None`` reads ``REPRO_SHARD_PROCS``
-            (0/1 = serial executor). Values > 1 fork a pool; platforms
-            without ``fork`` fall back to serial with identical output.
         min_common_users: minimum co-raters for an edge.
         min_abs_similarity: magnitude floor for edges.
         max_profile_size: skew guard on profile length. Incompatible with
@@ -492,13 +322,10 @@ def sharded_adjacency(
         )
     store = table.matrix() if isinstance(table, RatingTable) else table
     n_shards = resolve_n_shards(n_shards)
-    processes = resolve_processes(processes)
     n_edge_partitions = resolve_edge_partitions(n_edge_partitions, n_shards)
-    _warn_excess_processes(processes, n_shards)
-    shards, costs, parts, durations, effective_processes = _execute_shards(
+    shards, parts, durations = _execute_shards(
         store,
         n_shards,
-        processes,
         max_profile_size,
         with_significance,
     )
@@ -552,13 +379,9 @@ def sharded_adjacency(
             common.update(common_p)
 
     stats = _sweep_stats(
-        n_shards,
         shards,
-        costs,
         parts,
         durations,
-        effective_processes,
-        records_out=sum(part.n_pairs for part in merged_parts),
         merge_seconds=sum(partition_merge_seconds),
         n_edge_partitions=n_edge_partitions,
         split_seconds=split_seconds,
@@ -696,9 +519,6 @@ class IncrementalSweep:
         table: the initial aggregated rating table.
         n_shards: shard count for both the build and every delta
             re-accumulation (``None`` reads ``REPRO_SHARDS``).
-        processes: worker pool for the build's shard stage (``None``
-            reads ``REPRO_SHARD_PROCS``; deltas are driver-side — they
-            are far too small to amortise a fork).
         min_common_users / min_abs_similarity: edge filters, as in
             :func:`sharded_adjacency`.
         with_significance: also maintain the bulk Definition-2 counts.
@@ -716,7 +536,6 @@ class IncrementalSweep:
         self,
         table: RatingTable,
         n_shards: int | None = None,
-        processes: int | None = None,
         min_common_users: int = 1,
         min_abs_similarity: float = 0.0,
         with_significance: bool = False,
@@ -736,7 +555,6 @@ class IncrementalSweep:
         self.accumulation, self.build_stats = sharded_pair_accumulation(
             self.store,
             n_shards=self.n_shards,
-            processes=processes,
             with_significance=with_significance,
         )
         assembled = self.store.assemble_from_partitions(

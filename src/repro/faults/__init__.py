@@ -1,21 +1,18 @@
-"""General seeded fault injection for the whole serving stack.
+"""Seeded fault injection for the whole stack — the one injector.
 
-``repro.durability.faults`` (PR 6) injects one fault family — process
-death at named crash points — which is exactly what a durability layer
-needs and nothing a *network* tier can be tested with: a gateway also
-has to survive slow peers, torn and corrupt frames, and dropped
-responses. This package generalises the crash-point idea into a
-:class:`~repro.faults.plan.FaultPlan`: a seeded, serialisable schedule
-of :class:`~repro.faults.plan.FaultRule` entries that can **delay**,
-**drop**, **corrupt**, **tear**, **error** or **kill** at any named
-point, activated in-process or through the environment in worker
-subprocesses.
-
-The plan is a strict superset of the PR-6 crash points: every
-:func:`~repro.faults.plan.fault_point` is also a durability crash
-point (``REPRO_CRASH_POINT`` fires there), and every durability crash
-point consults the plan (a delay rule can slow a WAL fsync without any
-durability-layer change).
+A :class:`~repro.faults.plan.FaultPlan` is a seeded, serialisable
+schedule of :class:`~repro.faults.plan.FaultRule` entries that can
+**delay**, **drop**, **corrupt**, **tear**, **error**, **crash** or
+**kill** at any named point, activated in-process
+(:func:`~repro.faults.plan.injected_faults`) or through
+``REPRO_FAULT_PLAN`` in subprocesses. Code under test declares its
+points with one of two hooks: :func:`~repro.faults.plan.fault_point`
+at a plain point (the durability layer's filesystem transitions, the
+gateway worker's request/load steps) and
+:func:`~repro.faults.plan.frame_fault` where bytes are about to go on
+the wire. A delay rule can slow a WAL fsync and a crash rule can die
+between a snapshot's manifest write and its rename through the same
+plan that drops a gateway frame.
 """
 
 from repro.faults.plan import (
@@ -23,6 +20,7 @@ from repro.faults.plan import (
     SPAWN_SEQ_ENV,
     FaultPlan,
     FaultRule,
+    InjectedCrash,
     InjectedFault,
     active_plan,
     fault_point,
@@ -37,6 +35,7 @@ __all__ = [
     "SPAWN_SEQ_ENV",
     "FaultPlan",
     "FaultRule",
+    "InjectedCrash",
     "InjectedFault",
     "active_plan",
     "fault_point",

@@ -1,8 +1,9 @@
 """Seeded fault plans: which named point misbehaves, how, and when.
 
 A :class:`FaultPlan` is an ordered list of :class:`FaultRule` entries
-plus a seed. Code under test declares **named points** — the existing
-durability crash points plus the gateway's transport points
+plus a seed. Code under test declares **named points** — every
+dangerous filesystem transition of the write-ahead log, the snapshot
+writer and the checkpoint manager, plus the gateway's transport points
 (``gateway.worker.request``, ``gateway.worker.send``,
 ``gateway.worker.load``) — and the plan decides, deterministically per
 seed, whether each visit misbehaves:
@@ -13,9 +14,13 @@ kind       effect at a firing visit
 delay      sleep ``delay_s`` seconds, then proceed normally
 error      raise :class:`InjectedFault` (a retryable synthetic error —
            the gateway worker maps it to a retryable error response)
-crash      raise :class:`~repro.durability.faults.InjectedCrash`
-           (simulated process death; a ``BaseException``)
-kill       ``SIGKILL`` the current process — real, uncatchable death
+crash      raise :class:`InjectedCrash` (simulated process death; a
+           ``BaseException``): the harness catches it, abandons every
+           in-memory object — what a real crash does to them — and
+           drives recovery against whatever bytes reached the disk
+kill       ``SIGKILL`` the current process — real, uncatchable death;
+           in a subprocess armed through the environment, the
+           strongest crash model a single machine offers
 drop       frame points only: swallow the outgoing frame entirely (the
            peer sees silence, i.e. a hang)
 corrupt    frame points only: clobber the length header with an
@@ -43,9 +48,17 @@ a rule with ``max_spawn_seq=2`` only fires in the first two spawned
 workers, which is how a test says "the first two workers die during
 snapshot load; their replacements come up clean".
 
-Activation mirrors ``durability.faults``: :func:`install_plan` /
-:func:`injected_faults` in-process, or ``REPRO_FAULT_PLAN`` (the
-plan's JSON) in subprocess environments.
+Activation is :func:`install_plan` / :func:`injected_faults`
+in-process, or ``REPRO_FAULT_PLAN`` (the plan's JSON,
+:meth:`FaultPlan.to_env`) in subprocess environments.
+
+The plan counts every visit (:attr:`FaultPlan.visited`), so a test can
+first run a scenario under an empty plan to enumerate its points, then
+sweep *every* index with a one-rule ``FaultRule("*", "crash", after=n,
+times=1)`` — the property harness in ``tests/test_durability.py`` does
+exactly that. While any plan is armed the WAL splits each frame write
+around the ``wal.append.torn`` point, so dying there leaves a genuinely
+half-written record rather than an all-or-nothing buffer drop.
 """
 
 from __future__ import annotations
@@ -58,7 +71,6 @@ import signal
 import time
 from dataclasses import dataclass, field
 
-from repro.durability.faults import InjectedCrash
 from repro.errors import ReproError
 from repro.obs.metrics import get_registry
 
@@ -87,13 +99,27 @@ FRAME_ONLY_KINDS = ("drop", "corrupt", "torn")
 POINT_KINDS = ("delay", "error", "crash", "kill")
 
 
+class InjectedCrash(BaseException):
+    """A simulated process death at a named point.
+
+    Deliberately **not** a :class:`ReproError` (nor an
+    :class:`Exception`): library code must never catch it, the same way
+    it cannot catch a power loss.
+    """
+
+    def __init__(self, point: str, hit: int) -> None:
+        super().__init__(f"injected crash at {point!r} (hit #{hit})")
+        self.point = point
+        self.hit = hit
+
+
 class InjectedFault(ReproError):
     """A synthetic *recoverable* fault at a named point.
 
-    Unlike :class:`~repro.durability.faults.InjectedCrash` this is an
-    ordinary :class:`~repro.errors.ReproError`: it models a transient
-    failure the caller is expected to survive (the gateway worker
-    answers it as a retryable error response), not a process death.
+    Unlike :class:`InjectedCrash` this is an ordinary
+    :class:`~repro.errors.ReproError`: it models a transient failure
+    the caller is expected to survive (the gateway worker answers it as
+    a retryable error response), not a process death.
     """
 
     def __init__(self, point: str, hit: int) -> None:
@@ -239,11 +265,29 @@ class FaultPlan:
         return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        return cls(
-            seed=int(data.get("seed", 0)),
-            rules=[FaultRule(**rule) for rule in data.get("rules", [])],
-        )
+    def from_dict(cls, data: object) -> "FaultPlan":
+        """Build a plan from parsed JSON; anything of the wrong shape is
+        a :class:`~repro.errors.ReproError` naming the key or rule at
+        fault — the plan arrives through the environment, and is parsed
+        inside whichever fault point a process visits first."""
+        if not isinstance(data, dict):
+            raise ReproError(
+                f"fault plan must be a JSON object, got {type(data).__name__}"
+            )
+        seed, rules = data.get("seed", 0), data.get("rules", [])
+        if not isinstance(seed, int):
+            raise ReproError(f"fault plan 'seed' must be an integer, got {seed!r}")
+        if not isinstance(rules, list):
+            raise ReproError(f"fault plan 'rules' must be a list, got {rules!r}")
+        plan_rules = []
+        for index, rule in enumerate(rules):
+            try:
+                plan_rules.append(FaultRule(**rule))
+            except (TypeError, ReproError) as exc:
+                # TypeError: not an object, an unknown or missing key
+                # (the message names it), or a value of the wrong type.
+                raise ReproError(f"fault plan rule #{index}: {exc}") from exc
+        return cls(seed=seed, rules=plan_rules)
 
     @classmethod
     def from_json(cls, raw: str) -> "FaultPlan":
@@ -259,7 +303,7 @@ class FaultPlan:
 
 
 # ----------------------------------------------------------------------
-# Process-wide activation (mirrors durability.faults' injector)
+# Process-wide activation
 # ----------------------------------------------------------------------
 
 _plan: FaultPlan | None = None
@@ -275,7 +319,7 @@ def _spawn_seq() -> int:
 
 
 def install_plan(plan: FaultPlan) -> None:
-    """Arm *plan* for every subsequent fault/crash point in-process."""
+    """Arm *plan* for every subsequent fault point in-process."""
     global _plan
     _plan = plan
     _M_PLANS.inc()
@@ -334,14 +378,9 @@ def _apply(rule: FaultRule, point: str, hit: int) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def plan_visit(point: str) -> None:
-    """Consult the armed plan at a plain named point.
-
-    This is also called from
-    :func:`repro.durability.faults.crash_point`, which makes the plan a
-    superset of the durability crash points: a delay/kill rule can fire
-    at ``wal.fsync`` without the durability layer changing at all.
-    """
+def fault_point(point: str) -> None:
+    """Declare a plain named point: the armed plan's delay / error /
+    crash / kill rules fire here. Free when nothing is armed."""
     plan = active_plan()
     if plan is None:
         return
@@ -350,29 +389,13 @@ def plan_visit(point: str) -> None:
         _apply(rule, point, plan.visited.get(point, 1))
 
 
-def fault_point(point: str) -> None:
-    """Declare a named fault point.
-
-    Equivalent to :func:`repro.durability.faults.crash_point` — the
-    crash injector (``REPRO_CRASH_POINT``) fires here too — plus the
-    plan's delay/error/kill kinds. Free when nothing is armed.
-    """
-    from repro.durability.faults import crash_point
-
-    # crash_point consults the injector *and* calls plan_visit back.
-    crash_point(point)
-
-
 def frame_fault(point: str) -> FaultRule | None:
-    """Consult injector + plan where bytes are about to hit the wire.
+    """Consult the plan where bytes are about to hit the wire.
 
     Returns the rule for the caller to apply when its kind needs the
     bytes (``delay``/``drop``/``corrupt``/``torn``); process-death
     kinds are applied here directly.
     """
-    from repro.durability.faults import injector_visit
-
-    injector_visit(point)
     plan = active_plan()
     if plan is None:
         return None

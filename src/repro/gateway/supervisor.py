@@ -295,8 +295,7 @@ class WorkerPool:
             tagged ``stale: true`` instead of failing.
         jitter_seed: seed for the backoff jitter (tests pin it).
         worker_env: extra environment for worker processes (the fault
-            harness injects ``REPRO_FAULT_PLAN`` / ``REPRO_CRASH_POINT``
-            here).
+            harness injects ``REPRO_FAULT_PLAN`` here).
     """
 
     def __init__(

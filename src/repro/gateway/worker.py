@@ -24,10 +24,10 @@ harness (:mod:`repro.faults`) can perturb it from the environment:
 ``gateway.worker.load`` before the snapshot source is opened (a kill
 here is a death *during load*, before the first health OK; a delay is
 a slow load), ``gateway.worker.request`` once per request frame
-(SIGKILL mid-flight — ``REPRO_CRASH_POINT=gateway.worker.request:3``
-still works, and a plan can also delay or inject retryable errors),
-and ``gateway.worker.send`` inside every outgoing frame (drop /
-corrupt / torn — see :mod:`repro.gateway.protocol`).
+(a ``kill`` rule with ``after=3`` is a SIGKILL mid-flight; a plan can
+also delay or inject retryable errors), and ``gateway.worker.send``
+inside every outgoing frame (drop / corrupt / torn — see
+:mod:`repro.gateway.protocol`).
 
 Two request-level contracts ride in the frame:
 

@@ -46,8 +46,8 @@ import numpy as _np
 
 from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import DEFAULT_SCALE, Rating, RatingTable
-from repro.durability.faults import crash_point
 from repro.errors import ServingError
+from repro.faults.plan import fault_point
 from repro.similarity.knn import NeighborIndex
 from repro.similarity.significance import SignificanceTable
 
@@ -120,7 +120,7 @@ def _dump_array(path: Path, values, kind: str) -> None:
     """Write *values* as raw little-endian bytes (exact float bits),
     fsynced — the manifest only means "complete" if every array it
     names is on stable storage before the manifest is."""
-    crash_point("snapshot.array.write")
+    fault_point("snapshot.array.write")
     if isinstance(values, _np.memmap):
         # Saving a loaded snapshot (possibly into its own
         # directory): materialise first — tofile truncates the
@@ -128,7 +128,7 @@ def _dump_array(path: Path, values, kind: str) -> None:
         # backing store would fault mid-read.
         values = _np.array(values)
     _np.asarray(values, dtype=_np.dtype(_NP_DTYPES[kind])).tofile(path)
-    crash_point("snapshot.array.fsync")
+    fault_point("snapshot.array.fsync")
     _fsync_file(path)
 
 
@@ -183,7 +183,7 @@ def _dump_ids(path: Path, ids: Sequence[str], what: str) -> None:
                 f"cannot snapshot {what} id {name!r}: ids with line "
                 f"breaks are not representable in the id files"
             )
-    crash_point("snapshot.ids.write")
+    fault_point("snapshot.ids.write")
     path.write_text("".join(f"{name}\n" for name in ids), encoding="utf-8")
     _fsync_file(path)
 
@@ -577,7 +577,7 @@ class ModelSnapshot:
             # Dropped first — durably — so a partially overwritten
             # directory can never pass for the previous complete
             # snapshot, even across a power loss mid-overwrite.
-            crash_point("snapshot.manifest.unlink")
+            fault_point("snapshot.manifest.unlink")
             manifest_path.unlink()
             _fsync_dir(path)
         store = self.store
@@ -610,7 +610,7 @@ class ModelSnapshot:
             )
 
         if self.alterego is not None:
-            crash_point("snapshot.alterego.write")
+            fault_point("snapshot.alterego.write")
             payload = {
                 source: [[target, weight] for target, weight in replacements]
                 for source, replacements in sorted(self.alterego.items())
@@ -642,15 +642,15 @@ class ModelSnapshot:
         # fsync its bytes, rename into place, fsync the directory so
         # the name itself is durable.
         tmp_path = path / (_MANIFEST + ".tmp")
-        crash_point("snapshot.manifest.write")
+        fault_point("snapshot.manifest.write")
         tmp_path.write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
-        crash_point("snapshot.manifest.fsync")
+        fault_point("snapshot.manifest.fsync")
         _fsync_file(tmp_path)
-        crash_point("snapshot.manifest.rename")
+        fault_point("snapshot.manifest.rename")
         os.replace(tmp_path, manifest_path)
-        crash_point("snapshot.dir.fsync")
+        fault_point("snapshot.dir.fsync")
         _fsync_dir(path)
         return path
 

@@ -50,8 +50,7 @@ class SignificanceTable:
 
 
 def bulk_significance(table: RatingTable,
-                      n_shards: int | None = None,
-                      processes: int | None = None) -> SignificanceTable:
+                      n_shards: int | None = None) -> SignificanceTable:
     """Definition-2 counts for *every* co-rated pair in one sweep.
 
     Runs the engine's sharded pair accumulation with significance
@@ -61,9 +60,7 @@ def bulk_significance(table: RatingTable,
     """
     from repro.engine.sharded_sweep import sharded_adjacency
 
-    result = sharded_adjacency(
-        table, n_shards=n_shards, processes=processes,
-        with_significance=True)
+    result = sharded_adjacency(table, n_shards=n_shards, with_significance=True)
     return SignificanceTable(raw=result.significance, common=result.common_raters)
 
 

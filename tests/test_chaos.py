@@ -164,8 +164,8 @@ def test_deadline_bounds_a_crash_looping_request(catalog_source):
             poll_interval=0.05, backoff_base=0.05, backoff_cap=0.2,
             # Health is each worker's request #1; every data request
             # after it dies mid-flight, on every respawn too.
-            worker_env={"REPRO_CRASH_POINT": "gateway.worker.request:2",
-                        "REPRO_CRASH_KILL": "1"})
+            worker_env=FaultPlan(rules=[FaultRule(
+                "gateway.worker.request", "kill", after=2, times=1)]).to_env())
         await pool.start()
         try:
             t0 = time.monotonic()

@@ -38,7 +38,6 @@ from pathlib import Path
 import pytest
 
 from repro.data.ratings import Rating, RatingTable
-from repro.durability.faults import InjectedCrash, injected_crashes
 from repro.durability.log import SEGMENT_MAGIC, RatingLog
 from repro.durability.manager import (
     CHECKPOINT_FILE,
@@ -47,6 +46,7 @@ from repro.durability.manager import (
 )
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import DataError, DurabilityError
+from repro.faults import PLAN_ENV, FaultPlan, FaultRule, InjectedCrash, injected_faults
 from repro.obs.metrics import get_registry
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import RecommendationService
@@ -466,22 +466,22 @@ def test_recovery_bit_identical_at_every_crash_point(tmp_path):
     then die at each one and prove recovery reconstructs the exact
     never-crashed state for the durable prefix."""
     table, batches = _scenario()
-    with injected_crashes(after=None) as recorder:
+    with injected_faults(FaultPlan()) as recorder:  # no rules: counts only
         _run_writer(tmp_path / "clean", table, batches)
-    n_points = len(recorder.visits)
+    n_points = sum(recorder.visited.values())
     # The scenario must exercise the interesting transitions.
     for point in ("wal.append.write", "wal.append.torn", "wal.fsync",
                   "wal.rotate.create", "wal.prune.unlink",
                   "checkpoint.snapshot.save", "checkpoint.pointer.rename",
                   "snapshot.manifest.write", "snapshot.array.fsync"):
-        assert point in recorder.visits, point
+        assert point in recorder.visited, point
     references: dict = {}
     skipped_preborn = 0
     for index in range(1, n_points + 1):
         store_dir = tmp_path / f"crash{index}"
-        with pytest.raises(InjectedCrash):
-            with injected_crashes(after=index):
-                _run_writer(store_dir, table, batches)
+        plan = FaultPlan(rules=[FaultRule("*", "crash", after=index, times=1)])
+        with pytest.raises(InjectedCrash), injected_faults(plan):
+            _run_writer(store_dir, table, batches)
         if not (store_dir / CHECKPOINT_FILE).exists():
             # Died before the store's very first checkpoint pointer:
             # nothing was ever acknowledged, nothing to recover.
@@ -503,9 +503,10 @@ def test_crash_during_recovery_is_recoverable(tmp_path, preparation):
     table, batches = _scenario()
     crashed = tmp_path / "crashed"
     if preparation == "torn-append":
-        with pytest.raises(InjectedCrash):
-            with injected_crashes(at="wal.append.torn", after=3):
-                _run_writer(crashed, table, batches)
+        plan = FaultPlan(rules=[
+            FaultRule("wal.append.torn", "crash", after=3, times=1)])
+        with pytest.raises(InjectedCrash), injected_faults(plan):
+            _run_writer(crashed, table, batches)
     else:
         _run_writer(crashed, table, batches)
         for segment in (crashed / "wal").glob("*.wal"):
@@ -514,13 +515,13 @@ def test_crash_during_recovery_is_recoverable(tmp_path, preparation):
     _recover_and_check(  # the baseline: clean recovery works at all
         _copy_store(crashed, tmp_path / "baseline"),
         table, batches, references)
-    with injected_crashes(after=None) as recorder:
+    with injected_faults(FaultPlan()) as recorder:
         DurableSweep.recover(_copy_store(crashed, tmp_path / "enumerate")).close()
-    for index in range(1, len(recorder.visits) + 1):
+    for index in range(1, sum(recorder.visited.values()) + 1):
         store_dir = _copy_store(crashed, tmp_path / f"rcrash{index}")
-        with pytest.raises(InjectedCrash):
-            with injected_crashes(after=index):
-                DurableSweep.recover(store_dir)
+        plan = FaultPlan(rules=[FaultRule("*", "crash", after=index, times=1)])
+        with pytest.raises(InjectedCrash), injected_faults(plan):
+            DurableSweep.recover(store_dir)
         _recover_and_check(store_dir, table, batches, references)
         shutil.rmtree(store_dir)
 
@@ -551,15 +552,13 @@ durable.close()
 """
 
 
-def _subprocess_env(crash_index: int | None) -> dict:
+def _subprocess_env(plan: FaultPlan | None) -> dict:
     env = {**os.environ,
            "PYTHONPATH": str(_SRC) + os.pathsep
            + os.environ.get("PYTHONPATH", "")}
-    env.pop("REPRO_CRASH_POINT", None)
-    env.pop("REPRO_CRASH_KILL", None)
-    if crash_index is not None:
-        env["REPRO_CRASH_POINT"] = f"*:{crash_index}"
-        env["REPRO_CRASH_KILL"] = "1"
+    env.pop(PLAN_ENV, None)
+    if plan is not None:
+        env.update(plan.to_env())
     return env
 
 
@@ -579,10 +578,10 @@ def test_kill9_writer_recovers_bit_identical(tmp_path):
 
     # One clean run pins the crash-point count for this scenario; the
     # in-process recorder agrees with the subprocess because both run
-    # the identical deterministic stream with an injector armed.
-    with injected_crashes(after=None) as recorder:
+    # the identical deterministic stream with a plan armed.
+    with injected_faults(FaultPlan()) as recorder:
         _run_writer(tmp_path / "clean", table, batches)
-    n_points = len(recorder.visits)
+    n_points = sum(recorder.visited.values())
     # Deterministic "random" kill points: spread across the stream,
     # seeded so every CI run reproduces the same deaths.
     indices = sorted(random.Random(20_17).sample(range(2, n_points + 1), 5))
@@ -591,7 +590,8 @@ def test_kill9_writer_recovers_bit_identical(tmp_path):
         store_dir = tmp_path / f"kill{index}"
         result = subprocess.run(
             [sys.executable, str(script), str(plan), str(store_dir)],
-            env=_subprocess_env(index),
+            env=_subprocess_env(FaultPlan(rules=[
+                FaultRule("*", "kill", after=index, times=1)])),
             capture_output=True, text=True, timeout=120)
         assert result.returncode == -signal.SIGKILL, result.stderr
         if not (store_dir / CHECKPOINT_FILE).exists():
@@ -602,9 +602,9 @@ def test_kill9_writer_recovers_bit_identical(tmp_path):
 
 @pytest.mark.crash
 def test_kill9_env_activation_matches_named_point(tmp_path):
-    """`REPRO_CRASH_POINT=<name>:<n>` arms exactly the named point —
-    the subprocess dies by SIGKILL there, and an unarmed subprocess
-    finishes cleanly with the same environment shape."""
+    """A one-rule ``kill`` plan in ``REPRO_FAULT_PLAN`` arms exactly the
+    named point — the subprocess dies by SIGKILL there, and an unarmed
+    subprocess finishes cleanly with the same environment shape."""
     table, batches = _scenario(n_base=12, n_batches=2)
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
@@ -614,12 +614,11 @@ def test_kill9_env_activation_matches_named_point(tmp_path):
         encoding="utf-8")
     script = tmp_path / "writer.py"
     script.write_text(_WRITER_SCRIPT, encoding="utf-8")
-    env = _subprocess_env(None)
-    env["REPRO_CRASH_POINT"] = "wal.fsync:1"
-    env["REPRO_CRASH_KILL"] = "1"
     result = subprocess.run(
         [sys.executable, str(script), str(plan), str(tmp_path / "s1")],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_subprocess_env(FaultPlan(rules=[
+            FaultRule("wal.fsync", "kill", after=1, times=1)])),
+        capture_output=True, text=True, timeout=120)
     assert result.returncode == -signal.SIGKILL, result.stderr
     clean = subprocess.run(
         [sys.executable, str(script), str(plan), str(tmp_path / "s2")],

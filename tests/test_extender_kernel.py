@@ -265,7 +265,7 @@ def test_unknown_source_domain_is_a_config_error(small_trace):
 
 def test_preloaded_significance_cache_gives_the_same_map(small_trace):
     merged = small_trace.merged()
-    baseline = Baseliner(n_shards=2, shard_processes=0).compute(small_trace, merged=merged)
+    baseline = Baseliner(n_shards=2).compute(small_trace, merged=merged)
     assert baseline.significance is not None
     partition = LayerPartition.from_graph(baseline.graph, small_trace.domain_map())
     config = ExtenderConfig(k=8, max_paths_per_item=500)

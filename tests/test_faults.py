@@ -16,13 +16,15 @@ import time
 
 import pytest
 
-from repro.durability.faults import InjectedCrash, crash_point
+from repro.data.ratings import Rating
+from repro.durability.log import SEGMENT_MAGIC, RatingLog
 from repro.errors import GatewayError, ReproError
 from repro.faults import (
     PLAN_ENV,
     SPAWN_SEQ_ENV,
     FaultPlan,
     FaultRule,
+    InjectedCrash,
     InjectedFault,
     fault_point,
     frame_fault,
@@ -62,6 +64,20 @@ def test_plan_json_roundtrip():
     assert FaultPlan.from_json(env[PLAN_ENV]).seed == 42
     with pytest.raises(ReproError, match="malformed"):
         FaultPlan.from_json("{nope")
+
+
+@pytest.mark.parametrize("raw, names", [
+    ('{"rules":[{"pint":"x","kind":"kill"}]}', r"rule #0.*'pint'"),
+    ('{"rules":[{"point":"x","kind":"kill"},{"kind":"kill"}]}', r"rule #1.*'point'"),
+    ("[1,2]", "JSON object"),
+    ('{"seed":"x"}', "'seed'"),
+], ids=["unknown-key", "missing-key", "not-an-object", "seed"])
+def test_malformed_plan_is_a_structured_error(raw, names):
+    """Valid JSON of the wrong shape: the plan arrives through the
+    environment, so it is a ReproError naming the key or rule at fault,
+    not a TypeError out of whichever fault point parsed it."""
+    with pytest.raises(ReproError, match=names):
+        FaultPlan.from_json(raw)
 
 
 def test_decide_schedules_after_and_times():
@@ -153,13 +169,39 @@ def test_fault_point_crash_kind_raises_injected_crash():
             fault_point("test.my.point")
 
 
-def test_plan_fires_at_durability_crash_points():
-    """The superset contract: a plan rule fires at a point declared via
-    the PR-6 ``crash_point`` helper without that layer changing."""
+_BATCH = [Rating("u1", "i1", 4.0, 0), Rating("u2", "i1", 2.5, 1)]
+
+
+def test_plan_fires_at_durability_crash_points(tmp_path):
+    """One injector: the durability layer's filesystem transitions are
+    ordinary plan points, so any kind of rule fires at them."""
     plan = FaultPlan(rules=[FaultRule("wal.fsync", "error")])
-    with injected_faults(plan):
+    with RatingLog(tmp_path / "wal") as log, injected_faults(plan):
         with pytest.raises(InjectedFault):
-            crash_point("wal.fsync")
+            log.append(_BATCH, sync=True)
+
+
+def test_plan_rule_reaches_the_torn_frame_point(tmp_path):
+    """Any armed plan makes the WAL split its frame write, so a rule at
+    ``wal.append.torn`` dies with half a frame on disk — which the next
+    open truncates back to the last whole record."""
+    log = RatingLog(tmp_path / "wal")
+    assert log.append(_BATCH) == 1
+    whole = log.total_bytes
+    plan = FaultPlan(rules=[FaultRule("wal.append.torn", "crash")])
+    with injected_faults(plan):
+        with pytest.raises(InjectedCrash) as excinfo:
+            log.append(_BATCH)
+    assert excinfo.value.point == "wal.append.torn"
+    log.close()
+    segment, = (tmp_path / "wal").glob("*.wal")
+    frame = whole - len(SEGMENT_MAGIC)
+    assert segment.stat().st_size == whole + frame // 2
+    with RatingLog(tmp_path / "wal") as reopened:
+        assert reopened.last_seq == 1
+        assert any("truncating" in repair for repair in reopened.repairs)
+        assert segment.stat().st_size == whole
+        assert [record.ratings for record in reopened.replay()] == [tuple(_BATCH)]
 
 
 def test_delay_rule_sleeps():

@@ -4,7 +4,7 @@ Layered like the package: frame protocol units, then the on-disk
 publication layer (catalog + watcher), then the worker request
 handlers driven in-process, then full-stack tests over real worker
 subprocesses — including the `crash`-marked worker-death coverage
-(mid-flight SIGKILL through the PR-6 fault harness) that pins the
+(mid-flight SIGKILL through a one-rule fault plan) that pins the
 supervisor's retry/restart contract.
 """
 
@@ -24,6 +24,7 @@ import pytest
 from repro.data.ratings import Rating, RatingTable
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import GatewayError, ServingError, StaleModelError
+from repro.faults import FaultPlan, FaultRule
 from repro.gateway import GatewayServer, WorkerPool
 from repro.gateway.protocol import (
     encode_frame,
@@ -698,7 +699,7 @@ def test_gateway_serves_and_converges_across_publishes(published_catalog):
 @pytest.mark.slow
 @pytest.mark.crash
 def test_supervisor_retries_and_restarts_after_midflight_kill(published_catalog):
-    """A worker SIGKILLed mid-request (PR-6 fault harness) must cost at
+    """A worker SIGKILLed mid-request (a one-rule fault plan) must cost at
     most a retry — callers still get correct answers, nothing hangs —
     and the supervisor restores the fleet to full strength."""
     source, registry = published_catalog
@@ -712,8 +713,8 @@ def test_supervisor_retries_and_restarts_after_midflight_kill(published_catalog)
             # startup and a death lands mid-traffic; restarted workers
             # inherit the env and die again, exercising repeated
             # restarts.
-            worker_env={"REPRO_CRASH_POINT": "gateway.worker.request:3",
-                        "REPRO_CRASH_KILL": "1"})
+            worker_env=FaultPlan(rules=[FaultRule(
+                "gateway.worker.request", "kill", after=3, times=1)]).to_env())
         await pool.start()
         try:
             for round_number in range(6):

@@ -388,8 +388,8 @@ def test_drift_rule_flags_both_directions(tmp_path):
         "src/repro/durability/log.py",
         """\
         def append(record):
-            crash_point("wal.append.write")
-            crash_point("wal.orphan.point")
+            fault_point("wal.append.write")
+            fault_point("wal.orphan.point")
         """,
     )
     write(
@@ -415,19 +415,19 @@ def test_drift_rule_accepts_globs_wildcards_and_test_namespace(tmp_path):
         "src/repro/durability/log.py",
         """\
         def append(record):
-            crash_point("wal.append.write")
-            crash_point("wal.fsync")
+            fault_point("wal.append.write")
+            fault_point("wal.fsync")
+            frame_fault("gateway.worker.send")
         """,
     )
     write(
         tmp_path,
         "tests/test_wal.py",
         """\
-        def test_glob_and_sweep():
+        def test_glob_and_sweep(index):
             FaultRule("wal.*", "error")
             FaultRule("test.synthetic", "error")
-            with injected_crashes() as recorder:
-                pass
+            FaultRule("*", "crash", after=index, times=1)
         """,
     )
     result = check(tmp_path, "src/repro/durability/log.py")

@@ -3,7 +3,7 @@
 ``check`` exits 0 when clean (inline suppressions and the committed
 baseline both count as clean), 1 when any error-severity finding
 remains, 2 on usage or parse problems. ``list-points`` prints the
-fault/crash point registry extracted from ``src/``. ``baseline``
+fault point registry extracted from ``src/``. ``baseline``
 regenerates the committed baseline from the current findings.
 """
 
@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     points = commands.add_parser(
         "list-points",
-        help="print the named fault/crash point registry from src/",
+        help="print the named fault point registry from src/",
     )
     points.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -2,8 +2,8 @@
 
 reprolint is deliberately *not* generic — every constant here names a
 real seam of this repository. Keep the lists in sync with the module
-docstrings they mirror (``repro.durability.faults`` /
-``repro.faults.plan`` for the fault-point registry).
+docstrings they mirror (``repro.faults.plan`` for the fault-point
+registry).
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ DETERMINISM_EXEMPT = ("src/repro/data/synthetic.py",)
 ASYNC_TREES = ("src/repro/gateway/", "src/repro/cli.py")
 
 #: Canonical roots for the fault-point registry: declarations live in
-#: src/, references (fault plans, crash-point env activation) live in
-#: tests/ and scripts/.
+#: src/, references (fault plan rules) live in tests/ and scripts/.
 FAULT_DECL_ROOTS = ("src",)
 FAULT_REF_ROOTS = ("tests", "scripts")
 

@@ -1,21 +1,19 @@
-"""Fault-point drift: the named fault/crash point registry stays
-closed under refactoring.
+"""Fault-point drift: the named fault point registry stays closed
+under refactoring.
 
 * **REP601 unknown-fault-point** — a point name referenced by a
-  :class:`FaultPlan` rule, an ``injected_crashes(at=...)`` /
-  ``CrashInjector(at=...)``, or a ``REPRO_CRASH_POINT`` environment
-  value in ``tests/`` or ``scripts/`` must resolve (glob-aware) to a
-  ``crash_point``/``fault_point`` call in ``src/`` — otherwise the
-  test silently stopped injecting anything the day the point was
-  renamed, and "passes" by testing nothing.
+  ``FaultRule(...)`` in ``tests/`` or ``scripts/`` must resolve
+  (glob-aware) to a ``fault_point``/``frame_fault`` call in ``src/`` —
+  otherwise the test silently stopped injecting anything the day the
+  point was renamed, and "passes" by testing nothing.
 * **REP602 unexercised-fault-point** — the other direction: a point
   declared in ``src/`` that no test or script can ever hit (not even
-  through a glob or an any-point wildcard sweep) is dead chaos
-  surface; wire it into a plan or delete it.
+  through a glob or an any-point ``"*"`` sweep) is dead chaos surface;
+  wire it into a plan or delete it.
 
 Declarations are extracted statically: literal arguments to
-``crash_point(...)`` / ``fault_point(...)`` / ``frame_fault(...)``
-plus module-level constants passed to them
+``fault_point(...)`` / ``frame_fault(...)`` plus module-level
+constants passed to them
 (``LOAD_FAULT_POINT = "gateway.worker.load"``). The same extraction
 powers ``python -m reprolint list-points``. Point names under the
 reserved ``test.`` namespace are synthetic fixtures for the plan
@@ -37,15 +35,13 @@ from reprolint.config import (
 )
 from reprolint.core import Finding, Rule, SourceFile, iter_python_files
 
-_DECL_FNS = {"crash_point", "fault_point", "frame_fault"}
-_REF_CTORS = {"FaultRule"}
-_AT_CTORS = {"injected_crashes", "CrashInjector"}
-_ENV_KEY = "REPRO_CRASH_POINT"
+_DECL_FNS = {"fault_point", "frame_fault"}
+_REF_CTOR = "FaultRule"
 
 
 @dataclass(frozen=True)
 class PointDecl:
-    """One ``crash_point``/``fault_point`` call site in src/."""
+    """One ``fault_point``/``frame_fault`` call site in src/."""
 
     point: str
     path: str
@@ -108,76 +104,18 @@ def collect_declarations(
     return declarations
 
 
-def _ref_from_env_value(value: str) -> str:
-    """``"wal.fsync:2"`` -> ``"wal.fsync"`` (the count suffix is the
-    visit index, not part of the name)."""
-    return value.rsplit(":", 1)[0] if ":" in value else value
-
-
 def collect_references(sources: Iterable[SourceFile]) -> list[PointRef]:
     references: list[PointRef] = []
     for source in sources:
         for node in ast.walk(source.tree):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if name in _REF_CTORS:
-                    arg: ast.expr | None = (node.args[0] if node.args else None)
-                    for keyword in node.keywords:
-                        if keyword.arg == "point":
-                            arg = keyword.value
-                    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                        references.append(PointRef(arg.value, source.rel, node.lineno))
-                elif name in _AT_CTORS:
-                    at: ast.expr | None = (node.args[0] if node.args else None)
-                    explicit_at = bool(node.args)
-                    for keyword in node.keywords:
-                        if keyword.arg == "at":
-                            at = keyword.value
-                            explicit_at = True
-                    if (
-                        explicit_at
-                        and isinstance(at, ast.Constant)
-                        and isinstance(at.value, str)
-                    ):
-                        references.append(PointRef(at.value, source.rel, node.lineno))
-                    elif not explicit_at or (
-                        isinstance(at, ast.Constant) and at.value is None
-                    ):
-                        # at omitted / None: an any-point injector —
-                        # the enumerate-then-sweep harness shape.
-                        references.append(PointRef("*", source.rel, node.lineno))
-            elif isinstance(node, ast.Dict):
-                for key, value in zip(node.keys, node.values):
-                    if (
-                        isinstance(key, ast.Constant)
-                        and key.value == _ENV_KEY
-                        and isinstance(value, ast.Constant)
-                        and isinstance(value.value, str)
-                    ):
-                        references.append(
-                            PointRef(
-                                _ref_from_env_value(value.value),
-                                source.rel,
-                                value.lineno,
-                            )
-                        )
-            elif isinstance(node, ast.Assign):
-                # env["REPRO_CRASH_POINT"] = "wal.fsync:1"
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.slice, ast.Constant)
-                        and target.slice.value == _ENV_KEY
-                        and isinstance(node.value, ast.Constant)
-                        and isinstance(node.value.value, str)
-                    ):
-                        references.append(
-                            PointRef(
-                                _ref_from_env_value(node.value.value),
-                                source.rel,
-                                node.lineno,
-                            )
-                        )
+            if not isinstance(node, ast.Call) or _call_name(node) != _REF_CTOR:
+                continue
+            arg: ast.expr | None = node.args[0] if node.args else None
+            for keyword in node.keywords:
+                if keyword.arg == "point":
+                    arg = keyword.value
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                references.append(PointRef(arg.value, source.rel, node.lineno))
     return references
 
 
@@ -214,10 +152,7 @@ def load_registry(
 class FaultPointDriftRule(Rule):
     id = "REP601"
     name = "fault-point-drift"
-    description = (
-        "fault/crash point names in tests/scripts and src/ have "
-        "drifted apart"
-    )
+    description = "fault point names in tests/scripts and src/ have drifted apart"
     rationale = (
         "a renamed point turns its chaos/crash tests into no-ops that "
         "still pass; the registry must stay closed in both directions"
@@ -252,7 +187,7 @@ class FaultPointDriftRule(Rule):
                 col=0,
                 message=(
                     f"fault point {ref.pattern!r} does not match any "
-                    "crash_point/fault_point call in src/ — the "
+                    "fault_point/frame_fault call in src/ — the "
                     "injection this test relies on no longer exists"
                 ),
                 obj="",
@@ -273,8 +208,8 @@ class FaultPointDriftRule(Rule):
                 col=0,
                 message=(
                     f"fault point {decl.point!r} is declared but no "
-                    "test or script can reach it (no FaultRule, "
-                    "injector or REPRO_CRASH_POINT reference matches)"
+                    "test or script can reach it (no FaultRule "
+                    "reference matches)"
                 ),
                 obj="",
             )
