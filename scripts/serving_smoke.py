@@ -24,7 +24,12 @@ Serve mode (the fresh process)::
 loads the snapshot cold — no trace, no pipeline — and answers the
 probes through a :class:`~repro.serving.service.RecommendationService`
 (Top-N via the batched path, so the vectorized pass is exercised
-end-to-end in the restarted server).
+end-to-end in the restarted server), and before writing its answers
+asserts that the batched pass over the memory-mapped arrays ``==`` the
+per-request path for every probe. The probes are the first
+``N_PROBE_USERS`` source users plus the two a prefix can miss: the user
+with the longest profile in the served store (the only kind the
+per-row rank cap can bite on) and one id that is not in the trace.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ TOLERANCE = 1e-9
 N_PROBE_USERS = 25
 N_PROBE_ITEMS = 25
 TOP_N = 5
+UNKNOWN_USER = "not-in-the-trace"
 
 
 def diff_serving(reference_predict: dict, reference_topn: dict,
@@ -82,6 +88,12 @@ def _serve(snapshot_dir: str, probes_path: str, out_path: str) -> int:
     service = RecommendationService(snapshot)
     users = probes["users"]
     responses = service.recommend_batch(users, n=probes["top_n"])
+    reference = snapshot.recommender()
+    for user, response in zip(users, responses):
+        if response != reference.recommend(user, probes["top_n"]):
+            print(f"serving-smoke: batched != per-request for {user!r} "
+                  f"on the loaded snapshot", file=sys.stderr)
+            return 1
     out = {
         "predict": {
             f"{user}\t{item}": service.predict(user, item)
@@ -98,9 +110,15 @@ def _drive(trace_dir: str, snapshot_dir: str) -> int:
 
     data = read_cross_domain(trace_dir, "movies", "books")
     pipeline = NXMapRecommender(XMapConfig(mode="item", cf_k=10)).fit(data)
-    pipeline.snapshot().save(snapshot_dir, overwrite=True)
+    snapshot = pipeline.snapshot()
+    snapshot.save(snapshot_dir, overwrite=True)
 
+    store = snapshot.store
+    longest = max(range(len(store.users)),
+                  key=lambda u: int(store.user_ptr[u + 1]) - int(store.user_ptr[u]))
     users = sorted(data.source.users)[:N_PROBE_USERS]
+    users += [user for user in (store.users[longest], UNKNOWN_USER)
+              if user not in users]
     items = sorted(data.target.ratings.items)[:N_PROBE_ITEMS]
     probes = {"users": users, "items": items, "top_n": TOP_N}
     probes_path = Path(snapshot_dir) / "smoke_probes.json"

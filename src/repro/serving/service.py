@@ -11,16 +11,22 @@ Two serving paths answer Top-N:
   snapshot's :class:`~repro.cf.item_knn.ItemKNNRecommender`, one
   Python-level candidate loop per user (the reference path);
 * **batched** — :meth:`recommend_batch` serves many users per call:
-  each user is one vectorized pass over the pinned
-  index's flat arrays (the contributing entries are gathered through a
-  per-version transposed entry index — only the user's rated items'
-  rows are touched — rank-capped at k per row, then Eq-4
-  numerators/denominators scatter-add with ``bincount``), with
-  candidate ranking a single stable argsort. Results are **identical**
-  to the per-request path — same IEEE operations in the same order,
-  same (-score, ascending id) tie-break — just without the
-  per-candidate Python loop (``benchmarks/test_service_bench.py`` pins
-  the ≥5× throughput bar at the largest size).
+  each uncached user is one vectorized pass over the pinned
+  version's serving layout (:meth:`RecommendationService._index_layout`).
+  Results are ``==`` the per-request path — not merely close — because:
+  (1) *same entry set*: the layout's transposed index holds exactly the
+  entries the per-request filter admits, and the pass gathers those
+  whose neighbor the user rated; (2) *same order*: sorting the gathered
+  flat positions restores (owner, rank) order, so every ``bincount`` bin
+  adds the same Eq-4 addends in the same sequence as the per-request
+  loop; (3) *the cap*: a row holds each neighbor once, so "first k per
+  row" can only drop an entry when ``len(profile) > cf_k`` — it runs
+  then and is skipped (vacuous) otherwise; (4) *selection*: every
+  unrated item at or above the n-th best score is kept — no tie is cut
+  — and stably sorted by descending score over ascending ids, the
+  (-score, ascending id) order of the per-request sort
+  (``benchmarks/test_service_bench.py`` pins the ≥5× throughput bar at
+  the largest size).
 
 Two LRU caches sit in front, with a delta-targeted invalidation
 contract wired to the registry's update census
@@ -41,6 +47,7 @@ contract wired to the registry's update census
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -144,6 +151,12 @@ class LRUCache:
         return key in self._data
 
 
+def _plain(values) -> "_np.ndarray":
+    """A base-class ``ndarray`` view of *values* (no copy): slicing a
+    ``np.memmap`` runs its Python-level subclass hook every time."""
+    return _np.asarray(values).view(_np.ndarray)
+
+
 def _slice_row(
     row: list[tuple[str, float]],
     k: int,
@@ -194,6 +207,8 @@ class RecommendationService:
         self._layout: tuple[int, tuple] | None = None
         self.n_requests = 0
         self.n_users_served = 0
+        self.n_layout_builds = 0
+        self.layout_build_seconds = 0.0
         self.registry.subscribe(self._on_publish)
 
     def close(self) -> None:
@@ -446,6 +461,13 @@ class RecommendationService:
             "service_cache_misses_total", "LRU cache misses, by cache",
             labels=("cache",),
         ).labels("response").set(self._response_cache.misses)
+        registry.counter(
+            "service_layout_builds_total", "per-version serving layouts built"
+        ).set(self.n_layout_builds)
+        registry.counter(
+            "service_layout_build_seconds_total",
+            "seconds the first scoring pass of each version spent on its layout",
+        ).set(self.layout_build_seconds)
         registry.gauge(
             "service_version", "model version the service currently serves"
         ).set(self.registry.current_version())
@@ -454,12 +476,20 @@ class RecommendationService:
     # The vectorized batched pass
     # ------------------------------------------------------------------
 
-    def _index_layout(self, snapshot: ModelSnapshot):
-        """Per-version serving layout over the snapshot's index flat
-        arrays: the entry → owning-row map plus the transposed entry
-        index (for each neighbor *j*, the flat positions of the entries
-        ``(i, j)``, in (owner, rank) order). Pure functions of the
-        immutable index. The cache slot is read and written as one
+    def _index_layout(self, snapshot: ModelSnapshot) -> tuple:
+        """Per-version serving layout: everything the per-user pass
+        reads, as plain ``ndarray`` views of the snapshot's (possibly
+        memory-mapped) arrays — no copy, and no ``np.memmap`` subclass
+        hook on a slice — plus the entry → owner map and the transposed
+        entry index over the **admitted** entries only (``weights > 0``
+        when ``positive_only``, all otherwise; the per-request filter,
+        applied once per version): for each neighbor *j*, the flat
+        positions of the admitted entries ``(i, j)``. The sort by
+        neighbor is stable, so each group ascends in flat position,
+        i.e. in (owner, rank) order — a sorted union of groups is the
+        sequence the per-request scan visits. Owner and position arrays
+        take the narrowest dtype that holds them. Pure functions of the
+        immutable snapshot. The cache slot is read and written as one
         (version, layout) tuple and the local value is returned, so a
         concurrent request pinned to a different version can at worst
         overwrite the slot — never hand this request its layout."""
@@ -467,16 +497,37 @@ class RecommendationService:
         cached = self._layout
         if cached is not None and cached[0] == version:
             return cached[1]
-        index = snapshot.index
-        owners = index.row_owners()
-        # Stable sort by neighbor groups positions per neighbor and
-        # keeps them (owner, rank)-ascending within each group.
-        transpose = _np.argsort(index.neighbor_ids, kind="stable")
-        transpose_ptr = _np.searchsorted(
-            index.neighbor_ids[transpose], _np.arange(index.n_items + 1)
+        started = time.perf_counter()
+        store, index = snapshot.store, snapshot.index
+        neighbor_ids = _plain(index.neighbor_ids)
+        weights = _plain(index.weights)
+        n_items = index.n_items
+        owners = _np.repeat(
+            _np.arange(n_items, dtype=_np.min_scalar_type(n_items)),
+            _np.diff(_plain(index.ptr)),
         )
-        layout = (owners, transpose, transpose_ptr)
+        admitted = (
+            _np.flatnonzero(weights > 0.0)
+            if snapshot.positive_only
+            else _np.arange(len(weights))
+        ).astype(_np.min_scalar_type(len(weights)))
+        # narrow keys: NumPy's stable sort of 16-bit integers is a radix sort
+        groups = neighbor_ids[admitted].astype(owners.dtype)
+        transpose = admitted[_np.argsort(groups, kind="stable")]
+        transpose_ptr = _np.concatenate(
+            ([0], _np.cumsum(_np.bincount(groups, minlength=n_items)))
+        ).tolist()
+        by_entry = (neighbor_ids, weights, owners, transpose, transpose_ptr)
+        by_user = (
+            _plain(store.user_ptr).tolist(),
+            _plain(store.user_item_idx),
+            _plain(store.user_values),
+            _plain(store.item_means).astype(_np.float64, copy=False),
+        )
+        layout = (by_entry, by_user)
         self._layout = (version, layout)
+        self.n_layout_builds += 1
+        self.layout_build_seconds += time.perf_counter() - started
         return layout
 
     def _batch_topn(
@@ -489,99 +540,79 @@ class RecommendationService:
             recommender = snapshot.recommender()
             return [recommender.recommend(user, n) for user in users]
 
-        index = snapshot.index
-        neighbor_ids = index.neighbor_ids
-        weights = index.weights
-        owners, transpose, transpose_ptr = self._index_layout(snapshot)
+        by_entry, by_user = self._index_layout(snapshot)
+        neighbor_ids, weights, owners, transpose, transpose_ptr = by_entry
+        user_ptr, user_item_idx, user_values, item_means = by_user
         n_items = store.n_items
         items = store.items
-        item_means = _np.asarray(store.item_means, dtype=_np.float64)
+        user_index = store.user_index
         lo, hi = snapshot.scale
         k = snapshot.cf_k
-        positive_only = snapshot.positive_only
 
         results: list[list[tuple[str, float]]] = []
         for user in users:
-            u = store.user_index.get(user)
-            rated = _np.zeros(n_items, dtype=bool)
-            values = _np.zeros(n_items, dtype=_np.float64)
-            if u is not None:
-                start, end = int(store.user_ptr[u]), int(store.user_ptr[u + 1])
-                row_idx = store.user_item_idx[start:end]
-                rated[row_idx] = True
-                values[row_idx] = store.user_values[start:end]
-                # Only entries whose neighbor the user rated can
-                # contribute — gather exactly those via the transposed
-                # index (Σ_j |row(j)| work, not one pass over every
-                # entry) and restore flat order, which is (owner, rank)
-                # order: the same sequence the per-request scan visits.
-                if end > start:
-                    positions = _np.concatenate(
-                        [
-                            transpose[transpose_ptr[j] : transpose_ptr[j + 1]]
-                            for j in row_idx.tolist()
-                        ]
-                    )
-                else:
-                    positions = _np.zeros(0, dtype=_np.int64)
-                positions.sort()
-            else:
-                positions = _np.zeros(0, dtype=_np.int64)
-            if positive_only and len(positions):
-                positions = positions[weights[positions] > 0.0]
-
-            # Phase 1's "first k selected per row": positions are
-            # owner-grouped and rank-ascending, so the within-row rank
-            # of each surviving entry is its offset from the start of
-            # its owner's run.
+            u = user_index.get(user)
+            start, end = (0, 0) if u is None else (user_ptr[u], user_ptr[u + 1])
+            row_idx = user_item_idx[start:end]
+            scores = item_means
+            # (1) the admitted entries whose neighbor the user rated
+            # (the empty head keeps dtype and shape for an empty profile)
+            positions = _np.concatenate(
+                [transpose[:0]]
+                + [
+                    transpose[transpose_ptr[j] : transpose_ptr[j + 1]]
+                    for j in row_idx.tolist()
+                ]
+            )
             if len(positions):
+                positions.sort()  # (2) flat order == (owner, rank) order
+                # sorted narrow, indexed wide: fancy indexing converts
+                # a non-intp index array on every gather.
+                positions = positions.astype(_np.intp)
                 position_owners = owners[positions]
-                offsets = _np.arange(len(positions), dtype=_np.int64)
-                breaks = _np.concatenate(
-                    ([True], position_owners[1:] != position_owners[:-1])
+                if end - start > k:
+                    # (3) the within-row rank of an entry is its offset
+                    # from the start of its owner's run.
+                    offsets = _np.arange(len(positions))
+                    breaks = _np.concatenate(
+                        ([True], position_owners[1:] != position_owners[:-1])
+                    )
+                    run_start = _np.maximum.accumulate(_np.where(breaks, offsets, 0))
+                    keep = offsets - run_start < k
+                    positions = positions[keep]
+                    position_owners = position_owners[keep]
+                kept_weights = weights[positions]
+                deviations = _np.zeros(n_items, dtype=_np.float64)
+                deviations[row_idx] = user_values[start:end] - item_means[row_idx]
+                numerators = _np.bincount(
+                    position_owners,
+                    weights=kept_weights * deviations[neighbor_ids[positions]],
+                    minlength=n_items,
                 )
-                run_start = _np.where(breaks, offsets, 0)
-                rank = offsets - _np.maximum.accumulate(run_start)
-                keep = rank < k
-                kept = positions[keep]
-                kept_owners = position_owners[keep]
-            else:
-                kept = positions
-                kept_owners = positions
-            kept_neighbors = neighbor_ids[kept]
-            kept_weights = weights[kept]
-            # Eq 4, scatter-added per candidate row. bincount adds in
-            # input order — flat rank order within each row — so every
-            # per-row sum sees the same addends in the same sequence as
-            # the per-request predict loop: bit-identical numerators.
-            deviations = values[kept_neighbors] - item_means[kept_neighbors]
-            numerators = _np.bincount(
-                kept_owners, weights=kept_weights * deviations, minlength=n_items
-            )
-            denominators = _np.bincount(
-                kept_owners, weights=_np.abs(kept_weights), minlength=n_items
-            )
-
-            # Prediction with the fallback chain: candidates without
-            # signal fall back to their item mean (every catalogue item
-            # has one), then everything clips into the scale.
-            scores = _np.array(item_means, dtype=_np.float64, copy=True)
-            signal = denominators != 0.0
-            scores[signal] = (
-                item_means[signal] + numerators[signal] / denominators[signal]
-            )
+                denominators = _np.bincount(
+                    position_owners, weights=_np.abs(kept_weights), minlength=n_items
+                )
+                # Candidates without signal keep their item mean (every
+                # catalogue item has one); everything clips into the scale.
+                signal = denominators != 0.0
+                scores = item_means.copy()
+                scores[signal] += numerators[signal] / denominators[signal]
             scores = _np.minimum(hi, _np.maximum(lo, scores))
 
-            # Top-N with the (-score, ascending id) tie-break: interning
-            # is lexicographic, so a stable descending-score argsort
-            # breaks ties by id exactly like the per-request sort.
-            order = _np.argsort(-scores, kind="stable")
-            candidates = order[~rated[order]][:n]
-            scores_list = scores[candidates].tolist()
+            # (4) rated items drop to -inf; *take* is what slicing the
+            # ranked candidates with ``[:n]`` keeps, for any n.
+            scores[row_idx] = -_np.inf
+            take = len(range(n_items - (end - start))[:n])
+            if take == 0:
+                results.append([])
+                continue
+            threshold = _np.partition(scores, n_items - take)[n_items - take]
+            candidates = _np.flatnonzero(scores >= threshold)
+            top = candidates[_np.argsort(-scores[candidates], kind="stable")[:take]]
             results.append(
                 [
-                    (items[int(idx)], score)
-                    for idx, score in zip(candidates.tolist(), scores_list)
+                    (items[idx], score)
+                    for idx, score in zip(top.tolist(), scores[top].tolist())
                 ]
             )
         return results

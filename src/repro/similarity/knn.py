@@ -276,16 +276,6 @@ class NeighborIndex:
              _np.asarray(row_weights, dtype=_np.float64)))
         return NeighborIndex(items, item_index, ptr, neighbor_ids, weights, k=self.k)
 
-    def row_owners(self):
-        """Flat-entry → owning item index map (``owners[t]`` is the row
-        that ``neighbor_ids[t]`` / ``weights[t]`` belong to).
-
-        The expansion the batched serving pass scatter-adds by, as an
-        int64 array. Pure function of :attr:`ptr`; callers cache it per
-        index (the service keys it by published version).
-        """
-        return _np.repeat(_np.arange(self.n_items, dtype=_np.int64), _np.diff(self.ptr))
-
     def neighbor_dict(self, item: str) -> dict[str, float]:
         """The full stored row as a ``neighbor id → weight`` dict (a
         convenience for tests and introspection, not a hot path)."""

@@ -214,14 +214,14 @@ def test_watcher_follows_single_snapshot_dir(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def _worker_app(tmp_path) -> tuple[WorkerApp, ModelRegistry]:
+def _worker_app(tmp_path, metrics=None) -> tuple[WorkerApp, ModelRegistry]:
     registry = _registry(_table())
     catalog = SnapshotCatalog(tmp_path / "catalog")
     catalog.attach(registry)
     watcher = RegistryWatcher(tmp_path / "catalog")
     wait_for_model(watcher, timeout=5.0)
-    return WorkerApp(watcher, RecommendationService(watcher.registry)), \
-        registry
+    return WorkerApp(watcher, RecommendationService(watcher.registry),
+                     registry=metrics), registry
 
 
 def test_worker_app_recommend_matches_reference(tmp_path):
@@ -231,6 +231,35 @@ def test_worker_app_recommend_matches_reference(tmp_path):
     assert response["ok"] and response["version"] == 1
     _, expected = RecommendationService(registry).recommend_batch_pinned(["u001"], 4)
     _assert_close([tuple(pair) for pair in response["results"][0]], expected[0])
+
+
+def test_worker_health_frame_reports_layout_builds(tmp_path):
+    """The stall the first scoring pass after a reload pays is on the
+    health frame (and so on /metrics), exported on scrape."""
+    from repro.obs.metrics import MetricsRegistry
+
+    app, registry = _worker_app(tmp_path, metrics=MetricsRegistry())
+
+    def layout_counters():
+        metrics = app.handle({"method": "health"})["metrics"]
+        return tuple(
+            metrics[name]["samples"]["[]"] for name in (
+                "service_layout_builds_total",
+                "service_layout_build_seconds_total"))
+
+    assert layout_counters() == (0, 0)
+    recommend = {"method": "recommend", "params": {"users": ["u001"], "n": 4}}
+    assert app.handle(recommend)["ok"]
+    builds, seconds = layout_counters()
+    assert builds == 1 and seconds > 0.0
+    recommend["params"]["users"] = ["u002"]  # a response miss, the same version
+    assert app.handle(recommend)["ok"]
+    assert layout_counters() == (1, seconds)
+    registry.update(_update_batch())
+    recommend["params"]["min_version"] = 2
+    assert app.handle(recommend)["version"] == 2
+    rebuilt, total = layout_counters()
+    assert rebuilt == 2 and total > seconds
 
 
 def test_worker_app_converges_on_demand_for_min_version(tmp_path):

@@ -488,6 +488,158 @@ def test_batched_equals_per_request(table):
     assert batched == [reference.recommend(user, 4) for user in users]
 
 
+def test_batched_equals_per_request_wide_layout():
+    """More than 255 items and more than 65,535 index entries: the
+    layout's owners widen to uint16 and its positions to uint32 (the
+    dtypes a production-sized snapshot gets), under the same oracle."""
+    import numpy as np
+
+    rng = np.random.default_rng(21)
+    n_users, n_items = 90, 300
+    table = RatingTable([
+        Rating(f"u{u:02d}", f"i{i:03d}", float(rng.integers(1, 6)))
+        for u in range(n_users)
+        for i in np.flatnonzero(rng.random(n_items) < (0.7, 0.3, 0.08)[u % 3])])
+    snapshot = _snapshot(table, k=40)
+    assert snapshot.index.n_items > 255 and len(snapshot.index.weights) > 65535
+    service = RecommendationService(snapshot, response_cache_size=0)
+    (_, _, owners, transpose, _), _ = service._index_layout(snapshot)
+    assert owners.dtype == np.uint16 and transpose.dtype == np.uint32
+    users = ["u00", "u01", "u02", "u30", "u44", "nobody"]
+    assert len(table.user_items("u00")) > 40 > len(table.user_items("u02"))  # cap on, off
+    reference = snapshot.recommender()
+    assert service.recommend_batch(users, 10) \
+        == [reference.recommend(user, 10) for user in users]
+
+
+def test_layout_holds_plain_arrays(tiny_table, tmp_path):
+    """Every array the per-user pass reads is a base-class ndarray over
+    the mapped file — a memmap in the layout would run the subclass's
+    Python hooks on every slice of every request."""
+    import numpy as np
+
+    _snapshot(tiny_table, k=5).save(tmp_path)
+    loaded = ModelSnapshot.load(tmp_path)
+    assert isinstance(loaded.index.weights, np.memmap)  # load still maps
+    layout = RecommendationService(loaded)._index_layout(loaded)
+    arrays = [part for side in layout for part in side if not isinstance(part, list)]
+    assert all(type(array) is np.ndarray for array in arrays)
+    mapped = (loaded.index.neighbor_ids, loaded.index.weights,
+              loaded.store.user_item_idx, loaded.store.user_values,
+              loaded.store.item_means)
+    for source in mapped:
+        assert any(np.shares_memory(array, source) for array in arrays)
+
+
+def _opposed_table() -> RatingTable:
+    """``a`` and ``b`` are rated in opposition (their similarity is
+    negative); ``solo`` rated only ``a``, so under ``positive_only``
+    every neighbor entry ``solo`` could use is filtered out."""
+    return RatingTable([
+        Rating("u1", "a", 5.0), Rating("u1", "b", 1.0),
+        Rating("u2", "a", 1.0), Rating("u2", "b", 5.0),
+        Rating("u3", "b", 4.0), Rating("u3", "c", 5.0), Rating("u3", "d", 1.0),
+        Rating("u4", "b", 2.0), Rating("u4", "c", 1.0), Rating("u4", "d", 5.0),
+        Rating("solo", "a", 4.0)])
+
+
+@pytest.mark.parametrize("user, n, positive_only", [
+    pytest.param("u1", 0, True, id="n-zero"),
+    pytest.param("u1", -1, True, id="n-negative"),
+    pytest.param("u3", 1, True, id="n-equals-unrated"),
+    pytest.param("u1", 3, True, id="n-beyond-unrated"),
+    pytest.param("nobody", 2, True, id="unknown-user"),
+    pytest.param("solo", 3, True, id="every-neighbor-filtered"),
+    pytest.param("nobody", 9, True, id="catalogue-smaller-than-n"),
+    pytest.param("solo", 3, False, id="negative-weights"),
+    pytest.param("u3", 2, False, id="negative-weights-mixed"),
+])
+def test_batched_selection_edge_cases(user, n, positive_only):
+    table = _opposed_table()
+    snapshot = _snapshot(table, k=2, positive_only=positive_only)
+    assert (snapshot.index.weights < 0).any()
+    if user == "solo" and positive_only:
+        a = snapshot.index.item_index["a"]
+        assert not (snapshot.index.row(a)[1] > 0).any()
+    service = RecommendationService(snapshot, response_cache_size=0)
+    want = snapshot.recommender().recommend(user, n)
+    assert service.recommend_batch([user], n) == [want]
+    assert service.recommend_batch_pinned([user], n) == (1, [want])
+
+
+def test_batched_truncated_index_still_delegates():
+    table = _opposed_table()
+    store = table.matrix()
+    snapshot = ModelSnapshot(store, store.neighbor_index(k=1), cf_k=1)
+    service = RecommendationService(snapshot)
+    with pytest.raises(ServingError, match="truncated") as per_request:
+        snapshot.recommender()
+    with pytest.raises(ServingError, match="truncated") as batched:
+        service.recommend_batch(["u1", "solo"], 2)
+    assert str(batched.value) == str(per_request.value)
+    assert service.n_layout_builds == 0
+
+
+_ratings_1_to_5 = st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0])
+_two_domain_items = st.sampled_from(
+    [f"m{k}" for k in range(5)] + [f"b{k}" for k in range(5)])
+
+
+@st.composite
+def two_domain_cases(draw):
+    """A small two-domain table with integer ratings (equal item means,
+    so scores tie across the n-th place), an append batch, and serving
+    parameters with ``cf_k`` below, at or above the longest profile."""
+    pairs = draw(st.lists(st.tuples(_users, _two_domain_items), min_size=6,
+                          max_size=40, unique=True))
+    table = RatingTable([
+        Rating(user, item, draw(_ratings_1_to_5), timestep=k)
+        for k, (user, item) in enumerate(pairs)])
+    batch_pairs = draw(st.lists(
+        st.tuples(st.sampled_from(["u0", "u1", "u9"]), _two_domain_items),
+        min_size=1, max_size=4, unique=True))
+    batch = [Rating(user, item, draw(_ratings_1_to_5), timestep=100 + k)
+             for k, (user, item) in enumerate(batch_pairs)]
+    longest = max(len(table.user_items(user)) for user in table.users)
+    cf_k = max(1, longest + draw(st.sampled_from([-1, 0, 1])))
+    return table, batch, cf_k, draw(st.booleans()), draw(st.integers(1, 6))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=two_domain_cases())
+def test_batched_is_exact_across_layouts_and_versions(case):
+    """``==`` the per-request oracle for every user — cap engaged and
+    vacuous, both filters, in-process and memory-mapped — and each
+    version is answered from its own layout while an old pin is held."""
+    table, batch, cf_k, positive_only, n = case
+
+    def oracle(snapshot, users):
+        reference = snapshot.recommender()
+        return [reference.recommend(user, n) for user in users]
+
+    registry = ModelRegistry(
+        sweep=IncrementalSweep(table, n_shards=1, with_index=True),
+        cf_k=cf_k, positive_only=positive_only)
+    service = RecommendationService(registry, response_cache_size=0)
+    users = sorted(table.users) + ["nobody"]
+    with registry.pin() as old:
+        want_old = oracle(old.snapshot, users)
+        assert service.recommend_batch(users, n) == want_old
+        with TemporaryDirectory() as directory:
+            old.snapshot.save(directory)
+            loaded = ModelSnapshot.load(directory)
+            mapped = RecommendationService(loaded, response_cache_size=0)
+            assert mapped.recommend_batch(users, n) == want_old
+        registry.update(batch)
+        new_users = sorted(registry.current().store.users)
+        want_new = oracle(registry.current(), new_users)
+        assert service.recommend_batch(new_users, n) == want_new
+        # the reader still pinned to v1 gets v1's layout, not the slot's
+        assert service._batch_topn(old.snapshot, users, n) == want_old
+        assert service.recommend_batch(new_users, n) == want_new
+    assert service.n_layout_builds >= 2  # at least one per version
+
+
 @_numpy_id
 def test_batched_mixes_cache_hits_and_misses(tiny_table):
     snapshot = _snapshot(tiny_table, k=5)
