@@ -4,9 +4,9 @@
   partition (§3.2),
 * :mod:`repro.core.metapaths` — meta-path enumeration over the pruned
   layered adjacency (Definition 3),
-* :mod:`repro.core.metapath_kernel` — the same enumeration and
-  Definition-6 fold, level-synchronous over NumPy arrays (what the
-  Extender runs when NumPy is available),
+* :mod:`repro.core.metapath_kernel` — pruning, the same enumeration
+  and the Definition-6 fold, level-synchronous over NumPy arrays (what
+  the Extender runs),
 * :mod:`repro.core.xsim` — path similarity, path certainty and the X-Sim
   metric (Definitions 5–6),
 * :mod:`repro.core.baseliner` / :mod:`repro.core.extender` — the first

@@ -40,9 +40,9 @@ class BaselineSimilarities:
         n_heterogeneous: number of cross-domain edges (the user-overlap
             similarities of §5.1).
         significance: bulk Definition-2 counts for every co-rated pair,
-            folded into the sweep when it ran sharded (the Extender's
-            :class:`~repro.core.xsim.SignificanceCache` ingests them and
-            skips per-pair lookups). ``None`` on the unsharded path.
+            folded into the sweep when it ran sharded (the snapshot
+            persists them; ``Extender.extend`` computes its own per
+            pruned edge). ``None`` on the unsharded path.
         state: the retained
             :class:`~repro.engine.sharded_sweep.IncrementalSweep` when
             the Baseliner ran with ``keep_state=True`` — what

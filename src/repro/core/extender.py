@@ -11,17 +11,12 @@ what the Generator consumes to build AlterEgos, and its size is the
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.layers import LayerPartition
 from repro.core.metapath_kernel import frontier_xsim_map
-from repro.core.metapaths import (
-    PrunedAdjacency,
-    build_pruned_adjacency,
-    enumerate_meta_paths,
-)
+from repro.core.metapaths import PrunedAdjacency, enumerate_meta_paths
 from repro.core.xsim import SignificanceCache, path_certainty, path_similarity
 from repro.data.ratings import RatingTable
 from repro.errors import ConfigError, SimilarityError
@@ -145,10 +140,13 @@ class Extender:
             table: the aggregated rating table (significance lookups).
             source_domain: which of the partition's two domains is the
                 mapping's source (the Generator maps source → target).
-            significance: a prewarmed cache — the pipeline hands in one
-                bulk-loaded from the sharded Baseliner sweep so dense
-                graphs skip per-pair Definition-2 lookups. Defaults to a
-                fresh lazy cache over *table*.
+            significance: the caller's own ``S`` / ``Ŝ`` source, asked
+                once per pruned edge (tests hand in stubs; a
+                :class:`~repro.core.xsim.SignificanceCache` works too).
+                Default: every pruned edge is resolved in one bulk pass
+                over *table*'s store
+                (:meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`),
+                whatever the Baseliner's shard count was.
 
         Returns:
             The X-Sim map. Source items with no meta-path into the target
@@ -162,18 +160,8 @@ class Extender:
             raise ConfigError(
                 f"source_domain {source_domain!r} is not a domain of the "
                 f"partition; have {partition.domains}")
-        started = time.perf_counter()
-        if significance is None:
-            significance = SignificanceCache(table)
-        adjacency = build_pruned_adjacency(graph, partition, self.config.k)
-        source_items = sorted(
-            item for item in graph.items
-            if partition.domain_of(item) == source_domain)
-        pruned = time.perf_counter()
         xsim_map, n_paths, stages = frontier_xsim_map(
-            source_items, partition, adjacency, source_domain,
-            significance, self.config)
-        stages["prune"] += pruned - started
+            graph, partition, table, source_domain, significance, self.config)
         observe_stage_seconds("extender", stages)
         registry = get_registry()
         registry.counter(

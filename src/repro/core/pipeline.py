@@ -31,7 +31,6 @@ from repro.core.alterego import AlterEgoGenerator, ReplacementPolicy
 from repro.core.baseliner import Baseliner, BaselineSimilarities
 from repro.core.extender import Extender, ExtenderConfig, XSimMap
 from repro.core.layers import LayerPartition
-from repro.core.xsim import SignificanceCache
 from repro.data.dataset import CrossDomainDataset
 from repro.data.ratings import RatingTable
 from repro.errors import ConfigError, ReproError
@@ -72,7 +71,7 @@ class XMapConfig:
         n_shards: shard count for the Baseliner's Eq-6 sweep on the
             dataflow engine (``None`` reads ``REPRO_SHARDS``; 1 is the
             single-process store path). Sharded runs also bulk-compute
-            the Definition-2 counts the Extender consumes.
+            the Definition-2 counts the model snapshot persists.
         n_edge_partitions: item-partition count for the sweep's merge +
             adjacency-assembly back half (``None`` reads
             ``REPRO_EDGE_PARTITIONS`` and defaults to the shard count;
@@ -182,8 +181,8 @@ class _PipelineBase:
         # One aggregated table (and therefore one interned
         # MatrixRatingStore, built lazily on first similarity call) is
         # shared by the Baseliner's Eq-6 sweep and the Extender's
-        # significance lookups — data.merged() builds a fresh table per
-        # call, which would re-derive every profile per phase.
+        # per-edge significance pass — data.merged() builds a fresh
+        # table per call, which would re-derive every profile per phase.
         merged = data.merged()
         baseliner = Baseliner(
             min_common_users=self.config.min_common_users,
@@ -196,16 +195,9 @@ class _PipelineBase:
         extender = Extender(ExtenderConfig(
             k=self.config.prune_k,
             max_paths_per_item=self.config.max_paths_per_item))
-        # A sharded Baseliner run folded the Definition-2 counts into its
-        # sweep; hand them to the Extender as a prewarmed cache so dense
-        # graphs never pay per-pair significance lookups.
-        significance = None
-        if self.baseline.significance is not None:
-            significance = SignificanceCache(merged, preload=self.baseline.significance)
         self.xsim_map = extender.extend(
             self.baseline.graph, self.partition, merged,
-            source_domain=data.source.name,
-            significance=significance)
+            source_domain=data.source.name)
         self.generator = self._make_generator(self.xsim_map)
         alterego_users = (sorted(set(users)) if users is not None
                           else sorted(data.source.users))

@@ -26,27 +26,21 @@ from repro.similarity.significance import SignificanceTable
 
 
 class SignificanceCache:
-    """Memoised significance lookups over one rating table.
+    """Memoised per-pair significance lookups over one rating table.
 
-    Each pair's Definition-2 count is computed at most once however
-    often it is read. The reference DFS
-    (:func:`~repro.core.extender.extend_item_reference`) reads an edge
-    once per *meta-path through* it, so there the cache is what keeps
-    enumeration at dict-hit cost per hop; the Extender's frontier kernel
-    reads each pruned edge once per ``extend`` and carries the value in
-    its CSR, so it only relies on the cache for the pair's two
-    directions and for a preload. Misses go straight to the table's
-    interned :class:`~repro.data.matrix.MatrixRatingStore` (one
-    sorted-column merge over precomputed like/dislike flags) rather than
-    re-intersecting ``Rating`` dicts pair by pair.
+    The per-item reference DFS
+    (:func:`~repro.core.extender.extend_item_reference`, Fig. 11's
+    simulated job) reads an edge once per *meta-path through* it, so
+    the cache is what keeps its enumeration at dict-hit cost per hop.
+    ``Extender.extend`` does not need one: its kernel resolves every
+    pruned edge in one bulk
+    :meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`
+    pass. Misses go to the table's interned store.
 
     A :class:`~repro.similarity.significance.SignificanceTable` from the
-    sharded Baseliner sweep can be ingested up front (*preload*): every
-    co-rated pair's raw and normalized significance is then served from
-    the bulk counts and the per-pair store path only ever runs for
-    degenerate queries (self-pairs, items with no co-raters). The
-    preloaded values are exact integers and integer ratios, so lookups
-    are bit-identical with and without the preload.
+    sharded Baseliner sweep can be ingested up front (*preload*); its
+    values are exact integers and integer ratios, so lookups are
+    bit-identical with and without it.
     """
 
     def __init__(self, table: RatingTable,

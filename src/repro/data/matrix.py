@@ -518,6 +518,43 @@ class MatrixRatingStore:
                 f"nor {item_j!r} has raters")
         return self.significance(item_i, item_j) / union
 
+    def edge_significance(self, left, right):
+        """:meth:`significance` and :meth:`normalized_significance` of
+        every ``(left[e], right[e])`` pair of item *indexes* (−1: an
+        item this store never saw) as two aligned arrays, in one pass.
+
+        Each edge probes its smaller column into the larger, as the
+        scalar path does: the CSC layout is (item, user)-ascending, so
+        ``item · n_users + user`` is one globally sorted key and every
+        probe is a ``searchsorted`` hit or miss. The counts are the
+        same integers and ``Ŝ`` the same ``S / (|Y_i| + |Y_j| − |Y_i ∩
+        Y_j|)`` division, so the floats are those of the per-pair calls.
+        """
+        # A trailing empty column is what index −1 lands on.
+        sizes = _np.append(_np.diff(self.item_ptr), 0)
+        swap = sizes[right] < sizes[left]
+        probe = _np.where(swap, right, left)
+        other = _np.where(swap, left, right)
+        span = sizes[probe]
+        edge = _np.repeat(_np.arange(len(probe)), span)
+        at = (_np.arange(len(edge)) - _np.repeat(_np.cumsum(span) - span, span)
+              + self.item_ptr[probe][edge])
+        n_users = len(self.users)
+        column_key = (_np.repeat(_np.arange(len(self.items)), sizes[:-1]) * n_users
+                      + self.item_user_idx)
+        key = other[edge] * n_users + self.item_user_idx[at]
+        found = _np.minimum(_np.searchsorted(column_key, key), len(column_key) - 1)
+        common = column_key[found] == key
+        agree = common & (self.item_likes[at] == self.item_likes[found])
+        raw = _np.bincount(edge[agree], minlength=len(probe))
+        union = sizes[left] + sizes[right] - _np.bincount(
+            edge[common], minlength=len(probe))
+        if not union.all():
+            raise SimilarityError(
+                "normalized significance undefined: an edge joins two "
+                "items without raters")
+        return raw, raw / union
+
     # ------------------------------------------------------------------
     # All-pairs adjusted cosine (the Baseliner's Eq-6 sweep)
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.data.ratings import RatingTable
 from repro.errors import GraphError
-from repro.similarity.knn import NeighborIndex
+from repro.similarity.knn import NeighborIndex, rank_rows
 
 
 class ItemGraph:
@@ -186,6 +186,20 @@ class ItemGraph:
                     key=lambda pair: (-pair[1], pair[0]))
             self._ranked_cache[item] = cached
         return cached
+
+    def ranked_rows(self):
+        """Every row at once, in :meth:`ranked_neighbors` order, as
+        ``(items, ptr, neighbor ids, weights)`` over the **sorted** item
+        ids: the backing index's own arrays when it holds complete rows,
+        one sort of the adjacency otherwise. Read-only either way.
+        """
+        index = self._index
+        if (index is not None and index.k is None
+                and len(index.items) == len(self._adjacency)):
+            return index.items, index.ptr, index.neighbor_ids, index.weights
+        items = sorted(self._adjacency)
+        ids = {item: position for position, item in enumerate(items)}
+        return items, *rank_rows([self._adjacency[item] for item in items], ids)
 
     def top_neighbors(self, item: str, k: int,
                       among: Iterable[str] | None = None,

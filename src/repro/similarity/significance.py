@@ -33,9 +33,9 @@ class SignificanceTable:
     """Bulk Definition-2 counts for every co-rated item pair.
 
     Produced by the sharded Eq-6 sweep (the counts fold into the same
-    accumulation pass as the similarities) and ingested wholesale by the
-    Extender's :class:`~repro.core.xsim.SignificanceCache`, so dense
-    graphs never pay per-pair intersection lookups. Both mappings are
+    accumulation pass as the similarities); a
+    :class:`~repro.core.xsim.SignificanceCache` can ingest it wholesale
+    and the model snapshot persists it. Both mappings are
     keyed ``(item_i, item_j)`` with ``i < j``; values are exact integers,
     identical to the per-pair lookups regardless of shard count.
 

@@ -310,3 +310,87 @@ def test_stage_seconds_explain_the_extend_wall():
             == count_heterogeneous_pairs(xsim_map))
     assert (_counter("extender_paths_total") - paths_before
             >= count_heterogeneous_pairs(xsim_map))
+
+
+# -- the whole-row test's boundary ---------------------------------------
+
+
+@pytest.mark.parametrize("source", ["s", "t"])
+def test_every_cap_on_the_hand_graph_equals_the_reference(source):
+    # 8 paths leave each source-side origin (see _hand_graph), so caps
+    # 1..9 put `last_prefix − (cap − first)` on both sides of 0 for
+    # every row — the whole-row test's off-by-one.
+    graph, partition, significance = _hand_graph()
+    for cap in range(1, 10):
+        config = ExtenderConfig(k=5, max_paths_per_item=cap)
+        actual = Extender(config).extend(
+            graph, partition, RatingTable([]), source, significance=significance)
+        assert_same_map(
+            actual, reference_map(graph, partition, significance, source, config))
+
+
+def test_every_small_cap_on_a_generated_trace_equals_the_reference():
+    data, graph, partition, merged = _fitted(1, 0)
+    significance = SignificanceCache(merged)
+    for cap in range(1, 41):
+        config = ExtenderConfig(k=3, max_paths_per_item=cap)
+        actual = Extender(config).extend(graph, partition, merged, data.source.name)
+        assert_same_map(actual, reference_map(
+            graph, partition, significance, data.source.name, config))
+
+
+# -- one significance path, any graph backing ----------------------------
+
+
+@pytest.mark.parametrize("n_shards", [1, 4])
+def test_extend_equals_the_reference_at_any_shard_count(small_trace, n_shards):
+    # Both legs in one process: the 4-shard graph carries a ranked
+    # NeighborIndex and bulk significance, the 1-shard graph neither;
+    # extend reads per-edge S / Ŝ from the store either way. (The two
+    # graphs' weights differ in the last bits — shard merge order — so
+    # each is held to the reference over its own graph.)
+    merged = small_trace.merged()
+    baseline = Baseliner(n_shards=n_shards).compute(small_trace, merged=merged)
+    partition = LayerPartition.from_graph(baseline.graph, small_trace.domain_map())
+    config = ExtenderConfig(k=8, max_paths_per_item=500)
+    source = small_trace.source.name
+    actual = Extender(config).extend(baseline.graph, partition, merged, source)
+    assert_same_map(actual, reference_map(
+        baseline.graph, partition, SignificanceCache(merged), source, config))
+    if baseline.significance is not None:
+        preloaded = SignificanceCache(merged, preload=baseline.significance)
+        assert_same_map(actual, reference_map(
+            baseline.graph, partition, preloaded, source, config))
+
+
+def test_hand_built_graph_without_an_index_gives_the_same_map(small_trace):
+    merged = small_trace.merged()
+    baseline = Baseliner(n_shards=4).compute(small_trace, merged=merged)
+    plain = ItemGraph()
+    for item in baseline.graph.items:
+        plain.add_item(item)
+    plain.add_edges(baseline.graph.edges())
+    partition = LayerPartition.from_graph(plain, small_trace.domain_map())
+    config = ExtenderConfig(k=8, max_paths_per_item=500)
+    source = small_trace.source.name
+    actual = Extender(config).extend(plain, partition, merged, source)
+    assert actual
+    assert_same_map(actual, Extender(config).extend(
+        baseline.graph, partition, merged, source))
+    assert_same_map(actual, reference_map(
+        plain, partition, SignificanceCache(merged), source, config))
+
+
+def test_an_item_the_table_never_saw_carries_no_evidence():
+    # k9 is a graph vertex with no rating: S = 0 and Ŝ = 0 / |Y_k1| on
+    # its edge, as the per-pair store lookups say, so paths through it
+    # are dropped and the rest of the map is untouched.
+    ratings = [("s", "m1", 5.0), ("s", "m2", 2.0), ("r", "m1", 1.0), ("r", "m2", 4.0),
+               ("x", "m2", 5.0), ("x", "k1", 4.0), ("y", "m2", 2.0), ("y", "k1", 1.0),
+               ("t", "k1", 5.0), ("t", "k2", 2.0), ("q", "k1", 1.0), ("q", "k2", 5.0)]
+    domain_of = {"m1": "m", "m2": "m", "k1": "k", "k2": "k", "k9": "k"}
+    graph, _, table = _micro(ratings, domain_of)
+    graph.add_edge("k1", "k9", 0.5)
+    partition = LayerPartition.from_graph(graph, domain_of)
+    forward = _check_micro(graph, partition, table, "m")
+    assert forward and all("k9" not in targets for targets in forward.values())

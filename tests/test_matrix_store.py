@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,30 @@ def test_normalized_significance_matches_union_formula(table):
             union = len(table.item_users(a) | table.item_users(b))
             assert normalized_significance(table, a, b) == pytest.approx(
                 significance_reference(table, a, b) / union)
+
+
+@_common
+@given(table=rating_tables())
+def test_edge_significance_equals_the_per_pair_lookups(table):
+    store = table.matrix()
+    names = store.items + ["never-rated"]
+    ids = list(range(len(store.items))) + [-1]
+    # Every ordered pair, self-pairs and an unknown item (index −1)
+    # included; a pair of two unknowns has no raters at all and raises
+    # on both paths, so it is left out here and pinned below.
+    pairs = [(a, b) for a in range(len(ids)) for b in range(len(ids))
+             if ids[a] >= 0 or ids[b] >= 0]
+    left = np.asarray([ids[a] for a, _ in pairs])
+    right = np.asarray([ids[b] for _, b in pairs])
+    raw, normalized = store.edge_significance(left, right)
+    assert raw.tolist() == [
+        store.significance(names[a], names[b]) for a, b in pairs]
+    assert normalized.tolist() == [
+        store.normalized_significance(names[a], names[b]) for a, b in pairs]
+    with pytest.raises(SimilarityError):
+        store.edge_significance(np.asarray([-1]), np.asarray([-1]))
+    empty = store.edge_significance(left[:0], right[:0])
+    assert [len(column) for column in empty] == [0, 0]
 
 
 # -- naive oracles (straight transcriptions of the formulas) ------------
