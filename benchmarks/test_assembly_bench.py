@@ -72,7 +72,6 @@ def test_assembly_partitioning():
         ratings = _random_ratings(n_users, n_items, per_user, seed=7)
         table = RatingTable(ratings)
         store = table.matrix()
-        store.user_likes  # warm the lazy flags outside every timer
         reference = None
         rows = []
         for n_partitions in (1, 2, 4, 8):

@@ -196,7 +196,7 @@ def test_chaos_goodput_and_overload_shedding():
     reports_by_size = {}
     for name, n_users, n_items, per_user in _chaos_sizes():
         table = RatingTable(_random_ratings(n_users, n_items, per_user, seed=7))
-        sweep = IncrementalSweep(table, n_shards=1, with_index=True)
+        sweep = IncrementalSweep(table, n_shards=1)
         registry = ModelRegistry(sweep=sweep, cf_k=CF_K)
         users = sorted(table.users)[:N_REQUEST_USERS]
 

@@ -4,18 +4,12 @@ Measures ``sharded_adjacency`` against the single-process store path
 (``MatrixRatingStore.build_adjacency``) across shard counts, on the
 same synthetic tables as ``test_similarity_bench``.
 
-Two caveats the numbers must be read with:
-
-* shards run one after another in the driver, so ``seconds`` grows with
-  the shard count — the column to watch is ``max_shard_s``, the slowest
-  single shard of the run: it is the accumulation-stage critical path a
-  parallel executor would be bound by on real cores (merge + adjacency
-  assembly stay on the driver), and it shrinks roughly linearly with
-  the shard count;
-* the ``+sig`` row folds the Definition-2 significance counts for every
-  co-rated pair into the same pass — its delta over the plain 4-shard
-  row is the *total* cost of bulk significance (the per-pair lookups it
-  replaces are benchmarked in ``test_similarity_bench``).
+One caveat the numbers must be read with: shards run one after another
+in the driver, so ``seconds`` grows with the shard count — the column to
+watch is ``max_shard_s``, the slowest single shard of the run: it is the
+accumulation-stage critical path a parallel executor would be bound by
+on real cores (merge + adjacency assembly stay on the driver), and it
+shrinks roughly linearly with the shard count.
 
 Every configuration is checked against the store path (1e-9; the
 one-shard run bit-identical) before its timing is reported. Timings are
@@ -69,7 +63,6 @@ def test_shard_scaling():
         ("x1", dict(n_shards=1)),
         ("x2", dict(n_shards=2)),
         ("x4", dict(n_shards=4)),
-        ("x4 +sig", dict(n_shards=4, with_significance=True)),
     ]
     lines = [f"{'size':<8} {'config':<16} {'seconds':>9} {'vs_store':>9} "
              f"{'max_shard_s':>12}"]
@@ -77,7 +70,6 @@ def test_shard_scaling():
         ratings = _random_ratings(n_users, n_items, per_user, seed=7)
         table = RatingTable(ratings)
         store = table.matrix()
-        store.user_likes  # warm the lazy flags outside every timer
         baseline, store_s = _timed(lambda: store.build_adjacency())
         lines.append(f"{name:<8} {'store path':<16} {store_s:>9.3f} "
                      f"{'1.00x':>9} {'—':>12}")

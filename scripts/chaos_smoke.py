@@ -520,7 +520,7 @@ def _drive(work_dir: str, seed: int) -> int:
     work = Path(work_dir)
     work.mkdir(parents=True, exist_ok=True)
     table = _table(seed)
-    sweep = IncrementalSweep(table, n_shards=1, with_index=True)
+    sweep = IncrementalSweep(table, n_shards=1)
     registry = ModelRegistry(sweep=sweep, cf_k=CF_K)
     catalog = SnapshotCatalog(work / "catalog")
     catalog.attach(registry)

@@ -100,8 +100,8 @@ def _writer(store_dir: str, plan_path: str) -> int:
     plan = json.loads(Path(plan_path).read_text(encoding="utf-8"))
     base = RatingTable([Rating(*record) for record in plan["base"]])
     durable = DurableSweep(
-        store_dir, base, n_shards=N_SHARDS, with_significance=True,
-        cf_k=CF_K, policy=CheckpointPolicy(max_batches=CHECKPOINT_EVERY),
+        store_dir, base, n_shards=N_SHARDS, cf_k=CF_K,
+        policy=CheckpointPolicy(max_batches=CHECKPOINT_EVERY),
         group_commit=1, fsync=True)
     for batch in plan["batches"]:
         durable.update([Rating(*record) for record in batch])
@@ -137,7 +137,7 @@ def _check(store_dir: str, plan_path: str) -> int:
 
     reference = IncrementalSweep(
         RatingTable([Rating(*record) for record in plan["base"]]),
-        n_shards=N_SHARDS, with_significance=True, with_index=True)
+        n_shards=N_SHARDS)
     for batch in plan["batches"][:applied]:
         reference.update([Rating(*record) for record in batch])
 

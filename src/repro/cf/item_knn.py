@@ -52,7 +52,7 @@ class ItemKNNRecommender(BaseRecommender):
             prediction and amortised over every serve-time call;
             ``False`` keeps the lazy per-pair reference path (each
             similarity computed on demand and cached).
-        index: a prebuilt (untruncated, same item universe) serving
+        index: a prebuilt (same item universe) serving
             index to adopt instead of building one lazily — what a
             loaded :class:`~repro.serving.snapshot.ModelSnapshot`
             injects so a restarted server's first prediction never
@@ -71,14 +71,6 @@ class ItemKNNRecommender(BaseRecommender):
         if k <= 0:
             raise ConfigError(f"k must be positive, got {k}")
         if index is not None:
-            if index.k is not None:
-                # Phase 1 restricts to the user's rated items, which can
-                # sit arbitrarily deep in a row — a truncated row would
-                # silently under-select the neighborhood.
-                raise ConfigError(
-                    f"a serving index for ItemKNNRecommender must hold "
-                    f"complete rows; this one was truncated to "
-                    f"top-{index.k} at build time")
             if not use_index:
                 raise ConfigError(
                     "use_index=False contradicts an injected serving "

@@ -333,7 +333,6 @@ def _cmd_snapshot(args) -> int:
               f"mapping={len(snapshot.item_mapping())}")
         return 0
     snapshot = ModelSnapshot.load(args.snapshot)
-    significance = snapshot.significance
     print(f"model snapshot at {args.snapshot}")
     print(f"  version={snapshot.version}")
     print(f"  users={snapshot.n_users} items={snapshot.n_items} "
@@ -341,11 +340,8 @@ def _cmd_snapshot(args) -> int:
     print(f"  serving: k={snapshot.cf_k} "
           f"positive_only={snapshot.positive_only} "
           f"scale=[{snapshot.scale[0]:g}, {snapshot.scale[1]:g}]")
-    print(f"  index: entries={snapshot.index.n_entries} "
-          f"truncation={snapshot.index.k}")
-    print(f"  significance pairs="
-          f"{len(significance.raw) if significance else 0} "
-          f"alterego sources="
+    print(f"  index: entries={snapshot.index.n_entries}")
+    print(f"  alterego sources="
           f"{len(snapshot.alterego) if snapshot.alterego else 0}")
     return 0
 

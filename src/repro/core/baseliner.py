@@ -24,7 +24,6 @@ from repro.engine.sharded_sweep import (
 )
 from repro.errors import ConfigError
 from repro.similarity.graph import ItemGraph, build_similarity_graph
-from repro.similarity.significance import SignificanceTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.ratings import Rating
@@ -39,10 +38,6 @@ class BaselineSimilarities:
         n_homogeneous: number of same-domain edges.
         n_heterogeneous: number of cross-domain edges (the user-overlap
             similarities of §5.1).
-        significance: bulk Definition-2 counts for every co-rated pair,
-            folded into the sweep when it ran sharded (the snapshot
-            persists them; ``Extender.extend`` computes its own per
-            pruned edge). ``None`` on the unsharded path.
         state: the retained
             :class:`~repro.engine.sharded_sweep.IncrementalSweep` when
             the Baseliner ran with ``keep_state=True`` — what
@@ -53,7 +48,6 @@ class BaselineSimilarities:
     graph: ItemGraph
     n_homogeneous: int
     n_heterogeneous: int
-    significance: SignificanceTable | None = None
     state: IncrementalSweep | None = None
 
     @property
@@ -96,8 +90,6 @@ class Baseliner:
         n_shards: partition the Eq-6 sweep into this many user shards on
             the dataflow engine (§5.1's shard-then-merge job); ``None``
             reads ``REPRO_SHARDS``, 1 is the single-process store path.
-            The sharded sweep additionally bulk-computes the
-            Definition-2 significance counts in the same pass.
         n_edge_partitions: item-partition count for the merge + assembly
             back half of the sharded sweep; ``None`` reads
             ``REPRO_EDGE_PARTITIONS`` and defaults to the shard count.
@@ -139,29 +131,21 @@ class Baseliner:
         """
         if merged is None:
             merged = data.merged()
-        significance = None
         state = None
         if self.keep_state:
             state = IncrementalSweep(
                 merged, n_shards=self.n_shards,
                 min_common_users=self.min_common_users,
-                min_abs_similarity=self.min_abs_similarity,
-                with_significance=resolve_n_shards(self.n_shards) > 1)
+                min_abs_similarity=self.min_abs_similarity)
             graph = state.graph
-            if state.significance is not None:
-                significance = SignificanceTable(
-                    raw=state.significance, common=state.common_raters)
         elif resolve_n_shards(self.n_shards) > 1:
             result = sharded_adjacency(
                 merged, n_shards=self.n_shards,
                 min_common_users=self.min_common_users,
                 min_abs_similarity=self.min_abs_similarity,
-                with_significance=True,
                 n_edge_partitions=self.n_edge_partitions,
                 with_index=True)
             graph = ItemGraph.from_adjacency(result.adjacency, index=result.index)
-            significance = SignificanceTable(
-                raw=result.significance, common=result.common_raters)
         else:
             graph = build_similarity_graph(
                 merged,
@@ -181,7 +165,6 @@ class Baseliner:
             graph=graph,
             n_homogeneous=n_homogeneous,
             n_heterogeneous=n_heterogeneous,
-            significance=significance,
             state=state)
 
     def update(self, baseline: BaselineSimilarities,
@@ -223,13 +206,8 @@ class Baseliner:
                 n_homogeneous -= 1
             else:
                 n_heterogeneous -= 1
-        significance = baseline.significance
-        if state.significance is not None:
-            significance = SignificanceTable(
-                raw=state.significance, common=state.common_raters)
         return BaselineSimilarities(
             graph=state.graph,
             n_homogeneous=n_homogeneous,
             n_heterogeneous=n_heterogeneous,
-            significance=significance,
             state=state), stats

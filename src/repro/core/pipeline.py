@@ -70,8 +70,7 @@ class XMapConfig:
         min_common_users: Baseliner edge threshold.
         n_shards: shard count for the Baseliner's Eq-6 sweep on the
             dataflow engine (``None`` reads ``REPRO_SHARDS``; 1 is the
-            single-process store path). Sharded runs also bulk-compute
-            the Definition-2 counts the model snapshot persists.
+            single-process store path).
         n_edge_partitions: item-partition count for the sweep's merge +
             adjacency-assembly back half (``None`` reads
             ``REPRO_EDGE_PARTITIONS`` and defaults to the shard count;
@@ -231,9 +230,8 @@ class _PipelineBase:
         """Freeze the fitted model into a
         :class:`~repro.serving.snapshot.ModelSnapshot`.
 
-        Captures the serving store and index, the Baseliner's bulk
-        significance (when the sharded sweep produced one) and the
-        Generator's replacement sets; ``snapshot().save(directory)``
+        Captures the serving store and index and the Generator's
+        replacement sets; ``snapshot().save(directory)``
         then persists everything a restarted server needs — loading it
         serves predictions bit-identical to this fitted pipeline
         without re-running any offline phase. Deterministic item-mode

@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 
 from repro.data.ratings import RatingTable
 from repro.errors import SimilarityError
-from repro.similarity.significance import SignificanceTable
 
 
 class SignificanceCache:
@@ -36,37 +35,12 @@ class SignificanceCache:
     pruned edge in one bulk
     :meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`
     pass. Misses go to the table's interned store.
-
-    A :class:`~repro.similarity.significance.SignificanceTable` from the
-    sharded Baseliner sweep can be ingested up front (*preload*); its
-    values are exact integers and integer ratios, so lookups are
-    bit-identical with and without it.
     """
 
-    def __init__(self, table: RatingTable,
-                 preload: SignificanceTable | None = None) -> None:
+    def __init__(self, table: RatingTable) -> None:
         self._store = table.matrix()
         self._raw: dict[tuple[str, str], int] = {}
         self._normalized: dict[tuple[str, str], float] = {}
-        if preload is not None:
-            self._ingest(preload)
-
-    def _ingest(self, preload: SignificanceTable) -> None:
-        """Bulk-load Definition-2 counts for every co-rated pair.
-
-        Normalized significance is derived exactly as the store does it
-        (``S / (|Y_i| + |Y_j| − |Y_i ∩ Y_j|)``), from the same integers,
-        so the division yields the same float the lazy path would.
-        """
-        store = self._store
-        item_index = store.item_index
-        self._raw.update(preload.raw)
-        normalized = self._normalized
-        raw = preload.raw
-        for (item_i, item_j), common in preload.common.items():
-            union = (store.item_raters(item_index[item_i])
-                     + store.item_raters(item_index[item_j]) - common)
-            normalized[(item_i, item_j)] = raw[(item_i, item_j)] / union
 
     @staticmethod
     def _key(item_i: str, item_j: str) -> tuple[str, str]:

@@ -67,24 +67,21 @@ class PairAccumulation:
     ``left * n_items + right`` integer keys with ``left < right``.
 
     ``keys`` is a strictly-increasing int64 array and ``sums`` /
-    ``counts`` / ``agree`` are value arrays aligned with it.
+    ``counts`` are value arrays aligned with it.
 
     Attributes:
         keys: unique pair keys.
         sums: Eq-6 numerator partial sums per pair.
         counts: co-rating contribution counts per pair (``|Y_i ∩ Y_j|``
             restricted to the accumulated users) — exact integers.
-        agree: Definition-2 like/dislike agreement counts per pair, or
-            ``None`` when significance was not requested.
     """
 
-    __slots__ = ("keys", "sums", "counts", "agree")
+    __slots__ = ("keys", "sums", "counts")
 
-    def __init__(self, keys, sums, counts, agree) -> None:
+    def __init__(self, keys, sums, counts) -> None:
         self.keys = keys
         self.sums = sums
         self.counts = counts
-        self.agree = agree
 
     @property
     def n_pairs(self) -> int:
@@ -112,7 +109,7 @@ class RowSplice(NamedTuple):
     :meth:`~repro.similarity.graph.ItemGraph.apply_delta` adopts.
 
     Attributes:
-        index: the refreshed index (``None`` when the sweep keeps none).
+        index: the refreshed index.
         affected: ascending item indexes inside the blast radius — the
             touched items, their current co-rated partners and their
             pre-update neighbors.
@@ -126,7 +123,7 @@ class RowSplice(NamedTuple):
             placed.
     """
 
-    index: "NeighborIndex | None"
+    index: "NeighborIndex"
     affected: list[int]
     rows: dict[str, dict[str, float]]
     patches: Iterable[tuple[str, str, float]]
@@ -162,25 +159,20 @@ class StoreDelta:
             touched user's post-append profile — the blast radius of
             the user-mean changes (Eq-6 numerators and item centered
             norms can only change inside this set).
-        batch_items: new-space indexes (ascending) of the items rated in
-            the batch — their item means, and so the Definition-2 like
-            flags of *all* their raters, moved. Always a subset of
-            *touched_items*.
         new_users: user ids interned by this batch, ascending.
         new_items: item ids interned by this batch, ascending.
     """
 
     __slots__ = ("n_old_items", "user_map", "item_map", "touched_users",
-                 "touched_items", "batch_items", "new_users", "new_items")
+                 "touched_items", "new_users", "new_items")
 
     def __init__(self, n_old_items, user_map, item_map, touched_users,
-                 touched_items, batch_items, new_users, new_items) -> None:
+                 touched_items, new_users, new_items) -> None:
         self.n_old_items = n_old_items
         self.user_map = user_map
         self.item_map = item_map
         self.touched_users = touched_users
         self.touched_items = touched_items
-        self.batch_items = batch_items
         self.new_users = new_users
         self.new_items = new_items
 
@@ -220,14 +212,12 @@ class MatrixRatingStore:
         "item_ptr", "item_user_idx", "item_values", "item_centered",
         "item_likes", "item_centered_norms", "item_raw_norms",
         "_triu_cache", "_item_names_obj", "_like_dicts",
-        "_user_likes",
     )
 
     def __init__(self, table: "RatingTable") -> None:
         self._triu_cache: dict[int, tuple] = {}
         self._item_names_obj = None
         self._like_dicts: list[dict[int, bool] | None] | None = None
-        self._user_likes = None
 
         users = sorted(table.users)
         items = sorted(table.items)
@@ -588,19 +578,6 @@ class MatrixRatingStore:
         """
         yield from self._all_pairs_numpy(min_common_users, max_profile_size)
 
-    @property
-    def user_likes(self):
-        """Per-rating like/dislike flags in CSR (user-row) order.
-
-        The same Definition-2 comparison as :attr:`item_likes` (value at
-        or above the item's mean), but aligned with the per-user rows the
-        pair sweep batches over — what lets the sharded sweep fold the
-        significance counts into the Eq-6 pass. Built lazily and cached.
-        """
-        if self._user_likes is None:
-            self._user_likes = self.user_values >= self.item_means[self.user_item_idx]
-        return self._user_likes
-
     def eligible_users(self, max_profile_size: int | None = None,
                        users: Sequence[int] | None = None):
         """User indexes that contribute Eq-6 pairs, in canonical sweep
@@ -627,10 +604,9 @@ class MatrixRatingStore:
             eligible = candidates[mask]
         return eligible[_np.argsort(lengths[eligible], kind="stable")]
 
-    def _contribution_arrays_numpy(self, eligible, with_significance: bool):
+    def _contribution_arrays_numpy(self, eligible):
         """The batched Eq-6 fan-out over *eligible* (canonical order) as
-        aligned ``(pair key, numerator contribution[, like agreement])``
-        arrays.
+        aligned ``(pair key, numerator contribution)`` arrays.
 
         Users are batched by profile length so each batch is one 2-D
         gather + one broadcasted multiply instead of a per-user Python
@@ -643,10 +619,8 @@ class MatrixRatingStore:
         lengths = _np.diff(self.user_ptr)
         group_lengths = lengths[eligible]
         starts = self.user_ptr[eligible]
-        likes_all = self.user_likes if with_significance else None
         key_parts = []
         value_parts = []
-        agree_parts = []
         distinct, group_bounds = _np.unique(group_lengths, return_index=True)
         group_bounds = list(group_bounds) + [len(eligible)]
         for g, length in enumerate(distinct.tolist()):
@@ -657,15 +631,9 @@ class MatrixRatingStore:
             rows, cols = self._triu(length)
             key_parts.append((idx[:, rows] * n_items + idx[:, cols]).ravel())
             value_parts.append((centered[:, rows] * centered[:, cols]).ravel())
-            if with_significance:
-                likes = likes_all[offsets]
-                agree_parts.append((likes[:, rows] == likes[:, cols]).ravel())
-        keys = _np.concatenate(key_parts)
-        values = _np.concatenate(value_parts)
-        agree = _np.concatenate(agree_parts) if with_significance else None
-        return keys, values, agree
+        return _np.concatenate(key_parts), _np.concatenate(value_parts)
 
-    def _reduce_contributions_numpy(self, keys, values, agree) -> PairAccumulation:
+    def _reduce_contributions_numpy(self, keys, values) -> PairAccumulation:
         """Group the contribution arrays by pair key.
 
         Two accumulation strategies with identical results (bincount
@@ -683,41 +651,24 @@ class MatrixRatingStore:
             uniq = _np.nonzero(dense_counts)[0]
             counts = dense_counts[uniq]
             sums = dense_sums[uniq]
-            agree_counts = None
-            if agree is not None:
-                agree_counts = _np.bincount(keys[agree], minlength=space)[uniq]
         else:
             uniq, inverse, counts = _np.unique(
                 keys, return_inverse=True, return_counts=True)
             sums = _np.bincount(inverse, weights=values, minlength=len(uniq))
-            agree_counts = None
-            if agree is not None:
-                agree_counts = _np.bincount(inverse[agree], minlength=len(uniq))
-        return PairAccumulation(uniq, sums, counts, agree_counts)
+        return PairAccumulation(uniq, sums, counts)
 
     def pair_accumulation(self, users: Sequence[int] | None = None,
-                          max_profile_size: int | None = None,
-                          with_significance: bool = False
+                          max_profile_size: int | None = None
                           ) -> PairAccumulation:
         """Reduced Eq-6 accumulation over *users* (one shard of the pair
-        sweep; ``None`` means every user).
-
-        With ``with_significance`` the same pass also counts Definition-2
-        like/dislike agreements per pair. Those counts equal the true
-        ``S_{i,j}`` only when no profile filter drops co-raters — i.e.
-        when *max_profile_size* is ``None`` (a user rating both i and j
-        always has a profile of length ≥ 2, so the implicit minimum never
-        excludes anyone).
-        """
+        sweep; ``None`` means every user)."""
         eligible = self.eligible_users(max_profile_size, users)
         if len(eligible) == 0:
             empty_int = _np.zeros(0, dtype=_np.int64)
             return PairAccumulation(
-                empty_int, _np.zeros(0, dtype=_np.float64), empty_int.copy(),
-                empty_int.copy() if with_significance else None)
-        keys, values, agree = self._contribution_arrays_numpy(
-            eligible, with_significance)
-        return self._reduce_contributions_numpy(keys, values, agree)
+                empty_int, _np.zeros(0, dtype=_np.float64), empty_int.copy())
+        return self._reduce_contributions_numpy(
+            *self._contribution_arrays_numpy(eligible))
 
     def merge_accumulations(
             self, parts: Sequence[PairAccumulation]) -> PairAccumulation:
@@ -733,13 +684,8 @@ class MatrixRatingStore:
         """
         if len(parts) == 1:
             return parts[0]
-        with_significance = any(part.agree is not None for part in parts)
-        if with_significance and not all(part.agree is not None for part in parts):
-            raise SimilarityError(
-                "cannot merge accumulations with and without "
-                "significance counts")
         if not parts:
-            return self.pair_accumulation(users=(), with_significance=with_significance)
+            return self.pair_accumulation(users=())
         keys_cat = _np.concatenate([part.keys for part in parts])
         sums_cat = _np.concatenate([part.sums for part in parts])
         counts_cat = _np.concatenate([part.counts for part in parts])
@@ -752,13 +698,7 @@ class MatrixRatingStore:
         counts = _np.bincount(
             inverse, weights=counts_cat,
             minlength=len(uniq)).astype(_np.int64)
-        agree_counts = None
-        if with_significance:
-            agree_cat = _np.concatenate([part.agree for part in parts])
-            agree_counts = _np.bincount(
-                inverse, weights=agree_cat,
-                minlength=len(uniq)).astype(_np.int64)
-        return PairAccumulation(uniq, sums, counts, agree_counts)
+        return PairAccumulation(uniq, sums, counts)
 
     # ------------------------------------------------------------------
     # Incremental updates (append a rating batch without a rebuild)
@@ -866,7 +806,6 @@ class MatrixRatingStore:
         new._triu_cache = {}
         new._item_names_obj = None
         new._like_dicts = None
-        new._user_likes = None
         new.users = users_new
         new.items = items_new
         new.user_index = user_index_new
@@ -890,7 +829,7 @@ class MatrixRatingStore:
         delta = StoreDelta(
             n_old_items=len(old_items), user_map=user_map,
             item_map=item_map, touched_users=touched_users,
-            touched_items=touched_items, batch_items=batch_items,
+            touched_items=touched_items,
             new_users=tuple(new_user_names), new_items=tuple(new_item_names))
         return new, delta
 
@@ -1029,10 +968,9 @@ class MatrixRatingStore:
         if n_new:
             self.global_mean = math.fsum(self.user_values.tolist()) / n_new
 
-    def delta_candidates(self, delta: "StoreDelta", with_significance: bool = False):
+    def delta_candidates(self, delta: "StoreDelta"):
         """Ascending user indexes that can contribute to the pairs
-        *delta* touched — users with ≥2 touched items in their profile,
-        plus (with significance) raters of a batch item.
+        *delta* touched — users with ≥2 touched items in their profile.
 
         One O(ratings) scan; the sharded delta computes this once and
         intersects per shard instead of re-scanning per shard.
@@ -1045,31 +983,18 @@ class MatrixRatingStore:
         hits = _np.concatenate((
             [0], _np.cumsum(flags_it[self.user_item_idx], dtype=_np.int64)))
         it_count = hits[self.user_ptr[1:]] - hits[self.user_ptr[:-1]]
-        candidate = it_count >= 2
-        if with_significance:
-            flags_ib = _np.zeros(n_items, dtype=bool)
-            if delta.batch_items:
-                flags_ib[delta.batch_items] = True
-            ib_hits = _np.concatenate((
-                [0], _np.cumsum(flags_ib[self.user_item_idx], dtype=_np.int64)))
-            ib_count = (ib_hits[self.user_ptr[1:]] - ib_hits[self.user_ptr[:-1]])
-            candidate |= (ib_count >= 1) \
-                & (_np.diff(self.user_ptr) >= 2)
-        return _np.nonzero(candidate)[0]
+        return _np.nonzero(it_count >= 2)[0]
 
     def delta_pair_accumulation(self, delta: "StoreDelta",
                                 users: Sequence[int] | None = None,
-                                with_significance: bool = False,
                                 candidates=None) -> PairAccumulation:
         """Eq-6 re-accumulation restricted to the pairs *delta* touched.
 
         Called on the **appended** store. Recomputes, from scratch and
-        in the canonical sweep order, every pair whose numerator, count
-        or Definition-2 agreement the batch could have moved: pairs with
-        both endpoints in ``delta.touched_items`` (a touched user's
-        centered values feed them), plus — with significance — pairs
-        with an endpoint in ``delta.batch_items`` (their item means
-        moved, flipping like flags of *untouched* co-raters too).
+        in the canonical sweep order, every pair whose numerator or
+        count the batch could have moved: pairs with both endpoints in
+        ``delta.touched_items`` (a touched user's centered values feed
+        them).
 
         Contributing users are exactly the full sweep's for those pairs,
         visited in the same canonical order; a pair receives at most one
@@ -1089,20 +1014,13 @@ class MatrixRatingStore:
         """
         n_items = len(self.items)
         if candidates is None:
-            candidates = self.delta_candidates(delta, with_significance)
+            candidates = self.delta_candidates(delta)
         flags_it = _np.zeros(n_items, dtype=bool)
         if delta.touched_items:
             flags_it[delta.touched_items] = True
-        flags_ib = None
-        if with_significance:
-            flags_ib = _np.zeros(n_items, dtype=bool)
-            if delta.batch_items:
-                flags_ib[delta.batch_items] = True
         empty_int = _np.zeros(0, dtype=_np.int64)
         empty = PairAccumulation(
-            empty_int, _np.zeros(0, dtype=_np.float64),
-            empty_int.copy(),
-            empty_int.copy() if with_significance else None)
+            empty_int, _np.zeros(0, dtype=_np.float64), empty_int.copy())
         if self.n_ratings == 0 or not delta.touched_items:
             return empty
         candidates = _np.asarray(candidates, dtype=_np.int64)
@@ -1116,51 +1034,24 @@ class MatrixRatingStore:
         ptr = self.user_ptr
         idx_all = self.user_item_idx
         centered_all = self.user_centered
-        likes_all = self.user_likes if with_significance else None
         key_parts = []
         value_parts = []
-        agree_parts = []
         for u in eligible.tolist():
             start, end = int(ptr[u]), int(ptr[u + 1])
             idx = idx_all[start:end]
-            if with_significance and flags_ib[idx].any():
-                # A batch item's mean moved, so *every* pair through
-                # it is affected — full fan-out, then the pair mask.
-                rows, cols = self._triu(end - start)
-                ids_a = idx[rows]
-                ids_b = idx[cols]
-                keep = (flags_it[ids_a] & flags_it[ids_b]) \
-                    | flags_ib[ids_a] | flags_ib[ids_b]
-                ids_a, ids_b = ids_a[keep], ids_b[keep]
-                centered = centered_all[start:end]
-                values = (centered[rows] * centered[cols])[keep]
-                likes = likes_all[start:end]
-                agrees = (likes[rows] == likes[cols])[keep]
-            else:
-                # Only both-touched pairs are affected: the fan-out
-                # is quadratic in the touched sub-profile.
-                sub = _np.nonzero(flags_it[idx])[0]
-                if len(sub) < 2:
-                    continue
-                rows, cols = self._triu(len(sub))
-                ids_a = idx[sub][rows]
-                ids_b = idx[sub][cols]
-                centered = centered_all[start:end][sub]
-                values = centered[rows] * centered[cols]
-                agrees = None
-                if with_significance:
-                    likes = likes_all[start:end][sub]
-                    agrees = likes[rows] == likes[cols]
-            key_parts.append(ids_a * n_items + ids_b)
-            value_parts.append(values)
-            if with_significance:
-                agree_parts.append(agrees)
+            # Only both-touched pairs are affected: the fan-out is
+            # quadratic in the touched sub-profile.
+            sub = _np.nonzero(flags_it[idx])[0]
+            if len(sub) < 2:
+                continue
+            rows, cols = self._triu(len(sub))
+            centered = centered_all[start:end][sub]
+            key_parts.append(idx[sub][rows] * n_items + idx[sub][cols])
+            value_parts.append(centered[rows] * centered[cols])
         if not key_parts:
             return empty
         return self._reduce_contributions_numpy(
-            _np.concatenate(key_parts),
-            _np.concatenate(value_parts),
-            _np.concatenate(agree_parts) if with_significance else None)
+            _np.concatenate(key_parts), _np.concatenate(value_parts))
 
     def apply_accumulation_delta(self, acc: PairAccumulation,
                                  delta_acc: PairAccumulation,
@@ -1175,56 +1066,38 @@ class MatrixRatingStore:
         sweep over the appended store bit for bit. Called on the
         **appended** store.
         """
-        with_significance = delta_acc.agree is not None
-        if (acc.agree is not None) != with_significance:
-            raise SimilarityError(
-                "cannot fold a delta accumulation with significance "
-                "counts into one without (or vice versa)")
         n_old = delta.n_old_items
         n_new = len(self.items)
         flags_it = _np.zeros(n_new, dtype=bool)
         if delta.touched_items:
             flags_it[delta.touched_items] = True
-        flags_ib = None
-        if with_significance:
-            flags_ib = _np.zeros(n_new, dtype=bool)
-            if delta.batch_items:
-                flags_ib[delta.batch_items] = True
         if len(acc.keys):
             imap = _np.asarray(delta.item_map, dtype=_np.int64)
             left = imap[acc.keys // n_old]
             right = imap[acc.keys % n_old]
             keys = left * n_new + right
-            affected = flags_it[left] & flags_it[right]
-            if with_significance:
-                affected |= flags_ib[left] | flags_ib[right]
-            keep = ~affected
+            keep = ~(flags_it[left] & flags_it[right])
             kept_keys = keys[keep]
             kept_sums = acc.sums[keep]
             kept_counts = acc.counts[keep]
-            kept_agree = (acc.agree[keep] if with_significance else None)
         else:
             kept_keys = acc.keys
             kept_sums = acc.sums
             kept_counts = acc.counts
-            kept_agree = acc.agree
         pos = _np.searchsorted(kept_keys, delta_acc.keys)
         return PairAccumulation(
             _np.insert(kept_keys, pos, delta_acc.keys),
             _np.insert(kept_sums, pos, delta_acc.sums),
-            _np.insert(kept_counts, pos, delta_acc.counts),
-            _np.insert(kept_agree, pos, delta_acc.agree)
-            if with_significance else None)
+            _np.insert(kept_counts, pos, delta_acc.counts))
 
     def assemble_row_refresh(self, acc: PairAccumulation,
                              delta: "StoreDelta",
                              extra_rows: Sequence[int] = (),
                              min_common_users: int = 1,
-                             min_abs_similarity: float = 0.0,
-                             with_index: bool = True):
+                             min_abs_similarity: float = 0.0):
         """Re-assemble, whole, every adjacency row an append could have
-        moved — the refresh of a sweep that keeps no index, and the
-        reference :meth:`splice_row_refresh` is tested against.
+        moved — the reference :meth:`splice_row_refresh` is tested
+        against.
 
         *acc* is the already-folded full accumulation of the appended
         store. The affected rows are the touched items (their norms —
@@ -1240,8 +1113,8 @@ class MatrixRatingStore:
         is the ascending index list the rows cover, and *index_update*
         is the ``(sizes, neighbor ids, weights)`` flat-row bundle
         :meth:`NeighborIndex.updated` splices — per-row sizes aligned
-        with *affected*, ids/weights concatenated in row order (``None``
-        when the index was not requested). Row contents are
+        with *affected*, ids/weights concatenated in row order. Row
+        contents are
         bit-identical to what :meth:`assemble_from_partitions` would
         build for those items.
         """
@@ -1291,13 +1164,10 @@ class MatrixRatingStore:
         for k, i in enumerate(affected.tolist()):
             a, b = int(starts[k]), int(ends[k])
             rows[items[i]] = dict(zip(tgt_names[a:b], wts_list[a:b]))
-        index_update = None
-        if with_index:
-            # tgt/wts are already the affected rows' rank-ordered
-            # contents concatenated in row order — hand them over
-            # wholesale, no per-row slicing.
-            index_update = (ends - starts, tgt, wts)
-        return rows, index_update, affected.tolist()
+        # tgt/wts are already the affected rows' rank-ordered contents
+        # concatenated in row order — hand them over wholesale, no
+        # per-row slicing.
+        return rows, (ends - starts, tgt, wts), affected.tolist()
 
     def splice_row_refresh(self, acc: PairAccumulation, delta: "StoreDelta",
                            index: "NeighborIndex",
@@ -1323,11 +1193,6 @@ class MatrixRatingStore:
         """
         from repro.similarity.knn import NeighborIndex, merge_ranked_entries
 
-        if index.k is not None:
-            raise SimilarityError(
-                f"cannot splice an index truncated to top-{index.k}: a "
-                f"dropped entry may promote a neighbor the index no "
-                f"longer stores")
         items = self.items
         n_items = len(items)
         touched = _np.zeros(n_items, dtype=bool)
@@ -1438,34 +1303,6 @@ class MatrixRatingStore:
             left, right, sims = left[keep], right[keep], sims[keep]
         return left, right, sims
 
-    def significance_from_accumulation(
-            self, acc: PairAccumulation
-    ) -> tuple[dict[tuple[str, str], int], dict[tuple[str, str], int]]:
-        """Bulk Definition-2 counts for every co-rated pair of *acc*.
-
-        Returns ``(raw, common)``: the significance ``S_{i,j}`` and the
-        co-rater count ``|Y_i ∩ Y_j|`` keyed by ``(item_i, item_j)`` with
-        ``i < j``. Both are exact integers, so they are identical to the
-        per-pair :meth:`significance` / :meth:`common_raters` lookups
-        regardless of sharding.
-        """
-        if acc.agree is None:
-            raise SimilarityError(
-                "accumulation was built without significance counts "
-                "(pass with_significance=True)")
-        items = self.items
-        n_items = len(items)
-        raw: dict[tuple[str, str], int] = {}
-        common: dict[tuple[str, str], int] = {}
-        lefts = (acc.keys // n_items).tolist()
-        rights = (acc.keys % n_items).tolist()
-        for l_idx, r_idx, agrees, cnt in zip(
-                lefts, rights, acc.agree.tolist(), acc.counts.tolist()):
-            pair = (items[l_idx], items[r_idx])
-            raw[pair] = agrees
-            common[pair] = cnt
-        return raw, common
-
     def _pair_arrays_numpy(self, min_common_users: int, max_profile_size: int | None):
         """The unsharded filtered pair sweep (one accumulation over every
         eligible user, then the shared filter/clip tail)."""
@@ -1520,22 +1357,21 @@ class MatrixRatingStore:
 
     def neighbor_index(self, min_common_users: int = 1,
                        min_abs_similarity: float = 0.0,
-                       max_profile_size: int | None = None,
-                       k: int | None = None) -> "NeighborIndex":
+                       max_profile_size: int | None = None) -> "NeighborIndex":
         """Rank-ordered :class:`~repro.similarity.knn.NeighborIndex`
         from one unsharded Eq-6 sweep (no adjacency dicts built).
 
         This is the serve-side entry point
         :class:`~repro.cf.item_knn.ItemKNNRecommender` uses: rows hold
-        every nonzero-similarity neighbor (or the top-*k* when given),
-        ordered by descending similarity with the ascending-id
-        tie-break, so predictions are O(k) row scans.
+        every nonzero-similarity neighbor, ordered by descending
+        similarity with the ascending-id tie-break, so predictions are
+        O(k) row scans.
         """
         acc = self.pair_accumulation(max_profile_size=max_profile_size)
         return self.assemble_from_partitions(
             [acc], min_common_users=min_common_users,
             min_abs_similarity=min_abs_similarity,
-            with_adjacency=False, with_index=True, index_k=k).index
+            with_adjacency=False, with_index=True).index
 
     def split_accumulation(self, acc: PairAccumulation,
                            owners: Sequence[int],
@@ -1563,8 +1399,7 @@ class MatrixRatingStore:
         for p in range(n_partitions):
             mask = part_of == p
             parts.append(PairAccumulation(
-                acc.keys[mask], acc.sums[mask], acc.counts[mask],
-                None if acc.agree is None else acc.agree[mask]))
+                acc.keys[mask], acc.sums[mask], acc.counts[mask]))
         return parts
 
     def assemble_from_partitions(
@@ -1574,7 +1409,6 @@ class MatrixRatingStore:
             min_abs_similarity: float = 0.0,
             with_adjacency: bool = True,
             with_index: bool = False,
-            index_k: int | None = None,
     ) -> "AssemblyResult":
         """Assemble adjacency rows (and optionally a
         :class:`~repro.similarity.knn.NeighborIndex`) per item
@@ -1594,8 +1428,7 @@ class MatrixRatingStore:
         :meth:`adjacency_from_accumulation` output bit for bit at any
         partition count — partitioning moves *where* a row is built,
         never its contents. Index rows are ranked by (descending
-        weight, ascending neighbor index); with *index_k* they are
-        truncated to the top-k during partition-local assembly.
+        weight, ascending neighbor index).
         """
         if len(parts) > 1:
             if owners is None:
@@ -1606,11 +1439,11 @@ class MatrixRatingStore:
                     f"{len(self.items)} items")
         return self._assemble_numpy(
             parts, owners, min_common_users, min_abs_similarity,
-            with_adjacency, with_index, index_k)
+            with_adjacency, with_index)
 
     def _assemble_numpy(self, parts, owners, min_common_users,
-                        min_abs_similarity, with_adjacency, with_index,
-                        index_k) -> "AssemblyResult":
+                        min_abs_similarity, with_adjacency,
+                        with_index) -> "AssemblyResult":
         from repro.similarity.knn import NeighborIndex
 
         n_partitions = len(parts)
@@ -1689,11 +1522,8 @@ class MatrixRatingStore:
                         adjacency[items[k]] = dict(
                             zip(target_names[start:end], weight_list[start:end]))
             if with_index:
-                sizes = _np.diff(bounds)
-                if index_k is not None:
-                    sizes = _np.minimum(sizes, index_k)
-                degrees += sizes
-                fills.append((src, tgt, wts, bounds, sizes))
+                degrees += _np.diff(bounds)
+                fills.append((src, tgt, wts, bounds))
 
         index = None
         if with_index:
@@ -1702,14 +1532,10 @@ class MatrixRatingStore:
             total = int(ptr[-1])
             neighbor_ids = _np.empty(total, dtype=_np.int64)
             weights = _np.empty(total, dtype=_np.float64)
-            for src, tgt, wts, bounds, sizes in fills:
-                # Within-row rank of each directed edge; truncated rows
-                # keep only ranks below their per-item size.
-                offsets = _np.arange(len(src)) - bounds[src]
-                keep = offsets < sizes[src]
-                pos = ptr[src[keep]] + offsets[keep]
-                neighbor_ids[pos] = tgt[keep]
-                weights[pos] = wts[keep]
-            index = NeighborIndex(items, self.item_index, ptr,
-                                  neighbor_ids, weights, k=index_k)
+            for src, tgt, wts, bounds in fills:
+                # Within-row rank of each directed edge.
+                pos = ptr[src] + (_np.arange(len(src)) - bounds[src])
+                neighbor_ids[pos] = tgt
+                weights[pos] = wts
+            index = NeighborIndex(items, self.item_index, ptr, neighbor_ids, weights)
         return AssemblyResult(adjacency=adjacency, index=index)

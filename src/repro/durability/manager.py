@@ -35,10 +35,9 @@ snapshot (MANIFEST-last, every byte fsynced), then atomically replaces
 ``CHECKPOINT.json`` (tmp + fsync + rename + directory fsync), and only
 then prunes. A crash between any two steps leaves either the old
 checkpoint fully intact or the new one fully adopted — never a state
-recovery cannot use. The Definition-2 census is deliberately *not*
-persisted: a recovery rebuild recomputes it from the checkpoint table,
-and the integer counts are exactly equal by the sweep's standing
-contract.
+recovery cannot use. ``config`` keeps a constant ``false`` significance
+flag (format v1: builds that folded a bulk Definition-2 census index the
+key on recovery); this build ignores it.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from repro.durability.log import LogInfo, RatingLog, _fsync_dir
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import DurabilityError
 from repro.faults.plan import fault_point
-from repro.serving.snapshot import ModelSnapshot
+from repro.serving.snapshot import ModelSnapshot, required_field
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.ratings import Rating, RatingTable
@@ -66,6 +65,18 @@ _FORMAT = "xmap-durable-store"
 _FORMAT_VERSION = 1
 _WAL_DIR = "wal"
 _SNAPSHOT_DIR = "snapshots"
+#: The ``config`` keys :meth:`DurableSweep.recover` reads, with the JSON
+#: types it accepts for each.
+_CONFIG_TYPES = {
+    "n_shards": (int,), "min_common_users": (int,),
+    "min_abs_similarity": (int, float), "cf_k": (int,),
+    "positive_only": (bool,), "group_commit": (int,),
+    "segment_bytes": (int,), "fsync": (bool,), "policy": (dict,),
+}
+_POLICY_TYPES = {
+    "max_log_bytes": (int, type(None)), "max_batches": (int, type(None)),
+    "max_staleness_seconds": (int, float, type(None)),
+}
 
 
 def _checkpoint_name(seq: int) -> str:
@@ -135,7 +146,7 @@ class DurableSweep:
 
     Create one with a *table* on a fresh directory; re-open an existing
     directory with :meth:`recover`. The build configuration (shard
-    count, edge filters, significance, serving parameters, log knobs)
+    count, edge filters, serving parameters, log knobs)
     is persisted in ``CHECKPOINT.json`` so recovery reconstructs the
     same machine without the caller repeating it — individual settings
     can still be overridden at recovery time (shard count legitimately
@@ -160,7 +171,6 @@ class DurableSweep:
         n_shards: int | None = None,
         min_common_users: int = 1,
         min_abs_similarity: float = 0.0,
-        with_significance: bool = False,
         cf_k: int = 50,
         positive_only: bool = True,
         policy: CheckpointPolicy | None = None,
@@ -195,8 +205,6 @@ class DurableSweep:
             n_shards=n_shards,
             min_common_users=min_common_users,
             min_abs_similarity=min_abs_similarity,
-            with_significance=with_significance,
-            with_index=True,
             wal=self.log,
         )
         self.applied_seq = self.log.last_seq
@@ -224,18 +232,6 @@ class DurableSweep:
     @property
     def graph(self):
         return self.sweep.graph
-
-    @property
-    def significance(self):
-        return self.sweep.significance
-
-    @property
-    def common_raters(self):
-        return self.sweep.common_raters
-
-    @property
-    def with_significance(self) -> bool:
-        return self.sweep.with_significance
 
     @property
     def n_shards(self) -> int:
@@ -291,7 +287,7 @@ class DurableSweep:
                 "n_shards": self.sweep.n_shards,
                 "min_common_users": self.sweep.min_common_users,
                 "min_abs_similarity": self.sweep.min_abs_similarity,
-                "with_significance": self.sweep.with_significance,
+                "with_significance": False,  # format-v1 constant
                 "cf_k": self.cf_k,
                 "positive_only": self.positive_only,
                 "group_commit": self.log.group_commit,
@@ -371,6 +367,10 @@ class DurableSweep:
             raise DurabilityError(
                 f"corrupt checkpoint pointer {pointer_path}: {exc}"
             ) from exc
+        if not isinstance(pointer, dict):
+            raise DurabilityError(
+                f"corrupt checkpoint pointer {pointer_path}: not a JSON object"
+            )
         if pointer.get("format") != _FORMAT:
             raise DurabilityError(
                 f"{directory} is not a durable store "
@@ -382,9 +382,23 @@ class DurableSweep:
                 f"{pointer.get('format_version')!r} is not supported "
                 f"(this build reads version {_FORMAT_VERSION})"
             )
-        config = pointer["config"]
-        checkpoint_seq = int(pointer["applied_seq"])
-        snapshot_path = directory / pointer["snapshot"]
+
+        def _fields(document, types: dict) -> dict:
+            return {
+                key: required_field(
+                    document, key, kinds, f"checkpoint pointer {pointer_path}",
+                    error=DurabilityError)
+                for key, kinds in types.items()
+            }
+
+        # Every key is read before the snapshot is mapped or the log
+        # opened (opening repairs it): a refused pointer changes nothing.
+        head = _fields(
+            pointer, {"config": (dict,), "applied_seq": (int,), "snapshot": (str,)})
+        config = _fields(head["config"], _CONFIG_TYPES)
+        config["policy"] = _fields(config["policy"], _POLICY_TYPES)
+        checkpoint_seq = head["applied_seq"]
+        snapshot_path = directory / head["snapshot"]
 
         snapshot = ModelSnapshot.load(snapshot_path)
         if group_commit is None:
@@ -419,8 +433,6 @@ class DurableSweep:
             n_shards=n_shards,
             min_common_users=int(config["min_common_users"]),
             min_abs_similarity=float(config["min_abs_similarity"]),
-            with_significance=bool(config["with_significance"]),
-            with_index=True,
         )
         replayed_batches = 0
         replayed_ratings = 0

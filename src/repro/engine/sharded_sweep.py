@@ -11,9 +11,10 @@ execution substrate of the offline pipeline:
   (repr-stable, so every process agrees on the layout);
 * each shard runs the store's batched accumulation —
   :meth:`~repro.data.matrix.MatrixRatingStore.pair_accumulation` — which
-  folds the Eq-6 numerators, the co-rater counts *and* the Definition-2
-  like-agreement counts into a single pass over the shard's rows (no
-  second significance sweep);
+  folds the Eq-6 numerators and the co-rater counts in a single pass
+  over the shard's rows (Definition-2 significance is not swept here:
+  the Extender reads it for its pruned edges only, from
+  :meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`);
 * the back half is partitioned too: each shard's pair list is routed to
   the item partition owning its **left item** (``HashPartitioner`` over
   the item ids again), every partition merges its own bincounts in
@@ -36,7 +37,7 @@ Determinism contract — property-tested in ``tests/test_sharded_sweep.py``:
   :meth:`~repro.data.matrix.MatrixRatingStore.build_adjacency`;
 * across **different shard counts** the float numerator merge order
   changes, so similarities agree to ~1e-15 (the tests pin 1e-9) while
-  the integer significance and co-rater counts stay exactly equal;
+  the integer co-rater counts stay exactly equal;
 * across **edge-partition counts** nothing moves at all: splitting pairs
   by left item only changes *where* each per-pair sum is added, never
   its addend order, so the assembled adjacency and index are
@@ -178,18 +179,10 @@ class ShardedSweepResult:
             :class:`~repro.similarity.knn.NeighborIndex` selected
             per item partition during assembly — the serving handoff.
             None unless requested.
-        significance: Definition-2 counts ``S_{i,j}`` for every co-rated
-            pair, keyed ``(i, j)`` with ``i < j`` — exact integers,
-            identical to per-pair lookups regardless of sharding. None
-            unless requested.
-        common_raters: ``|Y_i ∩ Y_j|`` for the same pairs. None unless
-            requested.
         stats: execution observability.
     """
 
     adjacency: dict[str, dict[str, float]]
-    significance: Mapping[tuple[str, str], int] | None
-    common_raters: Mapping[tuple[str, str], int] | None
     stats: SweepStats
     index: "NeighborIndex | None" = None
 
@@ -210,7 +203,6 @@ def _execute_shards(
     store: MatrixRatingStore,
     n_shards: int,
     max_profile_size: int | None,
-    with_significance: bool,
 ) -> tuple[list[list[int]], list[PairAccumulation], list[float]]:
     """Partition the users and run the shard tasks in the driver.
 
@@ -221,13 +213,7 @@ def _execute_shards(
     durations: list[float] = []
     for users in shards:
         start = time.perf_counter()
-        parts.append(
-            store.pair_accumulation(
-                users,
-                max_profile_size=max_profile_size,
-                with_significance=with_significance,
-            )
-        )
+        parts.append(store.pair_accumulation(users, max_profile_size=max_profile_size))
         durations.append(time.perf_counter() - start)
     return shards, parts, durations
 
@@ -253,7 +239,6 @@ def sharded_pair_accumulation(
     store: MatrixRatingStore,
     n_shards: int | None = None,
     max_profile_size: int | None = None,
-    with_significance: bool = False,
 ) -> tuple[PairAccumulation, SweepStats]:
     """Run the partitioned Eq-6 accumulation and merge the shards.
 
@@ -263,11 +248,7 @@ def sharded_pair_accumulation(
     shard count).
     """
     shards, parts, durations = _execute_shards(
-        store,
-        resolve_n_shards(n_shards),
-        max_profile_size,
-        with_significance,
-    )
+        store, resolve_n_shards(n_shards), max_profile_size)
 
     merge_start = time.perf_counter()
     merged = store.merge_accumulations(parts)
@@ -281,10 +262,8 @@ def sharded_adjacency(
     min_common_users: int = 1,
     min_abs_similarity: float = 0.0,
     max_profile_size: int | None = None,
-    with_significance: bool = False,
     n_edge_partitions: int | None = None,
     with_index: bool = False,
-    index_k: int | None = None,
 ) -> ShardedSweepResult:
     """The Baseliner's pair sweep as a shard-then-merge dataflow job.
 
@@ -295,11 +274,7 @@ def sharded_adjacency(
             unsharded, bit-identical to the store path).
         min_common_users: minimum co-raters for an edge.
         min_abs_similarity: magnitude floor for edges.
-        max_profile_size: skew guard on profile length. Incompatible with
-            *with_significance* (dropping whales would undercount
-            Definition-2 agreements).
-        with_significance: also return the Definition-2 counts for every
-            co-rated pair, folded into the same accumulation pass.
+        max_profile_size: skew guard on profile length.
         n_edge_partitions: item-partition count for the merge + assembly
             back half: each shard's pairs are routed to the partition
             owning their left item (the engine's ``HashPartitioner``
@@ -310,25 +285,12 @@ def sharded_adjacency(
             partials are still added in shard order.
         with_index: also assemble the serving
             :class:`~repro.similarity.knn.NeighborIndex` during the same
-            partition-local pass (rows ranked once, truncated to
-            *index_k* when given).
-        index_k: per-row truncation for the index (``None`` keeps every
-            nonzero edge, still rank-ordered).
+            partition-local pass (rows ranked once).
     """
-    if with_significance and max_profile_size is not None:
-        raise EngineError(
-            "with_significance requires max_profile_size=None: capping "
-            "profiles drops co-raters from the Definition-2 counts"
-        )
     store = table.matrix() if isinstance(table, RatingTable) else table
     n_shards = resolve_n_shards(n_shards)
     n_edge_partitions = resolve_edge_partitions(n_edge_partitions, n_shards)
-    shards, parts, durations = _execute_shards(
-        store,
-        n_shards,
-        max_profile_size,
-        with_significance,
-    )
+    shards, parts, durations = _execute_shards(store, n_shards, max_profile_size)
 
     # Back half: route each shard's pairs to the item partition owning
     # their left item, merge per partition (shard order, so per-pair
@@ -363,20 +325,8 @@ def sharded_adjacency(
         min_common_users=min_common_users,
         min_abs_similarity=min_abs_similarity,
         with_index=with_index,
-        index_k=index_k,
     )
     assembly_seconds = time.perf_counter() - assembly_start
-
-    significance = common = None
-    if with_significance:
-        # Pairs are disjoint across partitions, so the per-partition
-        # Definition-2 dicts union into exactly the driver-pass counts.
-        significance = {}
-        common = {}
-        for merged in merged_parts:
-            raw_p, common_p = store.significance_from_accumulation(merged)
-            significance.update(raw_p)
-            common.update(common_p)
 
     stats = _sweep_stats(
         shards,
@@ -391,8 +341,6 @@ def sharded_adjacency(
     )
     return ShardedSweepResult(
         adjacency=assembled.adjacency,
-        significance=significance,
-        common_raters=common,
         stats=stats,
         index=assembled.index,
     )
@@ -503,14 +451,11 @@ class IncrementalSweep:
        merged in shard order), and folds into the retained accumulation;
     3. only the entries with a touched endpoint are re-ranked and
        merged into the graph and index
-       (:meth:`~repro.data.matrix.MatrixRatingStore.splice_row_refresh`;
-       a sweep that keeps no index re-assembles the affected rows whole);
-       Definition-2 counts (when maintained) are patched for the same
-       pairs.
+       (:meth:`~repro.data.matrix.MatrixRatingStore.splice_row_refresh`).
 
     Equality contract (property-tested in ``tests/test_incremental.py``):
-    after any sequence of updates, the store, accumulation, graph,
-    index and significance counts are **bit-identical** to a fresh
+    after any sequence of updates, the store, accumulation, graph and
+    index are **bit-identical** to a fresh
     :class:`IncrementalSweep` built on the final table with the same
     shard count — and within 1e-9 across shard counts, per the sweep's
     standing contract.
@@ -521,8 +466,6 @@ class IncrementalSweep:
             re-accumulation (``None`` reads ``REPRO_SHARDS``).
         min_common_users / min_abs_similarity: edge filters, as in
             :func:`sharded_adjacency`.
-        with_significance: also maintain the bulk Definition-2 counts.
-        with_index: keep a serving index attached to the graph.
         wal: a :class:`~repro.durability.log.RatingLog` to append every
             valid update batch to **before** applying it — the
             write-ahead discipline: after a crash the log always holds
@@ -538,8 +481,6 @@ class IncrementalSweep:
         n_shards: int | None = None,
         min_common_users: int = 1,
         min_abs_similarity: float = 0.0,
-        with_significance: bool = False,
-        with_index: bool = True,
         wal=None,
     ) -> None:
         from repro.similarity.graph import ItemGraph
@@ -548,37 +489,25 @@ class IncrementalSweep:
         self.n_shards = resolve_n_shards(n_shards)
         self.min_common_users = min_common_users
         self.min_abs_similarity = min_abs_similarity
-        self.with_significance = with_significance
-        self.with_index = with_index
         self.table = table
         self.store = table.matrix()
         self.accumulation, self.build_stats = sharded_pair_accumulation(
-            self.store,
-            n_shards=self.n_shards,
-            with_significance=with_significance,
-        )
+            self.store, n_shards=self.n_shards)
         assembled = self.store.assemble_from_partitions(
             [self.accumulation],
             min_common_users=min_common_users,
             min_abs_similarity=min_abs_similarity,
             with_adjacency=True,
-            with_index=with_index,
+            with_index=True,
         )
         self.index = assembled.index
         self.graph: ItemGraph = ItemGraph.from_adjacency(
             assembled.adjacency, index=assembled.index
         )
-        self.significance: dict[tuple[str, str], int] | None = None
-        self.common_raters: dict[tuple[str, str], int] | None = None
-        if with_significance:
-            acc = self.accumulation
-            raw, common = self.store.significance_from_accumulation(acc)
-            self.significance = raw
-            self.common_raters = common
 
     def update(self, batch: "Iterable[Rating]") -> IncrementalUpdateStats:
-        """Append *batch* and patch the store, accumulation, graph,
-        index and significance counts in place of a rebuild.
+        """Append *batch* and patch the store, accumulation, graph and
+        index in place of a rebuild.
 
         With a ``wal`` attached, the batch is validated, then logged
         (and acknowledged by the log's group-commit discipline) before
@@ -614,23 +543,15 @@ class IncrementalSweep:
             # match a sharded rebuild bit for bit. The O(ratings)
             # candidate scan runs once, not once per shard.
             shards = shard_user_indices(new_store, self.n_shards)
-            candidates = new_store.delta_candidates(
-                delta, with_significance=self.with_significance
-            )
+            candidates = new_store.delta_candidates(delta)
             parts = [
                 new_store.delta_pair_accumulation(
-                    delta,
-                    users=shard,
-                    with_significance=self.with_significance,
-                    candidates=candidates,
-                )
+                    delta, users=shard, candidates=candidates)
                 for shard in shards
             ]
             delta_acc = new_store.merge_accumulations(parts)
         else:
-            delta_acc = new_store.delta_pair_accumulation(
-                delta, with_significance=self.with_significance
-            )
+            delta_acc = new_store.delta_pair_accumulation(delta)
         delta_seconds = time.perf_counter() - delta_start
 
         fold_start = time.perf_counter()
@@ -646,11 +567,6 @@ class IncrementalSweep:
             patches=refreshed.patches, removed=refreshed.edges_removed)
         self.index = refreshed.index
         refresh_seconds = time.perf_counter() - refresh_start
-
-        if self.with_significance:
-            raw, common = new_store.significance_from_accumulation(delta_acc)
-            self.significance.update(raw)
-            self.common_raters.update(common)
 
         self.table = new_table
         self.store = new_store
@@ -681,20 +597,17 @@ class IncrementalSweep:
     def _refresh(self, new_store: MatrixRatingStore, new_acc: PairAccumulation,
                  delta: StoreDelta) -> RowSplice:
         """What the folded accumulation changes in graph and index: the
-        entry-level splice, or the whole-row reference for a sweep that
-        keeps no index to splice."""
-        if self.index is not None:
-            return new_store.splice_row_refresh(
-                new_acc, delta, self.index,
-                min_common_users=self.min_common_users,
-                min_abs_similarity=self.min_abs_similarity)
-        return self._refresh_whole_rows(new_store, new_acc, delta)
+        entry-level splice (:meth:`_refresh_whole_rows` is its oracle)."""
+        return new_store.splice_row_refresh(
+            new_acc, delta, self.index,
+            min_common_users=self.min_common_users,
+            min_abs_similarity=self.min_abs_similarity)
 
     def _refresh_whole_rows(self, new_store: MatrixRatingStore,
                             new_acc: PairAccumulation,
                             delta: StoreDelta) -> RowSplice:
-        """Re-assemble every affected row whole — the path of a sweep
-        that keeps no index and the oracle the splice is tested against."""
+        """Re-assemble every affected row whole — the oracle the splice
+        is tested against."""
         # Rows that may have lost an edge: the touched items' partners
         # *before* the update (an appended batch can drive an Eq-6
         # numerator to exactly zero, dropping the edge).
@@ -709,13 +622,10 @@ class IncrementalSweep:
             extra_rows=sorted(old_partner_rows),
             min_common_users=self.min_common_users,
             min_abs_similarity=self.min_abs_similarity,
-            with_index=self.index is not None,
         )
-        new_index = None
-        if self.index is not None:
-            new_index = self.index.updated(
-                new_store.items, item_index, affected, *index_update,
-                item_map=delta.item_map)
+        new_index = self.index.updated(
+            new_store.items, item_index, affected, *index_update,
+            item_map=delta.item_map)
         # Every changed edge has both endpoints among the rows.
         before = {(i, j) for i in rows for j in self.graph.neighbors(i) if i < j}
         after = {(i, j) for i, row in rows.items() for j in row if i < j}

@@ -50,7 +50,7 @@ class EvaluationError(ReproError):
 class ServingError(ReproError):
     """The serving subsystem was driven incorrectly (corrupt or
     incompatible snapshot directories, publishing to a retired registry
-    version, serving requests a truncated index cannot answer)."""
+    version)."""
 
 
 class DurabilityError(ReproError):

@@ -189,6 +189,7 @@ class WorkerApp:
             "pid": os.getpid(),
             "n_requests": self.n_requests,
             "n_loads": self.watcher.n_loads,
+            "n_load_failures": self.watcher.n_load_failures,
             "metrics": self.registry.snapshot(),
         }
 

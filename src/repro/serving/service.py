@@ -314,15 +314,11 @@ class RecommendationService:
 
         The full materialised row is cached per item and sliced per
         request, so any (k, minimum) combination hits the same entry.
-        Asking for more than a truncated index stores raises, exactly
-        like :meth:`~repro.similarity.knn.NeighborIndex.top`.
         """
         generation = self._row_cache.generation
         with self.registry.pin() as pinned:
             snapshot = pinned.snapshot
             index = snapshot.index
-            if k > 0:
-                index._check_k(k)
             row = self._row_cache.get(item)
             if row is None:
                 row = index.top(item, index.degree(item))
@@ -400,8 +396,6 @@ class RecommendationService:
             if version < min_version:
                 raise StaleModelError(version, min_version)
             index = pinned.snapshot.index
-            if k > 0:
-                index._check_k(k)
             key = (version, item)
             row = self._row_cache.get(key)
             if row is None:
@@ -534,12 +528,6 @@ class RecommendationService:
         self, snapshot: ModelSnapshot, users: Sequence[str], n: int
     ) -> list[list[tuple[str, float]]]:
         store = snapshot.store
-        if snapshot.index.k is not None:
-            # Top-N over a truncated index is unservable:
-            # snapshot.recommender() raises the explanatory ServingError.
-            recommender = snapshot.recommender()
-            return [recommender.recommend(user, n) for user in users]
-
         by_entry, by_user = self._index_layout(snapshot)
         neighbor_ids, weights, owners, transpose, transpose_ptr = by_entry
         user_ptr, user_item_idx, user_values, item_means = by_user

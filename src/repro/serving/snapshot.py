@@ -5,9 +5,8 @@ answer predictions without re-running any offline job: the interned
 :class:`~repro.data.matrix.MatrixRatingStore` arrays of the serving
 table, the rank-ordered :class:`~repro.similarity.knn.NeighborIndex`
 flat rows (from which the symmetric adjacency is a pure function — see
-:meth:`ModelSnapshot.graph`), the bulk Definition-2
-:class:`~repro.similarity.significance.SignificanceTable` when the
-build produced one, and the Generator's AlterEgo replacement mapping.
+:meth:`ModelSnapshot.graph`), and the Generator's AlterEgo replacement
+mapping.
 
 Snapshots are immutable: nothing in this module mutates a captured
 array, and the incremental-update path never mutates them either
@@ -24,10 +23,14 @@ On-disk format (one directory per snapshot)::
     <name>.bin           # one raw little-endian array per entry in the
                          # manifest's "arrays" table (int64 / float64 /
                          # byte-per-bool)
-    sig_items.txt        # significance vocabulary (optional; the
-                         # significance pairs may reference items — the
-                         # merged domain's — outside the serving store)
     alterego.json        # source item → [[target, weight], ...]
+
+Format v1 once carried a bulk Definition-2 table (``sig_items.txt`` +
+four ``sig_*`` arrays behind a manifest flag) and a per-row index
+truncation. Nothing writes either any more: the manifest keeps both
+keys as constants (``false`` / ``null``), :meth:`ModelSnapshot.load`
+ignores the flag together with any ``sig_*`` files, and refuses a
+non-null truncation — serving needs complete rows.
 
 Every ``.bin`` loads as a read-only ``np.memmap`` (zero copies, the
 page cache is the working set), and a save → load round trip is
@@ -49,7 +52,6 @@ from repro.data.ratings import DEFAULT_SCALE, Rating, RatingTable
 from repro.errors import ServingError
 from repro.faults.plan import fault_point
 from repro.similarity.knn import NeighborIndex
-from repro.similarity.significance import SignificanceTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cf.item_knn import ItemKNNRecommender
@@ -86,15 +88,27 @@ _INDEX_ARRAYS: tuple[tuple[str, str], ...] = (
     ("index_neighbor_ids", "i8"),
     ("index_weights", "f8"),
 )
-_SIG_ARRAYS: tuple[tuple[str, str], ...] = (
-    ("sig_left", "i8"),
-    ("sig_right", "i8"),
-    ("sig_raw", "i8"),
-    ("sig_common", "i8"),
-)
 
 _NP_DTYPES = {"i8": "<i8", "f8": "<f8", "b1": "|b1"}
 _ITEM_SIZES = {"i8": 8, "f8": 8, "b1": 1}
+
+
+def required_field(document, key: str, types: tuple, what: str, error=ServingError):
+    """``document[key]`` of a parsed JSON object that came from outside
+    the program (*what* names it in the message) — or *error*, naming
+    the key, when the object lacks the key or holds a value of another
+    type. A bare index would raise ``KeyError`` / ``TypeError`` into
+    callers that only handle *error* (a worker's reload loop dies on
+    it, and again after every respawn)."""
+    if key not in document:
+        raise error(f"{what} has no {key!r} key")
+    value = document[key]
+    if not isinstance(value, types) or (type(value) is bool and bool not in types):
+        raise error(
+            f"{what} key {key!r} holds {value!r}, expected "
+            f"{' or '.join(kind.__name__ for kind in types)}"
+        )
+    return value
 
 
 def _fsync_file(path: Path) -> None:
@@ -210,7 +224,6 @@ def _store_from_arrays(
     store._triu_cache = {}
     store._item_names_obj = None
     store._like_dicts = None
-    store._user_likes = None
     store.users = users
     store.items = items
     store.user_index = {user: k for k, user in enumerate(users)}
@@ -254,8 +267,6 @@ class ModelSnapshot:
         "positive_only",
         "scale",
         "alterego",
-        "_significance",
-        "_sig_parts",
         "_table",
         "_graph",
         "_recommender",
@@ -269,7 +280,6 @@ class ModelSnapshot:
         positive_only: bool = True,
         scale: tuple[float, float] = DEFAULT_SCALE,
         version: int = 0,
-        significance: SignificanceTable | None = None,
         alterego: Mapping[str, Sequence[tuple[str, float]]] | None = None,
         table: RatingTable | None = None,
     ) -> None:
@@ -290,8 +300,6 @@ class ModelSnapshot:
                 )
                 for source, replacements in alterego.items()
             }
-        self._significance = significance
-        self._sig_parts = None
         self._table = table
         self._graph = None
         self._recommender = None
@@ -309,7 +317,7 @@ class ModelSnapshot:
         version: int = 0,
     ) -> "ModelSnapshot":
         """Snapshot a single-domain rating table: its memoized store
-        plus a freshly assembled (untruncated) neighbor index."""
+        plus a freshly assembled neighbor index."""
         store = table.matrix()
         return cls(
             store,
@@ -339,11 +347,6 @@ class ModelSnapshot:
         is mutated in place and is deliberately not captured;
         :meth:`graph` re-derives an equal one from the index on demand.)
         """
-        if sweep.index is None:
-            raise ServingError(
-                "cannot snapshot a sweep built with with_index=False: "
-                "serving needs the NeighborIndex rows"
-            )
         return cls(
             sweep.store,
             sweep.index,
@@ -359,9 +362,8 @@ class ModelSnapshot:
         """Snapshot a fitted deterministic item-mode pipeline.
 
         Captures the augmented-target recommender's store and index
-        (the arrays every online prediction reads), the Baseliner's
-        bulk significance table when the sharded sweep produced one,
-        and the Generator's full replacement sets. Restricted to
+        (the arrays every online prediction reads) and the Generator's
+        full replacement sets. Restricted to
         pipelines whose recommender is exactly
         :class:`~repro.cf.item_knn.ItemKNNRecommender` on the index
         path — temporal decay needs per-rating timesteps the store does
@@ -387,9 +389,6 @@ class ModelSnapshot:
                 source: tuple(generator.replacements_for(source))
                 for source in sorted(generator.xsim_map)
             }
-        significance = None
-        if pipeline.baseline is not None:
-            significance = pipeline.baseline.significance
         return cls(
             table.matrix(),
             index,
@@ -397,7 +396,6 @@ class ModelSnapshot:
             positive_only=recommender.positive_only,
             scale=table.scale,
             version=version,
-            significance=significance,
             alterego=alterego,
             table=table,
         )
@@ -424,22 +422,6 @@ class ModelSnapshot:
             f"users={self.n_users}, items={self.n_items}, "
             f"ratings={self.n_ratings}, k={self.cf_k})"
         )
-
-    @property
-    def significance(self) -> SignificanceTable | None:
-        """The bulk Definition-2 table, decoded lazily after a load
-        (the pair census can be large; serving never reads it)."""
-        if self._significance is None and self._sig_parts is not None:
-            vocabulary, left, right, raw_counts, common_counts = self._sig_parts
-            raw: dict[tuple[str, str], int] = {}
-            common: dict[tuple[str, str], int] = {}
-            for l_idx, r_idx, agree, cnt in zip(left, right, raw_counts, common_counts):
-                pair = (vocabulary[int(l_idx)], vocabulary[int(r_idx)])
-                raw[pair] = int(agree)
-                common[pair] = int(cnt)
-            self._significance = SignificanceTable(raw=raw, common=common)
-            self._sig_parts = None
-        return self._significance
 
     def item_mapping(self) -> dict[str, str]:
         """Source item → primary replacement (head of each AlterEgo
@@ -487,20 +469,12 @@ class ModelSnapshot:
         """The symmetric adjacency as an
         :class:`~repro.similarity.graph.ItemGraph`, re-derived from the
         index rows (adjacency row = stored row, as dicts; every item a
-        vertex). Only an **untruncated** index determines the adjacency
-        — a top-k build dropped the tail for good, and asking for the
-        graph then raises instead of under-serving.
+        vertex).
         """
         if self._graph is None:
             from repro.similarity.graph import ItemGraph
 
             index = self.index
-            if index.k is not None:
-                raise ServingError(
-                    f"the snapshot index was truncated to top-{index.k} "
-                    f"at build time; the full adjacency is not "
-                    f"recoverable from it"
-                )
             items = self.store.items
             adjacency: dict[str, dict[str, float]] = {}
             for idx, item in enumerate(items):
@@ -515,17 +489,8 @@ class ModelSnapshot:
     def recommender(self) -> "ItemKNNRecommender":
         """The Algorithm-2 recommender over this snapshot — the
         serving index injected, so the first prediction never pays a
-        sweep. Needs complete index rows: a truncated snapshot (a
-        related-items-only tier) raises here, up front, rather than
-        per request inside the recommender."""
+        sweep."""
         if self._recommender is None:
-            if self.index.k is not None:
-                raise ServingError(
-                    f"this snapshot's index rows were truncated to "
-                    f"top-{self.index.k} at build time; Top-N/predict "
-                    f"serving needs complete rows (similar_items-style "
-                    f"row queries still work)"
-                )
             from repro.cf.item_knn import ItemKNNRecommender
 
             self._recommender = ItemKNNRecommender(
@@ -595,20 +560,6 @@ class ModelSnapshot:
         _emit("index_neighbor_ids", "i8", self.index.neighbor_ids)
         _emit("index_weights", "f8", self.index.weights)
 
-        significance = self.significance
-        with_significance = significance is not None
-        if with_significance:
-            vocabulary = sorted({name for pair in significance.raw for name in pair})
-            vocabulary_index = {name: k for k, name in enumerate(vocabulary)}
-            _dump_ids(path / "sig_items.txt", vocabulary, "significance")
-            pairs = sorted(significance.raw)
-            _emit("sig_left", "i8", [vocabulary_index[left] for left, _ in pairs])
-            _emit("sig_right", "i8", [vocabulary_index[right] for _, right in pairs])
-            _emit("sig_raw", "i8", [int(significance.raw[pair]) for pair in pairs])
-            _emit(
-                "sig_common", "i8", [int(significance.common[pair]) for pair in pairs]
-            )
-
         if self.alterego is not None:
             fault_point("snapshot.alterego.write")
             payload = {
@@ -633,8 +584,8 @@ class ModelSnapshot:
             "n_items": store.n_items,
             "n_ratings": store.n_ratings,
             "global_mean": store.global_mean,
-            "index_k": self.index.k,
-            "with_significance": with_significance,
+            "index_k": None,  # format-v1 constants (module docstring)
+            "with_significance": False,
             "with_alterego": self.alterego is not None,
             "arrays": arrays,
         }
@@ -670,6 +621,10 @@ class ModelSnapshot:
             raise ServingError(
                 f"corrupt snapshot manifest {manifest_path}: {exc}"
             ) from exc
+        if not isinstance(manifest, dict):
+            raise ServingError(
+                f"corrupt snapshot manifest {manifest_path}: not a JSON object"
+            )
         if manifest.get("format") != _FORMAT:
             raise ServingError(
                 f"{path} is not a model snapshot "
@@ -684,29 +639,43 @@ class ModelSnapshot:
         if manifest.get("byte_order") != "little":  # pragma: no cover
             raise ServingError("snapshot byte order must be little-endian")
 
-        entries = manifest["arrays"]
+        def _field(key: str, *types):
+            return required_field(
+                manifest, key, types, f"snapshot manifest {manifest_path}")
+
+        entries = _field("arrays", dict)
 
         def _fetch(name: str):
-            entry = entries.get(name)
-            if entry is None:
-                raise ServingError(f"snapshot {path} is missing array {name!r}")
-            return _read_array(path / f"{name}.bin", entry["kind"], entry["size"])
+            what = f"snapshot {path} array entry {name!r}"
+            entry = required_field(
+                entries, name, (dict,), f"snapshot {path} array table")
+            kind = required_field(entry, "kind", (str,), what)
+            if kind not in _NP_DTYPES:
+                raise ServingError(f"{what} has unknown kind {kind!r}")
+            size = required_field(entry, "size", (int,), what)
+            return _read_array(path / f"{name}.bin", kind, size)
 
+        if _field("index_k", int, type(None)) is not None:
+            raise ServingError(
+                f"snapshot {path} holds truncated index rows; serving "
+                f"needs complete ones"
+            )
+        n_users, n_items = _field("n_users", int), _field("n_items", int)
         users = _read_ids(path / "users.txt")
         items = _read_ids(path / "items.txt")
-        if len(users) != manifest["n_users"] or len(items) != manifest["n_items"]:
+        if len(users) != n_users or len(items) != n_items:
             raise ServingError(
                 f"snapshot {path} id files disagree with the manifest "
-                f"({len(users)}/{manifest['n_users']} users, "
-                f"{len(items)}/{manifest['n_items']} items)"
+                f"({len(users)}/{n_users} users, "
+                f"{len(items)}/{n_items} items)"
             )
         arrays = {name: _fetch(name) for name, _ in _STORE_ARRAYS}
         store = _store_from_arrays(
             users,
             items,
             arrays,
-            manifest["n_ratings"],
-            float(manifest["global_mean"]),
+            _field("n_ratings", int),
+            float(_field("global_mean", int, float)),
         )
         index = NeighborIndex(
             items,
@@ -714,26 +683,22 @@ class ModelSnapshot:
             _fetch("index_ptr"),
             _fetch("index_neighbor_ids"),
             _fetch("index_weights"),
-            k=manifest["index_k"],
         )
 
-        scale = tuple(float(bound) for bound in manifest["scale"])
+        scale = _field("scale", list)
+        if len(scale) != 2 or not all(type(bound) in (int, float) for bound in scale):
+            raise ServingError(
+                f"snapshot manifest {manifest_path} key 'scale' holds "
+                f"{scale!r}, expected two numbers"
+            )
         snapshot = cls(
             store,
             index,
-            cf_k=int(manifest["cf_k"]),
-            positive_only=bool(manifest["positive_only"]),
+            cf_k=_field("cf_k", int),
+            positive_only=_field("positive_only", bool),
             scale=scale,
-            version=int(manifest["version"]),
+            version=_field("version", int),
         )
-        if manifest.get("with_significance"):
-            snapshot._sig_parts = (
-                _read_ids(path / "sig_items.txt"),
-                _fetch("sig_left"),
-                _fetch("sig_right"),
-                _fetch("sig_raw"),
-                _fetch("sig_common"),
-            )
         if manifest.get("with_alterego"):
             mapping = json.loads((path / "alterego.json").read_text(encoding="utf-8"))
             snapshot.alterego = {

@@ -58,7 +58,12 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ServingError
 from repro.serving.registry import ModelRegistry
-from repro.serving.snapshot import ModelSnapshot, _fsync_dir, _fsync_file
+from repro.serving.snapshot import (
+    ModelSnapshot,
+    _fsync_dir,
+    _fsync_file,
+    required_field,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.sharded_sweep import IncrementalUpdateStats
@@ -232,11 +237,10 @@ def _read_json(path: Path) -> dict | None:
     treat it as "nothing new" and poll again later.
     """
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (FileNotFoundError, NotADirectoryError):
-        return None
+        document = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
+    return document if isinstance(document, dict) else None
 
 
 class RegistryWatcher:
@@ -256,6 +260,7 @@ class RegistryWatcher:
         self.source = Path(source)
         self.registry = registry if registry is not None else ModelRegistry()
         self.n_loads = 0
+        self.n_load_failures = 0
         self._fingerprint: tuple | None = None
 
     @property
@@ -272,15 +277,18 @@ class RegistryWatcher:
         Returns the newly published version, or ``None`` when the
         source is unchanged, not yet published, or mid-transition (a
         load that races a prune/re-publish is abandoned and retried on
-        the next poll — the registry never sees a partial model).
+        the next poll — the registry never sees a partial model). A
+        publish the loader refuses is counted in
+        :attr:`n_load_failures`; the previous version keeps serving.
         """
-        reference = self._read_source()
-        if reference is None or reference[0] == self._fingerprint:
-            return None
-        fingerprint, snapshot_path, version_hint = reference
         try:
+            reference = self._read_source()
+            if reference is None or reference[0] == self._fingerprint:
+                return None
+            fingerprint, snapshot_path, version_hint = reference
             snapshot = ModelSnapshot.load(snapshot_path)
         except (ServingError, OSError, ValueError):
+            self.n_load_failures += 1
             return None
         next_version = self.version + 1
         version = max(version_hint, next_version)
@@ -296,18 +304,18 @@ class RegistryWatcher:
         source = self.source
         pointer = _read_json(source / CATALOG_POINTER)
         if pointer is not None and pointer.get("format") == _CATALOG_FORMAT:
-            version = int(pointer["version"])
+            version = required_field(pointer, "version", (int,), CATALOG_POINTER)
             return (
                 ("catalog", version),
-                source / pointer["path"],
+                source / required_field(pointer, "path", (str,), CATALOG_POINTER),
                 version,
             )
         pointer = _read_json(source / _CHECKPOINT_FILE)
         if pointer is not None and "applied_seq" in pointer:
-            seq = int(pointer["applied_seq"])
+            seq = required_field(pointer, "applied_seq", (int,), _CHECKPOINT_FILE)
             return (
                 ("checkpoint", seq),
-                source / pointer["snapshot"],
+                source / required_field(pointer, "snapshot", (str,), _CHECKPOINT_FILE),
                 seq + 1,
             )
         manifest_path = source / _MANIFEST_FILE
@@ -317,7 +325,7 @@ class RegistryWatcher:
                 mtime = manifest_path.stat().st_mtime_ns
             except OSError:
                 return None
-            version = int(manifest.get("version", 0))
+            version = required_field(manifest, "version", (int,), _MANIFEST_FILE)
             return ("manifest", version, mtime), source, max(version, 1)
         return None
 

@@ -19,8 +19,6 @@ from repro.similarity.graph import ItemGraph, build_similarity_graph
 from repro.similarity.knn import NeighborIndex, top_k
 from repro.similarity.pearson import pearson_items, pearson_users
 from repro.similarity.significance import (
-    SignificanceTable,
-    bulk_significance,
     normalized_significance,
     significance,
     significance_reference,
@@ -29,12 +27,10 @@ from repro.similarity.significance import (
 __all__ = [
     "ItemGraph",
     "NeighborIndex",
-    "SignificanceTable",
     "adjusted_cosine",
     "all_pairs_adjusted_cosine",
     "all_pairs_adjusted_cosine_reference",
     "build_similarity_graph",
-    "bulk_significance",
     "cosine",
     "normalized_significance",
     "pearson_items",

@@ -61,12 +61,7 @@ class ItemGraph:
         *index* is a :class:`~repro.similarity.knn.NeighborIndex`
         assembled from the **same** adjacency: :meth:`top_neighbors`
         then serves ranked rows straight from its flat arrays instead
-        of sorting lazily. A truncated index (``index.k`` set) is
-        accepted as an accelerator: queries it can answer exactly are
-        served from it, and anything it cannot (more than ``k``
-        neighbors wanted, or an *among* restriction that runs past the
-        truncation cut) falls back to the adjacency scan — never a
-        wrong or short answer.
+        of sorting lazily.
         """
         graph = cls()
         graph._adjacency = adjacency
@@ -165,20 +160,14 @@ class ItemGraph:
 
         Served from the backing
         :class:`~repro.similarity.knn.NeighborIndex` when one was
-        assembled with the graph **and** its stored row is complete — a
-        truncated row is never memoized as the full row (the index may
-        hold fewer neighbors than :meth:`degree` reports; caching it
-        would freeze an inconsistent view of the graph). Otherwise the
-        adjacency row is sorted once and memoized; either way repeated
-        serve-path calls never re-sort. Callers must not mutate the
-        returned list.
+        assembled with the graph; otherwise the adjacency row is sorted
+        once. Memoized either way, so repeated serve-path calls never
+        re-sort. Callers must not mutate the returned list.
         """
         cached = self._ranked_cache.get(item)
         if cached is None:
             index = self._index
-            if index is not None and (
-                    index.k is None
-                    or index.degree(item) >= self.degree(item)):
+            if index is not None:
                 cached = index.top(item, index.degree(item))
             else:
                 cached = sorted(
@@ -190,12 +179,11 @@ class ItemGraph:
     def ranked_rows(self):
         """Every row at once, in :meth:`ranked_neighbors` order, as
         ``(items, ptr, neighbor ids, weights)`` over the **sorted** item
-        ids: the backing index's own arrays when it holds complete rows,
+        ids: the backing index's own arrays when it covers every vertex,
         one sort of the adjacency otherwise. Read-only either way.
         """
         index = self._index
-        if (index is not None and index.k is None
-                and len(index.items) == len(self._adjacency)):
+        if index is not None and len(index.items) == len(self._adjacency):
             return index.items, index.ptr, index.neighbor_ids, index.weights
         items = sorted(self._adjacency)
         ids = {item: position for position, item in enumerate(items)}
@@ -214,11 +202,7 @@ class ItemGraph:
         identical to ``top_k`` over the same candidates: the row rank
         *is* the top-k order. Index-backed graphs scan the flat arrays
         directly (no per-item row materialisation); others scan the
-        memoized :meth:`ranked_neighbors` row. A *truncated* backing
-        index is used only when its scan is provably exact (enough
-        survivors collected, or the stored row covers the full
-        adjacency degree); anything else falls back to the adjacency
-        scan rather than raising or under-serving.
+        memoized :meth:`ranked_neighbors` row.
         """
         if k <= 0:
             return []
@@ -228,11 +212,7 @@ class ItemGraph:
                 else set(among)
         index = self._index
         if index is not None:
-            selected, exact = index.scan(
-                item, k, minimum=minimum, among=allowed,
-                full_degree=self.degree(item))
-            if exact:
-                return selected
+            return index.top(item, k, minimum=minimum, among=allowed)
         ranked = self.ranked_neighbors(item)
         if allowed is None and minimum is None:
             return ranked[:k]

@@ -137,22 +137,19 @@ class NeighborIndex:
         ptr: row offsets, ``len(items) + 1`` entries.
         neighbor_ids: flat neighbor item indexes, rank order per row.
         weights: flat neighbor weights, aligned with *neighbor_ids*.
-        k: per-row truncation applied at build time, or ``None`` when
-            rows are complete (every nonzero edge, still rank-ordered).
-            Queries for more than *k* neighbors on a truncated index
-            raise — the tail was dropped and cannot be recovered.
+
+    Rows are complete: every nonzero edge of the adjacency is stored.
     """
 
-    __slots__ = ("items", "item_index", "ptr", "neighbor_ids", "weights", "k")
+    __slots__ = ("items", "item_index", "ptr", "neighbor_ids", "weights")
 
     def __init__(self, items: Sequence[str], item_index: Mapping[str, int],
-                 ptr, neighbor_ids, weights, k: int | None = None) -> None:
+                 ptr, neighbor_ids, weights) -> None:
         self.items = items
         self.item_index = item_index
         self.ptr = ptr
         self.neighbor_ids = neighbor_ids
         self.weights = weights
-        self.k = k
 
     @property
     def n_items(self) -> int:
@@ -165,7 +162,7 @@ class NeighborIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"NeighborIndex(items={self.n_items}, "
-                f"entries={self.n_entries}, k={self.k})")
+                f"entries={self.n_entries})")
 
     def degree(self, item: str) -> int:
         """Stored neighbors of *item* (0 for unknown items)."""
@@ -180,12 +177,6 @@ class NeighborIndex:
         start, end = int(self.ptr[idx]), int(self.ptr[idx + 1])
         return self.neighbor_ids[start:end], self.weights[start:end]
 
-    def _check_k(self, k: int) -> None:
-        if self.k is not None and k > self.k:
-            raise ValueError(
-                f"index rows were truncated to top-{self.k} at build "
-                f"time; cannot serve top-{k}")
-
     def top(self, item: str, k: int,
             minimum: float | None = None,
             among: "set[str] | frozenset[str] | None" = None,
@@ -199,60 +190,26 @@ class NeighborIndex:
         qualifying entries are a prefix), the *among* membership filter
         applies in stride, and the scan stops at k survivors. This is
         the one ranked-row selection loop every serve path shares.
-
-        On a truncated index, asking for more than :attr:`k` raises —
-        and an *among*-restricted query can run out of stored entries
-        even below that bound. Callers that must degrade gracefully
-        (e.g. :meth:`~repro.similarity.graph.ItemGraph.top_neighbors`)
-        use :meth:`scan`, which reports whether the answer is exact
-        instead of guessing.
         """
         if k <= 0:
             return []
-        self._check_k(k)
-        return self.scan(item, k, minimum=minimum, among=among)[0]
-
-    def scan(self, item: str, k: int,
-             minimum: float | None = None,
-             among: "set[str] | frozenset[str] | None" = None,
-             full_degree: int | None = None,
-             ) -> tuple[list[tuple[str, float]], bool]:
-        """Rank-ordered row scan that reports whether the result is
-        exact.
-
-        Like :meth:`top`, but never raises on truncated rows: returns
-        ``(selection, exact)``. *exact* is ``True`` when the selection
-        provably equals ``top_k`` over the **full** adjacency row — the
-        scan collected *k* survivors, stopped at the *minimum* floor
-        (qualifying entries are a prefix of the full row too), or the
-        stored row is complete (the index is untruncated, or
-        *full_degree* — the adjacency degree the caller knows — shows
-        nothing was cut for this item). A truncated row that runs dry
-        before any of those returns ``exact=False``: qualifying
-        neighbors past the truncation cut are unrecoverable from the
-        index, and the caller must fall back to the adjacency.
-        """
-        if k <= 0:
-            return [], True
         idx = self.item_index.get(item)
         if idx is None:
-            return [], True
+            return []
         ids, weights = self.row(idx)
-        complete = self.k is None or (
-            full_degree is not None and len(ids) >= full_degree)
         items = self.items
         out: list[tuple[str, float]] = []
         for nid, weight in zip(ids, weights):
             if minimum is not None and weight < minimum:
-                return out, True
+                break
             name = items[int(nid)]
             if among is not None and name not in among:
                 continue
             # float() strips NumPy scalars; the bit patterns are untouched.
             out.append((name, float(weight)))
             if len(out) == k:
-                return out, True
-        return out, complete
+                break
+        return out
 
     def updated(self, items: Sequence[str], item_index: Mapping[str, int],
                 updated_rows: Sequence[int], row_sizes, row_ids,
@@ -292,7 +249,7 @@ class NeighborIndex:
             (_np.repeat(upd_idx, _np.asarray(row_sizes, dtype=_np.int64)),
              _np.asarray(row_ids, dtype=_np.int64),
              _np.asarray(row_weights, dtype=_np.float64)))
-        return NeighborIndex(items, item_index, ptr, neighbor_ids, weights, k=self.k)
+        return NeighborIndex(items, item_index, ptr, neighbor_ids, weights)
 
     def neighbor_dict(self, item: str) -> dict[str, float]:
         """The full stored row as a ``neighbor id → weight`` dict (a

@@ -10,58 +10,22 @@ longer meta-paths (Definition 5's path certainty).
 
 Both functions are string-keyed adapters over the table's interned
 :class:`~repro.data.matrix.MatrixRatingStore`: the like/dislike flag of
-every rating is precomputed once per table, and each lookup is a single
-merge of two sorted integer columns instead of a fresh dict intersection
-over ``Rating`` objects. The Extender's
-:class:`~repro.core.xsim.SignificanceCache` sits directly on top and
-inherits the fast path. The original object-graph implementation is kept
-as :func:`significance_reference` for the equivalence tests and
+every rating is precomputed once per table, and each lookup probes the
+smaller item's cached ``user → likes`` dict into the larger instead of
+intersecting ``Rating`` objects. ``Extender.extend`` reads ``S`` / ``Ŝ``
+for its pruned edges in one bulk
+:meth:`~repro.data.matrix.MatrixRatingStore.edge_significance` pass; the
+per-item reference walk memoises these per-pair lookups in a
+:class:`~repro.core.xsim.SignificanceCache`. Nothing computes the counts
+for every co-rated pair. The original object-graph implementation is
+kept as :func:`significance_reference` for the equivalence tests and
 microbenchmarks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
-
 from repro.data.ratings import RatingTable
 from repro.errors import SimilarityError  # noqa: F401  (re-exported; raised by the store)
-
-
-@dataclass(frozen=True)
-class SignificanceTable:
-    """Bulk Definition-2 counts for every co-rated item pair.
-
-    Produced by the sharded Eq-6 sweep (the counts fold into the same
-    accumulation pass as the similarities); a
-    :class:`~repro.core.xsim.SignificanceCache` can ingest it wholesale
-    and the model snapshot persists it. Both mappings are
-    keyed ``(item_i, item_j)`` with ``i < j``; values are exact integers,
-    identical to the per-pair lookups regardless of shard count.
-
-    Attributes:
-        raw: ``S_{i,j}`` (Definition 2) per co-rated pair.
-        common: ``|Y_i ∩ Y_j|`` per co-rated pair (what Definition 4's
-            union denominator is derived from).
-    """
-
-    raw: Mapping[tuple[str, str], int]
-    common: Mapping[tuple[str, str], int]
-
-
-def bulk_significance(table: RatingTable,
-                      n_shards: int | None = None) -> SignificanceTable:
-    """Definition-2 counts for *every* co-rated pair in one sweep.
-
-    Runs the engine's sharded pair accumulation with significance
-    folding enabled and discards the similarity side — the entry point
-    for callers that only need the counts (the per-pair
-    :func:`significance` stays the right tool for sparse lookups).
-    """
-    from repro.engine.sharded_sweep import sharded_adjacency
-
-    result = sharded_adjacency(table, n_shards=n_shards, with_significance=True)
-    return SignificanceTable(raw=result.significance, common=result.common_raters)
 
 
 def significance(table: RatingTable, item_i: str, item_j: str) -> int:

@@ -55,9 +55,7 @@ def _table(seed: int = 7, n_users: int = 30, n_items: int = 24,
 
 @pytest.fixture()
 def catalog_source(tmp_path):
-    registry = ModelRegistry(
-        sweep=IncrementalSweep(_table(), n_shards=1, with_index=True),
-        cf_k=20)
+    registry = ModelRegistry(sweep=IncrementalSweep(_table(), n_shards=1), cf_k=20)
     catalog = SnapshotCatalog(tmp_path / "catalog")
     catalog.attach(registry)
     return tmp_path / "catalog", registry
@@ -184,9 +182,7 @@ def test_worker_refuses_exhausted_budget(tmp_path):
     from repro.serving import RecommendationService, RegistryWatcher
     from repro.gateway.worker import WorkerApp, wait_for_model
 
-    registry = ModelRegistry(
-        sweep=IncrementalSweep(_table(), n_shards=1, with_index=True),
-        cf_k=20)
+    registry = ModelRegistry(sweep=IncrementalSweep(_table(), n_shards=1), cf_k=20)
     catalog = SnapshotCatalog(tmp_path / "catalog")
     catalog.attach(registry)
     watcher = RegistryWatcher(tmp_path / "catalog")

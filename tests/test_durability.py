@@ -13,7 +13,7 @@ Contracts under test:
 * **Recovery bit-identity** — the tentpole property: for *every*
   enumerated crash point in a write/checkpoint stream (torn mid-frame
   appends and mid-checkpoint deaths included), recovering the store
-  yields stores / indexes / adjacency / significance census
+  yields stores / indexes / adjacency
   bit-identical (per shard count) to a writer that never
   crashed past the durable prefix. Crashes *during recovery itself*
   are swept the same way.
@@ -103,8 +103,7 @@ def _scenario(seed: int = 3, n_base: int = 36, n_batches: int = 5, batch_size: i
 # The writer configuration the crash sweeps run under: checkpoints
 # every 2 batches, rotation after ~192 bytes, fsync every 2nd append —
 # small enough that one scenario visits every kind of crash point.
-_WRITER_KWARGS = dict(n_shards=2, with_significance=True, cf_k=8,
-                      group_commit=2, segment_bytes=192)
+_WRITER_KWARGS = dict(n_shards=2, cf_k=8, group_commit=2, segment_bytes=192)
 
 
 def _run_writer(directory, table, batches):
@@ -120,8 +119,7 @@ def _reference(cache: dict, table: RatingTable, batches, applied: int
                ) -> IncrementalSweep:
     """The never-crashed writer after *applied* batches."""
     if applied not in cache:
-        sweep = IncrementalSweep(table, n_shards=2,
-                                 with_significance=True, with_index=True)
+        sweep = IncrementalSweep(table, n_shards=2)
         for batch in batches[:applied]:
             sweep.update(batch)
         cache[applied] = sweep
@@ -132,7 +130,7 @@ def _index_tuple(index):
     if index is None:
         return None
     return (list(index.items), _aslist(index.ptr),
-            _aslist(index.neighbor_ids), _aslist(index.weights), index.k)
+            _aslist(index.neighbor_ids), _aslist(index.weights))
 
 
 def assert_sweeps_equal(got, want) -> None:
@@ -146,8 +144,6 @@ def assert_sweeps_equal(got, want) -> None:
             == _aslist(getattr(want.store, name)), name
     assert _index_tuple(got.index) == _index_tuple(want.index)
     assert got.graph._adjacency == want.graph._adjacency
-    assert got.significance == want.significance
-    assert got.common_raters == want.common_raters
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +389,70 @@ class TestDurableSweep:
         with pytest.raises(DurabilityError, match="not a durable store"):
             DurableSweep.recover(tmp_path / "store")
 
+    @pytest.mark.parametrize("path, value, names", [
+        *(pytest.param((key,), None, key, id=f"no-{key}")
+          for key in ("config", "applied_seq", "snapshot")),
+        *(pytest.param(("config", key), None, key, id=f"no-config-{key}")
+          for key in ("n_shards", "min_common_users", "min_abs_similarity",
+                      "cf_k", "positive_only", "group_commit",
+                      "segment_bytes", "fsync", "policy")),
+        pytest.param(("config", "policy", "max_batches"), None, "max_batches",
+                     id="no-policy-max_batches"),
+        pytest.param(("config",), ["n_shards"], "config", id="config-a-list"),
+        pytest.param(("applied_seq",), "3", "applied_seq", id="applied_seq-a-string"),
+        pytest.param(("config", "fsync"), 1, "fsync", id="fsync-an-int"),
+        pytest.param(("config", "policy"), "often", "policy", id="policy-a-string"),
+        pytest.param((), ["pointer"], "not a JSON object", id="a-json-list"),
+    ])
+    def test_incomplete_pointer_is_a_durability_error(
+            self, tmp_path, path, value, names):
+        """A JSON-valid ``CHECKPOINT.json`` that lacks (*value* None) or
+        mistypes a key is a ``DurabilityError`` naming it — and is
+        refused before the log is opened, so nothing on disk moves."""
+        table, batches = _scenario(n_batches=2)
+        _run_writer(tmp_path / "store", table, batches)
+        pointer_path = tmp_path / "store" / CHECKPOINT_FILE
+        pointer = json.loads(pointer_path.read_text(encoding="utf-8"))
+        if not path:
+            pointer = value
+        else:
+            holder = pointer
+            for key in path[:-1]:
+                holder = holder[key]
+            if value is None:
+                del holder[path[-1]]
+            else:
+                holder[path[-1]] = value
+        pointer_path.write_text(json.dumps(pointer), encoding="utf-8")
+        wal = {entry.name: entry.read_bytes()
+               for entry in (tmp_path / "store" / "wal").iterdir()}
+        with pytest.raises(DurabilityError, match=names):
+            DurableSweep.recover(tmp_path / "store")
+        assert wal == {entry.name: entry.read_bytes()
+                       for entry in (tmp_path / "store" / "wal").iterdir()}
+
+    def test_pointer_written_with_the_significance_flag_on_recovers(self, tmp_path):
+        """Format v1 backward compatibility, by hand: a pointer whose
+        ``config`` says ``"with_significance": true`` (what a build that
+        folded the bulk Definition-2 census wrote) recovers to the same
+        sweep — and the same Top-N — as the constant ``false``."""
+        table, batches = _scenario()
+        _run_writer(tmp_path / "store", table, batches)
+        flagged = _copy_store(tmp_path / "store", tmp_path / "flagged")
+        pointer_path = flagged / CHECKPOINT_FILE
+        pointer = json.loads(pointer_path.read_text(encoding="utf-8"))
+        assert pointer["config"]["with_significance"] is False
+        pointer["config"]["with_significance"] = True
+        pointer_path.write_text(json.dumps(pointer), encoding="utf-8")
+        plain = DurableSweep.recover(tmp_path / "store")
+        recovered = DurableSweep.recover(flagged)
+        assert_sweeps_equal(recovered, plain)
+        _assert_serving_equal(RecommendationService(recovered.registry()),
+                              RecommendationService(plain.registry()),
+                              tolerance=0.0)
+        plain.close()
+        recovered.close()
+
     def test_recover_survives_lost_log(self, monkeypatch, tmp_path):
         """A log that lost records below the adopted watermark (fsync
         off + power loss) restarts numbering at the checkpoint."""
@@ -543,7 +603,7 @@ from repro.durability.manager import CheckpointPolicy, DurableSweep
 plan = json.load(open(plan_path))
 durable = DurableSweep(
     store_dir, RatingTable([Rating(*r) for r in plan["base"]]),
-    n_shards=2, with_significance=True, cf_k=8,
+    n_shards=2, cf_k=8,
     policy=CheckpointPolicy(max_batches=2),
     group_commit=2, segment_bytes=192)
 for batch in plan["batches"]:
@@ -658,10 +718,7 @@ def test_registry_recover_serves_identically(tmp_path):
                            policy=CheckpointPolicy(max_batches=2),
                            **_WRITER_KWARGS)
     registry = durable.registry()
-    mirror = ModelRegistry(
-        sweep=IncrementalSweep(table, n_shards=2,
-                               with_significance=True, with_index=True),
-        cf_k=8)
+    mirror = ModelRegistry(sweep=IncrementalSweep(table, n_shards=2), cf_k=8)
     for batch in batches[:3]:
         registry.update(batch)
         mirror.update(batch)

@@ -263,18 +263,17 @@ def test_unknown_source_domain_is_a_config_error(small_trace):
 
 # -- significance source -------------------------------------------------
 
-def test_preloaded_significance_cache_gives_the_same_map(small_trace):
+def test_a_significance_cache_gives_the_same_map(small_trace):
     merged = small_trace.merged()
     baseline = Baseliner(n_shards=2).compute(small_trace, merged=merged)
-    assert baseline.significance is not None
     partition = LayerPartition.from_graph(baseline.graph, small_trace.domain_map())
     config = ExtenderConfig(k=8, max_paths_per_item=500)
     source = small_trace.source.name
     lazy = Extender(config).extend(baseline.graph, partition, merged, source)
-    preloaded = Extender(config).extend(
+    cached = Extender(config).extend(
         baseline.graph, partition, merged, source,
-        significance=SignificanceCache(merged, preload=baseline.significance))
-    assert_same_map(preloaded, lazy)
+        significance=SignificanceCache(merged))
+    assert_same_map(cached, lazy)
     assert_same_map(lazy, reference_map(
         baseline.graph, partition, SignificanceCache(merged), source, config))
 
@@ -345,10 +344,10 @@ def test_every_small_cap_on_a_generated_trace_equals_the_reference():
 @pytest.mark.parametrize("n_shards", [1, 4])
 def test_extend_equals_the_reference_at_any_shard_count(small_trace, n_shards):
     # Both legs in one process: the 4-shard graph carries a ranked
-    # NeighborIndex and bulk significance, the 1-shard graph neither;
-    # extend reads per-edge S / Ŝ from the store either way. (The two
-    # graphs' weights differ in the last bits — shard merge order — so
-    # each is held to the reference over its own graph.)
+    # NeighborIndex, the 1-shard graph none; extend reads per-edge
+    # S / Ŝ from the store either way. (The two graphs' weights differ
+    # in the last bits — shard merge order — so each is held to the
+    # reference over its own graph.)
     merged = small_trace.merged()
     baseline = Baseliner(n_shards=n_shards).compute(small_trace, merged=merged)
     partition = LayerPartition.from_graph(baseline.graph, small_trace.domain_map())
@@ -357,10 +356,6 @@ def test_extend_equals_the_reference_at_any_shard_count(small_trace, n_shards):
     actual = Extender(config).extend(baseline.graph, partition, merged, source)
     assert_same_map(actual, reference_map(
         baseline.graph, partition, SignificanceCache(merged), source, config))
-    if baseline.significance is not None:
-        preloaded = SignificanceCache(merged, preload=baseline.significance)
-        assert_same_map(actual, reference_map(
-            baseline.graph, partition, preloaded, source, config))
 
 
 def test_hand_built_graph_without_an_index_gives_the_same_map(small_trace):

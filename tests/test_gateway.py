@@ -32,9 +32,10 @@ from repro.gateway.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.gateway.worker import WorkerApp, wait_for_model
+from repro.gateway.worker import WorkerApp, serve, wait_for_model
 from repro.serving import (
     ModelRegistry,
+    ModelSnapshot,
     RecommendationService,
     RegistryWatcher,
     SnapshotCatalog,
@@ -56,7 +57,7 @@ def _table(seed: int = 7, n_users: int = 40, n_items: int = 30,
 
 
 def _registry(table: RatingTable, cf_k: int = 20) -> ModelRegistry:
-    sweep = IncrementalSweep(table, n_shards=1, with_index=True)
+    sweep = IncrementalSweep(table, n_shards=1)
     return ModelRegistry(sweep=sweep, cf_k=cf_k)
 
 
@@ -209,6 +210,26 @@ def test_watcher_follows_single_snapshot_dir(tmp_path):
     assert watcher.poll() == 2
 
 
+def test_watcher_counts_a_pointer_it_cannot_follow(tmp_path):
+    """``CURRENT.json`` is outside input too: one that parses but lacks
+    ``path`` is a counted refusal, not a ``KeyError`` out of ``poll``."""
+    registry = _registry(_table())
+    catalog = SnapshotCatalog(tmp_path / "catalog")
+    catalog.attach(registry)
+    watcher = RegistryWatcher(tmp_path / "catalog")
+    assert watcher.poll() == 1
+    pointer_path = tmp_path / "catalog" / "CURRENT.json"
+    good = pointer_path.read_text(encoding="utf-8")
+    pointer = json.loads(good)
+    del pointer["path"]
+    pointer_path.write_text(json.dumps(pointer), encoding="utf-8")
+    assert watcher.poll() is None
+    assert (watcher.version, watcher.n_loads, watcher.n_load_failures) == (1, 1, 1)
+    pointer_path.write_text(good, encoding="utf-8")
+    registry.update(_update_batch())
+    assert watcher.poll() == 2 and watcher.n_load_failures == 1
+
+
 # ----------------------------------------------------------------------
 # Worker request handling (in-process)
 # ----------------------------------------------------------------------
@@ -301,10 +322,58 @@ def test_worker_app_rejects_bad_requests_cleanly(tmp_path):
     assert app.handle({"method": "shutdown"}) is None
 
 
+def test_worker_serve_loop_survives_a_publish_it_cannot_load(tmp_path):
+    """A version whose manifest is valid JSON but lacks a key is a
+    counted refusal: the frame loop keeps answering from the previous
+    version and converges on the next good publish. (As a ``KeyError``
+    it left ``serve`` — and the respawned worker died on the same file.)"""
+    app, _ = _worker_app(tmp_path)
+    catalog_root = tmp_path / "catalog"
+    bad = ModelSnapshot.load(catalog_root / "v-00000001").save(
+        catalog_root / "v-00000002")
+    manifest = json.loads((bad / "MANIFEST.json").read_text(encoding="utf-8"))
+    del manifest["arrays"]
+    (bad / "MANIFEST.json").write_text(json.dumps(manifest), encoding="utf-8")
+    pointer_path = catalog_root / "CURRENT.json"
+    pointer = json.loads(pointer_path.read_text(encoding="utf-8"))
+    pointer.update(version=2, path=bad.name)
+    pointer_path.write_text(json.dumps(pointer), encoding="utf-8")
+
+    ours, theirs = socket.socketpair()
+    ours.settimeout(10.0)
+    loop = threading.Thread(target=serve, args=(theirs, app, 0.01), daemon=True)
+    loop.start()
+
+    def health() -> dict:
+        send_frame(ours, {"method": "health"})
+        return recv_frame(ours)
+
+    try:
+        deadline = time.monotonic() + 10.0
+        while health()["n_load_failures"] == 0:
+            assert loop.is_alive() and time.monotonic() < deadline
+            time.sleep(0.02)
+        refused = health()
+        assert refused["version"] == 1 and refused["n_loads"] == 1
+        send_frame(ours, {"method": "recommend", "params": {"users": ["u001"], "n": 4}})
+        assert recv_frame(ours)["version"] == 1
+
+        SnapshotCatalog(catalog_root).publish(
+            ModelSnapshot.load(catalog_root / "v-00000001"), version=3)
+        while health()["version"] != 3:
+            assert loop.is_alive() and time.monotonic() < deadline
+            time.sleep(0.02)
+        assert health()["n_loads"] == 2
+    finally:
+        send_frame(ours, {"method": "shutdown"})
+        loop.join(timeout=5.0)
+        ours.close()
+        theirs.close()
+    assert not loop.is_alive()
+
+
 def test_pinned_entry_points_refuse_and_version_scope(tiny_table):
-    registry = ModelRegistry(
-        sweep=IncrementalSweep(tiny_table, n_shards=1, with_index=True),
-        cf_k=5)
+    registry = ModelRegistry(sweep=IncrementalSweep(tiny_table, n_shards=1), cf_k=5)
     service = RecommendationService(registry)
     version, _ = service.recommend_batch_pinned(["u1"], 2)
     assert version == 1

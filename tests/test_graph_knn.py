@@ -128,17 +128,6 @@ class TestNeighborIndex:
             assert index.degree(item) == len(adjacency[item])
             assert index.neighbor_dict(item) == adjacency[item]
 
-    @_numpy_id
-    def test_truncated_rows_are_prefixes(self, tiny_table):
-        store = MatrixRatingStore(tiny_table)
-        full = store.neighbor_index()
-        truncated = store.neighbor_index(k=2)
-        assert truncated.k == 2
-        for item in store.items:
-            assert truncated.top(item, 2) == full.top(item, 2)
-        with pytest.raises(ValueError, match="truncated"):
-            truncated.top(next(iter(store.items)), 3)
-
     def test_minimum_cuts_the_scan(self, tiny_table):
         store = tiny_table.matrix()
         index = store.neighbor_index()
@@ -152,80 +141,6 @@ class TestNeighborIndex:
         assert index.top("ghost", 5) == []
         assert index.degree("ghost") == 0
         assert index.neighbor_dict("ghost") == {}
-
-    def test_scan_reports_exactness(self, tiny_table):
-        store = tiny_table.matrix()
-        truncated = store.neighbor_index(k=1)
-        full = store.neighbor_index()
-        for item in store.items:
-            # Within the truncation budget the scan is exact.
-            selected, exact = truncated.scan(item, 1)
-            assert exact and selected == full.top(item, 1)
-            # Past it, the scan degrades honestly instead of raising.
-            degree = full.degree(item)
-            selected, exact = truncated.scan(item, degree + 1, full_degree=degree)
-            assert exact == (degree <= 1)
-            if exact:
-                assert selected == full.top(item, degree + 1)
-
-
-class TestTruncatedIndexServing:
-    """Regression suite: a graph backed by a *truncated* index must
-    never raise and never under-serve — every query either comes
-    exactly off the index or falls back to the adjacency scan."""
-
-    def _graphs(self, table, k):
-        store = table.matrix()
-        adjacency = store.build_adjacency()
-        truncated = ItemGraph.from_adjacency(
-            {item: dict(nbrs) for item, nbrs in adjacency.items()},
-            index=store.neighbor_index(k=k))
-        reference = ItemGraph.from_adjacency(adjacency)
-        return truncated, reference
-
-    @pytest.mark.parametrize("index_k", [1, 2, 3])
-    def test_top_neighbors_matches_full_adjacency(self, tiny_table, index_k):
-        truncated, reference = self._graphs(tiny_table, index_k)
-        items = sorted(reference.items)
-        among_sets = [None] + [frozenset(items[:n]) for n in (1, 2, 3)]
-        for item in items:
-            for k in (1, 2, 3, 10):
-                for among in among_sets:
-                    for minimum in (None, 0.0, 0.5):
-                        got = truncated.top_neighbors(
-                            item, k, among=among, minimum=minimum)
-                        want = reference.top_neighbors(
-                            item, k, among=among, minimum=minimum)
-                        assert got == want, (item, k, among, minimum)
-
-    def test_ranked_neighbors_never_caches_truncated_row(self, tiny_table):
-        truncated, reference = self._graphs(tiny_table, 1)
-        for item in sorted(reference.items):
-            ranked = truncated.ranked_neighbors(item)
-            assert ranked == reference.ranked_neighbors(item)
-            assert len(ranked) == truncated.degree(item)
-
-    def test_exact_queries_still_served_from_index(self, tiny_table):
-        truncated, _ = self._graphs(tiny_table, 2)
-        item = sorted(truncated.items)[0]
-        truncated.top_neighbors(item, 1)
-        # An answerable query must not have forced the fallback path
-        # to materialise and memoize the full sorted row.
-        assert item not in truncated._ranked_cache
-
-    def test_copy_carries_backing_index(self, tiny_table):
-        store = tiny_table.matrix()
-        graph = ItemGraph.from_adjacency(
-            store.build_adjacency(), index=store.neighbor_index())
-        clone = graph.copy()
-        assert clone._index is graph._index
-        for item in sorted(graph.items):
-            assert clone.top_neighbors(item, 2) == \
-                graph.top_neighbors(item, 2)
-        # First mutation on the clone drops its reference only.
-        clone.add_edge("a", "zzz-new", 2.0)
-        assert clone._index is None
-        assert graph._index is not None
 
 
 class TestRankedServing:
@@ -303,3 +218,40 @@ class TestRankedServing:
         assert graph.top_neighbors("a", 1) == [("zzz-new", 2.0)]
         graph.remove_edge("a", "zzz-new")
         assert graph.top_neighbors("a", 1) == before
+
+    def test_index_backed_graph_matches_adjacency_scan(self, tiny_table):
+        """Every (k, among, minimum) query answered off the flat index
+        rows equals the memoized adjacency scan of an index-free graph
+        over the same adjacency."""
+        store = tiny_table.matrix()
+        adjacency = store.build_adjacency()
+        indexed = ItemGraph.from_adjacency(
+            {item: dict(nbrs) for item, nbrs in adjacency.items()},
+            index=store.neighbor_index())
+        reference = ItemGraph.from_adjacency(adjacency)
+        items = sorted(reference.items)
+        among_sets = [None] + [frozenset(items[:n]) for n in (1, 2, 3)]
+        for item in items:
+            assert indexed.ranked_neighbors(item) == reference.ranked_neighbors(item)
+            for k in (1, 2, 3, 10):
+                for among in among_sets:
+                    for minimum in (None, 0.0, 0.5):
+                        got = indexed.top_neighbors(
+                            item, k, among=among, minimum=minimum)
+                        want = reference.top_neighbors(
+                            item, k, among=among, minimum=minimum)
+                        assert got == want, (item, k, among, minimum)
+
+    def test_copy_carries_backing_index(self, tiny_table):
+        store = tiny_table.matrix()
+        graph = ItemGraph.from_adjacency(
+            store.build_adjacency(), index=store.neighbor_index())
+        clone = graph.copy()
+        assert clone._index is graph._index
+        for item in sorted(graph.items):
+            assert clone.top_neighbors(item, 2) == \
+                graph.top_neighbors(item, 2)
+        # First mutation on the clone drops its reference only.
+        clone.add_edge("a", "zzz-new", 2.0)
+        assert clone._index is None
+        assert graph._index is not None

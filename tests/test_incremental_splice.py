@@ -3,8 +3,8 @@
 Three implementations must agree after every batch: the splice
 (:meth:`MatrixRatingStore.splice_row_refresh` — re-rank only the entries
 with a touched endpoint, merge them into the kept ones), the whole-row
-reference (:meth:`MatrixRatingStore.assemble_row_refresh` — what a
-sweep that keeps no index runs) and a fresh build over the final table.
+reference (:meth:`MatrixRatingStore.assemble_row_refresh` — every
+affected row re-assembled whole) and a fresh build over the final table.
 Equality is exact: adjacency by dict equality, ``ptr`` /
 ``neighbor_ids`` / ``weights`` bit for bit, and the per-update
 ``affected_items`` and edge census.
@@ -23,13 +23,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.data.synthetic import SyntheticConfig, amazon_like
 from repro.engine.sharded_sweep import IncrementalSweep
-from repro.errors import SimilarityError
 from repro.obs.metrics import get_registry
-from repro.similarity.knn import NeighborIndex
 from test_incremental import _index_tuple, assert_stores_equal
 
 _SHAPES = ((40, 45, 8, 5.0), (70, 60, 10, 7.0))
@@ -75,7 +72,6 @@ def _run_and_compare(table, batches, **kwargs):
         assert_stores_equal(sweep.store, fresh.store)
         assert sweep.graph._adjacency == fresh.graph._adjacency
         assert _index_tuple(sweep.index) == _index_tuple(fresh.index)
-        assert sweep.significance == fresh.significance
     return all_stats
 
 
@@ -99,11 +95,10 @@ def _draw_batch(rng: random.Random, table: RatingTable, size: int) -> list[Ratin
        batch_seed=st.integers(0, 10_000),
        sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3),
        n_shards=st.sampled_from([1, 2, 7]),
-       with_significance=st.booleans(),
        min_common_users=st.sampled_from([1, 2]),
        min_abs_similarity=st.sampled_from([0.0, 0.25]))
 def test_splice_equals_reference_equals_rebuild(
-        seed, shape, batch_seed, sizes, n_shards, with_significance,
+        seed, shape, batch_seed, sizes, n_shards,
         min_common_users, min_abs_similarity):
     table = _table(seed, shape)
     rng = random.Random(batch_seed)
@@ -113,7 +108,7 @@ def test_splice_equals_reference_equals_rebuild(
         batches.append(_draw_batch(rng, grown, size))
         grown = grown.with_ratings(batches[-1])
     _run_and_compare(
-        table, batches, n_shards=n_shards, with_significance=with_significance,
+        table, batches, n_shards=n_shards,
         min_common_users=min_common_users,
         min_abs_similarity=min_abs_similarity)
 
@@ -236,18 +231,3 @@ def test_empty_batch_and_empty_base():
     [stats] = _run_and_compare(table, [[]])
     assert stats.affected_items == () and stats.n_changed_entries == 0
     _run_and_compare(RatingTable(), [_ratings({"u1": {"a": 5.0, "b": 1.0}})])
-
-
-def test_truncated_index_is_refused():
-    """Dropping an entry from a top-k row may promote a neighbor the
-    index no longer stores — the splice must refuse, never patch."""
-    table = _table(0, 0)
-    sweep = IncrementalSweep(table)
-    full = sweep.index
-    truncated = NeighborIndex(full.items, full.item_index, full.ptr,
-                              full.neighbor_ids, full.weights, k=5)
-    store, delta = sweep.store.append_ratings(
-        [Rating("n000", sorted(table.items)[0], 3.0)])
-    assert isinstance(store, MatrixRatingStore)
-    with pytest.raises(SimilarityError, match="truncated to top-5"):
-        store.splice_row_refresh(sweep.accumulation, delta, truncated)

@@ -3,8 +3,7 @@
 Contracts under test:
 
 * **Snapshot round trip** — save → load is bit-identical
-  (every store array, the index flat rows, the significance census,
-  the AlterEgo mapping).
+  (every store array, the index flat rows, the AlterEgo mapping).
 * **Registry hot swap** — publishes are atomic, pinned readers keep a
   coherent version while updates land (checked under a real thread),
   superseded versions are retired once unpinned.
@@ -35,7 +34,6 @@ from repro.errors import ConfigError, ServingError
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import LRUCache, RecommendationService
 from repro.serving.snapshot import STORE_ARRAY_NAMES, ModelSnapshot
-from repro.similarity.significance import SignificanceTable
 
 # Id only, no argument: keeps the "[numpy]" suffix these tests have
 # always had, so lists and logs that name a test keep naming it.
@@ -81,16 +79,9 @@ def assert_snapshots_equal(got: ModelSnapshot, want: ModelSnapshot) -> None:
     assert _aslist(got.index.neighbor_ids) \
         == _aslist(want.index.neighbor_ids)
     assert _aslist(got.index.weights) == _aslist(want.index.weights)
-    assert got.index.k == want.index.k
     assert got.cf_k == want.cf_k
     assert got.positive_only == want.positive_only
     assert got.scale == want.scale
-    if want.significance is None:
-        assert got.significance is None
-    else:
-        assert dict(got.significance.raw) == dict(want.significance.raw)
-        assert dict(got.significance.common) \
-            == dict(want.significance.common)
     assert got.alterego == want.alterego
 
 
@@ -135,11 +126,8 @@ def test_manifest_naming_the_removed_backend_still_loads(tiny_table, tmp_path):
 
 @_numpy_id
 def test_snapshot_extras_roundtrip(tiny_table):
-    significance = SignificanceTable(
-        raw={("a", "b"): 2, ("b", "m-only"): 1},
-        common={("a", "b"): 3, ("b", "m-only"): 1})
     alterego = {"m1": (("a", 0.75), ("b", 0.25)), "m2": (("d", 1.0),)}
-    snapshot = _snapshot(tiny_table, significance=significance, alterego=alterego)
+    snapshot = _snapshot(tiny_table, alterego=alterego)
     with TemporaryDirectory() as directory:
         snapshot.save(directory)
         loaded = ModelSnapshot.load(directory)
@@ -232,27 +220,75 @@ def test_snapshot_rejects_missing_array_file(tmp_path, tiny_table):
         ModelSnapshot.load(tmp_path / "s")
 
 
-def test_truncated_index_guards(tiny_table):
-    store = tiny_table.matrix()
-    truncated = store.neighbor_index(k=1)
-    snapshot = ModelSnapshot(store, truncated, cf_k=1)
-    # A truncated index dropped its tails for good: neither the full
-    # adjacency nor an exact Eq-4 recommender is recoverable from it.
+def _edit_manifest(directory, mutate) -> None:
+    """Rewrite the manifest: *mutate* edits the parsed document in
+    place, or returns the document to write in its stead."""
+    path = directory / "MANIFEST.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    replaced = mutate(manifest)
+    path.write_text(
+        json.dumps(manifest if replaced is None else replaced), encoding="utf-8")
+
+
+def _drop(key, of=lambda manifest: manifest):
+    def mutate(manifest):
+        del of(manifest)[key]
+    return mutate
+
+
+def _set(key, value, of=lambda manifest: manifest):
+    def mutate(manifest):
+        of(manifest)[key] = value
+    return mutate
+
+
+def _user_ptr_entry(manifest):
+    return manifest["arrays"]["user_ptr"]
+
+
+@pytest.mark.parametrize("mutate, names", [
+    *(pytest.param(_drop(key), key, id=f"no-{key}") for key in (
+        "arrays", "n_users", "n_items", "n_ratings", "global_mean", "cf_k",
+        "positive_only", "scale", "index_k", "version")),
+    pytest.param(_set("arrays", ["user_ptr"]), "arrays", id="arrays-a-list"),
+    pytest.param(_set("n_users", "4"), "n_users", id="n_users-a-string"),
+    pytest.param(_set("cf_k", True), "cf_k", id="cf_k-a-bool"),
+    pytest.param(_set("scale", [1.0]), "scale", id="scale-one-bound"),
+    pytest.param(_set("scale", "1-5"), "scale", id="scale-a-string"),
+    pytest.param(_drop("item_means", of=lambda manifest: manifest["arrays"]),
+                 "item_means", id="array-entry-missing"),
+    pytest.param(_drop("size", of=_user_ptr_entry), "size",
+                 id="array-entry-without-size"),
+    pytest.param(_drop("kind", of=_user_ptr_entry), "kind",
+                 id="array-entry-without-kind"),
+    pytest.param(_set("kind", "c16", of=_user_ptr_entry), "c16",
+                 id="array-entry-unknown-kind"),
+    pytest.param(_set("size", "9", of=_user_ptr_entry), "size",
+                 id="array-entry-size-a-string"),
+    pytest.param(lambda manifest: [manifest], "not a JSON object", id="a-json-list"),
+])
+def test_incomplete_manifest_is_a_serving_error(tiny_table, tmp_path, mutate, names):
+    """A JSON-valid manifest that lacks (or mistypes) a key must be a
+    ``ServingError`` naming it: the watcher's reload loop catches that
+    and nothing else, so a ``KeyError`` here kills every worker."""
+    ModelSnapshot.from_table(tiny_table, k=2).save(tmp_path)
+    _edit_manifest(tmp_path, mutate)
+    with pytest.raises(ServingError, match=names):
+        ModelSnapshot.load(tmp_path)
+
+
+def test_truncated_index_guards(tiny_table, tmp_path):
+    """Nothing builds a truncated index any more, so the one place a
+    truncated row can still arrive from is a manifest written elsewhere:
+    the loader refuses it — Eq 4 over a cut row under-selects silently."""
+    ModelSnapshot.from_table(tiny_table, k=2).save(tmp_path)
+    manifest_path = tmp_path / "MANIFEST.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert manifest["index_k"] is None
+    manifest["index_k"] = 1
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(ServingError, match="truncated"):
-        snapshot.graph()
-    from repro.cf.item_knn import ItemKNNRecommender
-    with pytest.raises(ConfigError, match="complete rows"):
-        ItemKNNRecommender(tiny_table, k=1, index=truncated)
-    with pytest.raises(ServingError, match="truncated"):
-        snapshot.recommender()
-    with pytest.raises(ServingError, match="truncated"):
-        RecommendationService(snapshot).recommend_batch(["u1"], 2)
-    # similar_items still serves what the truncated rows can answer,
-    # and refuses to over-promise beyond the truncation cut.
-    service = RecommendationService(snapshot)
-    assert service.similar_items("a", k=1) == truncated.top("a", 1)
-    with pytest.raises(ValueError, match="truncated"):
-        service.similar_items("a", k=2)
+        ModelSnapshot.load(tmp_path)
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +309,6 @@ def fitted_pipeline():
 def test_pipeline_snapshot_serves_bit_identically(fitted_pipeline):
     data, pipeline = fitted_pipeline
     snapshot = pipeline.snapshot()
-    assert snapshot.significance is not None  # sharded run folded it in
     assert snapshot.alterego
     with TemporaryDirectory() as directory:
         snapshot.save(directory)
@@ -296,6 +331,99 @@ def test_pipeline_snapshot_rejects_non_item_modes(fitted_pipeline):
             data, users=sorted(data.source.users)[:5])
     with pytest.raises(ServingError, match="item-mode"):
         pipeline.snapshot()
+
+
+# ----------------------------------------------------------------------
+# On-disk format v1: pinned as literals, old writers' directories load
+# ----------------------------------------------------------------------
+
+_V1_ARRAYS = {
+    "user_ptr": "i8", "user_item_idx": "i8", "user_values": "f8",
+    "user_centered": "f8", "user_item_centered": "f8", "user_means": "f8",
+    "user_item_centered_norms": "f8", "item_ptr": "i8", "item_user_idx": "i8",
+    "item_values": "f8", "item_centered": "f8", "item_likes": "b1",
+    "item_means": "f8", "item_centered_norms": "f8", "item_raw_norms": "f8",
+    "index_ptr": "i8", "index_neighbor_ids": "i8", "index_weights": "f8",
+}
+_V1_FILES = {"MANIFEST.json", "users.txt", "items.txt"} \
+    | {f"{name}.bin" for name in _V1_ARRAYS}
+_V1_MANIFEST_KEYS = {
+    "format", "format_version", "byte_order", "backend_written", "version",
+    "cf_k", "positive_only", "scale", "n_users", "n_items", "n_ratings",
+    "global_mean", "index_k", "with_significance", "with_alterego", "arrays",
+}
+_V1_CONFIG_KEYS = {
+    "n_shards", "min_common_users", "min_abs_similarity", "with_significance",
+    "cf_k", "positive_only", "group_commit", "segment_bytes", "fsync", "policy",
+}
+
+
+def _files(directory) -> set[str]:
+    return {entry.name for entry in directory.iterdir()}
+
+
+def test_format_v1_is_pinned_at_any_shard_count(tmp_path):
+    """What a pipeline snapshot and a durable store leave on disk, as
+    literals: file set, manifest keys, array names and kinds, pointer
+    config keys — the same at 1 and 4 shards (the shard count once
+    decided whether five ``sig_*`` files rode along)."""
+    from repro.durability.manager import CHECKPOINT_FILE, DurableSweep
+
+    data = amazon_like(SyntheticConfig(
+        n_users_source=30, n_users_target=30, n_overlap=12,
+        n_items_source=20, n_items_target=20, ratings_per_user=6.0, seed=5))
+    for n_shards in (1, 4):
+        pipeline = NXMapRecommender(XMapConfig(
+            mode="item", prune_k=5, cf_k=5, n_shards=n_shards)).fit(data)
+        saved = pipeline.snapshot().save(tmp_path / f"pipeline-{n_shards}")
+        assert _files(saved) == _V1_FILES | {"alterego.json"}
+        manifest = json.loads((saved / "MANIFEST.json").read_text(encoding="utf-8"))
+        assert set(manifest) == _V1_MANIFEST_KEYS
+        assert {name: entry["kind"] for name, entry in manifest["arrays"].items()} \
+            == _V1_ARRAYS
+        assert all(set(entry) == {"kind", "size"}
+                   for entry in manifest["arrays"].values())
+        assert manifest["index_k"] is None
+        assert manifest["with_significance"] is False
+
+        store_dir = tmp_path / f"store-{n_shards}"
+        DurableSweep(store_dir, data.merged(), n_shards=n_shards).close()
+        assert _files(store_dir) == {CHECKPOINT_FILE, "wal", "snapshots"}
+        pointer = json.loads((store_dir / CHECKPOINT_FILE).read_text(encoding="utf-8"))
+        assert set(pointer) == {
+            "format", "format_version", "applied_seq", "snapshot", "config"}
+        assert set(pointer["config"]) == _V1_CONFIG_KEYS
+        assert pointer["config"]["with_significance"] is False
+        assert _files(store_dir / pointer["snapshot"]) == _V1_FILES
+
+
+def test_snapshot_written_with_bulk_significance_still_loads(tiny_table, tmp_path):
+    """Format v1 backward compatibility, by hand: the directory a build
+    that persisted the bulk Definition-2 table wrote — ``sig_items.txt``,
+    four ``sig_*`` arrays, ``"with_significance": true`` — loads and
+    serves exactly as the same snapshot without them."""
+    import numpy as np
+
+    snapshot = _snapshot(tiny_table, k=3, alterego={"m1": (("a", 1.0),)})
+    plain = snapshot.save(tmp_path / "plain")
+    flagged = snapshot.save(tmp_path / "flagged")
+    (flagged / "sig_items.txt").write_text("a\nb\nm-only\n", encoding="utf-8")
+    sig = {"sig_left": [0, 1], "sig_right": [1, 2], "sig_raw": [2, 1],
+           "sig_common": [3, 1]}
+    for name, values in sig.items():
+        np.asarray(values, dtype="<i8").tofile(flagged / f"{name}.bin")
+
+    def _flag(manifest):
+        manifest["with_significance"] = True
+        for name in sig:
+            manifest["arrays"][name] = {"kind": "i8", "size": 2}
+
+    _edit_manifest(flagged, _flag)
+    loaded = ModelSnapshot.load(flagged)
+    assert_snapshots_equal(loaded, ModelSnapshot.load(plain))
+    users = sorted(tiny_table.users)
+    assert RecommendationService(loaded).recommend_batch(users, 3) \
+        == RecommendationService(snapshot).recommend_batch(users, 3)
 
 
 # ----------------------------------------------------------------------
@@ -361,8 +489,7 @@ def test_registry_update_publishes_spliced_versions():
     table = _micro_table()
     # n_shards pinned: the reference below is the unsharded store path,
     # and the bit-identity contract holds per shard count.
-    registry = ModelRegistry(
-        sweep=IncrementalSweep(table, n_shards=1, with_index=True), cf_k=5)
+    registry = ModelRegistry(sweep=IncrementalSweep(table, n_shards=1), cf_k=5)
     pinned = registry.pin()
     probes = [(f"u{k}", item) for k in range(8) for item in "abcd"]
     before = {pair: pinned.snapshot.recommender().predict(*pair) for pair in probes}
@@ -395,9 +522,7 @@ def test_registry_hot_swap_under_threaded_reader(n_shards):
     coherent model: every prediction read under one pin equals the
     from-scratch value for *some* prefix of the update stream."""
     table = _micro_table()
-    registry = ModelRegistry(
-        sweep=IncrementalSweep(table, n_shards=n_shards, with_index=True),
-        cf_k=5)
+    registry = ModelRegistry(sweep=IncrementalSweep(table, n_shards=n_shards), cf_k=5)
     batches = [
         [Rating("u0", "e", 5.0), Rating("u1", "a", 1.0)],
         [Rating("u9", "e", 4.0), Rating("u2", "b", 2.0)],
@@ -409,9 +534,8 @@ def test_registry_hot_swap_under_threaded_reader(n_shards):
     def _fresh(state: RatingTable) -> dict:
         # A from-scratch sweep at the same shard count — the incremental
         # splice is bit-identical to it (tests/test_incremental.py).
-        reference = ModelSnapshot.from_sweep(IncrementalSweep(
-            state, n_shards=n_shards, with_index=True), cf_k=5
-        ).recommender()
+        reference = ModelSnapshot.from_sweep(
+            IncrementalSweep(state, n_shards=n_shards), cf_k=5).recommender()
         return {pair: reference.predict(*pair) for pair in probes}
 
     # Ground truth per version: predictions of a fresh model after each
@@ -567,19 +691,6 @@ def test_batched_selection_edge_cases(user, n, positive_only):
     assert service.recommend_batch_pinned([user], n) == (1, [want])
 
 
-def test_batched_truncated_index_still_delegates():
-    table = _opposed_table()
-    store = table.matrix()
-    snapshot = ModelSnapshot(store, store.neighbor_index(k=1), cf_k=1)
-    service = RecommendationService(snapshot)
-    with pytest.raises(ServingError, match="truncated") as per_request:
-        snapshot.recommender()
-    with pytest.raises(ServingError, match="truncated") as batched:
-        service.recommend_batch(["u1", "solo"], 2)
-    assert str(batched.value) == str(per_request.value)
-    assert service.n_layout_builds == 0
-
-
 _ratings_1_to_5 = st.sampled_from([1.0, 2.0, 3.0, 4.0, 5.0])
 _two_domain_items = st.sampled_from(
     [f"m{k}" for k in range(5)] + [f"b{k}" for k in range(5)])
@@ -618,7 +729,7 @@ def test_batched_is_exact_across_layouts_and_versions(case):
         return [reference.recommend(user, n) for user in users]
 
     registry = ModelRegistry(
-        sweep=IncrementalSweep(table, n_shards=1, with_index=True),
+        sweep=IncrementalSweep(table, n_shards=1),
         cf_k=cf_k, positive_only=positive_only)
     service = RecommendationService(registry, response_cache_size=0)
     users = sorted(table.users) + ["nobody"]
@@ -665,8 +776,7 @@ def test_row_cache_eviction_is_delta_targeted():
                     f"c{cluster}u{u}", item,
                     float(1 + (u * 2 + pos) % 5)))
     table = RatingTable(ratings)
-    registry = ModelRegistry(
-        sweep=IncrementalSweep(table, n_shards=1, with_index=True), cf_k=5)
+    registry = ModelRegistry(sweep=IncrementalSweep(table, n_shards=1), cf_k=5)
     service = RecommendationService(registry)
     items = sorted(table.items)
     for item in items:

@@ -7,9 +7,10 @@ The contract (see ``repro/engine/sharded_sweep.py``):
 * fixed shard count ⇒ a pure function of the table (partials merge in
   shard index order);
 * any shard count ⇒ similarities agree with the store path to 1e-9
-  (only the float merge order moves), while the Definition-2
-  significance and co-rater counts stay **exactly** equal — they are
-  integer sums, which merge associatively.
+  (only the float merge order moves), while the co-rater counts stay
+  **exactly** equal — they are integer sums, which merge associatively
+  — and Definition-2 significance, read per pair or per edge from the
+  store, does not depend on the sweep at all.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.baseliner import Baseliner
-from repro.core.xsim import SignificanceCache
 from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.engine.sharded_sweep import (
@@ -27,10 +27,11 @@ from repro.engine.sharded_sweep import (
     resolve_n_shards,
     shard_user_indices,
     sharded_adjacency,
+    sharded_pair_accumulation,
 )
 from repro.errors import EngineError
 from repro.similarity.knn import top_k
-from repro.similarity.significance import bulk_significance
+from repro.similarity.significance import significance_reference
 
 # -- strategies (same shape as test_matrix_store) -----------------------
 
@@ -75,7 +76,7 @@ def _max_abs_diff(left: dict, right: dict) -> float:
 @given(table=rating_tables())
 def test_one_shard_bit_identical_to_store_path(table):
     store = MatrixRatingStore(table)
-    result = sharded_adjacency(store, n_shards=1, with_significance=True)
+    result = sharded_adjacency(store, n_shards=1)
     assert result.adjacency == store.build_adjacency()
 
 
@@ -117,20 +118,32 @@ def test_sharded_respects_profile_cap(table, max_profile):
 @_common
 @given(table=rating_tables(), n_shards=st.integers(1, 7))
 def test_significance_counts_exact_for_any_shard_count(table, n_shards):
+    """The integer side of the contract: at any shard count the merged
+    accumulation holds every co-rated pair with its exact co-rater
+    count, and the store's one-pass ``edge_significance`` over those
+    pairs is the per-pair lookup, which is the object-graph reference."""
     store = MatrixRatingStore(table)
-    result = sharded_adjacency(store, n_shards=n_shards, with_significance=True)
-    for (item_i, item_j), raw in result.significance.items():
+    acc, _ = sharded_pair_accumulation(store, n_shards=n_shards)
+    left = acc.keys // store.n_items
+    right = acc.keys % store.n_items
+    raw, normalized = store.edge_significance(left, right)
+    pairs = [(store.items[l], store.items[r])
+             for l, r in zip(left.tolist(), right.tolist())]
+    for (item_i, item_j), common, s_raw, s_norm in zip(
+            pairs, acc.counts.tolist(), raw.tolist(), normalized.tolist()):
         assert item_i < item_j
-        assert raw == store.significance(item_i, item_j)
-    for (item_i, item_j), common in result.common_raters.items():
         assert common == store.common_raters(item_i, item_j)
+        assert s_raw == store.significance(item_i, item_j) \
+            == significance_reference(table, item_i, item_j)
+        assert s_norm == store.normalized_significance(item_i, item_j)
     # every co-rated pair is present — exactly the nonzero-intersection
     # pairs the per-pair path would see
     items = sorted(table.items)
+    present = set(pairs)
     for a_pos, item_i in enumerate(items):
         for item_j in items[a_pos + 1:]:
-            if store.common_raters(item_i, item_j) > 0:
-                assert (item_i, item_j) in result.common_raters
+            assert ((item_i, item_j) in present) \
+                == (store.common_raters(item_i, item_j) > 0)
 
 
 # -- the partitioned assembly back half ---------------------------------
@@ -143,19 +156,14 @@ def test_partitioned_assembly_matches_driver_path(table, n_partitions):
     """Item-partitioned merge + assembly vs the single driver pass.
 
     Splitting pairs by left item never reorders any per-pair addition,
-    so the adjacency and the significance counts are bit-identical to
-    the one-partition pass at any partition count — and both stay
-    within the 1e-9 contract of the unsharded store path.
+    so the adjacency is bit-identical to the one-partition pass at any
+    partition count — and both stay within the 1e-9 contract of the
+    unsharded store path.
     """
     store = MatrixRatingStore(table)
-    partitioned = sharded_adjacency(
-        store, n_shards=3, n_edge_partitions=n_partitions,
-        with_significance=True)
-    driver = sharded_adjacency(
-        store, n_shards=3, n_edge_partitions=1, with_significance=True)
+    partitioned = sharded_adjacency(store, n_shards=3, n_edge_partitions=n_partitions)
+    driver = sharded_adjacency(store, n_shards=3, n_edge_partitions=1)
     assert partitioned.adjacency == driver.adjacency
-    assert partitioned.significance == driver.significance
-    assert partitioned.common_raters == driver.common_raters
     assert _max_abs_diff(partitioned.adjacency, store.build_adjacency()) < 1e-9
     assert partitioned.stats.n_edge_partitions == n_partitions
     assert len(partitioned.stats.partition_pairs) == n_partitions
@@ -189,18 +197,6 @@ def test_index_selected_during_assembly(table, n_partitions):
         assert result.index.neighbor_dict(item) == neighbors
 
 
-@_numpy_id
-@_common
-@given(table=rating_tables(), index_k=st.sampled_from([1, 2, 5]))
-def test_index_truncation_during_assembly(table, index_k):
-    store = MatrixRatingStore(table)
-    result = sharded_adjacency(
-        store, n_shards=2, n_edge_partitions=3, with_index=True,
-        index_k=index_k)
-    for item, neighbors in result.adjacency.items():
-        assert result.index.top(item, index_k) == top_k(neighbors, index_k)
-
-
 def test_index_not_built_unless_requested(tiny_table):
     assert sharded_adjacency(tiny_table, n_shards=2).index is None
 
@@ -226,10 +222,8 @@ class TestShardLayout:
         assert len(stats.shard_pairs) == 3
 
     def test_empty_table(self):
-        result = sharded_adjacency(RatingTable().matrix(), n_shards=4,
-                                   with_significance=True)
+        result = sharded_adjacency(RatingTable().matrix(), n_shards=4)
         assert result.adjacency == {}
-        assert result.significance == {}
 
     def test_more_shards_than_users(self, tiny_table):
         store = tiny_table.matrix()
@@ -240,11 +234,6 @@ class TestShardLayout:
         by_table = sharded_adjacency(tiny_table, n_shards=2)
         by_store = sharded_adjacency(tiny_table.matrix(), n_shards=2)
         assert by_table.adjacency == by_store.adjacency
-
-    def test_profile_cap_incompatible_with_significance(self, tiny_table):
-        with pytest.raises(EngineError, match="max_profile_size"):
-            sharded_adjacency(tiny_table.matrix(), n_shards=2,
-                              max_profile_size=3, with_significance=True)
 
 
 class TestEnvResolution:
@@ -293,30 +282,8 @@ class TestBaselinerIntegration:
         sharded = Baseliner().compute(small_trace)
         assert sharded.n_homogeneous == reference.n_homogeneous
         assert sharded.n_heterogeneous == reference.n_heterogeneous
-        assert sharded.significance is not None
-        assert reference.significance is None
         edges_ref = {(i, j): s for i, j, s in reference.graph.edges()}
         edges_sharded = {(i, j): s for i, j, s in sharded.graph.edges()}
         assert edges_ref.keys() == edges_sharded.keys()
         for key, sim in edges_ref.items():
             assert edges_sharded[key] == pytest.approx(sim, abs=1e-9)
-
-    def test_preloaded_cache_matches_lazy_lookups(self, small_trace):
-        merged = small_trace.merged()
-        baseline = Baseliner(n_shards=3).compute(small_trace, merged=merged)
-        preloaded = SignificanceCache(merged, preload=baseline.significance)
-        lazy = SignificanceCache(merged)
-        for item_i, item_j, _ in baseline.graph.edges():
-            assert preloaded.significance(item_i, item_j) == \
-                lazy.significance(item_i, item_j)
-            assert preloaded.normalized(item_i, item_j) == \
-                lazy.normalized(item_i, item_j)
-
-    def test_bulk_significance_helper(self, tiny_table):
-        store = tiny_table.matrix()
-        table = bulk_significance(tiny_table, n_shards=2)
-        assert table.raw  # tiny_table has co-rated pairs
-        for (item_i, item_j), raw in table.raw.items():
-            assert raw == store.significance(item_i, item_j)
-            assert table.common[(item_i, item_j)] == \
-                store.common_raters(item_i, item_j)
