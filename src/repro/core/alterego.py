@@ -32,12 +32,12 @@ from __future__ import annotations
 import enum
 import time
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.extender import XSimMap
-from repro.data.ratings import Rating, RatingTable
+from repro.data.ratings import Rating, RatingColumns, RatingTable
 from repro.errors import ConfigError
 from repro.obs import observe_stage_seconds
 from repro.privacy.accountant import PrivacyAccountant
@@ -47,6 +47,18 @@ from repro.similarity.knn import rank_rows
 
 #: Default replacement-set size (footnote 10 diversity).
 DEFAULT_N_REPLACEMENTS = 12
+
+
+def _interned(known: Sequence[str], names: Sequence[str],
+              used: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """*known* grown by the ``names[used]`` it lacks, and the codes of
+    ``names[used]`` there."""
+    present = np.flatnonzero(np.bincount(used, minlength=len(names))).tolist()
+    grown = list(dict.fromkeys([*known, *(names[p] for p in present)]))
+    code = {name: position for position, name in enumerate(grown)}
+    codes = np.empty(len(names), dtype=np.int64)
+    codes[present] = [code[names[p]] for p in present]
+    return grown, codes[used]
 
 
 class ReplacementPolicy(enum.Enum):
@@ -214,6 +226,10 @@ class AlterEgoGenerator:
         per user bit for bit (one ``(user, target)`` group's addends
         reach ``np.bincount`` — which adds sequentially — in sorted
         source-item order, the order the per-rating fold adds them in).
+        The result is column-backed
+        (:meth:`~repro.data.ratings.RatingTable.from_columns`, which
+        checks scale and uniqueness over the arrays): no ``Rating`` is
+        built for a mapped rating until something reads its dict views.
         Wall time per stage lands in ``alterego_stage_seconds``.
         """
         clock = time.perf_counter
@@ -269,19 +285,24 @@ class AlterEgoGenerator:
         weight_sum = np.bincount(group, weights=weight)
         latest = np.maximum.reduceat(step[row], head)
         mapped = np.clip(total / weight_sum, *target_table.scale)
-        real = [position * len(names) + ids[item]
-                for position, user in enumerate(users)
-                for item in target_table.user_profile(user) if item in ids]
-        keep = ~np.isin(key[head], real)
+        # One code space for the real rows and the fold's groups — the
+        # target table's, grown by the ids only a group has. Footnote 6
+        # is then an isin over (user, item) pair keys.
+        real = target_table.columns()
+        group_user, group_item = np.divmod(key[head], len(names))
+        all_users, user_code = _interned(real.users, users, group_user)
+        all_items, item_code = _interned(real.items, names, group_item)
+        keep = ~np.isin(user_code * len(all_items) + item_code,
+                        real.user_codes * len(all_items) + real.item_codes)
         folded = clock()
 
-        key = key[head][keep]
-        additions = [
-            Rating(users[position], names[target], rating, timestep)
-            for position, target, rating, timestep in zip(
-                (key // len(names)).tolist(), (key % len(names)).tolist(),
-                mapped[keep].tolist(), latest[keep].tolist())]
-        table = target_table.with_ratings(additions)
+        # Real rows, then the kept additions in (user, target) order.
+        table = RatingTable.from_columns(RatingColumns(
+            all_users, all_items,
+            np.concatenate((real.user_codes, user_code[keep])),
+            np.concatenate((real.item_codes, item_code[keep])),
+            np.concatenate((real.values, mapped[keep])),
+            np.concatenate((real.timesteps, latest[keep]))), target_table.scale)
         observe_stage_seconds("alterego", {
             "select": selected - started, "fold": folded - selected,
             "table": clock() - folded})

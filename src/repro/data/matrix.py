@@ -27,7 +27,11 @@ rebuild produce *identical* similarity graphs, not merely close ones.
 
 Build one store per pipeline run via :meth:`RatingTable.matrix`, which
 memoizes on the (immutable) table — every string-keyed similarity entry
-point picks it up transparently.
+point picks it up transparently. The constructor reads
+:meth:`RatingTable.columns` from every table — the arrays a
+column-backed table holds, one pass over an object-built table's
+``Rating`` objects — so there is one construction path and it builds no
+dict view; validation is the table's, none is repeated here.
 """
 
 from __future__ import annotations
@@ -219,8 +223,15 @@ class MatrixRatingStore:
         self._item_names_obj = None
         self._like_dicts: list[dict[int, bool] | None] | None = None
 
-        users = sorted(table.users)
-        items = sorted(table.items)
+        # The table's columns, re-coded from the table's interning to
+        # sorted-id rank; everything else is np.lexsort and vectorised
+        # arithmetic over flat columns. All sums of float sets go
+        # through math.fsum, which is *exact* (single final rounding),
+        # so means and norms are independent of row order; centering is
+        # one element-wise IEEE subtraction.
+        columns = table.columns()
+        users = sorted(columns.users)
+        items = sorted(columns.items)
         self.users = users
         self.items = items
         user_index = {user: k for k, user in enumerate(users)}
@@ -229,22 +240,13 @@ class MatrixRatingStore:
         self.item_index = item_index
         n = len(table)
         self.n_ratings = n
-        self.global_mean = table.global_mean()
-
-        # One pass over the Rating objects, then everything else is
-        # np.lexsort and vectorised arithmetic over flat columns. All
-        # sums of float sets go through math.fsum, which is *exact*
-        # (single final rounding), so means and norms are independent of
-        # accumulation order; centering is one element-wise IEEE
-        # subtraction.
-        rows = [(user_index[r.user], item_index[r.item], r.value) for r in table]
-        if rows:
-            user_raw, item_raw, value_raw = zip(*rows)
-        else:
-            user_raw = item_raw = value_raw = ()
-        user_arr = _np.asarray(user_raw, dtype=_np.int64)
-        item_arr = _np.asarray(item_raw, dtype=_np.int64)
-        value_arr = _np.asarray(value_raw, dtype=_np.float64)
+        user_arr = _np.asarray(
+            [user_index[user] for user in columns.users],
+            dtype=_np.int64)[columns.user_codes]
+        item_arr = _np.asarray(
+            [item_index[item] for item in columns.items],
+            dtype=_np.int64)[columns.item_codes]
+        value_arr = columns.values
         csr_order = _np.lexsort((item_arr, user_arr))
         user_csr = user_arr[csr_order]
         item_csr = item_arr[csr_order]
@@ -252,6 +254,7 @@ class MatrixRatingStore:
         user_ptr_arr = _np.searchsorted(user_csr, _np.arange(len(users) + 1))
         user_ptr = user_ptr_arr.tolist()
         value_csr_list = value_csr.tolist()
+        self.global_mean = (math.fsum(value_csr_list) / n if n else table.global_mean())
         user_means = [
             math.fsum(value_csr_list[user_ptr[k]:user_ptr[k + 1]])
             / (user_ptr[k + 1] - user_ptr[k])

@@ -13,21 +13,53 @@ merging domains, hiding test ratings) are produced by the ``with_*`` /
 ``without_*`` methods, which return new tables. This keeps the evaluation
 protocols side-effect free: hiding a test user's ratings can never corrupt
 the training data another experiment is using.
+
+A table is object-built (the constructor: ``Rating`` objects, checked one
+by one, both dict indexes at once) or column-backed
+(:meth:`RatingTable.from_columns`: interned code, value and timestep
+arrays, the same two checks as one array pass each, no ``Rating``). A
+column-backed table answers ``len``, ``scale``, ``columns()`` and
+``matrix()`` from its arrays and builds the dict indexes the first time
+anything else reads them — counted and timed in the ``obs`` registry.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence)
+
+import numpy as np
 
 from repro.errors import DataError
+from repro.obs import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.data.matrix import MatrixRatingStore
 
 #: Default rating scale used by the Amazon and MovieLens traces (§6.1).
 DEFAULT_SCALE = (1.0, 5.0)
+
+_M_VIEWS_BUILT = get_registry().counter(
+    "rating_table_views_built_total",
+    "column-backed rating tables whose dict-of-Rating views were built")
+_M_VIEW_SECONDS = get_registry().counter(
+    "rating_table_view_build_seconds_total",
+    "wall seconds spent building those views")
+
+
+def line_break_id(ids: Sequence[str]) -> str | None:
+    """The first of *ids* holding a character ``str.splitlines`` splits
+    at, or ``None``. A snapshot's id files hold one id per line, so the
+    write path refuses such an id before logging it and the snapshot
+    writer before writing it. One round trip over the joined text
+    decides; ids are scanned one by one only to name the offender."""
+    ids = list(ids)
+    if "".join([name + "\n" for name in ids]).splitlines() == ids:
+        return None
+    return next(name for name in ids if name and name.splitlines() != [name])
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +89,27 @@ class Rating:
         return Rating(self.user, item, self.value, self.timestep)
 
 
+class RatingColumns(NamedTuple):
+    """A table's ratings as parallel columns: row *k* is ``(users[
+    user_codes[k]], items[item_codes[k]], values[k], timesteps[k])``.
+    ``users`` / ``items`` hold distinct ids, each used by some row;
+    codes and timesteps are int64, values float64."""
+
+    users: Sequence[str]
+    items: Sequence[str]
+    user_codes: np.ndarray
+    item_codes: np.ndarray
+    values: np.ndarray
+    timesteps: np.ndarray
+
+    def ratings(self) -> Iterator[Rating]:
+        """The rows as ``Rating`` objects, in row order."""
+        for user, item, value, timestep in zip(
+                self.user_codes.tolist(), self.item_codes.tolist(),
+                self.values.tolist(), self.timesteps.tolist()):
+            yield Rating(self.users[user], self.items[item], value, timestep)
+
+
 class RatingTable:
     """Immutable, doubly-indexed store of ratings.
 
@@ -67,15 +120,14 @@ class RatingTable:
             raise :class:`~repro.errors.DataError`.
     """
 
-    __slots__ = ("_by_user", "_by_item", "_scale", "_n", "_user_mean_cache",
-                 "_item_mean_cache", "_global_mean_cache", "_matrix_cache",
-                 "_matrix_delta_base")
+    __slots__ = ("_by_user", "_by_item", "_columns", "_scale", "_n",
+                 "_user_mean_cache", "_item_mean_cache", "_global_mean_cache",
+                 "_matrix_cache", "_matrix_delta_base")
 
     def __init__(self, ratings: Iterable[Rating] = (),
                  scale: tuple[float, float] = DEFAULT_SCALE) -> None:
+        self._reset(scale, None)
         lo, hi = scale
-        if not lo < hi:
-            raise DataError(f"invalid rating scale {scale!r}: min must be < max")
         by_user: dict[str, dict[str, Rating]] = {}
         by_item: dict[str, dict[str, Rating]] = {}
         n = 0
@@ -93,13 +145,69 @@ class RatingTable:
             n += 1
         self._by_user = by_user
         self._by_item = by_item
-        self._scale = (float(lo), float(hi))
         self._n = n
+
+    def _reset(self, scale: tuple[float, float], columns: RatingColumns | None) -> None:
+        """Set the (checked) scale and the columns; empty every cache."""
+        lo, hi = scale
+        if not lo < hi:
+            raise DataError(f"invalid rating scale {scale!r}: min must be < max")
+        self._scale = (float(lo), float(hi))
+        self._columns = columns
         self._user_mean_cache: dict[str, float] = {}
         self._item_mean_cache: dict[str, float] = {}
         self._global_mean_cache: float | None = None
         self._matrix_cache = None
         self._matrix_delta_base = None
+
+    @classmethod
+    def from_columns(cls, columns: RatingColumns,
+                     scale: tuple[float, float] = DEFAULT_SCALE) -> "RatingTable":
+        """A column-backed table: the constructor's scale and uniqueness
+        checks as one pass over an array each (a failure raises the
+        constructor's :class:`~repro.errors.DataError`, naming the first
+        offending row), and no ``Rating`` until something reads the dict
+        views — which then hold what the constructor would have built
+        from the rows in order."""
+        table = cls.__new__(cls)
+        table._reset(scale, columns)
+        lo, hi = scale
+        values = columns.values
+        pairs = np.sort(columns.user_codes * len(columns.items) + columns.item_codes)
+        if not (((lo <= values) & (values <= hi)).all()
+                and (pairs[1:] != pairs[:-1]).all()):
+            cls(columns.ratings(), scale)  # raises, naming the row
+        table._n = len(values)
+        return table
+
+    def __getattr__(self, name: str):
+        # Reached only while a slot is unset: the dict views of a
+        # column-backed table, on their first read.
+        if name not in ("_by_user", "_by_item"):
+            raise AttributeError(name)
+        started = time.perf_counter()
+        built = RatingTable(self._columns.ratings(), self._scale)
+        self._by_user, self._by_item = built._by_user, built._by_item
+        _M_VIEWS_BUILT.inc()
+        _M_VIEW_SECONDS.inc(time.perf_counter() - started)
+        return getattr(self, name)
+
+    def columns(self) -> RatingColumns:
+        """The ratings as :class:`RatingColumns`: the arrays a
+        column-backed table holds, or — not kept — one pass over an
+        object-built table's ``Rating`` objects in iteration order."""
+        if self._columns is not None:
+            return self._columns
+        item_code = {item: code for code, item in enumerate(self._by_item)}
+        profiles = list(self._by_user.values())
+        ratings = [r for profile in profiles for r in profile.values()]
+        sizes = np.asarray([len(profile) for profile in profiles], dtype=np.int64)
+        return RatingColumns(
+            list(self._by_user), list(self._by_item),
+            np.repeat(np.arange(len(profiles)), sizes),
+            np.asarray([item_code[r.item] for r in ratings], dtype=np.int64),
+            np.asarray([r.value for r in ratings], dtype=np.float64),
+            np.asarray([r.timestep for r in ratings], dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -261,16 +369,21 @@ class RatingTable:
             derived._matrix_delta_base = (self._matrix_cache, batch)
         return derived
 
-    def _append_derive(self, batch: tuple[Rating, ...]) -> "RatingTable":
-        """Derive the appended table in O(batch), not O(table).
+    def with_ratings(self, ratings: Iterable[Rating]) -> "RatingTable":
+        """Return a new table with *ratings* added (or overriding existing
+        (user, item) entries — used when appending an AlterEgo to a real
+        target profile, footnote 6).
 
-        Untouched per-user profiles and per-item columns are *shared*
-        with this table (they are never mutated after construction —
-        every derivation builds new dicts — so sharing is safe); only
-        the profiles and columns the batch touches are copied. The
-        result is indistinguishable from the O(N) merge-and-rebuild
-        path: same entries, same override semantics, same validation.
+        Derives in O(batch), not O(table): untouched per-user profiles
+        and per-item columns are *shared* with this table (they are never
+        mutated after construction — every derivation builds new dicts —
+        so sharing is safe); only those the batch touches are copied.
+        If this table's :meth:`matrix` store is already built and the
+        batch is small, the derived table inherits it through the
+        incremental append path instead of rebuilding — the two halves
+        of what keeps an online append from paying table-sized work.
         """
+        batch = tuple(ratings)
         lo, hi = self._scale
         by_user = dict(self._by_user)
         by_item = dict(self._by_item)
@@ -297,38 +410,11 @@ class RatingTable:
             profile[r.item] = r
             column[r.user] = r
         table = RatingTable.__new__(RatingTable)
+        table._reset(self._scale, None)
         table._by_user = by_user
         table._by_item = by_item
-        table._scale = self._scale
         table._n = n
-        table._user_mean_cache = {}
-        table._item_mean_cache = {}
-        table._global_mean_cache = None
-        table._matrix_cache = None
-        table._matrix_delta_base = None
-        return table
-
-    def with_ratings(self, ratings: Iterable[Rating]) -> "RatingTable":
-        """Return a new table with *ratings* added (or overriding existing
-        (user, item) entries — used when appending an AlterEgo to a real
-        target profile, footnote 6).
-
-        Small batches derive in O(batch): untouched profiles are shared
-        with this table instead of re-merged, and if this table's
-        :meth:`matrix` store is already built the derived table inherits
-        it through the incremental append path instead of rebuilding —
-        the two halves of what keeps an online append from paying
-        table-sized work.
-        """
-        batch = tuple(ratings)
-        if len(batch) * self._DELTA_HANDOFF_RATIO <= self._n:
-            return self._arm_delta_handoff(self._append_derive(batch), batch)
-        merged: dict[tuple[str, str], Rating] = {(r.user, r.item): r for r in self}
-        for r in batch:
-            merged[(r.user, r.item)] = r
-        # No handoff here: this branch is exactly the batches too large
-        # for the ratio guard, where a fresh store build wins anyway.
-        return RatingTable(merged.values(), scale=self._scale)
+        return self._arm_delta_handoff(table, batch)
 
     def without_users(self, users: Iterable[str]) -> "RatingTable":
         """Return a new table with every rating by *users* removed."""

@@ -62,7 +62,7 @@ from repro.data.matrix import (
     RowSplice,
     StoreDelta,
 )
-from repro.data.ratings import Rating, RatingTable
+from repro.data.ratings import Rating, RatingTable, line_break_id
 from repro.obs.metrics import get_registry, observe_stage_seconds
 from repro.engine.partitioner import HashPartitioner
 from repro.errors import DataError, EngineError
@@ -513,12 +513,19 @@ class IncrementalSweep:
         (and acknowledged by the log's group-commit discipline) before
         any in-memory state moves — log-then-apply, never the reverse,
         and never a record that replay would refuse: a batch the table
-        rejects raises :class:`~repro.errors.DataError` and leaves log
-        and sweep untouched.
+        rejects, or one with an id no snapshot could hold
+        (:func:`~repro.data.ratings.line_break_id`), raises
+        :class:`~repro.errors.DataError` and leaves log and sweep
+        untouched.
         """
         started = time.perf_counter()
         batch = list(batch)
         try:
+            bad_id = line_break_id([name for r in batch for name in (r.user, r.item)])
+            if bad_id is not None:
+                raise DataError(
+                    f"id {bad_id!r} holds a line break: no snapshot could "
+                    f"publish or checkpoint it")
             new_table = self.table.with_ratings(batch)
         except DataError:
             _M_REJECTED.inc()

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as _np
 
 from repro.data.matrix import MatrixRatingStore
-from repro.data.ratings import DEFAULT_SCALE, Rating, RatingTable
+from repro.data.ratings import DEFAULT_SCALE, Rating, RatingTable, line_break_id
 from repro.errors import ServingError
 from repro.faults.plan import fault_point
 from repro.similarity.knn import NeighborIndex
@@ -188,15 +188,14 @@ def _read_array(path: Path, kind: str, size: int):
 
 
 def _dump_ids(path: Path, ids: Sequence[str], what: str) -> None:
-    for name in ids:
-        # The same line-break definition the reader's splitlines() uses
-        # (\n, \r, \v, \f, \x1c-\x1e, \x85, U+2028/29, ...): anything it
-        # would split is rejected at save time, not load time.
-        if name and name.splitlines() != [name]:
-            raise ServingError(
-                f"cannot snapshot {what} id {name!r}: ids with line "
-                f"breaks are not representable in the id files"
-            )
+    # Anything the reader's splitlines() would split is rejected at save
+    # time, not load time.
+    offender = line_break_id(ids)
+    if offender is not None:
+        raise ServingError(
+            f"cannot snapshot {what} id {offender!r}: ids with line "
+            f"breaks are not representable in the id files"
+        )
     fault_point("snapshot.ids.write")
     path.write_text("".join(f"{name}\n" for name in ids), encoding="utf-8")
     _fsync_file(path)

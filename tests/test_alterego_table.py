@@ -18,6 +18,7 @@ from repro.core.alterego import AlterEgoGenerator, ReplacementPolicy
 from repro.core.baseliner import Baseliner
 from repro.core.extender import Extender, ExtenderConfig
 from repro.core.layers import LayerPartition
+from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.data.synthetic import SyntheticConfig, amazon_like
 from repro.obs import get_registry
@@ -119,6 +120,12 @@ def test_array_table_equals_the_per_rating_fold(inputs, n_replacements):
     assert table_rows(table) == per_rating_table(
         AlterEgoGenerator(xsim_map, n_replacements=n_replacements),
         users, source, target)
+    # Column-backed: every interned id is one some row uses, so the
+    # store reads the same universe the Rating objects spell.
+    rebuilt = MatrixRatingStore(RatingTable(list(table), scale=TARGET_SCALE))
+    assert (table.matrix().users, table.matrix().items) == (
+        rebuilt.users, rebuilt.items)
+    assert table.matrix().user_values.tolist() == rebuilt.user_values.tolist()
     # The bulk selection is top_k's, tie-break and floor included.
     for item, candidates in xsim_map.items():
         assert generator.replacements_for(item) == top_k(

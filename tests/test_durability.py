@@ -51,6 +51,7 @@ from repro.obs.metrics import get_registry
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import RecommendationService
 from repro.serving.snapshot import STORE_ARRAY_NAMES
+from repro.serving.watch import SnapshotCatalog
 
 # Id only, no argument: keeps the "[numpy]" suffix these tests have
 # always had, so lists and logs that name a test keep naming it.
@@ -497,6 +498,41 @@ class TestDurableSweep:
         assert durable.log.last_seq == 1
         assert durable.applied_seq == 1
         assert durable.update(batches[1]).wal_seq == 2
+        durable.close()
+        recovered = DurableSweep.recover(tmp_path / "store")
+        assert recovered.applied_seq == 2
+        assert_sweeps_equal(recovered, _reference({}, table, batches, 2))
+        recovered.close()
+
+    @pytest.mark.parametrize("bad_id", ["u\n10", "i\u20289", "u\r"])
+    def test_line_break_id_never_reaches_the_log(self, tmp_path, bad_id):
+        """An id the snapshot's one-id-per-line files cannot hold would
+        pass the table's checks, reach log and memory, and then fail
+        every publish and checkpoint after it — and every recovery,
+        which replays it. It is refused where NaN is."""
+        table, batches = _scenario()
+        rejected = get_registry().counter("incremental_batches_rejected_total")
+        durable = DurableSweep(tmp_path / "store", table, **_WRITER_KWARGS)
+        registry = durable.registry()
+        catalog = SnapshotCatalog(tmp_path / "catalog")
+        catalog.attach(registry)
+        registry.update(batches[0])
+        before = rejected.value
+        hostile = ((bad_id, "i1", 3.0, 950) if bad_id.startswith("u")
+                   else ("u5", bad_id, 3.0, 950))
+        with pytest.raises(DataError, match="line break"):
+            registry.update(batches[1] + _batch(hostile))
+        assert rejected.value == before + 1
+        assert durable.log.last_seq == 1
+        assert durable.applied_seq == 1
+        assert registry.current().version == catalog.current()[0]
+        version = registry.current().version
+        assert_sweeps_equal(durable, _reference({}, table, batches, 1))
+        # The next good batch publishes and checkpoints.
+        registry.update(batches[1])
+        assert registry.current().version == catalog.current()[0] == version + 1
+        durable.checkpoint()
+        catalog.detach()
         durable.close()
         recovered = DurableSweep.recover(tmp_path / "store")
         assert recovered.applied_seq == 2
