@@ -1,4 +1,4 @@
-"""Benchmark: the design-choice ablation study (DESIGN.md §4, extra)."""
+"""Benchmark: the design-choice ablation study (not a paper artifact)."""
 
 from conftest import record
 

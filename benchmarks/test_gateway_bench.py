@@ -220,7 +220,7 @@ def test_gateway_throughput_and_tail_latency():
     largest = selected_sizes()[-1][0]
     for name, n_users, n_items, per_user in selected_sizes():
         table = RatingTable(_random_ratings(n_users, n_items, per_user, seed=7))
-        sweep = IncrementalSweep(table, n_shards=1)
+        sweep = IncrementalSweep(table)
         registry = ModelRegistry(sweep=sweep, cf_k=CF_K)
         users = sorted(table.users)[:N_REQUEST_USERS]
 

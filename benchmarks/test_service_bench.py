@@ -86,7 +86,7 @@ def test_service_batched_throughput_and_cache():
     speedups = {}
     for name, n_users, n_items, per_user in selected_sizes():
         table = RatingTable(_random_ratings(n_users, n_items, per_user, seed=7))
-        sweep, build_s = _timed(lambda: IncrementalSweep(table, n_shards=1))
+        sweep, build_s = _timed(lambda: IncrementalSweep(table))
         registry = ModelRegistry(sweep=sweep, cf_k=50)
 
         # -- throughput: batched vs per-request, caches off ------------

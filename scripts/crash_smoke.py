@@ -55,7 +55,6 @@ from serving_smoke import TOLERANCE, diff_serving  # noqa: E402
 N_BASE = 80
 N_BATCHES = 40
 BATCH_SIZE = 3
-N_SHARDS = 4
 CF_K = 10
 CHECKPOINT_EVERY = 7
 TOP_N = 5
@@ -100,7 +99,7 @@ def _writer(store_dir: str, plan_path: str) -> int:
     plan = json.loads(Path(plan_path).read_text(encoding="utf-8"))
     base = RatingTable([Rating(*record) for record in plan["base"]])
     durable = DurableSweep(
-        store_dir, base, n_shards=N_SHARDS, cf_k=CF_K,
+        store_dir, base, cf_k=CF_K,
         policy=CheckpointPolicy(max_batches=CHECKPOINT_EVERY),
         group_commit=1, fsync=True)
     for batch in plan["batches"]:
@@ -136,8 +135,7 @@ def _check(store_dir: str, plan_path: str) -> int:
         return 1
 
     reference = IncrementalSweep(
-        RatingTable([Rating(*record) for record in plan["base"]]),
-        n_shards=N_SHARDS)
+        RatingTable([Rating(*record) for record in plan["base"]]))
     for batch in plan["batches"][:applied]:
         reference.update([Rating(*record) for record in batch])
 

@@ -2,7 +2,7 @@
 
 A from-scratch reproduction of *"Heterogeneous Recommendations: What You
 Might Like To Read After Watching Interstellar"* (Guerraoui, Kermarrec,
-Lin, Patra — VLDB 2017). See README.md for a tour and DESIGN.md for the
+Lin, Patra — VLDB 2017). See README.md for a tour and the
 paper-to-module map.
 
 Quickstart::

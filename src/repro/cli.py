@@ -159,8 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="also serve Top-N for this user from the "
                               "recovered model (repeatable)")
     recover.add_argument("-n", type=int, default=10)
-    recover.add_argument("--shards", type=int, default=None,
-                         help="override the persisted shard count")
 
     serve_http = commands.add_parser(
         "serve-http", help="asyncio HTTP gateway over a multi-process "
@@ -398,7 +396,7 @@ def _cmd_recover(args) -> int:
     from repro.durability.manager import DurableSweep
     from repro.serving.registry import ModelRegistry
 
-    durable = DurableSweep.recover(args.store, n_shards=args.shards)
+    durable = DurableSweep.recover(args.store)
     try:
         report = durable.last_recovery
         print(f"recovered durable store at {args.store}")

@@ -7,6 +7,12 @@ co-rated item pair, and classify each resulting edge as *homogeneous*
 different domains — these exist exactly where a straddler rated on both
 sides). The heterogeneous edge count is also the "standard" bar of
 Figure 1(b).
+
+The paper runs this stage as a Spark job; here it is one in-process
+Eq-6 sweep over the table's interned store
+(:mod:`repro.engine.sharded_sweep`), run stateless (adjacency only) or,
+with ``keep_state=True``, as an updatable
+:class:`~repro.engine.sharded_sweep.IncrementalSweep`.
 """
 
 from __future__ import annotations
@@ -16,12 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.data.dataset import CrossDomainDataset
 from repro.data.ratings import RatingTable
-from repro.engine.sharded_sweep import (
-    IncrementalSweep,
-    IncrementalUpdateStats,
-    resolve_n_shards,
-    sharded_adjacency,
-)
+from repro.engine.sharded_sweep import IncrementalSweep, IncrementalUpdateStats
 from repro.errors import ConfigError
 from repro.similarity.graph import ItemGraph, build_similarity_graph
 
@@ -87,33 +88,19 @@ class Baseliner:
             paper — any common user creates a connection).
         min_abs_similarity: optional magnitude floor for edges; 0 keeps
             every nonzero similarity.
-        n_shards: partition the Eq-6 sweep into this many user shards on
-            the dataflow engine (§5.1's shard-then-merge job); ``None``
-            reads ``REPRO_SHARDS``, 1 is the single-process store path.
-        n_edge_partitions: item-partition count for the merge + assembly
-            back half of the sharded sweep; ``None`` reads
-            ``REPRO_EDGE_PARTITIONS`` and defaults to the shard count.
-            Bit-identical output at any value.
-        keep_state: retain the merged accumulation alongside the graph
+        keep_state: retain the accumulation alongside the graph
             (:class:`~repro.engine.sharded_sweep.IncrementalSweep`), so
             :meth:`update` can append rating batches incrementally. The
-            computed baseline is identical either way (bit for bit —
-            assembly content is partition-independent); note the
-            stateful build assembles in a single driver pass, so
-            *n_edge_partitions* does not apply to it (the retained
-            accumulation is partition-agnostic). The cost of the state
-            is keeping the accumulation arrays alive.
+            computed baseline is identical either way, bit for bit; the
+            stateful graph also carries its serving index. The cost of
+            the state is keeping the accumulation arrays alive.
     """
 
     def __init__(self, min_common_users: int = 1,
                  min_abs_similarity: float = 0.0,
-                 n_shards: int | None = None,
-                 n_edge_partitions: int | None = None,
                  keep_state: bool = False) -> None:
         self.min_common_users = min_common_users
         self.min_abs_similarity = min_abs_similarity
-        self.n_shards = n_shards
-        self.n_edge_partitions = n_edge_partitions
         self.keep_state = keep_state
 
     def compute(self, data: CrossDomainDataset,
@@ -134,25 +121,15 @@ class Baseliner:
         state = None
         if self.keep_state:
             state = IncrementalSweep(
-                merged, n_shards=self.n_shards,
+                merged,
                 min_common_users=self.min_common_users,
                 min_abs_similarity=self.min_abs_similarity)
             graph = state.graph
-        elif resolve_n_shards(self.n_shards) > 1:
-            result = sharded_adjacency(
-                merged, n_shards=self.n_shards,
-                min_common_users=self.min_common_users,
-                min_abs_similarity=self.min_abs_similarity,
-                n_edge_partitions=self.n_edge_partitions,
-                with_index=True)
-            graph = ItemGraph.from_adjacency(result.adjacency, index=result.index)
         else:
             graph = build_similarity_graph(
                 merged,
                 min_common_users=self.min_common_users,
-                min_abs_similarity=self.min_abs_similarity,
-                n_shards=1,
-                n_edge_partitions=self.n_edge_partitions)
+                min_abs_similarity=self.min_abs_similarity)
         domain_of = data.domain_map()
         n_homogeneous = 0
         n_heterogeneous = 0

@@ -145,8 +145,7 @@ class Extender:
                 :class:`~repro.core.xsim.SignificanceCache` works too).
                 Default: every pruned edge is resolved in one bulk pass
                 over *table*'s store
-                (:meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`),
-                whatever the Baseliner's shard count was.
+                (:meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`).
 
         Returns:
             The X-Sim map. Source items with no meta-path into the target

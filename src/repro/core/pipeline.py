@@ -68,15 +68,6 @@ class XMapConfig:
             0.8 for ib, 0.3 for ub).
         rho: PNSA failure probability.
         min_common_users: Baseliner edge threshold.
-        n_shards: shard count for the Baseliner's Eq-6 sweep on the
-            dataflow engine (``None`` reads ``REPRO_SHARDS``; 1 is the
-            single-process store path).
-        n_edge_partitions: item-partition count for the sweep's merge +
-            adjacency-assembly back half (``None`` reads
-            ``REPRO_EDGE_PARTITIONS`` and defaults to the shard count;
-            1 = single driver pass). Any value yields the same graph
-            bit for bit — the knob trades driver-tail latency for
-            partition-local assembly.
         incremental: keep the Baseliner's sweep state
             (:class:`~repro.engine.sharded_sweep.IncrementalSweep`)
             attached to the fitted pipeline's ``baseline.state``, so
@@ -97,8 +88,6 @@ class XMapConfig:
     epsilon_prime: float = 0.8
     rho: float = 0.1
     min_common_users: int = 1
-    n_shards: int | None = None
-    n_edge_partitions: int | None = None
     incremental: bool = False
     seed: int = 0
 
@@ -117,14 +106,6 @@ class XMapConfig:
         if self.n_replacements <= 0:
             raise ConfigError(
                 f"n_replacements must be positive, got {self.n_replacements}")
-        if self.n_shards is not None and self.n_shards < 1:
-            raise ConfigError(
-                f"n_shards must be >= 1 (or None to read REPRO_SHARDS), "
-                f"got {self.n_shards}")
-        if self.n_edge_partitions is not None and self.n_edge_partitions < 1:
-            raise ConfigError(
-                f"n_edge_partitions must be >= 1 (or None to read "
-                f"REPRO_EDGE_PARTITIONS), got {self.n_edge_partitions}")
         ExtenderConfig(k=self.prune_k,
                        max_paths_per_item=self.max_paths_per_item).validated()
         return self
@@ -185,8 +166,6 @@ class _PipelineBase:
         merged = data.merged()
         baseliner = Baseliner(
             min_common_users=self.config.min_common_users,
-            n_shards=self.config.n_shards,
-            n_edge_partitions=self.config.n_edge_partitions,
             keep_state=self.config.incremental)
         self.baseline = baseliner.compute(data, merged=merged)
         self.partition = LayerPartition.from_graph(

@@ -63,11 +63,11 @@ def _clip1(value: float) -> float:
 
 
 class PairAccumulation:
-    """Reduced Eq-6 pair accumulation over one user subset (one shard).
+    """Reduced Eq-6 pair accumulation: what the Baseliner's sweep keeps.
 
-    Produced by :meth:`MatrixRatingStore.pair_accumulation` and merged by
-    :meth:`MatrixRatingStore.merge_accumulations` — the unit of work of
-    the engine's sharded sweep. Pairs are encoded as
+    Produced by :meth:`MatrixRatingStore.pair_accumulation` (every
+    eligible user) or :meth:`MatrixRatingStore.delta_pair_accumulation`
+    (the pairs an append touched). Pairs are encoded as
     ``left * n_items + right`` integer keys with ``left < right``.
 
     ``keys`` is a strictly-increasing int64 array and ``sums`` /
@@ -75,9 +75,9 @@ class PairAccumulation:
 
     Attributes:
         keys: unique pair keys.
-        sums: Eq-6 numerator partial sums per pair.
+        sums: Eq-6 numerator sums per pair.
         counts: co-rating contribution counts per pair (``|Y_i ∩ Y_j|``
-            restricted to the accumulated users) — exact integers.
+            over the accumulated users) — exact integers.
     """
 
     __slots__ = ("keys", "sums", "counts")
@@ -91,6 +91,11 @@ class PairAccumulation:
     def n_pairs(self) -> int:
         """Distinct co-rated pairs accumulated."""
         return len(self.keys)
+
+
+def _empty_accumulation() -> PairAccumulation:
+    empty_int = _np.zeros(0, dtype=_np.int64)
+    return PairAccumulation(empty_int, _np.zeros(0, dtype=_np.float64), empty_int.copy())
 
 
 class AssemblyResult(NamedTuple):
@@ -579,7 +584,12 @@ class MatrixRatingStore:
         co-rating contribution (``Σ_u |X_u|²`` entries); cap skewed
         profiles with *max_profile_size* as the paper's Spark job does.
         """
-        yield from self._all_pairs_numpy(min_common_users, max_profile_size)
+        left, right, similarities = self._pairs_from_accumulation(
+            self.pair_accumulation(max_profile_size=max_profile_size),
+            min_common_users)
+        items = self.items
+        for a, b, sim in zip(left.tolist(), right.tolist(), similarities.tolist()):
+            yield items[a], items[b], sim
 
     def eligible_users(self, max_profile_size: int | None = None,
                        users: Sequence[int] | None = None):
@@ -587,10 +597,10 @@ class MatrixRatingStore:
         order: profile-length groups ascending, user index ascending
         within a group.
 
-        *users* restricts to a subset (a shard; must be ascending) —
-        the order of the restricted sweep is the canonical order filtered
-        to the subset, so every shard accumulates exactly as the full
-        sweep would over those users.
+        *users* restricts to a subset (ascending) — the order of the
+        restricted sweep is the canonical order filtered to the subset,
+        so the delta re-accumulation visits its candidates exactly as
+        the full sweep would.
         """
         lengths = _np.diff(self.user_ptr)
         if users is None:
@@ -607,7 +617,7 @@ class MatrixRatingStore:
             eligible = candidates[mask]
         return eligible[_np.argsort(lengths[eligible], kind="stable")]
 
-    def _contribution_arrays_numpy(self, eligible):
+    def _contribution_arrays(self, eligible):
         """The batched Eq-6 fan-out over *eligible* (canonical order) as
         aligned ``(pair key, numerator contribution)`` arrays.
 
@@ -636,7 +646,7 @@ class MatrixRatingStore:
             value_parts.append((centered[:, rows] * centered[:, cols]).ravel())
         return _np.concatenate(key_parts), _np.concatenate(value_parts)
 
-    def _reduce_contributions_numpy(self, keys, values) -> PairAccumulation:
+    def _reduce_contributions(self, keys, values) -> PairAccumulation:
         """Group the contribution arrays by pair key.
 
         Two accumulation strategies with identical results (bincount
@@ -660,48 +670,14 @@ class MatrixRatingStore:
             sums = _np.bincount(inverse, weights=values, minlength=len(uniq))
         return PairAccumulation(uniq, sums, counts)
 
-    def pair_accumulation(self, users: Sequence[int] | None = None,
-                          max_profile_size: int | None = None
+    def pair_accumulation(self, max_profile_size: int | None = None
                           ) -> PairAccumulation:
-        """Reduced Eq-6 accumulation over *users* (one shard of the pair
-        sweep; ``None`` means every user)."""
-        eligible = self.eligible_users(max_profile_size, users)
+        """Reduced Eq-6 accumulation over every eligible user — the
+        Baseliner's pair sweep."""
+        eligible = self.eligible_users(max_profile_size)
         if len(eligible) == 0:
-            empty_int = _np.zeros(0, dtype=_np.int64)
-            return PairAccumulation(
-                empty_int, _np.zeros(0, dtype=_np.float64), empty_int.copy())
-        return self._reduce_contributions_numpy(
-            *self._contribution_arrays_numpy(eligible))
-
-    def merge_accumulations(
-            self, parts: Sequence[PairAccumulation]) -> PairAccumulation:
-        """Merge per-shard accumulations, in the given (shard index)
-        order.
-
-        The integer counts merge exactly (addition of non-negative ints
-        is associative). The float numerator partials are added per pair
-        sequentially in part order, so for a fixed shard layout the
-        merged sums are deterministic — and a single-part merge
-        returns the part untouched, which is what makes the 1-shard sweep
-        bit-identical to the unsharded store path.
-        """
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            return self.pair_accumulation(users=())
-        keys_cat = _np.concatenate([part.keys for part in parts])
-        sums_cat = _np.concatenate([part.sums for part in parts])
-        counts_cat = _np.concatenate([part.counts for part in parts])
-        uniq, inverse = _np.unique(keys_cat, return_inverse=True)
-        sums = _np.bincount(inverse, weights=sums_cat, minlength=len(uniq))
-        # Integer partials ride through bincount's float64 weights (exact
-        # below 2^53, far beyond any co-rater count) — an order of
-        # magnitude faster than the unbuffered np.add.at on this
-        # driver-side merge tail.
-        counts = _np.bincount(
-            inverse, weights=counts_cat,
-            minlength=len(uniq)).astype(_np.int64)
-        return PairAccumulation(uniq, sums, counts)
+            return _empty_accumulation()
+        return self._reduce_contributions(*self._contribution_arrays(eligible))
 
     # ------------------------------------------------------------------
     # Incremental updates (append a rating batch without a rebuild)
@@ -816,7 +792,7 @@ class MatrixRatingStore:
         new.n_ratings = n_new
         new.global_mean = self.global_mean
 
-        self._append_arrays_numpy(
+        self._append_arrays(
             new, user_map, item_map, replacements_csr, replacements_csc,
             csr_positions, csr_inserts, csc_positions, csc_inserts,
             touched_users, batch_items)
@@ -836,11 +812,11 @@ class MatrixRatingStore:
             new_users=tuple(new_user_names), new_items=tuple(new_item_names))
         return new, delta
 
-    def _append_arrays_numpy(self, new, user_map, item_map,
-                             replacements_csr, replacements_csc,
-                             csr_positions, csr_inserts,
-                             csc_positions, csc_inserts,
-                             touched_users, batch_items) -> None:
+    def _append_arrays(self, new, user_map, item_map,
+                       replacements_csr, replacements_csc,
+                       csr_positions, csr_inserts,
+                       csc_positions, csc_inserts,
+                       touched_users, batch_items) -> None:
         """Patch the CSR/CSC arrays of the appended store."""
         imap = _np.asarray(item_map, dtype=_np.int64)
         umap = _np.asarray(user_map, dtype=_np.int64)
@@ -971,26 +947,7 @@ class MatrixRatingStore:
         if n_new:
             self.global_mean = math.fsum(self.user_values.tolist()) / n_new
 
-    def delta_candidates(self, delta: "StoreDelta"):
-        """Ascending user indexes that can contribute to the pairs
-        *delta* touched — users with ≥2 touched items in their profile.
-
-        One O(ratings) scan; the sharded delta computes this once and
-        intersects per shard instead of re-scanning per shard.
-        """
-        n_items = len(self.items)
-        if self.n_ratings == 0 or not delta.touched_items:
-            return _np.zeros(0, dtype=_np.int64)
-        flags_it = _np.zeros(n_items, dtype=bool)
-        flags_it[delta.touched_items] = True
-        hits = _np.concatenate((
-            [0], _np.cumsum(flags_it[self.user_item_idx], dtype=_np.int64)))
-        it_count = hits[self.user_ptr[1:]] - hits[self.user_ptr[:-1]]
-        return _np.nonzero(it_count >= 2)[0]
-
-    def delta_pair_accumulation(self, delta: "StoreDelta",
-                                users: Sequence[int] | None = None,
-                                candidates=None) -> PairAccumulation:
+    def delta_pair_accumulation(self, delta: "StoreDelta") -> PairAccumulation:
         """Eq-6 re-accumulation restricted to the pairs *delta* touched.
 
         Called on the **appended** store. Recomputes, from scratch and
@@ -1008,32 +965,20 @@ class MatrixRatingStore:
         contributions are generated from the *touched sub-profile* (the
         fan-out is quadratic in ``|X_u ∩ touched|``, not ``|X_u|``,
         which is what keeps a small batch's delta far below a full
-        sweep). *users* restricts to one shard (ascending indexes):
-        per-shard deltas merged in shard order equal the sharded rebuild
-        the same way. *candidates* is an optional precomputed
-        :meth:`delta_candidates` result — the sharded delta passes it
-        so the O(ratings) candidate scan runs once per update, not once
-        per shard.
+        sweep). The candidates are the users with ≥2 touched items in
+        their profile, found in one O(ratings) scan.
         """
         n_items = len(self.items)
-        if candidates is None:
-            candidates = self.delta_candidates(delta)
-        flags_it = _np.zeros(n_items, dtype=bool)
-        if delta.touched_items:
-            flags_it[delta.touched_items] = True
-        empty_int = _np.zeros(0, dtype=_np.int64)
-        empty = PairAccumulation(
-            empty_int, _np.zeros(0, dtype=_np.float64), empty_int.copy())
         if self.n_ratings == 0 or not delta.touched_items:
-            return empty
-        candidates = _np.asarray(candidates, dtype=_np.int64)
-        if users is not None:
-            candidates = _np.intersect1d(
-                candidates, _np.asarray(users, dtype=_np.int64),
-                assume_unique=True)
-        eligible = self.eligible_users(users=candidates)
+            return _empty_accumulation()
+        flags_it = _np.zeros(n_items, dtype=bool)
+        flags_it[delta.touched_items] = True
+        hits = _np.concatenate((
+            [0], _np.cumsum(flags_it[self.user_item_idx], dtype=_np.int64)))
+        it_count = hits[self.user_ptr[1:]] - hits[self.user_ptr[:-1]]
+        eligible = self.eligible_users(users=_np.nonzero(it_count >= 2)[0])
         if len(eligible) == 0:
-            return empty
+            return _empty_accumulation()
         ptr = self.user_ptr
         idx_all = self.user_item_idx
         centered_all = self.user_centered
@@ -1052,8 +997,8 @@ class MatrixRatingStore:
             key_parts.append(idx[sub][rows] * n_items + idx[sub][cols])
             value_parts.append(centered[rows] * centered[cols])
         if not key_parts:
-            return empty
-        return self._reduce_contributions_numpy(
+            return _empty_accumulation()
+        return self._reduce_contributions(
             _np.concatenate(key_parts), _np.concatenate(value_parts))
 
     def apply_accumulation_delta(self, acc: PairAccumulation,
@@ -1141,7 +1086,7 @@ class MatrixRatingStore:
             in_r[_np.asarray(extra_rows, dtype=_np.int64)] = True
         if acc.n_pairs:
             emask = in_r[left_all] | in_r[right_all]
-            left, right, sims = self._edge_weights_numpy(
+            left, right, sims = self._edge_weights(
                 left_all[emask], right_all[emask], acc.sums[emask],
                 acc.counts[emask], min_common_users, min_abs_similarity)
         else:
@@ -1211,7 +1156,7 @@ class MatrixRatingStore:
         left, right = left[moved], right[moved]
         affected[left] = True
         affected[right] = True
-        left, right, sims = self._edge_weights_numpy(
+        left, right, sims = self._edge_weights(
             left, right, acc.sums[moved], acc.counts[moved],
             min_common_users, min_abs_similarity)
         src = _np.concatenate([left, right])
@@ -1275,22 +1220,19 @@ class MatrixRatingStore:
             edges_removed=_edges(removed),
             n_changed_entries=len(src))
 
-    def _pairs_from_accumulation_numpy(self, acc: PairAccumulation,
-                                       min_common_users: int,
-                                       min_abs_similarity: float = 0.0):
+    def _pairs_from_accumulation(self, acc: PairAccumulation,
+                                 min_common_users: int,
+                                 min_abs_similarity: float = 0.0):
         """The filtered Eq-6 pairs of an accumulation as three aligned
-        arrays ``(left item idx, right item idx, similarity)``, or None
-        when no pair survives."""
-        if len(acc.keys) == 0:
-            return None
+        arrays ``(left item idx, right item idx, similarity)``."""
         n_items = len(self.items)
-        return self._edge_weights_numpy(
+        return self._edge_weights(
             acc.keys // n_items, acc.keys % n_items, acc.sums, acc.counts,
             min_common_users, min_abs_similarity)
 
-    def _edge_weights_numpy(self, left, right, sums, counts,
-                            min_common_users: int,
-                            min_abs_similarity: float = 0.0):
+    def _edge_weights(self, left, right, sums, counts,
+                      min_common_users: int,
+                      min_abs_similarity: float = 0.0):
         """The Eq-6 filter / normalise / clip tail over aligned pair
         arrays: ``(left, right, similarity)`` of the pairs that are
         edges. Element-wise, so a pair's weight has the same bits
@@ -1306,23 +1248,6 @@ class MatrixRatingStore:
             left, right, sims = left[keep], right[keep], sims[keep]
         return left, right, sims
 
-    def _pair_arrays_numpy(self, min_common_users: int, max_profile_size: int | None):
-        """The unsharded filtered pair sweep (one accumulation over every
-        eligible user, then the shared filter/clip tail)."""
-        acc = self.pair_accumulation(max_profile_size=max_profile_size)
-        return self._pairs_from_accumulation_numpy(acc, min_common_users)
-
-    def _all_pairs_numpy(self, min_common_users: int,
-                         max_profile_size: int | None
-                         ) -> Iterator[tuple[str, str, float]]:
-        arrays = self._pair_arrays_numpy(min_common_users, max_profile_size)
-        if arrays is None:
-            return
-        left, right, similarities = arrays
-        items = self.items
-        for a, b, sim in zip(left.tolist(), right.tolist(), similarities.tolist()):
-            yield items[a], items[b], sim
-
     def build_adjacency(
             self, min_common_users: int = 1,
             min_abs_similarity: float = 0.0,
@@ -1336,33 +1261,20 @@ class MatrixRatingStore:
         ``|sim| < min_abs_similarity`` dropped), but built without a
         per-edge Python loop: the directed edge list is
         sorted once and each item's neighbor dict is one C-speed
-        ``dict(zip(...))`` over a contiguous slice. This is what
-        :func:`~repro.similarity.graph.build_similarity_graph` adopts
-        wholesale — per-edge dict churn was the second-largest cost of
-        graph construction after the pair sweep itself.
+        ``dict(zip(...))`` over a contiguous slice — the store-path
+        oracle the sweep (:func:`~repro.engine.sharded_sweep.run_sweep`)
+        is tested against.
         """
-        return self.adjacency_from_accumulation(
+        return self.assemble_from_partitions(
             self.pair_accumulation(max_profile_size=max_profile_size),
             min_common_users=min_common_users,
-            min_abs_similarity=min_abs_similarity)
-
-    def adjacency_from_accumulation(
-            self, acc: PairAccumulation,
-            min_common_users: int = 1,
-            min_abs_similarity: float = 0.0,
-    ) -> dict[str, dict[str, float]]:
-        """Assemble the symmetric Eq-6 adjacency from a (merged)
-        accumulation — the single-partition driver pass, kept as the
-        reference tail of :meth:`assemble_from_partitions`."""
-        return self.assemble_from_partitions(
-            [acc], min_common_users=min_common_users,
             min_abs_similarity=min_abs_similarity).adjacency
 
     def neighbor_index(self, min_common_users: int = 1,
                        min_abs_similarity: float = 0.0,
                        max_profile_size: int | None = None) -> "NeighborIndex":
         """Rank-ordered :class:`~repro.similarity.knn.NeighborIndex`
-        from one unsharded Eq-6 sweep (no adjacency dicts built).
+        from one Eq-6 sweep (no adjacency dicts built).
 
         This is the serve-side entry point
         :class:`~repro.cf.item_knn.ItemKNNRecommender` uses: rows hold
@@ -1370,175 +1282,58 @@ class MatrixRatingStore:
         similarity with the ascending-id tie-break, so predictions are
         O(k) row scans.
         """
-        acc = self.pair_accumulation(max_profile_size=max_profile_size)
         return self.assemble_from_partitions(
-            [acc], min_common_users=min_common_users,
+            self.pair_accumulation(max_profile_size=max_profile_size),
+            min_common_users=min_common_users,
             min_abs_similarity=min_abs_similarity,
             with_adjacency=False, with_index=True).index
 
-    def split_accumulation(self, acc: PairAccumulation,
-                           owners: Sequence[int],
-                           n_partitions: int) -> list[PairAccumulation]:
-        """Split an accumulation by the partition owning each pair's
-        **left** item.
-
-        *owners* maps item index → partition id (the engine hands in a
-        :class:`~repro.engine.partitioner.HashPartitioner` assignment
-        over the item ids, so every shard and every run agrees on the
-        layout). Pair keys encode ``left * n_items + right``, so
-        ``owners[key // n_items]`` routes a pair. Splitting only moves
-        entries between containers — re-merging the parts per partition
-        in the original part order reproduces the unsplit merge bit for
-        bit, which is what keeps the partitioned assembly's similarities
-        identical to the driver pass.
-        """
-        if n_partitions == 1:
-            return [acc]
-        n_items = len(self.items)
-        owner_arr = _np.asarray(owners, dtype=_np.int64)
-        part_of = owner_arr[acc.keys // n_items] if len(acc.keys) \
-            else _np.zeros(0, dtype=_np.int64)
-        parts = []
-        for p in range(n_partitions):
-            mask = part_of == p
-            parts.append(PairAccumulation(
-                acc.keys[mask], acc.sums[mask], acc.counts[mask]))
-        return parts
-
     def assemble_from_partitions(
-            self, parts: Sequence[PairAccumulation],
-            owners: Sequence[int] | None = None,
+            self, acc: PairAccumulation,
             min_common_users: int = 1,
             min_abs_similarity: float = 0.0,
             with_adjacency: bool = True,
             with_index: bool = False,
     ) -> "AssemblyResult":
-        """Assemble adjacency rows (and optionally a
-        :class:`~repro.similarity.knn.NeighborIndex`) per item
-        partition.
+        """Assemble the symmetric Eq-6 adjacency rows (and optionally a
+        :class:`~repro.similarity.knn.NeighborIndex`) from *acc*.
 
-        *parts* holds one merged accumulation per partition, pairs
-        routed by their left item (:meth:`split_accumulation`); *owners*
-        is the item → partition assignment (``None`` for a single
-        partition). Each partition turns its pairs into similarities
-        locally, ships the reversed directed edges to the partition
-        owning the right endpoint, and assembles the rows of *its own*
-        items — nothing funnels through one driver-wide sort.
-
-        Determinism: every (source, target) edge appears in exactly one
-        partition and its weight comes from per-pair sums merged in
-        shard order, so the assembled adjacency equals the driver-pass
-        :meth:`adjacency_from_accumulation` output bit for bit at any
-        partition count — partitioning moves *where* a row is built,
-        never its contents. Index rows are ranked by (descending
-        weight, ascending neighbor index).
+        The filtered pairs and their reversed copies form the directed
+        edge list, sorted once: by source row alone for the adjacency,
+        by (source, descending weight, ascending target) when an index
+        is requested, so index rows are row-prefix slices of the same
+        sort rather than a second one. Each adjacency row is one C-speed
+        ``dict(zip(...))`` over a contiguous slice. Isolated items keep
+        an empty neighbor dict.
         """
-        if len(parts) > 1:
-            if owners is None:
-                raise SimilarityError("owners is required for multi-partition assembly")
-            if len(owners) != len(self.items):
-                raise SimilarityError(
-                    f"owners has {len(owners)} entries for "
-                    f"{len(self.items)} items")
-        return self._assemble_numpy(
-            parts, owners, min_common_users, min_abs_similarity,
-            with_adjacency, with_index)
-
-    def _assemble_numpy(self, parts, owners, min_common_users,
-                        min_abs_similarity, with_adjacency,
-                        with_index) -> "AssemblyResult":
         from repro.similarity.knn import NeighborIndex
 
-        n_partitions = len(parts)
-        n_items = len(self.items)
-        empty_int = _np.zeros(0, dtype=_np.int64)
-        empty_float = _np.zeros(0, dtype=_np.float64)
-
-        # Stage A: partition-local pair extraction — the Eq-6 filter /
-        # normalise / clip tail runs on each partition's own pairs.
-        partition_edges = []
-        for acc in parts:
-            arrays = self._pairs_from_accumulation_numpy(
-                acc, min_common_users, min_abs_similarity)
-            partition_edges.append(
-                (empty_int, empty_int, empty_float) if arrays is None else arrays)
-
-        # Stage B: reversed-edge exchange. Forward (left → right) edges
-        # already sit in the partition owning their source row; the
-        # reversed (right → left) edges route to owners[right]. With one
-        # partition everything stays local.
-        inboxes: list[list[tuple]] = [[] for _ in range(n_partitions)]
-        if n_partitions == 1:
-            left, right, sims = partition_edges[0]
-            inboxes[0].append((right, left, sims))
-        else:
-            owner_arr = _np.asarray(owners, dtype=_np.int64)
-            for left, right, sims in partition_edges:
-                if len(left) == 0:
-                    continue
-                dest = owner_arr[right]
-                order = _np.argsort(dest, kind="stable")
-                rev_src = right[order]
-                rev_tgt = left[order]
-                rev_wts = sims[order]
-                bounds = _np.searchsorted(dest[order], _np.arange(n_partitions + 1))
-                for p, (a, b) in enumerate(zip(bounds[:-1].tolist(),
-                                               bounds[1:].tolist())):
-                    if a != b:
-                        inboxes[p].append((rev_src[a:b], rev_tgt[a:b], rev_wts[a:b]))
-
-        # Stage C: per-partition row assembly. Each partition sorts only
-        # its own directed edges; with an index requested the sort key
-        # adds the serving rank (descending weight, ascending target) so
-        # the top-k selection is a row-prefix slice, not a second sort.
-        adjacency = ({item: {} for item in self.items} if with_adjacency else None)
-        if self._item_names_obj is None:
-            self._item_names_obj = _np.asarray(self.items, dtype=object)
-        degrees = _np.zeros(n_items, dtype=_np.int64) if with_index else None
-        fills = []
-        item_range = _np.arange(n_items + 1)
         items = self.items
-        for p in range(n_partitions):
-            fwd_left, fwd_right, fwd_sims = partition_edges[p]
-            src_parts = [fwd_left] + [m[0] for m in inboxes[p]]
-            tgt_parts = [fwd_right] + [m[1] for m in inboxes[p]]
-            wts_parts = [fwd_sims] + [m[2] for m in inboxes[p]]
-            src = _np.concatenate(src_parts)
-            if len(src) == 0:
-                continue
-            tgt = _np.concatenate(tgt_parts)
-            wts = _np.concatenate(wts_parts)
-            if with_index:
-                order = _np.lexsort((tgt, -wts, src))
-            else:
-                order = _np.argsort(src, kind="stable")
-            src = src[order]
-            tgt = tgt[order]
-            wts = wts[order]
-            bounds = _np.searchsorted(src, item_range)
-            if with_adjacency:
-                target_names = self._item_names_obj[tgt].tolist()
-                weight_list = wts.tolist()
-                for k, (start, end) in enumerate(zip(bounds[:-1].tolist(),
-                                                     bounds[1:].tolist())):
-                    if start != end:
-                        adjacency[items[k]] = dict(
-                            zip(target_names[start:end], weight_list[start:end]))
-            if with_index:
-                degrees += _np.diff(bounds)
-                fills.append((src, tgt, wts, bounds))
+        left, right, sims = self._pairs_from_accumulation(
+            acc, min_common_users, min_abs_similarity)
+        src = _np.concatenate([left, right])
+        tgt = _np.concatenate([right, left])
+        wts = _np.concatenate([sims, sims])
+        if with_index:
+            order = _np.lexsort((tgt, -wts, src))
+        else:
+            order = _np.argsort(src, kind="stable")
+        src, tgt, wts = src[order], tgt[order], wts[order]
+        bounds = _np.searchsorted(src, _np.arange(len(items) + 1))
 
+        adjacency = None
+        if with_adjacency:
+            adjacency = {item: {} for item in items}
+            if self._item_names_obj is None:
+                self._item_names_obj = _np.asarray(items, dtype=object)
+            target_names = self._item_names_obj[tgt].tolist()
+            weight_list = wts.tolist()
+            for k, (start, end) in enumerate(zip(bounds[:-1].tolist(),
+                                                 bounds[1:].tolist())):
+                if start != end:
+                    adjacency[items[k]] = dict(
+                        zip(target_names[start:end], weight_list[start:end]))
         index = None
         if with_index:
-            ptr = _np.zeros(n_items + 1, dtype=_np.int64)
-            _np.cumsum(degrees, out=ptr[1:])
-            total = int(ptr[-1])
-            neighbor_ids = _np.empty(total, dtype=_np.int64)
-            weights = _np.empty(total, dtype=_np.float64)
-            for src, tgt, wts, bounds in fills:
-                # Within-row rank of each directed edge.
-                pos = ptr[src] + (_np.arange(len(src)) - bounds[src])
-                neighbor_ids[pos] = tgt
-                weights[pos] = wts
-            index = NeighborIndex(items, self.item_index, ptr, neighbor_ids, weights)
+            index = NeighborIndex(items, self.item_index, bounds, tgt, wts)
         return AssemblyResult(adjacency=adjacency, index=index)

@@ -14,8 +14,8 @@ durability loop:
   grows without bound;
 * :meth:`DurableSweep.recover` loads the last complete checkpoint and
   replays the log tail through the same incremental machinery,
-  reconstructing a store / index / edge census **bit-identical** (per
-  shard count) to the never-crashed run — the property the
+  reconstructing a store / index / edge census **bit-identical** to
+  the never-crashed run — the property the
   incremental path already guarantees for ``update == rebuild``,
   composed with the snapshot round trip (tested under injected crashes
   at every crash point, and under real ``kill -9``, in
@@ -35,9 +35,12 @@ snapshot (MANIFEST-last, every byte fsynced), then atomically replaces
 ``CHECKPOINT.json`` (tmp + fsync + rename + directory fsync), and only
 then prunes. A crash between any two steps leaves either the old
 checkpoint fully intact or the new one fully adopted — never a state
-recovery cannot use. ``config`` keeps a constant ``false`` significance
-flag (format v1: builds that folded a bulk Definition-2 census index the
-key on recovery); this build ignores it.
+recovery cannot use. ``config`` keeps two format-v1 constants this
+build writes and never reads: ``"with_significance": false`` (builds
+that folded a bulk Definition-2 census index the key on recovery) and
+``"n_shards": 1`` (builds that could split the sweep into user shards
+do). A store written at any shard count recovers here by replaying at
+the one layout.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ _SNAPSHOT_DIR = "snapshots"
 #: The ``config`` keys :meth:`DurableSweep.recover` reads, with the JSON
 #: types it accepts for each.
 _CONFIG_TYPES = {
-    "n_shards": (int,), "min_common_users": (int,),
+    "min_common_users": (int,),
     "min_abs_similarity": (int, float), "cf_k": (int,),
     "positive_only": (bool,), "group_commit": (int,),
     "segment_bytes": (int,), "fsync": (bool,), "policy": (dict,),
@@ -145,13 +148,11 @@ class DurableSweep:
     every accepted batch survives a crash.
 
     Create one with a *table* on a fresh directory; re-open an existing
-    directory with :meth:`recover`. The build configuration (shard
-    count, edge filters, serving parameters, log knobs)
-    is persisted in ``CHECKPOINT.json`` so recovery reconstructs the
-    same machine without the caller repeating it — individual settings
-    can still be overridden at recovery time (shard count legitimately
-    varies across hosts; cross-shard results agree to the sweep's
-    standing 1e-9 contract).
+    directory with :meth:`recover`. The build configuration (edge
+    filters, serving parameters, log knobs) is persisted in
+    ``CHECKPOINT.json`` so recovery reconstructs the same machine
+    without the caller repeating it — the log and checkpoint settings
+    can still be overridden at recovery time.
 
     The instance quacks like its inner sweep where the serving side
     needs it (``store`` / ``index`` / ``table`` / ``graph`` /
@@ -168,7 +169,6 @@ class DurableSweep:
         directory,
         table: "RatingTable | None" = None,
         *,
-        n_shards: int | None = None,
         min_common_users: int = 1,
         min_abs_similarity: float = 0.0,
         cf_k: int = 50,
@@ -202,7 +202,6 @@ class DurableSweep:
         )
         self.sweep = IncrementalSweep(
             table,
-            n_shards=n_shards,
             min_common_users=min_common_users,
             min_abs_similarity=min_abs_similarity,
             wal=self.log,
@@ -232,10 +231,6 @@ class DurableSweep:
     @property
     def graph(self):
         return self.sweep.graph
-
-    @property
-    def n_shards(self) -> int:
-        return self.sweep.n_shards
 
     # ------------------------------------------------------------------
     # Writing
@@ -284,7 +279,7 @@ class DurableSweep:
             "applied_seq": seq,
             "snapshot": f"{_SNAPSHOT_DIR}/{_checkpoint_name(seq)}",
             "config": {
-                "n_shards": self.sweep.n_shards,
+                "n_shards": 1,  # format-v1 constant
                 "min_common_users": self.sweep.min_common_users,
                 "min_abs_similarity": self.sweep.min_abs_similarity,
                 "with_significance": False,  # format-v1 constant
@@ -332,7 +327,6 @@ class DurableSweep:
         cls,
         directory,
         *,
-        n_shards: int | None = None,
         policy: CheckpointPolicy | None = None,
         group_commit: int | None = None,
         fsync: bool | None = None,
@@ -346,10 +340,10 @@ class DurableSweep:
         to the last valid record) and replays every record past the
         checkpoint watermark through
         :meth:`~repro.engine.sharded_sweep.IncrementalSweep.update`.
-        The result is bit-identical (per shard count) to a
-        writer that never crashed after its last durable append.
+        The result is bit-identical to a writer that never crashed
+        after its last durable append.
 
-        Overrides (*n_shards*, *policy*, *group_commit*, *fsync*)
+        Overrides (*policy*, *group_commit*, *fsync*)
         default to the persisted configuration. The recovery telemetry
         lands in :attr:`last_recovery`.
         """
@@ -426,11 +420,8 @@ class DurableSweep:
             policy = CheckpointPolicy(**config["policy"])
         instance.policy = policy
         instance.log = log
-        if n_shards is None:
-            n_shards = int(config["n_shards"])
         instance.sweep = IncrementalSweep(
             snapshot.table(),
-            n_shards=n_shards,
             min_common_users=int(config["min_common_users"]),
             min_abs_similarity=float(config["min_abs_similarity"]),
         )
@@ -485,6 +476,5 @@ class DurableSweep:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DurableSweep({str(self.directory)!r}, "
-            f"applied_seq={self.applied_seq}, "
-            f"n_shards={self.sweep.n_shards})"
+            f"applied_seq={self.applied_seq})"
         )

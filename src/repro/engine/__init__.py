@@ -2,14 +2,14 @@
 
 The paper implements X-Map on Apache Spark [38] and reports near-linear
 speedup on up to 20 machines (Figure 11). We cannot ship a cluster, so
-this package provides the substitute described in DESIGN.md §2:
+this package provides a substitute:
 
 * an RDD-style API — :class:`~repro.engine.dataset_api.DistCollection`
   with ``map`` / ``flat_map`` / ``filter`` / ``reduce_by_key`` /
   ``group_by_key`` / ``join`` — over hash-partitioned in-memory data,
-* a lineage DAG cut into **stages** at shuffle boundaries, with narrow
-  transformations fused into single tasks exactly as Spark pipelines
-  them (:mod:`repro.engine.dag`),
+  whose lineage is cut into **stages** at shuffle boundaries, with
+  narrow transformations fused into single tasks exactly as Spark
+  pipelines them (:mod:`repro.engine.dataset_api`),
 * a **simulated cluster**: every task really executes (single process,
   results are exact), while a cost model charges per-record compute,
   shuffle I/O and task overhead, and a greedy scheduler lays the tasks
@@ -23,18 +23,15 @@ Speedup shape is a property of the job DAG (X-Map's per-item extension
 is embarrassingly parallel; ALS alternates global barriers with factor
 broadcasts that grow with the cluster), so measuring it on the simulated
 timeline reproduces the figure's qualitative result.
+
+The library's own Baseliner sweep is not a dataflow job: it runs in
+process over the interned rating store
+(:mod:`repro.engine.sharded_sweep`).
 """
 
 from repro.engine.cluster import ClusterSpec, CostModel
 from repro.engine.dataset_api import DataflowContext, DistCollection
 from repro.engine.metrics import ExecutionReport, StageReport, speedup_curve
-from repro.engine.sharded_sweep import (
-    ShardedSweepResult,
-    SweepStats,
-    resolve_edge_partitions,
-    resolve_n_shards,
-    sharded_adjacency,
-)
 
 __all__ = [
     "ClusterSpec",
@@ -42,11 +39,6 @@ __all__ = [
     "DataflowContext",
     "DistCollection",
     "ExecutionReport",
-    "ShardedSweepResult",
     "StageReport",
-    "SweepStats",
-    "resolve_edge_partitions",
-    "resolve_n_shards",
-    "sharded_adjacency",
     "speedup_curve",
 ]

@@ -6,10 +6,12 @@ rather than Python's builtin ``hash`` — the builtin is salted per process
 for strings, and a simulator whose partition sizes change between runs
 would make every timing test flaky.
 
-``repr``-stability is what makes this safe to use across *real*
-processes too (the sharded Eq-6 sweep's shard layout has to come out
-the same in the process that recovers a durable store as in the one
-that wrote it): for the key types the engine shuffles —
+``repr``-stability is what makes the layout the same in *every*
+process, not just within one run: the simulated engine's stage
+makespans — and so the committed Figure-11 speedup curve — are a
+function of per-partition record counts, and a benchmark re-run in a
+fresh interpreter (new string-hash salt) must land every record where
+the recorded run did. For the key types the engine shuffles —
 ``str``, ``bytes``, ``int``, ``bool``, ``None``, and ``float``, plus
 tuples of them — CPython's ``repr`` is a pure function of the value.
 Floats in particular repr as the shortest round-tripping decimal string
@@ -25,8 +27,6 @@ salt).
 """
 
 from __future__ import annotations
-
-from typing import Iterable, Sequence
 
 from repro.errors import EngineError
 
@@ -99,28 +99,6 @@ class HashPartitioner:
     def partition_of(self, key: object) -> int:
         """The partition index for *key*."""
         return stable_hash(key) % self.n_partitions
-
-    def assign(self, keys: Iterable[object]) -> list[int]:
-        """Partition indexes for a batch of keys, in input order.
-
-        The bulk entry point the sharded sweep uses to split a store's
-        interned user list into shards with one call.
-        """
-        n = self.n_partitions
-        return [stable_hash(key) % n for key in keys]
-
-    def split(self, keys: Sequence[object]) -> list[list[int]]:
-        """Partition a key sequence into per-partition *position* lists.
-
-        Returns ``n_partitions`` lists; list ``p`` holds the positions
-        (ascending) of the keys routed to partition ``p``. Positions
-        rather than keys because callers shard *indexed* stores — the
-        position doubles as the interned row index.
-        """
-        parts: list[list[int]] = [[] for _ in range(self.n_partitions)]
-        for position, partition in enumerate(self.assign(keys)):
-            parts[partition].append(position)
-        return parts
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HashPartitioner):

@@ -1,62 +1,41 @@
-"""The sharded Eq-6 pair sweep: X-Map's Baseliner as a real dataflow job.
+"""The Baseliner's Eq-6 pair sweep, and the form of it that stays updatable.
 
 The paper runs the Baseliner as a Spark job (§5.1, Figure 4): the
-co-rating pair contributions are partitioned by key, accumulated per
-partition and merged. PR 1 vectorised that sweep but kept it
-single-process; this module makes the dataflow engine the actual
-execution substrate of the offline pipeline:
+co-rating pair contributions are accumulated by key and assembled into
+the similarity graph. Here that job is two calls over the interned
+:class:`~repro.data.matrix.MatrixRatingStore`:
 
-* the store's interned user rows are partitioned with the engine's
-  :class:`~repro.engine.partitioner.HashPartitioner` over the *user ids*
-  (repr-stable, so every process agrees on the layout);
-* each shard runs the store's batched accumulation —
-  :meth:`~repro.data.matrix.MatrixRatingStore.pair_accumulation` — which
-  folds the Eq-6 numerators and the co-rater counts in a single pass
-  over the shard's rows (Definition-2 significance is not swept here:
-  the Extender reads it for its pruned edges only, from
+* :func:`sharded_pair_accumulation` folds the Eq-6 numerators and the
+  co-rater counts in one pass over every eligible user's row
+  (Definition-2 significance is not swept here: the Extender reads it
+  for its pruned edges only, from
   :meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`);
-* the back half is partitioned too: each shard's pair list is routed to
-  the item partition owning its **left item** (``HashPartitioner`` over
-  the item ids again), every partition merges its own bincounts in
-  shard-index order and assembles its own adjacency rows — and the
-  serving :class:`~repro.similarity.knn.NeighborIndex` — locally, so
-  nothing funnels through one driver-wide merge + sort (the tail that
-  had become the larger half of graph build, see
-  ``benchmarks/results/sharded_sweep_*``).
+* :meth:`~repro.data.matrix.MatrixRatingStore.assemble_from_partitions`
+  turns the accumulation into the adjacency rows and, on request, the
+  serving :class:`~repro.similarity.knn.NeighborIndex`, in one sort.
 
-Shards execute one after another in the driver; the measured per-shard
-durations are kept in :class:`SweepStats`, whose maximum is the critical
-path a parallel executor would be bound by.
+:func:`run_sweep` times both into ``sweep_stage_seconds{accumulate,
+assemble}``; the stateless graph build
+(:func:`~repro.similarity.graph.build_similarity_graph`) and
+:class:`IncrementalSweep` both go through it. Figure 11's distribution
+claim is reproduced by the simulated engine
+(:mod:`repro.engine.xmap_job`), not here. The module and function
+names are the ones ``bench/workloads/sweep_ingest.py`` instruments.
 
-Determinism contract — property-tested in ``tests/test_sharded_sweep.py``:
-
-* for a **fixed shard count**, the output is a pure function of the
-  table (the merge adds per-shard partials in shard index order);
-* with **one shard** the sweep *is* the unsharded store path —
-  bit-identical to
-  :meth:`~repro.data.matrix.MatrixRatingStore.build_adjacency`;
-* across **different shard counts** the float numerator merge order
-  changes, so similarities agree to ~1e-15 (the tests pin 1e-9) while
-  the integer co-rater counts stay exactly equal;
-* across **edge-partition counts** nothing moves at all: splitting pairs
-  by left item only changes *where* each per-pair sum is added, never
-  its addend order, so the assembled adjacency and index are
-  bit-identical to the single driver pass for any ``n_edge_partitions``.
-
-Shard count comes from the ``n_shards`` argument or the ``REPRO_SHARDS``
-environment variable (the CI matrix runs a ``REPRO_SHARDS=4`` leg). The
-assembly partition count comes from ``n_edge_partitions`` /
-``REPRO_EDGE_PARTITIONS`` and defaults to the shard count.
+Determinism: the accumulation visits users in one canonical order (one
+sequential add per co-rating), so the sweep is a pure function of the
+table, bit for bit — and an :class:`IncrementalSweep` after any
+sequence of updates equals a fresh one over the final table.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.data.matrix import (
+    AssemblyResult,
     MatrixRatingStore,
     PairAccumulation,
     RowSplice,
@@ -64,286 +43,49 @@ from repro.data.matrix import (
 )
 from repro.data.ratings import Rating, RatingTable, line_break_id
 from repro.obs.metrics import get_registry, observe_stage_seconds
-from repro.engine.partitioner import HashPartitioner
-from repro.errors import DataError, EngineError
+from repro.errors import DataError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Iterable
 
     from repro.similarity.graph import ItemGraph
-    from repro.similarity.knn import NeighborIndex
-
-_SHARDS_ENV = "REPRO_SHARDS"
-_EDGE_PARTITIONS_ENV = "REPRO_EDGE_PARTITIONS"
-
-
-def _positive_int_env(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    if raw in ("", "0"):
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise EngineError(f"{name} must be a positive integer, got {raw!r}") from None
-    if value < 0:
-        raise EngineError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def resolve_n_shards(n_shards: int | None = None) -> int:
-    """The effective shard count: the explicit argument, else the
-    ``REPRO_SHARDS`` environment variable, else 1 (unsharded)."""
-    if n_shards is None:
-        return _positive_int_env(_SHARDS_ENV, 1)
-    if n_shards < 1:
-        raise EngineError(f"n_shards must be >= 1, got {n_shards}")
-    return n_shards
-
-
-def resolve_edge_partitions(
-    n_edge_partitions: int | None = None,
-    n_shards: int = 1,
-) -> int:
-    """The effective item-partition count for adjacency assembly: the
-    explicit argument, else ``REPRO_EDGE_PARTITIONS``, else the resolved
-    shard count (assembly follows the sweep's parallelism by default, so
-    a sharded run never funnels its back half through one driver pass).
-    """
-    if n_edge_partitions is None:
-        return _positive_int_env(_EDGE_PARTITIONS_ENV, n_shards)
-    if n_edge_partitions < 1:
-        raise EngineError(f"n_edge_partitions must be >= 1, got {n_edge_partitions}")
-    return n_edge_partitions
-
-
-@dataclass(frozen=True)
-class SweepStats:
-    """Observability of one sharded sweep.
-
-    Attributes:
-        n_shards: shard count the layout was computed for.
-        shard_users: eligible users per shard.
-        shard_pairs: distinct co-rated pairs each shard produced.
-        durations: measured per-shard wall seconds, indexed by shard.
-        merge_seconds: wall seconds spent merging the shard bincounts
-            (summed over item partitions when assembly is partitioned —
-            each partition merges only its own pairs).
-        n_edge_partitions: item-partition count of the assembly stage
-            (1 = the single driver pass). The assembly fields below are
-            filled by :func:`sharded_adjacency` — length-1 tuples on
-            1-partition runs — and left at their defaults by
-            :func:`sharded_pair_accumulation`, which runs no assembly.
-        split_seconds: wall seconds spent routing each shard's pairs to
-            their owning item partition (0.0 when nothing was split).
-        partition_pairs: distinct pairs per item partition after the
-            per-partition merges.
-        partition_merge_seconds: per-partition merge wall seconds — the
-            per-task durations of the merge stage, whose max is the
-            critical path a partitioned driver would be bound by.
-        assembly_seconds: wall seconds of adjacency/index assembly.
-    """
-
-    n_shards: int
-    shard_users: tuple[int, ...]
-    shard_pairs: tuple[int, ...]
-    durations: tuple[float, ...]
-    merge_seconds: float
-    n_edge_partitions: int = 1
-    split_seconds: float = 0.0
-    partition_pairs: tuple[int, ...] = ()
-    partition_merge_seconds: tuple[float, ...] = ()
-    assembly_seconds: float = 0.0
-
-    def __post_init__(self) -> None:
-        observe_stage_seconds(
-            "sweep",
-            {
-                "shards": sum(self.durations),
-                "merge": self.merge_seconds,
-                "split": self.split_seconds,
-                "assembly": self.assembly_seconds,
-            },
-        )
-
-
-@dataclass(frozen=True)
-class ShardedSweepResult:
-    """Outcome of :func:`sharded_adjacency`.
-
-    Attributes:
-        adjacency: the symmetric Eq-6 adjacency (every item present,
-            isolated ones with an empty neighbor dict) —
-            :meth:`~repro.similarity.graph.ItemGraph.from_adjacency`
-            adopts it without copying.
-        index: the rank-ordered
-            :class:`~repro.similarity.knn.NeighborIndex` selected
-            per item partition during assembly — the serving handoff.
-            None unless requested.
-        stats: execution observability.
-    """
-
-    adjacency: dict[str, dict[str, float]]
-    stats: SweepStats
-    index: "NeighborIndex | None" = None
-
-
-def shard_user_indices(store: MatrixRatingStore, n_shards: int) -> list[list[int]]:
-    """Partition the store's interned user rows into shards.
-
-    Routing hashes the *user id strings* with the engine's
-    :class:`~repro.engine.partitioner.HashPartitioner`, so the layout is
-    a pure function of (user set, shard count): stable across processes
-    and runs. Each shard's index list is ascending — interning
-    is sorted, so position equals row index.
-    """
-    return HashPartitioner(n_shards).split(store.users)
-
-
-def _execute_shards(
-    store: MatrixRatingStore,
-    n_shards: int,
-    max_profile_size: int | None,
-) -> tuple[list[list[int]], list[PairAccumulation], list[float]]:
-    """Partition the users and run the shard tasks in the driver.
-
-    Returns ``(shards, parts, durations)``, each indexed by shard id.
-    """
-    shards = shard_user_indices(store, n_shards)
-    parts: list[PairAccumulation] = []
-    durations: list[float] = []
-    for users in shards:
-        start = time.perf_counter()
-        parts.append(store.pair_accumulation(users, max_profile_size=max_profile_size))
-        durations.append(time.perf_counter() - start)
-    return shards, parts, durations
-
-
-def _sweep_stats(
-    shards,
-    parts,
-    durations,
-    merge_seconds: float,
-    **assembly_fields,
-) -> SweepStats:
-    return SweepStats(
-        n_shards=len(shards),
-        shard_users=tuple(len(shard) for shard in shards),
-        shard_pairs=tuple(part.n_pairs for part in parts),
-        durations=tuple(durations),
-        merge_seconds=merge_seconds,
-        **assembly_fields,
-    )
 
 
 def sharded_pair_accumulation(
     store: MatrixRatingStore,
-    n_shards: int | None = None,
     max_profile_size: int | None = None,
-) -> tuple[PairAccumulation, SweepStats]:
-    """Run the partitioned Eq-6 accumulation and merge the shards.
-
-    Returns the merged :class:`~repro.data.matrix.PairAccumulation` plus
-    the sweep's :class:`SweepStats`. Shards are merged in shard-index
-    order, which is what makes the result a pure function of (table,
-    shard count).
-    """
-    shards, parts, durations = _execute_shards(
-        store, resolve_n_shards(n_shards), max_profile_size)
-
-    merge_start = time.perf_counter()
-    merged = store.merge_accumulations(parts)
-    merge_seconds = time.perf_counter() - merge_start
-    return merged, _sweep_stats(shards, parts, durations, merge_seconds)
+) -> PairAccumulation:
+    """The Eq-6 accumulation of every co-rated pair in *store*
+    (:meth:`~repro.data.matrix.MatrixRatingStore.pair_accumulation`)."""
+    return store.pair_accumulation(max_profile_size=max_profile_size)
 
 
-def sharded_adjacency(
-    table: RatingTable | MatrixRatingStore,
-    n_shards: int | None = None,
+def run_sweep(
+    store: MatrixRatingStore,
     min_common_users: int = 1,
     min_abs_similarity: float = 0.0,
-    max_profile_size: int | None = None,
-    n_edge_partitions: int | None = None,
     with_index: bool = False,
-) -> ShardedSweepResult:
-    """The Baseliner's pair sweep as a shard-then-merge dataflow job.
+) -> tuple[PairAccumulation, AssemblyResult]:
+    """Accumulate and assemble *store*'s Eq-6 graph, timing each stage.
 
-    Args:
-        table: the aggregated rating table (its memoized store is used)
-            or a prebuilt store.
-        n_shards: shard count; ``None`` reads ``REPRO_SHARDS`` (1 =
-            unsharded, bit-identical to the store path).
-        min_common_users: minimum co-raters for an edge.
-        min_abs_similarity: magnitude floor for edges.
-        max_profile_size: skew guard on profile length.
-        n_edge_partitions: item-partition count for the merge + assembly
-            back half: each shard's pairs are routed to the partition
-            owning their left item (the engine's ``HashPartitioner``
-            over item ids) and every partition merges and assembles only
-            its own rows. ``None`` reads ``REPRO_EDGE_PARTITIONS``, else
-            follows the shard count; 1 is the single driver pass. Any
-            value produces the same adjacency bit for bit — per-pair
-            partials are still added in shard order.
-        with_index: also assemble the serving
-            :class:`~repro.similarity.knn.NeighborIndex` during the same
-            partition-local pass (rows ranked once).
+    Returns the accumulation and the assembled adjacency (plus the
+    serving index when *with_index*). Each call adds one
+    ``sweep_stage_seconds`` sample per stage.
     """
-    store = table.matrix() if isinstance(table, RatingTable) else table
-    n_shards = resolve_n_shards(n_shards)
-    n_edge_partitions = resolve_edge_partitions(n_edge_partitions, n_shards)
-    shards, parts, durations = _execute_shards(store, n_shards, max_profile_size)
-
-    # Back half: route each shard's pairs to the item partition owning
-    # their left item, merge per partition (shard order, so per-pair
-    # sums match the driver merge bit for bit), then assemble each
-    # partition's adjacency rows — and the serving index — locally.
-    split_seconds = 0.0
-    if n_edge_partitions > 1:
-        owners = HashPartitioner(n_edge_partitions).assign(store.items)
-        split_start = time.perf_counter()
-        split_parts = [
-            store.split_accumulation(part, owners, n_edge_partitions)
-            for part in parts
-        ]
-        split_seconds = time.perf_counter() - split_start
-    else:
-        owners = None
-        split_parts = [[part] for part in parts]
-
-    merged_parts: list[PairAccumulation] = []
-    partition_merge_seconds = []
-    for p in range(n_edge_partitions):
-        merge_start = time.perf_counter()
-        merged_parts.append(
-            store.merge_accumulations([split_parts[s][p] for s in range(n_shards)])
-        )
-        partition_merge_seconds.append(time.perf_counter() - merge_start)
-
-    assembly_start = time.perf_counter()
+    started = time.perf_counter()
+    acc = sharded_pair_accumulation(store)
+    accumulated = time.perf_counter()
     assembled = store.assemble_from_partitions(
-        merged_parts,
-        owners,
+        acc,
         min_common_users=min_common_users,
         min_abs_similarity=min_abs_similarity,
         with_index=with_index,
     )
-    assembly_seconds = time.perf_counter() - assembly_start
-
-    stats = _sweep_stats(
-        shards,
-        parts,
-        durations,
-        merge_seconds=sum(partition_merge_seconds),
-        n_edge_partitions=n_edge_partitions,
-        split_seconds=split_seconds,
-        partition_pairs=tuple(part.n_pairs for part in merged_parts),
-        partition_merge_seconds=tuple(partition_merge_seconds),
-        assembly_seconds=assembly_seconds,
-    )
-    return ShardedSweepResult(
-        adjacency=assembled.adjacency,
-        stats=stats,
-        index=assembled.index,
-    )
+    observe_stage_seconds("sweep", {
+        "accumulate": accumulated - started,
+        "assemble": time.perf_counter() - accumulated,
+    })
+    return acc, assembled
 
 
 _M_REJECTED = get_registry().counter(
@@ -435,9 +177,9 @@ class IncrementalSweep:
     """A Baseliner sweep that stays updatable: build once, append rating
     batches without re-running the offline job.
 
-    The build runs the sharded pair accumulation and keeps what every
-    other path throws away — the merged :class:`PairAccumulation` —
-    alongside the assembled :class:`~repro.similarity.graph.ItemGraph`
+    The build runs :func:`run_sweep` and keeps what the stateless graph
+    build throws away — the :class:`PairAccumulation` — alongside the
+    assembled :class:`~repro.similarity.graph.ItemGraph`
     and serving :class:`~repro.similarity.knn.NeighborIndex`.
     :meth:`update` then realises the paper's §4.3 incremental-update
     remark for the similarity backbone itself:
@@ -447,8 +189,8 @@ class IncrementalSweep:
        — new ids interned in sorted position, only touched rows/columns
        recomputed);
     2. a restricted Eq-6 re-accumulation recomputes exactly the pairs
-       the batch could have moved, shard-faithfully (per-shard deltas
-       merged in shard order), and folds into the retained accumulation;
+       the batch could have moved and folds into the retained
+       accumulation;
     3. only the entries with a touched endpoint are re-ranked and
        merged into the graph and index
        (:meth:`~repro.data.matrix.MatrixRatingStore.splice_row_refresh`).
@@ -456,16 +198,12 @@ class IncrementalSweep:
     Equality contract (property-tested in ``tests/test_incremental.py``):
     after any sequence of updates, the store, accumulation, graph and
     index are **bit-identical** to a fresh
-    :class:`IncrementalSweep` built on the final table with the same
-    shard count — and within 1e-9 across shard counts, per the sweep's
-    standing contract.
+    :class:`IncrementalSweep` built on the final table.
 
     Args:
         table: the initial aggregated rating table.
-        n_shards: shard count for both the build and every delta
-            re-accumulation (``None`` reads ``REPRO_SHARDS``).
         min_common_users / min_abs_similarity: edge filters, as in
-            :func:`sharded_adjacency`.
+            :func:`~repro.similarity.graph.build_similarity_graph`.
         wal: a :class:`~repro.durability.log.RatingLog` to append every
             valid update batch to **before** applying it — the
             write-ahead discipline: after a crash the log always holds
@@ -478,7 +216,6 @@ class IncrementalSweep:
     def __init__(
         self,
         table: RatingTable,
-        n_shards: int | None = None,
         min_common_users: int = 1,
         min_abs_similarity: float = 0.0,
         wal=None,
@@ -486,20 +223,12 @@ class IncrementalSweep:
         from repro.similarity.graph import ItemGraph
 
         self.wal = wal
-        self.n_shards = resolve_n_shards(n_shards)
         self.min_common_users = min_common_users
         self.min_abs_similarity = min_abs_similarity
         self.table = table
         self.store = table.matrix()
-        self.accumulation, self.build_stats = sharded_pair_accumulation(
-            self.store, n_shards=self.n_shards)
-        assembled = self.store.assemble_from_partitions(
-            [self.accumulation],
-            min_common_users=min_common_users,
-            min_abs_similarity=min_abs_similarity,
-            with_adjacency=True,
-            with_index=True,
-        )
+        self.accumulation, assembled = run_sweep(
+            self.store, min_common_users, min_abs_similarity, with_index=True)
         self.index = assembled.index
         self.graph: ItemGraph = ItemGraph.from_adjacency(
             assembled.adjacency, index=assembled.index
@@ -544,21 +273,7 @@ class IncrementalSweep:
         new_table._matrix_delta_base = None
 
         delta_start = time.perf_counter()
-        if self.n_shards > 1:
-            # Shard-faithful delta: restrict the re-accumulation to each
-            # shard's users and merge in shard order, so per-pair sums
-            # match a sharded rebuild bit for bit. The O(ratings)
-            # candidate scan runs once, not once per shard.
-            shards = shard_user_indices(new_store, self.n_shards)
-            candidates = new_store.delta_candidates(delta)
-            parts = [
-                new_store.delta_pair_accumulation(
-                    delta, users=shard, candidates=candidates)
-                for shard in shards
-            ]
-            delta_acc = new_store.merge_accumulations(parts)
-        else:
-            delta_acc = new_store.delta_pair_accumulation(delta)
+        delta_acc = new_store.delta_pair_accumulation(delta)
         delta_seconds = time.perf_counter() - delta_start
 
         fold_start = time.perf_counter()

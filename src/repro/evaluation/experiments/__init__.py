@@ -1,4 +1,4 @@
-"""One module per paper artifact (see DESIGN.md §4 for the index).
+"""One module per paper artifact (the registry below is the index).
 
 Every module exposes ``run(quick=False, seed=0) -> ExperimentResult``;
 ``quick=True`` shrinks sweeps for CI-speed runs. The registry

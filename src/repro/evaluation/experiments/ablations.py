@@ -1,6 +1,6 @@
 """Ablation study: which of X-Map's design choices carry the accuracy.
 
-Not a paper artifact, but the experiment DESIGN.md commits to: isolate
+Not a paper artifact, but the experiment the reproduction adds: isolate
 the design decisions the paper motivates qualitatively and measure each
 one's contribution on the standard cold-start setup.
 

@@ -7,7 +7,8 @@ Usage::
     python -m repro.evaluation.experiments.registry all --quick
 
 Each id maps to the ``run`` function of the module that regenerates the
-corresponding paper table/figure (index in DESIGN.md §4).
+corresponding paper table/figure (``python -m
+repro.evaluation.experiments.registry`` lists them).
 """
 
 from __future__ import annotations

@@ -29,9 +29,9 @@ the durable sweep, which logs it before any in-memory state moves and
 checkpoints on its policy. After a crash,
 :meth:`ModelRegistry.recover` rebuilds the whole writer from the
 directory (last checkpoint snapshot + log-tail replay) and publishes
-the recovered state as version 1; the responses it serves are within
-1e-9 of the uninterrupted registry's (bit-identical —
-property-tested in ``tests/test_durability.py``).
+the recovered state as version 1; the responses it serves are
+bit-identical to the uninterrupted registry's (property-tested in
+``tests/test_durability.py``).
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class ModelRegistry:
         subsequent :meth:`update` calls keep the same crash-safety.
         Serving parameters (``cf_k``, ``positive_only``) come from the
         store's persisted configuration; *recover_kwargs* pass through
-        to ``DurableSweep.recover`` (e.g. ``n_shards``).
+        to ``DurableSweep.recover`` (e.g. ``policy``).
         """
         from repro.durability.manager import DurableSweep
 

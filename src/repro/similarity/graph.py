@@ -8,6 +8,8 @@ Extender then adds meta-path-derived X-Sim edges across domains.
 The class is a thin adjacency-dict wrapper, but it is the shared
 vocabulary between the layer partitioner, the meta-path enumerator and
 the extender, so it lives in one place with a validated API.
+:func:`build_similarity_graph` is the Baseliner's stateless build: the
+store's Eq-6 sweep (:mod:`repro.engine.sharded_sweep`), adjacency only.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ class ItemGraph:
     neighbors ordered by descending similarity with the ascending-id
     tie-break. A row is ranked at most once: either it comes straight
     from a :class:`~repro.similarity.knn.NeighborIndex` assembled with
-    the graph (the Baseliner hands one over), or it is sorted lazily and
-    memoized. Mutations (:meth:`add_edge` and friends) invalidate both,
-    so the Extender's working copies stay correct.
+    the graph (a ``keep_state=True`` Baseliner hands one over), or it is
+    sorted lazily and memoized. Mutations (:meth:`add_edge` and friends)
+    invalidate both, so the Extender's working copies stay correct.
     """
 
     __slots__ = ("_adjacency", "_index", "_ranked_cache")
@@ -294,8 +296,6 @@ def build_similarity_graph(
         min_abs_similarity: float = 0.0,
         pair_source: Callable[[RatingTable], Iterable[tuple[str, str, float]]]
         | None = None,
-        n_shards: int | None = None,
-        n_edge_partitions: int | None = None,
 ) -> ItemGraph:
     """Build the baseline graph ``G_ac`` from a rating table (§3.1).
 
@@ -306,53 +306,25 @@ def build_similarity_graph(
             every nonzero edge, as the paper does).
         pair_source: override the pair generator (tests inject handcrafted
             similarities; default is adjusted cosine, Eq 6).
-        n_shards: partition the Eq-6 sweep into this many user shards on
-            the dataflow engine's partitioner; ``None`` reads the
-            ``REPRO_SHARDS`` environment variable (the CI matrix runs a
-            4-shard leg), 1 is the unsharded store path. Ignored when
-            *pair_source* is given.
-        n_edge_partitions: item-partition count for the merge + assembly
-            back half of the sharded path; ``None`` reads
-            ``REPRO_EDGE_PARTITIONS`` and defaults to the shard count.
-            The assembled graph is bit-identical at any value. Ignored
-            when *pair_source* is given.
 
     Every item in *table* becomes a vertex even if isolated — the layer
-    partitioner needs to see isolated items to classify them NN.
-    Serve-path ranking never re-sorts either way: graphs built through
-    the sharded path carry the
-    :class:`~repro.similarity.knn.NeighborIndex` the partitioned
-    assembly selected alongside the adjacency, and the unsharded bulk
-    path keeps graph build lean (no eager ranking pass — the PR-1
-    speedup bar of ``benchmarks/test_similarity_bench.py`` guards it)
-    and lets :meth:`ItemGraph.ranked_neighbors` rank rows lazily and
-    memoize.
+    partitioner needs to see isolated items to classify them NN. The
+    default path is the store's Eq-6 sweep
+    (:func:`~repro.engine.sharded_sweep.run_sweep`), adjacency only: no
+    eager ranking pass (the speedup bar of
+    ``benchmarks/test_similarity_bench.py`` guards it) —
+    :meth:`ItemGraph.ranked_neighbors` ranks rows lazily and memoizes.
+    A graph that must carry its serving index comes from
+    :class:`~repro.engine.sharded_sweep.IncrementalSweep`.
     """
     if pair_source is None:
-        from repro.engine.sharded_sweep import (
-            resolve_edge_partitions,
-            resolve_n_shards,
-            sharded_adjacency,
-        )
+        from repro.engine.sharded_sweep import run_sweep
 
-        shards = resolve_n_shards(n_shards)
-        partitions = resolve_edge_partitions(n_edge_partitions, shards)
-        if shards > 1 or partitions > 1:
-            # Shard-then-merge dataflow path: hash-partitioned user rows,
-            # per-shard batched accumulation, deterministic per-partition
-            # merge + assembly with the serving index selected in stride.
-            result = sharded_adjacency(
-                table, n_shards=shards,
-                n_edge_partitions=partitions,
-                min_common_users=min_common_users,
-                min_abs_similarity=min_abs_similarity,
-                with_index=True)
-            return ItemGraph.from_adjacency(result.adjacency, index=result.index)
-        # Bulk path: the store assembles the whole symmetric adjacency
-        # (isolated items included) without a per-edge Python loop.
-        return ItemGraph.from_adjacency(table.matrix().build_adjacency(
+        _, assembled = run_sweep(
+            table.matrix(),
             min_common_users=min_common_users,
-            min_abs_similarity=min_abs_similarity))
+            min_abs_similarity=min_abs_similarity)
+        return ItemGraph.from_adjacency(assembled.adjacency)
     graph = ItemGraph()
     for item in table.items:
         graph.add_item(item)

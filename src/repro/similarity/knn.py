@@ -11,8 +11,8 @@ rule, but applied *once* during adjacency assembly and frozen into flat
 arrays, so serve-time queries are O(k) slices and scans instead of
 per-call sorts. It is produced by
 :meth:`~repro.data.matrix.MatrixRatingStore.assemble_from_partitions`
-(per item-partition, during the sharded sweep's assembly stage) and
-consumed by :class:`~repro.cf.item_knn.ItemKNNRecommender` and
+(in the same sort as the sweep's adjacency rows) and consumed by
+:class:`~repro.cf.item_knn.ItemKNNRecommender` and
 :meth:`~repro.similarity.graph.ItemGraph.top_neighbors`.
 """
 
@@ -126,11 +126,8 @@ class NeighborIndex:
 
     Determinism contract (property-tested in ``tests/test_graph_knn.py``
     and ``tests/test_sharded_sweep.py``): rows are a pure function of
-    the adjacency they were assembled from — identical across shard
-    counts of the sweep that produced the
-    accumulation (weights to ≤1e-9, exact at one shard), and across
-    edge-partition counts of the assembly (bit-identical: partitioning
-    moves *where* a row is assembled, never its contents).
+    the adjacency they were assembled from — each row is exactly
+    :func:`top_k` of its adjacency row, weights bit for bit.
 
     Attributes:
         items: interned item-id list, index order.

@@ -55,7 +55,7 @@ def _table(seed: int = 7, n_users: int = 30, n_items: int = 24,
 
 @pytest.fixture()
 def catalog_source(tmp_path):
-    registry = ModelRegistry(sweep=IncrementalSweep(_table(), n_shards=1), cf_k=20)
+    registry = ModelRegistry(sweep=IncrementalSweep(_table()), cf_k=20)
     catalog = SnapshotCatalog(tmp_path / "catalog")
     catalog.attach(registry)
     return tmp_path / "catalog", registry
@@ -90,9 +90,6 @@ async def _wait_all_dead(pids: list[int], timeout: float = 10.0) -> list[int]:
 
 @pytest.mark.slow
 @pytest.mark.crash
-# Id only, no argument: keeps the "[numpy]" suffix this test has always
-# had, so lists and logs that name it keep naming it.
-@pytest.mark.parametrize((), [pytest.param(id="numpy")])
 def test_worker_killed_during_load_recovers(catalog_source):
     """The first two spawns die mid-load; their replacements come up
     clean and the pool serves correctly — callers never hang past the
@@ -182,7 +179,7 @@ def test_worker_refuses_exhausted_budget(tmp_path):
     from repro.serving import RecommendationService, RegistryWatcher
     from repro.gateway.worker import WorkerApp, wait_for_model
 
-    registry = ModelRegistry(sweep=IncrementalSweep(_table(), n_shards=1), cf_k=20)
+    registry = ModelRegistry(sweep=IncrementalSweep(_table()), cf_k=20)
     catalog = SnapshotCatalog(tmp_path / "catalog")
     catalog.attach(registry)
     watcher = RegistryWatcher(tmp_path / "catalog")

@@ -125,7 +125,7 @@ def durable_store_dir(tmp_path_factory):
     table = RatingTable([
         Rating(f"u{k // 4}", f"i{k % 4}", float(1 + k % 5), timestep=k)
         for k in range(20)])
-    durable = DurableSweep(directory, table, n_shards=2, cf_k=5,
+    durable = DurableSweep(directory, table, cf_k=5,
                            policy=CheckpointPolicy(max_batches=2))
     for round_ in range(3):
         durable.update([Rating(f"u{5 + round_}", f"i{7 + round_}",

@@ -265,7 +265,7 @@ def test_unknown_source_domain_is_a_config_error(small_trace):
 
 def test_a_significance_cache_gives_the_same_map(small_trace):
     merged = small_trace.merged()
-    baseline = Baseliner(n_shards=2).compute(small_trace, merged=merged)
+    baseline = Baseliner(keep_state=True).compute(small_trace, merged=merged)
     partition = LayerPartition.from_graph(baseline.graph, small_trace.domain_map())
     config = ExtenderConfig(k=8, max_paths_per_item=500)
     source = small_trace.source.name
@@ -341,15 +341,13 @@ def test_every_small_cap_on_a_generated_trace_equals_the_reference():
 # -- one significance path, any graph backing ----------------------------
 
 
-@pytest.mark.parametrize("n_shards", [1, 4])
-def test_extend_equals_the_reference_at_any_shard_count(small_trace, n_shards):
-    # Both legs in one process: the 4-shard graph carries a ranked
-    # NeighborIndex, the 1-shard graph none; extend reads per-edge
-    # S / Ŝ from the store either way. (The two graphs' weights differ
-    # in the last bits — shard merge order — so each is held to the
-    # reference over its own graph.)
+@pytest.mark.parametrize("keep_state", [False, True])
+def test_extend_equals_the_reference_on_either_graph_backing(small_trace, keep_state):
+    # Both legs in one process: the stateful graph carries a ranked
+    # NeighborIndex, the stateless one none; extend reads per-edge
+    # S / Ŝ from the store either way.
     merged = small_trace.merged()
-    baseline = Baseliner(n_shards=n_shards).compute(small_trace, merged=merged)
+    baseline = Baseliner(keep_state=keep_state).compute(small_trace, merged=merged)
     partition = LayerPartition.from_graph(baseline.graph, small_trace.domain_map())
     config = ExtenderConfig(k=8, max_paths_per_item=500)
     source = small_trace.source.name
@@ -360,7 +358,7 @@ def test_extend_equals_the_reference_at_any_shard_count(small_trace, n_shards):
 
 def test_hand_built_graph_without_an_index_gives_the_same_map(small_trace):
     merged = small_trace.merged()
-    baseline = Baseliner(n_shards=4).compute(small_trace, merged=merged)
+    baseline = Baseliner(keep_state=True).compute(small_trace, merged=merged)
     plain = ItemGraph()
     for item in baseline.graph.items:
         plain.add_item(item)

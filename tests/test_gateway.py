@@ -57,7 +57,7 @@ def _table(seed: int = 7, n_users: int = 40, n_items: int = 30,
 
 
 def _registry(table: RatingTable, cf_k: int = 20) -> ModelRegistry:
-    sweep = IncrementalSweep(table, n_shards=1)
+    sweep = IncrementalSweep(table)
     return ModelRegistry(sweep=sweep, cf_k=cf_k)
 
 
@@ -373,7 +373,7 @@ def test_worker_serve_loop_survives_a_publish_it_cannot_load(tmp_path):
 
 
 def test_pinned_entry_points_refuse_and_version_scope(tiny_table):
-    registry = ModelRegistry(sweep=IncrementalSweep(tiny_table, n_shards=1), cf_k=5)
+    registry = ModelRegistry(sweep=IncrementalSweep(tiny_table), cf_k=5)
     service = RecommendationService(registry)
     version, _ = service.recommend_batch_pinned(["u1"], 2)
     assert version == 1

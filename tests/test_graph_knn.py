@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.data.matrix import MatrixRatingStore
+from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import GraphError
 from repro.similarity.graph import ItemGraph, build_similarity_graph
 from repro.similarity.knn import top_k
@@ -113,11 +114,6 @@ class TestBuildSimilarityGraph:
 class TestNeighborIndex:
     """The precomputed serving index: rank-ordered flat rows."""
 
-    # Id only, no argument: keeps the "[numpy]" suffix these tests have
-    # always had, so lists and logs that name a test keep naming it.
-    _numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
-
-    @_numpy_id
     def test_rows_are_topk_of_adjacency(self, tiny_table):
         store = MatrixRatingStore(tiny_table)
         adjacency = store.build_adjacency()
@@ -194,23 +190,18 @@ class TestRankedServing:
         assert graph.top_neighbors("a", 1) == [("b", 0.5)]
 
     def test_index_backed_graph_serves_ranked_rows(self, tiny_table):
-        # The sharded build path hands the partition-assembled index
-        # over with the graph; the memoized unsharded path must serve
-        # identical rankings (1-shard sweeps are bit-identical, so the
-        # rows agree exactly).
-        indexed = build_similarity_graph(tiny_table, n_shards=2, n_edge_partitions=2)
-        memoized = build_similarity_graph(tiny_table, n_shards=1, n_edge_partitions=1)
+        # The stateful build hands the index selected during assembly
+        # over with the graph; the memoized stateless build must serve
+        # the same rankings, bit for bit (one sweep, one layout).
+        indexed = IncrementalSweep(tiny_table).graph
+        memoized = build_similarity_graph(tiny_table)
         assert indexed._index is not None
         assert memoized._index is None
         for item in memoized.items:
-            got = indexed.top_neighbors(item, 3)
-            want = memoized.top_neighbors(item, 3)
-            assert [n for n, _ in got] == [n for n, _ in want]
-            for (_, sim_got), (_, sim_want) in zip(got, want):
-                assert abs(sim_got - sim_want) < 1e-9
+            assert indexed.top_neighbors(item, 3) == memoized.top_neighbors(item, 3)
 
     def test_index_backed_graph_invalidates_on_mutation(self, tiny_table):
-        graph = build_similarity_graph(tiny_table, n_shards=2)
+        graph = IncrementalSweep(tiny_table).graph
         assert graph._index is not None
         before = graph.top_neighbors("a", 1)
         graph.add_edge("a", "zzz-new", 2.0)

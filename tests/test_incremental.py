@@ -3,8 +3,7 @@
 The equality contract under test, at every layer: appending a batch
 through the incremental machinery produces **the same object a full
 rebuild would** — bit-identical store arrays, accumulations, adjacency
-and serving-index rows on a fixed shard count, and within
-the standing 1e-9 sweep tolerance across shard counts. Batches cover
+and serving-index rows. Batches cover
 the hard cases: new users, new items, ratings from existing users, and
 value overrides of existing (user, item) pairs.
 """
@@ -93,17 +92,8 @@ def _index_tuple(index):
             _aslist(index.neighbor_ids), _aslist(index.weights))
 
 
-# Id only, no argument: keeps the "[numpy]" suffix these tests have
-# always had, so lists and logs that name a test keep naming it.
-_numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
-# Same device for the leg that outlived its "[True-...]" twin (the bulk
-# Definition-2 fold the flag selected is gone).
-_false_id = pytest.mark.parametrize((), [pytest.param(id="False")])
-
-
 # -- store append == rebuild (the tentpole's base contract) -------------
 
-@_numpy_id
 @_common
 @given(data=base_and_batch())
 def test_append_ratings_equals_rebuild(data):
@@ -119,7 +109,6 @@ def test_append_ratings_equals_rebuild(data):
         assert appended.users[delta.user_map[old_idx]] == name
 
 
-@_numpy_id
 def test_append_to_empty_store():
     table = RatingTable()
     batch = [Rating("u", "a", 3.0, 0), Rating("v", "a", 5.0, 1)]
@@ -129,7 +118,6 @@ def test_append_to_empty_store():
     assert delta.new_items == ("a",)
 
 
-@_numpy_id
 def test_empty_batch_is_identity(tiny_table):
     store = MatrixRatingStore(tiny_table)
     appended, delta = store.append_ratings([])
@@ -140,8 +128,6 @@ def test_empty_batch_is_identity(tiny_table):
 
 # -- delta accumulation fold == full sweep ------------------------------
 
-@_numpy_id
-@_false_id
 @_common
 @given(data=base_and_batch())
 def test_delta_fold_equals_full_accumulation(data):
@@ -157,10 +143,7 @@ def test_delta_fold_equals_full_accumulation(data):
 
 # -- end to end: IncrementalSweep.update == fresh build -----------------
 
-@_numpy_id
-@pytest.mark.parametrize("n_shards", [1, 3])
-@_false_id
-def test_sweep_update_equals_rebuild(n_shards):
+def test_sweep_update_equals_rebuild():
     rng = random.Random(7)
     base, pairs = [], set()
     for _ in range(60):
@@ -169,7 +152,7 @@ def test_sweep_update_equals_rebuild(n_shards):
             continue
         pairs.add((user, item))
         base.append(Rating(user, item, float(rng.randint(1, 5))))
-    sweep = IncrementalSweep(RatingTable(base), n_shards=n_shards)
+    sweep = IncrementalSweep(RatingTable(base))
     table = RatingTable(base)
     for round_ in range(3):
         batch = [Rating(f"u{rng.randint(0, 13)}", f"i{rng.randint(0, 13)}",
@@ -177,35 +160,12 @@ def test_sweep_update_equals_rebuild(n_shards):
                  for _ in range(rng.randint(1, 5))]
         sweep.update(batch)
         table = table.with_ratings(batch)
-    fresh = IncrementalSweep(RatingTable(list(table)), n_shards=n_shards)
+    fresh = IncrementalSweep(RatingTable(list(table)))
     assert_stores_equal(sweep.store, fresh.store)
     assert _acc_tuple(sweep.store, sweep.accumulation) == \
         _acc_tuple(fresh.store, fresh.accumulation)
     assert sweep.graph._adjacency == fresh.graph._adjacency
     assert _index_tuple(sweep.index) == _index_tuple(fresh.index)
-
-
-def test_sweep_update_across_shard_counts_1e9():
-    """Incremental at 2 shards vs fresh at 1 shard: the standing
-    cross-shard contract (≤1e-9 weights, identical structure)."""
-    rng = random.Random(11)
-    base = [Rating(f"u{rng.randint(0, 9)}", f"i{rng.randint(0, 9)}",
-                   float(rng.randint(1, 5)), timestep=k)
-            for k, _ in enumerate(range(70))]
-    base = list({(r.user, r.item): r for r in base}.values())
-    batch = [Rating(f"u{rng.randint(0, 11)}", f"i{rng.randint(0, 11)}",
-                    float(rng.randint(1, 5)), timestep=99)
-             for _ in range(5)]
-    sweep = IncrementalSweep(RatingTable(base), n_shards=2)
-    sweep.update(batch)
-    flat = IncrementalSweep(RatingTable(base).with_ratings(batch), n_shards=1)
-    assert sweep.graph.items == flat.graph.items
-    for item in sorted(flat.graph.items):
-        got = sweep.graph.neighbors(item)
-        want = flat.graph.neighbors(item)
-        assert got.keys() == want.keys()
-        for neighbor, sim in want.items():
-            assert abs(got[neighbor] - sim) < 1e-9
 
 
 def test_update_reports_edge_census():

@@ -94,12 +94,10 @@ def _draw_batch(rng: random.Random, table: RatingTable, size: int) -> list[Ratin
 @given(seed=st.integers(0, 3), shape=st.integers(0, len(_SHAPES) - 1),
        batch_seed=st.integers(0, 10_000),
        sizes=st.lists(st.integers(1, 8), min_size=1, max_size=3),
-       n_shards=st.sampled_from([1, 2, 7]),
        min_common_users=st.sampled_from([1, 2]),
        min_abs_similarity=st.sampled_from([0.0, 0.25]))
 def test_splice_equals_reference_equals_rebuild(
-        seed, shape, batch_seed, sizes, n_shards,
-        min_common_users, min_abs_similarity):
+        seed, shape, batch_seed, sizes, min_common_users, min_abs_similarity):
     table = _table(seed, shape)
     rng = random.Random(batch_seed)
     batches = []
@@ -108,7 +106,7 @@ def test_splice_equals_reference_equals_rebuild(
         batches.append(_draw_batch(rng, grown, size))
         grown = grown.with_ratings(batches[-1])
     _run_and_compare(
-        table, batches, n_shards=n_shards,
+        table, batches,
         min_common_users=min_common_users,
         min_abs_similarity=min_abs_similarity)
 

@@ -22,11 +22,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             XMapConfig(cf_k=0).validated()
 
-    def test_bad_edge_partitions(self):
-        with pytest.raises(ConfigError, match="n_edge_partitions"):
-            XMapConfig(n_edge_partitions=0).validated()
-        XMapConfig(n_edge_partitions=4).validated()
-
     def test_with_overrides(self):
         config = XMapConfig().with_overrides(cf_k=10, mode="user")
         assert config.cf_k == 10

@@ -35,10 +35,6 @@ from repro.serving.registry import ModelRegistry
 from repro.serving.service import LRUCache, RecommendationService
 from repro.serving.snapshot import STORE_ARRAY_NAMES, ModelSnapshot
 
-# Id only, no argument: keeps the "[numpy]" suffix these tests have
-# always had, so lists and logs that name a test keep naming it.
-_numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
-
 _common = settings(max_examples=25, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
 
@@ -95,7 +91,6 @@ def _probe_pairs(table: RatingTable):
 # Snapshot round trips
 # ----------------------------------------------------------------------
 
-@_numpy_id
 @_common
 @given(table=tables())
 def test_snapshot_roundtrip_bit_identical(table):
@@ -124,7 +119,6 @@ def test_manifest_naming_the_removed_backend_still_loads(tiny_table, tmp_path):
     assert_snapshots_equal(ModelSnapshot.load(tmp_path), snapshot)
 
 
-@_numpy_id
 def test_snapshot_extras_roundtrip(tiny_table):
     alterego = {"m1": (("a", 0.75), ("b", 0.25)), "m2": (("d", 1.0),)}
     snapshot = _snapshot(tiny_table, alterego=alterego)
@@ -135,7 +129,6 @@ def test_snapshot_extras_roundtrip(tiny_table):
         assert loaded.item_mapping() == {"m1": "a", "m2": "d"}
 
 
-@_numpy_id
 def test_snapshot_table_and_graph_match_sources(tiny_table):
     snapshot = _snapshot(tiny_table)
     with TemporaryDirectory() as directory:
@@ -302,7 +295,7 @@ def fitted_pipeline():
         n_items_source=50, n_items_target=50,
         ratings_per_user=10.0, seed=13))
     pipeline = NXMapRecommender(XMapConfig(
-        mode="item", prune_k=8, cf_k=10, n_shards=2)).fit(data)
+        mode="item", prune_k=8, cf_k=10)).fit(data)
     return data, pipeline
 
 
@@ -362,39 +355,39 @@ def _files(directory) -> set[str]:
     return {entry.name for entry in directory.iterdir()}
 
 
-def test_format_v1_is_pinned_at_any_shard_count(tmp_path):
+def test_format_v1_is_pinned(tmp_path):
     """What a pipeline snapshot and a durable store leave on disk, as
     literals: file set, manifest keys, array names and kinds, pointer
-    config keys — the same at 1 and 4 shards (the shard count once
-    decided whether five ``sig_*`` files rode along)."""
+    and config keys — with the two format-v1 constants a durable store
+    still writes for older readers (``with_significance`` false,
+    ``n_shards`` 1)."""
     from repro.durability.manager import CHECKPOINT_FILE, DurableSweep
 
     data = amazon_like(SyntheticConfig(
         n_users_source=30, n_users_target=30, n_overlap=12,
         n_items_source=20, n_items_target=20, ratings_per_user=6.0, seed=5))
-    for n_shards in (1, 4):
-        pipeline = NXMapRecommender(XMapConfig(
-            mode="item", prune_k=5, cf_k=5, n_shards=n_shards)).fit(data)
-        saved = pipeline.snapshot().save(tmp_path / f"pipeline-{n_shards}")
-        assert _files(saved) == _V1_FILES | {"alterego.json"}
-        manifest = json.loads((saved / "MANIFEST.json").read_text(encoding="utf-8"))
-        assert set(manifest) == _V1_MANIFEST_KEYS
-        assert {name: entry["kind"] for name, entry in manifest["arrays"].items()} \
-            == _V1_ARRAYS
-        assert all(set(entry) == {"kind", "size"}
-                   for entry in manifest["arrays"].values())
-        assert manifest["index_k"] is None
-        assert manifest["with_significance"] is False
+    pipeline = NXMapRecommender(XMapConfig(mode="item", prune_k=5, cf_k=5)).fit(data)
+    saved = pipeline.snapshot().save(tmp_path / "pipeline")
+    assert _files(saved) == _V1_FILES | {"alterego.json"}
+    manifest = json.loads((saved / "MANIFEST.json").read_text(encoding="utf-8"))
+    assert set(manifest) == _V1_MANIFEST_KEYS
+    assert {name: entry["kind"] for name, entry in manifest["arrays"].items()} \
+        == _V1_ARRAYS
+    assert all(set(entry) == {"kind", "size"}
+               for entry in manifest["arrays"].values())
+    assert manifest["index_k"] is None
+    assert manifest["with_significance"] is False
 
-        store_dir = tmp_path / f"store-{n_shards}"
-        DurableSweep(store_dir, data.merged(), n_shards=n_shards).close()
-        assert _files(store_dir) == {CHECKPOINT_FILE, "wal", "snapshots"}
-        pointer = json.loads((store_dir / CHECKPOINT_FILE).read_text(encoding="utf-8"))
-        assert set(pointer) == {
-            "format", "format_version", "applied_seq", "snapshot", "config"}
-        assert set(pointer["config"]) == _V1_CONFIG_KEYS
-        assert pointer["config"]["with_significance"] is False
-        assert _files(store_dir / pointer["snapshot"]) == _V1_FILES
+    store_dir = tmp_path / "store"
+    DurableSweep(store_dir, data.merged()).close()
+    assert _files(store_dir) == {CHECKPOINT_FILE, "wal", "snapshots"}
+    pointer = json.loads((store_dir / CHECKPOINT_FILE).read_text(encoding="utf-8"))
+    assert set(pointer) == {
+        "format", "format_version", "applied_seq", "snapshot", "config"}
+    assert set(pointer["config"]) == _V1_CONFIG_KEYS
+    assert pointer["config"]["with_significance"] is False
+    assert pointer["config"]["n_shards"] == 1
+    assert _files(store_dir / pointer["snapshot"]) == _V1_FILES
 
 
 def test_snapshot_written_with_bulk_significance_still_loads(tiny_table, tmp_path):
@@ -487,9 +480,7 @@ def test_registry_requires_a_model():
 
 def test_registry_update_publishes_spliced_versions():
     table = _micro_table()
-    # n_shards pinned: the reference below is the unsharded store path,
-    # and the bit-identity contract holds per shard count.
-    registry = ModelRegistry(sweep=IncrementalSweep(table, n_shards=1), cf_k=5)
+    registry = ModelRegistry(sweep=IncrementalSweep(table), cf_k=5)
     pinned = registry.pin()
     probes = [(f"u{k}", item) for k in range(8) for item in "abcd"]
     before = {pair: pinned.snapshot.recommender().predict(*pair) for pair in probes}
@@ -516,13 +507,12 @@ def test_registry_update_publishes_spliced_versions():
     assert registry.versions() == [2]
 
 
-@pytest.mark.parametrize("n_shards", [1, 2])
-def test_registry_hot_swap_under_threaded_reader(n_shards):
+def test_registry_hot_swap_under_threaded_reader():
     """A reader thread pinning versions mid-publish always observes a
     coherent model: every prediction read under one pin equals the
     from-scratch value for *some* prefix of the update stream."""
     table = _micro_table()
-    registry = ModelRegistry(sweep=IncrementalSweep(table, n_shards=n_shards), cf_k=5)
+    registry = ModelRegistry(sweep=IncrementalSweep(table), cf_k=5)
     batches = [
         [Rating("u0", "e", 5.0), Rating("u1", "a", 1.0)],
         [Rating("u9", "e", 4.0), Rating("u2", "b", 2.0)],
@@ -532,10 +522,10 @@ def test_registry_hot_swap_under_threaded_reader(n_shards):
     probes = [(f"u{k}", item) for k in range(5) for item in "abce"]
 
     def _fresh(state: RatingTable) -> dict:
-        # A from-scratch sweep at the same shard count — the incremental
-        # splice is bit-identical to it (tests/test_incremental.py).
+        # A from-scratch sweep — the incremental splice is
+        # bit-identical to it (tests/test_incremental.py).
         reference = ModelSnapshot.from_sweep(
-            IncrementalSweep(state, n_shards=n_shards), cf_k=5).recommender()
+            IncrementalSweep(state), cf_k=5).recommender()
         return {pair: reference.predict(*pair) for pair in probes}
 
     # Ground truth per version: predictions of a fresh model after each
@@ -581,7 +571,7 @@ def test_registry_hot_swap_under_threaded_reader(n_shards):
 
 
 def test_baseliner_serving_registry(two_domain_micro):
-    baseline = Baseliner(n_shards=1, keep_state=True).compute(two_domain_micro)
+    baseline = Baseliner(keep_state=True).compute(two_domain_micro)
     registry = baseline.serving_registry(cf_k=5)
     service = RecommendationService(registry)
     merged = two_domain_micro.merged()
@@ -600,7 +590,6 @@ def test_baseliner_serving_registry(two_domain_micro):
 # Service
 # ----------------------------------------------------------------------
 
-@_numpy_id
 @_common
 @given(table=tables(min_size=4))
 def test_batched_equals_per_request(table):
@@ -729,7 +718,7 @@ def test_batched_is_exact_across_layouts_and_versions(case):
         return [reference.recommend(user, n) for user in users]
 
     registry = ModelRegistry(
-        sweep=IncrementalSweep(table, n_shards=1),
+        sweep=IncrementalSweep(table),
         cf_k=cf_k, positive_only=positive_only)
     service = RecommendationService(registry, response_cache_size=0)
     users = sorted(table.users) + ["nobody"]
@@ -751,7 +740,6 @@ def test_batched_is_exact_across_layouts_and_versions(case):
     assert service.n_layout_builds >= 2  # at least one per version
 
 
-@_numpy_id
 def test_batched_mixes_cache_hits_and_misses(tiny_table):
     snapshot = _snapshot(tiny_table, k=5)
     service = RecommendationService(snapshot)
@@ -776,7 +764,7 @@ def test_row_cache_eviction_is_delta_targeted():
                     f"c{cluster}u{u}", item,
                     float(1 + (u * 2 + pos) % 5)))
     table = RatingTable(ratings)
-    registry = ModelRegistry(sweep=IncrementalSweep(table, n_shards=1), cf_k=5)
+    registry = ModelRegistry(sweep=IncrementalSweep(table), cf_k=5)
     service = RecommendationService(registry)
     items = sorted(table.items)
     for item in items:

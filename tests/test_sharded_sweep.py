@@ -1,19 +1,22 @@
-"""Equivalence and determinism tests for the sharded Eq-6 sweep.
+"""Equivalence, determinism and telemetry tests for the Baseliner sweep.
 
 The contract (see ``repro/engine/sharded_sweep.py``):
 
-* one shard ⇒ **bit-identical** to the single-process store path
-  (``MatrixRatingStore.build_adjacency``);
-* fixed shard count ⇒ a pure function of the table (partials merge in
-  shard index order);
-* any shard count ⇒ similarities agree with the store path to 1e-9
-  (only the float merge order moves), while the co-rater counts stay
-  **exactly** equal — they are integer sums, which merge associatively
-  — and Definition-2 significance, read per pair or per edge from the
-  store, does not depend on the sweep at all.
+* the sweep is the store path — its adjacency equals
+  ``MatrixRatingStore.build_adjacency`` bit for bit, and the
+  object-graph reference to 1e-9 (only the summation order differs);
+* the stateless graph build and :class:`IncrementalSweep` produce the
+  same graph bit for bit, the latter with its serving index selected in
+  the same sort;
+* the co-rater counts are **exact** integers, and Definition-2
+  significance, read per pair or per edge from the store, does not
+  depend on the sweep at all;
+* every build observes one ``sweep_stage_seconds`` sample per stage.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,14 +25,15 @@ from hypothesis import strategies as st
 from repro.core.baseliner import Baseliner
 from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
+from repro.data.synthetic import SyntheticConfig, amazon_like
 from repro.engine.sharded_sweep import (
-    resolve_edge_partitions,
-    resolve_n_shards,
-    shard_user_indices,
-    sharded_adjacency,
+    IncrementalSweep,
+    run_sweep,
     sharded_pair_accumulation,
 )
-from repro.errors import EngineError
+from repro.obs.metrics import get_registry
+from repro.similarity.adjusted_cosine import all_pairs_adjusted_cosine_reference
+from repro.similarity.graph import build_similarity_graph
 from repro.similarity.knn import top_k
 from repro.similarity.significance import significance_reference
 
@@ -54,76 +58,71 @@ def rating_tables(draw, min_size=4, max_size=40):
 _common = settings(max_examples=40, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
 
-# Id only, no argument: keeps the "[numpy]" suffix these tests have
-# always had, so lists and logs that name a test keep naming it.
-_numpy_id = pytest.mark.parametrize((), [pytest.param(id="numpy")])
 
+# -- the sweep is the store path ----------------------------------------
 
-def _max_abs_diff(left: dict, right: dict) -> float:
-    assert left.keys() == right.keys()
-    worst = 0.0
-    for item, nbrs in left.items():
-        other = right[item]
-        for j in set(nbrs) | set(other):
-            worst = max(worst, abs(nbrs.get(j, 0.0) - other.get(j, 0.0)))
-    return worst
-
-
-# -- the tentpole's correctness contract --------------------------------
-
-@_numpy_id
-@_common
-@given(table=rating_tables())
-def test_one_shard_bit_identical_to_store_path(table):
-    store = MatrixRatingStore(table)
-    result = sharded_adjacency(store, n_shards=1)
-    assert result.adjacency == store.build_adjacency()
-
-
-@pytest.mark.parametrize("n_shards", [1, 2, 7])
-@_numpy_id
-@_common
-@given(table=rating_tables())
-def test_sharded_matches_store_path_1e9(table, n_shards):
-    store = MatrixRatingStore(table)
-    result = sharded_adjacency(store, n_shards=n_shards)
-    assert _max_abs_diff(result.adjacency, store.build_adjacency()) < 1e-9
-
-
-@_numpy_id
 @_common
 @given(table=rating_tables(), min_common=st.integers(1, 3),
        min_abs=st.sampled_from([0.0, 0.2]))
-def test_sharded_respects_edge_guards(table, min_common, min_abs):
+def test_sweep_matches_the_reference(table, min_common, min_abs):
     store = MatrixRatingStore(table)
-    result = sharded_adjacency(
-        store, n_shards=3, min_common_users=min_common,
-        min_abs_similarity=min_abs)
-    reference = store.build_adjacency(
+    _, assembled = run_sweep(
+        store, min_common_users=min_common, min_abs_similarity=min_abs)
+    assert assembled.adjacency == store.build_adjacency(
         min_common_users=min_common, min_abs_similarity=min_abs)
-    assert _max_abs_diff(result.adjacency, reference) < 1e-9
+    reference = {item: {} for item in table.items}
+    for item_i, item_j, sim in all_pairs_adjusted_cosine_reference(
+            table, min_common_users=min_common):
+        reference[item_i][item_j] = reference[item_j][item_i] = sim
+    assert assembled.adjacency.keys() == reference.keys()
+    for item, neighbors in reference.items():
+        got = assembled.adjacency[item]
+        for neighbor in got.keys() | neighbors.keys():
+            want = neighbors.get(neighbor, 0.0)
+            if abs(abs(want) - min_abs) < 1e-9:
+                continue  # on the floor: either side of it is right
+            if abs(want) < min_abs:
+                want = 0.0
+            assert got.get(neighbor, 0.0) == pytest.approx(want, abs=1e-9)
 
 
-@_numpy_id
+@_common
+@given(table=rating_tables())
+def test_stateless_and_stateful_builds_are_one_graph(table):
+    stateless = build_similarity_graph(table)
+    stateful = IncrementalSweep(table)
+    assert stateless._adjacency == stateful.graph._adjacency
+    assert stateless._index is None
+    assert stateful.graph._index is stateful.index
+
+
 @_common
 @given(table=rating_tables(), max_profile=st.sampled_from([2, 3, 5]))
-def test_sharded_respects_profile_cap(table, max_profile):
+def test_profile_cap_drops_long_profiles_exactly(table, max_profile):
     store = MatrixRatingStore(table)
-    result = sharded_adjacency(store, n_shards=3, max_profile_size=max_profile)
-    reference = store.build_adjacency(max_profile_size=max_profile)
-    assert _max_abs_diff(result.adjacency, reference) < 1e-9
+    acc = sharded_pair_accumulation(store, max_profile_size=max_profile)
+    kept = [set(table.user_profile(user)) for user in table.users
+            if len(table.user_profile(user)) <= max_profile]
+    expected = {}
+    for profile in kept:
+        ordered = sorted(profile)
+        for a, item_i in enumerate(ordered):
+            for item_j in ordered[a + 1:]:
+                expected[item_i, item_j] = expected.get((item_i, item_j), 0) + 1
+    got = {(store.items[key // store.n_items], store.items[key % store.n_items]): count
+           for key, count in zip(acc.keys.tolist(), acc.counts.tolist())}
+    assert got == expected
 
 
-@_numpy_id
 @_common
-@given(table=rating_tables(), n_shards=st.integers(1, 7))
-def test_significance_counts_exact_for_any_shard_count(table, n_shards):
-    """The integer side of the contract: at any shard count the merged
-    accumulation holds every co-rated pair with its exact co-rater
-    count, and the store's one-pass ``edge_significance`` over those
-    pairs is the per-pair lookup, which is the object-graph reference."""
+@given(table=rating_tables())
+def test_significance_counts_exact(table):
+    """The integer side of the contract: the accumulation holds every
+    co-rated pair with its exact co-rater count, and the store's
+    one-pass ``edge_significance`` over those pairs is the per-pair
+    lookup, which is the object-graph reference."""
     store = MatrixRatingStore(table)
-    acc, _ = sharded_pair_accumulation(store, n_shards=n_shards)
+    acc = sharded_pair_accumulation(store)
     left = acc.keys // store.n_items
     right = acc.keys % store.n_items
     raw, normalized = store.edge_significance(left, right)
@@ -146,144 +145,80 @@ def test_significance_counts_exact_for_any_shard_count(table, n_shards):
                 == (store.common_raters(item_i, item_j) > 0)
 
 
-# -- the partitioned assembly back half ---------------------------------
+# -- the serving index --------------------------------------------------
 
-@pytest.mark.parametrize("n_partitions", [1, 2, 7])
-@_numpy_id
 @_common
 @given(table=rating_tables())
-def test_partitioned_assembly_matches_driver_path(table, n_partitions):
-    """Item-partitioned merge + assembly vs the single driver pass.
-
-    Splitting pairs by left item never reorders any per-pair addition,
-    so the adjacency is bit-identical to the one-partition pass at any
-    partition count — and both stay within the 1e-9 contract of the
-    unsharded store path.
-    """
-    store = MatrixRatingStore(table)
-    partitioned = sharded_adjacency(store, n_shards=3, n_edge_partitions=n_partitions)
-    driver = sharded_adjacency(store, n_shards=3, n_edge_partitions=1)
-    assert partitioned.adjacency == driver.adjacency
-    assert _max_abs_diff(partitioned.adjacency, store.build_adjacency()) < 1e-9
-    assert partitioned.stats.n_edge_partitions == n_partitions
-    assert len(partitioned.stats.partition_pairs) == n_partitions
-    assert sum(partitioned.stats.partition_pairs) == \
-        sum(driver.stats.partition_pairs)
-
-
-@_numpy_id
-@_common
-@given(table=rating_tables())
-def test_one_shard_one_partition_bit_identical(table):
-    store = MatrixRatingStore(table)
-    result = sharded_adjacency(store, n_shards=1, n_edge_partitions=1)
-    assert result.adjacency == store.build_adjacency()
-
-
-@pytest.mark.parametrize("n_partitions", [1, 3])
-@_numpy_id
-@_common
-@given(table=rating_tables())
-def test_index_selected_during_assembly(table, n_partitions):
-    """The NeighborIndex rows assembled per partition are exactly the
-    top-k ranking of the adjacency rows, at every partition count."""
-    store = MatrixRatingStore(table)
-    result = sharded_adjacency(
-        store, n_shards=2, n_edge_partitions=n_partitions, with_index=True)
-    assert result.index is not None
-    for item, neighbors in result.adjacency.items():
+def test_index_selected_during_assembly(table):
+    """The NeighborIndex rows assembled in the adjacency's sort are
+    exactly the top-k ranking of the adjacency rows."""
+    _, assembled = run_sweep(MatrixRatingStore(table), with_index=True)
+    assert assembled.index is not None
+    for item, neighbors in assembled.adjacency.items():
         width = len(neighbors) + 1
-        assert result.index.top(item, width) == top_k(neighbors, width)
-        assert result.index.neighbor_dict(item) == neighbors
+        assert assembled.index.top(item, width) == top_k(neighbors, width)
+        assert assembled.index.neighbor_dict(item) == neighbors
 
 
 def test_index_not_built_unless_requested(tiny_table):
-    assert sharded_adjacency(tiny_table, n_shards=2).index is None
+    assert run_sweep(tiny_table.matrix())[1].index is None
 
 
-# -- layout, stats and guards -------------------------------------------
-
-class TestShardLayout:
-    def test_layout_is_a_partition(self, tiny_table):
-        store = tiny_table.matrix()
-        shards = shard_user_indices(store, 3)
-        flat = sorted(index for shard in shards for index in shard)
-        assert flat == list(range(store.n_users))
-        for shard in shards:
-            assert shard == sorted(shard)
-
-    def test_stats_cover_all_shards(self, tiny_table):
-        result = sharded_adjacency(tiny_table.matrix(), n_shards=3)
-        stats = result.stats
-        assert stats.n_shards == 3
-        assert len(stats.shard_users) == 3
-        assert sum(stats.shard_users) == tiny_table.matrix().n_users
-        assert len(stats.durations) == 3
-        assert len(stats.shard_pairs) == 3
-
-    def test_empty_table(self):
-        result = sharded_adjacency(RatingTable().matrix(), n_shards=4)
-        assert result.adjacency == {}
-
-    def test_more_shards_than_users(self, tiny_table):
-        store = tiny_table.matrix()
-        result = sharded_adjacency(store, n_shards=64)
-        assert _max_abs_diff(result.adjacency, store.build_adjacency()) < 1e-9
-
-    def test_rating_table_accepted_directly(self, tiny_table):
-        by_table = sharded_adjacency(tiny_table, n_shards=2)
-        by_store = sharded_adjacency(tiny_table.matrix(), n_shards=2)
-        assert by_table.adjacency == by_store.adjacency
+def test_empty_table():
+    _, assembled = run_sweep(RatingTable().matrix(), with_index=True)
+    assert assembled.adjacency == {}
+    assert assembled.index.n_entries == 0
 
 
-class TestEnvResolution:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARDS", raising=False)
-        assert resolve_n_shards(None) == 1
+# -- telemetry ----------------------------------------------------------
 
-    def test_env_read_when_unspecified(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "6")
-        assert resolve_n_shards(None) == 6
+def _stage_cells() -> dict:
+    samples = get_registry().snapshot().get(
+        "sweep_stage_seconds", {}).get("samples", {})
+    return {key: (cell["count"], cell["sum"]) for key, cell in samples.items()}
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "6")
-        assert resolve_n_shards(3) == 3
 
-    def test_invalid_values_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "many")
-        with pytest.raises(EngineError):
-            resolve_n_shards(None)
-        with pytest.raises(EngineError):
-            resolve_n_shards(0)
+def _stage_delta(before: dict, after: dict) -> dict:
+    return {key: (count - before.get(key, (0, 0.0))[0],
+                  total - before.get(key, (0, 0.0))[1])
+            for key, (count, total) in after.items()}
 
-    def test_edge_partitions_follow_shard_count_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EDGE_PARTITIONS", raising=False)
-        assert resolve_edge_partitions(None, n_shards=1) == 1
-        assert resolve_edge_partitions(None, n_shards=6) == 6
 
-    def test_edge_partitions_env_and_argument(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EDGE_PARTITIONS", "3")
-        assert resolve_edge_partitions(None, n_shards=6) == 3
-        assert resolve_edge_partitions(5, n_shards=6) == 5
-        with pytest.raises(EngineError):
-            resolve_edge_partitions(0)
-        monkeypatch.setenv("REPRO_EDGE_PARTITIONS", "few")
-        with pytest.raises(EngineError):
-            resolve_edge_partitions(None)
+@pytest.mark.parametrize("keep_state", [False, True])
+def test_each_build_observes_one_sample_per_stage(small_trace, keep_state):
+    merged = small_trace.merged()
+    merged.matrix()
+    before = _stage_cells()
+    Baseliner(keep_state=keep_state).compute(small_trace, merged=merged)
+    delta = _stage_delta(before, _stage_cells())
+    assert {key: count for key, (count, _) in delta.items()} \
+        == {'["accumulate"]': 1, '["assemble"]': 1}
+    assert all(seconds > 0.0 for _, seconds in delta.values())
+
+
+def test_stage_seconds_explain_the_stateful_build():
+    # The bench's xmap_fit trace; the store is built first, so the
+    # timed build is the sweep plus wrapping its rows in a graph.
+    table = amazon_like(SyntheticConfig(ratings_per_user=15.0, seed=7)).merged()
+    table.matrix()
+    before = _stage_cells()
+    started = time.perf_counter()
+    IncrementalSweep(table)
+    wall = time.perf_counter() - started
+    staged = sum(seconds for _, seconds in _stage_delta(before, _stage_cells()).values())
+    assert 0.8 * wall <= staged <= wall
 
 
 # -- pipeline integration -----------------------------------------------
 
 class TestBaselinerIntegration:
     def test_env_shards_produce_equivalent_baseline(self, small_trace, monkeypatch):
+        # REPRO_SHARDS named a shard layout that no longer exists: a
+        # leftover setting must change nothing, bit for bit.
         monkeypatch.delenv("REPRO_SHARDS", raising=False)
         reference = Baseliner().compute(small_trace)
         monkeypatch.setenv("REPRO_SHARDS", "4")
         sharded = Baseliner().compute(small_trace)
         assert sharded.n_homogeneous == reference.n_homogeneous
         assert sharded.n_heterogeneous == reference.n_heterogeneous
-        edges_ref = {(i, j): s for i, j, s in reference.graph.edges()}
-        edges_sharded = {(i, j): s for i, j, s in sharded.graph.edges()}
-        assert edges_ref.keys() == edges_sharded.keys()
-        for key, sim in edges_ref.items():
-            assert edges_sharded[key] == pytest.approx(sim, abs=1e-9)
+        assert sharded.graph._adjacency == reference.graph._adjacency
