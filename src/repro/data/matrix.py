@@ -57,9 +57,45 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: is, by the row's degree. Either way the row's contents are the same.
 _PATCH_MAX_RATIO = 1
 
+#: Exact rating totals count units of ``2**-_TOTAL_SHIFT``: every finite
+#: double is a 53-bit integer mantissa times ``2**(e - 53)``, ``e ≥ -1073``.
+_TOTAL_SHIFT = 1126
+
 
 def _clip1(value: float) -> float:
     return max(-1.0, min(1.0, value))
+
+
+def _exact_total(values) -> int:
+    """``Σ values`` exactly, as an ``int`` of ``2**-_TOTAL_SHIFT`` units:
+    the mantissas' three 18-bit pieces are summed per exponent by
+    ``bincount``, whose float64 sums are exact below 2**35 addends.
+    ``total / 2**_TOTAL_SHIFT`` (``int / int`` rounds once) is then
+    ``math.fsum(values)``."""
+    mantissas, exponents = _np.frexp(_np.asarray(values, dtype=_np.float64))
+    whole = (mantissas * 2.0 ** 53).astype(_np.int64)
+    shifts = exponents - 53 + _TOTAL_SHIFT
+    total = 0
+    for piece, lift in ((whole & 0x3FFFF, 0), ((whole >> 18) & 0x3FFFF, 18),
+                        (whole >> 36, 36)):
+        sums = _np.bincount(shifts, weights=piece)
+        for shift in _np.nonzero(sums)[0].tolist():
+            total += int(sums[shift]) << (shift + lift)
+    return total
+
+
+def _spans(starts, ends):
+    """The positions of the ``[starts[k], ends[k])`` ranges, in order."""
+    sizes = ends - starts
+    return (_np.arange(int(sizes.sum()))
+            + _np.repeat(starts - (_np.cumsum(sizes) - sizes), sizes))
+
+
+def _split_keys(keys, n_items: int):
+    """``(left, right)`` of ``left * n_items + right`` pair keys (``//``
+    by a scalar is NumPy's fast integer path; ``%`` is not)."""
+    left = keys // n_items
+    return left, keys - left * n_items
 
 
 class PairAccumulation:
@@ -146,8 +182,9 @@ class StoreDelta:
 
     Everything downstream of an append consumes this record: the delta
     Eq-6 re-accumulation reads the touched flags, the accumulation fold
-    remaps old pair keys through :attr:`item_map`, and the
-    ``NeighborIndex`` refresh re-ranks exactly the entries the batch
+    remaps old pair keys through :attr:`item_map` (only when
+    :attr:`new_items` is non-empty: otherwise it is the identity), and
+    the ``NeighborIndex`` refresh re-ranks exactly the entries the batch
     could have moved.
 
     Interning stays sorted across an append: new users and items are
@@ -159,8 +196,8 @@ class StoreDelta:
     Attributes:
         n_old_items: item count of the base store (old pair keys encode
             ``left * n_old_items + right``).
-        user_map: old user index → new user index, strictly increasing.
-        item_map: old item index → new item index, strictly increasing.
+        user_map / item_map: int arrays, old user / item index → new
+            index, strictly increasing.
         touched_users: new-space indexes (ascending) of users with
             ratings in the batch — their means, and so every centered
             value they contribute, moved.
@@ -192,17 +229,13 @@ class StoreDelta:
                 f"new_items={len(self.new_items)})")
 
 
-def _insert_map(old_names: Sequence[str], inserted: Sequence[str]) -> list[int]:
+def _insert_map(old_names: Sequence[str], inserted: Sequence[str]):
     """New index of each old position after inserting *inserted* (sorted,
-    disjoint from *old_names*) into the sorted *old_names* list."""
-    out = [0] * len(old_names)
-    j = 0
-    n_inserted = len(inserted)
-    for k, name in enumerate(old_names):
-        while j < n_inserted and inserted[j] < name:
-            j += 1
-        out[k] = k + j
-    return out
+    disjoint from *old_names*) into the sorted *old_names* list: old
+    position ``k`` moves up by the inserted names ranked before it."""
+    ranks = [bisect.bisect_left(old_names, name) for name in inserted]
+    old = _np.arange(len(old_names))
+    return old + _np.searchsorted(ranks, old, side="right")
 
 
 class MatrixRatingStore:
@@ -220,13 +253,15 @@ class MatrixRatingStore:
         "user_item_centered", "user_item_centered_norms",
         "item_ptr", "item_user_idx", "item_values", "item_centered",
         "item_likes", "item_centered_norms", "item_raw_norms",
-        "_triu_cache", "_item_names_obj", "_like_dicts",
+        "_triu_cache", "_item_names_obj", "_like_dicts", "_value_total",
     )
 
     def __init__(self, table: "RatingTable") -> None:
         self._triu_cache: dict[int, tuple] = {}
         self._item_names_obj = None
         self._like_dicts: list[dict[int, bool] | None] | None = None
+        # Exact rating total (_exact_total): seeded by the first append.
+        self._value_total: int | None = None
 
         # The table's columns, re-coded from the table's interning to
         # sorted-id rank; everything else is np.lexsort and vectorised
@@ -535,8 +570,7 @@ class MatrixRatingStore:
         other = _np.where(swap, left, right)
         span = sizes[probe]
         edge = _np.repeat(_np.arange(len(probe)), span)
-        at = (_np.arange(len(edge)) - _np.repeat(_np.cumsum(span) - span, span)
-              + self.item_ptr[probe][edge])
+        at = _spans(self.item_ptr[probe], self.item_ptr[probe] + span)
         n_users = len(self.users)
         column_key = (_np.repeat(_np.arange(len(self.items)), sizes[:-1]) * n_users
                       + self.item_user_idx)
@@ -710,6 +744,11 @@ class MatrixRatingStore:
         touched ones recomputed with the exact operations (``math.fsum``
         means and norms, element-wise IEEE centering) the constructor
         uses. The base store is never mutated.
+
+        Cost: one copy per rating array, id columns remapped only when
+        the batch interned ids, and work over the batch's rows and
+        columns; ``global_mean`` follows an exact running total
+        (:func:`_exact_total`) of the inserted and replaced values.
         """
         merged_batch: dict[tuple[str, str], float] = {}
         for rating in batch:
@@ -718,14 +757,16 @@ class MatrixRatingStore:
         old_users, old_items = self.users, self.items
         new_user_names = sorted({u for u, _ in merged_batch} - self.user_index.keys())
         new_item_names = sorted({i for _, i in merged_batch} - self.item_index.keys())
-        users_new = (sorted(old_users + new_user_names)
-                     if new_user_names else old_users)
-        items_new = (sorted(old_items + new_item_names)
-                     if new_item_names else old_items)
+        users_new, user_index_new = old_users, self.user_index
+        if new_user_names:
+            users_new = sorted(old_users + new_user_names)
+            user_index_new = dict(zip(users_new, range(len(users_new))))
+        items_new, item_index_new = old_items, self.item_index
+        if new_item_names:
+            items_new = sorted(old_items + new_item_names)
+            item_index_new = dict(zip(items_new, range(len(items_new))))
         user_map = _insert_map(old_users, new_user_names)
         item_map = _insert_map(old_items, new_item_names)
-        user_index_new = {u: k for k, u in enumerate(users_new)}
-        item_index_new = {i: k for k, i in enumerate(items_new)}
 
         # Classify the batch: value replacements patch in place, new
         # pairs become (sorted) insertion records with their offsets
@@ -747,8 +788,6 @@ class MatrixRatingStore:
                     continue
             inserts.append((user_index_new[u_name], item_index_new[i_name], value))
 
-        imap_get = item_map.__getitem__
-        umap_get = user_map.__getitem__
         csr_inserts = sorted(inserts)
         csc_inserts = sorted((i, u, value) for u, i, value in inserts)
         csr_positions: list[int] = []
@@ -760,10 +799,8 @@ class MatrixRatingStore:
                 continue
             start, end = self._user_row(u_old)
             # Position of the new item id among the row's remapped ids.
-            pos = start
-            while pos < end and imap_get(int(self.user_item_idx[pos])) < i_new:
-                pos += 1
-            csr_positions.append(pos)
+            csr_positions.append(start + int(_np.searchsorted(
+                item_map[self.user_item_idx[start:end]], i_new)))
         csc_positions: list[int] = []
         for i_new, u_new, _ in csc_inserts:
             i_old = self.item_index.get(items_new[i_new])
@@ -772,30 +809,36 @@ class MatrixRatingStore:
                 csc_positions.append(int(self.item_ptr[rank]))
                 continue
             start, end = self._item_col(i_old)
-            pos = start
-            while pos < end and umap_get(int(self.item_user_idx[pos])) < u_new:
-                pos += 1
-            csc_positions.append(pos)
+            csc_positions.append(start + int(_np.searchsorted(
+                user_map[self.item_user_idx[start:end]], u_new)))
 
         touched_users = sorted({user_index_new[u] for u, _ in merged_batch})
         batch_items = sorted({item_index_new[i] for _, i in merged_batch})
         n_new = self.n_ratings + len(inserts)
+        total = self._value_total
+        if total is None:
+            total = _exact_total(self.user_values)
+        total += _exact_total([value for *_, value in inserts]
+                              + [value for _, value in replacements_csr])
+        total -= _exact_total(self.user_values[[pos for pos, _ in replacements_csr]])
 
         new = MatrixRatingStore.__new__(MatrixRatingStore)
         new._triu_cache = {}
         new._item_names_obj = None
         new._like_dicts = None
+        new._value_total = total
         new.users = users_new
         new.items = items_new
         new.user_index = user_index_new
         new.item_index = item_index_new
         new.n_ratings = n_new
-        new.global_mean = self.global_mean
+        # An empty store keeps the base's scale-midpoint global mean.
+        new.global_mean = (total / (1 << _TOTAL_SHIFT) / n_new if n_new
+                           else self.global_mean)
 
         self._append_arrays(
             new, user_map, item_map, replacements_csr, replacements_csc,
-            csr_positions, csr_inserts, csc_positions, csc_inserts,
-            touched_users, batch_items)
+            csr_positions, csr_inserts, csc_positions, csc_inserts)
 
         # Touched items: everything in a touched user's new profile.
         touched_set: set[int] = set()
@@ -804,7 +847,7 @@ class MatrixRatingStore:
             touched_set.update(new.user_item_idx[start:end].tolist())
         touched_items = sorted(touched_set)
 
-        new._finalise_append(touched_users, touched_items, batch_items, n_new)
+        new._finalise_append(touched_users, touched_items, batch_items)
         delta = StoreDelta(
             n_old_items=len(old_items), user_map=user_map,
             item_map=item_map, touched_users=touched_users,
@@ -812,14 +855,12 @@ class MatrixRatingStore:
             new_users=tuple(new_user_names), new_items=tuple(new_item_names))
         return new, delta
 
-    def _append_arrays(self, new, user_map, item_map,
+    def _append_arrays(self, new, umap, imap,
                        replacements_csr, replacements_csc,
                        csr_positions, csr_inserts,
-                       csc_positions, csc_inserts,
-                       touched_users, batch_items) -> None:
-        """Patch the CSR/CSC arrays of the appended store."""
-        imap = _np.asarray(item_map, dtype=_np.int64)
-        umap = _np.asarray(user_map, dtype=_np.int64)
+                       csc_positions, csc_inserts) -> None:
+        """Patch the CSR/CSC arrays of the appended store; id columns
+        are remapped only when the batch interned ids."""
         n_users_new = len(new.users)
         n_items_new = len(new.items)
         csr_pos = _np.asarray(csr_positions, dtype=_np.int64)
@@ -830,7 +871,7 @@ class MatrixRatingStore:
         csc_values = _np.asarray([v for _, _, v in csc_inserts], dtype=_np.float64)
 
         remapped_idx = (imap[self.user_item_idx]
-                        if self.n_ratings else self.user_item_idx)
+                        if n_items_new != len(self.items) else self.user_item_idx)
         new.user_item_idx = _np.insert(remapped_idx, csr_pos, csr_item_ids)
         values = self.user_values.copy()
         for pos, value in replacements_csr:
@@ -839,20 +880,8 @@ class MatrixRatingStore:
         new.user_centered = _np.insert(self.user_centered, csr_pos, 0.0)
         new.user_item_centered = _np.insert(self.user_item_centered, csr_pos, 0.0)
 
-        lengths = _np.zeros(n_users_new, dtype=_np.int64)
-        lengths[umap] = _np.diff(self.user_ptr)
-        for u_new, _, _ in csr_inserts:
-            lengths[u_new] += 1
-        user_ptr = _np.zeros(n_users_new + 1, dtype=_np.int64)
-        _np.cumsum(lengths, out=user_ptr[1:])
-        new.user_ptr = user_ptr
-
-        user_means = _np.empty(n_users_new, dtype=_np.float64)
-        user_means[umap] = self.user_means
-        new.user_means = user_means
-
         remapped_users = (umap[self.item_user_idx]
-                          if self.n_ratings else self.item_user_idx)
+                          if n_users_new != len(self.users) else self.item_user_idx)
         new.item_user_idx = _np.insert(remapped_users, csc_pos, csc_user_ids)
         col_values = self.item_values.copy()
         for pos, value in replacements_csc:
@@ -861,29 +890,22 @@ class MatrixRatingStore:
         new.item_centered = _np.insert(self.item_centered, csc_pos, 0.0)
         new.item_likes = _np.insert(self.item_likes, csc_pos, False)
 
-        col_lengths = _np.zeros(n_items_new, dtype=_np.int64)
-        col_lengths[imap] = _np.diff(self.item_ptr)
-        for i_new, _, _ in csc_inserts:
-            col_lengths[i_new] += 1
-        item_ptr = _np.zeros(n_items_new + 1, dtype=_np.int64)
-        _np.cumsum(col_lengths, out=item_ptr[1:])
-        new.item_ptr = item_ptr
+        # Offsets and per-user / per-item scalars, in the new interning.
+        for space, size, ptr, grown, names in (
+                (umap, n_users_new, "user_ptr", [u for u, _, _ in csr_inserts],
+                 ("user_means", "user_item_centered_norms")),
+                (imap, n_items_new, "item_ptr", [i for i, _, _ in csc_inserts],
+                 ("item_means", "item_centered_norms", "item_raw_norms"))):
+            lengths = _np.zeros(size, dtype=_np.int64)
+            lengths[space] = _np.diff(getattr(self, ptr))
+            _np.add.at(lengths, _np.asarray(grown, dtype=_np.int64), 1)
+            setattr(new, ptr, _np.concatenate(([0], _np.cumsum(lengths))))
+            for name in names:
+                scalars = _np.empty(size, dtype=_np.float64)
+                scalars[space] = getattr(self, name)
+                setattr(new, name, scalars)
 
-        item_means = _np.empty(n_items_new, dtype=_np.float64)
-        item_means[imap] = self.item_means
-        new.item_means = item_means
-        norms = _np.empty(n_items_new, dtype=_np.float64)
-        norms[imap] = self.item_centered_norms
-        new.item_centered_norms = norms
-        raw_norms = _np.empty(n_items_new, dtype=_np.float64)
-        raw_norms[imap] = self.item_raw_norms
-        new.item_raw_norms = raw_norms
-        user_norms = _np.empty(n_users_new, dtype=_np.float64)
-        user_norms[umap] = self.user_item_centered_norms
-        new.user_item_centered_norms = user_norms
-
-    def _finalise_append(self, touched_users, touched_items, batch_items,
-                         n_new: int) -> None:
+    def _finalise_append(self, touched_users, touched_items, batch_items) -> None:
         """Recompute the derived scalars the batch moved, on the *new*
         store (self), with the exact operations the constructor uses —
         ``math.fsum`` means/norms and element-wise IEEE centering — so
@@ -926,8 +948,7 @@ class MatrixRatingStore:
         affected_users = set(touched_users)
         in_batch = _np.zeros(len(self.items), dtype=bool)
         in_batch[batch_items] = True
-        mask = in_batch[self.user_item_idx] if n_new else \
-            _np.zeros(0, dtype=bool)
+        mask = in_batch[self.user_item_idx]
         self.user_item_centered[mask] = (
             self.user_values[mask]
             - self.item_means[self.user_item_idx[mask]])
@@ -939,13 +960,6 @@ class MatrixRatingStore:
             seg = self.user_item_centered[start:end]
             self.user_item_centered_norms[u] = math.sqrt(math.fsum(
                 (seg * seg).tolist()))
-
-        # fsum is exact whatever the order, so summing the patched value
-        # column equals the rebuild's sum over the table bit for bit.
-        # (An empty store keeps the base's scale-midpoint global mean,
-        # copied before this runs.)
-        if n_new:
-            self.global_mean = math.fsum(self.user_values.tolist()) / n_new
 
     def delta_pair_accumulation(self, delta: "StoreDelta") -> PairAccumulation:
         """Eq-6 re-accumulation restricted to the pairs *delta* touched.
@@ -1013,30 +1027,29 @@ class MatrixRatingStore:
         take their place — the merged accumulation equals a from-scratch
         sweep over the appended store bit for bit. Called on the
         **appended** store.
+
+        Cost: one delete-and-insert (one copy) per array plus work over
+        the touched items' key ranges: keys are remapped only when the
+        batch interned items, and the recomputed pairs are found in each
+        touched item's ``[t·n, (t+1)·n)`` slice of the sorted keys.
         """
-        n_old = delta.n_old_items
         n_new = len(self.items)
+        keys = acc.keys
+        if delta.new_items and len(keys):
+            left, right = _split_keys(keys, delta.n_old_items)
+            keys = delta.item_map[left] * n_new + delta.item_map[right]
+        touched = _np.asarray(delta.touched_items, dtype=_np.int64)
         flags_it = _np.zeros(n_new, dtype=bool)
-        if delta.touched_items:
-            flags_it[delta.touched_items] = True
-        if len(acc.keys):
-            imap = _np.asarray(delta.item_map, dtype=_np.int64)
-            left = imap[acc.keys // n_old]
-            right = imap[acc.keys % n_old]
-            keys = left * n_new + right
-            keep = ~(flags_it[left] & flags_it[right])
-            kept_keys = keys[keep]
-            kept_sums = acc.sums[keep]
-            kept_counts = acc.counts[keep]
-        else:
-            kept_keys = acc.keys
-            kept_sums = acc.sums
-            kept_counts = acc.counts
+        flags_it[touched] = True
+        at = _spans(_np.searchsorted(keys, touched * n_new),
+                    _np.searchsorted(keys, (touched + 1) * n_new))
+        drop = at[flags_it[_split_keys(keys[at], n_new)[1]]]
+        kept_keys = _np.delete(keys, drop)
         pos = _np.searchsorted(kept_keys, delta_acc.keys)
         return PairAccumulation(
             _np.insert(kept_keys, pos, delta_acc.keys),
-            _np.insert(kept_sums, pos, delta_acc.sums),
-            _np.insert(kept_counts, pos, delta_acc.counts))
+            _np.insert(_np.delete(acc.sums, drop), pos, delta_acc.sums),
+            _np.insert(_np.delete(acc.counts, drop), pos, delta_acc.counts))
 
     def assemble_row_refresh(self, acc: PairAccumulation,
                              delta: "StoreDelta",
@@ -1077,8 +1090,7 @@ class MatrixRatingStore:
         # weights are bit-identical to the full assembly's.
         in_r = flags_it.copy()
         if acc.n_pairs:
-            left_all = acc.keys // n_items
-            right_all = acc.keys % n_items
+            left_all, right_all = _split_keys(acc.keys, n_items)
             touch = flags_it[left_all] | flags_it[right_all]
             in_r[left_all[touch]] = True
             in_r[right_all[touch]] = True
@@ -1138,22 +1150,30 @@ class MatrixRatingStore:
         whole (:attr:`RowSplice.rows`) for touched rows and wherever
         the placed entries outnumber the kept ones
         (:data:`_PATCH_MAX_RATIO`), and patched per entry elsewhere.
+
+        Cost: one delete-and-insert (one copy) per index array, one
+        gather each over the index's ids and *acc*'s right items, and
+        work over the touched rows: touched rows are ``ptr`` slices,
+        lost entries' owners a ``searchsorted`` of ``ptr``, and ids are
+        remapped only when the batch interned items.
         """
         from repro.similarity.knn import NeighborIndex, merge_ranked_entries
 
         items = self.items
         n_items = len(items)
+        touched_items = _np.asarray(delta.touched_items, dtype=_np.int64)
         touched = _np.zeros(n_items, dtype=bool)
-        if delta.touched_items:
-            touched[delta.touched_items] = True
+        touched[touched_items] = True
         affected = touched.copy()
 
-        # Insert side: one scan of the accumulation, shared by the blast
-        # radius (raw pairs) and the entries to place (filtered pairs).
-        left = acc.keys // n_items
-        right = acc.keys % n_items
-        moved = touched[left] | touched[right]
-        left, right = left[moved], right[moved]
+        # Insert side: the pairs with a touched right (one gather) or
+        # left item (its key slice), shared by the blast radius (raw
+        # pairs) and the entries to place (filtered pairs).
+        moved = touched[_split_keys(acc.keys, n_items)[1]]
+        moved[_spans(_np.searchsorted(acc.keys, touched_items * n_items),
+                     _np.searchsorted(acc.keys, (touched_items + 1) * n_items))] = True
+        moved = _np.nonzero(moved)[0]
+        left, right = _split_keys(acc.keys[moved], n_items)
         affected[left] = True
         affected[right] = True
         left, right, sims = self._edge_weights(
@@ -1166,23 +1186,30 @@ class MatrixRatingStore:
         order = _np.lexsort((tgt.astype(narrow), -wts, src.astype(narrow)))
         src, tgt, wts = src[order], tgt[order], wts[order]
 
-        # Kept side: old entries, remapped, with no touched endpoint.
-        imap = _np.asarray(delta.item_map, dtype=_np.int64)
-        owner = _np.repeat(imap, _np.diff(index.ptr))
-        ids = imap[index.neighbor_ids]
-        lost_target = touched[ids]
-        dropped = touched[owner] | lost_target
-        affected[owner[lost_target]] = True  # pre-update partners
-        keep = ~dropped
+        # Kept side, in the old index's space: every entry but the
+        # touched rows' and those pointing at a touched item.
+        imap = delta.item_map
+        touched_old = touched[imap]
+        dropped = touched_old[index.neighbor_ids]
+        rows_old = _np.nonzero(touched_old)[0]
+        dropped[_spans(index.ptr[rows_old], index.ptr[rows_old + 1])] = True
+        gone = _np.nonzero(dropped)[0]
+        owner = _np.searchsorted(index.ptr, gone, side="right") - 1
+        kept_sizes = _np.zeros(n_items, dtype=_np.int64)
+        kept_sizes[imap] = _np.diff(index.ptr) - _np.bincount(
+            owner, minlength=len(imap))
+        kept_ids = _np.delete(index.neighbor_ids, gone)
+        ids = index.neighbor_ids[gone]
+        if delta.new_items:
+            kept_ids, owner, ids = imap[kept_ids], imap[owner], imap[ids]
+        affected[owner] = True  # pre-update partners
         ptr, neighbor_ids, weights = merge_ranked_entries(
-            n_items, (owner[keep], ids[keep], index.weights[keep]),
-            (src, tgt, wts))
+            kept_sizes, (kept_ids, _np.delete(index.weights, gone)), (src, tgt, wts))
 
         # Edge census: pair keys dropped vs placed (both duplicate-free;
         # acc.keys ascend, so new_keys and `added` already do).
-        gone = _np.nonzero(dropped)[0]
-        gone = gone[owner[gone] < ids[gone]]
-        old_keys = owner[gone] * n_items + ids[gone]
+        census = owner < ids
+        old_keys = owner[census] * n_items + ids[census]
         new_keys = left * n_items + right
         added = _np.setdiff1d(new_keys, old_keys, assume_unique=True)
         removed = _np.sort(_np.setdiff1d(old_keys, new_keys, assume_unique=True))
@@ -1196,8 +1223,7 @@ class MatrixRatingStore:
         rebuilt_rows = _np.nonzero(rebuilt)[0]
         row_sizes = sizes[rebuilt_rows]
         ends = _np.cumsum(row_sizes)
-        flat = _np.arange(int(row_sizes.sum())) \
-            + _np.repeat(ptr[rebuilt_rows] - (ends - row_sizes), row_sizes)
+        flat = _spans(ptr[rebuilt_rows], ptr[rebuilt_rows + 1])
         row_names = names[neighbor_ids[flat]].tolist()
         row_wts = weights[flat].tolist()
         rows = {
@@ -1225,9 +1251,8 @@ class MatrixRatingStore:
                                  min_abs_similarity: float = 0.0):
         """The filtered Eq-6 pairs of an accumulation as three aligned
         arrays ``(left item idx, right item idx, similarity)``."""
-        n_items = len(self.items)
         return self._edge_weights(
-            acc.keys // n_items, acc.keys % n_items, acc.sums, acc.counts,
+            *_split_keys(acc.keys, len(self.items)), acc.sums, acc.counts,
             min_common_users, min_abs_similarity)
 
     def _edge_weights(self, left, right, sums, counts,

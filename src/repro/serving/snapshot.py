@@ -189,25 +189,23 @@ def _read_array(path: Path, kind: str, size: int):
 
 def _dump_ids(path: Path, ids: Sequence[str], what: str) -> None:
     # Anything the reader's splitlines() would split is rejected at save
-    # time, not load time.
-    offender = line_break_id(ids)
-    if offender is not None:
+    # time, not load time: the text is built once and round-tripped,
+    # and line_break_id() runs only to name the offender.
+    ids = list(ids)
+    text = "".join([name + "\n" for name in ids])
+    if text.splitlines() != ids:
         raise ServingError(
-            f"cannot snapshot {what} id {offender!r}: ids with line "
-            f"breaks are not representable in the id files"
+            f"cannot snapshot {what} id {line_break_id(ids)!r}: ids with "
+            f"line breaks are not representable in the id files"
         )
     fault_point("snapshot.ids.write")
-    path.write_text("".join(f"{name}\n" for name in ids), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     _fsync_file(path)
 
 
 def _read_ids(path: Path) -> list[str]:
     text = path.read_text(encoding="utf-8")
     return text.splitlines()
-
-
-def _array_length(values) -> int:
-    return len(values)
 
 
 def _store_from_arrays(
@@ -223,6 +221,7 @@ def _store_from_arrays(
     store._triu_cache = {}
     store._item_names_obj = None
     store._like_dicts = None
+    store._value_total = None
     store.users = users
     store.items = items
     store.user_index = {user: k for k, user in enumerate(users)}
@@ -551,7 +550,7 @@ class ModelSnapshot:
 
         def _emit(name: str, kind: str, values) -> None:
             _dump_array(path / f"{name}.bin", values, kind)
-            arrays[name] = {"kind": kind, "size": _array_length(values)}
+            arrays[name] = {"kind": kind, "size": len(values)}
 
         for name, kind in _STORE_ARRAYS:
             _emit(name, kind, getattr(store, name))

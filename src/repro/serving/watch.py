@@ -53,10 +53,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.errors import ServingError
+from repro.faults.plan import InjectedFault, fault_point
+from repro.obs.metrics import get_registry, observe_stage_seconds
 from repro.serving.registry import ModelRegistry
 from repro.serving.snapshot import (
     ModelSnapshot,
@@ -73,6 +76,10 @@ _CATALOG_FORMAT = "xmap-snapshot-catalog"
 _CATALOG_FORMAT_VERSION = 1
 _CHECKPOINT_FILE = "CHECKPOINT.json"
 _MANIFEST_FILE = "MANIFEST.json"
+
+_M_PRUNE_FAILURES = get_registry().counter(
+    "catalog_prune_failures_total",
+    "retired catalog versions a publish failed to delete (retried next publish)")
 
 
 def _version_dir_name(version: int) -> str:
@@ -144,7 +151,8 @@ class SnapshotCatalog:
         The version is taken (in priority order) from the *version*
         argument, the snapshot's own stamped version, or the pointer's
         successor; it must move the catalog strictly forward. Returns
-        the published version number.
+        the published version number. Each call adds one sample per
+        stage to ``catalog_publish_stage_seconds{save,pointer,prune}``.
         """
         current = self.current()
         last = current[0] if current is not None else 0
@@ -160,7 +168,9 @@ class SnapshotCatalog:
         # overwrite=True: a fresh version directory can only be
         # non-empty if a previous publish of this same version crashed
         # before moving the pointer — its leftovers are unreachable.
+        started = time.perf_counter()
         snapshot.save(self.root / name, overwrite=True)
+        saved = time.perf_counter()
         pointer = {
             "format": _CATALOG_FORMAT,
             "format_version": _CATALOG_FORMAT_VERSION,
@@ -175,18 +185,25 @@ class SnapshotCatalog:
         _fsync_file(tmp_path)
         os.replace(tmp_path, self.root / CATALOG_POINTER)
         _fsync_dir(self.root)
+        pointed = time.perf_counter()
         if self.keep_last is not None:
             self._prune(version)
+        observe_stage_seconds("catalog_publish", {
+            "save": saved - started, "pointer": pointed - saved,
+            "prune": time.perf_counter() - pointed})
         return version
 
     def _prune(self, current_version: int) -> None:
+        """Delete the versions behind ``keep_last``; one that fails is
+        counted and left for the next publish to retry."""
         floor = current_version - self.keep_last + 1
         for version in self.versions():
             if version < floor:
-                shutil.rmtree(
-                    self.root / _version_dir_name(version),
-                    ignore_errors=True,
-                )
+                try:
+                    fault_point("catalog.prune")
+                    shutil.rmtree(self.root / _version_dir_name(version))
+                except (OSError, InjectedFault):
+                    _M_PRUNE_FAILURES.inc()
 
     # ------------------------------------------------------------------
     # Registry mirroring

@@ -79,10 +79,12 @@ def rank_rows(rows: Sequence[Mapping[str, float]], ids: Mapping[str, int]):
     return ptr, neighbor[order], weight[order]
 
 
-def merge_ranked_entries(n_items: int, kept, placed):
-    """Merge two ``(owner, neighbor ids, weights)`` entry bundles (NumPy
-    arrays, each sorted by ``(owner, −weight, id)`` — row order, then
-    serving rank) into one index's ``(ptr, neighbor_ids, weights)``.
+def merge_ranked_entries(kept_sizes, kept, placed):
+    """Merge the *kept* ``(neighbor ids, weights)`` rows — concatenated
+    in row order, row ``x`` holding ``kept_sizes[x]`` entries — with the
+    *placed* ``(owner, neighbor ids, weights)`` entries (NumPy arrays,
+    both in ``(owner, −weight, id)`` order: row order, then serving
+    rank) into one index's ``(ptr, neighbor_ids, weights)``.
 
     Each *placed* entry is bisected into its owner's *kept* row on
     ``(−weight, id)``: ids are distinct within a row, so that is a total
@@ -90,10 +92,13 @@ def merge_ranked_entries(n_items: int, kept, placed):
     produce. All entries halve their interval per step; those whose
     owner kept nothing (a row replaced whole) start converged and skip
     the bisect.
+
+    Cost: one insert (one copy) per kept array, plus work over the
+    placed entries and a pass over the rows — nothing per kept entry.
     """
-    kept_owner, kept_ids, kept_wts = kept
+    kept_ids, kept_wts = kept
     owner, ids, wts = placed
-    kept_sizes = _np.bincount(kept_owner, minlength=n_items)
+    n_items = len(kept_sizes)
     kept_ptr = _np.zeros(n_items + 1, dtype=_np.int64)
     _np.cumsum(kept_sizes, out=kept_ptr[1:])
     at = kept_ptr[owner]
@@ -217,32 +222,26 @@ class NeighborIndex:
         (which re-ranks entries, not rows) is tested against.
 
         *item_map* maps this index's item indexes into the new interning
-        (``None`` when the item set did not change — the map is strictly
-        increasing, as
-        :meth:`~repro.data.matrix.MatrixRatingStore.append_ratings`
-        guarantees). *updated_rows* are the ascending new-space indexes
-        being replaced; their rank-ordered contents arrive as one flat
-        bundle — per-row *row_sizes* aligned with *updated_rows*, and
-        *row_ids* / *row_weights* concatenated in row order, exactly as
-        :meth:`~repro.data.matrix.MatrixRatingStore.assemble_row_refresh`
-        emits them. Rows not updated are carried over with their
-        neighbor ids remapped; remapping is monotone, so carried rows
-        keep their rank order without re-sorting. New items without an
-        update get empty rows. The result is bit-identical to
-        re-assembling the whole index from the updated adjacency.
+        (``None`` when the item set did not change; strictly increasing,
+        as :meth:`~repro.data.matrix.MatrixRatingStore.append_ratings`
+        guarantees, so carried rows keep their rank order). The
+        ascending new-space *updated_rows* arrive as one flat bundle —
+        per-row *row_sizes*, *row_ids* / *row_weights* in row order —
+        as :meth:`~repro.data.matrix.MatrixRatingStore.assemble_row_refresh`
+        emits them. New items without an update get empty rows. The
+        result is bit-identical to re-assembling the whole index.
         """
-        n_new = len(items)
         imap = (_np.arange(self.n_items, dtype=_np.int64) if item_map is None
                 else _np.asarray(item_map, dtype=_np.int64))
         upd_idx = _np.asarray(updated_rows, dtype=_np.int64)
-        replaced = _np.zeros(n_new, dtype=bool)
-        replaced[upd_idx] = True
-        owner = _np.repeat(imap, _np.diff(self.ptr))
-        keep = ~replaced[owner]
+        kept_sizes = _np.zeros(len(items), dtype=_np.int64)
+        kept_sizes[imap] = _np.diff(self.ptr)
         # Replaced rows keep nothing: the merge's degenerate case.
+        kept_sizes[upd_idx] = 0
+        keep = _np.repeat(kept_sizes[imap] > 0, _np.diff(self.ptr))
         ptr, neighbor_ids, weights = merge_ranked_entries(
-            n_new,
-            (owner[keep], imap[self.neighbor_ids][keep], self.weights[keep]),
+            kept_sizes,
+            (imap[self.neighbor_ids[keep]], self.weights[keep]),
             (_np.repeat(upd_idx, _np.asarray(row_sizes, dtype=_np.int64)),
              _np.asarray(row_ids, dtype=_np.int64),
              _np.asarray(row_weights, dtype=_np.float64)))

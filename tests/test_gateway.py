@@ -24,7 +24,7 @@ import pytest
 from repro.data.ratings import Rating, RatingTable
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import GatewayError, ServingError, StaleModelError
-from repro.faults import FaultPlan, FaultRule
+from repro.faults import FaultPlan, FaultRule, injected_faults
 from repro.gateway import GatewayServer, WorkerPool
 from repro.gateway.protocol import (
     encode_frame,
@@ -33,6 +33,7 @@ from repro.gateway.protocol import (
     send_frame,
 )
 from repro.gateway.worker import WorkerApp, serve, wait_for_model
+from repro.obs.metrics import get_registry
 from repro.serving import (
     ModelRegistry,
     ModelSnapshot,
@@ -172,6 +173,47 @@ def test_catalog_prunes_behind_keep_last(tmp_path):
     registry.update(_update_batch(10))
     assert catalog.versions() == [2, 3]
     assert catalog.current()[0] == 3
+
+
+def _metric(name: str) -> dict:
+    return get_registry().snapshot().get(name, {}).get("samples", {})
+
+
+def test_catalog_publish_observes_each_stage_once(tmp_path):
+    registry = _registry(_table())
+    for keep_last in (None, 1):
+        catalog = SnapshotCatalog(tmp_path / f"catalog-{keep_last}",
+                                  keep_last=keep_last)
+        before = _metric("catalog_publish_stage_seconds")
+        catalog.publish(registry.current(), version=1)
+        catalog.publish(registry.current(), version=2)
+        after = _metric("catalog_publish_stage_seconds")
+        assert {key: cell["count"] - before.get(key, {"count": 0})["count"]
+                for key, cell in after.items()} \
+            == {'["save"]': 2, '["pointer"]': 2, '["prune"]': 2}
+        assert after['["save"]']["sum"] > before.get('["save"]', {"sum": 0.0})["sum"]
+
+
+def test_failed_prune_is_counted_and_publishing_goes_on(tmp_path):
+    """A prune that fails leaves the retired version on disk, counts it
+    in ``catalog_prune_failures_total`` and still moves the pointer;
+    the next publish retries it."""
+    registry = _registry(_table())
+    catalog = SnapshotCatalog(tmp_path / "catalog", keep_last=1)
+    counter = get_registry().counter("catalog_prune_failures_total")
+    catalog.publish(registry.current(), version=1)
+    before = counter.value
+    plan = FaultPlan(rules=[FaultRule("catalog.prune", "error", times=1)])
+    with injected_faults(plan):
+        catalog.publish(registry.current(), version=2)
+        assert counter.value == before + 1
+        assert catalog.current()[0] == 2
+        assert catalog.versions() == [1, 2]
+        catalog.publish(registry.current(), version=3)
+    assert counter.value == before + 1
+    assert catalog.current()[0] == 3
+    assert catalog.versions() == [3]
+    assert RegistryWatcher(tmp_path / "catalog").poll() == 3
 
 
 def test_watcher_follows_catalog_and_agrees_on_versions(tmp_path):

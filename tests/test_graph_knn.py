@@ -3,13 +3,14 @@ index."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.data.matrix import MatrixRatingStore
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import GraphError
 from repro.similarity.graph import ItemGraph, build_similarity_graph
-from repro.similarity.knn import top_k
+from repro.similarity.knn import merge_ranked_entries, top_k
 
 
 class TestTopK:
@@ -137,6 +138,40 @@ class TestNeighborIndex:
         assert index.top("ghost", 5) == []
         assert index.degree("ghost") == 0
         assert index.neighbor_dict("ghost") == {}
+
+
+def test_merge_ranked_entries_equals_a_full_rerank():
+    """Kept rows arrive as sizes + concatenated rank-ordered entries;
+    placed entries are bisected in on (−weight, id), ties by id, into
+    rows that kept some, all or none of their entries."""
+    rng = random.Random(11)
+    for _ in range(200):
+        n_items = rng.randint(1, 6)
+        rows = [{} for _ in range(n_items)]
+        placed = []
+        for owner in range(n_items):
+            for neighbor in rng.sample(range(n_items + 4), rng.randint(0, 5)):
+                weight = rng.choice([-1.0, -0.5, 0.25, 0.5, 1.0])
+                if rng.random() < 0.4:
+                    placed.append((owner, -weight, neighbor))
+                else:
+                    rows[owner][neighbor] = weight
+        kept_sizes = np.array([len(row) for row in rows], dtype=np.int64)
+        kept = sorted((owner, -w, nid) for owner, row in enumerate(rows)
+                      for nid, w in row.items())
+        placed.sort()
+        ptr, ids, wts = merge_ranked_entries(
+            kept_sizes,
+            (np.array([nid for *_, nid in kept], dtype=np.int64),
+             np.array([-w for _, w, _ in kept], dtype=np.float64)),
+            (np.array([owner for owner, *_ in placed], dtype=np.int64),
+             np.array([nid for *_, nid in placed], dtype=np.int64),
+             np.array([-w for _, w, _ in placed], dtype=np.float64)))
+        want = sorted(kept + placed)
+        assert np.diff(ptr).tolist() == np.bincount(
+            [owner for owner, *_ in want], minlength=n_items).tolist()
+        assert ids.tolist() == [nid for *_, nid in want]
+        assert wts.tolist() == [-w for _, w, _ in want]
 
 
 class TestRankedServing:

@@ -10,6 +10,7 @@ value overrides of existing (user, item) pairs.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -107,6 +108,36 @@ def test_append_ratings_equals_rebuild(data):
         assert appended.items[delta.item_map[old_idx]] == name
     for old_idx, name in enumerate(sorted(table.users)):
         assert appended.users[delta.user_map[old_idx]] == name
+
+
+_wide = st.floats(min_value=-1e16, max_value=1e16, allow_nan=False)
+# Full 52-bit mantissas, subnormals and ±1e16 side by side.
+_hard_values = st.one_of(
+    _wide, st.integers(1, 2**52 - 1).map(lambda m: 1.0 + m * 2.0**-52),
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16]))
+
+
+@_common
+@given(data=st.data())
+def test_global_mean_follows_rebuild_over_appends(data):
+    """The running exact total behind ``global_mean``: after every
+    append — new pairs and replacements alike — it equals a rebuild's
+    ``math.fsum`` mean bit for bit."""
+    scale = (-1e16, 1e16)
+    pairs = st.tuples(_users, _items)
+    base = data.draw(st.lists(pairs, min_size=1, max_size=20, unique=True))
+    table = RatingTable([Rating(u, i, data.draw(_hard_values)) for u, i in base],
+                        scale=scale)
+    store = MatrixRatingStore(table)
+    for _ in range(3):
+        batch = [Rating(u, i, data.draw(_hard_values)) for u, i in data.draw(
+            st.lists(st.tuples(_batch_users, _batch_items), min_size=1,
+                     max_size=6, unique=True))]
+        store, _ = store.append_ratings(batch)
+        table = table.with_ratings(batch)
+        rebuilt = MatrixRatingStore(table).global_mean
+        assert store.global_mean.hex() == rebuilt.hex()
+        assert store.global_mean == math.fsum(r.value for r in table) / len(table)
 
 
 def test_append_to_empty_store():

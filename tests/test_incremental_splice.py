@@ -5,7 +5,7 @@ Three implementations must agree after every batch: the splice
 with a touched endpoint, merge them into the kept ones), the whole-row
 reference (:meth:`MatrixRatingStore.assemble_row_refresh` — every
 affected row re-assembled whole) and a fresh build over the final table.
-Equality is exact: adjacency by dict equality, ``ptr`` /
+Equality is exact: accumulation and adjacency by ``==``, ``ptr`` /
 ``neighbor_ids`` / ``weights`` bit for bit, and the per-update
 ``affected_items`` and edge census.
 
@@ -27,7 +27,7 @@ from repro.data.ratings import Rating, RatingTable
 from repro.data.synthetic import SyntheticConfig, amazon_like
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.obs.metrics import get_registry
-from test_incremental import _index_tuple, assert_stores_equal
+from test_incremental import _acc_tuple, _index_tuple, assert_stores_equal
 
 _SHAPES = ((40, 45, 8, 5.0), (70, 60, 10, 7.0))
 
@@ -70,6 +70,8 @@ def _run_and_compare(table, batches, **kwargs):
     fresh = IncrementalSweep(RatingTable(list(table)), **kwargs)
     for sweep in (spliced, reference):
         assert_stores_equal(sweep.store, fresh.store)
+        assert _acc_tuple(sweep.store, sweep.accumulation) == \
+            _acc_tuple(fresh.store, fresh.accumulation)
         assert sweep.graph._adjacency == fresh.graph._adjacency
         assert _index_tuple(sweep.index) == _index_tuple(fresh.index)
     return all_stats
@@ -136,6 +138,49 @@ def test_one_update_runs_both_regimes(shape):
     assert rows.labels("patched").value - before[1] \
         == stats.n_affected_rows - stats.n_rebuilt_rows
     assert entries.value - before[2] > stats.n_changed_entries
+
+
+# -- the fold's and splice's branches and slice edges -------------------
+
+def _branch_batches(name: str, table: RatingTable) -> list[list[Rating]]:
+    items = sorted(table.items)
+    users = sorted(table.users, key=lambda u: (len(table.user_profile(u)), u))
+    tail, head = users[0], users[-1]
+    unrated = [i for i in items if i not in table.user_profile(tail)]
+    if name == "no_new_item":  # the identity item map: what bench/ runs
+        return [[Rating("n-new", i, 4.0) for i in unrated[:4]]
+                + [Rating(tail, unrated[-1], 2.0)]]
+    if name == "new_items_mid_and_both_ends":
+        mid = items[len(items) // 2] + "x"
+        return [[Rating(head, "0-first", 5.0), Rating(head, mid, 1.0),
+                 Rating(head, "zz-last", 3.0), Rating("n-new", "0-first", 2.0),
+                 Rating("n-new", "zz-last", 4.0), Rating("n-new", items[3], 5.0)]]
+    if name == "replacements_only":
+        return [[Rating(head, i, table.value(head, i) % 5 + 1)
+                 for i in sorted(table.user_profile(head))[:3]]]
+    # Item 0 and the last item co-rated, then both touched again: the
+    # pair's key, 0·n + (n − 1), is the last one in item 0's key slice.
+    return [[Rating(tail, items[0], 5.0), Rating(tail, items[-1], 1.0)],
+            [Rating("n-new", items[0], 2.0), Rating("n-new", items[-1], 4.0)]]
+
+
+@pytest.mark.parametrize("name", ["no_new_item", "new_items_mid_and_both_ends",
+                                  "replacements_only", "first_and_last_item"])
+@pytest.mark.parametrize("shape", range(len(_SHAPES)))
+def test_fold_and_splice_branches(name, shape):
+    """Fold == full accumulation and splice == whole-row reference ==
+    rebuild (all checked by ``_run_and_compare``) on each branch."""
+    table = _table(2, shape)
+    batches = _branch_batches(name, table)
+    stats = _run_and_compare(table, batches)
+    items = sorted(table.items)
+    assert stats[-1].n_new_items == (3 if name == "new_items_mid_and_both_ends" else 0)
+    if name == "replacements_only":
+        assert stats[-1].n_new_users == 0
+        assert len(table.with_ratings(batches[0])) == len(table)
+    if name == "first_and_last_item":
+        assert {items[0], items[-1]} <= set(stats[-1].affected_items)
+    assert all(s.n_changed_entries > 0 for s in stats)
 
 
 # -- hand-built cases ---------------------------------------------------
