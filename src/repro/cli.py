@@ -53,24 +53,19 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro.cf.item_average import ItemAverageRecommender
-from repro.core.pipeline import NXMapRecommender, XMapConfig, XMapRecommender
-from repro.data.loaders import read_cross_domain, write_cross_domain
-from repro.data.splits import cold_start_split
-from repro.data.stats import summarize_cross_domain
-from repro.data.synthetic import SyntheticConfig, amazon_like
-from repro.evaluation.harness import evaluate as evaluate_system
 from repro.errors import ReproError
-from repro.serving.service import RecommendationService
-from repro.serving.snapshot import ModelSnapshot
 
-#: system name → (pipeline class, mode)
+# The model library (and NumPy under it) is imported inside the
+# commands that use it: ``serve-http`` runs the gateway, which loads
+# neither.
+
+#: system name → (pipeline class name in repro.core.pipeline, mode)
 _SYSTEMS = {
-    "nx-ib": (NXMapRecommender, "item"),
-    "nx-ub": (NXMapRecommender, "user"),
-    "nx-mf": (NXMapRecommender, "mf"),
-    "x-ib": (XMapRecommender, "item"),
-    "x-ub": (XMapRecommender, "user"),
+    "nx-ib": ("NXMapRecommender", "item"),
+    "nx-ub": ("NXMapRecommender", "user"),
+    "nx-mf": ("NXMapRecommender", "mf"),
+    "x-ib": ("XMapRecommender", "item"),
+    "x-ub": ("XMapRecommender", "user"),
 }
 
 
@@ -229,13 +224,17 @@ def _add_fleet_arguments(parser) -> None:
 
 
 def _load(directory: str):
+    from repro.data.loaders import read_cross_domain
+
     return read_cross_domain(directory, "movies", "books")
 
 
 def _make_pipeline(system: str, k: int, seed: int):
-    pipeline_cls, mode = _SYSTEMS[system]
-    config = XMapConfig(mode=mode, cf_k=k, seed=seed)
-    return pipeline_cls(config)
+    from repro.core import pipeline
+
+    class_name, mode = _SYSTEMS[system]
+    config = pipeline.XMapConfig(mode=mode, cf_k=k, seed=seed)
+    return getattr(pipeline, class_name)(config)
 
 
 def _title_lookup(data_dir: str | None):
@@ -248,6 +247,10 @@ def _title_lookup(data_dir: str | None):
 
 
 def _cmd_generate(args) -> int:
+    from repro.data.loaders import write_cross_domain
+    from repro.data.stats import summarize_cross_domain
+    from repro.data.synthetic import SyntheticConfig, amazon_like
+
     config = SyntheticConfig(seed=args.seed)
     if args.users is not None:
         overlap = min(config.n_overlap, args.users)
@@ -261,11 +264,17 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from repro.data.stats import summarize_cross_domain
+
     print(summarize_cross_domain(_load(args.data)).describe())
     return 0
 
 
 def _cmd_evaluate(args) -> int:
+    from repro.cf.item_average import ItemAverageRecommender
+    from repro.data.splits import cold_start_split
+    from repro.evaluation.harness import evaluate as evaluate_system
+
     data = _load(args.data)
     split = cold_start_split(data, seed=args.seed)
     if args.system == "item-average":
@@ -305,6 +314,9 @@ def _cmd_recommend(args) -> int:
 
 
 def _recommend_from_snapshot(args) -> int:
+    from repro.serving.service import RecommendationService
+    from repro.serving.snapshot import ModelSnapshot
+
     snapshot = ModelSnapshot.load(args.snapshot)
     if args.user not in snapshot.store.user_index:
         print(f"unknown user {args.user!r} (not in the snapshot's "
@@ -319,6 +331,8 @@ def _recommend_from_snapshot(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
+    from repro.serving.snapshot import ModelSnapshot
+
     if args.action == "save":
         data = _load(args.data)
         pipeline = _make_pipeline("nx-ib", args.k, args.seed).fit(data)
@@ -345,6 +359,9 @@ def _cmd_snapshot(args) -> int:
 
 
 def _cmd_serve(args) -> int:
+    from repro.serving.service import RecommendationService
+    from repro.serving.snapshot import ModelSnapshot
+
     snapshot = ModelSnapshot.load(args.snapshot)
     unknown = [user for user in args.users if user not in snapshot.store.user_index]
     if unknown:
@@ -395,6 +412,7 @@ def _cmd_log_info(args) -> int:
 def _cmd_recover(args) -> int:
     from repro.durability.manager import DurableSweep
     from repro.serving.registry import ModelRegistry
+    from repro.serving.service import RecommendationService
 
     durable = DurableSweep.recover(args.store)
     try:

@@ -35,7 +35,11 @@ class BaselineSimilarities:
     """Output of the Baseliner.
 
     Attributes:
-        graph: the baseline similarity graph ``G_ac`` over both domains.
+        graph: the baseline similarity graph ``G_ac`` over both domains
+            — with a retained *state*, the view of its index at this
+            version (:attr:`IncrementalSweep.graph
+            <repro.engine.sharded_sweep.IncrementalSweep.graph>`), which
+            a later update leaves as it is.
         n_homogeneous: number of same-domain edges.
         n_heterogeneous: number of cross-domain edges (the user-overlap
             similarities of §5.1).
@@ -151,19 +155,19 @@ class Baseliner:
         """Append a rating *batch* to a ``keep_state=True`` baseline.
 
         The retained :class:`~repro.engine.sharded_sweep.IncrementalSweep`
-        patches the store, accumulation, graph and serving index in
-        place of a rebuild; the edge census is adjusted from the exact
+        replaces its store, accumulation and serving index in place of
+        a rebuild; the edge census is adjusted from the exact
         added/removed edge sets the update reports. *batch* must be
         **real** merged-domain ratings (a new edge can appear between
         two pre-existing items, so pass a domain map covering the whole
         updated item universe — the updated dataset's
         :meth:`~repro.data.dataset.CrossDomainDataset.domain_map` —
-        not just the batch's new items). Note the in-place semantics:
-        the sweep state mutates before the census is patched, so do not
-        retry a failed update with the same batch.
+        not just the batch's new items). The shared sweep moves even
+        though *baseline* does not: keep using the returned object.
 
-        Returns the refreshed :class:`BaselineSimilarities` (the graph
-        object is the same, mutated in place) and the update's stats.
+        Returns the refreshed :class:`BaselineSimilarities` — its graph
+        is the sweep's view of the updated index; *baseline*'s graph
+        keeps describing the version before — and the update's stats.
         """
         state = baseline.state
         if state is None:

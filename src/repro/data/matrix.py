@@ -49,14 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.similarity.knn import NeighborIndex
 
 
-#: :meth:`MatrixRatingStore.splice_row_refresh` rebuilds an adjacency
-#: row's dict whole once the entries it places there outnumber the ones
-#: it keeps. Setting an entry from Python costs a few times a slot of a
-#: C-speed ``dict(zip(...))`` over the whole row, so past parity a
-#: rebuild is the cheaper way to write the same dict; below it the patch
-#: is, by the row's degree. Either way the row's contents are the same.
-_PATCH_MAX_RATIO = 1
-
 #: Exact rating totals count units of ``2**-_TOTAL_SHIFT``: every finite
 #: double is a 53-bit integer mantissa times ``2**(e - 53)``, ``e ≥ -1073``.
 _TOTAL_SHIFT = 1126
@@ -135,14 +127,13 @@ def _empty_accumulation() -> PairAccumulation:
 
 
 class AssemblyResult(NamedTuple):
-    """Output of :meth:`MatrixRatingStore.assemble_from_partitions`.
+    """Output of :meth:`MatrixRatingStore.assemble_from_partitions`:
+    one of the two is set, the other is ``None``.
 
     Attributes:
-        adjacency: the symmetric string-keyed adjacency (``None`` when
-            the caller asked for the index only).
+        adjacency: the symmetric string-keyed adjacency.
         index: the rank-ordered
-            :class:`~repro.similarity.knn.NeighborIndex` selected during
-            assembly (``None`` unless requested).
+            :class:`~repro.similarity.knn.NeighborIndex`.
     """
 
     adjacency: dict[str, dict[str, float]] | None
@@ -150,18 +141,13 @@ class AssemblyResult(NamedTuple):
 
 
 class RowSplice(NamedTuple):
-    """What one incremental refresh changed, in the shape
-    :meth:`~repro.similarity.graph.ItemGraph.apply_delta` adopts.
+    """What one incremental refresh changed.
 
     Attributes:
         index: the refreshed index.
         affected: ascending item indexes inside the blast radius — the
             touched items, their current co-rated partners and their
             pre-update neighbors.
-        rows: item name → complete new neighbor dict, for rows rebuilt
-            whole.
-        patches: ``(item, neighbor, weight)`` directed entries to set in
-            the affected rows that were not rebuilt (consumed once).
         edges_added / edges_removed: undirected edges that appeared /
             vanished, ``(i, j)`` with ``i < j``, ascending.
         n_changed_entries: directed entries the refresh ranked and
@@ -170,8 +156,6 @@ class RowSplice(NamedTuple):
 
     index: "NeighborIndex"
     affected: list[int]
-    rows: dict[str, dict[str, float]]
-    patches: Iterable[tuple[str, str, float]]
     edges_added: tuple[tuple[str, str], ...]
     edges_removed: tuple[tuple[str, str], ...]
     n_changed_entries: int
@@ -253,12 +237,11 @@ class MatrixRatingStore:
         "user_item_centered", "user_item_centered_norms",
         "item_ptr", "item_user_idx", "item_values", "item_centered",
         "item_likes", "item_centered_norms", "item_raw_norms",
-        "_triu_cache", "_item_names_obj", "_like_dicts", "_value_total",
+        "_triu_cache", "_like_dicts", "_value_total",
     )
 
     def __init__(self, table: "RatingTable") -> None:
         self._triu_cache: dict[int, tuple] = {}
-        self._item_names_obj = None
         self._like_dicts: list[dict[int, bool] | None] | None = None
         # Exact rating total (_exact_total): seeded by the first append.
         self._value_total: int | None = None
@@ -824,7 +807,6 @@ class MatrixRatingStore:
 
         new = MatrixRatingStore.__new__(MatrixRatingStore)
         new._triu_cache = {}
-        new._item_names_obj = None
         new._like_dicts = None
         new._value_total = total
         new.users = users_new
@@ -1067,20 +1049,16 @@ class MatrixRatingStore:
         items' *pre-update* partners, so rows that lost their last edge
         are refreshed to empty too).
 
-        Returns ``(rows, index_update, affected)``: *rows* maps every
-        affected item's name → complete new neighbor dict (possibly
-        empty, unchanged entries re-ranked along with the moved ones),
-        *affected*
-        is the ascending index list the rows cover, and *index_update*
-        is the ``(sizes, neighbor ids, weights)`` flat-row bundle
+        Returns ``(index_update, affected)``: *affected* is the
+        ascending index list of the rows, and *index_update* is the
+        ``(sizes, neighbor ids, weights)`` flat-row bundle
         :meth:`NeighborIndex.updated` splices — per-row sizes aligned
-        with *affected*, ids/weights concatenated in row order. Row
-        contents are
-        bit-identical to what :meth:`assemble_from_partitions` would
-        build for those items.
+        with *affected*, ids/weights concatenated in row order (possibly
+        empty rows, unchanged entries re-ranked along with the moved
+        ones). Row contents are bit-identical to what
+        :meth:`assemble_from_partitions` would build for those items.
         """
-        items = self.items
-        n_items = len(items)
+        n_items = len(self.items)
         flags_it = _np.zeros(n_items, dtype=bool)
         if delta.touched_items:
             flags_it[delta.touched_items] = True
@@ -1113,21 +1091,10 @@ class MatrixRatingStore:
         order = _np.lexsort((tgt, -wts, src))
         src, tgt, wts = src[order], tgt[order], wts[order]
         affected = _np.nonzero(in_r)[0]
-        starts = _np.searchsorted(src, affected)
-        ends = _np.searchsorted(src, affected + 1)
-        if self._item_names_obj is None:
-            self._item_names_obj = _np.asarray(items, dtype=object)
-        rows: dict[str, dict[str, float]] = {}
-        tgt_names = self._item_names_obj[tgt].tolist() if len(tgt) \
-            else []
-        wts_list = wts.tolist()
-        for k, i in enumerate(affected.tolist()):
-            a, b = int(starts[k]), int(ends[k])
-            rows[items[i]] = dict(zip(tgt_names[a:b], wts_list[a:b]))
+        sizes = _np.searchsorted(src, affected + 1) - _np.searchsorted(src, affected)
         # tgt/wts are already the affected rows' rank-ordered contents
-        # concatenated in row order — hand them over wholesale, no
-        # per-row slicing.
-        return rows, (ends - starts, tgt, wts), affected.tolist()
+        # concatenated in row order — hand them over wholesale.
+        return (sizes, tgt, wts), affected.tolist()
 
     def splice_row_refresh(self, acc: PairAccumulation, delta: "StoreDelta",
                            index: "NeighborIndex",
@@ -1146,10 +1113,8 @@ class MatrixRatingStore:
         filtered weights of *acc*'s touched-endpoint pairs, ranked by
         one small ``lexsort`` — equal to a fresh assembly bit for bit. A
         touched row keeps nothing, so whole-row rebuild is the merge's
-        degenerate case, not a second path. Adjacency dicts are rebuilt
-        whole (:attr:`RowSplice.rows`) for touched rows and wherever
-        the placed entries outnumber the kept ones
-        (:data:`_PATCH_MAX_RATIO`), and patched per entry elsewhere.
+        degenerate case, not a second path. Only arrays are written: no
+        string-keyed row is built or patched.
 
         Cost: one delete-and-insert (one copy) per index array, one
         gather each over the index's ids and *acc*'s right items, and
@@ -1214,24 +1179,6 @@ class MatrixRatingStore:
         added = _np.setdiff1d(new_keys, old_keys, assume_unique=True)
         removed = _np.sort(_np.setdiff1d(old_keys, new_keys, assume_unique=True))
 
-        if self._item_names_obj is None:
-            self._item_names_obj = _np.asarray(items, dtype=object)
-        names = self._item_names_obj
-        sizes = _np.diff(ptr)
-        placed = _np.bincount(src, minlength=n_items)
-        rebuilt = touched | (placed > _PATCH_MAX_RATIO * (sizes - placed))
-        rebuilt_rows = _np.nonzero(rebuilt)[0]
-        row_sizes = sizes[rebuilt_rows]
-        ends = _np.cumsum(row_sizes)
-        flat = _spans(ptr[rebuilt_rows], ptr[rebuilt_rows + 1])
-        row_names = names[neighbor_ids[flat]].tolist()
-        row_wts = weights[flat].tolist()
-        rows = {
-            items[i]: dict(zip(row_names[b - size:b], row_wts[b - size:b]))
-            for i, size, b in zip(rebuilt_rows.tolist(), row_sizes.tolist(),
-                                  ends.tolist())}
-        patched = ~rebuilt[src]
-
         def _edges(keys):
             return tuple((items[key // n_items], items[key % n_items])
                          for key in keys.tolist())
@@ -1239,9 +1186,6 @@ class MatrixRatingStore:
         return RowSplice(
             index=NeighborIndex(items, self.item_index, ptr, neighbor_ids, weights),
             affected=_np.nonzero(affected)[0].tolist(),
-            rows=rows,
-            patches=zip(names[src[patched]].tolist(),
-                        names[tgt[patched]].tolist(), wts[patched].tolist()),
             edges_added=_edges(added),
             edges_removed=_edges(removed),
             n_changed_entries=len(src))
@@ -1311,27 +1255,26 @@ class MatrixRatingStore:
             self.pair_accumulation(max_profile_size=max_profile_size),
             min_common_users=min_common_users,
             min_abs_similarity=min_abs_similarity,
-            with_adjacency=False, with_index=True).index
+            with_index=True).index
 
     def assemble_from_partitions(
             self, acc: PairAccumulation,
             min_common_users: int = 1,
             min_abs_similarity: float = 0.0,
-            with_adjacency: bool = True,
             with_index: bool = False,
     ) -> "AssemblyResult":
-        """Assemble the symmetric Eq-6 adjacency rows (and optionally a
-        :class:`~repro.similarity.knn.NeighborIndex`) from *acc*.
+        """Assemble *acc*'s symmetric Eq-6 graph: the string-keyed
+        adjacency rows, or with *with_index* the
+        :class:`~repro.similarity.knn.NeighborIndex` instead.
 
         The filtered pairs and their reversed copies form the directed
         edge list, sorted once: by source row alone for the adjacency,
-        by (source, descending weight, ascending target) when an index
-        is requested, so index rows are row-prefix slices of the same
-        sort rather than a second one. Each adjacency row is one C-speed
-        ``dict(zip(...))`` over a contiguous slice. Isolated items keep
-        an empty neighbor dict.
+        by (source, descending weight, ascending target) for the index.
+        Each adjacency row is one C-speed ``dict(zip(...))`` over a
+        contiguous slice (:func:`~repro.similarity.knn.row_dicts`).
+        Isolated items keep an empty row.
         """
-        from repro.similarity.knn import NeighborIndex
+        from repro.similarity.knn import NeighborIndex, row_dicts
 
         items = self.items
         left, right, sims = self._pairs_from_accumulation(
@@ -1345,20 +1288,8 @@ class MatrixRatingStore:
             order = _np.argsort(src, kind="stable")
         src, tgt, wts = src[order], tgt[order], wts[order]
         bounds = _np.searchsorted(src, _np.arange(len(items) + 1))
-
-        adjacency = None
-        if with_adjacency:
-            adjacency = {item: {} for item in items}
-            if self._item_names_obj is None:
-                self._item_names_obj = _np.asarray(items, dtype=object)
-            target_names = self._item_names_obj[tgt].tolist()
-            weight_list = wts.tolist()
-            for k, (start, end) in enumerate(zip(bounds[:-1].tolist(),
-                                                 bounds[1:].tolist())):
-                if start != end:
-                    adjacency[items[k]] = dict(
-                        zip(target_names[start:end], weight_list[start:end]))
-        index = None
         if with_index:
-            index = NeighborIndex(items, self.item_index, bounds, tgt, wts)
-        return AssemblyResult(adjacency=adjacency, index=index)
+            return AssemblyResult(
+                adjacency=None,
+                index=NeighborIndex(items, self.item_index, bounds, tgt, wts))
+        return AssemblyResult(adjacency=row_dicts(items, bounds, tgt, wts), index=None)

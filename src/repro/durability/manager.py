@@ -230,6 +230,9 @@ class DurableSweep:
 
     @property
     def graph(self):
+        """The inner sweep's :attr:`~repro.engine.sharded_sweep.IncrementalSweep.graph`:
+        a dict view of the current index, built on the first read after
+        an update — nothing on the durable write path reads it."""
         return self.sweep.graph
 
     # ------------------------------------------------------------------
@@ -242,7 +245,10 @@ class DurableSweep:
         The inner sweep appends the batch to the WAL before touching
         any in-memory state; once applied, the checkpoint policy runs.
         Returns the sweep's update stats (``wal_seq`` carries the
-        batch's log sequence number).
+        batch's log sequence number). A logged batch that fails to
+        apply leaves this store refusing updates with
+        :class:`~repro.errors.DurabilityError` until :meth:`recover`
+        replays it.
         """
         stats = self.sweep.update(batch)
         self.applied_seq = self.log.last_seq

@@ -11,8 +11,8 @@ the similarity graph. Here that job is two calls over the interned
   for its pruned edges only, from
   :meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`);
 * :meth:`~repro.data.matrix.MatrixRatingStore.assemble_from_partitions`
-  turns the accumulation into the adjacency rows and, on request, the
-  serving :class:`~repro.similarity.knn.NeighborIndex`, in one sort.
+  turns the accumulation into the adjacency rows or the serving
+  :class:`~repro.similarity.knn.NeighborIndex`, in one sort.
 
 :func:`run_sweep` times both into ``sweep_stage_seconds{accumulate,
 assemble}``; the stateless graph build
@@ -42,13 +42,15 @@ from repro.data.matrix import (
     StoreDelta,
 )
 from repro.data.ratings import Rating, RatingTable, line_break_id
+from repro.faults.plan import fault_point
 from repro.obs.metrics import get_registry, observe_stage_seconds
-from repro.errors import DataError
+from repro.errors import DataError, DurabilityError
+from repro.similarity.graph import ItemGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Iterable
 
-    from repro.similarity.graph import ItemGraph
+    from repro.similarity.knn import NeighborIndex
 
 
 def sharded_pair_accumulation(
@@ -68,8 +70,8 @@ def run_sweep(
 ) -> tuple[PairAccumulation, AssemblyResult]:
     """Accumulate and assemble *store*'s Eq-6 graph, timing each stage.
 
-    Returns the accumulation and the assembled adjacency (plus the
-    serving index when *with_index*). Each call adds one
+    Returns the accumulation and the assembled adjacency, or with
+    *with_index* the serving index instead. Each call adds one
     ``sweep_stage_seconds`` sample per stage.
     """
     started = time.perf_counter()
@@ -94,10 +96,10 @@ _M_REJECTED = get_registry().counter(
 _M_ENTRIES_CHANGED = get_registry().counter(
     "incremental_entries_changed_total",
     "directed adjacency entries incremental updates ranked and placed")
-_M_ROWS = get_registry().counter(
-    "incremental_rows_total",
-    "adjacency rows incremental updates refreshed, by how",
-    labels=("mode",))
+_M_APPLY_FAILURES = get_registry().counter(
+    "incremental_apply_failures_total",
+    "logged update batches that failed to apply (the sweep then "
+    "refuses updates until recovered)")
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,6 @@ class IncrementalUpdateStats:
         n_affected_rows: adjacency / ``NeighborIndex`` rows inside the
             blast radius (touched items, their current partners and
             their pre-update neighbors).
-        n_rebuilt_rows: affected rows whose adjacency dict was rebuilt
-            whole; the other affected rows were patched per entry.
         n_changed_entries: directed entries the refresh ranked and
             placed — with *n_affected_rows*, whether an update moved a
             lot or merely touched a lot.
@@ -123,7 +123,7 @@ class IncrementalUpdateStats:
         append_seconds: store append (array patch + targeted recompute).
         delta_seconds: restricted Eq-6 re-accumulation.
         fold_seconds: folding the delta over the retained accumulation.
-        refresh_seconds: entry re-ranking + graph/index splice.
+        refresh_seconds: entry re-ranking + index splice.
         total_seconds: the whole update, table derivation included.
         edges_added / edges_removed: undirected edges that appeared /
             vanished, as ``(i, j)`` with ``i < j`` — what lets the
@@ -154,13 +154,10 @@ class IncrementalUpdateStats:
     affected_items: tuple[str, ...] = ()
     batch_users: tuple[str, ...] = ()
     wal_seq: int | None = None
-    n_rebuilt_rows: int = 0
     n_changed_entries: int = 0
 
     def __post_init__(self) -> None:
         _M_ENTRIES_CHANGED.inc(self.n_changed_entries)
-        _M_ROWS.labels("rebuilt").inc(self.n_rebuilt_rows)
-        _M_ROWS.labels("patched").inc(self.n_affected_rows - self.n_rebuilt_rows)
         observe_stage_seconds(
             "incremental_update",
             {
@@ -179,10 +176,10 @@ class IncrementalSweep:
 
     The build runs :func:`run_sweep` and keeps what the stateless graph
     build throws away — the :class:`PairAccumulation` — alongside the
-    assembled :class:`~repro.similarity.graph.ItemGraph`
-    and serving :class:`~repro.similarity.knn.NeighborIndex`.
-    :meth:`update` then realises the paper's §4.3 incremental-update
-    remark for the similarity backbone itself:
+    serving :class:`~repro.similarity.knn.NeighborIndex`, which holds
+    the whole graph ``G_ac`` as flat arrays. :meth:`update` then
+    realises the paper's §4.3 incremental-update remark for the
+    similarity backbone itself:
 
     1. the table derives with a delta handoff and the store appends the
        batch (:meth:`~repro.data.matrix.MatrixRatingStore.append_ratings`
@@ -192,12 +189,18 @@ class IncrementalSweep:
        the batch could have moved and folds into the retained
        accumulation;
     3. only the entries with a touched endpoint are re-ranked and
-       merged into the graph and index
+       merged into a new index
        (:meth:`~repro.data.matrix.MatrixRatingStore.splice_row_refresh`).
 
+    Each step returns new objects; ``table`` / ``store`` /
+    ``accumulation`` / ``index`` are replaced together once all of them
+    are computed, so an update either moves the sweep whole or not at
+    all. No string-keyed adjacency is kept: :attr:`graph` is a view
+    built on request.
+
     Equality contract (property-tested in ``tests/test_incremental.py``):
-    after any sequence of updates, the store, accumulation, graph and
-    index are **bit-identical** to a fresh
+    after any sequence of updates, the store, accumulation, index and
+    :attr:`graph` are **bit-identical** to a fresh
     :class:`IncrementalSweep` built on the final table.
 
     Args:
@@ -220,8 +223,6 @@ class IncrementalSweep:
         min_abs_similarity: float = 0.0,
         wal=None,
     ) -> None:
-        from repro.similarity.graph import ItemGraph
-
         self.wal = wal
         self.min_common_users = min_common_users
         self.min_abs_similarity = min_abs_similarity
@@ -229,14 +230,29 @@ class IncrementalSweep:
         self.store = table.matrix()
         self.accumulation, assembled = run_sweep(
             self.store, min_common_users, min_abs_similarity, with_index=True)
-        self.index = assembled.index
-        self.graph: ItemGraph = ItemGraph.from_adjacency(
-            assembled.adjacency, index=assembled.index
-        )
+        self.index: NeighborIndex = assembled.index
+        self._view: tuple[NeighborIndex, ItemGraph] | None = None
+        self._unapplied_seq: int | None = None
+
+    @property
+    def graph(self) -> ItemGraph:
+        """The current graph as an :class:`~repro.similarity.graph.ItemGraph`
+        — a view of :attr:`index` (:meth:`ItemGraph.from_index`), built
+        on the first read and memoized against that index object.
+
+        An update swaps the index, so the next read builds a fresh view;
+        a graph taken before an update keeps describing its own version,
+        the way a snapshot does. Read-only: nothing on the write path
+        reads or maintains it.
+        """
+        view = self._view
+        if view is None or view[0] is not self.index:
+            view = self._view = (self.index, ItemGraph.from_index(self.index))
+        return view[1]
 
     def update(self, batch: "Iterable[Rating]") -> IncrementalUpdateStats:
-        """Append *batch* and patch the store, accumulation, graph and
-        index in place of a rebuild.
+        """Append *batch*: a new store, accumulation and index in place
+        of a rebuild, adopted together at the end.
 
         With a ``wal`` attached, the batch is validated, then logged
         (and acknowledged by the log's group-commit discipline) before
@@ -246,7 +262,20 @@ class IncrementalSweep:
         (:func:`~repro.data.ratings.line_break_id`), raises
         :class:`~repro.errors.DataError` and leaves log and sweep
         untouched.
+
+        A logged batch that then fails to apply leaves the sweep behind
+        its log: the failure is counted
+        (``incremental_apply_failures_total``) and re-raised, and every
+        later update raises :class:`~repro.errors.DurabilityError`
+        until the store is recovered, which replays the batch. Without
+        a ``wal`` nothing was logged, so a failed update leaves the
+        sweep as it was and later updates proceed.
         """
+        if self._unapplied_seq is not None:
+            raise DurabilityError(
+                f"logged batch seq {self._unapplied_seq} failed to apply; "
+                f"this sweep is behind its log — recover the durable store "
+                f"to replay it")
         started = time.perf_counter()
         batch = list(batch)
         try:
@@ -262,7 +291,19 @@ class IncrementalSweep:
         wal_seq = None
         if self.wal is not None:
             wal_seq = self.wal.append(batch)
+        try:
+            fault_point("sweep.apply")
+            return self._apply(batch, new_table, started, wal_seq)
+        except BaseException:
+            if wal_seq is not None:
+                _M_APPLY_FAILURES.inc()
+                self._unapplied_seq = wal_seq
+            raise
 
+    def _apply(self, batch: list[Rating], new_table: RatingTable,
+               started: float, wal_seq: int | None) -> IncrementalUpdateStats:
+        """Compute the appended store, folded accumulation and spliced
+        index into locals, then adopt all four at once."""
         append_start = time.perf_counter()
         new_store, delta = self.store.append_ratings(batch)
         append_seconds = time.perf_counter() - append_start
@@ -284,15 +325,12 @@ class IncrementalSweep:
 
         refresh_start = time.perf_counter()
         refreshed = self._refresh(new_store, new_acc, delta)
-        self.graph.apply_delta(
-            refreshed.rows, new_items=delta.new_items, index=refreshed.index,
-            patches=refreshed.patches, removed=refreshed.edges_removed)
-        self.index = refreshed.index
         refresh_seconds = time.perf_counter() - refresh_start
 
         self.table = new_table
         self.store = new_store
         self.accumulation = new_acc
+        self.index = refreshed.index
 
         return IncrementalUpdateStats(
             n_batch=len({(r.user, r.item) for r in batch}),
@@ -312,13 +350,12 @@ class IncrementalSweep:
             affected_items=tuple(new_store.items[i] for i in refreshed.affected),
             batch_users=tuple(sorted({r.user for r in batch})),
             wal_seq=wal_seq,
-            n_rebuilt_rows=len(refreshed.rows),
             n_changed_entries=refreshed.n_changed_entries,
         )
 
     def _refresh(self, new_store: MatrixRatingStore, new_acc: PairAccumulation,
                  delta: StoreDelta) -> RowSplice:
-        """What the folded accumulation changes in graph and index: the
+        """What the folded accumulation changes in the index: the
         entry-level splice (:meth:`_refresh_whole_rows` is its oracle)."""
         return new_store.splice_row_refresh(
             new_acc, delta, self.index,
@@ -331,28 +368,33 @@ class IncrementalSweep:
         """Re-assemble every affected row whole — the oracle the splice
         is tested against."""
         # Rows that may have lost an edge: the touched items' partners
-        # *before* the update (an appended batch can drive an Eq-6
-        # numerator to exactly zero, dropping the edge).
+        # *before* the update, read from the old index (an appended
+        # batch can drive an Eq-6 numerator to exactly zero, dropping
+        # the edge).
+        items = new_store.items
         item_index = new_store.item_index
+        old = self.index
         old_partner_rows = {
             item_index[neighbor]
             for i in delta.touched_items
-            for neighbor in self.graph.neighbors(new_store.items[i])}
-        rows, index_update, affected = new_store.assemble_row_refresh(
+            for neighbor in old.neighbor_dict(items[i])}
+        index_update, affected = new_store.assemble_row_refresh(
             new_acc,
             delta,
             extra_rows=sorted(old_partner_rows),
             min_common_users=self.min_common_users,
             min_abs_similarity=self.min_abs_similarity,
         )
-        new_index = self.index.updated(
-            new_store.items, item_index, affected, *index_update,
-            item_map=delta.item_map)
+        new_index = old.updated(
+            items, item_index, affected, *index_update, item_map=delta.item_map)
+
         # Every changed edge has both endpoints among the rows.
-        before = {(i, j) for i in rows for j in self.graph.neighbors(i) if i < j}
-        after = {(i, j) for i, row in rows.items() for j in row if i < j}
-        edges_added = tuple(sorted(after - before))
-        edges_removed = tuple(sorted(before - after))
+        def _edges(index: NeighborIndex) -> set[tuple[str, str]]:
+            return {(items[i], j) for i in affected
+                    for j in index.neighbor_dict(items[i]) if items[i] < j}
+
+        before, after = _edges(old), _edges(new_index)
         return RowSplice(
-            new_index, affected, rows, (), edges_added, edges_removed,
-            n_changed_entries=sum(len(row) for row in rows.values()))
+            new_index, affected, tuple(sorted(after - before)),
+            tuple(sorted(before - after)),
+            n_changed_entries=len(index_update[1]))

@@ -219,7 +219,6 @@ def _store_from_arrays(
     constructor's end state without the construction pass."""
     store = MatrixRatingStore.__new__(MatrixRatingStore)
     store._triu_cache = {}
-    store._item_names_obj = None
     store._like_dicts = None
     store._value_total = None
     store.users = users
@@ -342,8 +341,8 @@ class ModelSnapshot:
         O(1): the sweep's store and index are adopted by reference, and
         an update replaces both with new objects instead of mutating
         them, so earlier snapshots stay coherent. (The sweep's *graph*
-        is mutated in place and is deliberately not captured;
-        :meth:`graph` re-derives an equal one from the index on demand.)
+        is a view of its index and is not captured; :meth:`graph`
+        builds an equal one on demand.)
         """
         return cls(
             sweep.store,
@@ -465,23 +464,14 @@ class ModelSnapshot:
 
     def graph(self) -> "ItemGraph":
         """The symmetric adjacency as an
-        :class:`~repro.similarity.graph.ItemGraph`, re-derived from the
-        index rows (adjacency row = stored row, as dicts; every item a
-        vertex).
+        :class:`~repro.similarity.graph.ItemGraph`, a view of the index
+        rows (:meth:`~repro.similarity.graph.ItemGraph.from_index`),
+        built on the first call.
         """
         if self._graph is None:
             from repro.similarity.graph import ItemGraph
 
-            index = self.index
-            items = self.store.items
-            adjacency: dict[str, dict[str, float]] = {}
-            for idx, item in enumerate(items):
-                ids, weights = index.row(idx)
-                adjacency[item] = {
-                    items[int(neighbor)]: float(weight)
-                    for neighbor, weight in zip(ids, weights)
-                }
-            self._graph = ItemGraph.from_adjacency(adjacency, index=index)
+            self._graph = ItemGraph.from_index(self.index)
         return self._graph
 
     def recommender(self) -> "ItemKNNRecommender":

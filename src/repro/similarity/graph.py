@@ -14,11 +14,20 @@ store's Eq-6 sweep (:mod:`repro.engine.sharded_sweep`), adjacency only.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.data.ratings import RatingTable
 from repro.errors import GraphError
-from repro.similarity.knn import NeighborIndex, rank_rows
+from repro.obs import get_registry
+from repro.similarity.knn import NeighborIndex, rank_rows, row_dicts
+
+_M_VIEWS_BUILT = get_registry().counter(
+    "item_graph_views_built_total",
+    "item graphs built as dict views of a NeighborIndex")
+_M_VIEW_SECONDS = get_registry().counter(
+    "item_graph_view_build_seconds_total",
+    "wall seconds spent building those views")
 
 
 class ItemGraph:
@@ -27,10 +36,10 @@ class ItemGraph:
     Serve-path queries (:meth:`top_neighbors`) run over *ranked* rows —
     neighbors ordered by descending similarity with the ascending-id
     tie-break. A row is ranked at most once: either it comes straight
-    from a :class:`~repro.similarity.knn.NeighborIndex` assembled with
-    the graph (a ``keep_state=True`` Baseliner hands one over), or it is
-    sorted lazily and memoized. Mutations (:meth:`add_edge` and friends)
-    invalidate both, so the Extender's working copies stay correct.
+    from a :class:`~repro.similarity.knn.NeighborIndex` the graph is a
+    view of (:meth:`from_index`), or it is sorted lazily and memoized.
+    Mutations (:meth:`add_edge` and friends) invalidate both, so the
+    Extender's working copies stay correct.
     """
 
     __slots__ = ("_adjacency", "_index", "_ranked_cache")
@@ -68,6 +77,27 @@ class ItemGraph:
         graph = cls()
         graph._adjacency = adjacency
         graph._index = index
+        return graph
+
+    @classmethod
+    def from_index(cls, index: NeighborIndex) -> "ItemGraph":
+        """The graph whose adjacency *index* holds, as a string-keyed
+        view: row ``i`` is index row ``i`` as a dict (every item a
+        vertex), and *index* stays attached for ranked reads.
+
+        The write path keeps only the index; this builds the dicts for
+        a caller that asks for them (an
+        :class:`~repro.engine.sharded_sweep.IncrementalSweep`'s
+        ``graph``, :meth:`~repro.serving.snapshot.ModelSnapshot.graph`)
+        and counts each build in ``item_graph_views_built_total`` /
+        ``item_graph_view_build_seconds_total``.
+        """
+        started = time.perf_counter()
+        graph = cls.from_adjacency(
+            row_dicts(index.items, index.ptr, index.neighbor_ids, index.weights),
+            index=index)
+        _M_VIEWS_BUILT.inc()
+        _M_VIEW_SECONDS.inc(time.perf_counter() - started)
         return graph
 
     def _invalidate(self) -> None:
@@ -247,48 +277,6 @@ class ItemGraph:
         clone._index = self._index
         return clone
 
-    def apply_delta(self, rows: Mapping[str, dict[str, float]],
-                    new_items: Iterable[str] = (),
-                    index: NeighborIndex | None = None,
-                    patches: Iterable[tuple[str, str, float]] = (),
-                    removed: Iterable[tuple[str, str]] = ()) -> None:
-        """Adopt an incremental refresh in place — the update path's
-        targeted alternative to mutate-and-:meth:`_invalidate`.
-
-        *rows* maps item → complete new neighbor dict for the rows the
-        refresh rebuilt whole (adopted without copying; the caller keeps
-        no reference). Every other changed row is patched per entry:
-        *patches* are directed ``(item, neighbor, weight)`` entries to
-        set, *removed* the undirected edges that vanished (dropped from
-        both endpoint rows). Together they must leave the adjacency
-        symmetric — every changed directed entry appears in a rebuilt
-        row or a patch, which both
-        :meth:`~repro.data.matrix.MatrixRatingStore.splice_row_refresh`
-        and the whole-row
-        :meth:`~repro.data.matrix.MatrixRatingStore.assemble_row_refresh`
-        (all *rows*, no patches) guarantee. *new_items* become vertices
-        (isolated unless a row says otherwise); *index* replaces the
-        backing index wholesale (``None`` drops it). Only the changed
-        rows' memoized rankings are invalidated.
-        """
-        adjacency = self._adjacency
-        for item in new_items:
-            adjacency.setdefault(item, {})
-        cache = self._ranked_cache
-        adjacency.update(rows)
-        if cache:
-            for item in rows:
-                cache.pop(item, None)
-        for item, neighbor, weight in patches:
-            adjacency[item][neighbor] = weight
-            if cache:
-                cache.pop(item, None)
-        for edge in removed:
-            for item, neighbor in (edge, edge[::-1]):
-                adjacency[item].pop(neighbor, None)
-                cache.pop(item, None)
-        self._index = index
-
 
 def build_similarity_graph(
         table: RatingTable,
@@ -314,8 +302,8 @@ def build_similarity_graph(
     eager ranking pass (the speedup bar of
     ``benchmarks/test_similarity_bench.py`` guards it) —
     :meth:`ItemGraph.ranked_neighbors` ranks rows lazily and memoizes.
-    A graph that must carry its serving index comes from
-    :class:`~repro.engine.sharded_sweep.IncrementalSweep`.
+    A graph that must carry its serving index is a view of one
+    (:meth:`ItemGraph.from_index`).
     """
     if pair_source is None:
         from repro.engine.sharded_sweep import run_sweep

@@ -79,6 +79,18 @@ def rank_rows(rows: Sequence[Mapping[str, float]], ids: Mapping[str, int]):
     return ptr, neighbor[order], weight[order]
 
 
+def row_dicts(items: Sequence[str], ptr, neighbor_ids, weights) -> dict[str, dict[str, float]]:
+    """Flat rows back to ``item → {neighbor: weight}`` dicts (the inverse
+    of :func:`rank_rows`): every item a key — isolated ones map to
+    ``{}`` — and each row one C-speed ``dict(zip(...))`` over its slice,
+    entries in stored order."""
+    names = _np.asarray(items, dtype=object)[neighbor_ids].tolist()
+    values = weights.tolist()
+    bounds = ptr.tolist()
+    return {item: dict(zip(names[start:end], values[start:end]))
+            for item, start, end in zip(items, bounds, bounds[1:])}
+
+
 def merge_ranked_entries(kept_sizes, kept, placed):
     """Merge the *kept* ``(neighbor ids, weights)`` rows — concatenated
     in row order, row ``x`` holding ``kept_sizes[x]`` entries — with the

@@ -1,7 +1,13 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 from repro.data.ratings import Rating, RatingTable
 from repro.durability.manager import CheckpointPolicy, DurableSweep
@@ -190,3 +196,24 @@ class TestBenchGateway:
     def test_bench_gateway_needs_a_model(self, tmp_path, capsys):
         assert main(["bench-gateway", "--watch", str(tmp_path)]) == 2
         assert "no loadable model" in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_import_leaves_numpy_unloaded(self):
+        """``serve-http`` runs the gateway, which needs neither NumPy
+        nor the model library: importing the CLI must load neither."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.cli; print('numpy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert probe.stdout.strip() == "False"
+
+    def test_every_public_name_resolves(self):
+        for name in repro.__all__:
+            assert getattr(repro, name).__name__ == name
+        assert set(repro.__all__) <= set(dir(repro))
+        with pytest.raises(AttributeError):
+            repro.no_such_name

@@ -37,7 +37,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
+from repro.data.synthetic import SyntheticConfig, amazon_like
 from repro.durability.log import SEGMENT_MAGIC, RatingLog
 from repro.durability.manager import (
     CHECKPOINT_FILE,
@@ -46,12 +48,20 @@ from repro.durability.manager import (
 )
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import DataError, DurabilityError
-from repro.faults import PLAN_ENV, FaultPlan, FaultRule, InjectedCrash, injected_faults
+from repro.faults import (
+    PLAN_ENV,
+    FaultPlan,
+    FaultRule,
+    InjectedCrash,
+    InjectedFault,
+    injected_faults,
+)
 from repro.obs.metrics import get_registry
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import RecommendationService
 from repro.serving.snapshot import STORE_ARRAY_NAMES
 from repro.serving.watch import SnapshotCatalog
+from repro.similarity.graph import build_similarity_graph
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -558,6 +568,119 @@ class TestDurableSweep:
         assert recovered.applied_seq == 2
         assert_sweeps_equal(recovered, _reference({}, table, batches, 2))
         recovered.close()
+
+
+    def test_logged_batch_that_fails_to_apply_stops_the_sweep(self, tmp_path):
+        """A batch logged and then not applied leaves the sweep behind
+        its log. It must refuse later batches rather than serve and
+        publish a model recovery would never rebuild; recovery replays
+        the batch."""
+        table, batches = _scenario()
+        failures = get_registry().counter("incremental_apply_failures_total")
+        durable = DurableSweep(tmp_path / "store", table, **_WRITER_KWARGS)
+        durable.update(batches[0])
+        before = failures.value
+        plan = FaultPlan(rules=[FaultRule("sweep.apply", "error", times=1)])
+        with injected_faults(plan), pytest.raises(InjectedFault):
+            durable.update(batches[1])
+        assert failures.value == before + 1
+        assert durable.log.last_seq == 2
+        assert durable.applied_seq == 1
+        assert_sweeps_equal(durable, _reference({}, table, batches, 1))
+        with pytest.raises(DurabilityError, match="seq 2 .*recover"):
+            durable.update(batches[2])
+        assert durable.log.last_seq == 2
+        durable.close()
+        recovered = DurableSweep.recover(tmp_path / "store")
+        assert recovered.applied_seq == 2
+        assert_sweeps_equal(recovered, _reference({}, table, batches, 2))
+        assert recovered.update(batches[2]).wal_seq == 3
+        recovered.close()
+
+    def test_failed_apply_leaves_a_walless_sweep_as_it_was(self, monkeypatch):
+        """Without a log nothing was written ahead: a failure anywhere
+        in the apply — here after the append and the fold — leaves every
+        attribute as it was, and the sweep keeps updating."""
+        table, batches = _scenario()
+        failures = get_registry().counter("incremental_apply_failures_total")
+        sweep = IncrementalSweep(table)
+        sweep.update(batches[0])
+        state = (sweep.table, sweep.store, sweep.accumulation, sweep.index)
+        before = failures.value
+        splice = MatrixRatingStore.splice_row_refresh
+
+        def fail_once(*args, **kwargs):
+            monkeypatch.setattr(MatrixRatingStore, "splice_row_refresh", splice)
+            raise MemoryError("injected")
+
+        monkeypatch.setattr(MatrixRatingStore, "splice_row_refresh", fail_once)
+        with pytest.raises(MemoryError):
+            sweep.update(batches[1])
+        assert (sweep.table, sweep.store, sweep.accumulation, sweep.index) == state
+        plan = FaultPlan(rules=[FaultRule("sweep.apply", "error", times=1)])
+        with injected_faults(plan), pytest.raises(InjectedFault):
+            sweep.update(batches[1])
+        assert (sweep.table, sweep.store, sweep.accumulation, sweep.index) == state
+        assert failures.value == before
+        for batch in batches[1:]:
+            sweep.update(batch)
+        assert_sweeps_equal(sweep, _reference({}, table, batches, len(batches)))
+
+
+def test_write_path_builds_no_graph_view(tmp_path):
+    """Nothing on the durable write path — build, onboard- and
+    heavy-shaped updates, registry and catalog publish, checkpoint,
+    recovery with a replayed tail — reads the sweep's graph. A reader
+    who asks gets one view per index version, equal to a fresh build,
+    and a view taken before an update keeps describing its version."""
+    table = amazon_like(SyntheticConfig(
+        n_users_source=40, n_users_target=40, n_overlap=8,
+        n_items_source=45, n_items_target=43, ratings_per_user=5.0,
+        min_ratings_per_user=2, seed=3)).merged()
+    tail_items = sorted(table.items, key=lambda i: (len(table.item_profile(i)), i))
+    head = max(table.users, key=lambda u: (len(table.user_profile(u)), u))
+    batches = [
+        [Rating("n-onboard-1", item, 4.0, 10_000 + k)
+         for k, item in enumerate(tail_items[:4])],
+        [Rating(head, item, 1.0, 10_100 + k)
+         for k, item in enumerate(sorted(table.user_profile(head))[:3])],
+        [Rating("n-onboard-2", item, 2.0, 10_200 + k)
+         for k, item in enumerate(tail_items[4:8])],
+    ]
+    views = get_registry().counter("item_graph_views_built_total")
+    before = views.value
+    durable = DurableSweep(tmp_path / "store", table,
+                           policy=CheckpointPolicy(max_batches=2), **_WRITER_KWARGS)
+    registry = durable.registry()
+    catalog = SnapshotCatalog(tmp_path / "catalog", keep_last=2)
+    catalog.attach(registry)
+    for batch in batches:
+        registry.update(batch)
+    catalog.detach()
+    durable.close()
+    recovered = DurableSweep.recover(tmp_path / "store")
+    assert recovered.last_recovery.replayed_batches == 1
+    assert views.value == before
+
+    graph = recovered.graph
+    assert views.value == before + 1
+    assert recovered.graph is graph
+    assert views.value == before + 1
+    final = table
+    for batch in batches:
+        final = final.with_ratings(batch)
+    assert graph._adjacency == build_similarity_graph(RatingTable(list(final)))._adjacency
+
+    taken = {item: dict(row) for item, row in graph._adjacency.items()}
+    more = [Rating("n-onboard-3", tail_items[0], 5.0, 10_300),
+            Rating("n-onboard-3", tail_items[-1], 1.0, 10_301)]
+    recovered.update(more)
+    assert graph._adjacency == taken
+    fresh = recovered.graph
+    assert fresh is not graph and views.value == before + 2
+    assert fresh._adjacency == build_similarity_graph(
+        RatingTable(list(final.with_ratings(more))))._adjacency
+    recovered.close()
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,9 @@ Equality is exact: accumulation and adjacency by ``==``, ``ptr`` /
 ``neighbor_ids`` / ``weights`` bit for bit, and the per-update
 ``affected_items`` and edge census.
 
-The small tables of ``tests/test_incremental.py`` mostly rebuild every
-affected row; the ``amazon_like`` tables here are large enough that one
-update both patches rows per entry and rebuilds others whole.
+The small tables of ``tests/test_incremental.py`` mostly re-rank every
+affected row whole; the ``amazon_like`` tables here are large enough
+that one update keeps most entries of its affected rows.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ def _run_and_compare(table, batches, **kwargs):
         assert got.edges_added == want.edges_added
         assert got.edges_removed == want.edges_removed
         assert got.n_changed_entries <= want.n_changed_entries
-        assert got.n_rebuilt_rows <= want.n_rebuilt_rows == want.n_affected_rows
         table = table.with_ratings(batch)
         all_stats.append(got)
     fresh = IncrementalSweep(RatingTable(list(table)), **kwargs)
@@ -114,30 +113,24 @@ def test_splice_equals_reference_equals_rebuild(
 
 
 @pytest.mark.parametrize("shape", range(len(_SHAPES)))
-def test_one_update_runs_both_regimes(shape):
+def test_one_head_update_reranks_part_of_the_index(shape):
     """A head user re-rating one item moves their mean, so every item
-    they rated is touched and rebuilt; low-degree partner rows are too
-    (more entries placed than kept); the rest are patched per entry —
-    and the counters say so."""
+    they rated is touched; their partners are affected too, yet only
+    the touched-endpoint entries are re-ranked — and the counter says
+    so."""
     table = _table(1, shape)
     head = min(table.users, key=lambda u: (-len(table.user_profile(u)), u))
     batch = [Rating(head, min(table.user_profile(head)), 1.0, timestep=9_000)]
-    registry = get_registry()
-    rows = registry.counter("incremental_rows_total", labels=("mode",))
-    entries = registry.counter("incremental_entries_changed_total")
-    before = (rows.labels("rebuilt").value, rows.labels("patched").value, entries.value)
+    entries = get_registry().counter("incremental_entries_changed_total")
+    before = entries.value
     # Both sweeps of _run_and_compare feed the registry: the reference
-    # counts every affected row as rebuilt and every row entry as placed.
+    # counts every affected row's entries as placed.
     [stats] = _run_and_compare(table, [batch])
     assert stats.n_touched_items == len(table.user_profile(head))
-    assert stats.n_touched_items < stats.n_rebuilt_rows < stats.n_affected_rows
+    assert stats.n_touched_items < stats.n_affected_rows
     assert 0 < stats.n_changed_entries < IncrementalSweep(
         table.with_ratings(batch)).index.n_entries
-    assert rows.labels("rebuilt").value - before[0] \
-        == stats.n_rebuilt_rows + stats.n_affected_rows
-    assert rows.labels("patched").value - before[1] \
-        == stats.n_affected_rows - stats.n_rebuilt_rows
-    assert entries.value - before[2] > stats.n_changed_entries
+    assert entries.value - before > stats.n_changed_entries
 
 
 # -- the fold's and splice's branches and slice edges -------------------
@@ -214,8 +207,8 @@ def test_zero_numerator_drops_an_edge_and_a_rows_last_entry():
 
 def test_threshold_drop_empties_an_untouched_row():
     """``min_abs_similarity``: a new rater grows t's norm, x-t falls
-    under the floor, and x — untouched, patched per entry — loses its
-    only neighbor."""
+    under the floor, and x — untouched, its entry to t dropped — loses
+    its only neighbor."""
     base = _ratings({"u1": {"t": 5.0, "x": 3.0}, "u2": {"p": 5.0, "q": 1.0, "r": 2.0}})
     batch = _ratings({"u3": {"t": 1.0, "p": 5.0}})
     sweep = IncrementalSweep(RatingTable(base), min_abs_similarity=0.5)
@@ -241,7 +234,6 @@ def test_new_items_mid_alphabet_remap_kept_entries():
     assert stats.n_new_items == 3
     # c/e/g/i are outside the blast radius; m/o/q are partners of k.
     assert stats.affected_items == ("b", "d", "k", "m", "n", "o", "q")
-    assert stats.n_rebuilt_rows == 4  # the touched rows b, d, k, n
 
 
 def test_equal_weights_merge_in_id_order():
@@ -257,7 +249,6 @@ def test_equal_weights_merge_in_id_order():
     sweep.update(batch)
     assert sweep.index.top("x", 4) == [("p", 1.0), ("q", 1.0), ("r", 1.0), ("y", -1.0)]
     assert stats.edges_added == stats.edges_removed == ()
-    assert stats.n_rebuilt_rows == 3  # q, z, zz; x is patched in place
 
 
 def test_item_without_a_prior_row_gains_one():

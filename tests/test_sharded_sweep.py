@@ -152,22 +152,22 @@ def test_significance_counts_exact(table):
 def test_index_selected_during_assembly(table):
     """The NeighborIndex rows assembled in the adjacency's sort are
     exactly the top-k ranking of the adjacency rows."""
-    _, assembled = run_sweep(MatrixRatingStore(table), with_index=True)
-    assert assembled.index is not None
-    for item, neighbors in assembled.adjacency.items():
+    store = MatrixRatingStore(table)
+    index = run_sweep(store, with_index=True)[1].index
+    for item, neighbors in run_sweep(store)[1].adjacency.items():
         width = len(neighbors) + 1
-        assert assembled.index.top(item, width) == top_k(neighbors, width)
-        assert assembled.index.neighbor_dict(item) == neighbors
+        assert index.top(item, width) == top_k(neighbors, width)
+        assert index.neighbor_dict(item) == neighbors
 
 
 def test_index_not_built_unless_requested(tiny_table):
     assert run_sweep(tiny_table.matrix())[1].index is None
+    assert run_sweep(tiny_table.matrix(), with_index=True)[1].adjacency is None
 
 
 def test_empty_table():
-    _, assembled = run_sweep(RatingTable().matrix(), with_index=True)
-    assert assembled.adjacency == {}
-    assert assembled.index.n_entries == 0
+    assert run_sweep(RatingTable().matrix())[1].adjacency == {}
+    assert run_sweep(RatingTable().matrix(), with_index=True)[1].index.n_entries == 0
 
 
 # -- telemetry ----------------------------------------------------------
@@ -198,7 +198,7 @@ def test_each_build_observes_one_sample_per_stage(small_trace, keep_state):
 
 def test_stage_seconds_explain_the_stateful_build():
     # The bench's xmap_fit trace; the store is built first, so the
-    # timed build is the sweep plus wrapping its rows in a graph.
+    # timed build is the sweep alone.
     table = amazon_like(SyntheticConfig(ratings_per_user=15.0, seed=7)).merged()
     table.matrix()
     before = _stage_cells()
