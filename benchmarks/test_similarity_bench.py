@@ -7,7 +7,7 @@ synthetic rating tables at three sizes:
 * **graph build** — ``build_similarity_graph`` (all-pairs adjusted
   cosine, Eq 6) against the retained pre-store reference implementation
   (:func:`~repro.similarity.adjusted_cosine.all_pairs_adjusted_cosine_reference`
-  feeding the per-edge ``add_edge`` loop);
+  feeding :meth:`~repro.similarity.graph.ItemGraph.from_edges`);
 * **significance sweep** — Definition-2 lookups over sampled item pairs
   against :func:`~repro.similarity.significance.significance_reference`.
 
@@ -102,14 +102,9 @@ def _timed(fn, repeats: int = 1, setup=lambda: None):
 
 
 def _reference_graph_build(table: RatingTable) -> ItemGraph:
-    """The pre-store construction: reference pair sweep + per-edge adds."""
-    graph = ItemGraph()
-    for item in table.items:
-        graph.add_item(item)
-    for item_i, item_j, sim in all_pairs_adjusted_cosine_reference(table):
-        if sim != 0.0:
-            graph.add_edge(item_i, item_j, sim)
-    return graph
+    """The pre-store construction: the reference pair sweep, built into
+    a graph by ``from_edges``."""
+    return ItemGraph.from_edges(table.items, all_pairs_adjusted_cosine_reference(table))
 
 
 def _persist(name: str, header: str, lines: list[str]) -> str:

@@ -10,15 +10,20 @@ Figure 1(b).
 
 The paper runs this stage as a Spark job; here it is one in-process
 Eq-6 sweep over the table's interned store
-(:mod:`repro.engine.sharded_sweep`), run stateless (adjacency only) or,
-with ``keep_state=True``, as an updatable
-:class:`~repro.engine.sharded_sweep.IncrementalSweep`.
+(:mod:`repro.engine.sharded_sweep`), run stateless or, with
+``keep_state=True``, as an updatable
+:class:`~repro.engine.sharded_sweep.IncrementalSweep`. Either way the
+graph is an :class:`~repro.similarity.graph.ItemGraph` over the
+sweep's :class:`~repro.similarity.knn.NeighborIndex`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping
+
+import numpy as _np
 
 from repro.data.dataset import CrossDomainDataset
 from repro.data.ratings import RatingTable
@@ -36,7 +41,7 @@ class BaselineSimilarities:
 
     Attributes:
         graph: the baseline similarity graph ``G_ac`` over both domains
-            — with a retained *state*, the view of its index at this
+            — with a retained *state*, the graph over its index at this
             version (:attr:`IncrementalSweep.graph
             <repro.engine.sharded_sweep.IncrementalSweep.graph>`), which
             a later update leaves as it is.
@@ -95,9 +100,8 @@ class Baseliner:
         keep_state: retain the accumulation alongside the graph
             (:class:`~repro.engine.sharded_sweep.IncrementalSweep`), so
             :meth:`update` can append rating batches incrementally. The
-            computed baseline is identical either way, bit for bit; the
-            stateful graph also carries its serving index. The cost of
-            the state is keeping the accumulation arrays alive.
+            computed baseline is identical either way, bit for bit. The
+            cost of the state is keeping the accumulation arrays alive.
     """
 
     def __init__(self, min_common_users: int = 1,
@@ -134,17 +138,16 @@ class Baseliner:
                 merged,
                 min_common_users=self.min_common_users,
                 min_abs_similarity=self.min_abs_similarity)
+        # One mask over the index entries; each edge is stored twice.
+        index = graph.index
         domain_of = data.domain_map()
-        n_homogeneous = 0
-        n_heterogeneous = 0
-        for item_i, item_j, _ in graph.edges():
-            if domain_of[item_i] == domain_of[item_j]:
-                n_homogeneous += 1
-            else:
-                n_heterogeneous += 1
+        labels = [domain_of[item] for item in index.items]
+        code = _np.unique(labels, return_inverse=True)[1]
+        n_heterogeneous = int(_np.count_nonzero(
+            code[index.owners()] != code[index.neighbor_ids])) // 2
         return BaselineSimilarities(
             graph=graph,
-            n_homogeneous=n_homogeneous,
+            n_homogeneous=graph.n_edges() - n_heterogeneous,
             n_heterogeneous=n_heterogeneous,
             state=state)
 
@@ -162,11 +165,13 @@ class Baseliner:
         two pre-existing items, so pass a domain map covering the whole
         updated item universe — the updated dataset's
         :meth:`~repro.data.dataset.CrossDomainDataset.domain_map` —
-        not just the batch's new items). The shared sweep moves even
-        though *baseline* does not: keep using the returned object.
+        not just the batch's new items). An item of the store or the
+        batch without a label raises :class:`~repro.errors.ConfigError`
+        before the sweep moves. The shared sweep moves even though
+        *baseline* does not: keep using the returned object.
 
         Returns the refreshed :class:`BaselineSimilarities` — its graph
-        is the sweep's view of the updated index; *baseline*'s graph
+        is over the updated index; *baseline*'s graph
         keeps describing the version before — and the update's stats.
         """
         state = baseline.state
@@ -174,6 +179,13 @@ class Baseliner:
             raise ConfigError(
                 "Baseliner.update needs a baseline computed with "
                 "keep_state=True (it carries the retained accumulation)")
+        batch = list(batch)
+        items = chain(state.store.items, (rating.item for rating in batch))
+        unlabeled = next((item for item in items if item not in domain_of), None)
+        if unlabeled is not None:
+            raise ConfigError(
+                f"item {unlabeled!r} has no domain label; pass the updated "
+                f"dataset's domain_map()")
         stats = state.update(batch)
         n_homogeneous = baseline.n_homogeneous
         n_heterogeneous = baseline.n_heterogeneous

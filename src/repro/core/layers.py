@@ -21,6 +21,8 @@ from __future__ import annotations
 import enum
 from typing import Mapping
 
+import numpy as _np
+
 from repro.errors import GraphError
 from repro.similarity.graph import ItemGraph
 
@@ -69,34 +71,32 @@ class LayerPartition:
                 vertex must appear in *domain_of*.
             domain_of: item → domain name; exactly two domains must occur.
         """
-        domains = sorted({domain_of[item] for item in graph.items if item in domain_of})
-        missing = [item for item in graph.items if item not in domain_of]
+        index = graph.index
+        items = index.items
+        missing = [item for item in items if item not in domain_of]
         if missing:
-            raise GraphError(
-                f"items missing a domain label, e.g. {sorted(missing)[:3]}")
+            raise GraphError(f"items missing a domain label, e.g. {missing[:3]}")
+        labels = [domain_of[item] for item in items]
+        domains, code = _np.unique(labels, return_inverse=True)
         if len(domains) != 2:
             raise GraphError(
-                f"layer partition requires exactly 2 domains, got {domains}")
+                f"layer partition requires exactly 2 domains, got {domains.tolist()}")
 
-        bridge: set[str] = set()
-        for item in graph.items:
-            item_domain = domain_of[item]
-            for neighbor in graph.neighbors(item):
-                if domain_of[neighbor] != item_domain:
-                    bridge.add(item)
-                    break
-
-        assignment: dict[str, tuple[str, Layer]] = {}
-        for item in graph.items:
-            domain = domain_of[item]
-            if item in bridge:
-                assignment[item] = (domain, Layer.BB)
-                continue
-            touches_bridge = any(
-                neighbor in bridge and domain_of[neighbor] == domain
-                for neighbor in graph.neighbors(item))
-            assignment[item] = (domain, Layer.NB if touches_bridge else Layer.NN)
-        return cls(assignment, (domains[0], domains[1]))
+        # One mask per rule over the index entries (owner → neighbor):
+        # an item is a bridge when one of its edges crosses domains, NB
+        # when one of its edges reaches a bridge (a non-bridge's edges
+        # all stay in its domain).
+        owner, neighbor = index.owners(), index.neighbor_ids
+        bridge = _np.zeros(len(items), dtype=bool)
+        bridge[owner[code[owner] != code[neighbor]]] = True
+        near_bridge = _np.zeros(len(items), dtype=bool)
+        near_bridge[owner[bridge[neighbor]]] = True
+        layer = _np.where(bridge, 0, _np.where(near_bridge, 1, 2))
+        chain = (Layer.BB, Layer.NB, Layer.NN)
+        assignment = {item: (label, chain[rank])
+                      for item, label, rank in zip(items, labels, layer.tolist())}
+        first, second = domains.tolist()
+        return cls(assignment, (first, second))
 
     # ------------------------------------------------------------------
 

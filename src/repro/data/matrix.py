@@ -126,20 +126,6 @@ def _empty_accumulation() -> PairAccumulation:
     return PairAccumulation(empty_int, _np.zeros(0, dtype=_np.float64), empty_int.copy())
 
 
-class AssemblyResult(NamedTuple):
-    """Output of :meth:`MatrixRatingStore.assemble_from_partitions`:
-    one of the two is set, the other is ``None``.
-
-    Attributes:
-        adjacency: the symmetric string-keyed adjacency.
-        index: the rank-ordered
-            :class:`~repro.similarity.knn.NeighborIndex`.
-    """
-
-    adjacency: dict[str, dict[str, float]] | None
-    index: "NeighborIndex | None"
-
-
 class RowSplice(NamedTuple):
     """What one incremental refresh changed.
 
@@ -1113,8 +1099,7 @@ class MatrixRatingStore:
         filtered weights of *acc*'s touched-endpoint pairs, ranked by
         one small ``lexsort`` — equal to a fresh assembly bit for bit. A
         touched row keeps nothing, so whole-row rebuild is the merge's
-        degenerate case, not a second path. Only arrays are written: no
-        string-keyed row is built or patched.
+        degenerate case, not a second path.
 
         Cost: one delete-and-insert (one copy) per index array, one
         gather each over the index's ids and *acc*'s right items, and
@@ -1217,33 +1202,11 @@ class MatrixRatingStore:
             left, right, sims = left[keep], right[keep], sims[keep]
         return left, right, sims
 
-    def build_adjacency(
-            self, min_common_users: int = 1,
-            min_abs_similarity: float = 0.0,
-            max_profile_size: int | None = None,
-    ) -> dict[str, dict[str, float]]:
-        """The full symmetric Eq-6 adjacency, assembled in bulk.
-
-        Semantically ``{i: {j: sim}}`` over the pairs
-        :meth:`all_pairs_adjusted_cosine` yields (every item present,
-        isolated ones with an empty neighbor dict; edges with
-        ``|sim| < min_abs_similarity`` dropped), but built without a
-        per-edge Python loop: the directed edge list is
-        sorted once and each item's neighbor dict is one C-speed
-        ``dict(zip(...))`` over a contiguous slice — the store-path
-        oracle the sweep (:func:`~repro.engine.sharded_sweep.run_sweep`)
-        is tested against.
-        """
-        return self.assemble_from_partitions(
-            self.pair_accumulation(max_profile_size=max_profile_size),
-            min_common_users=min_common_users,
-            min_abs_similarity=min_abs_similarity).adjacency
-
     def neighbor_index(self, min_common_users: int = 1,
                        min_abs_similarity: float = 0.0,
                        max_profile_size: int | None = None) -> "NeighborIndex":
         """Rank-ordered :class:`~repro.similarity.knn.NeighborIndex`
-        from one Eq-6 sweep (no adjacency dicts built).
+        from one Eq-6 sweep.
 
         This is the serve-side entry point
         :class:`~repro.cf.item_knn.ItemKNNRecommender` uses: rows hold
@@ -1254,42 +1217,20 @@ class MatrixRatingStore:
         return self.assemble_from_partitions(
             self.pair_accumulation(max_profile_size=max_profile_size),
             min_common_users=min_common_users,
-            min_abs_similarity=min_abs_similarity,
-            with_index=True).index
+            min_abs_similarity=min_abs_similarity)
 
     def assemble_from_partitions(
             self, acc: PairAccumulation,
             min_common_users: int = 1,
             min_abs_similarity: float = 0.0,
-            with_index: bool = False,
-    ) -> "AssemblyResult":
-        """Assemble *acc*'s symmetric Eq-6 graph: the string-keyed
-        adjacency rows, or with *with_index* the
-        :class:`~repro.similarity.knn.NeighborIndex` instead.
-
-        The filtered pairs and their reversed copies form the directed
-        edge list, sorted once: by source row alone for the adjacency,
-        by (source, descending weight, ascending target) for the index.
-        Each adjacency row is one C-speed ``dict(zip(...))`` over a
-        contiguous slice (:func:`~repro.similarity.knn.row_dicts`).
-        Isolated items keep an empty row.
+    ) -> "NeighborIndex":
+        """Assemble *acc*'s symmetric Eq-6 graph as the rank-ordered
+        :class:`~repro.similarity.knn.NeighborIndex`
+        (:meth:`~repro.similarity.knn.NeighborIndex.from_pairs` over the
+        filtered pairs). Isolated items keep an empty row.
         """
-        from repro.similarity.knn import NeighborIndex, row_dicts
+        from repro.similarity.knn import NeighborIndex
 
-        items = self.items
-        left, right, sims = self._pairs_from_accumulation(
-            acc, min_common_users, min_abs_similarity)
-        src = _np.concatenate([left, right])
-        tgt = _np.concatenate([right, left])
-        wts = _np.concatenate([sims, sims])
-        if with_index:
-            order = _np.lexsort((tgt, -wts, src))
-        else:
-            order = _np.argsort(src, kind="stable")
-        src, tgt, wts = src[order], tgt[order], wts[order]
-        bounds = _np.searchsorted(src, _np.arange(len(items) + 1))
-        if with_index:
-            return AssemblyResult(
-                adjacency=None,
-                index=NeighborIndex(items, self.item_index, bounds, tgt, wts))
-        return AssemblyResult(adjacency=row_dicts(items, bounds, tgt, wts), index=None)
+        return NeighborIndex.from_pairs(
+            self.items, self.item_index, *self._pairs_from_accumulation(
+                acc, min_common_users, min_abs_similarity))

@@ -231,8 +231,8 @@ class DurableSweep:
     @property
     def graph(self):
         """The inner sweep's :attr:`~repro.engine.sharded_sweep.IncrementalSweep.graph`:
-        a dict view of the current index, built on the first read after
-        an update — nothing on the durable write path reads it."""
+        the :class:`~repro.similarity.graph.ItemGraph` over the current
+        index."""
         return self.sweep.graph
 
     # ------------------------------------------------------------------

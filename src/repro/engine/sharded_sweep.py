@@ -11,8 +11,9 @@ the similarity graph. Here that job is two calls over the interned
   for its pruned edges only, from
   :meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`);
 * :meth:`~repro.data.matrix.MatrixRatingStore.assemble_from_partitions`
-  turns the accumulation into the adjacency rows or the serving
-  :class:`~repro.similarity.knn.NeighborIndex`, in one sort.
+  turns the accumulation into the rank-ordered
+  :class:`~repro.similarity.knn.NeighborIndex`, in one sort — the graph's
+  one stored form.
 
 :func:`run_sweep` times both into ``sweep_stage_seconds{accumulate,
 assemble}``; the stateless graph build
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.data.matrix import (
-    AssemblyResult,
     MatrixRatingStore,
     PairAccumulation,
     RowSplice,
@@ -66,28 +66,25 @@ def run_sweep(
     store: MatrixRatingStore,
     min_common_users: int = 1,
     min_abs_similarity: float = 0.0,
-    with_index: bool = False,
-) -> tuple[PairAccumulation, AssemblyResult]:
+) -> tuple[PairAccumulation, NeighborIndex]:
     """Accumulate and assemble *store*'s Eq-6 graph, timing each stage.
 
-    Returns the accumulation and the assembled adjacency, or with
-    *with_index* the serving index instead. Each call adds one
+    Returns the accumulation and the index. Each call adds one
     ``sweep_stage_seconds`` sample per stage.
     """
     started = time.perf_counter()
     acc = sharded_pair_accumulation(store)
     accumulated = time.perf_counter()
-    assembled = store.assemble_from_partitions(
+    index = store.assemble_from_partitions(
         acc,
         min_common_users=min_common_users,
         min_abs_similarity=min_abs_similarity,
-        with_index=with_index,
     )
     observe_stage_seconds("sweep", {
         "accumulate": accumulated - started,
         "assemble": time.perf_counter() - accumulated,
     })
-    return acc, assembled
+    return acc, index
 
 
 _M_REJECTED = get_registry().counter(
@@ -195,8 +192,8 @@ class IncrementalSweep:
     Each step returns new objects; ``table`` / ``store`` /
     ``accumulation`` / ``index`` are replaced together once all of them
     are computed, so an update either moves the sweep whole or not at
-    all. No string-keyed adjacency is kept: :attr:`graph` is a view
-    built on request.
+    all. :attr:`graph` is the :class:`~repro.similarity.graph.ItemGraph`
+    over the current index.
 
     Equality contract (property-tested in ``tests/test_incremental.py``):
     after any sequence of updates, the store, accumulation, index and
@@ -228,27 +225,19 @@ class IncrementalSweep:
         self.min_abs_similarity = min_abs_similarity
         self.table = table
         self.store = table.matrix()
-        self.accumulation, assembled = run_sweep(
-            self.store, min_common_users, min_abs_similarity, with_index=True)
-        self.index: NeighborIndex = assembled.index
-        self._view: tuple[NeighborIndex, ItemGraph] | None = None
+        self.accumulation, self.index = run_sweep(
+            self.store, min_common_users, min_abs_similarity)
         self._unapplied_seq: int | None = None
 
     @property
     def graph(self) -> ItemGraph:
-        """The current graph as an :class:`~repro.similarity.graph.ItemGraph`
-        — a view of :attr:`index` (:meth:`ItemGraph.from_index`), built
-        on the first read and memoized against that index object.
+        """The current graph, an :class:`~repro.similarity.graph.ItemGraph`
+        over :attr:`index`.
 
-        An update swaps the index, so the next read builds a fresh view;
-        a graph taken before an update keeps describing its own version,
-        the way a snapshot does. Read-only: nothing on the write path
-        reads or maintains it.
+        An update swaps the index, so a graph taken before it keeps
+        describing its own version, the way a snapshot does.
         """
-        view = self._view
-        if view is None or view[0] is not self.index:
-            view = self._view = (self.index, ItemGraph.from_index(self.index))
-        return view[1]
+        return ItemGraph(self.index)
 
     def update(self, batch: "Iterable[Rating]") -> IncrementalUpdateStats:
         """Append *batch*: a new store, accumulation and index in place

@@ -118,14 +118,10 @@ def run_xmap_job(data: CrossDomainDataset, cluster: ClusterSpec,
         else:
             numerators[(item_a, item_b)] = value
 
-    graph = ItemGraph()
-    for item in merged.items:
-        graph.add_item(item)
-    graph.add_edges(
+    graph = ItemGraph.from_edges(merged.items, (
         (item_a, item_b, max(-1.0, min(1.0, numerator / denom)))
         for (item_a, item_b), numerator in numerators.items()
-        if (denom := norms.get(item_a, 0.0) * norms.get(item_b, 0.0)) > 0.0
-        and numerator != 0.0)
+        if (denom := norms.get(item_a, 0.0) * norms.get(item_b, 0.0)) > 0.0))
 
     # Stage group 3 (driver): layers + pruned adjacency, then broadcast.
     partition = LayerPartition.from_graph(graph, data.domain_map())

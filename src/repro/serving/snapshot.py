@@ -265,7 +265,6 @@ class ModelSnapshot:
         "scale",
         "alterego",
         "_table",
-        "_graph",
         "_recommender",
     )
 
@@ -298,7 +297,6 @@ class ModelSnapshot:
                 for source, replacements in alterego.items()
             }
         self._table = table
-        self._graph = None
         self._recommender = None
 
     # ------------------------------------------------------------------
@@ -341,8 +339,7 @@ class ModelSnapshot:
         O(1): the sweep's store and index are adopted by reference, and
         an update replaces both with new objects instead of mutating
         them, so earlier snapshots stay coherent. (The sweep's *graph*
-        is a view of its index and is not captured; :meth:`graph`
-        builds an equal one on demand.)
+        is its index, so :meth:`graph` is the same graph.)
         """
         return cls(
             sweep.store,
@@ -463,16 +460,12 @@ class ModelSnapshot:
         return self._table
 
     def graph(self) -> "ItemGraph":
-        """The symmetric adjacency as an
-        :class:`~repro.similarity.graph.ItemGraph`, a view of the index
-        rows (:meth:`~repro.similarity.graph.ItemGraph.from_index`),
-        built on the first call.
+        """The similarity graph as an
+        :class:`~repro.similarity.graph.ItemGraph` over :attr:`index`.
         """
-        if self._graph is None:
-            from repro.similarity.graph import ItemGraph
+        from repro.similarity.graph import ItemGraph
 
-            self._graph = ItemGraph.from_index(self.index)
-        return self._graph
+        return ItemGraph(self.index)
 
     def recommender(self) -> "ItemKNNRecommender":
         """The Algorithm-2 recommender over this snapshot — the

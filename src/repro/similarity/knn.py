@@ -6,14 +6,14 @@ replacement shortlists. This module centralises that selection with a
 deterministic tie-break (higher similarity first, then lexicographic id)
 so that runs are reproducible.
 
-:class:`NeighborIndex` is the serving-side counterpart: the same ranking
-rule, but applied *once* during adjacency assembly and frozen into flat
-arrays, so serve-time queries are O(k) slices and scans instead of
-per-call sorts. It is produced by
-:meth:`~repro.data.matrix.MatrixRatingStore.assemble_from_partitions`
-(in the same sort as the sweep's adjacency rows) and consumed by
-:class:`~repro.cf.item_knn.ItemKNNRecommender` and
-:meth:`~repro.similarity.graph.ItemGraph.top_neighbors`.
+:class:`NeighborIndex` is the graph's one stored form: the same
+ranking rule, applied *once* when the undirected pairs are assembled
+(:meth:`NeighborIndex.from_pairs`) and frozen into flat arrays, so
+queries are O(k) slices and scans instead of per-call sorts. The sweep
+builds it
+(:meth:`~repro.data.matrix.MatrixRatingStore.assemble_from_partitions`);
+:class:`~repro.similarity.graph.ItemGraph` is its name-keyed face and
+:class:`~repro.cf.item_knn.ItemKNNRecommender` serves from it.
 """
 
 from __future__ import annotations
@@ -79,18 +79,6 @@ def rank_rows(rows: Sequence[Mapping[str, float]], ids: Mapping[str, int]):
     return ptr, neighbor[order], weight[order]
 
 
-def row_dicts(items: Sequence[str], ptr, neighbor_ids, weights) -> dict[str, dict[str, float]]:
-    """Flat rows back to ``item → {neighbor: weight}`` dicts (the inverse
-    of :func:`rank_rows`): every item a key — isolated ones map to
-    ``{}`` — and each row one C-speed ``dict(zip(...))`` over its slice,
-    entries in stored order."""
-    names = _np.asarray(items, dtype=object)[neighbor_ids].tolist()
-    values = weights.tolist()
-    bounds = ptr.tolist()
-    return {item: dict(zip(names[start:end], values[start:end]))
-            for item, start, end in zip(items, bounds, bounds[1:])}
-
-
 def merge_ranked_entries(kept_sizes, kept, placed):
     """Merge the *kept* ``(neighbor ids, weights)`` rows — concatenated
     in row order, row ``x`` holding ``kept_sizes[x]`` entries — with the
@@ -143,8 +131,8 @@ class NeighborIndex:
 
     Determinism contract (property-tested in ``tests/test_graph_knn.py``
     and ``tests/test_sharded_sweep.py``): rows are a pure function of
-    the adjacency they were assembled from — each row is exactly
-    :func:`top_k` of its adjacency row, weights bit for bit.
+    the pairs they were assembled from — each row is exactly
+    :func:`top_k` of that item's edges, weights bit for bit.
 
     Attributes:
         items: interned item-id list, index order.
@@ -152,7 +140,7 @@ class NeighborIndex:
         neighbor_ids: flat neighbor item indexes, rank order per row.
         weights: flat neighbor weights, aligned with *neighbor_ids*.
 
-    Rows are complete: every nonzero edge of the adjacency is stored.
+    Rows are complete: every nonzero edge is stored, in both rows.
     """
 
     __slots__ = ("items", "item_index", "ptr", "neighbor_ids", "weights")
@@ -164,6 +152,25 @@ class NeighborIndex:
         self.ptr = ptr
         self.neighbor_ids = neighbor_ids
         self.weights = weights
+
+    @classmethod
+    def from_pairs(cls, items: Sequence[str], item_index: Mapping[str, int],
+                   left, right, weights) -> "NeighborIndex":
+        """The index of the undirected edges ``{left[e], right[e]}`` of
+        weight ``weights[e]`` (item indexes into the sorted *items*;
+        each pair once, weights nonzero).
+
+        Each pair is stored in both rows: the pairs and their reversed
+        copies are sorted once by (row, descending weight, ascending
+        neighbor). Items without an edge keep an empty row.
+        """
+        src = _np.concatenate([left, right])
+        tgt = _np.concatenate([right, left])
+        wts = _np.concatenate([weights, weights])
+        order = _np.lexsort((tgt, -wts, src))
+        src, tgt, wts = src[order], tgt[order], wts[order]
+        ptr = _np.searchsorted(src, _np.arange(len(items) + 1))
+        return cls(items, item_index, ptr, tgt, wts)
 
     @property
     def n_items(self) -> int:
@@ -177,6 +184,11 @@ class NeighborIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"NeighborIndex(items={self.n_items}, "
                 f"entries={self.n_entries})")
+
+    def owners(self):
+        """The row (owner item index) of every stored entry, aligned
+        with :attr:`neighbor_ids`."""
+        return _np.repeat(_np.arange(self.n_items, dtype=_np.int64), _np.diff(self.ptr))
 
     def degree(self, item: str) -> int:
         """Stored neighbors of *item* (0 for unknown items)."""
@@ -260,11 +272,11 @@ class NeighborIndex:
         return NeighborIndex(items, item_index, ptr, neighbor_ids, weights)
 
     def neighbor_dict(self, item: str) -> dict[str, float]:
-        """The full stored row as a ``neighbor id → weight`` dict (a
-        convenience for tests and introspection, not a hot path)."""
+        """The full stored row as a ``neighbor id → weight`` dict, in
+        rank order (empty for unknown items) — built per call."""
         idx = self.item_index.get(item)
         if idx is None:
             return {}
         ids, weights = self.row(idx)
         items = self.items
-        return {items[int(nid)]: float(weight) for nid, weight in zip(ids, weights)}
+        return dict(zip([items[nid] for nid in ids.tolist()], weights.tolist()))

@@ -13,6 +13,7 @@ from repro.cf.user_average import UserAverageRecommender
 from repro.cf.user_knn import UserKNNRecommender
 from repro.data.ratings import Rating, RatingTable
 from repro.errors import ConfigError
+from repro.similarity.adjusted_cosine import all_pairs_adjusted_cosine
 from repro.similarity.knn import top_k
 
 
@@ -167,8 +168,8 @@ class TestItemKNNServingIndex:
 
     def _reference_neighbors(self, rec, adjacency, user, item):
         """The per-pair path — iterate X_A, look up each similarity,
-        top-k — fed by the same (bulk-assembled) similarity values the
-        index rows hold."""
+        top-k — fed by the store's per-pair Eq-6 values, which the
+        index rows hold bit for bit."""
         row = adjacency.get(item, {})
         candidates = {}
         for rated in rec.table.user_items(user):
@@ -194,7 +195,10 @@ class TestItemKNNServingIndex:
     def test_predictions_via_index_match_per_pair_path_exactly(self, positive_only):
         table = self._seeded_table()
         rec = ItemKNNRecommender(table, k=7, positive_only=positive_only)
-        adjacency = table.matrix().build_adjacency()
+        adjacency = {}
+        for item_i, item_j, sim in all_pairs_adjusted_cosine(table):
+            adjacency.setdefault(item_i, {})[item_j] = sim
+            adjacency.setdefault(item_j, {})[item_i] = sim
         users = sorted(table.users)[:15]
         items = sorted(table.items)[:15]
         for user in users:

@@ -150,7 +150,7 @@ def assert_sweeps_equal(got, want) -> None:
         assert _aslist(getattr(got.store, name)) \
             == _aslist(getattr(want.store, name)), name
     assert _index_tuple(got.index) == _index_tuple(want.index)
-    assert got.graph._adjacency == want.graph._adjacency
+    assert got.graph.index is got.index
 
 
 # ----------------------------------------------------------------------
@@ -627,12 +627,12 @@ class TestDurableSweep:
         assert_sweeps_equal(sweep, _reference({}, table, batches, len(batches)))
 
 
-def test_write_path_builds_no_graph_view(tmp_path):
-    """Nothing on the durable write path — build, onboard- and
+def test_write_path_graph_is_its_index_at_each_version(tmp_path):
+    """Through the durable write path — build, onboard- and
     heavy-shaped updates, registry and catalog publish, checkpoint,
-    recovery with a replayed tail — reads the sweep's graph. A reader
-    who asks gets one view per index version, equal to a fresh build,
-    and a view taken before an update keeps describing its version."""
+    recovery with a replayed tail — the sweep's graph is its index,
+    equal to a fresh build at each version, and a graph taken before an
+    update keeps describing its version."""
     table = amazon_like(SyntheticConfig(
         n_users_source=40, n_users_target=40, n_overlap=8,
         n_items_source=45, n_items_target=43, ratings_per_user=5.0,
@@ -647,8 +647,6 @@ def test_write_path_builds_no_graph_view(tmp_path):
         [Rating("n-onboard-2", item, 2.0, 10_200 + k)
          for k, item in enumerate(tail_items[4:8])],
     ]
-    views = get_registry().counter("item_graph_views_built_total")
-    before = views.value
     durable = DurableSweep(tmp_path / "store", table,
                            policy=CheckpointPolicy(max_batches=2), **_WRITER_KWARGS)
     registry = durable.registry()
@@ -660,26 +658,24 @@ def test_write_path_builds_no_graph_view(tmp_path):
     durable.close()
     recovered = DurableSweep.recover(tmp_path / "store")
     assert recovered.last_recovery.replayed_batches == 1
-    assert views.value == before
 
     graph = recovered.graph
-    assert views.value == before + 1
-    assert recovered.graph is graph
-    assert views.value == before + 1
+    assert graph.index is recovered.sweep.index
     final = table
     for batch in batches:
         final = final.with_ratings(batch)
-    assert graph._adjacency == build_similarity_graph(RatingTable(list(final)))._adjacency
+    assert _index_tuple(graph.index) == _index_tuple(
+        build_similarity_graph(RatingTable(list(final))).index)
 
-    taken = {item: dict(row) for item, row in graph._adjacency.items()}
+    taken = _index_tuple(graph.index)
     more = [Rating("n-onboard-3", tail_items[0], 5.0, 10_300),
             Rating("n-onboard-3", tail_items[-1], 1.0, 10_301)]
     recovered.update(more)
-    assert graph._adjacency == taken
+    assert _index_tuple(graph.index) == taken
     fresh = recovered.graph
-    assert fresh is not graph and views.value == before + 2
-    assert fresh._adjacency == build_similarity_graph(
-        RatingTable(list(final.with_ratings(more))))._adjacency
+    assert fresh.index is not graph.index
+    assert _index_tuple(fresh.index) == _index_tuple(
+        build_similarity_graph(RatingTable(list(final.with_ratings(more)))).index)
     recovered.close()
 
 

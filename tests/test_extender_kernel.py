@@ -134,13 +134,12 @@ def _hand_graph():
 
     DFS from s1 emits, in order: t1, u1, v1, u2, v1, t2, u1, v1.
     """
-    graph = ItemGraph()
-    for item_i, item_j, sim in (
+    graph = ItemGraph.from_edges(
+        ["n1", "b1", "s1", "t1", "t2", "u1", "u2", "v1"], [
             ("n1", "b1", 0.4), ("b1", "s1", 0.6),
             ("s1", "t1", 0.9), ("s1", "t2", 0.5),
             ("t1", "u1", 0.8), ("t1", "u2", 0.3), ("t2", "u1", 0.7),
-            ("u1", "v1", 0.6), ("u2", "v1", 0.2)):
-        graph.add_edge(item_i, item_j, sim)
+            ("u1", "v1", 0.6), ("u2", "v1", 0.2)])
     partition = LayerPartition({
         "n1": ("s", Layer.NN), "b1": ("s", Layer.NB), "s1": ("s", Layer.BB),
         "t1": ("t", Layer.BB), "t2": ("t", Layer.BB),
@@ -343,9 +342,9 @@ def test_every_small_cap_on_a_generated_trace_equals_the_reference():
 
 @pytest.mark.parametrize("keep_state", [False, True])
 def test_extend_equals_the_reference_on_either_graph_backing(small_trace, keep_state):
-    # Both legs in one process: the stateful graph carries a ranked
-    # NeighborIndex, the stateless one none; extend reads per-edge
-    # S / Ŝ from the store either way.
+    # Both legs in one process: the stateful graph is the retained
+    # sweep's index, the stateless one a fresh assembly; extend reads
+    # per-edge S / Ŝ from the store either way.
     merged = small_trace.merged()
     baseline = Baseliner(keep_state=keep_state).compute(small_trace, merged=merged)
     partition = LayerPartition.from_graph(baseline.graph, small_trace.domain_map())
@@ -359,10 +358,8 @@ def test_extend_equals_the_reference_on_either_graph_backing(small_trace, keep_s
 def test_hand_built_graph_without_an_index_gives_the_same_map(small_trace):
     merged = small_trace.merged()
     baseline = Baseliner(keep_state=True).compute(small_trace, merged=merged)
-    plain = ItemGraph()
-    for item in baseline.graph.items:
-        plain.add_item(item)
-    plain.add_edges(baseline.graph.edges())
+    # Rebuilt by hand from the baseline's edges, through from_edges.
+    plain = ItemGraph.from_edges(baseline.graph.items, baseline.graph.edges())
     partition = LayerPartition.from_graph(plain, small_trace.domain_map())
     config = ExtenderConfig(k=8, max_paths_per_item=500)
     source = small_trace.source.name
@@ -383,7 +380,7 @@ def test_an_item_the_table_never_saw_carries_no_evidence():
                ("t", "k1", 5.0), ("t", "k2", 2.0), ("q", "k1", 1.0), ("q", "k2", 5.0)]
     domain_of = {"m1": "m", "m2": "m", "k1": "k", "k2": "k", "k9": "k"}
     graph, _, table = _micro(ratings, domain_of)
-    graph.add_edge("k1", "k9", 0.5)
+    graph = ItemGraph.from_edges(domain_of, [*graph.edges(), ("k1", "k9", 0.5)])
     partition = LayerPartition.from_graph(graph, domain_of)
     forward = _check_micro(graph, partition, table, "m")
     assert forward and all("k9" not in targets for targets in forward.values())

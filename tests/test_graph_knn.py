@@ -9,6 +9,7 @@ import pytest
 from repro.data.matrix import MatrixRatingStore
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import GraphError
+from repro.similarity.adjusted_cosine import all_pairs_adjusted_cosine_reference
 from repro.similarity.graph import ItemGraph, build_similarity_graph
 from repro.similarity.knn import merge_ranked_entries, top_k
 
@@ -39,50 +40,82 @@ class TestTopK:
 
 class TestItemGraph:
     def test_add_edge_is_undirected(self):
-        graph = ItemGraph()
-        graph.add_edge("a", "b", 0.7)
+        graph = ItemGraph.from_edges("ab", [("a", "b", 0.7)])
         assert graph.similarity("a", "b") == 0.7
         assert graph.similarity("b", "a") == 0.7
         assert graph.has_edge("b", "a")
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphError):
-            ItemGraph().add_edge("a", "a", 1.0)
+        with pytest.raises(GraphError, match="self-loop"):
+            ItemGraph.from_edges("a", [("a", "a", 1.0)])
 
     def test_edges_yielded_once(self):
-        graph = ItemGraph()
-        graph.add_edge("a", "b", 0.5)
-        graph.add_edge("b", "c", 0.2)
+        graph = ItemGraph.from_edges("abc", [("a", "b", 0.5), ("c", "b", 0.2)])
         edges = list(graph.edges())
-        assert len(edges) == 2
+        assert sorted(edges) == [("a", "b", 0.5), ("b", "c", 0.2)]
         assert graph.n_edges() == 2
 
-    def test_remove_edge(self):
-        graph = ItemGraph()
-        graph.add_edge("a", "b", 0.5)
-        graph.remove_edge("a", "b")
-        assert not graph.has_edge("a", "b")
-        assert graph.n_edges() == 0
-
     def test_isolated_items_kept(self):
-        graph = ItemGraph()
-        graph.add_item("lonely")
+        graph = ItemGraph.from_edges(["lonely"], [])
         assert "lonely" in graph
         assert graph.degree("lonely") == 0
+        assert len(graph) == 1
 
     def test_top_neighbors_with_restriction(self):
-        graph = ItemGraph()
-        graph.add_edge("q", "a", 0.9)
-        graph.add_edge("q", "b", 0.8)
-        graph.add_edge("q", "c", 0.7)
+        graph = ItemGraph.from_edges(
+            "qabc", [("q", "a", 0.9), ("q", "b", 0.8), ("q", "c", 0.7)])
         assert graph.top_neighbors("q", 2, among={"b", "c"}) == [("b", 0.8), ("c", 0.7)]
 
-    def test_copy_is_independent(self):
-        graph = ItemGraph()
-        graph.add_edge("a", "b", 0.5)
-        clone = graph.copy()
-        clone.add_edge("a", "c", 0.1)
-        assert not graph.has_edge("a", "c")
+
+class TestFromEdges:
+    """``ItemGraph.from_edges``, the one builder of hand-made graphs."""
+
+    @pytest.mark.parametrize("edges", [
+        [("a", "b", 0.5), ("a", "b", 0.7)],
+        [("a", "b", 0.5), ("b", "a", 0.5)],
+        [("a", "b", 0.0), ("b", "a", 0.3)],
+    ])
+    def test_a_pair_given_twice_is_rejected(self, edges):
+        with pytest.raises(GraphError, match="given twice"):
+            ItemGraph.from_edges("ab", edges)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_weight_is_rejected(self, weight):
+        with pytest.raises(GraphError, match="non-finite"):
+            ItemGraph.from_edges("ab", [("a", "b", weight)])
+
+    def test_an_endpoint_outside_items_is_rejected(self):
+        with pytest.raises(GraphError, match="'ghost' is not an item"):
+            ItemGraph.from_edges("ab", [("a", "ghost", 0.5)])
+
+    def test_zero_weights_are_dropped(self):
+        graph = ItemGraph.from_edges(
+            "abc", [("a", "b", 0.0), ("b", "c", -0.0), ("a", "c", 0.25)])
+        assert graph.n_edges() == 1
+        assert not graph.has_edge("a", "b")
+        assert graph.degree("b") == 0
+        assert graph.neighbors("a") == {"c": 0.25}
+
+    def test_rows_are_ranked_over_sorted_ids(self):
+        graph = ItemGraph.from_edges(
+            ["c", "b", "a", "d"], [("c", "a", 0.5), ("a", "b", 0.5), ("d", "a", 0.9)])
+        items, ptr, ids, weights = graph.ranked_rows()
+        assert items == ["a", "b", "c", "d"]
+        assert ptr.tolist() == [0, 3, 4, 5, 6]
+        assert ids[:3].tolist() == [3, 1, 2]
+        assert weights[:3].tolist() == [0.9, 0.5, 0.5]
+        assert graph.top_neighbors("a", 3) == [("d", 0.9), ("b", 0.5), ("c", 0.5)]
+
+    def test_reference_pairs_agree_with_the_sweep(self, small_trace):
+        table = small_trace.merged()
+        built = build_similarity_graph(table)
+        hand = ItemGraph.from_edges(table.items, all_pairs_adjusted_cosine_reference(table))
+        assert hand.items == built.items
+        for item in sorted(table.items):
+            got, want = built.neighbors(item), hand.neighbors(item)
+            for neighbor in got.keys() | want.keys():
+                assert got.get(neighbor, 0.0) == pytest.approx(
+                    want.get(neighbor, 0.0), abs=1e-9), (item, neighbor)
 
 
 class TestBuildSimilarityGraph:
@@ -100,15 +133,8 @@ class TestBuildSimilarityGraph:
         strict = build_similarity_graph(tiny_table, min_abs_similarity=0.99)
         assert strict.n_edges() <= loose.n_edges()
 
-    def test_pair_source_injection(self, tiny_table):
-        graph = build_similarity_graph(
-            tiny_table, pair_source=lambda table: [("a", "b", 0.42)])
-        assert graph.n_edges() == 1
-        assert graph.similarity("a", "b") == 0.42
-
     def test_zero_similarity_never_creates_edge(self, tiny_table):
-        graph = build_similarity_graph(
-            tiny_table, pair_source=lambda table: [("a", "b", 0.0)])
+        graph = ItemGraph.from_edges(tiny_table.items, [("a", "b", 0.0)])
         assert graph.n_edges() == 0
 
 
@@ -116,21 +142,23 @@ class TestNeighborIndex:
     """The precomputed serving index: rank-ordered flat rows."""
 
     def test_rows_are_topk_of_adjacency(self, tiny_table):
-        store = MatrixRatingStore(tiny_table)
-        adjacency = store.build_adjacency()
-        index = store.neighbor_index()
-        for item in store.items:
-            full = index.top(item, len(adjacency[item]) + 1)
-            assert full == top_k(adjacency[item], len(adjacency[item]) + 1)
-            assert index.degree(item) == len(adjacency[item])
-            assert index.neighbor_dict(item) == adjacency[item]
+        # Oracle: the per-pair reference pairs, not a second assembly.
+        reference = {item: {} for item in tiny_table.items}
+        for item_i, item_j, sim in all_pairs_adjusted_cosine_reference(tiny_table):
+            reference[item_i][item_j] = reference[item_j][item_i] = sim
+        index = MatrixRatingStore(tiny_table).neighbor_index()
+        for item, want in reference.items():
+            row = index.neighbor_dict(item)
+            assert row.keys() == want.keys()
+            assert list(row.values()) == pytest.approx(
+                [want[neighbor] for neighbor in row], abs=1e-9)
+            assert index.degree(item) == len(want)
+            assert index.top(item, len(want) + 1) == top_k(row, len(want) + 1)
 
     def test_minimum_cuts_the_scan(self, tiny_table):
-        store = tiny_table.matrix()
-        index = store.neighbor_index()
-        adjacency = store.build_adjacency()
-        for item in store.items:
-            expected = top_k(adjacency[item], 10, minimum=0.0)
+        index = tiny_table.matrix().neighbor_index()
+        for item in index.items:
+            expected = top_k(index.neighbor_dict(item), 10, minimum=0.0)
             assert index.top(item, 10, minimum=0.0) == expected
 
     def test_unknown_item(self, tiny_table):
@@ -175,19 +203,15 @@ def test_merge_ranked_entries_equals_a_full_rerank():
 
 
 class TestRankedServing:
-    """top_neighbors over memoized / index-backed ranked rows."""
+    """top_neighbors over the index's ranked rows."""
 
     def _random_graph(self, seed):
         rng = random.Random(seed)
-        graph = ItemGraph()
         items = [f"i{n}" for n in range(12)]
-        for item in items:
-            graph.add_item(item)
-        for a in range(len(items)):
-            for b in range(a + 1, len(items)):
-                if rng.random() < 0.4:
-                    graph.add_edge(items[a], items[b], round(rng.uniform(-1, 1), 2))
-        return graph, items
+        edges = [(items[a], items[b], round(rng.uniform(-1, 1), 2))
+                 for a in range(len(items)) for b in range(a + 1, len(items))
+                 if rng.random() < 0.4]
+        return ItemGraph.from_edges(items, edges), items
 
     def _legacy_top_neighbors(self, graph, item, k, among=None, minimum=None):
         nbrs = graph.neighbors(item)
@@ -210,74 +234,33 @@ class TestRankedServing:
                         self._legacy_top_neighbors(
                             graph, item, k, among=among, minimum=minimum)
 
-    def test_ranked_rows_memoized(self):
-        graph, items = self._random_graph(5)
-        first = graph.ranked_neighbors(items[0])
-        assert graph.ranked_neighbors(items[0]) is first
-
-    def test_mutation_invalidates_memo(self):
-        graph = ItemGraph()
-        graph.add_edge("a", "b", 0.5)
-        assert graph.top_neighbors("a", 1) == [("b", 0.5)]
-        graph.add_edge("a", "c", 0.9)
-        assert graph.top_neighbors("a", 1) == [("c", 0.9)]
-        graph.remove_edge("a", "c")
-        assert graph.top_neighbors("a", 1) == [("b", 0.5)]
-
     def test_index_backed_graph_serves_ranked_rows(self, tiny_table):
-        # The stateful build hands the index selected during assembly
-        # over with the graph; the memoized stateless build must serve
-        # the same rankings, bit for bit (one sweep, one layout).
-        indexed = IncrementalSweep(tiny_table).graph
-        memoized = build_similarity_graph(tiny_table)
-        assert indexed._index is not None
-        assert memoized._index is None
-        for item in memoized.items:
-            assert indexed.top_neighbors(item, 3) == memoized.top_neighbors(item, 3)
-
-    def test_index_backed_graph_invalidates_on_mutation(self, tiny_table):
-        graph = IncrementalSweep(tiny_table).graph
-        assert graph._index is not None
-        before = graph.top_neighbors("a", 1)
-        graph.add_edge("a", "zzz-new", 2.0)
-        assert graph._index is None
-        assert graph.top_neighbors("a", 1) == [("zzz-new", 2.0)]
-        graph.remove_edge("a", "zzz-new")
-        assert graph.top_neighbors("a", 1) == before
+        # The stateful and the stateless build assemble the same index,
+        # and the graph serves its arrays as they are.
+        sweep = IncrementalSweep(tiny_table)
+        stateless = build_similarity_graph(tiny_table)
+        assert sweep.graph.index is sweep.index
+        got, want = sweep.graph.ranked_rows(), stateless.ranked_rows()
+        assert got[0] == want[0]
+        for got_array, want_array in zip(got[1:], want[1:]):
+            assert got_array.tolist() == want_array.tolist()
+        assert got[1] is sweep.index.ptr
+        for item in stateless.items:
+            assert sweep.graph.top_neighbors(item, 3) == stateless.top_neighbors(item, 3)
 
     def test_index_backed_graph_matches_adjacency_scan(self, tiny_table):
         """Every (k, among, minimum) query answered off the flat index
-        rows equals the memoized adjacency scan of an index-free graph
-        over the same adjacency."""
-        store = tiny_table.matrix()
-        adjacency = store.build_adjacency()
-        indexed = ItemGraph.from_adjacency(
-            {item: dict(nbrs) for item, nbrs in adjacency.items()},
-            index=store.neighbor_index())
-        reference = ItemGraph.from_adjacency(adjacency)
-        items = sorted(reference.items)
+        rows equals ``top_k`` over the item's neighbor dict."""
+        graph = build_similarity_graph(tiny_table)
+        items = sorted(graph.items)
         among_sets = [None] + [frozenset(items[:n]) for n in (1, 2, 3)]
         for item in items:
-            assert indexed.ranked_neighbors(item) == reference.ranked_neighbors(item)
+            assert graph.top_neighbors(item, graph.degree(item)) == \
+                top_k(graph.neighbors(item), graph.degree(item))
             for k in (1, 2, 3, 10):
                 for among in among_sets:
                     for minimum in (None, 0.0, 0.5):
-                        got = indexed.top_neighbors(
-                            item, k, among=among, minimum=minimum)
-                        want = reference.top_neighbors(
-                            item, k, among=among, minimum=minimum)
+                        got = graph.top_neighbors(item, k, among=among, minimum=minimum)
+                        want = self._legacy_top_neighbors(
+                            graph, item, k, among=among, minimum=minimum)
                         assert got == want, (item, k, among, minimum)
-
-    def test_copy_carries_backing_index(self, tiny_table):
-        store = tiny_table.matrix()
-        graph = ItemGraph.from_adjacency(
-            store.build_adjacency(), index=store.neighbor_index())
-        clone = graph.copy()
-        assert clone._index is graph._index
-        for item in sorted(graph.items):
-            assert clone.top_neighbors(item, 2) == \
-                graph.top_neighbors(item, 2)
-        # First mutation on the clone drops its reference only.
-        clone.add_edge("a", "zzz-new", 2.0)
-        assert clone._index is None
-        assert graph._index is not None

@@ -22,6 +22,7 @@ from repro.core.baseliner import Baseliner
 from repro.data.dataset import CrossDomainDataset, Dataset
 from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
+from repro.data.synthetic import SyntheticConfig, amazon_like
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import ConfigError
 
@@ -195,8 +196,7 @@ def test_sweep_update_equals_rebuild():
     assert_stores_equal(sweep.store, fresh.store)
     assert _acc_tuple(sweep.store, sweep.accumulation) == \
         _acc_tuple(fresh.store, fresh.accumulation)
-    assert sweep.graph._adjacency == fresh.graph._adjacency
-    assert _index_tuple(sweep.index) == _index_tuple(fresh.index)
+    assert _index_tuple(sweep.graph.index) == _index_tuple(fresh.graph.index)
 
 
 def test_update_reports_edge_census():
@@ -360,8 +360,35 @@ class TestBaselinerUpdate:
         fresh = baseliner.compute(updated_data)
         assert updated.n_homogeneous == fresh.n_homogeneous
         assert updated.n_heterogeneous == fresh.n_heterogeneous
-        assert updated.graph._adjacency == fresh.graph._adjacency
+        assert _index_tuple(updated.graph.index) == _index_tuple(fresh.graph.index)
         assert stats.n_batch == len(batch)
+        assert stats.n_new_items == 1
+
+    def test_unlabeled_item_is_refused_before_the_sweep_moves(self):
+        data = amazon_like(SyntheticConfig(
+            n_users_source=40, n_users_target=40, n_overlap=8,
+            n_items_source=45, n_items_target=43, ratings_per_user=5.0,
+            min_ratings_per_user=2, seed=3))
+        baseliner = Baseliner(keep_state=True)
+        baseline = baseliner.compute(data)
+        sweep = baseline.state
+        state = (sweep.table, sweep.store, sweep.accumulation, sweep.index)
+        n_ratings = sweep.store.n_ratings
+        batch = [Rating(user, "brand-new-item", 4.0, 10_000)
+                 for user in sorted(data.target.ratings.users)[:3]]
+        with pytest.raises(ConfigError, match="brand-new-item"):
+            baseliner.update(baseline, iter(batch), data.domain_map())
+        assert (sweep.table, sweep.store, sweep.accumulation, sweep.index) == state
+        assert sweep.store.n_ratings == n_ratings
+        # Labelled, the same batch lands, and the census is a fresh one.
+        updated_data = CrossDomainDataset(data.source, Dataset(
+            data.target.name, data.target.ratings.with_ratings(batch)))
+        updated, stats = baseliner.update(baseline, batch, updated_data.domain_map())
+        fresh = Baseliner().compute(updated_data)
+        assert sweep.store.n_ratings == n_ratings + 3
+        assert (updated.n_homogeneous, updated.n_heterogeneous) \
+            == (fresh.n_homogeneous, fresh.n_heterogeneous)
+        assert _index_tuple(updated.graph.index) == _index_tuple(fresh.graph.index)
         assert stats.n_new_items == 1
 
     def test_update_requires_kept_state(self):
@@ -376,5 +403,5 @@ class TestBaselinerUpdate:
         stateful = Baseliner(keep_state=True).compute(data)
         assert stateful.n_homogeneous == stateless.n_homogeneous
         assert stateful.n_heterogeneous == stateless.n_heterogeneous
-        assert stateful.graph._adjacency == stateless.graph._adjacency
+        assert _index_tuple(stateful.graph.index) == _index_tuple(stateless.graph.index)
         assert stateful.state is not None

@@ -71,8 +71,8 @@ def _run_and_compare(table, batches, **kwargs):
         assert_stores_equal(sweep.store, fresh.store)
         assert _acc_tuple(sweep.store, sweep.accumulation) == \
             _acc_tuple(fresh.store, fresh.accumulation)
-        assert sweep.graph._adjacency == fresh.graph._adjacency
         assert _index_tuple(sweep.index) == _index_tuple(fresh.index)
+        assert sweep.graph.index is sweep.index
     return all_stats
 
 

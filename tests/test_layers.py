@@ -1,26 +1,60 @@
 """Unit tests for the BB/NB/NN layer partition (repro.core.layers)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.layers import Layer, LayerPartition
 from repro.errors import GraphError
 from repro.similarity.graph import ItemGraph, build_similarity_graph
 
 
-def _graph(edges):
-    graph = ItemGraph()
-    for item_i, item_j, sim in edges:
-        graph.add_edge(item_i, item_j, sim)
-    return graph
+def _graph(edges, isolated=()):
+    items = {item for edge in edges for item in edge[:2]} | set(isolated)
+    return ItemGraph.from_edges(items, edges)
+
+
+def _reference_layers(graph, domain_of):
+    """The per-item classification over neighbor dicts: BB when an edge
+    crosses domains, NB when a same-domain edge reaches a bridge, NN
+    otherwise."""
+    bridge = {item for item in graph.items
+              if any(domain_of[n] != domain_of[item] for n in graph.neighbors(item))}
+    layers = {}
+    for item in graph.items:
+        if item in bridge:
+            layers[item] = (domain_of[item], Layer.BB)
+            continue
+        touches_bridge = any(
+            neighbor in bridge and domain_of[neighbor] == domain_of[item]
+            for neighbor in graph.neighbors(item))
+        layers[item] = (domain_of[item], Layer.NB if touches_bridge else Layer.NN)
+    return layers
+
+
+@st.composite
+def two_domain_graphs(draw):
+    """Random two-domain graphs: isolated items, same-domain-only
+    components and graphs without a cross edge all occur."""
+    n_m = draw(st.integers(1, 7))
+    n_b = draw(st.integers(1, 7))
+    domain_of = {f"m{k}": "m" for k in range(n_m)} | {f"b{k}": "b" for k in range(n_b)}
+    items = sorted(domain_of)
+    pairs = [(a, b) for i, a in enumerate(items) for b in items[i + 1:]]
+    allow_cross = draw(st.booleans())
+    pairs = [(a, b) for a, b in pairs if allow_cross or domain_of[a] == domain_of[b]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weights = st.sampled_from([-0.75, -0.25, 0.25, 0.5, 1.0])
+    edges = [(a, b, draw(weights)) for a, b in chosen]
+    return ItemGraph.from_edges(items, edges), domain_of
 
 
 class TestLayerPartition:
     def test_hand_built_layers(self):
         # m2-b1 is the only cross edge; m1-m2 and b1-b2 are intra edges;
         # m0 and b0 are isolated.
-        graph = _graph([("m2", "b1", 0.5), ("m1", "m2", 0.4), ("b1", "b2", 0.3)])
-        graph.add_item("m0")
-        graph.add_item("b0")
+        graph = _graph([("m2", "b1", 0.5), ("m1", "m2", 0.4), ("b1", "b2", 0.3)],
+                       isolated=("m0", "b0"))
         domain_of = {"m0": "m", "m1": "m", "m2": "m", "b0": "b", "b1": "b", "b2": "b"}
         partition = LayerPartition.from_graph(graph, domain_of)
         assert partition.layer_of("m2") is Layer.BB
@@ -53,6 +87,10 @@ class TestLayerPartition:
         graph = _graph([("a", "b", 0.1)])
         with pytest.raises(GraphError, match="missing"):
             LayerPartition.from_graph(graph, {"a": "m"})
+        # An isolated item needs its label too.
+        graph = _graph([("m1", "b1", 0.2)], isolated=("b9",))
+        with pytest.raises(GraphError, match="missing"):
+            LayerPartition.from_graph(graph, {"m1": "m", "b1": "b"})
 
     def test_unknown_item_queries(self, two_domain_micro):
         graph = build_similarity_graph(two_domain_micro.merged())
@@ -87,3 +125,17 @@ class TestLayerPartition:
         # Inception is the only movie-side bridge (via Cecilia).
         assert partition.bridge_items("movies") == {"inception"}
         assert partition.layer_of("interstellar") in (Layer.NB, Layer.NN)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=two_domain_graphs())
+    def test_masks_equal_the_per_item_reference(self, case):
+        graph, domain_of = case
+        partition = LayerPartition.from_graph(graph, domain_of)
+        reference = _reference_layers(graph, domain_of)
+        assert len(partition) == len(reference)
+        for item, (domain, layer) in reference.items():
+            assert (partition.domain_of(item), partition.layer_of(item)) == (domain, layer)
+        for domain in ("m", "b"):
+            for layer in Layer:
+                assert partition.members(domain, layer) == {
+                    item for item, key in reference.items() if key == (domain, layer)}

@@ -291,27 +291,17 @@ class TestStoreBasics:
 
 
 class TestGraphBulkAndTopK:
-    def test_add_edges_matches_add_edge(self):
-        from repro.similarity.graph import ItemGraph
-        bulk = ItemGraph()
-        bulk.add_edges([("a", "b", 0.5), ("b", "c", -0.2), ("a", "b", 0.7)])
-        single = ItemGraph()
-        for i, j, s in [("a", "b", 0.5), ("b", "c", -0.2), ("a", "b", 0.7)]:
-            single.add_edge(i, j, s)
-        assert sorted(bulk.edges()) == sorted(single.edges())
-
     def test_add_edges_rejects_self_loop(self):
+        # The bulk builder is ItemGraph.from_edges.
         from repro.errors import GraphError
         from repro.similarity.graph import ItemGraph
         with pytest.raises(GraphError):
-            ItemGraph().add_edges([("a", "a", 1.0)])
+            ItemGraph.from_edges("ab", [("a", "b", 0.5), ("a", "a", 1.0)])
 
     def test_top_neighbors_accepts_frozenset(self):
         from repro.similarity.graph import ItemGraph
-        graph = ItemGraph()
-        graph.add_edge("q", "a", 0.9)
-        graph.add_edge("q", "b", 0.8)
-        graph.add_edge("q", "c", 0.7)
+        graph = ItemGraph.from_edges(
+            "qabc", [("q", "a", 0.9), ("q", "b", 0.8), ("q", "c", 0.7)])
         members = frozenset({"b", "c"})
         assert graph.top_neighbors("q", 2, among=members) == [("b", 0.8), ("c", 0.7)]
 

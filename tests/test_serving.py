@@ -34,6 +34,7 @@ from repro.errors import ConfigError, ServingError
 from repro.serving.registry import ModelRegistry
 from repro.serving.service import LRUCache, RecommendationService
 from repro.serving.snapshot import STORE_ARRAY_NAMES, ModelSnapshot
+from repro.similarity.adjusted_cosine import all_pairs_adjusted_cosine
 
 _common = settings(max_examples=25, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -143,12 +144,15 @@ def test_snapshot_table_and_graph_match_sources(tiny_table):
     for rating in tiny_table:
         assert table.value(rating.user, rating.item) == rating.value
     assert table.matrix() is loaded.store
-    # The derived graph equals the graph assembled with the adjacency.
-    adjacency = MatrixRatingStore(tiny_table).build_adjacency()
+    # The derived graph holds exactly the store's per-pair Eq-6 values.
+    adjacency = {item: {} for item in tiny_table.items}
+    for item_i, item_j, sim in all_pairs_adjusted_cosine(tiny_table):
+        adjacency[item_i][item_j] = adjacency[item_j][item_i] = sim
     graph = loaded.graph()
+    assert graph.index is loaded.index
     assert set(graph.items) == set(adjacency)
     for item, row in adjacency.items():
-        assert dict(graph.neighbors(item)) == row
+        assert graph.neighbors(item) == row
 
 
 def test_snapshot_resave_into_own_directory(tiny_table, tmp_path):

@@ -2,12 +2,10 @@
 
 The contract (see ``repro/engine/sharded_sweep.py``):
 
-* the sweep is the store path — its adjacency equals
-  ``MatrixRatingStore.build_adjacency`` bit for bit, and the
-  object-graph reference to 1e-9 (only the summation order differs);
+* the sweep's index equals the object-graph reference to 1e-9 (only
+  the summation order differs), each row ranked in ``top_k`` order;
 * the stateless graph build and :class:`IncrementalSweep` produce the
-  same graph bit for bit, the latter with its serving index selected in
-  the same sort;
+  same index bit for bit;
 * the co-rater counts are **exact** integers, and Definition-2
   significance, read per pair or per edge from the store, does not
   depend on the sweep at all;
@@ -32,7 +30,10 @@ from repro.engine.sharded_sweep import (
     sharded_pair_accumulation,
 )
 from repro.obs.metrics import get_registry
-from repro.similarity.adjusted_cosine import all_pairs_adjusted_cosine_reference
+from repro.similarity.adjusted_cosine import (
+    all_pairs_adjusted_cosine,
+    all_pairs_adjusted_cosine_reference,
+)
 from repro.similarity.graph import build_similarity_graph
 from repro.similarity.knn import top_k
 from repro.similarity.significance import significance_reference
@@ -59,6 +60,13 @@ _common = settings(max_examples=40, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
 
 
+def _index_tuple(index):
+    """Canonical view of an index — float equality is exact, so ==
+    means bit-identical."""
+    return (list(index.items), index.ptr.tolist(),
+            index.neighbor_ids.tolist(), index.weights.tolist())
+
+
 # -- the sweep is the store path ----------------------------------------
 
 @_common
@@ -66,17 +74,14 @@ _common = settings(max_examples=40, deadline=None,
        min_abs=st.sampled_from([0.0, 0.2]))
 def test_sweep_matches_the_reference(table, min_common, min_abs):
     store = MatrixRatingStore(table)
-    _, assembled = run_sweep(
-        store, min_common_users=min_common, min_abs_similarity=min_abs)
-    assert assembled.adjacency == store.build_adjacency(
-        min_common_users=min_common, min_abs_similarity=min_abs)
+    _, index = run_sweep(store, min_common_users=min_common, min_abs_similarity=min_abs)
     reference = {item: {} for item in table.items}
     for item_i, item_j, sim in all_pairs_adjusted_cosine_reference(
             table, min_common_users=min_common):
         reference[item_i][item_j] = reference[item_j][item_i] = sim
-    assert assembled.adjacency.keys() == reference.keys()
+    assert index.items == sorted(reference)
     for item, neighbors in reference.items():
-        got = assembled.adjacency[item]
+        got = index.neighbor_dict(item)
         for neighbor in got.keys() | neighbors.keys():
             want = neighbors.get(neighbor, 0.0)
             if abs(abs(want) - min_abs) < 1e-9:
@@ -91,9 +96,8 @@ def test_sweep_matches_the_reference(table, min_common, min_abs):
 def test_stateless_and_stateful_builds_are_one_graph(table):
     stateless = build_similarity_graph(table)
     stateful = IncrementalSweep(table)
-    assert stateless._adjacency == stateful.graph._adjacency
-    assert stateless._index is None
-    assert stateful.graph._index is stateful.index
+    assert _index_tuple(stateless.index) == _index_tuple(stateful.graph.index)
+    assert stateful.graph.index is stateful.index
 
 
 @_common
@@ -150,24 +154,23 @@ def test_significance_counts_exact(table):
 @_common
 @given(table=rating_tables())
 def test_index_selected_during_assembly(table):
-    """The NeighborIndex rows assembled in the adjacency's sort are
-    exactly the top-k ranking of the adjacency rows."""
+    """Each NeighborIndex row is exactly the top-k ranking of the
+    item's Eq-6 edges, which are the store's pair values."""
     store = MatrixRatingStore(table)
-    index = run_sweep(store, with_index=True)[1].index
-    for item, neighbors in run_sweep(store)[1].adjacency.items():
+    index = run_sweep(store)[1]
+    rows = {item: {} for item in store.items}
+    for item_i, item_j, sim in all_pairs_adjusted_cosine(table):
+        rows[item_i][item_j] = rows[item_j][item_i] = sim
+    for item, neighbors in rows.items():
         width = len(neighbors) + 1
         assert index.top(item, width) == top_k(neighbors, width)
         assert index.neighbor_dict(item) == neighbors
 
 
-def test_index_not_built_unless_requested(tiny_table):
-    assert run_sweep(tiny_table.matrix())[1].index is None
-    assert run_sweep(tiny_table.matrix(), with_index=True)[1].adjacency is None
-
-
 def test_empty_table():
-    assert run_sweep(RatingTable().matrix())[1].adjacency == {}
-    assert run_sweep(RatingTable().matrix(), with_index=True)[1].index.n_entries == 0
+    index = run_sweep(RatingTable().matrix())[1]
+    assert index.n_items == index.n_entries == 0
+    assert index.ptr.tolist() == [0]
 
 
 # -- telemetry ----------------------------------------------------------
@@ -221,4 +224,4 @@ class TestBaselinerIntegration:
         sharded = Baseliner().compute(small_trace)
         assert sharded.n_homogeneous == reference.n_homogeneous
         assert sharded.n_heterogeneous == reference.n_heterogeneous
-        assert sharded.graph._adjacency == reference.graph._adjacency
+        assert _index_tuple(sharded.graph.index) == _index_tuple(reference.graph.index)
