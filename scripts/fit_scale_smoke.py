@@ -14,7 +14,11 @@ correctness at that size:
   object per mapped rating), and
 * the augmented rows of a 50-user sample, read from the table's
   columns, ``==`` the per-rating fold (``alterego_profile``) under the
-  real-ratings-win rule of footnote 6.
+  real-ratings-win rule of footnote 6, and
+* at the default seed, the fit's X-Sim map, replacement sets, augmented
+  rows and item mapping hash to the ``trace_l`` digests committed in
+  ``tests/golden/fit.json`` (``scripts/golden.py``; skipped with a note
+  on a NumPy other than the one they were taken on).
 """
 
 from __future__ import annotations
@@ -28,20 +32,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import golden  # noqa: E402  (scripts/golden.py, beside this file)
+
 N_SAMPLE_USERS = 50
 
 
 def main(argv: list[str] | None = None) -> int:
     from repro.core.pipeline import NXMapRecommender, XMapConfig
-    from repro.data.synthetic import SyntheticConfig, amazon_like, scaled
+    from repro.data.synthetic import amazon_like
     from repro.obs import get_registry
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 
-    data = amazon_like(
-        replace(scaled(SyntheticConfig(ratings_per_user=30), 5), seed=args.seed))
+    data = amazon_like(replace(golden.SHAPES["trace_l"].config(), seed=args.seed))
     source, target = data.source.ratings, data.target.ratings
     print(f"trace: {len(source)} source + {len(target)} target ratings")
 
@@ -77,6 +82,20 @@ def main(argv: list[str] | None = None) -> int:
                         f"per-rating fold, first {wrong[0]}")
     print(f"augmented table: {len(augmented)} ratings, "
           f"{len(got)} rows of {len(users)} users compared")
+
+    committed = golden.load()
+    if args.seed != golden.SEED:
+        print(f"golden digests: skipped (taken at seed {golden.SEED})")
+    elif committed["numpy"] != golden.numpy_version():
+        print(f"golden digests: skipped (taken on NumPy {committed['numpy']}, "
+              f"this is {golden.numpy_version()})")
+    else:
+        wrong = golden.mismatches(golden.digests(golden.dump(pipeline, [])),
+                                  committed["shapes"]["trace_l"])
+        if wrong:
+            failures.append(f"trace_l golden digests differ in {', '.join(wrong)}")
+        print(f"golden digests: {len(golden.PARTS) - len(wrong)} of "
+              f"{len(golden.PARTS)} parts match")
 
     for failure in failures:
         print(f"FAIL: {failure}")

@@ -1,0 +1,43 @@
+"""The offline fit's outputs against the committed golden digests
+(``scripts/golden.py``; ``--update`` rewrites them)."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "golden.py"
+_spec = importlib.util.spec_from_file_location("golden", SCRIPT)
+golden = sys.modules["golden"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+COMMITTED = golden.load()
+SAME_NUMPY = COMMITTED["numpy"] == golden.numpy_version()
+
+
+def test_small_shape_matches_committed_dump_within_tolerance():
+    kept: dict = {}
+    got = golden.shape_digests("small", kept)
+    want = json.loads(golden.SMALL_DUMP.read_text(encoding="utf-8"))
+    assert set(kept) == set(want)
+    for name in golden.PARTS:
+        assert golden.close(kept[name], want[name]), name
+    if SAME_NUMPY:
+        assert golden.mismatches(got, COMMITTED["shapes"]["small"]) == []
+
+
+@pytest.mark.skipif(not SAME_NUMPY, reason="digests pin the NumPy they were taken on")
+def test_trace_s_digests_unchanged():
+    got = golden.shape_digests("trace_s")
+    assert golden.mismatches(got, COMMITTED["shapes"]["trace_s"]) == []
+
+
+def test_close_compares_hex_floats_within_tolerance_and_the_rest_exactly():
+    assert golden.close([["a", (0.5).hex()]], [["a", (0.5 + 1e-12).hex()]])
+    assert not golden.close([["a", (0.5).hex()]], [["a", (0.5 + 1e-6).hex()]])
+    assert not golden.close([["a", (0.5).hex()]], [["b", (0.5).hex()]])
+    assert not golden.close([["a"]], [["a"], ["b"]])
