@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 import time
-from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -43,7 +42,6 @@ from repro.obs import observe_stage_seconds
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.mechanisms import exponential_sample_without_replacement
 from repro.privacy.sensitivity import XSIM_GLOBAL_SENSITIVITY
-from repro.similarity.knn import rank_rows
 
 #: Default replacement-set size (footnote 10 diversity).
 DEFAULT_N_REPLACEMENTS = 12
@@ -71,9 +69,13 @@ class ReplacementPolicy(enum.Enum):
 class AlterEgoGenerator:
     """Maps source items to target replacement sets and builds AlterEgos.
 
+    Non-private sets are ranked from the map's arrays (:meth:`_rank_all`);
+    only the private policy reads a row dict, to draw from it.
+
     Args:
         xsim_map: the Extender's output (source item → target candidates
-            with X-Sim values).
+            with X-Sim values); hand-made maps come from
+            :meth:`~repro.core.extender.XSimMap.from_rows`.
         policy: deterministic top-R (NX-Map) or PRS draws (X-Map).
         epsilon: the PRS privacy parameter; required iff private. The
             budget covers the whole replacement set (ε/R per draw).
@@ -103,7 +105,7 @@ class AlterEgoGenerator:
         self.n_replacements = n_replacements
         self._rng = np.random.default_rng(seed)
         self._replacements: dict[str, list[tuple[str, float]]] = {}
-        self._ranked: tuple | None = None
+        self._ranked: tuple[list[int], list[str], list[float]] | None = None
         if policy is ReplacementPolicy.PRIVATE and accountant is not None:
             accountant.spend("PRS (AlterEgo generation)", float(epsilon))
 
@@ -120,15 +122,17 @@ class AlterEgoGenerator:
         cached = self._replacements.get(source_item)
         if cached is not None:
             return cached
-        candidates = self.xsim_map.get(source_item)
-        if not candidates:
-            return []
         if self.policy is ReplacementPolicy.NON_PRIVATE:
-            rows, ptr, names, weights = self._ranked or self._rank_all()
-            row = rows[source_item]
+            row = self.xsim_map.row(source_item)
+            if row is None:
+                return []
+            ptr, names, weights = self._ranked or self._rank_all()
             chosen = list(zip(names[ptr[row]:ptr[row + 1]],
                               weights[ptr[row]:ptr[row + 1]]))
         else:
+            candidates = self.xsim_map.get(source_item)
+            if not candidates:
+                return []
             epsilon_per_draw = float(self.epsilon) / self.n_replacements
             drawn = exponential_sample_without_replacement(
                 candidates, rounds=self.n_replacements,
@@ -138,24 +142,37 @@ class AlterEgoGenerator:
         self._replacements[source_item] = chosen
         return chosen
 
-    def _rank_all(self) -> tuple:
-        """Every source item's top-R candidates at or above the 1e-12
-        floor, by one segmented rank over the flattened X-Sim map —
-        :func:`~repro.similarity.knn.top_k` per row, tie-break included:
-        ``(source → row, row offsets, target names, weights)``."""
-        rows = list(self.xsim_map.values())
-        targets = sorted(set(chain.from_iterable(rows)))
-        ptr, target, value = rank_rows(
-            rows, {name: position for position, name in enumerate(targets)})
-        owner = np.repeat(np.arange(len(rows)), np.diff(ptr))
-        keep = ((np.arange(len(owner)) - ptr[owner] < self.n_replacements)
-                & (value >= 1e-12))
-        ptr[1:] = np.cumsum(np.bincount(owner[keep], minlength=len(rows)))
-        self._ranked = (
-            {source: row for row, source in enumerate(self.xsim_map)},
-            ptr.tolist(),
-            np.asarray(targets, dtype=object)[target[keep]].tolist(),
-            value[keep].tolist())
+    def _rank_all(self) -> tuple[list[int], list[str], list[float]]:
+        """Every row's top-R targets at or above the 1e-12 floor, ranked
+        straight from the map's arrays — :func:`~repro.similarity.knn.top_k`
+        per row, tie-break included: ``(row offsets, target names,
+        weights)``.
+
+        Values under the floor go first (they rank last in any row).
+        The rest take one sort on an exact ``int64`` key (row, dense
+        rank of the descending value, target id): values that compare
+        equal share a rank, so ties fall to the target id — name order.
+        """
+        xsim_map = self.xsim_map
+        n_rows = len(xsim_map.ptr) - 1
+        usable = np.flatnonzero(xsim_map.xsim >= 1e-12)
+        owner = np.searchsorted(xsim_map.ptr, usable, side="right") - 1
+        target, value = xsim_map.target_ids[usable], xsim_map.xsim[usable]
+        by_value = np.argsort(-value)
+        ties = value[by_value]
+        rank = np.empty(len(value), dtype=np.int64)
+        rank[by_value] = np.cumsum(np.diff(ties, prepend=ties[:1]) != 0)
+        # Unique, and inside int64 while rows · entries · targets < 2**63.
+        order = np.argsort((owner * len(value) + rank) * len(xsim_map.targets) + target)
+        owner, target, value = owner[order], target[order], value[order]
+        counts = np.bincount(owner, minlength=n_rows)
+        at = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+        keep = at < self.n_replacements
+        ptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.minimum(counts, self.n_replacements), out=ptr[1:])
+        names = xsim_map.targets
+        self._ranked = (ptr.tolist(), [names[t] for t in target[keep].tolist()],
+                        value[keep].tolist())
         return self._ranked
 
     def replacement_for(self, source_item: str) -> str | None:

@@ -11,8 +11,11 @@ what the Generator consumes to build AlterEgos, and its size is the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.core.layers import LayerPartition
 from repro.core.metapath_kernel import frontier_xsim_map
@@ -23,8 +26,69 @@ from repro.errors import ConfigError, SimilarityError
 from repro.obs import get_registry, observe_stage_seconds
 from repro.similarity.graph import ItemGraph
 
-#: source item → (target item → X-Sim value)
-XSimMap = dict[str, dict[str, float]]
+class XSimMap(Mapping[str, dict[str, float]]):
+    """The X-Sim map — source item → (target item → X-Sim value) — as
+    CSR arrays: row ``r`` is ``sources[r]``, its targets
+    ``targets[target_ids[ptr[r]:ptr[r + 1]]]`` in the order the DFS
+    first reaches them, their values ``xsim[ptr[r]:ptr[r + 1]]``.
+
+    *sources* are the items with at least one target, in map order;
+    *targets* are sorted names, so id order is name order. The
+    ``Mapping`` face is read-only and per call: ``m[source]`` is a
+    fresh dict of one row; iteration, ``len`` and ``in`` go over
+    *sources*.
+    """
+
+    __slots__ = ("sources", "targets", "ptr", "target_ids", "xsim", "_row")
+
+    def __init__(self, sources: list[str], targets: Sequence[str],
+                 ptr: np.ndarray, target_ids: np.ndarray, xsim: np.ndarray) -> None:
+        self.sources, self.targets, self.ptr = sources, targets, ptr
+        self.target_ids, self.xsim = target_ids, xsim
+        self._row = {source: row for row, source in enumerate(sources)}
+
+    @classmethod
+    def from_rows(cls, rows: Mapping[str, Mapping[str, float]]) -> "XSimMap":
+        """A map of *rows*, in their order, without the empty ones.
+
+        Raises:
+            SimilarityError: an X-Sim value is not finite.
+        """
+        rows = {source: row for source, row in rows.items() if row}
+        bad = [(s, t, v) for s, row in rows.items() for t, v in row.items()
+               if not math.isfinite(v)]
+        if bad:
+            raise SimilarityError("X-Sim of (%r, %r) is not finite: %r" % bad[0])
+        targets = sorted({target for row in rows.values() for target in row})
+        code = {target: position for position, target in enumerate(targets)}
+        return cls(
+            list(rows), targets, np.cumsum([0, *map(len, rows.values())]),
+            np.asarray([code[t] for row in rows.values() for t in row], dtype=np.int64),
+            np.asarray([v for row in rows.values() for v in row.values()],
+                       dtype=np.float64))
+
+    @property
+    def n_pairs(self) -> int:
+        """Stored (source, target) entries."""
+        return len(self.target_ids)
+
+    def row(self, source: str) -> int | None:
+        """*source*'s row number, ``None`` when it has no target."""
+        return self._row.get(source)
+
+    def __getitem__(self, source: str) -> dict[str, float]:
+        low, high = self.ptr[self._row[source]:self._row[source] + 2]
+        return dict(zip([self.targets[t] for t in self.target_ids[low:high].tolist()],
+                        self.xsim[low:high].tolist()))
+
+    def __contains__(self, source: object) -> bool:
+        return source in self._row
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.sources)
+
+    def __len__(self) -> int:
+        return len(self.sources)
 
 
 @dataclass(frozen=True)
@@ -128,8 +192,8 @@ class Extender:
         """Aggregate meta-path similarities for every source item.
 
         The map comes from the level-synchronous kernel of
-        :mod:`repro.core.metapath_kernel`, which gives the same map as
-        :func:`extend_item_reference` per item, bit for bit. Stage
+        :mod:`repro.core.metapath_kernel`, folded into :class:`XSimMap`
+        arrays: per item, :func:`extend_item_reference`'s bit for bit. Stage
         timings and path/pair counts land in the process-global
         ``repro.obs`` registry (``extender_stage_seconds``,
         ``extender_paths_total``, ``extender_pairs_total``).
@@ -148,8 +212,8 @@ class Extender:
                 (:meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`).
 
         Returns:
-            The X-Sim map. Source items with no meta-path into the target
-            domain are simply absent.
+            The X-Sim map as arrays. Source items with no meta-path into
+            the target domain have no row.
 
         Raises:
             ConfigError: *source_domain* is not one of the partition's
@@ -173,7 +237,7 @@ class Extender:
         return xsim_map
 
 
-def count_heterogeneous_pairs(xsim_map: Mapping[str, Mapping[str, float]]) -> int:
+def count_heterogeneous_pairs(xsim_map: XSimMap) -> int:
     """Number of (source, target) pairs with a quantified X-Sim — the
     "meta-path-based" bar of Figure 1(b)."""
-    return sum(len(targets) for targets in xsim_map.values())
+    return xsim_map.n_pairs

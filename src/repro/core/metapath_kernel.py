@@ -33,9 +33,12 @@ at the default cap of 5000).
 Rows of one origin stay in DFS order within a level (``repeat`` keeps
 parent order, edges keep rank order) and every path into one terminal
 item ends on the same level, so folding Definition 6 with
-``np.bincount`` — which adds sequentially — reproduces the reference's
-floating-point sums bit for bit. Zero-significance and zero-certainty
-paths are dropped after they counted toward the cap, as the DFS does.
+``np.bincount`` — which adds sequentially — over dense ``(origin,
+terminal)`` cells, level by level, reproduces the reference's sums bit
+for bit with no sort; a target's place in its row is its smallest
+surviving ``pos``, the DFS's first reach. Zero-significance and
+zero-certainty paths are dropped after they counted toward the cap,
+as the DFS does.
 (The running ``Σ S·s`` matches the left-to-right ``sum`` of
 :func:`~repro.core.xsim.path_similarity` on the Python this repo pins;
 3.12's compensated float ``sum`` would move the reference, not this.)
@@ -61,6 +64,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: gather temporaries at a few MB whatever the catalogue size; one
 #: unblocked pass over the bench trace held +33 MB of peak RSS.
 _BLOCK_PATHS = 50_000
+
+#: ``(origin, item)`` cells per block: the fold holds three dense arrays
+#: over them (8 MB each). Bounds large catalogues; the bench's never
+#: reach it.
+_BLOCK_CELLS = 1 << 20
 
 #: Stand-in cap for ``max_paths_per_item=None``: one origin's frontier
 #: of this many rows would not fit in memory, so no feasible run
@@ -171,10 +179,6 @@ def _seed(origins: "_np.ndarray", nodes: "_np.ndarray") -> _Frontier:
         pos=_np.zeros(n, dtype=_np.int64))
 
 
-def _merge(*frontiers: _Frontier) -> _Frontier:
-    return _Frontier(*(_np.concatenate(columns) for columns in zip(*frontiers)))
-
-
 def _advance(csr: _ForwardCsr, frontier: _Frontier, parent_emits: int,
              cap: int) -> _Frontier:
     """Move every row one layer on, keeping only children the capped DFS
@@ -201,8 +205,9 @@ def _advance(csr: _ForwardCsr, frontier: _Frontier, parent_emits: int,
 
 
 def _expand(csr: _ForwardCsr, starts: list["_np.ndarray"],
-            source_ids: "_np.ndarray", cap: int) -> _Frontier:
-    """Every capped meta-path of one block, as rows on their terminals.
+            source_ids: "_np.ndarray", cap: int) -> list[_Frontier]:
+    """Every capped meta-path of one block, as rows on their terminals:
+    one frontier per target layer (BB′, NB′, NN′).
 
     *starts* holds the block's origin indices per start layer, in
     :data:`LAYER_CHAIN` order; an origin joins the climb at its layer.
@@ -210,46 +215,41 @@ def _expand(csr: _ForwardCsr, starts: list["_np.ndarray"],
     empty = _np.zeros(0, dtype=_np.int64)
     frontier = _seed(empty, empty)
     for origins in starts:
-        frontier = _merge(frontier, _seed(origins, source_ids[origins]))
+        frontier = _Frontier(*map(_np.concatenate, zip(
+            frontier, _seed(origins, source_ids[origins]))))
         frontier = _advance(csr, frontier, 0, cap)
     levels = [frontier]  # standing on the target BB layer
     for _ in LAYER_CHAIN[1:]:
         frontier = _advance(csr, frontier, 1, cap)
         levels.append(frontier)
-    return _merge(*levels)
+    return levels
 
 
-def _fold(paths: _Frontier, n_items: int, names: "_np.ndarray",
-          source_items: list[str], xsim_map: "XSimMap") -> None:
-    """Definition 6 over one block's paths, into *xsim_map*.
-
-    Targets are inserted in the order the DFS first reaches them with a
-    surviving path, so the map iterates exactly like the reference's.
-    """
-    keep = (paths.sig != 0) & (paths.cert > 0.0)
-    if not keep.any():
-        return
-    paths = _Frontier(*(column[keep] for column in paths))
-    contribution = paths.cert * (paths.weighted / paths.sig)
-    key = paths.origin * n_items + paths.node
-    # Stable: rows of one (origin, terminal) group keep their DFS order,
-    # which bincount then adds in.
-    order = _np.argsort(key, kind="stable")
-    key = key[order]
-    head = _np.ones(len(key), dtype=bool)
-    head[1:] = key[1:] != key[:-1]
-    group = _np.cumsum(head) - 1
-    total = _np.bincount(group, weights=paths.cert[order])
-    weighted = _np.bincount(group, weights=contribution[order])
-    first = order[head]
-    rank = _np.lexsort((paths.pos[first], paths.origin[first]))
-    origin = paths.origin[first][rank]
-    targets = names[paths.node[first][rank]].tolist()
-    values = (weighted[rank] / total[rank]).tolist()
-    bounds = _np.flatnonzero(_np.diff(origin, prepend=-1, append=-1)).tolist()
-    for low, high in zip(bounds, bounds[1:]):
-        xsim_map[source_items[origin[low]]] = dict(
-            zip(targets[low:high], values[low:high]))
+def _fold(levels: list[_Frontier], low: int, n_origins: int, n_items: int,
+          cap: int) -> tuple["_np.ndarray", "_np.ndarray", "_np.ndarray"]:
+    """Definition 6 over one block's paths: ``(origin, target id, X-Sim)``
+    per reached cell ``(origin − low) · n_items + node``, in the
+    reference's row order — by origin, then by first reach."""
+    paths = []
+    for level in levels:  # zero-significance / zero-certainty paths drop
+        keep = (level.sig != 0) & (level.cert > 0.0)
+        paths.append(_Frontier(*(column[keep] for column in level)))
+    # A cell's paths all stand on one level, in DFS order, so these
+    # columns list each cell's addends in the reference's order.
+    cell = _np.concatenate([(p.origin - low) * n_items + p.node for p in paths])
+    cert = _np.concatenate([p.cert for p in paths])
+    similarity = _np.concatenate([p.weighted / p.sig for p in paths])
+    n_cells = n_origins * n_items
+    total = _np.bincount(cell, weights=cert, minlength=n_cells)
+    weighted = _np.bincount(cell, weights=cert * similarity, minlength=n_cells)
+    first = _np.full(n_cells, cap, dtype=_np.int64)  # every kept pos < cap
+    _np.minimum.at(first, cell, _np.concatenate([p.pos for p in paths]))
+    hit = _np.flatnonzero(first < cap)
+    origin = hit // n_items
+    # Positions are unique within an origin, so this key is unique.
+    order = _np.argsort(origin * (cap + 1) + first[hit])
+    hit = hit[order]
+    return origin[order] + low, hit % n_items, weighted[hit] / total[hit]
 
 
 def frontier_xsim_map(
@@ -266,6 +266,8 @@ def frontier_xsim_map(
     top-k, CSR interning + per-edge significance), ``expand`` and
     ``aggregate``.
     """
+    from repro.core.extender import XSimMap
+
     clock = time.perf_counter
     started = clock()
     cap = config.max_paths_per_item or _UNCAPPED
@@ -278,29 +280,40 @@ def frontier_xsim_map(
         [partition.domain_of(item) == source_domain for item in items], dtype=bool)
     code = _np.where(in_source, depth, 2 * len(LAYER_CHAIN) - 1 - depth)
     csr = _build_csr(ranked, code, table, significance, config, cap)
-    names = _np.asarray(items, dtype=object)
     source_ids = _np.flatnonzero(in_source)
-    source_items = names[source_ids].tolist()
     start_layer = depth[source_ids]
     # Consecutive origins share a block while the paths before them
-    # stay inside one _BLOCK_PATHS bucket.
+    # stay inside one _BLOCK_PATHS bucket and their origin numbers in
+    # one run of `width`, which keeps a block's cells within _BLOCK_CELLS.
     per_origin = csr.paths[source_ids]
     bucket = (_np.cumsum(per_origin) - per_origin) // _BLOCK_PATHS
+    width = max(1, _BLOCK_CELLS // max(1, len(items)))
+    bucket = bucket * len(source_ids) + _np.arange(len(source_ids)) // width
     edges = _np.flatnonzero(_np.diff(bucket, prepend=-1, append=-1)).tolist()
     stages = {"prune": clock() - started, "expand": 0.0, "aggregate": 0.0}
 
-    xsim_map: "XSimMap" = {}
+    empty = _np.zeros(0, dtype=_np.int64)
+    folded = [(empty, empty, _np.zeros(0, dtype=_np.float64))]
     n_paths = 0
     for low, high in zip(edges, edges[1:]):
         started = clock()
         block = _np.arange(low, high, dtype=_np.int64)
         layers = start_layer[low:high]
-        paths = _expand(
+        levels = _expand(
             csr, [block[layers == depth] for depth in range(len(LAYER_CHAIN))],
             source_ids, cap)
-        n_paths += len(paths.origin)
+        n_paths += sum(len(level.origin) for level in levels)
         expanded = clock()
-        _fold(paths, len(items), names, source_items, xsim_map)
+        folded.append(_fold(levels, low, high - low, len(items), cap))
         stages["expand"] += expanded - started
         stages["aggregate"] += clock() - expanded
-    return xsim_map, n_paths, stages
+
+    started = clock()
+    origin, target_ids, xsim = (_np.concatenate(column) for column in zip(*folded))
+    counts = _np.bincount(origin, minlength=len(source_ids))
+    rows = _np.flatnonzero(counts)
+    ptr = _np.zeros(len(rows) + 1, dtype=_np.int64)
+    _np.cumsum(counts[rows], out=ptr[1:])
+    sources = [items[item] for item in source_ids[rows].tolist()]
+    stages["aggregate"] += clock() - started
+    return XSimMap(sources, items, ptr, target_ids, xsim), n_paths, stages

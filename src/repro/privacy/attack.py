@@ -44,19 +44,20 @@ def reidentification_rate(xsim_map: Mapping[str, Mapping[str, float]],
     the adversary guesses the item whose argmax replacement equals the
     draw (ties broken by X-Sim). With ε → ∞ the rate approaches 1
     (PRS degenerates to argmax, i.e. NX-Map); with small ε it approaches
-    chance level. Tests assert this monotone behaviour.
+    chance level. Tests assert this monotone behaviour. Each source's
+    row of *xsim_map* is read once, whatever *trials* is.
     """
     if trials <= 0:
         raise PrivacyError(f"trials must be positive, got {trials}")
-    sources = [s for s, cands in sorted(xsim_map.items()) if cands]
-    if not sources:
+    rows = {s: cands for s, cands in sorted(xsim_map.items()) if cands}
+    if not rows:
         raise PrivacyError("xsim_map has no mappable source items")
-    reference = optimal_replacements(xsim_map)
+    reference = optimal_replacements(rows)
     hits = 0
     total = 0
     for _ in range(trials):
-        for source in sources:
-            drawn = private_replacement(xsim_map[source], epsilon, rng)
+        for source, candidates in rows.items():
+            drawn = private_replacement(candidates, epsilon, rng)
             hits += int(drawn == reference[source])
             total += 1
     return hits / total

@@ -19,8 +19,6 @@ builds it
 from __future__ import annotations
 
 import heapq
-from itertools import chain
-from operator import methodcaller
 from typing import Iterable, Mapping, Sequence
 
 import numpy as _np
@@ -61,22 +59,6 @@ def top_k(similarities: Mapping[str, float] | Iterable[tuple[str, float]],
         candidates = (pair for pair in candidates if pair[1] >= minimum)
     # heapq.nsmallest on (-value, id) = "largest value, then smallest id".
     return heapq.nsmallest(k, candidates, key=lambda pair: (-pair[1], pair[0]))
-
-
-def rank_rows(rows: Sequence[Mapping[str, float]], ids: Mapping[str, int]):
-    """Flatten ``name → weight`` *rows* into ``(ptr, neighbor ids,
-    weights)`` with row ``x`` at ``[ptr[x]:ptr[x + 1]]`` in
-    :func:`top_k` order. *ids* must number the names in sorted order,
-    so the ascending-id tie-break is the lexicographic one."""
-    ptr = _np.zeros(len(rows) + 1, dtype=_np.int64)
-    _np.cumsum(_np.fromiter(map(len, rows), _np.int64, len(rows)), out=ptr[1:])
-    neighbor = _np.fromiter(
-        map(ids.__getitem__, chain.from_iterable(rows)), _np.int64, ptr[-1])
-    weight = _np.fromiter(
-        chain.from_iterable(map(methodcaller("values"), rows)), _np.float64, ptr[-1])
-    owner = _np.repeat(_np.arange(len(rows)), _np.diff(ptr))
-    order = _np.lexsort((neighbor, -weight, owner))
-    return ptr, neighbor[order], weight[order]
 
 
 def merge_ranked_entries(kept_sizes, kept, placed):

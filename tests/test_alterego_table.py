@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core.alterego import AlterEgoGenerator, ReplacementPolicy
 from repro.core.baseliner import Baseliner
-from repro.core.extender import Extender, ExtenderConfig
+from repro.core.extender import Extender, ExtenderConfig, XSimMap
 from repro.core.layers import LayerPartition
+from repro.core.pipeline import NXMapRecommender, XMapConfig
 from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.data.synthetic import SyntheticConfig, amazon_like
@@ -50,7 +51,7 @@ def table_rows(table):
 
 
 def test_merged_timestep_is_the_latest_even_when_negative():
-    generator = AlterEgoGenerator({"a": {"x": 0.5}, "b": {"x": 0.25}})
+    generator = AlterEgoGenerator(XSimMap.from_rows({"a": {"x": 0.5}, "b": {"x": 0.25}}))
     source = RatingTable([Rating("u", "a", 4.0, -5), Rating("u", "b", 2.0, -3)])
     (profile,) = generator.alterego_profile("u", source.user_profile("u"))
     assert profile.timestep == -3
@@ -66,7 +67,8 @@ def test_collisions_are_added_in_sorted_source_item_order():
     # 2.15625 added a → d and 2.1562499999999996 added d → a.
     weights = {"a": 0.1, "b": 0.3, "c": 0.7, "d": 0.5}
     values = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 4.7}
-    generator = AlterEgoGenerator({item: {"x": w} for item, w in weights.items()})
+    generator = AlterEgoGenerator(
+        XSimMap.from_rows({item: {"x": w} for item, w in weights.items()}))
     source = RatingTable(
         [Rating("u", item, values[item], 0) for item in ("d", "b", "a", "c")])
     table = generator.alterego_table(["u"], source, RatingTable([]))
@@ -87,10 +89,10 @@ _XSIM = st.sampled_from([-0.75, 0.0, 1e-13, 1e-12, 0.1, 0.3, 0.5, 0.5, 0.7, 1.0]
 
 @st.composite
 def generator_inputs(draw):
-    xsim_map = draw(st.dictionaries(
+    xsim_map = XSimMap.from_rows(draw(st.dictionaries(
         st.sampled_from(_SOURCE[:5]),  # s5 is never in the map
         st.dictionaries(st.sampled_from(_TARGET), _XSIM, max_size=6),
-        max_size=5))
+        max_size=5)))
     source_pairs = draw(st.lists(
         st.tuples(st.sampled_from(_USERS[:4]), st.sampled_from(_SOURCE)),
         unique=True, max_size=18))
@@ -153,9 +155,55 @@ def test_private_table_draws_in_the_per_item_order(inputs, n_replacements, seed)
     assert by_arrays.item_mapping() == per_item.item_mapping()
 
 
+# -- property: the array ranking is top_k per row --------------------------
+
+#: Twelve targets, so rows run shorter and longer than R; exact ties,
+#: both zeros, values at and below the floor, negatives.
+_RANK_TARGETS = [f"t{k:02d}" for k in range(12)]
+_RANK_XSIM = st.sampled_from([-0.75, -0.0, 0.0, 1e-13, 1e-12, 0.1, 0.5, 0.5, 0.7, 1.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.dictionaries(
+           st.sampled_from(_SOURCE),
+           st.dictionaries(st.sampled_from(_RANK_TARGETS), _RANK_XSIM, max_size=12),
+           max_size=6),
+       n_replacements=st.sampled_from([1, 2, 5, 30]))
+def test_rank_all_is_top_k_per_row(rows, n_replacements):
+    xsim_map = XSimMap.from_rows(rows)
+    ptr, names, weights = AlterEgoGenerator(
+        xsim_map, n_replacements=n_replacements)._rank_all()
+    assert len(ptr) == len(xsim_map) + 1
+    for row, source in enumerate(xsim_map):
+        ranked = list(zip(names[ptr[row]:ptr[row + 1]], weights[ptr[row]:ptr[row + 1]]))
+        assert ranked == top_k(rows[source], n_replacements, minimum=1e-12)
+
+
+def test_the_non_private_fit_never_reads_a_row_of_the_map(
+        small_trace, tmp_path, monkeypatch):
+    # The ranking reads the map's arrays; fit → snapshot → save must not
+    # build a single per-source row dict.
+    reads = []
+    read = XSimMap.__getitem__
+
+    def spy(self, source):
+        reads.append(source)
+        return read(self, source)
+
+    monkeypatch.setattr(XSimMap, "__getitem__", spy)
+    pipeline = NXMapRecommender(XMapConfig(mode="item")).fit(small_trace)
+    pipeline.snapshot().save(tmp_path / "model")
+    assert pipeline.xsim_map.n_pairs and reads == []
+    # The spy is live: the private policy draws from a row dict.
+    private = AlterEgoGenerator(
+        pipeline.xsim_map, policy=ReplacementPolicy.PRIVATE, epsilon=1.0)
+    private.replacements_for(pipeline.xsim_map.sources[0])
+    assert reads == [pipeline.xsim_map.sources[0]]
+
+
 def test_table_order_is_users_then_items_sorted():
-    generator = AlterEgoGenerator(
-        {"a": {"y": 0.5, "x": 0.25}, "b": {"x": 1.0, "z": 0.5}})
+    generator = AlterEgoGenerator(XSimMap.from_rows(
+        {"a": {"y": 0.5, "x": 0.25}, "b": {"x": 1.0, "z": 0.5}}))
     source = RatingTable([
         Rating("v", "b", 2.0, 1), Rating("u", "b", 3.0, 2), Rating("u", "a", 5.0, 3)])
     table = generator.alterego_table(["v", "u"], source, RatingTable([]))

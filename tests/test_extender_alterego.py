@@ -7,6 +7,7 @@ from repro.core.baseliner import Baseliner
 from repro.core.extender import (
     Extender,
     ExtenderConfig,
+    XSimMap,
     count_heterogeneous_pairs,
 )
 from repro.core.layers import LayerPartition
@@ -103,26 +104,26 @@ class TestExtender:
 
 class TestAlterEgoGenerator:
     def test_non_private_is_argmax(self):
-        xsim_map = {"s1": {"t1": 0.2, "t2": 0.9}, "s2": {}}
+        xsim_map = XSimMap.from_rows({"s1": {"t1": 0.2, "t2": 0.9}, "s2": {}})
         generator = AlterEgoGenerator(xsim_map)
         assert generator.replacement_for("s1") == "t2"
         assert generator.replacement_for("s2") is None
         assert generator.replacement_for("unknown") is None
 
     def test_argmax_tie_breaks_lexicographically(self):
-        generator = AlterEgoGenerator({"s": {"tb": 0.5, "ta": 0.5}})
+        generator = AlterEgoGenerator(XSimMap.from_rows({"s": {"tb": 0.5, "ta": 0.5}}))
         assert generator.replacement_for("s") == "ta"
 
     def test_epsilon_required_for_private(self):
         with pytest.raises(ConfigError):
-            AlterEgoGenerator({}, policy=ReplacementPolicy.PRIVATE)
+            AlterEgoGenerator(XSimMap.from_rows({}), policy=ReplacementPolicy.PRIVATE)
 
     def test_epsilon_rejected_for_non_private(self):
         with pytest.raises(ConfigError):
-            AlterEgoGenerator({}, epsilon=0.5)
+            AlterEgoGenerator(XSimMap.from_rows({}), epsilon=0.5)
 
     def test_private_replacement_memoised(self):
-        xsim_map = {"s": {"t1": 0.5, "t2": 0.5, "t3": 0.5}}
+        xsim_map = XSimMap.from_rows({"s": {"t1": 0.5, "t2": 0.5, "t3": 0.5}})
         generator = AlterEgoGenerator(
             xsim_map, policy=ReplacementPolicy.PRIVATE, epsilon=0.1, seed=1)
         first = generator.replacement_for("s")
@@ -131,12 +132,12 @@ class TestAlterEgoGenerator:
     def test_private_spends_budget_once(self):
         accountant = PrivacyAccountant()
         AlterEgoGenerator(
-            {"s": {"t": 1.0}}, policy=ReplacementPolicy.PRIVATE,
+            XSimMap.from_rows({"s": {"t": 1.0}}), policy=ReplacementPolicy.PRIVATE,
             epsilon=0.3, accountant=accountant)
         assert accountant.total == pytest.approx(0.3)
 
     def test_profile_merges_collisions(self):
-        xsim_map = {"s1": {"t": 1.0}, "s2": {"t": 1.0}}
+        xsim_map = XSimMap.from_rows({"s1": {"t": 1.0}, "s2": {"t": 1.0}})
         generator = AlterEgoGenerator(xsim_map)
         profile = {"s1": Rating("u", "s1", 5.0, 10), "s2": Rating("u", "s2", 3.0, 20)}
         alterego = generator.alterego_profile("u", profile)
@@ -145,12 +146,12 @@ class TestAlterEgoGenerator:
         assert alterego[0].timestep == 20
 
     def test_profile_preserves_value_and_timestep(self):
-        generator = AlterEgoGenerator({"s1": {"t9": 1.0}})
+        generator = AlterEgoGenerator(XSimMap.from_rows({"s1": {"t9": 1.0}}))
         alterego = generator.alterego_profile("u", {"s1": Rating("u", "s1", 2.0, 7)})
         assert alterego == [Rating("u", "t9", 2.0, 7)]
 
     def test_table_respects_existing_target_ratings(self):
-        generator = AlterEgoGenerator({"s1": {"t1": 1.0}})
+        generator = AlterEgoGenerator(XSimMap.from_rows({"s1": {"t1": 1.0}}))
         source = RatingTable([Rating("u", "s1", 5.0, 0)])
         target = RatingTable([Rating("u", "t1", 2.0, 0)])
         augmented = generator.alterego_table(["u"], source, target)
@@ -158,7 +159,7 @@ class TestAlterEgoGenerator:
         assert augmented.value("u", "t1") == 2.0
 
     def test_table_adds_alterego_for_cold_user(self):
-        generator = AlterEgoGenerator({"s1": {"t1": 1.0}})
+        generator = AlterEgoGenerator(XSimMap.from_rows({"s1": {"t1": 1.0}}))
         source = RatingTable([Rating("u", "s1", 5.0, 0)])
         target = RatingTable([Rating("other", "t1", 3.0, 0)])
         augmented = generator.alterego_table(["u"], source, target)

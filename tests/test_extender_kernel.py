@@ -1,6 +1,7 @@
 """The Extender's level-synchronous kernel against the per-item DFS.
 
-Every comparison is dict ``==`` on floats: the kernel must reproduce
+Every comparison is ``==`` on floats, row by row through the
+:class:`~repro.core.extender.XSimMap` face: the kernel must reproduce
 :func:`repro.core.extender.extend_item_reference` bit for bit, including
 which keys are absent.
 """
@@ -8,16 +9,19 @@ which keys are absent.
 from __future__ import annotations
 
 import functools
+import math
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import metapath_kernel
 from repro.core.baseliner import Baseliner
 from repro.core.extender import (
     Extender,
     ExtenderConfig,
+    XSimMap,
     count_heterogeneous_pairs,
     extend_item_reference,
 )
@@ -26,7 +30,7 @@ from repro.core.metapaths import build_pruned_adjacency
 from repro.core.xsim import SignificanceCache
 from repro.data.ratings import Rating, RatingTable
 from repro.data.synthetic import SyntheticConfig, amazon_like
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimilarityError
 from repro.obs import get_registry
 from repro.similarity.graph import ItemGraph, build_similarity_graph
 
@@ -41,15 +45,16 @@ def reference_map(graph, partition, significance, source_domain, config):
         values = extend_item_reference(item, partition, adjacency, significance, config)
         if values:
             xsim_map[item] = values
-    return xsim_map
+    return XSimMap.from_rows(xsim_map)
 
 
 def assert_same_map(actual, expected):
-    assert actual == expected
-    # Same iteration order too: the AlterEgo generator walks these dicts.
+    # Same sources, targets and values, in the same order: the AlterEgo
+    # generator and the private draws walk the rows in it.
     assert list(actual) == list(expected)
-    for item, targets in expected.items():
-        assert list(actual[item]) == list(targets)
+    for item in expected:
+        assert list(actual[item].items()) == list(expected[item].items())
+    assert actual.n_pairs == expected.n_pairs
 
 
 class StubSignificance:
@@ -125,6 +130,57 @@ def test_kernel_equals_reference_where_the_cap_bites(small_trace, k, max_paths):
         baseline.graph, partition, SignificanceCache(merged), source, config))
     _, n_uncapped = enumerated(ExtenderConfig(k=k, max_paths_per_item=None))
     assert n_capped < n_uncapped
+
+
+def test_one_origin_blocks_give_the_same_map(small_trace, monkeypatch):
+    # A cell budget below one origin's row of cells forces one origin
+    # per block: the fold's dense cells, first-reach order and the
+    # per-block concatenation must not care where blocks end.
+    baseline = Baseliner().compute(small_trace)
+    partition = LayerPartition.from_graph(baseline.graph, small_trace.domain_map())
+    merged = small_trace.merged()
+    config = ExtenderConfig(k=8, max_paths_per_item=40)
+    source = small_trace.source.name
+    monkeypatch.setattr(metapath_kernel, "_BLOCK_CELLS", 1)
+    actual = Extender(config).extend(baseline.graph, partition, merged, source)
+    assert len(actual) > 1
+    assert_same_map(actual, reference_map(
+        baseline.graph, partition, SignificanceCache(merged), source, config))
+
+
+# -- the map's array form ---------------------------------------------------
+
+def test_from_rows_keeps_row_and_target_order_and_drops_empty_rows():
+    xsim_map = XSimMap.from_rows(
+        {"s2": {"tb": 0.5, "ta": -0.25}, "s0": {}, "s1": {"tc": 1.0}})
+    assert list(xsim_map) == ["s2", "s1"] and len(xsim_map) == 2
+    assert "s0" not in xsim_map and "s1" in xsim_map
+    assert list(xsim_map["s2"].items()) == [("tb", 0.5), ("ta", -0.25)]
+    assert xsim_map.targets == ["ta", "tb", "tc"]
+    assert xsim_map.ptr.tolist() == [0, 2, 3]
+    assert xsim_map.target_ids.tolist() == [1, 0, 2]
+    assert xsim_map.n_pairs == count_heterogeneous_pairs(xsim_map) == 3
+    assert xsim_map.get("s0") is None
+    with pytest.raises(KeyError):
+        xsim_map["s0"]
+
+
+def test_a_row_is_a_fresh_dict_per_read():
+    xsim_map = XSimMap.from_rows({"s": {"t": 0.5}})
+    row = xsim_map["s"]
+    row["t"] = 9.0
+    assert xsim_map["s"] == {"t": 0.5} and xsim_map["s"] is not xsim_map["s"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_rows_refuses_a_non_finite_value(bad):
+    with pytest.raises(SimilarityError, match="'s'.*'t2'.*not finite"):
+        XSimMap.from_rows({"s": {"t1": 0.5, "t2": bad}})
+
+
+def test_from_rows_of_nothing_is_an_empty_map():
+    xsim_map = XSimMap.from_rows({"s": {}})
+    assert len(xsim_map) == 0 and xsim_map.n_pairs == 0 and xsim_map == {}
 
 
 # -- hand-built graph: the cap is the DFS-preorder cap ------------------

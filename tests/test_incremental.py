@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.alterego import AlterEgoGenerator, OnlineAlterEgoUpdater
 from repro.core.baseliner import Baseliner
+from repro.core.extender import XSimMap
 from repro.data.dataset import CrossDomainDataset, Dataset
 from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
@@ -259,11 +260,11 @@ class TestDeltaHandoff:
 
 class TestOnlineAlterEgo:
     def _generator(self):
-        xsim_map = {
+        xsim_map = XSimMap.from_rows({
             "s1": {"t1": 0.9, "t2": 0.5, "t3": 0.1},
             "s2": {"t1": 0.4, "t4": 0.8},
             "s3": {},
-        }
+        })
         return AlterEgoGenerator(xsim_map, n_replacements=2)
 
     def _tables(self):

@@ -3,17 +3,18 @@
 import pytest
 
 from repro.core.alterego import AlterEgoGenerator, ReplacementPolicy
+from repro.core.extender import XSimMap
 from repro.data.ratings import Rating
 from repro.errors import ConfigError
 
 
 @pytest.fixture()
 def generator():
-    xsim_map = {
+    xsim_map = XSimMap.from_rows({
         "s1": {"t1": 0.9, "t2": 0.5, "t3": 0.1},
         "s2": {"t1": 0.4, "t4": 0.8},
         "s3": {},
-    }
+    })
     return AlterEgoGenerator(xsim_map, n_replacements=2)
 
 
@@ -56,7 +57,7 @@ class TestIncremental:
         assert len(builder) >= first
 
     def test_private_incremental_consistent(self):
-        xsim_map = {"s1": {"t1": 0.9, "t2": 0.1}}
+        xsim_map = XSimMap.from_rows({"s1": {"t1": 0.9, "t2": 0.1}})
         generator = AlterEgoGenerator(
             xsim_map, policy=ReplacementPolicy.PRIVATE,
             epsilon=1.0, seed=4, n_replacements=1)
