@@ -69,9 +69,6 @@ class ReplacementPolicy(enum.Enum):
 class AlterEgoGenerator:
     """Maps source items to target replacement sets and builds AlterEgos.
 
-    Non-private sets are ranked from the map's arrays (:meth:`_rank_all`);
-    only the private policy reads a row dict, to draw from it.
-
     Args:
         xsim_map: the Extender's output (source item → target candidates
             with X-Sim values); hand-made maps come from

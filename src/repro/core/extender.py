@@ -77,7 +77,8 @@ class XSimMap(Mapping[str, dict[str, float]]):
         return self._row.get(source)
 
     def __getitem__(self, source: str) -> dict[str, float]:
-        low, high = self.ptr[self._row[source]:self._row[source] + 2]
+        row = self._row[source]
+        low, high = self.ptr[row:row + 2]
         return dict(zip([self.targets[t] for t in self.target_ids[low:high].tolist()],
                         self.xsim[low:high].tolist()))
 

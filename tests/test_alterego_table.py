@@ -51,7 +51,8 @@ def table_rows(table):
 
 
 def test_merged_timestep_is_the_latest_even_when_negative():
-    generator = AlterEgoGenerator(XSimMap.from_rows({"a": {"x": 0.5}, "b": {"x": 0.25}}))
+    generator = AlterEgoGenerator(
+        XSimMap.from_rows({"a": {"x": 0.5}, "b": {"x": 0.25}}))
     source = RatingTable([Rating("u", "a", 4.0, -5), Rating("u", "b", 2.0, -3)])
     (profile,) = generator.alterego_profile("u", source.user_profile("u"))
     assert profile.timestep == -3
