@@ -1,6 +1,7 @@
-"""Golden digests of the offline fit's outputs.
+"""Golden digests of the offline fit's and the write path's outputs.
 
     python scripts/golden.py [--update] [--shape small|trace_s|trace_l ...]
+    python scripts/golden.py --write-path [--update] [--shape small|trace_l ...]
 
 Fits ``NXMapRecommender(mode="item")`` at each shape (seed 7) and
 hashes a canonical dump of what the fit produces: the X-Sim map (keys
@@ -17,6 +18,16 @@ version compare values within a tolerance instead of bits.
 its hidden ratings (``trace_s`` is ``bench/``'s ``xmap_fit`` trace, so
 its MAE is that workload's); ``trace_l`` fits the whole trace, as
 ``scripts/fit_scale_smoke.py`` does, and has no MAE.
+
+``--write-path`` drives a ``DurableSweep`` over the whole trace of each
+shape (default ``small`` and ``trace_l``) through a fixed sequence of
+:data:`WRITE_BATCHES` rating batches — the ``onboard, onboard, heavy``
+cycle of :class:`BatchPlan` — with a checkpoint every
+:data:`WRITE_CHECKPOINT_EVERY` batches. After each batch it hashes the
+accumulation, the index and the update census; at the end, the store
+directory (WAL segments, ``CHECKPOINT.json``, the checkpoint snapshot)
+and the state recovered from it. Arrays are hashed as their dtype and
+raw bytes. The digests live in ``tests/golden/write_path.json``.
 """
 
 from __future__ import annotations
@@ -24,7 +35,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -34,8 +47,15 @@ sys.path.insert(0, str(ROOT / "src"))
 
 GOLDEN = ROOT / "tests" / "golden" / "fit.json"
 SMALL_DUMP = ROOT / "tests" / "golden" / "small.json"
+WRITE_GOLDEN = ROOT / "tests" / "golden" / "write_path.json"
 SEED = 7
 PARTS = ("xsim_map", "replacements", "augmented", "item_mapping", "mae")
+#: Per-batch parts of the write path, then its end-of-run parts.
+BATCH_PARTS = ("accumulation", "index", "census")
+FINAL_PARTS = ("directory", "recovered")
+WRITE_SHAPES = ("small", "trace_l")
+WRITE_BATCHES = 9
+WRITE_CHECKPOINT_EVERY = 6
 
 
 @dataclass(frozen=True)
@@ -163,13 +183,166 @@ def close(got, want, tolerance: float = 1e-9) -> bool:
     return got == want
 
 
+class BatchPlan:
+    """The ingest batches of ``bench/inputs.py``'s ``BatchPlan``, kept
+    here so the digests do not move with the benchmark: ``onboard`` is
+    a new user rating eight items spread over the popularity tail,
+    ``heavy`` eight head users each (re-)rating one head item."""
+
+    BATCH_SIZE = 8
+    HEAD_USERS = 64
+    HEAD_ITEMS = 50
+    ONBOARD_SKIP_HEAD_SHARE = 0.10
+    SHAPE_CYCLE = ("onboard", "onboard", "heavy")
+
+    def __init__(self, table, seed: int) -> None:
+        self._rng = random.Random(seed)
+        by_size = sorted(table.users, key=lambda u: (-len(table.user_profile(u)), u))
+        by_popularity = sorted(table.items,
+                               key=lambda i: (-len(table.item_profile(i)), i))
+        self.head_users = by_size[:self.HEAD_USERS]
+        self.head_items = by_popularity[:self.HEAD_ITEMS]
+        self.tail_items = by_popularity[int(len(by_popularity)
+                                            * self.ONBOARD_SKIP_HEAD_SHARE):]
+        self._made = {"onboard": 0, "heavy": 0}
+        self._timestep = 1_000_000
+
+    def shape_of(self, k: int) -> str:
+        return self.SHAPE_CYCLE[k % len(self.SHAPE_CYCLE)]
+
+    def batch(self, shape: str):
+        from repro.data.ratings import Rating
+
+        k = self._made[shape]
+        self._made[shape] += 1
+        self._timestep += 1
+        size = self.BATCH_SIZE
+        if shape == "onboard":
+            stride = len(self.tail_items) // size
+            pairs = [(f"n{k:06d}",
+                      self.tail_items[(j * stride + k * 13) % len(self.tail_items)])
+                     for j in range(size)]
+        else:
+            pairs = [(self.head_users[(k * size + j) % len(self.head_users)],
+                      self.head_items[(k * 5 + j * 3) % len(self.head_items)])
+                     for j in range(size)]
+        return [Rating(user, item, float(self._rng.randint(1, 5)), self._timestep)
+                for user, item in pairs]
+
+
+def _hash(lines=(), arrays=()) -> str:
+    """``blake2b`` of JSON *lines*, then of each array's dtype and bytes."""
+    hasher = hashlib.blake2b(digest_size=16)
+    for entry in lines:
+        hasher.update(_line(entry))
+    for array in arrays:
+        hasher.update(_line(str(array.dtype)))
+        hasher.update(array.tobytes())
+    return hasher.hexdigest()
+
+
+def state_digests(sweep) -> dict[str, str]:
+    """The accumulation's and the index's digests of an
+    ``IncrementalSweep``."""
+    acc, index = sweep.accumulation, sweep.index
+    return {
+        "accumulation": _hash(arrays=(acc.keys, acc.sums, acc.counts)),
+        "index": _hash([list(index.items)],
+                       (index.ptr, index.neighbor_ids, index.weights)),
+    }
+
+
+def census_digest(stats) -> str:
+    return _hash([list(stats.affected_items),
+                  [list(edge) for edge in stats.edges_added],
+                  [list(edge) for edge in stats.edges_removed],
+                  stats.delta_pairs, stats.n_changed_entries])
+
+
+def directory_digest(directory: Path) -> str:
+    """``blake2b`` over every file under *directory*: its relative path,
+    then its bytes, in sorted path order."""
+    hasher = hashlib.blake2b(digest_size=16)
+    for path in sorted(p for p in directory.rglob("*") if p.is_file()):
+        hasher.update(path.relative_to(directory).as_posix().encode() + b"\n")
+        hasher.update(path.read_bytes())
+    return hasher.hexdigest()
+
+
+def write_path_digests(shape: str) -> dict:
+    """Drive a ``DurableSweep`` through the fixed batch sequence at
+    *shape* and return ``{"batches": [per-batch digests], "directory":
+    …, "recovered": …}``."""
+    from repro.data.synthetic import amazon_like
+    from repro.durability.manager import CheckpointPolicy, DurableSweep
+
+    table = amazon_like(SHAPES[shape].config()).merged()
+    plan = BatchPlan(table, SEED)
+    batches = []
+    with tempfile.TemporaryDirectory(prefix="golden-write-") as tmp:
+        store = Path(tmp) / "store"
+        with DurableSweep(store, table, policy=CheckpointPolicy(
+                max_log_bytes=None, max_batches=WRITE_CHECKPOINT_EVERY)) as durable:
+            for k in range(WRITE_BATCHES):
+                stats = durable.update(plan.batch(plan.shape_of(k)))
+                batches.append({**state_digests(durable.sweep),
+                                "census": census_digest(stats)})
+        directory = directory_digest(store)
+        with DurableSweep.recover(store) as recovered:
+            state = state_digests(recovered.sweep)
+    return {"batches": batches, "directory": directory,
+            "recovered": _hash([state["accumulation"], state["index"]])}
+
+
+def write_path_mismatches(got: dict, want: dict) -> list[str]:
+    """The parts of *got* that differ from *want*, named by batch."""
+    wrong = [f"batch {k} {name}"
+             for k, (a, b) in enumerate(zip(got["batches"], want["batches"]))
+             for name in BATCH_PARTS if a.get(name) != b.get(name)]
+    if len(got["batches"]) != len(want["batches"]):
+        wrong.append("batch count")
+    return wrong + [name for name in FINAL_PARTS if got.get(name) != want.get(name)]
+
+
+def load_write_path() -> dict:
+    return json.loads(WRITE_GOLDEN.read_text(encoding="utf-8"))
+
+
+def write_path_main(shapes: list[str], update: bool) -> int:
+    if update:
+        golden = load_write_path() if WRITE_GOLDEN.exists() else {"shapes": {}}
+        golden["numpy"] = numpy_version()
+        for shape in shapes:
+            golden["shapes"][shape] = write_path_digests(shape)
+            print(f"write path {shape}: updated")
+        WRITE_GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n",
+                                encoding="utf-8")
+        return 0
+    golden = load_write_path()
+    if golden["numpy"] != numpy_version():
+        print(f"note: digests were taken on NumPy {golden['numpy']}, "
+              f"this is {numpy_version()}")
+    failed = False
+    for shape in shapes:
+        wrong = write_path_mismatches(write_path_digests(shape), golden["shapes"][shape])
+        failed |= bool(wrong)
+        print(f"write path {shape}: "
+              f"{'differs in ' + ', '.join(wrong) if wrong else 'OK'}")
+    return 1 if failed else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--update", action="store_true",
                         help="rewrite the committed digests and small dump")
     parser.add_argument("--shape", action="append", choices=sorted(SHAPES),
-                        help="shapes to fit (default: all)")
+                        help="shapes to run (default: all fit shapes, or "
+                             "small and trace_l with --write-path)")
+    parser.add_argument("--write-path", action="store_true",
+                        help="digest the durable write path, not the fit")
     args = parser.parse_args(argv)
+    if args.write_path:
+        return write_path_main(args.shape or list(WRITE_SHAPES), args.update)
     shapes = args.shape or list(SHAPES)
 
     if args.update:

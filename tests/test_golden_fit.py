@@ -1,5 +1,6 @@
-"""The offline fit's outputs against the committed golden digests
-(``scripts/golden.py``; ``--update`` rewrites them)."""
+"""The offline fit's and the durable write path's outputs against the
+committed golden digests (``scripts/golden.py``; ``--update`` rewrites
+them)."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ _spec.loader.exec_module(golden)
 
 COMMITTED = golden.load()
 SAME_NUMPY = COMMITTED["numpy"] == golden.numpy_version()
+WRITE_PATH = golden.load_write_path()
 
 
 def test_small_shape_matches_committed_dump_within_tolerance():
@@ -41,3 +43,17 @@ def test_close_compares_hex_floats_within_tolerance_and_the_rest_exactly():
     assert not golden.close([["a", (0.5).hex()]], [["a", (0.5 + 1e-6).hex()]])
     assert not golden.close([["a", (0.5).hex()]], [["b", (0.5).hex()]])
     assert not golden.close([["a"]], [["a"], ["b"]])
+
+
+@pytest.mark.skipif(WRITE_PATH["numpy"] != golden.numpy_version(),
+                    reason="digests pin the NumPy they were taken on")
+def test_small_write_path_digests_unchanged():
+    got = golden.write_path_digests("small")
+    assert golden.write_path_mismatches(got, WRITE_PATH["shapes"]["small"]) == []
+
+
+def test_write_path_mismatches_name_the_batch_and_part():
+    want = WRITE_PATH["shapes"]["small"]
+    got = {**want, "batches": [dict(b) for b in want["batches"]], "recovered": "x"}
+    got["batches"][2]["index"] = "x"
+    assert golden.write_path_mismatches(got, want) == ["batch 2 index", "recovered"]
