@@ -90,6 +90,14 @@ def _split_keys(keys, n_items: int):
     return left, keys - left * n_items
 
 
+def _sorted_member(sorted_keys, keys):
+    """Whether each of *keys* occurs in the ascending *sorted_keys*."""
+    if not len(sorted_keys):
+        return _np.zeros(len(keys), dtype=bool)
+    at = _np.minimum(_np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
+
+
 class PairAccumulation:
     """Reduced Eq-6 pair accumulation: what the Baseliner's sweep keeps.
 
@@ -1097,17 +1105,23 @@ class MatrixRatingStore:
         So the new index is those kept entries merged
         (:func:`~repro.similarity.knn.merge_ranked_entries`) with the
         filtered weights of *acc*'s touched-endpoint pairs, ranked by
-        one small ``lexsort`` — equal to a fresh assembly bit for bit. A
-        touched row keeps nothing, so whole-row rebuild is the merge's
-        degenerate case, not a second path.
+        :func:`~repro.similarity.knn.ranked_entries` (one ``argsort`` of
+        the pair weights, then integer sorts: no float sort key; the
+        moved pairs times ``n_items`` must stay below 2**63) — equal to
+        a fresh assembly bit for bit. A touched row keeps nothing, so
+        whole-row rebuild is the merge's degenerate case, not a second
+        path.
 
-        Cost: one delete-and-insert (one copy) per index array, one
-        gather each over the index's ids and *acc*'s right items, and
-        work over the touched rows: touched rows are ``ptr`` slices,
-        lost entries' owners a ``searchsorted`` of ``ptr``, and ids are
-        remapped only when the batch interned items.
+        Cost: one delete and one scatter (a copy each) per index array,
+        one gather each over the index's ids and *acc*'s right items,
+        and work over the touched rows: touched rows are ``ptr`` slices,
+        lost entries' owners a ``searchsorted`` of ``ptr``, ids are
+        remapped only when the batch interned items, and the edge
+        census sorts the dropped pairs' keys once and tests membership
+        with ``searchsorted``.
         """
-        from repro.similarity.knn import NeighborIndex, merge_ranked_entries
+        from repro.similarity.knn import (NeighborIndex, merge_ranked_entries,
+                                          ranked_entries)
 
         items = self.items
         n_items = len(items)
@@ -1129,12 +1143,7 @@ class MatrixRatingStore:
         left, right, sims = self._edge_weights(
             left, right, acc.sums[moved], acc.counts[moved],
             min_common_users, min_abs_similarity)
-        src = _np.concatenate([left, right])
-        tgt = _np.concatenate([right, left])
-        wts = _np.concatenate([sims, sims])
-        narrow = _np.min_scalar_type(n_items)  # 16-bit keys radix-sort
-        order = _np.lexsort((tgt.astype(narrow), -wts, src.astype(narrow)))
-        src, tgt, wts = src[order], tgt[order], wts[order]
+        src, tgt, wts = ranked_entries(left, right, sims, n_items)
 
         # Kept side, in the old index's space: every entry but the
         # touched rows' and those pointing at a touched item.
@@ -1157,12 +1166,13 @@ class MatrixRatingStore:
             kept_sizes, (kept_ids, _np.delete(index.weights, gone)), (src, tgt, wts))
 
         # Edge census: pair keys dropped vs placed (both duplicate-free;
-        # acc.keys ascend, so new_keys and `added` already do).
+        # acc.keys ascend, so new_keys and `added` already do). The old
+        # keys are sorted once; membership both ways is a searchsorted.
         census = owner < ids
-        old_keys = owner[census] * n_items + ids[census]
+        old_keys = _np.sort(owner[census] * n_items + ids[census])
         new_keys = left * n_items + right
-        added = _np.setdiff1d(new_keys, old_keys, assume_unique=True)
-        removed = _np.sort(_np.setdiff1d(old_keys, new_keys, assume_unique=True))
+        added = new_keys[~_sorted_member(old_keys, new_keys)]
+        removed = old_keys[~_sorted_member(new_keys, old_keys)]
 
         def _edges(keys):
             return tuple((items[key // n_items], items[key % n_items])

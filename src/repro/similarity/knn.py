@@ -61,6 +61,37 @@ def top_k(similarities: Mapping[str, float] | Iterable[tuple[str, float]],
     return heapq.nsmallest(k, candidates, key=lambda pair: (-pair[1], pair[0]))
 
 
+def ranked_entries(left, right, weights, n_items: int):
+    """The directed entries of the undirected pairs ``{left[e],
+    right[e]}`` of weight ``weights[e]`` (item indexes below *n_items*,
+    each pair once), both ways round, as ``(rows, neighbors, weights)``
+    in ``(row, −weight, neighbor)`` order — what
+    ``np.lexsort((neighbors, -weights, rows))`` gives, with no float
+    sort key.
+
+    Each pair's weight is ranked once: one unstable ``argsort`` of the
+    pair weights, weights equal under ``==`` (``-0.0`` and ``0.0``
+    too) sharing a dense rank, the largest weight rank 0. The entries
+    are then ordered by the int64 key ``rank · n_items + neighbor``
+    (unstable: a key repeats only across rows) and then by row with one
+    stable sort of the rows in the narrowest unsigned type (a radix
+    sort below 2**16 items). Keys stay below ``pairs · n_items``, which
+    must be under 2**63.
+    """
+    order = _np.argsort(weights)[::-1]
+    ranked = weights[order]
+    dense = _np.zeros(len(order), dtype=_np.int64)
+    _np.cumsum(ranked[1:] != ranked[:-1], out=dense[1:])
+    rank = _np.empty_like(dense)
+    rank[order] = dense
+    rows = _np.concatenate([left, right])
+    neighbors = _np.concatenate([right, left])
+    by_key = _np.argsort(_np.concatenate([rank, rank]) * n_items + neighbors)
+    narrow = _np.min_scalar_type(max(n_items - 1, 0))
+    by_key = by_key[_np.argsort(rows[by_key].astype(narrow), kind="stable")]
+    return rows[by_key], neighbors[by_key], _np.concatenate([weights, weights])[by_key]
+
+
 def merge_ranked_entries(kept_sizes, kept, placed):
     """Merge the *kept* ``(neighbor ids, weights)`` rows — concatenated
     in row order, row ``x`` holding ``kept_sizes[x]`` entries — with the
@@ -75,8 +106,11 @@ def merge_ranked_entries(kept_sizes, kept, placed):
     owner kept nothing (a row replaced whole) start converged and skip
     the bisect.
 
-    Cost: one insert (one copy) per kept array, plus work over the
-    placed entries and a pass over the rows — nothing per kept entry.
+    Cost: the bisect's work over the placed entries, a pass over the
+    rows, and one scatter per output array: placed entry ``j`` lands
+    in slot ``at[j] + j`` (its insert position ``at`` does not decrease
+    along the placed order) and the kept entries fill the other slots
+    in order — nothing sorted, nothing per kept entry beyond the copy.
     """
     kept_ids, kept_wts = kept
     owner, ids, wts = placed
@@ -97,7 +131,14 @@ def merge_ranked_entries(kept_sizes, kept, placed):
     at[live] = lo
     ptr = _np.zeros(n_items + 1, dtype=_np.int64)
     _np.cumsum(kept_sizes + _np.bincount(owner, minlength=n_items), out=ptr[1:])
-    return ptr, _np.insert(kept_ids, at, ids), _np.insert(kept_wts, at, wts)
+    slots = at + _np.arange(len(at))
+    from_kept = _np.ones(len(kept_ids) + len(ids), dtype=bool)
+    from_kept[slots] = False
+    out_ids = _np.empty(len(from_kept), dtype=kept_ids.dtype)
+    out_wts = _np.empty(len(from_kept), dtype=kept_wts.dtype)
+    out_ids[from_kept], out_ids[slots] = kept_ids, ids
+    out_wts[from_kept], out_wts[slots] = kept_wts, wts
+    return ptr, out_ids, out_wts
 
 
 class NeighborIndex:
@@ -142,15 +183,13 @@ class NeighborIndex:
         weight ``weights[e]`` (item indexes into the sorted *items*;
         each pair once, weights nonzero).
 
-        Each pair is stored in both rows: the pairs and their reversed
-        copies are sorted once by (row, descending weight, ascending
-        neighbor). Items without an edge keep an empty row.
+        Each pair is stored in both rows, in (row, descending weight,
+        ascending neighbor) order: :func:`ranked_entries` ranks the
+        pair weights once and orders the entries by integer keys — no
+        float sort key, and ``pairs · len(items)`` must stay below
+        2**63. Items without an edge keep an empty row.
         """
-        src = _np.concatenate([left, right])
-        tgt = _np.concatenate([right, left])
-        wts = _np.concatenate([weights, weights])
-        order = _np.lexsort((tgt, -wts, src))
-        src, tgt, wts = src[order], tgt[order], wts[order]
+        src, tgt, wts = ranked_entries(left, right, weights, len(items))
         ptr = _np.searchsorted(src, _np.arange(len(items) + 1))
         return cls(items, item_index, ptr, tgt, wts)
 

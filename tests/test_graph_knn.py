@@ -5,13 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.data.matrix import MatrixRatingStore
+from repro.data.matrix import MatrixRatingStore, _sorted_member
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import GraphError
 from repro.similarity.adjusted_cosine import all_pairs_adjusted_cosine_reference
 from repro.similarity.graph import ItemGraph, build_similarity_graph
-from repro.similarity.knn import merge_ranked_entries, top_k
+from repro.similarity.knn import merge_ranked_entries, ranked_entries, top_k
 
 
 class TestTopK:
@@ -200,6 +202,109 @@ def test_merge_ranked_entries_equals_a_full_rerank():
             [owner for owner, *_ in want], minlength=n_items).tolist()
         assert ids.tolist() == [nid for *_, nid in want]
         assert wts.tolist() == [-w for _, w, _ in want]
+
+
+#: Few distinct weights, so most pairs tie; ``-0.0 == 0.0`` ties too.
+_TIED_WEIGHTS = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+_PROPERTY = settings(max_examples=60, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def _pairs(draw, n_items=st.integers(1, 12)):
+    """``(n_items, left, right, weights)``: distinct undirected pairs."""
+    n = draw(n_items)
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1])
+                          .map(lambda p: (min(p), max(p))),
+                          unique=True, max_size=40))
+    weights = draw(st.lists(_TIED_WEIGHTS, min_size=len(pairs), max_size=len(pairs)))
+    return (n, np.array([a for a, _ in pairs], dtype=np.int64),
+            np.array([b for _, b in pairs], dtype=np.int64),
+            np.array(weights, dtype=np.float64))
+
+
+def _assert_ranked_like_lexsort(n_items, left, right, weights):
+    src = np.concatenate([left, right])
+    tgt = np.concatenate([right, left])
+    wts = np.concatenate([weights, weights])
+    order = np.lexsort((tgt, -wts, src))
+    rows, neighbors, ranked = ranked_entries(left, right, weights, n_items)
+    assert rows.tolist() == src[order].tolist()
+    assert neighbors.tolist() == tgt[order].tolist()
+    assert ranked.tobytes() == wts[order].tobytes()
+    assert (rows.dtype, neighbors.dtype, ranked.dtype) == (src.dtype, tgt.dtype, wts.dtype)
+
+
+@_PROPERTY
+@given(_pairs())
+def test_ranked_entries_equal_the_float_lexsort(case):
+    _assert_ranked_like_lexsort(*case)
+
+
+@_PROPERTY
+@given(_pairs(n_items=st.integers(65_536, 70_000)))
+def test_ranked_entries_equal_the_float_lexsort_past_16_bit_rows(case):
+    """At 2**16 items and up the row sort is not a 16-bit radix sort."""
+    _assert_ranked_like_lexsort(*case)
+
+
+@pytest.mark.parametrize("n_items, pairs", [
+    (1, []),
+    (5, []),
+    (2, [(0, 1)]),
+    (6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]),   # one row holds them all
+    (70_000, [(3, 69_999), (65_535, 65_536), (0, 65_536), (3, 65_535)]),
+])
+def test_ranked_entries_edge_cases(n_items, pairs):
+    weights = np.array([0.5] * len(pairs), dtype=np.float64)
+    _assert_ranked_like_lexsort(
+        n_items, np.array([a for a, _ in pairs], dtype=np.int64),
+        np.array([b for _, b in pairs], dtype=np.int64), weights)
+
+
+@_PROPERTY
+@given(st.data())
+def test_merge_ranked_entries_equals_np_insert(data):
+    """The scatter places each entry where ``np.insert`` at its bisected
+    position would, bit for bit."""
+    n_items = data.draw(st.integers(1, 6))
+    entry = st.tuples(st.integers(0, n_items - 1), _TIED_WEIGHTS, st.integers(0, 9))
+    entries = data.draw(st.lists(entry, unique_by=lambda e: (e[0], e[2]), max_size=30))
+    placed_mask = data.draw(st.lists(st.booleans(), min_size=len(entries),
+                                     max_size=len(entries)))
+    rank = lambda e: (e[0], -e[1], e[2])  # noqa: E731
+    kept = sorted((e for e, p in zip(entries, placed_mask) if not p), key=rank)
+    placed = sorted((e for e, p in zip(entries, placed_mask) if p), key=rank)
+    kept_sizes = np.bincount([e[0] for e in kept], minlength=n_items).astype(np.int64)
+    kept_ids = np.array([e[2] for e in kept], dtype=np.int64)
+    kept_wts = np.array([e[1] for e in kept], dtype=np.float64)
+    at = [sum(1 for k in kept if rank(k) < rank(e)) for e in placed]
+    ptr, ids, wts = merge_ranked_entries(
+        kept_sizes, (kept_ids, kept_wts),
+        (np.array([e[0] for e in placed], dtype=np.int64),
+         np.array([e[2] for e in placed], dtype=np.int64),
+         np.array([e[1] for e in placed], dtype=np.float64)))
+    at = np.array(at, dtype=np.int64)
+    assert ids.tolist() == np.insert(
+        kept_ids, at, np.array([e[2] for e in placed], dtype=np.int64)).tolist()
+    assert wts.tobytes() == np.insert(
+        kept_wts, at, np.array([e[1] for e in placed], dtype=np.float64)).tobytes()
+    assert ptr[-1] == len(entries)
+
+
+@_PROPERTY
+@given(st.sets(st.integers(0, 400), max_size=60), st.sets(st.integers(0, 400), max_size=60))
+def test_sorted_member_census_equals_setdiff1d(old, new):
+    """The splice's edge census: ``searchsorted`` membership over the
+    once-sorted old keys gives what the two ``setdiff1d`` gave."""
+    old_keys = np.array(sorted(old, key=lambda k: (k * 7919) % 401), dtype=np.int64)
+    new_keys = np.array(sorted(new), dtype=np.int64)
+    old_sorted = np.sort(old_keys)
+    assert new_keys[~_sorted_member(old_sorted, new_keys)].tolist() == np.setdiff1d(
+        new_keys, old_keys, assume_unique=True).tolist()
+    assert old_sorted[~_sorted_member(new_keys, old_sorted)].tolist() == np.sort(
+        np.setdiff1d(old_keys, new_keys, assume_unique=True)).tolist()
 
 
 class TestRankedServing:
