@@ -87,6 +87,28 @@ def run_sweep(
     return acc, index
 
 
+def _field_error(rating) -> str | None:
+    """Why *rating* could not be logged and replayed as given, or
+    ``None``. Ids are ``str``. The value is an ``int`` or ``float`` and
+    the timestep an ``int`` in int64 range (a table's timestep column),
+    exactly as the log's JSON records and replay rebuilds them — a
+    ``numpy`` scalar other than ``float64`` is refused, not converted.
+    A ``bool`` counts as neither: the log would record ``true``, not a
+    number, and a flag where a rating belongs is a caller's mistake.
+    """
+    if not isinstance(rating, Rating):
+        return f"batch entry {rating!r} is not a Rating"
+    for name in ("user", "item"):
+        if not isinstance(getattr(rating, name), str):
+            return f"{name} id {getattr(rating, name)!r} is not a str"
+    if isinstance(rating.value, bool) or not isinstance(rating.value, (int, float)):
+        return f"value {rating.value!r} is not an int or float"
+    step = rating.timestep
+    if isinstance(step, bool) or not isinstance(step, int) or not -2**63 <= step < 2**63:
+        return f"timestep {step!r} is not an int64 int"
+    return None
+
+
 _M_REJECTED = get_registry().counter(
     "incremental_batches_rejected_total",
     "update batches refused by validation before reaching the log")
@@ -246,11 +268,14 @@ class IncrementalSweep:
         With a ``wal`` attached, the batch is validated, then logged
         (and acknowledged by the log's group-commit discipline) before
         any in-memory state moves — log-then-apply, never the reverse,
-        and never a record that replay would refuse: a batch the table
-        rejects, or one with an id no snapshot could hold
-        (:func:`~repro.data.ratings.line_break_id`), raises
-        :class:`~repro.errors.DataError` and leaves log and sweep
-        untouched.
+        and never a record that replay would refuse or change: a batch
+        with a field of the wrong type (ids ``str``, the value an
+        ``int`` or ``float``, the timestep an ``int``; a ``bool`` is
+        neither), one the table rejects, or one with an id no snapshot
+        could hold (:func:`~repro.data.ratings.line_break_id`), raises
+        :class:`~repro.errors.DataError`, is counted
+        (``incremental_batches_rejected_total``) and leaves log and
+        sweep untouched.
 
         A logged batch that then fails to apply leaves the sweep behind
         its log: the failure is counted
@@ -268,6 +293,10 @@ class IncrementalSweep:
         started = time.perf_counter()
         batch = list(batch)
         try:
+            for rating in batch:
+                problem = _field_error(rating)
+                if problem is not None:
+                    raise DataError(f"{problem}: the log could not replay it as given")
             bad_id = line_break_id([name for r in batch for name in (r.user, r.item)])
             if bad_id is not None:
                 raise DataError(

@@ -35,6 +35,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.data.matrix import MatrixRatingStore
@@ -568,6 +569,48 @@ class TestDurableSweep:
         assert recovered.applied_seq == 2
         assert_sweeps_equal(recovered, _reference({}, table, batches, 2))
         recovered.close()
+
+    @pytest.mark.parametrize("bad", [
+        ("u1", "i1", 3.0, "x"),            # recovery's int("x") raised
+        ("u1", "i1", 3.0, 2.7),            # logged, replayed as 2
+        ("u1", "i1", 3.0, np.int64(5)),    # the log's JSON encoder raised
+        ("u1", "i1", np.float32(3.0), 5),  # likewise
+        ("u1", "i1", "3", 5),              # the scale check raised
+        ("u1", "i1", None, 5),             # likewise
+        (5, "i1", 3.0, 5),                 # line_break_id raised
+        ("u1", None, 3.0, 5),              # likewise
+        ("u1", "i1", True, 5),             # logged as `true`, not a rating
+        ("u1", "i1", 3.0, False),          # likewise
+        ("u1", "i1", 3.0, 2**63),          # no int64 timestep column holds it
+    ])
+    def test_mistyped_field_never_reaches_the_log(self, tmp_path, bad):
+        """A field replay would refuse or change is refused before the
+        log, as a counted DataError, and recovery still equals the
+        never-crashed writer."""
+        table, batches = _scenario()
+        rejected = get_registry().counter("incremental_batches_rejected_total")
+        durable = DurableSweep(tmp_path / "store", table, **_WRITER_KWARGS)
+        durable.update(batches[0])
+        before = rejected.value
+        with pytest.raises(DataError, match="could not replay"):
+            durable.update(batches[1] + [Rating(*bad)])
+        assert rejected.value == before + 1
+        assert durable.log.last_seq == durable.applied_seq == 1
+        assert_sweeps_equal(durable, _reference({}, table, batches, 1))
+        assert durable.update(batches[1]).wal_seq == 2
+        durable.close()
+        recovered = DurableSweep.recover(tmp_path / "store")
+        assert recovered.applied_seq == 2
+        assert_sweeps_equal(recovered, _reference({}, table, batches, 2))
+        recovered.close()
+
+    def test_non_rating_batch_entry_never_reaches_the_log(self, tmp_path):
+        table, batches = _scenario()
+        durable = DurableSweep(tmp_path / "store", table, **_WRITER_KWARGS)
+        with pytest.raises(DataError, match="not a Rating"):
+            durable.update([("u1", "i1", 3.0, 5)])
+        assert durable.log.last_seq == durable.applied_seq == 0
+        durable.close()
 
 
     def test_logged_batch_that_fails_to_apply_stops_the_sweep(self, tmp_path):
