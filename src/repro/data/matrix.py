@@ -90,12 +90,20 @@ def _split_keys(keys, n_items: int):
     return left, keys - left * n_items
 
 
-def _sorted_member(sorted_keys, keys):
-    """Whether each of *keys* occurs in the ascending *sorted_keys*."""
-    if not len(sorted_keys):
-        return _np.zeros(len(keys), dtype=bool)
-    at = _np.minimum(_np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
-    return sorted_keys[at] == keys
+def _key_census(old_keys, new_keys):
+    """``(added, removed)``: the ascending *new_keys* absent from
+    *old_keys* and the *old_keys* absent from *new_keys*, ascending
+    (both duplicate-free). The old keys are sorted once; one
+    ``searchsorted`` of them into the new keys tests membership both
+    ways."""
+    old_keys = _np.sort(old_keys)
+    if not len(new_keys):
+        return new_keys, old_keys
+    at = _np.minimum(_np.searchsorted(new_keys, old_keys), len(new_keys) - 1)
+    kept = new_keys[at] == old_keys
+    placed_before = _np.zeros(len(new_keys), dtype=bool)
+    placed_before[at[kept]] = True
+    return new_keys[~placed_before], old_keys[~kept]
 
 
 class PairAccumulation:
@@ -1051,6 +1059,9 @@ class MatrixRatingStore:
         empty rows, unchanged entries re-ranked along with the moved
         ones). Row contents are bit-identical to what
         :meth:`assemble_from_partitions` would build for those items.
+        The rows are ranked by ``np.lexsort`` on the float weights, not
+        by :func:`~repro.similarity.knn.ranked_entries`, so the oracle
+        shares no ranking code with what it checks.
         """
         n_items = len(self.items)
         flags_it = _np.zeros(n_items, dtype=bool)
@@ -1112,13 +1123,14 @@ class MatrixRatingStore:
         whole-row rebuild is the merge's degenerate case, not a second
         path.
 
-        Cost: one delete and one scatter (a copy each) per index array,
-        one gather each over the index's ids and *acc*'s right items,
-        and work over the touched rows: touched rows are ``ptr`` slices,
-        lost entries' owners a ``searchsorted`` of ``ptr``, ids are
-        remapped only when the batch interned items, and the edge
-        census sorts the dropped pairs' keys once and tests membership
-        with ``searchsorted``.
+        Cost: one masked copy and one scatter per index array, one
+        gather each over the index's ids and *acc*'s right items, and
+        work over the touched rows and moved entries: touched rows are
+        ``ptr`` slices, lost entries counted per row by a
+        ``searchsorted`` of ``ptr`` among them, ids remapped only when
+        the batch interned items, and the edge census one
+        ``searchsorted`` of the dropped pairs' keys, sorted once, into
+        the placed ones (:func:`_key_census`).
         """
         from repro.similarity.knn import (NeighborIndex, merge_ranked_entries,
                                           ranked_entries)
@@ -1146,33 +1158,33 @@ class MatrixRatingStore:
         src, tgt, wts = ranked_entries(left, right, sims, n_items)
 
         # Kept side, in the old index's space: every entry but the
-        # touched rows' and those pointing at a touched item.
+        # touched rows' and those pointing at a touched item. The lost
+        # entries ascend, so a searchsorted of each row start among
+        # them counts them per row.
         imap = delta.item_map
         touched_old = touched[imap]
         dropped = touched_old[index.neighbor_ids]
         rows_old = _np.nonzero(touched_old)[0]
         dropped[_spans(index.ptr[rows_old], index.ptr[rows_old + 1])] = True
         gone = _np.nonzero(dropped)[0]
-        owner = _np.searchsorted(index.ptr, gone, side="right") - 1
+        lost = _np.diff(_np.searchsorted(gone, index.ptr))
+        owner = _np.repeat(_np.arange(len(imap), dtype=_np.int64), lost)
         kept_sizes = _np.zeros(n_items, dtype=_np.int64)
-        kept_sizes[imap] = _np.diff(index.ptr) - _np.bincount(
-            owner, minlength=len(imap))
-        kept_ids = _np.delete(index.neighbor_ids, gone)
+        kept_sizes[imap] = _np.diff(index.ptr) - lost
+        dropped = ~dropped
+        kept_ids = index.neighbor_ids[dropped]
         ids = index.neighbor_ids[gone]
         if delta.new_items:
             kept_ids, owner, ids = imap[kept_ids], imap[owner], imap[ids]
         affected[owner] = True  # pre-update partners
         ptr, neighbor_ids, weights = merge_ranked_entries(
-            kept_sizes, (kept_ids, _np.delete(index.weights, gone)), (src, tgt, wts))
+            kept_sizes, (kept_ids, index.weights[dropped]), (src, tgt, wts))
 
         # Edge census: pair keys dropped vs placed (both duplicate-free;
-        # acc.keys ascend, so new_keys and `added` already do). The old
-        # keys are sorted once; membership both ways is a searchsorted.
+        # acc.keys ascend, so new_keys and `added` already do).
         census = owner < ids
-        old_keys = _np.sort(owner[census] * n_items + ids[census])
-        new_keys = left * n_items + right
-        added = new_keys[~_sorted_member(old_keys, new_keys)]
-        removed = old_keys[~_sorted_member(new_keys, old_keys)]
+        added, removed = _key_census(owner[census] * n_items + ids[census],
+                                     left * n_items + right)
 
         def _edges(keys):
             return tuple((items[key // n_items], items[key % n_items])

@@ -105,7 +105,7 @@ def _field_error(rating) -> str | None:
         return f"value {rating.value!r} is not an int or float"
     step = rating.timestep
     if isinstance(step, bool) or not isinstance(step, int) or not -2**63 <= step < 2**63:
-        return f"timestep {step!r} is not an int64 int"
+        return f"timestep {step!r} is not an int in int64 range"
     return None
 
 

@@ -64,7 +64,7 @@ def top_k(similarities: Mapping[str, float] | Iterable[tuple[str, float]],
 def ranked_entries(left, right, weights, n_items: int):
     """The directed entries of the undirected pairs ``{left[e],
     right[e]}`` of weight ``weights[e]`` (item indexes below *n_items*,
-    each pair once), both ways round, as ``(rows, neighbors, weights)``
+    each pair once, no weight NaN), both ways round, as ``(rows, neighbors, weights)``
     in ``(row, −weight, neighbor)`` order — what
     ``np.lexsort((neighbors, -weights, rows))`` gives, with no float
     sort key.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.data.matrix import MatrixRatingStore, _sorted_member
+from repro.data.matrix import MatrixRatingStore, _key_census
 from repro.engine.sharded_sweep import IncrementalSweep
 from repro.errors import GraphError
 from repro.similarity.adjusted_cosine import all_pairs_adjusted_cosine_reference
@@ -295,17 +295,16 @@ def test_merge_ranked_entries_equals_np_insert(data):
 
 @_PROPERTY
 @given(st.sets(st.integers(0, 400), max_size=60), st.sets(st.integers(0, 400), max_size=60))
-def test_sorted_member_census_equals_setdiff1d(old, new):
-    """The splice's edge census: ``searchsorted`` membership over the
-    once-sorted old keys gives what the two ``setdiff1d`` gave."""
+def test_key_census_equals_setdiff1d(old, new):
+    """The splice's edge census: one ``searchsorted`` of the dropped
+    keys (in index order, not sorted) into the ascending placed keys
+    gives what the two ``setdiff1d`` gave."""
     old_keys = np.array(sorted(old, key=lambda k: (k * 7919) % 401), dtype=np.int64)
     new_keys = np.array(sorted(new), dtype=np.int64)
-    old_sorted = np.sort(old_keys)
-    assert new_keys[~_sorted_member(old_sorted, new_keys)].tolist() == np.setdiff1d(
-        new_keys, old_keys, assume_unique=True).tolist()
-    assert old_sorted[~_sorted_member(new_keys, old_sorted)].tolist() == np.sort(
+    added, removed = _key_census(old_keys, new_keys)
+    assert added.tolist() == np.setdiff1d(new_keys, old_keys, assume_unique=True).tolist()
+    assert removed.tolist() == np.sort(
         np.setdiff1d(old_keys, new_keys, assume_unique=True)).tolist()
-
 
 class TestRankedServing:
     """top_neighbors over the index's ranked rows."""
