@@ -1171,14 +1171,14 @@ class MatrixRatingStore:
         owner = _np.repeat(_np.arange(len(imap), dtype=_np.int64), lost)
         kept_sizes = _np.zeros(n_items, dtype=_np.int64)
         kept_sizes[imap] = _np.diff(index.ptr) - lost
-        dropped = ~dropped
-        kept_ids = index.neighbor_ids[dropped]
+        kept = ~dropped
+        kept_ids = index.neighbor_ids[kept]
         ids = index.neighbor_ids[gone]
         if delta.new_items:
             kept_ids, owner, ids = imap[kept_ids], imap[owner], imap[ids]
         affected[owner] = True  # pre-update partners
         ptr, neighbor_ids, weights = merge_ranked_entries(
-            kept_sizes, (kept_ids, index.weights[dropped]), (src, tgt, wts))
+            kept_sizes, (kept_ids, index.weights[kept]), (src, tgt, wts))
 
         # Edge census: pair keys dropped vs placed (both duplicate-free;
         # acc.keys ascend, so new_keys and `added` already do).
