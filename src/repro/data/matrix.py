@@ -665,8 +665,10 @@ class MatrixRatingStore:
             value_parts.append((centered[:, rows] * centered[:, cols]).ravel())
         return _np.concatenate(key_parts), _np.concatenate(value_parts)
 
-    def _reduce_contributions(self, keys, values) -> PairAccumulation:
-        """Group the contribution arrays by pair key.
+    @staticmethod
+    def _reduce_contributions(keys, values, n_items: int) -> PairAccumulation:
+        """Group the contribution arrays by pair key (``left * n_items
+        + right``).
 
         Two accumulation strategies with identical results (bincount
         adds sequentially in input order either way): a dense m²-sized
@@ -675,7 +677,6 @@ class MatrixRatingStore:
         via np.unique. The 2²⁴ ceiling caps the dense accumulator at
         ~256 MB for the two arrays.
         """
-        n_items = len(self.items)
         if n_items * n_items <= max(1 << 20, min(4 * len(keys), 1 << 24)):
             space = n_items * n_items
             dense_counts = _np.bincount(keys, minlength=space)
@@ -696,7 +697,8 @@ class MatrixRatingStore:
         eligible = self.eligible_users(max_profile_size)
         if len(eligible) == 0:
             return _empty_accumulation()
-        return self._reduce_contributions(*self._contribution_arrays(eligible))
+        return self._reduce_contributions(
+            *self._contribution_arrays(eligible), len(self.items))
 
     # ------------------------------------------------------------------
     # Incremental updates (append a rating batch without a rebuild)
@@ -980,6 +982,12 @@ class MatrixRatingStore:
         ptr = self.user_ptr
         idx_all = self.user_item_idx
         centered_all = self.user_centered
+        # Keys are built over the touched items' own ascending indexes
+        # (T² cells, not n_items²), so the reduce can take its dense,
+        # sort-free path; mapping them back keeps their order.
+        touched = _np.asarray(delta.touched_items, dtype=_np.int64)
+        local = _np.cumsum(flags_it) - 1
+        n_local = len(touched)
         key_parts = []
         value_parts = []
         for u in eligible.tolist():
@@ -992,12 +1000,16 @@ class MatrixRatingStore:
                 continue
             rows, cols = self._triu(len(sub))
             centered = centered_all[start:end][sub]
-            key_parts.append(idx[sub][rows] * n_items + idx[sub][cols])
+            sub_local = local[idx[sub]]
+            key_parts.append(sub_local[rows] * n_local + sub_local[cols])
             value_parts.append(centered[rows] * centered[cols])
         if not key_parts:
             return _empty_accumulation()
-        return self._reduce_contributions(
-            _np.concatenate(key_parts), _np.concatenate(value_parts))
+        acc = self._reduce_contributions(
+            _np.concatenate(key_parts), _np.concatenate(value_parts), n_local)
+        left, right = _split_keys(acc.keys, n_local)
+        return PairAccumulation(
+            touched[left] * n_items + touched[right], acc.sums, acc.counts)
 
     def apply_accumulation_delta(self, acc: PairAccumulation,
                                  delta_acc: PairAccumulation,
