@@ -306,6 +306,7 @@ def test_key_census_equals_setdiff1d(old, new):
     assert removed.tolist() == np.sort(
         np.setdiff1d(old_keys, new_keys, assume_unique=True)).tolist()
 
+
 class TestRankedServing:
     """top_neighbors over the index's ranked rows."""
 
