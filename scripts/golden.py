@@ -2,6 +2,7 @@
 
     python scripts/golden.py [--update] [--shape small|trace_s|trace_l ...]
     python scripts/golden.py --write-path [--update] [--shape small|trace_l ...]
+    python scripts/golden.py --private [--update] [--shape small|trace_s ...]
 
 Fits ``NXMapRecommender(mode="item")`` at each shape (seed 7) and
 hashes a canonical dump of what the fit produces: the X-Sim map (keys
@@ -28,6 +29,14 @@ accumulation, the index and the update census; at the end, the store
 directory (WAL segments, ``CHECKPOINT.json``, the checkpoint snapshot)
 and the state recovered from it. Arrays are hashed as their dtype and
 raw bytes. The digests live in ``tests/golden/write_path.json``.
+
+``--private`` fits X-Map's two private pipelines, ``XMapRecommender``
+in item and in user mode (X-Map-ib and X-Map-ub, ε 0.3, ε′ 0.8, seed
+7), on the cold-start training split of each shape (default ``small``
+and ``trace_s``) and records every hidden pair's prediction as
+``float.hex``, in the split's order, plus the MAE, in
+``tests/golden/private.json``. The values themselves are stored, not a
+hash, so a mismatch names the pairs that moved.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ sys.path.insert(0, str(ROOT / "src"))
 GOLDEN = ROOT / "tests" / "golden" / "fit.json"
 SMALL_DUMP = ROOT / "tests" / "golden" / "small.json"
 WRITE_GOLDEN = ROOT / "tests" / "golden" / "write_path.json"
+PRIVATE_GOLDEN = ROOT / "tests" / "golden" / "private.json"
 SEED = 7
 PARTS = ("xsim_map", "replacements", "augmented", "item_mapping", "mae")
 #: Per-batch parts of the write path, then its end-of-run parts.
@@ -56,6 +66,10 @@ FINAL_PARTS = ("directory", "recovered")
 WRITE_SHAPES = ("small", "trace_l")
 WRITE_BATCHES = 9
 WRITE_CHECKPOINT_EVERY = 6
+PRIVATE_SHAPES = ("small", "trace_s")
+#: X-Map variant → pipeline mode, at the budgets (ε, ε′) of §6.3's ib.
+PRIVATE_VARIANTS = {"X-Map-ib": "item", "X-Map-ub": "user"}
+PRIVATE_BUDGETS = (0.3, 0.8)
 
 
 @dataclass(frozen=True)
@@ -85,17 +99,24 @@ def numpy_version() -> str:
     return ".".join(numpy.__version__.split(".")[:2])
 
 
-def fit(shape: str):
-    """``(pipeline, hidden (user, item, truth) triples)`` at *shape*."""
-    from repro.core.pipeline import NXMapRecommender, XMapConfig
+def training(shape: str):
+    """``(training data, hidden (user, item, truth) triples)`` at
+    *shape*: the cold-start split, or the whole trace and no triples."""
     from repro.data.splits import cold_start_split
     from repro.data.synthetic import amazon_like
 
     data = amazon_like(SHAPES[shape].config())
-    hidden: list[tuple[str, str, float]] = []
-    if SHAPES[shape].split:
-        split = cold_start_split(data, seed=SEED)
-        data, hidden = split.train, split.hidden_pairs()
+    if not SHAPES[shape].split:
+        return data, []
+    split = cold_start_split(data, seed=SEED)
+    return split.train, split.hidden_pairs()
+
+
+def fit(shape: str):
+    """``(pipeline, hidden (user, item, truth) triples)`` at *shape*."""
+    from repro.core.pipeline import NXMapRecommender, XMapConfig
+
+    data, hidden = training(shape)
     return NXMapRecommender(XMapConfig(mode="item")).fit(data), hidden
 
 
@@ -308,25 +329,70 @@ def load_write_path() -> dict:
     return json.loads(WRITE_GOLDEN.read_text(encoding="utf-8"))
 
 
-def write_path_main(shapes: list[str], update: bool) -> int:
+def private_predictions(shape: str) -> dict:
+    """Each private variant's prediction per hidden pair at *shape*, as
+    ``float.hex``, and its MAE: ``{variant: {"predictions", "mae"}}``."""
+    from repro.core.pipeline import XMapConfig, XMapRecommender
+    from repro.evaluation.metrics import mae
+
+    data, hidden = training(shape)
+    epsilon, epsilon_prime = PRIVATE_BUDGETS
+    out = {}
+    for variant, mode in PRIVATE_VARIANTS.items():
+        pipeline = XMapRecommender(XMapConfig(
+            mode=mode, epsilon=epsilon, epsilon_prime=epsilon_prime,
+            seed=SEED)).fit(data)
+        predicted = [pipeline.predict(user, item) for user, item, _ in hidden]
+        out[variant] = {
+            "predictions": [value.hex() for value in predicted],
+            "mae": mae(predicted, [truth for _, _, truth in hidden]).hex()}
+    return out
+
+
+def private_mismatches(got: dict, want: dict) -> list[str]:
+    """The parts of *got* that differ from *want*: per variant, how
+    many predictions moved and the first of them, then the MAE."""
+    wrong = []
+    for variant in PRIVATE_VARIANTS:
+        a, b = got[variant], want[variant]
+        moved = [k for k, (x, y) in enumerate(zip(a["predictions"], b["predictions"]))
+                 if x != y]
+        if moved or len(a["predictions"]) != len(b["predictions"]):
+            wrong.append(f"{variant} predictions ({len(moved)} of "
+                         f"{len(b['predictions'])} moved, first at {moved[:1]})")
+        if a["mae"] != b["mae"]:
+            wrong.append(f"{variant} mae")
+    return wrong
+
+
+def load_private() -> dict:
+    return json.loads(PRIVATE_GOLDEN.read_text(encoding="utf-8"))
+
+
+def digest_file_main(label: str, path: Path, shapes: list[str], compute,
+                     mismatches, update: bool) -> int:
+    """Rewrite (*update*) or check the per-shape entries of the digest
+    file at *path*: ``compute(shape)`` makes an entry, ``mismatches(got,
+    want)`` names what differs."""
     if update:
-        golden = load_write_path() if WRITE_GOLDEN.exists() else {"shapes": {}}
+        golden = (json.loads(path.read_text(encoding="utf-8")) if path.exists()
+                  else {"shapes": {}})
         golden["numpy"] = numpy_version()
         for shape in shapes:
-            golden["shapes"][shape] = write_path_digests(shape)
-            print(f"write path {shape}: updated")
-        WRITE_GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n",
-                                encoding="utf-8")
+            golden["shapes"][shape] = compute(shape)
+            print(f"{label} {shape}: updated")
+        path.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
         return 0
-    golden = load_write_path()
+    golden = json.loads(path.read_text(encoding="utf-8"))
     if golden["numpy"] != numpy_version():
         print(f"note: digests were taken on NumPy {golden['numpy']}, "
               f"this is {numpy_version()}")
     failed = False
     for shape in shapes:
-        wrong = write_path_mismatches(write_path_digests(shape), golden["shapes"][shape])
+        wrong = mismatches(compute(shape), golden["shapes"][shape])
         failed |= bool(wrong)
-        print(f"write path {shape}: "
+        print(f"{label} {shape}: "
               f"{'differs in ' + ', '.join(wrong) if wrong else 'OK'}")
     return 1 if failed else 0
 
@@ -336,13 +402,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--update", action="store_true",
                         help="rewrite the committed digests and small dump")
     parser.add_argument("--shape", action="append", choices=sorted(SHAPES),
-                        help="shapes to run (default: all fit shapes, or "
-                             "small and trace_l with --write-path)")
-    parser.add_argument("--write-path", action="store_true",
-                        help="digest the durable write path, not the fit")
+                        help="shapes to run (default: all fit shapes, small "
+                             "and trace_l with --write-path, small and "
+                             "trace_s with --private)")
+    kind = parser.add_mutually_exclusive_group()
+    kind.add_argument("--write-path", action="store_true",
+                      help="digest the durable write path, not the fit")
+    kind.add_argument("--private", action="store_true",
+                      help="record X-Map's private predictions, not the fit")
     args = parser.parse_args(argv)
     if args.write_path:
-        return write_path_main(args.shape or list(WRITE_SHAPES), args.update)
+        return digest_file_main("write path", WRITE_GOLDEN,
+                                args.shape or list(WRITE_SHAPES), write_path_digests,
+                                write_path_mismatches, args.update)
+    if args.private:
+        if not all(SHAPES[shape].split for shape in args.shape or ()):
+            parser.error("--private needs a shape with hidden ratings: "
+                         + ", ".join(PRIVATE_SHAPES))
+        return digest_file_main("private", PRIVATE_GOLDEN,
+                                args.shape or list(PRIVATE_SHAPES), private_predictions,
+                                private_mismatches, args.update)
     shapes = args.shape or list(SHAPES)
 
     if args.update:

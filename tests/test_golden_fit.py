@@ -1,6 +1,6 @@
-"""The offline fit's and the durable write path's outputs against the
-committed golden digests (``scripts/golden.py``; ``--update`` rewrites
-them)."""
+"""The offline fit's, the durable write path's and the private
+predictions' outputs against the committed golden digests
+(``scripts/golden.py``; ``--update`` rewrites them)."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ _spec.loader.exec_module(golden)
 COMMITTED = golden.load()
 SAME_NUMPY = COMMITTED["numpy"] == golden.numpy_version()
 WRITE_PATH = golden.load_write_path()
+PRIVATE = golden.load_private()
 
 
 def test_small_shape_matches_committed_dump_within_tolerance():
@@ -57,3 +58,21 @@ def test_write_path_mismatches_name_the_batch_and_part():
     got = {**want, "batches": [dict(b) for b in want["batches"]], "recovered": "x"}
     got["batches"][2]["index"] = "x"
     assert golden.write_path_mismatches(got, want) == ["batch 2 index", "recovered"]
+
+
+@pytest.mark.skipif(PRIVATE["numpy"] != golden.numpy_version(),
+                    reason="predictions pin the NumPy they were taken on")
+def test_small_private_predictions_unchanged():
+    got = golden.private_predictions("small")
+    assert golden.private_mismatches(got, PRIVATE["shapes"]["small"]) == []
+
+
+def test_private_mismatches_name_the_variant_and_the_moved_pairs():
+    want = PRIVATE["shapes"]["small"]
+    got = {variant: dict(entry) for variant, entry in want.items()}
+    ub = got["X-Map-ub"]
+    ub["predictions"] = [*ub["predictions"][:3], (9.0).hex(), *ub["predictions"][4:]]
+    ub["mae"] = (9.0).hex()
+    assert golden.private_mismatches(got, want) == [
+        f"X-Map-ub predictions (1 of {len(ub['predictions'])} moved, first at [3])",
+        "X-Map-ub mae"]
