@@ -27,8 +27,16 @@ emits(parent)``. Prefixes never decrease along a row, which gives the
 
 so one per-row array (``last_prefix``, −1 for an empty row) decides
 almost every row by a gather and a compare, and only the rows the cap
-actually cuts are binary-searched (562 of 1,099,058 on the bench trace
-at the default cap of 5000).
+actually cuts are binary-searched (423 of the 475,878 rows read on the
+bench trace at the default cap of 5000).
+
+Only **live** edges (Ŝ ≠ 0; all of them when certainty is ablated) are
+walked: a path through an Ŝ = 0 edge has certainty 0 and adds nothing
+to Definition 6. Emission counts and prefixes are taken over every
+pruned edge first, so a dead subtree still takes its cap slots and the
+invariant holds over the live rows. On the bench trace that is 475,519
+frontier rows instead of 1,098,699; ``paths[origin]`` still counts the
+paths the DFS enumerates.
 
 Rows of one origin stay in DFS order within a level (``repeat`` keeps
 parent order, edges keep rank order) and every path into one terminal
@@ -36,9 +44,8 @@ item ends on the same level, so folding Definition 6 with
 ``np.bincount`` — which adds sequentially — over dense ``(origin,
 terminal)`` cells, level by level, reproduces the reference's sums bit
 for bit with no sort; a target's place in its row is its smallest
-surviving ``pos``, the DFS's first reach. Zero-significance and
-zero-certainty paths are dropped after they counted toward the cap,
-as the DFS does.
+surviving ``pos``, the DFS's first reach. Zero-significance paths
+are dropped there, as the dead paths the walk skips would have been.
 (The running ``Σ S·s`` matches the left-to-right ``sum`` of
 :func:`~repro.core.xsim.path_similarity` on the Python this repo pins;
 3.12's compensated float ``sum`` would move the reference, not this.)
@@ -77,7 +84,7 @@ _UNCAPPED = 2**31
 
 
 class _ForwardCsr(NamedTuple):
-    """The pruned adjacency as flat arrays over sorted item ids."""
+    """The pruned adjacency's live edges as flat arrays over sorted items."""
 
     indptr: "_np.ndarray"  # row x owns edges indptr[x]:indptr[x + 1]
     child: "_np.ndarray"
@@ -104,7 +111,7 @@ class _Frontier(NamedTuple):
 def _build_csr(ranked, code: "_np.ndarray", table: "RatingTable",
                significance: "SignificanceCache | None",
                config: "ExtenderConfig", cap: int) -> _ForwardCsr:
-    """Intern the edges a walk can take and precompute every edge's
+    """Intern the live edges a walk can take and precompute every edge's
     preorder offset within its row.
 
     *ranked* is :meth:`~repro.similarity.graph.ItemGraph.ranked_rows`
@@ -160,9 +167,13 @@ def _build_csr(ranked, code: "_np.ndarray", table: "RatingTable",
         _np.cumsum(_np.minimum(emits + paths[child], cap), out=running[1:])
         paths = _np.minimum(running[row_end] - running[row_start], cap)
     prefix = _np.minimum(running[:-1] - running[row_start][row], cap)
+    live = norm != 0.0  # see the module docstring: only these are walked
+    row, child, sim, sig, norm, prefix = (
+        column[live] for column in (row, child, sim, sig, norm, prefix))
+    _np.cumsum(_np.bincount(row, minlength=n_items), out=indptr[1:])
     last_prefix = _np.full(n_items, -1, dtype=_np.int64)
-    has_edge = row_end > row_start
-    last_prefix[has_edge] = prefix[row_end[has_edge] - 1]
+    has_edge = indptr[1:] > indptr[:-1]
+    last_prefix[has_edge] = prefix[indptr[1:][has_edge] - 1]
     return _ForwardCsr(
         indptr=indptr, child=child, weighted=sim * sig, sig=sig, norm=norm,
         prefix=prefix, cut_key=row * (cap + 1) + prefix,
@@ -184,6 +195,8 @@ def _advance(csr: _ForwardCsr, frontier: _Frontier, parent_emits: int,
     """Move every row one layer on, keeping only children the capped DFS
     would walk (``pos < cap`` — a prefix of each row, and nearly always
     the whole row: see the module docstring's invariant)."""
+    if csr.last_prefix[frontier.node].max(initial=-1) < 0:  # no live edge
+        return _seed(frontier.origin[:0], frontier.node[:0])
     first = frontier.pos + parent_emits
     room = cap - first
     start = csr.indptr[frontier.node]
@@ -206,7 +219,7 @@ def _advance(csr: _ForwardCsr, frontier: _Frontier, parent_emits: int,
 
 def _expand(csr: _ForwardCsr, starts: list["_np.ndarray"],
             source_ids: "_np.ndarray", cap: int) -> list[_Frontier]:
-    """Every capped meta-path of one block, as rows on their terminals:
+    """Every live capped meta-path of one block, as rows on their terminals:
     one frontier per target layer (BB′, NB′, NN′).
 
     *starts* holds the block's origin indices per start layer, in
@@ -233,7 +246,8 @@ def _fold(levels: list[_Frontier], low: int, n_origins: int, n_items: int,
     paths = []
     for level in levels:  # zero-significance / zero-certainty paths drop
         keep = (level.sig != 0) & (level.cert > 0.0)
-        paths.append(_Frontier(*(column[keep] for column in level)))
+        paths.append(level if keep.all()
+                     else _Frontier(*(column[keep] for column in level)))
     # A cell's paths all stand on one level, in DFS order, so these
     # columns list each cell's addends in the reference's order.
     cell = _np.concatenate([(p.origin - low) * n_items + p.node for p in paths])
@@ -294,7 +308,6 @@ def frontier_xsim_map(
 
     empty = _np.zeros(0, dtype=_np.int64)
     folded = [(empty, empty, _np.zeros(0, dtype=_np.float64))]
-    n_paths = 0
     for low, high in zip(edges, edges[1:]):
         started = clock()
         block = _np.arange(low, high, dtype=_np.int64)
@@ -302,7 +315,6 @@ def frontier_xsim_map(
         levels = _expand(
             csr, [block[layers == depth] for depth in range(len(LAYER_CHAIN))],
             source_ids, cap)
-        n_paths += sum(len(level.origin) for level in levels)
         expanded = clock()
         folded.append(_fold(levels, low, high - low, len(items), cap))
         stages["expand"] += expanded - started
@@ -316,4 +328,5 @@ def frontier_xsim_map(
     _np.cumsum(counts[rows], out=ptr[1:])
     sources = [items[item] for item in source_ids[rows].tolist()]
     stages["aggregate"] += clock() - started
+    n_paths = int(per_origin.sum())  # the DFS's count, dead paths too
     return XSimMap(sources, items, ptr, target_ids, xsim), n_paths, stages

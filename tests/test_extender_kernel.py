@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,6 +23,7 @@ from repro.core.extender import (
     Extender,
     ExtenderConfig,
     XSimMap,
+    _fold_item,
     count_heterogeneous_pairs,
     extend_item_reference,
 )
@@ -287,7 +289,7 @@ def test_no_bridge_items_gives_an_empty_map():
                ("c", "k1", 5.0), ("c", "k2", 1.0), ("d", "k1", 2.0), ("d", "k2", 4.0)]
     domain_of = {"m1": "m", "m2": "m", "k1": "k", "k2": "k"}
     graph, partition, table = _micro(ratings, domain_of)
-    assert not partition.bridge_items("m")
+    assert not partition.members("m", Layer.BB)
     assert _check_micro(graph, partition, table, "m") == {}
 
 
@@ -440,3 +442,163 @@ def test_an_item_the_table_never_saw_carries_no_evidence():
     partition = LayerPartition.from_graph(graph, domain_of)
     forward = _check_micro(graph, partition, table, "m")
     assert forward and all("k9" not in targets for targets in forward.values())
+
+
+# -- live edges: paths through an Ŝ = 0 edge are never walked -------------
+
+
+def _walked(monkeypatch):
+    """Frontier rows the kernel materialises, one tally per ``extend``
+    block, appended to the returned list."""
+    rows = []
+    expand = metapath_kernel._expand
+
+    def counting(*args):
+        levels = expand(*args)
+        rows.append(sum(len(level.origin) for level in levels))
+        return levels
+
+    monkeypatch.setattr(metapath_kernel, "_expand", counting)
+    return rows
+
+
+def reference_paths(graph, partition, significance, source_domain, config):
+    """Meta-paths the reference DFS enumerates over every source item."""
+    adjacency = build_pruned_adjacency(graph, partition, config.k)
+    return sum(
+        _fold_item(item, partition, adjacency, significance, config)[1]
+        for item in sorted(graph.items) if partition.domain_of(item) == source_domain)
+
+
+@pytest.mark.parametrize("max_paths", [40, 5000])
+@pytest.mark.parametrize("weight_by_certainty", [True, False])
+def test_paths_total_is_what_the_capped_dfs_enumerates(
+        small_trace, monkeypatch, weight_by_certainty, max_paths):
+    # The counter counts every path the reference DFS enumerates, dead
+    # ones included, although only live paths become frontier rows.
+    merged = small_trace.merged()
+    baseline = Baseliner().compute(small_trace, merged=merged)
+    graph = baseline.graph
+    partition = LayerPartition.from_graph(graph, small_trace.domain_map())
+    config = ExtenderConfig(k=8, max_paths_per_item=max_paths,
+                            weight_by_certainty=weight_by_certainty)
+    source = small_trace.source.name
+    walked = _walked(monkeypatch)
+    before = _counter("extender_paths_total")
+    Extender(config).extend(graph, partition, merged, source)
+    counted = _counter("extender_paths_total") - before
+    assert counted == reference_paths(
+        graph, partition, SignificanceCache(merged), source, config)
+    if weight_by_certainty:
+        assert sum(walked) < counted
+    else:
+        assert sum(walked) == counted
+
+
+def _dead_edge_significance():
+    """(S, Ŝ) for :func:`_hand_graph` with two Ŝ = 0 edges, both of
+    positive S.
+
+    From s1 the DFS emits t1, u1, v1, u2, v1 under the dead s1–t1 edge
+    (slots 0–4), then t2 (5), u1 (6) and, over the dead u1–v1 edge, v1
+    (7): a dead subtree uses cap slots ahead of its live sibling.
+    """
+    return StubSignificance({
+        ("n1", "b1"): (1, 0.5), ("b1", "s1"): (2, 0.5),
+        ("s1", "t1"): (3, 0.0), ("s1", "t2"): (4, 0.8),
+        ("t1", "u1"): (2, 0.5), ("t1", "u2"): (3, 0.6), ("t2", "u1"): (2, 0.4),
+        ("u1", "v1"): (2, 0.0), ("u2", "v1"): (1, 0.125)})
+
+
+@pytest.mark.parametrize("weight_by_certainty", [True, False])
+@pytest.mark.parametrize("source", ["s", "t"])
+def test_every_cap_around_dead_edges_equals_the_reference(
+        monkeypatch, source, weight_by_certainty):
+    graph, partition, _ = _hand_graph()
+    significance = _dead_edge_significance()
+    walked = _walked(monkeypatch)
+    for cap in range(1, 10):  # 8 paths leave each origin, so 1 .. total + 1
+        config = ExtenderConfig(k=5, max_paths_per_item=cap,
+                                weight_by_certainty=weight_by_certainty)
+        before = _counter("extender_paths_total")
+        del walked[:]
+        actual = Extender(config).extend(
+            graph, partition, RatingTable([]), source, significance=significance)
+        assert_same_map(
+            actual, reference_map(graph, partition, significance, source, config))
+        counted = _counter("extender_paths_total") - before
+        assert counted == reference_paths(
+            graph, partition, significance, source, config)
+        # Without certainty every edge is walked: one row per path.
+        if weight_by_certainty:
+            assert sum(walked) < counted
+        else:
+            assert sum(walked) == counted
+        if source == "s" and weight_by_certainty:
+            # s1's first five slots are t1's dead subtree.
+            assert list(actual.get("s1", {})) == ["t2", "u1"][:max(0, cap - 5)]
+
+
+@pytest.mark.parametrize("weight_by_certainty", [True, False])
+def test_the_walk_skips_exactly_the_dead_edges(monkeypatch, weight_by_certainty):
+    graph, partition, _ = _hand_graph()
+    built = []
+    build = metapath_kernel._build_csr
+    monkeypatch.setattr(metapath_kernel, "_build_csr",
+                        lambda *args: built.append(build(*args)) or built[-1])
+    Extender(ExtenderConfig(k=5, weight_by_certainty=weight_by_certainty)).extend(
+        graph, partition, RatingTable([]), "s", significance=_dead_edge_significance())
+    (csr,) = built
+    names = graph.ranked_rows()[0]
+    walked = {(names[row], names[child])
+              for row in range(len(names))
+              for child in csr.child[csr.indptr[row]:csr.indptr[row + 1]].tolist()}
+    dead = {("s1", "t1"), ("u1", "v1")}
+    assert len(walked) == (7 if weight_by_certainty else 9)
+    assert walked.isdisjoint(dead) if weight_by_certainty else dead <= walked
+
+
+class HashedSignificance:
+    """``S`` / ``Ŝ`` per undirected edge from a hash of its ends and
+    *salt*: Ŝ = 0 on about *dead_share* of the edges, and S = 0 on about
+    a quarter of them whatever their Ŝ."""
+
+    def __init__(self, salt, dead_share):
+        self.salt, self.dead_share = salt, dead_share
+
+    def _hash(self, item_i, item_j):
+        low, high = sorted((item_i, item_j))
+        return zlib.crc32(f"{low}|{high}|{self.salt}".encode())
+
+    def significance(self, item_i, item_j):
+        return (self._hash(item_i, item_j) >> 8) % 4
+
+    def normalized(self, item_i, item_j):
+        key = self._hash(item_i, item_j)
+        if key / 2**32 < self.dead_share:
+            return 0.0
+        return (0.125, 0.25, 0.5, 1.0)[key % 4]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 5), shape=st.integers(0, len(_SHAPES) - 1),
+       k=st.sampled_from([1, 3, 8]),
+       max_paths=st.sampled_from([1, 7, 40, None]),
+       salt=st.integers(0, 2**16),
+       dead_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       weight_by_certainty=st.booleans(),
+       reverse=st.booleans())
+def test_kernel_equals_reference_with_zero_certainty_edges(
+        seed, shape, k, max_paths, salt, dead_share, weight_by_certainty, reverse):
+    data, graph, partition, merged = _fitted(seed, shape)
+    significance = HashedSignificance(salt, dead_share)
+    config = ExtenderConfig(k=k, max_paths_per_item=max_paths,
+                            weight_by_certainty=weight_by_certainty)
+    source = data.target.name if reverse else data.source.name
+    before = _counter("extender_paths_total")
+    actual = Extender(config).extend(
+        graph, partition, merged, source, significance=significance)
+    assert _counter("extender_paths_total") - before == reference_paths(
+        graph, partition, significance, source, config)
+    assert_same_map(
+        actual, reference_map(graph, partition, significance, source, config))
