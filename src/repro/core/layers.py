@@ -122,10 +122,6 @@ class LayerPartition:
             raise GraphError(
                 f"unknown domain {domain!r}; have {self.domains}") from None
 
-    def bridge_items(self, domain: str) -> frozenset[str]:
-        """The BB layer of *domain*."""
-        return self.members(domain, Layer.BB)
-
     def other_domain(self, domain: str) -> str:
         """The domain that is not *domain*."""
         first, second = self.domains
@@ -134,10 +130,6 @@ class LayerPartition:
         if domain == second:
             return first
         raise GraphError(f"unknown domain {domain!r}; have {self.domains}")
-
-    def counts(self) -> dict[tuple[str, Layer], int]:
-        """Layer sizes, e.g. for diagnostics: (domain, layer) → #items."""
-        return {key: len(value) for key, value in self._members.items()}
 
     def __len__(self) -> int:
         return len(self._assignment)

@@ -68,8 +68,8 @@ class TestLayerPartition:
         # A cross edge makes BOTH endpoints bridges.
         graph = _graph([("m1", "b1", 0.2)])
         partition = LayerPartition.from_graph(graph, {"m1": "m", "b1": "b"})
-        assert partition.bridge_items("m") == {"m1"}
-        assert partition.bridge_items("b") == {"b1"}
+        assert partition.members("m", Layer.BB) == {"m1"}
+        assert partition.members("b", Layer.BB) == {"b1"}
 
     def test_nn_connected_only_to_non_bridges(self):
         # m3 touches m1 (NB), not any bridge -> NN.
@@ -109,7 +109,8 @@ class TestLayerPartition:
     def test_counts_total_items(self, two_domain_micro):
         graph = build_similarity_graph(two_domain_micro.merged())
         partition = LayerPartition.from_graph(graph, two_domain_micro.domain_map())
-        assert sum(partition.counts().values()) == len(partition)
+        assert sum(len(partition.members(domain, layer))
+                   for domain in partition.domains for layer in Layer) == len(partition)
 
     def test_layers_partition_each_domain(self, small_trace):
         graph = build_similarity_graph(small_trace.merged())
@@ -123,7 +124,7 @@ class TestLayerPartition:
         graph = build_similarity_graph(scenario.merged())
         partition = LayerPartition.from_graph(graph, scenario.domain_map())
         # Inception is the only movie-side bridge (via Cecilia).
-        assert partition.bridge_items("movies") == {"inception"}
+        assert partition.members("movies", Layer.BB) == {"inception"}
         assert partition.layer_of("interstellar") in (Layer.NB, Layer.NN)
 
     @settings(max_examples=150, deadline=None)
