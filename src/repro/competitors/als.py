@@ -12,8 +12,9 @@ closed form between sweeps. Regularisation is weighted-λ as in the
 original ALS-WR paper (and MLlib): each factor's penalty scales with its
 rating count.
 
-The dataflow rendition of one sweep (used for Figure 11's speedup
-comparison) lives in :mod:`repro.engine.als_job`.
+Figure 11 costs ALS from its rating counts
+(:func:`~repro.evaluation.experiments.fig11_scalability.als_stages`);
+it does not run this class.
 """
 
 from __future__ import annotations

@@ -173,8 +173,6 @@ def extend_item_reference(item: str, partition: LayerPartition,
 
     The per-item reference the paper describes — one DFS over the pruned
     adjacency, every meta-path folded with Definition 6. It is the
-    per-task body of the simulated Spark job
-    (:mod:`repro.engine.xmap_job`, Fig. 11) and the
     oracle the frontier kernel is tested against; targets appear in the
     order the DFS first reaches them.
     """

@@ -28,9 +28,9 @@ class SignificanceCache:
     """Memoised per-pair significance lookups over one rating table.
 
     The per-item reference DFS
-    (:func:`~repro.core.extender.extend_item_reference`, Fig. 11's
-    simulated job) reads an edge once per *meta-path through* it, so
-    the cache is what keeps its enumeration at dict-hit cost per hop.
+    (:func:`~repro.core.extender.extend_item_reference`, the Extender
+    kernel's test oracle) reads an edge once per *meta-path through*
+    it, so the cache is what keeps its enumeration at dict-hit cost per hop.
     ``Extender.extend`` does not need one: its kernel resolves every
     pruned edge in one bulk
     :meth:`~repro.data.matrix.MatrixRatingStore.edge_significance`

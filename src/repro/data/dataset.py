@@ -149,7 +149,3 @@ class CrossDomainDataset:
         """Return a copy with the target domain's ratings replaced (the
         split protocols hide test users' target profiles this way)."""
         return CrossDomainDataset(self.source, self.target.with_ratings(ratings))
-
-    def with_source_ratings(self, ratings: RatingTable) -> "CrossDomainDataset":
-        """Return a copy with the source domain's ratings replaced."""
-        return CrossDomainDataset(self.source.with_ratings(ratings), self.target)

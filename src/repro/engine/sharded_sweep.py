@@ -19,9 +19,9 @@ the similarity graph. Here that job is two calls over the interned
 assemble}``; the stateless graph build
 (:func:`~repro.similarity.graph.build_similarity_graph`) and
 :class:`IncrementalSweep` both go through it. Figure 11's distribution
-claim is reproduced by the simulated engine
-(:mod:`repro.engine.xmap_job`), not here. The module and function
-names are the ones ``bench/workloads/sweep_ingest.py`` instruments.
+claim is costed by :mod:`repro.engine.cluster`, not run here. The
+module and function names are the ones
+``bench/workloads/sweep_ingest.py`` instruments.
 
 Determinism: the accumulation visits users in one canonical order (one
 sequential add per co-rating), so the sweep is a pure function of the

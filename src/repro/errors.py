@@ -38,8 +38,8 @@ class PrivacyError(ReproError):
 
 
 class EngineError(ReproError):
-    """The dataflow engine was driven incorrectly (e.g. collecting an
-    unmaterialised plan, joining collections from different contexts)."""
+    """The simulated cluster was given invalid input (e.g. no machines,
+    a negative cost or a negative task duration)."""
 
 
 class EvaluationError(ReproError):

@@ -393,10 +393,6 @@ class GatewayServer:
         return int(self._m_shed.value)
 
     @property
-    def n_stale_responses(self) -> int:
-        return int(self._m_stale.value)
-
-    @property
     def uptime_s(self) -> float:
         if self._started_monotonic is None:
             return 0.0

@@ -1,76 +1,90 @@
-"""Integration tests for the dataflow jobs (xmap_job / als_job)."""
+"""Fig. 11's stage lists: counted from the real fit, costed by the cluster."""
 
+import numpy as np
 import pytest
 
-from repro.competitors.als import ALSConfig
-from repro.core.baseliner import Baseliner
-from repro.engine.als_job import run_als_job
-from repro.engine.cluster import ClusterSpec
-from repro.engine.xmap_job import run_xmap_job
+from repro.core.alterego import AlterEgoGenerator
+from repro.core.extender import count_heterogeneous_pairs
+from repro.data.dataset import CrossDomainDataset
+from repro.data.ratings import Rating, RatingTable
+from repro.engine.cluster import ClusterSpec, broadcast_seconds, job_makespan
+from repro.evaluation.experiments.fig11_scalability import (
+    MAX_PROFILE_SIZE,
+    als_stages,
+    fit_xsim_map,
+    xmap_stages,
+)
 
 
 @pytest.fixture(scope="module")
-def xmap_result(small_trace):
-    return run_xmap_job(small_trace, ClusterSpec(n_machines=4), prune_k=6)
+def trace(small_trace):
+    """The small trace plus one source user whose only item nobody else
+    rated: that item has no X-Sim row, so its AlterEgo is empty."""
+    source = small_trace.source
+    lonely = Rating("u-lonely", "m-lonely", 4.0, 0)
+    return CrossDomainDataset(
+        source.with_ratings(RatingTable([*source.ratings, lonely])),
+        small_trace.target)
+
+
+@pytest.fixture(scope="module")
+def xmap_job(trace):
+    stages, broadcasts = xmap_stages(trace)
+    return {stage.name: stage for stage in stages}, broadcasts
+
+
+@pytest.fixture(scope="module")
+def xsim_map(trace):
+    return fit_xsim_map(trace, trace.merged())
 
 
 class TestXMapJob:
-    def test_baseline_edges_match_library_path(self, small_trace, xmap_result):
-        reference = Baseliner().compute(small_trace)
-        assert xmap_result.n_baseline_edges == reference.n_edges
+    def test_xsim_pairs_match_library_extender(self, trace, xmap_job, xsim_map):
+        """The extend stage writes exactly the fit's X-Sim pairs, one key
+        per source item."""
+        extend = xmap_job[0]["extend"]
+        assert extend.out.sum() == count_heterogeneous_pairs(xsim_map) > 0
+        assert len(extend.out) == len(trace.source.items)
+        assert np.count_nonzero(extend.out) == len(xsim_map.sources)
 
-    def test_produces_xsim_pairs_and_alteregos(self, xmap_result):
-        assert xmap_result.n_xsim_pairs > 0
-        assert xmap_result.n_alteregos > 0
+    def test_produces_xsim_pairs_and_alteregos(self, trace, xmap_job, xsim_map):
+        """The alterego stage writes one record per source user whose
+        AlterEgo (the Generator's, profile by profile) is non-empty."""
+        stages, _ = xmap_job
+        generator = AlterEgoGenerator(xsim_map)
+        source = trace.source.ratings
+        non_empty = sum(
+            bool(generator.alterego_profile(user, source.user_profile(user)))
+            for user in source.users)
+        assert 0 < stages["alterego"].out.sum() == non_empty < len(source.users)
+        assert len(stages["alterego"].out) == len(source.users)
 
-    def test_xsim_pairs_match_library_extender(self, small_trace, xmap_result):
-        """The dataflow rendition computes the *same* X-Sim map as the
-        in-process Extender (same pruning, same path caps)."""
-        from repro.core.extender import (
-            Extender,
-            ExtenderConfig,
-            count_heterogeneous_pairs,
-        )
-        from repro.core.layers import LayerPartition
-        baseline = Baseliner().compute(small_trace)
-        partition = LayerPartition.from_graph(baseline.graph, small_trace.domain_map())
-        xsim_map = Extender(ExtenderConfig(k=6, max_paths_per_item=2000)).extend(
-            baseline.graph, partition, small_trace.merged(),
-            source_domain=small_trace.source.name)
-        assert xmap_result.n_xsim_pairs == count_heterogeneous_pairs(xsim_map)
+    def test_baseliner_records_are_the_pair_shuffle(self, trace, xmap_job):
+        stages, _ = xmap_job
+        store = trace.merged().matrix()
+        capped = np.minimum(np.diff(store.user_ptr), MAX_PROFILE_SIZE)
+        emitted = stages["baseliner"].out.sum()
+        assert emitted == (capped * (capped + 1) // 2).sum()
+        assert stages["pair sums"].moved.sum() == emitted
+        assert stages["user means"].moved.sum() == store.n_ratings
 
-    def test_report_has_simulated_time(self, xmap_result):
-        assert xmap_result.report.makespan > 0
-        assert xmap_result.report.total_task_seconds > 0
-        assert xmap_result.report.describe()
-
-    def test_results_independent_of_cluster_size(self, small_trace, xmap_result):
-        bigger = run_xmap_job(small_trace, ClusterSpec(n_machines=12), prune_k=6)
-        assert bigger.n_xsim_pairs == xmap_result.n_xsim_pairs
-        assert bigger.n_alteregos == xmap_result.n_alteregos
-
-    def test_more_machines_not_slower_at_scale(self, small_trace):
-        slow = run_xmap_job(small_trace, ClusterSpec(n_machines=2), prune_k=6)
-        fast = run_xmap_job(small_trace, ClusterSpec(n_machines=8), prune_k=6)
-        assert fast.report.makespan < slow.report.makespan
+    def test_more_machines_not_slower_at_scale(self, xmap_job):
+        stages, broadcasts = xmap_job
+        stages = list(stages.values())
+        slow = job_makespan(stages, broadcasts, ClusterSpec(n_machines=2))
+        fast = job_makespan(stages, broadcasts, ClusterSpec(n_machines=8))
+        assert 0 < fast < slow
 
 
 class TestALSJob:
-    def test_converges(self, small_trace):
-        result = run_als_job(
-            small_trace.target.ratings, ClusterSpec(n_machines=4),
-            ALSConfig(n_iterations=6))
-        assert result.training_rmse < 0.6
-
-    def test_rmse_independent_of_cluster_size(self, small_trace):
-        table = small_trace.target.ratings
-        a = run_als_job(table, ClusterSpec(n_machines=2), ALSConfig(n_iterations=3))
-        b = run_als_job(table, ClusterSpec(n_machines=10), ALSConfig(n_iterations=3))
-        assert a.training_rmse == pytest.approx(b.training_rmse)
-
     def test_broadcast_cost_grows_with_cluster(self, small_trace):
-        table = small_trace.target.ratings
-        small = run_als_job(table, ClusterSpec(n_machines=2), ALSConfig(n_iterations=2))
-        large = run_als_job(table, ClusterSpec(n_machines=16),
-                            ALSConfig(n_iterations=2))
-        assert (large.report.broadcast_seconds > small.report.broadcast_seconds)
+        stages, broadcasts = als_stages(small_trace.target.ratings, n_iterations=2)
+        store = small_trace.target.ratings.matrix()
+        assert broadcasts == [len(store.items), len(store.users)] * 2
+        assert (broadcast_seconds(broadcasts, ClusterSpec(n_machines=16))
+                > broadcast_seconds(broadcasts, ClusterSpec(n_machines=2)))
+        # Two rating shuffles, then a user and an item solve per iteration.
+        assert [stage.name for stage in stages] == [
+            "ratings by user", "ratings by item",
+            "solve users", "solve items", "solve users", "solve items"]
+        assert stages[2].work.sum() == stages[3].work.sum() == store.n_ratings

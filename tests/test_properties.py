@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.data.ratings import Rating, RatingTable
 from repro.core.xsim import aggregate_xsim, path_certainty, path_similarity
-from repro.engine.partitioner import HashPartitioner
 from repro.errors import SimilarityError
 from repro.evaluation.metrics import mae, rmse
 from repro.privacy.mechanisms import exponential_mechanism
@@ -172,18 +171,6 @@ def test_mae_rmse_bounds(pairs):
     error = mae(predictions, truths)
     assert 0.0 <= error <= 4.0
     assert rmse(predictions, truths) >= error - 1e-12
-
-
-@_common
-@given(keys=st.lists(st.text(min_size=1, max_size=6), min_size=1,
-                     max_size=30, unique=True),
-       n=st.integers(1, 16))
-def test_hash_partitioner_total_and_stable(keys, n):
-    partitioner = HashPartitioner(n)
-    first = [partitioner.partition_of(key) for key in keys]
-    second = [partitioner.partition_of(key) for key in keys]
-    assert first == second
-    assert all(0 <= p < n for p in first)
 
 
 @_common

@@ -61,11 +61,12 @@ _RULE_FIXTURES = [
             return hash(item) % n
         """,
         """\
-        from repro.engine.partitioner import stable_hash
+        import hashlib
 
 
         def route(item, n):
-            return stable_hash(item) % n
+            digest = hashlib.blake2b(item.encode(), digest_size=8).digest()
+            return int.from_bytes(digest, "big") % n
         """,
     ),
     (

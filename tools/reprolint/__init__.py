@@ -1,8 +1,8 @@
 """reprolint — repo-aware static analysis for the X-Map reproduction.
 
 The general-purpose linters (ruff, mypy) cannot see the invariants this
-codebase actually depends on: deterministic artifacts require
-``stable_hash`` instead of salted ``hash()``; every write-then-rename
+codebase actually depends on: deterministic artifacts order by value
+(or ``hashlib.blake2b``), never by salted ``hash()``; every write-then-rename
 must fsync the tmp file before the rename and the directory after;
 asyncio code must not
 block the loop or swallow ``CancelledError``; and every named fault or

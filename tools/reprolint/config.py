@@ -9,9 +9,10 @@ registry).
 from __future__ import annotations
 
 #: Trees whose outputs must be bit-identical across processes and
-#: re-runs: the similarity core, the dataflow engine, the serving and
-#: durability layers. The gateway is excluded on purpose — its backoff
-#: jitter and hedging are *intentionally* nondeterministic.
+#: re-runs: the similarity core, the Baseliner sweep and Fig. 11's cost
+#: model, the serving and durability layers. The gateway is excluded on
+#: purpose — its backoff jitter and hedging are *intentionally*
+#: nondeterministic.
 DETERMINISTIC_TREES = (
     "src/repro/cf/",
     "src/repro/core/",

@@ -4,7 +4,8 @@ processes and re-runs.
 * **REP101 salted-hash** — builtin ``hash()`` is salted per process
   (PYTHONHASHSEED); partition routing or tie-breaking on it churns
   every artifact. The incident: ``hash(item)`` genre-split tie-breaks
-  randomized the table2/3 artifacts until PR 1 pinned ``stable_hash``.
+  randomized the table2/3 artifacts until a value-stable hash replaced
+  it.
 * **REP102 unseeded-random** — module-level ``random.*`` /
   ``np.random.*`` draws (or RNG constructions without a seed) make
   sweeps unreproducible. Only ``data/synthetic.py`` consumes entropy,
@@ -74,12 +75,12 @@ class SaltedHashRule(_DeterministicTreeRule):
     id = "REP101"
     name = "salted-hash"
     description = (
-        "builtin hash() in a deterministic tree — use "
-        "repro.engine.partitioner.stable_hash"
+        "builtin hash() in a deterministic tree — sort by value, or use "
+        "hashlib.blake2b over a stable encoding"
     )
     rationale = (
         "hash(item) tie-breaks churned the table2/3 artifacts per "
-        "process until PR 1 pinned stable_hash"
+        "process until a value-stable hash replaced them"
     )
 
     def check(self, source: SourceFile) -> Iterable[Finding]:
@@ -96,9 +97,9 @@ class SaltedHashRule(_DeterministicTreeRule):
             yield self.finding(
                 source,
                 node,
-                "salted builtin hash() in a deterministic path; use "
-                "stable_hash (repro.engine.partitioner) so partitions "
-                "and tie-breaks survive PYTHONHASHSEED",
+                "salted builtin hash() in a deterministic path; sort by "
+                "value, or use hashlib.blake2b over a stable encoding, so "
+                "partitions and tie-breaks survive PYTHONHASHSEED",
             )
 
 
