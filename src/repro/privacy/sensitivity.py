@@ -15,11 +15,18 @@
 
 Both item-pair and user-pair variants are provided: Algorithm 4/5 are
 written item-based, and the user-based X-Map variant needs the transpose.
+Both read the centred slices the table's
+:class:`~repro.data.matrix.MatrixRatingStore` already holds — an item's
+CSC column of user-mean-centred ratings, a user's CSR row of
+item-mean-centred ratings — and every sum is a ``math.fsum``, so the
+result does not depend on the order the co-raters are visited in.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from repro.data.ratings import RatingTable
 
@@ -32,82 +39,79 @@ XSIM_GLOBAL_SENSITIVITY = 2.0
 _DEGENERATE_SENSITIVITY = 2.0
 
 
-def _centered_vectors(table: RatingTable, item_i: str, item_j: str,
-                      ) -> tuple[dict[str, float], dict[str, float]]:
-    """User-mean-centered rating vectors ``r_{t_i}``, ``r_{t_j}``.
-
-    Theorem 2 defines the vectors post-centering ("a rating is the
-    result after subtracting the average rating of user x"), matching
-    the adjusted-cosine computation the similarities come from.
-    """
-    vector_i = {
-        user: rating.value - table.user_mean(user)
-        for user, rating in table.item_profile(item_i).items()}
-    vector_j = {
-        user: rating.value - table.user_mean(user)
-        for user, rating in table.item_profile(item_j).items()}
-    return vector_i, vector_j
-
-
-def _pair_sensitivity(vector_i: dict[str, float], vector_j: dict[str, float]) -> float:
-    """Shared core of the item/user variants (the Theorem 2 formula)."""
-    common = [u for u in vector_i if u in vector_j]
-    if not common:
+def _pair_sensitivity(index_column, centered, slice_a, slice_b) -> float:
+    """The Theorem 2 formula over two centred slices of one store
+    layout: ``index_column`` / ``centered`` are aligned arrays,
+    ``slice_a`` / ``slice_b`` the ``(start, end)`` of the two vectors
+    (``None``: a profile the store has no entry for)."""
+    if slice_a is None or slice_b is None:
+        return _DEGENERATE_SENSITIVITY
+    vector_a = centered[slice_a[0]:slice_a[1]]
+    vector_b = centered[slice_b[0]:slice_b[1]]
+    _, at_a, at_b = np.intersect1d(
+        index_column[slice_a[0]:slice_a[1]], index_column[slice_b[0]:slice_b[1]],
+        assume_unique=True, return_indices=True)
+    if not len(at_a):
         # No co-rater: removing any single profile cannot create or
         # destroy co-rating mass beyond one entry; the similarity is 0
         # and stays 0 except via the norms, bounded by the global case.
         return _DEGENERATE_SENSITIVITY
-    norm_sq_i = math.fsum(v * v for v in vector_i.values())
-    norm_sq_j = math.fsum(v * v for v in vector_j.values())
-    dot = math.fsum(vector_i[u] * vector_j[u] for u in common)
-    norm_i = math.sqrt(norm_sq_i)
-    norm_j = math.sqrt(norm_sq_j)
+    norm_sq_a = math.fsum((vector_a * vector_a).tolist())
+    norm_sq_b = math.fsum((vector_b * vector_b).tolist())
+    common_a = vector_a[at_a]
+    common_b = vector_b[at_b]
+    dot = math.fsum((common_a * common_b).tolist())
 
+    reduced_a = np.sqrt(np.maximum(0.0, norm_sq_a - common_a ** 2))
+    reduced_b = np.sqrt(np.maximum(0.0, norm_sq_b - common_b ** 2))
+    live = (reduced_a != 0.0) & (reduced_b != 0.0)
+    degenerate = not live.all()
     best = 0.0
-    degenerate = False
-    for user in common:
-        reduced_norm_i = math.sqrt(max(0.0, norm_sq_i - vector_i[user] ** 2))
-        reduced_norm_j = math.sqrt(max(0.0, norm_sq_j - vector_j[user] ** 2))
-        if reduced_norm_i == 0.0 or reduced_norm_j == 0.0:
-            degenerate = True
-            continue
-        # (a) the user's own contribution over the reduced norms
-        term_contribution = abs(
-            vector_i[user] * vector_j[user]) / (reduced_norm_i * reduced_norm_j)
-        # (b) the renormalisation shift of the full dot product
-        term_renorm = 0.0
-        if norm_i > 0.0 and norm_j > 0.0:
-            term_renorm = abs(
-                dot / (reduced_norm_i * reduced_norm_j)
-                - dot / (norm_i * norm_j))
-        best = max(best, term_contribution, term_renorm)
-    if degenerate and best == 0.0:
-        return _DEGENERATE_SENSITIVITY
+    if live.any():
+        reduced = reduced_a[live] * reduced_b[live]
+        # (a) a co-rater's own contribution over the reduced norms
+        contribution = np.abs(common_a[live] * common_b[live]) / reduced
+        # (b) the renormalisation shift of the full dot product (a live
+        # co-rater's reduced norms are nonzero, so the full ones are too)
+        renorm = np.abs(dot / reduced - dot / (math.sqrt(norm_sq_a) * math.sqrt(norm_sq_b)))
+        best = float(max(contribution.max(), renorm.max()))
+    if best == 0.0:
+        return _DEGENERATE_SENSITIVITY if degenerate else 1e-12
     # A similarity lives in [−1, 1]; its change can never exceed 2.
-    return min(best, _DEGENERATE_SENSITIVITY) if best > 0.0 else (
-        _DEGENERATE_SENSITIVITY if degenerate else max(best, 1e-12))
+    return min(best, _DEGENERATE_SENSITIVITY)
 
 
 def item_similarity_sensitivity(table: RatingTable, item_i: str, item_j: str) -> float:
     """``SS(t_i, t_j)`` of Theorem 2 for an item pair.
 
+    Theorem 2 defines the vectors post-centering ("a rating is the
+    result after subtracting the average rating of user x"), matching
+    the adjusted-cosine computation the similarities come from: the
+    store's CSC columns of user-mean-centred ratings.
+
     Always returns a strictly positive, finite value — the exponential
     mechanism divides by it.
     """
-    vector_i, vector_j = _centered_vectors(table, item_i, item_j)
-    return _pair_sensitivity(vector_i, vector_j)
+    store = table.matrix()
+    i = store.item_index.get(item_i)
+    j = store.item_index.get(item_j)
+    return _pair_sensitivity(
+        store.item_user_idx, store.item_centered,
+        None if i is None else store._item_col(i),
+        None if j is None else store._item_col(j))
 
 
 def user_similarity_sensitivity(table: RatingTable, user_a: str, user_b: str) -> float:
     """Theorem 2 transposed to a user pair (for user-based X-Map).
 
     The "profiles" whose removal we bound over are the co-rated *items*;
-    ratings are centered on item means, matching Eq 1's user similarity.
+    ratings are centered on item means, matching Eq 1's user similarity:
+    the store's CSR rows of item-mean-centred ratings.
     """
-    vector_a = {
-        item: rating.value - table.item_mean(item)
-        for item, rating in table.user_profile(user_a).items()}
-    vector_b = {
-        item: rating.value - table.item_mean(item)
-        for item, rating in table.user_profile(user_b).items()}
-    return _pair_sensitivity(vector_a, vector_b)
+    store = table.matrix()
+    a = store.user_index.get(user_a)
+    b = store.user_index.get(user_b)
+    return _pair_sensitivity(
+        store.user_item_idx, store.user_item_centered,
+        None if a is None else store._user_row(a),
+        None if b is None else store._user_row(b))

@@ -163,6 +163,111 @@ class TestSensitivity:
                     assert 0.0 < value <= 2.0
 
 
+# ----------------------------------------------------------------------
+# Theorem 2 over Rating dicts: the naive reference the store-backed
+# sensitivities must match bit for bit.
+# ----------------------------------------------------------------------
+
+def _pair_sensitivity_reference(vector_i, vector_j):
+    common = [u for u in vector_i if u in vector_j]
+    if not common:
+        return 2.0
+    norm_sq_i = math.fsum(v * v for v in vector_i.values())
+    norm_sq_j = math.fsum(v * v for v in vector_j.values())
+    dot = math.fsum(vector_i[u] * vector_j[u] for u in common)
+    norm_i = math.sqrt(norm_sq_i)
+    norm_j = math.sqrt(norm_sq_j)
+
+    best = 0.0
+    degenerate = False
+    for user in common:
+        reduced_norm_i = math.sqrt(max(0.0, norm_sq_i - vector_i[user] ** 2))
+        reduced_norm_j = math.sqrt(max(0.0, norm_sq_j - vector_j[user] ** 2))
+        if reduced_norm_i == 0.0 or reduced_norm_j == 0.0:
+            degenerate = True
+            continue
+        term_contribution = abs(
+            vector_i[user] * vector_j[user]) / (reduced_norm_i * reduced_norm_j)
+        term_renorm = 0.0
+        if norm_i > 0.0 and norm_j > 0.0:
+            term_renorm = abs(
+                dot / (reduced_norm_i * reduced_norm_j)
+                - dot / (norm_i * norm_j))
+        best = max(best, term_contribution, term_renorm)
+    if degenerate and best == 0.0:
+        return 2.0
+    return min(best, 2.0) if best > 0.0 else (
+        2.0 if degenerate else max(best, 1e-12))
+
+
+def _item_sensitivity_reference(table, item_i, item_j):
+    """User-mean-centred rating vectors of the two items."""
+    vector_i = {
+        user: rating.value - table.user_mean(user)
+        for user, rating in table.item_profile(item_i).items()}
+    vector_j = {
+        user: rating.value - table.user_mean(user)
+        for user, rating in table.item_profile(item_j).items()}
+    return _pair_sensitivity_reference(vector_i, vector_j)
+
+
+def _user_sensitivity_reference(table, user_a, user_b):
+    """Item-mean-centred rating vectors of the two users."""
+    vector_a = {
+        item: rating.value - table.item_mean(item)
+        for item, rating in table.user_profile(user_a).items()}
+    vector_b = {
+        item: rating.value - table.item_mean(item)
+        for item, rating in table.user_profile(user_b).items()}
+    return _pair_sensitivity_reference(vector_a, vector_b)
+
+
+class TestSensitivityMatchesDictReference:
+    def test_every_item_pair_bit_identical(self, small_trace):
+        table = small_trace.target.ratings
+        items = sorted(table.items)
+        for n, i in enumerate(items):
+            for j in items[n:]:
+                got = item_similarity_sensitivity(table, i, j)
+                assert got.hex() == _item_sensitivity_reference(table, i, j).hex(), (i, j)
+
+    def test_every_user_pair_bit_identical(self, small_trace):
+        table = small_trace.target.ratings
+        users = sorted(table.users)
+        for n, a in enumerate(users):
+            for b in users[n:]:
+                got = user_similarity_sensitivity(table, a, b)
+                assert got.hex() == _user_sensitivity_reference(table, a, b).hex(), (a, b)
+
+    def test_no_corater_and_unknown_ids(self):
+        table = RatingTable([
+            Rating("u1", "a", 5.0), Rating("u1", "x", 1.0),
+            Rating("u2", "b", 4.0), Rating("u2", "y", 2.0)])
+        for i, j in (("a", "b"), ("a", "ghost"), ("ghost", "phantom")):
+            assert item_similarity_sensitivity(table, i, j) == 2.0
+            assert _item_sensitivity_reference(table, i, j) == 2.0
+        for a, b in (("u1", "u2"), ("u1", "ghost")):
+            assert user_similarity_sensitivity(table, a, b) == 2.0
+            assert _user_sensitivity_reference(table, a, b) == 2.0
+
+    def test_lone_corater_is_degenerate(self):
+        # Both items have one rater: removing them empties both vectors.
+        table = RatingTable([
+            Rating("u1", "a", 5.0), Rating("u1", "b", 1.0)])
+        assert item_similarity_sensitivity(table, "a", "b") == 2.0
+        assert _item_sensitivity_reference(table, "a", "b") == 2.0
+
+    def test_zero_mass_pair_gets_the_positive_floor(self):
+        # u1 rates at their own mean, so the one co-rater carries no
+        # mass: no term is positive and no reduced norm is zero.
+        table = RatingTable([
+            Rating("u1", "a", 3.0), Rating("u1", "b", 3.0),
+            Rating("u2", "a", 5.0), Rating("u2", "x", 1.0),
+            Rating("u3", "b", 5.0), Rating("u3", "y", 1.0)])
+        assert item_similarity_sensitivity(table, "a", "b") == 1e-12
+        assert _item_sensitivity_reference(table, "a", "b") == 1e-12
+
+
 class TestPNSA:
     def test_config_validation(self):
         with pytest.raises(PrivacyError):
