@@ -17,7 +17,6 @@ from repro.cf.predictor import BaseRecommender
 from repro.data.ratings import RatingTable
 from repro.errors import ConfigError
 from repro.similarity.knn import top_k
-from repro.similarity.pearson import pearson_users
 
 
 class UserKNNRecommender(BaseRecommender):
@@ -45,20 +44,17 @@ class UserKNNRecommender(BaseRecommender):
         """Phase 1: the top-k users by Eq 1 similarity (cached).
 
         Only users sharing at least one item with *user* can have nonzero
-        similarity, so candidates are gathered through the item profiles
-        of the user's ratings rather than by scanning all of ``U``.
+        similarity, so the candidates are the co-raters
+        :meth:`~repro.data.matrix.MatrixRatingStore.user_similarities`
+        finds through the columns of the user's items, not all of ``U``.
         """
         cached = self._neighbor_cache.get(user)
         if cached is not None:
             return cached
-        candidates: set[str] = set()
-        for item in self.table.user_items(user):
-            candidates.update(self.table.item_users(item))
-        candidates.discard(user)
-        similarities = {
-            other: sim for other in candidates
-            if (sim := pearson_users(self.table, user, other)) != 0.0}
-        chosen = top_k(similarities, self.k)
+        store = self.table.matrix()
+        others, sims = store.user_similarities(user)
+        users = store.users
+        chosen = top_k(zip([users[o] for o in others.tolist()], sims.tolist()), self.k)
         self._neighbor_cache[user] = chosen
         return chosen
 

@@ -24,7 +24,6 @@ from repro.cf.predictor import BaseRecommender
 from repro.data.dataset import CrossDomainDataset
 from repro.errors import ConfigError
 from repro.similarity.knn import top_k
-from repro.similarity.pearson import pearson_users
 
 
 class RemoteUserRecommender(BaseRecommender):
@@ -41,7 +40,7 @@ class RemoteUserRecommender(BaseRecommender):
         super().__init__(data.target.ratings)
         self.data = data
         self.k = k
-        self._straddlers = sorted(data.overlap_users)
+        self._straddlers = data.overlap_users
         self._neighbor_cache: dict[str, list[tuple[str, float]]] = {}
 
     def remote_neighbors(self, user: str) -> list[tuple[str, float]]:
@@ -49,14 +48,12 @@ class RemoteUserRecommender(BaseRecommender):
         cached = self._neighbor_cache.get(user)
         if cached is not None:
             return cached
-        source = self.data.source.ratings
-        similarities = {}
-        for other in self._straddlers:
-            if other == user:
-                continue
-            sim = pearson_users(source, user, other)
-            if sim != 0.0:
-                similarities[other] = sim
+        source = self.data.source.ratings.matrix()
+        others, sims = source.user_similarities(user)
+        names = source.users
+        similarities = [
+            (names[other], sim) for other, sim in zip(others.tolist(), sims.tolist())
+            if names[other] in self._straddlers]
         chosen = top_k(similarities, self.k)
         self._neighbor_cache[user] = chosen
         return chosen

@@ -359,6 +359,35 @@ class MatrixRatingStore:
         start, end = self._item_col(idx)
         return end - start
 
+    def user_similarities(self, user: str):
+        """Eq 1 between *user* and every co-rater, as ``(user indexes,
+        similarities)`` (ascending indexes, zero similarities dropped;
+        an unknown user has none).
+
+        One pass over the CSC columns of the user's items: each column
+        entry is a co-rater's item-mean-centred rating (the same
+        subtraction as :attr:`user_item_centered`), times the user's
+        own, and one ``bincount`` sums them per co-rater in item order.
+        The norms are the full-profile :attr:`user_item_centered_norms`.
+        """
+        u = self.user_index.get(user)
+        if u is None:
+            return _np.zeros(0, dtype=_np.int64), _np.zeros(0)
+        start, end = self._user_row(u)
+        items = self.user_item_idx[start:end]
+        starts = self.item_ptr[items]
+        sizes = self.item_ptr[items + 1] - starts
+        at = _spans(starts, starts + sizes)
+        theirs = self.item_values[at] - _np.repeat(self.item_means[items], sizes)
+        numerators = _np.bincount(
+            self.item_user_idx[at],
+            weights=_np.repeat(self.user_item_centered[start:end], sizes) * theirs,
+            minlength=len(self.users))
+        numerators[u] = 0.0
+        denominators = self.user_item_centered_norms[u] * self.user_item_centered_norms
+        others = _np.nonzero((numerators != 0.0) & (denominators != 0.0))[0]
+        return others, _np.clip(numerators[others] / denominators[others], -1.0, 1.0)
+
     # ------------------------------------------------------------------
     # Pairwise metrics (string-keyed adapters live in repro.similarity)
     # ------------------------------------------------------------------

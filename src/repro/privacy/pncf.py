@@ -28,8 +28,7 @@ from repro.privacy.sensitivity import (
     item_similarity_sensitivity,
     user_similarity_sensitivity,
 )
-from repro.similarity.adjusted_cosine import adjusted_cosine
-from repro.similarity.pearson import pearson_users
+from repro.similarity.knn import NeighborIndex
 
 
 class _PrivateKNNBase(BaseRecommender):
@@ -72,16 +71,15 @@ class PrivateItemKNNRecommender(_PrivateKNNBase):
         if alpha < 0:
             raise PrivacyError(f"alpha must be >= 0, got {alpha}")
         self.alpha = alpha
-        self._sim_cache: dict[tuple[str, str], float] = {}
+        self._index: NeighborIndex | None = None
         self._sens_cache: dict[tuple[str, str], float] = {}
 
-    def _similarity(self, item_i: str, item_j: str) -> float:
-        key = (item_i, item_j) if item_i <= item_j else (item_j, item_i)
-        cached = self._sim_cache.get(key)
-        if cached is None:
-            cached = adjusted_cosine(self.table, item_i, item_j)
-            self._sim_cache[key] = cached
-        return cached
+    def neighbor_index(self) -> NeighborIndex:
+        """The Eq-6 serving index :class:`~repro.cf.item_knn.ItemKNNRecommender`
+        scans, built once, lazily."""
+        if self._index is None:
+            self._index = self.table.matrix().neighbor_index()
+        return self._index
 
     def _sensitivity(self, item_i: str, item_j: str) -> float:
         key = (item_i, item_j) if item_i <= item_j else (item_j, item_i)
@@ -98,20 +96,24 @@ class PrivateItemKNNRecommender(_PrivateKNNBase):
         return max(rating.timestep for rating in profile.values())
 
     def _predict_raw(self, user: str, item: str) -> float | None:
-        similarities: dict[str, float] = {}
-        sensitivities: dict[str, float] = {}
-        for rated in self.table.user_items(user):
-            if rated == item:
-                continue
-            sim = self._similarity(item, rated)
-            # Positive neighborhoods, matching ItemKNNRecommender — see
-            # its docstring for why negatives hurt on sparse data.
-            if sim <= 0.0:
-                continue
-            similarities[rated] = sim
-            sensitivities[rated] = self._sensitivity(item, rated)
-        if not similarities:
+        store = self.table.matrix()
+        idx = store.item_index.get(item)
+        u = store.user_index.get(user)
+        if idx is None or u is None:
             return None
+        ids, weights = self.neighbor_index().row(idx)
+        # Every rated, positively similar item: PNSA makes the k cut.
+        # Positive neighborhoods, matching ItemKNNRecommender — see its
+        # docstring for why negatives hurt on sparse data.
+        start, end = store._user_row(u)
+        keep = np.isin(ids, store.user_item_idx[start:end],
+                       assume_unique=True) & (weights > 0.0)
+        if not keep.any():
+            return None
+        items = store.items
+        similarities = dict(zip([items[j] for j in ids[keep].tolist()],
+                                weights[keep].tolist()))
+        sensitivities = {rated: self._sensitivity(item, rated) for rated in similarities}
         config = PNSAConfig(k=self.k, epsilon=self.selection_epsilon, rho=self.rho)
         neighbors = private_neighbor_selection(
             similarities, sensitivities, config, self.rng)
@@ -151,18 +153,12 @@ class PrivateUserKNNRecommender(_PrivateKNNBase):
         cached = self._neighbor_cache.get(user)
         if cached is not None:
             return cached
-        candidates: set[str] = set()
-        for item in self.table.user_items(user):
-            candidates.update(self.table.item_users(item))
-        candidates.discard(user)
-        similarities: dict[str, float] = {}
-        sensitivities: dict[str, float] = {}
-        for other in candidates:
-            sim = pearson_users(self.table, user, other)
-            if sim == 0.0:
-                continue
-            similarities[other] = sim
-            sensitivities[other] = user_similarity_sensitivity(self.table, user, other)
+        store = self.table.matrix()
+        others, sims = store.user_similarities(user)
+        users = store.users
+        similarities = dict(zip([users[o] for o in others.tolist()], sims.tolist()))
+        sensitivities = {other: user_similarity_sensitivity(self.table, user, other)
+                         for other in similarities}
         if not similarities:
             self._neighbor_cache[user] = []
             return []
