@@ -19,8 +19,10 @@ refreshing the committed results on purpose.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import time
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -56,3 +58,17 @@ def record_json(name: str, backend: str, payload: dict) -> None:
         data = json.loads(path.read_text())
     data.setdefault("backends", {})[backend] = payload
     write_result(path.name, json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _timed(fn):
+    """One GC-quiesced wall-time measurement of ``fn()``: ``(result,
+    seconds)``."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - start
+    finally:
+        gc.enable()
+    return result, elapsed

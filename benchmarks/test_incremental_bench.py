@@ -33,8 +33,7 @@ from __future__ import annotations
 import os
 import random
 
-from conftest import record_json, write_result
-from test_serving_bench import _timed
+from conftest import _timed, record_json, write_result
 from test_similarity_bench import _random_ratings
 
 from repro.data.ratings import Rating, RatingTable

@@ -28,11 +28,9 @@ bench-smoke leg runs the smallest size for correctness).
 
 from __future__ import annotations
 
-import gc
 import random
-import time
 
-from conftest import record_json, write_result
+from conftest import _timed, record_json, write_result
 from test_similarity_bench import SIZES, _random_ratings, selected_sizes
 
 from repro.data.ratings import Rating, RatingTable
@@ -50,18 +48,6 @@ TOP_N = 10
 #: round (a steady related-items stream between version publishes).
 N_UPDATE_ROUNDS = 5
 N_QUERIES_PER_ROUND = 400
-
-
-def _timed(fn):
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-    finally:
-        gc.enable()
-    return result, elapsed
 
 
 def _update_batch(rng: random.Random, round_id: int):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from repro import NXMapRecommender, XMapConfig
 from repro.data.synthetic import interstellar_scenario
-from repro.similarity.adjusted_cosine import adjusted_cosine
 
 
 def main() -> None:
@@ -27,8 +26,12 @@ def main() -> None:
         rated += [books.title_of(i) for i in books.ratings.user_items(user)]
         print(f"  {user:8s} rated: {', '.join(sorted(rated))}")
 
-    merged = scenario.merged()
-    standard = adjusted_cosine(merged, "interstellar", "forever-war")
+    # Eq 6 over the merged domains: Interstellar's row of the item
+    # similarity index. No edge to The Forever War means similarity 0.
+    store = scenario.merged().matrix()
+    neighbors, weights = store.neighbor_index().row(store.item_index["interstellar"])
+    edge = neighbors == store.item_index["forever-war"]
+    standard = float(weights[edge][0]) if edge.any() else 0.0
     print(f"\nStandard similarity(Interstellar, The Forever War) = "
           f"{standard:g}  <- no common rater, no signal")
 

@@ -29,16 +29,12 @@ class TemporalItemKNNRecommender(ItemKNNRecommender):
         table: training ratings (timesteps are read from the ratings).
         k: neighborhood size.
         alpha: decay rate α ≥ 0; 0 disables the temporal effect.
-        use_index: serve neighborhoods from the precomputed
-            :class:`~repro.similarity.knn.NeighborIndex` (default;
-            ``False`` keeps the lazy per-pair reference path).
     """
 
-    def __init__(self, table: RatingTable, k: int = 50,
-                 alpha: float = 0.0, use_index: bool = True) -> None:
+    def __init__(self, table: RatingTable, k: int = 50, alpha: float = 0.0) -> None:
         if alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {alpha}")
-        super().__init__(table, k=k, use_index=use_index)
+        super().__init__(table, k=k)
         self.alpha = alpha
 
     def query_time(self, user: str) -> int:

@@ -9,6 +9,11 @@ This is the recommender the user-based X-Map variants (``X-Map-ub`` /
 ``NX-Map-ub``) run in the target domain once the AlterEgo profile has
 been injected, and it is also the engine behind the RemoteUser
 competitor.
+
+Eq 1 is one store pass per query user
+(:meth:`~repro.data.matrix.MatrixRatingStore.user_similarities`): the
+columns of the user's items give every co-rater's similarity at once,
+the kernel the private X-Map-ub recommender and RemoteUser read too.
 """
 
 from __future__ import annotations

@@ -8,7 +8,9 @@ performed."
 Concretely, for a query user Alice:
 
 1. rank every straddler (user with ratings in both domains) by Eq 1
-   similarity to Alice *computed over the source domain*;
+   similarity to Alice *computed over the source domain* — the source
+   store's :meth:`~repro.data.matrix.MatrixRatingStore.user_similarities`,
+   kept to the straddlers;
 2. keep the top-k as her remote neighborhood;
 3. predict target ratings with the Eq 2 formula over those neighbors'
    *target-domain* profiles.

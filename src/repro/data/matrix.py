@@ -54,10 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 _TOTAL_SHIFT = 1126
 
 
-def _clip1(value: float) -> float:
-    return max(-1.0, min(1.0, value))
-
-
 def _exact_total(values) -> int:
     """``Σ values`` exactly, as an ``int`` of ``2**-_TOTAL_SHIFT`` units:
     the mantissas' three 18-bit pieces are summed per exponent by
@@ -359,6 +355,10 @@ class MatrixRatingStore:
         start, end = self._item_col(idx)
         return end - start
 
+    # ------------------------------------------------------------------
+    # Eq 1 user similarities (user-based CF's Phase 1)
+    # ------------------------------------------------------------------
+
     def user_similarities(self, user: str):
         """Eq 1 between *user* and every co-rater, as ``(user indexes,
         similarities)`` (ascending indexes, zero similarities dropped;
@@ -389,112 +389,8 @@ class MatrixRatingStore:
         return others, _np.clip(numerators[others] / denominators[others], -1.0, 1.0)
 
     # ------------------------------------------------------------------
-    # Pairwise metrics (string-keyed adapters live in repro.similarity)
+    # Definition 2 significance (the Extender kernel's oracle)
     # ------------------------------------------------------------------
-
-    def _common_dot(self, index_column, value_column,
-                    slice_a: tuple[int, int],
-                    slice_b: tuple[int, int]) -> float:
-        """Dot product of two *value_column* slices over the intersection
-        of the corresponding (strictly increasing) *index_column* slices.
-
-        The one intersection kernel every pairwise metric shares.
-        """
-        start_a, end_a = slice_a
-        start_b, end_b = slice_b
-        _, pos_a, pos_b = _np.intersect1d(
-            index_column[start_a:end_a], index_column[start_b:end_b],
-            assume_unique=True, return_indices=True)
-        if len(pos_a) == 0:
-            return 0.0
-        return float(_np.dot(value_column[start_a:end_a][pos_a],
-                             value_column[start_b:end_b][pos_b]))
-
-    def _common_values(self, index_column, value_column,
-                       slice_a: tuple[int, int],
-                       slice_b: tuple[int, int]
-                       ) -> tuple[list[float], list[float]]:
-        """Aligned value pairs over the intersection, as plain lists."""
-        start_a, end_a = slice_a
-        start_b, end_b = slice_b
-        _, pos_a, pos_b = _np.intersect1d(
-            index_column[start_a:end_a], index_column[start_b:end_b],
-            assume_unique=True, return_indices=True)
-        return (value_column[start_a:end_a][pos_a].tolist(),
-                value_column[start_b:end_b][pos_b].tolist())
-
-    def adjusted_cosine(self, item_i: str, item_j: str) -> float:
-        """Eq 6 over the precomputed centered columns and norms."""
-        i = self.item_index.get(item_i)
-        j = self.item_index.get(item_j)
-        if i is None or j is None:
-            return 0.0
-        if i == j:
-            return 0.0 if self.item_centered_norms[i] == 0.0 else 1.0
-        numerator = self._common_dot(
-            self.item_user_idx, self.item_centered,
-            self._item_col(i), self._item_col(j))
-        if numerator == 0.0:
-            return 0.0
-        denominator = (self.item_centered_norms[i] * self.item_centered_norms[j])
-        if denominator == 0.0:
-            return 0.0
-        return _clip1(numerator / denominator)
-
-    def cosine(self, item_i: str, item_j: str) -> float:
-        """Plain cosine over the raw columns, norms over full rater sets."""
-        i = self.item_index.get(item_i)
-        j = self.item_index.get(item_j)
-        if i is None or j is None:
-            return 0.0
-        numerator = self._common_dot(
-            self.item_user_idx, self.item_values,
-            self._item_col(i), self._item_col(j))
-        if numerator == 0.0:
-            return 0.0
-        denominator = self.item_raw_norms[i] * self.item_raw_norms[j]
-        if denominator == 0.0:
-            return 0.0
-        return _clip1(numerator / denominator)
-
-    def pearson_items(self, item_i: str, item_j: str) -> float:
-        """Item–item Pearson over co-raters (centered on co-rater means)."""
-        i = self.item_index.get(item_i)
-        j = self.item_index.get(item_j)
-        if i is None or j is None:
-            return 0.0
-        values_i, values_j = self._common_values(
-            self.item_user_idx, self.item_values,
-            self._item_col(i), self._item_col(j))
-        if len(values_i) < 2:
-            return 0.0
-        mean_i = math.fsum(values_i) / len(values_i)
-        mean_j = math.fsum(values_j) / len(values_j)
-        numerator = math.fsum(
-            (vi - mean_i) * (vj - mean_j)
-            for vi, vj in zip(values_i, values_j))
-        var_i = math.fsum((vi - mean_i) ** 2 for vi in values_i)
-        var_j = math.fsum((vj - mean_j) ** 2 for vj in values_j)
-        if var_i == 0.0 or var_j == 0.0:
-            return 0.0
-        return _clip1(numerator / math.sqrt(var_i * var_j))
-
-    def pearson_users(self, user_a: str, user_b: str) -> float:
-        """Eq 1: item-mean-centered numerator, full-profile norms."""
-        a = self.user_index.get(user_a)
-        b = self.user_index.get(user_b)
-        if a is None or b is None:
-            return 0.0
-        numerator = self._common_dot(
-            self.user_item_idx, self.user_item_centered,
-            self._user_row(a), self._user_row(b))
-        if numerator == 0.0:
-            return 0.0
-        denominator = (self.user_item_centered_norms[a]
-                       * self.user_item_centered_norms[b])
-        if denominator == 0.0:
-            return 0.0
-        return _clip1(numerator / denominator)
 
     def _like_dict(self, idx: int) -> dict[int, bool]:
         """Lazy per-item ``user index → likes`` dict (cached).

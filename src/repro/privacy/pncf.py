@@ -11,6 +11,13 @@ The item-based variant additionally supports the Eq 7 temporal weights —
 the paper's X-Map-ib "includes the additional feature of temporally
 relevant predictions to boost the recommendation quality traded for
 privacy".
+
+The similarities are the non-private ones, read from the same kernels:
+the item-based variant scans the query item's
+:class:`~repro.similarity.knn.NeighborIndex` row (every rated, positively
+similar item; PNSA makes the k cut) and the user-based variant takes
+Eq 1 from :meth:`~repro.data.matrix.MatrixRatingStore.user_similarities`.
+Their Theorem 2 sensitivities come from :mod:`repro.privacy.sensitivity`.
 """
 
 from __future__ import annotations

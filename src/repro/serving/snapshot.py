@@ -357,10 +357,9 @@ class ModelSnapshot:
 
         Captures the augmented-target recommender's store and index
         (the arrays every online prediction reads) and the Generator's
-        full replacement sets. Restricted to
-        pipelines whose recommender is exactly
-        :class:`~repro.cf.item_knn.ItemKNNRecommender` on the index
-        path — temporal decay needs per-rating timesteps the store does
+        full replacement sets. Restricted to pipelines whose
+        recommender is exactly :class:`~repro.cf.item_knn.ItemKNNRecommender`
+        — temporal decay needs per-rating timesteps the store does
         not carry, and the private recommenders are randomized, so
         neither can honour the snapshot's bit-identical-serving
         contract.
@@ -368,11 +367,11 @@ class ModelSnapshot:
         from repro.cf.item_knn import ItemKNNRecommender
 
         recommender: ItemKNNRecommender = pipeline._require_fitted()
-        if type(recommender) is not ItemKNNRecommender or not recommender.use_index:
+        if type(recommender) is not ItemKNNRecommender:
             raise ServingError(
                 f"only the deterministic item-mode pipeline "
-                f"(ItemKNNRecommender on the index path) can be "
-                f"snapshotted; got {type(recommender).__name__}"
+                f"(ItemKNNRecommender) can be snapshotted; "
+                f"got {type(recommender).__name__}"
             )
         index = recommender.neighbor_index()
         table = recommender.table

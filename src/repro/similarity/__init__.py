@@ -1,23 +1,23 @@
 """Similarity substrate: the metrics the paper's §2–3 builds on.
 
-* item–item metrics: adjusted cosine (Eq 3/6 — the paper's choice),
-  plain cosine and Pearson (the classical alternatives of [29]),
-* user–user Pearson on item-centered ratings (Eq 1, used by Algorithm 1),
+* the all-pairs adjusted cosine of Eq 6 (the paper's item–item
+  similarity) and its object-graph reference,
 * significance weighting (Definitions 2 and 4),
 * the baseline item similarity graph ``G_ac`` (§3.1),
 * top-k neighbor selection helpers and the precomputed
   rank-ordered ``NeighborIndex`` the serve paths scan.
+
+There is no per-pair similarity call: an item's Eq-6 similarities are
+its ``NeighborIndex`` row, and a user's Eq-1 similarities come from
+:meth:`~repro.data.matrix.MatrixRatingStore.user_similarities`.
 """
 
 from repro.similarity.adjusted_cosine import (
-    adjusted_cosine,
     all_pairs_adjusted_cosine,
     all_pairs_adjusted_cosine_reference,
 )
-from repro.similarity.cosine import cosine
 from repro.similarity.graph import ItemGraph, build_similarity_graph
 from repro.similarity.knn import NeighborIndex, top_k
-from repro.similarity.pearson import pearson_items, pearson_users
 from repro.similarity.significance import (
     normalized_significance,
     significance,
@@ -27,14 +27,10 @@ from repro.similarity.significance import (
 __all__ = [
     "ItemGraph",
     "NeighborIndex",
-    "adjusted_cosine",
     "all_pairs_adjusted_cosine",
     "all_pairs_adjusted_cosine_reference",
     "build_similarity_graph",
-    "cosine",
     "normalized_significance",
-    "pearson_items",
-    "pearson_users",
     "significance",
     "significance_reference",
     "top_k",

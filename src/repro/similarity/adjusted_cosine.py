@@ -6,22 +6,18 @@ means more than a "4" from a generous one). The paper picks it over plain
 cosine and Pearson as "the most effective" for item-based CF [29] and uses
 it both for Algorithm 2 and as the baseline similarity graph ``G_ac``.
 
-Two entry points:
-
-* :func:`adjusted_cosine` — one pair, used by tests, spot checks and the
-  item-kNN recommenders;
-* :func:`all_pairs_adjusted_cosine` — every co-rated pair in one pass over
-  users, which is how the Baseliner (§5.1) computes ``G_ac`` without
-  touching the O(m²) pairs that share no user.
-
-Both are string-keyed adapters over the table's interned
+:func:`all_pairs_adjusted_cosine` yields every co-rated pair in one pass
+over users, which is how the Baseliner (§5.1) computes ``G_ac`` without
+touching the O(m²) pairs that share no user. It is a string-keyed
+adapter over the table's interned
 :class:`~repro.data.matrix.MatrixRatingStore`: the centered profiles and
 per-item norms are derived once per table, and the Eq-6 accumulation runs
-over dense integer keys (vectorized under NumPy, plain arrays otherwise).
-The original object-graph implementation is kept as
-:func:`all_pairs_adjusted_cosine_reference` — it is the oracle for the
-equivalence property tests and the baseline for the microbenchmarks in
-``benchmarks/test_similarity_bench.py``.
+over dense integer keys. One item's similarities are its row of the
+store's :class:`~repro.similarity.knn.NeighborIndex`, the same numbers;
+there is no per-pair entry point. The original object-graph
+implementation is kept as :func:`all_pairs_adjusted_cosine_reference` —
+it is the oracle for the equivalence property tests and the baseline for
+the microbenchmarks in ``benchmarks/test_similarity_bench.py``.
 """
 
 from __future__ import annotations
@@ -30,18 +26,6 @@ import math
 from typing import Iterator
 
 from repro.data.ratings import RatingTable
-
-
-def adjusted_cosine(table: RatingTable, item_i: str, item_j: str) -> float:
-    """Adjusted cosine similarity between two items (Eq 6).
-
-    Returns 0.0 when the items share no user or either centered norm is
-    zero (an item whose every rater rated at their personal mean carries
-    no preference signal). One sorted-profile merge per call; the
-    centered profiles and both norms come precomputed from the store
-    instead of being rebuilt per pair.
-    """
-    return table.matrix().adjusted_cosine(item_i, item_j)
 
 
 def all_pairs_adjusted_cosine(

@@ -1,5 +1,6 @@
 """Unit tests for the CF substrate (repro.cf)."""
 
+import math
 import random
 
 import pytest
@@ -94,9 +95,15 @@ class TestItemKNN:
         with pytest.raises(ConfigError):
             ItemKNNRecommender(tiny_table, k=-1)
 
-    def test_similarity_cache_symmetric(self, tiny_table):
+    def test_index_rows_symmetric(self, tiny_table):
         rec = ItemKNNRecommender(tiny_table, k=2)
-        assert rec.item_similarity("a", "b") == rec.item_similarity("b", "a")
+        index = rec.neighbor_index()
+        rows = [dict(zip(*(column.tolist() for column in index.row(i))))
+                for i in range(len(index.items))]
+        assert any(rows)
+        for i, row in enumerate(rows):
+            for j, sim in row.items():
+                assert rows[j][i] == sim
 
     def test_positive_only_default(self, tiny_table):
         rec = ItemKNNRecommender(tiny_table, k=5)
@@ -143,14 +150,15 @@ class TestItemKNN:
 
 
 class TestItemKNNServingIndex:
-    """The index path (O(k) row scans) vs the per-pair path.
+    """The index path (O(k) row scans) vs a per-pair path.
 
     Given the same similarity values, the two selection algorithms must
     agree *exactly* — neighbor lists and raw Eq-4 predictions bit for
-    bit. The legacy ``use_index=False`` path computes each similarity
-    with a per-pair dot product whose summation order differs from the
-    bulk Eq-6 accumulation by ~1e-15, so against it the contract is
-    1e-9 agreement on predictions.
+    bit. The legacy per-pair path, kept here as an oracle, computes each
+    similarity straight from the formula (``math.fsum`` over the
+    co-raters), whose rounding differs from the bulk Eq-6 accumulation
+    by ~1e-15, so against it the contract is 1e-9 agreement on
+    predictions.
     """
 
     def _seeded_table(self, seed=29, n_users=40, n_items=30, n_ratings=420):
@@ -180,16 +188,40 @@ class TestItemKNNServingIndex:
                 candidates[rated] = sim
         return top_k(candidates, rec.k)
 
-    def _reference_raw(self, rec, neighbors, user, item):
+    def _reference_raw(self, rec, neighbors, user, item, alpha=0.0):
+        now = max(r.timestep for r in rec.table.user_profile(user).values())
         numerator = 0.0
         denominator = 0.0
         for rated, sim in neighbors:
             rating = rec.table.get(user, rated)
-            numerator += sim * (rating.value - rec.table.item_mean(rated))
-            denominator += abs(sim)
+            decay = math.exp(-alpha * (now - rating.timestep))
+            numerator += sim * (rating.value - rec.table.item_mean(rated)) * decay
+            denominator += abs(sim) * decay
         if denominator == 0.0:
             return None
         return rec.table.item_mean(item) + numerator / denominator
+
+    def _legacy_neighbors(self, rec, user, item):
+        """The legacy per-pair path: Eq 6 from the formula for each
+        rated item, then ``top_k``."""
+        table = rec.table
+        candidates = {}
+        for rated in table.user_items(user):
+            if rated == item:
+                continue
+            common = table.item_users(item) & table.item_users(rated)
+            numerator = math.fsum(
+                (table.value(u, item) - table.user_mean(u))
+                * (table.value(u, rated) - table.user_mean(u)) for u in common)
+            norms = math.prod(
+                math.sqrt(math.fsum((r.value - table.user_mean(u)) ** 2
+                                    for u, r in table.item_profile(i).items()))
+                for i in (item, rated))
+            if numerator != 0.0 and norms != 0.0:
+                sim = max(-1.0, min(1.0, numerator / norms))
+                if sim > 0.0:
+                    candidates[rated] = sim
+        return top_k(candidates, rec.k)
 
     @pytest.mark.parametrize("positive_only", [True, False])
     def test_predictions_via_index_match_per_pair_path_exactly(self, positive_only):
@@ -211,24 +243,25 @@ class TestItemKNNServingIndex:
     def test_index_agrees_with_legacy_pairwise_path(self):
         table = self._seeded_table(seed=31)
         indexed = ItemKNNRecommender(table, k=7)
-        legacy = ItemKNNRecommender(table, k=7, use_index=False)
         users = sorted(table.users)[:10]
         items = sorted(table.items)[:10]
         for user in users:
             for item in items:
-                assert [n for n, _ in indexed.rated_neighbors(user, item)] \
-                    == [n for n, _ in legacy.rated_neighbors(user, item)]
-                assert indexed.predict(user, item) == pytest.approx(
-                    legacy.predict(user, item), abs=1e-9)
+                legacy = self._legacy_neighbors(indexed, user, item)
+                got = indexed.rated_neighbors(user, item)
+                assert [n for n, _ in got] == [n for n, _ in legacy]
+                assert indexed._predict_raw(user, item) == pytest.approx(
+                    self._reference_raw(indexed, legacy, user, item), abs=1e-9)
 
     def test_temporal_variant_serves_from_index(self):
         table = self._seeded_table(seed=37)
         indexed = TemporalItemKNNRecommender(table, k=5, alpha=0.03)
-        legacy = TemporalItemKNNRecommender(table, k=5, alpha=0.03, use_index=False)
         user = sorted(table.users)[0]
         for item in sorted(table.items)[:10]:
-            assert indexed.predict(user, item) == pytest.approx(
-                legacy.predict(user, item), abs=1e-9)
+            legacy = self._legacy_neighbors(indexed, user, item)
+            assert indexed._predict_raw(user, item) == pytest.approx(
+                self._reference_raw(indexed, legacy, user, item, alpha=0.03),
+                abs=1e-9)
 
 
 class TestTemporal:

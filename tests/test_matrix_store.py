@@ -1,10 +1,11 @@
 """Equivalence tests for the interned MatrixRatingStore fast paths.
 
-The store-backed similarity layer must be a drop-in replacement for the
-original object-graph implementations: same string-keyed signatures, same
-values (to 1e-9), same guard semantics. These tests pit the fast paths
-against the retained ``*_reference`` oracles on random tables — including
-the ``min_common_users`` / ``max_profile_size`` guards — and check the
+The store-backed similarity layer must match the formulas it replaces:
+same values (to 1e-9), same guard semantics. These tests pit the fast
+paths — the Eq-6 sweep and its ``NeighborIndex`` rows, Eq 1's
+``user_similarities``, significance — against the retained
+``*_reference`` and naive oracles on random tables, including the
+``min_common_users`` / ``max_profile_size`` guards, and check the
 store's arrays, exactly, against their definitions over the table.
 """
 
@@ -21,12 +22,9 @@ from repro.data.matrix import MatrixRatingStore
 from repro.data.ratings import Rating, RatingTable
 from repro.errors import SimilarityError
 from repro.similarity.adjusted_cosine import (
-    adjusted_cosine,
     all_pairs_adjusted_cosine,
     all_pairs_adjusted_cosine_reference,
 )
-from repro.similarity.cosine import cosine
-from repro.similarity.pearson import pearson_items, pearson_users
 from repro.similarity.significance import (
     normalized_significance,
     significance,
@@ -128,24 +126,26 @@ def test_all_pairs_yields_sorted_pairs_once(table):
 @_common
 @given(table=rating_tables())
 def test_single_pair_metrics_match_naive(table):
+    store = table.matrix()
+    index = store.neighbor_index()
     items = sorted(table.items)[:5]
-    users = sorted(table.users)[:5]
     for a in items:
+        ids, weights = index.row(store.item_index[a])
+        row = {store.items[j]: w for j, w in zip(ids.tolist(), weights.tolist())}
         for b in items:
-            if a >= b:
+            if a == b:
                 continue
             assert significance(table, a, b) == significance_reference(table, a, b)
-            assert adjusted_cosine(table, a, b) == pytest.approx(
+            # An index row holds every nonzero Eq-6 neighbor; no entry is 0.
+            assert row.get(b, 0.0) == pytest.approx(
                 _naive_adjusted_cosine(table, a, b), abs=1e-9)
-            assert cosine(table, a, b) == pytest.approx(
-                _naive_cosine(table, a, b), abs=1e-9)
-            assert pearson_items(table, a, b) == pytest.approx(
-                _naive_pearson_items(table, a, b), abs=1e-9)
-    for a in users:
-        for b in users:
-            if a >= b:
-                continue
-            assert pearson_users(table, a, b) == pytest.approx(
+    for a in sorted(table.users)[:5]:
+        others, sims = store.user_similarities(a)
+        assert others.tolist() == sorted(set(others.tolist()))
+        got = {store.users[o]: sim for o, sim in zip(others.tolist(), sims.tolist())}
+        assert a not in got
+        for b in table.users - {a}:
+            assert got.get(b, 0.0) == pytest.approx(
                 _naive_pearson_users(table, a, b), abs=1e-9)
 
 
@@ -203,36 +203,6 @@ def _naive_adjusted_cosine(table, item_i, item_j):
     return max(-1.0, min(1.0, numerator / norms))
 
 
-def _naive_cosine(table, item_i, item_j):
-    common = table.item_users(item_i) & table.item_users(item_j)
-    numerator = math.fsum(
-        table.value(u, item_i) * table.value(u, item_j) for u in common)
-    norm_i = math.sqrt(math.fsum(
-        r.value ** 2 for r in table.item_profile(item_i).values()))
-    norm_j = math.sqrt(math.fsum(
-        r.value ** 2 for r in table.item_profile(item_j).values()))
-    if numerator == 0.0 or norm_i == 0.0 or norm_j == 0.0:
-        return 0.0
-    return max(-1.0, min(1.0, numerator / (norm_i * norm_j)))
-
-
-def _naive_pearson_items(table, item_i, item_j):
-    common = sorted(table.item_users(item_i) & table.item_users(item_j))
-    if len(common) < 2:
-        return 0.0
-    values_i = [table.value(u, item_i) for u in common]
-    values_j = [table.value(u, item_j) for u in common]
-    mean_i = math.fsum(values_i) / len(values_i)
-    mean_j = math.fsum(values_j) / len(values_j)
-    numerator = math.fsum(
-        (vi - mean_i) * (vj - mean_j) for vi, vj in zip(values_i, values_j))
-    var_i = math.fsum((vi - mean_i) ** 2 for vi in values_i)
-    var_j = math.fsum((vj - mean_j) ** 2 for vj in values_j)
-    if var_i == 0.0 or var_j == 0.0:
-        return 0.0
-    return max(-1.0, min(1.0, numerator / math.sqrt(var_i * var_j)))
-
-
 def _naive_pearson_users(table, user_a, user_b):
     common = table.user_items(user_a) & table.user_items(user_b)
     numerator = math.fsum(
@@ -277,8 +247,6 @@ class TestStoreBasics:
         assert list(store.all_pairs_adjusted_cosine()) == []
 
     def test_unknown_items_behave_like_reference(self, tiny_table):
-        assert adjusted_cosine(tiny_table, "a", "nope") == 0.0
-        assert cosine(tiny_table, "nope", "a") == 0.0
         assert significance(tiny_table, "nope", "nada") == 0
         # One known item: union is nonempty, significance is 0.
         assert normalized_significance(tiny_table, "a", "nope") == 0.0
@@ -286,8 +254,10 @@ class TestStoreBasics:
             normalized_significance(RatingTable(), "x", "y")
 
     def test_unknown_users_pearson_zero(self, tiny_table):
-        assert pearson_users(tiny_table, "u1", "ghost") == 0.0
-        assert pearson_users(tiny_table, "ghost", "phantom") == 0.0
+        store = tiny_table.matrix()
+        others, _ = store.user_similarities("u1")
+        assert len(others) and store.user_index.get("ghost") is None
+        assert [len(column) for column in store.user_similarities("ghost")] == [0, 0]
 
 
 class TestGraphBulkAndTopK:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +19,7 @@ from repro.errors import SimilarityError
 from repro.evaluation.metrics import mae, rmse
 from repro.privacy.mechanisms import exponential_mechanism
 from repro.privacy.sensitivity import item_similarity_sensitivity
-from repro.similarity.adjusted_cosine import adjusted_cosine
 from repro.similarity.knn import top_k
-from repro.similarity.pearson import pearson_users
 from repro.similarity.significance import (
     normalized_significance,
     significance,
@@ -55,27 +52,29 @@ _common = settings(max_examples=40, deadline=None,
 @_common
 @given(table=rating_tables())
 def test_adjusted_cosine_bounded_and_symmetric(table):
-    items = sorted(table.items)
-    for a in items[:4]:
-        for b in items[:4]:
-            if a >= b:
-                continue
-            sim = adjusted_cosine(table, a, b)
-            assert -1.0 - 1e-9 <= sim <= 1.0 + 1e-9
-            assert sim == pytest.approx(adjusted_cosine(table, b, a))
+    # Eq 6 as the NeighborIndex rows hold it, both ways round.
+    store = table.matrix()
+    index = store.neighbor_index()
+    rows = [dict(zip(*(column.tolist() for column in index.row(i))))
+            for i in range(store.n_items)]
+    for i, row in enumerate(rows):
+        for j, sim in row.items():
+            assert -1.0 <= sim <= 1.0
+            assert rows[j][i] == sim
 
 
 @_common
 @given(table=rating_tables())
 def test_pearson_users_bounded_and_symmetric(table):
-    users = sorted(table.users)
-    for a in users[:4]:
-        for b in users[:4]:
-            if a >= b:
-                continue
-            sim = pearson_users(table, a, b)
-            assert -1.0 - 1e-9 <= sim <= 1.0 + 1e-9
-            assert sim == pytest.approx(pearson_users(table, b, a))
+    # Eq 1 from MatrixRatingStore.user_similarities, both ways round.
+    store = table.matrix()
+    sims = [dict(zip(*(column.tolist() for column in store.user_similarities(user))))
+            for user in store.users]
+    for a, row in enumerate(sims):
+        assert a not in row
+        for b, sim in row.items():
+            assert -1.0 <= sim <= 1.0 and sim != 0.0
+            assert sims[b][a] == sim
 
 
 @_common

@@ -844,9 +844,6 @@ def test_injected_index_must_match_item_universe(tiny_table):
     foreign = other.matrix().neighbor_index()
     with pytest.raises(ConfigError, match="item universe"):
         ItemKNNRecommender(tiny_table, k=2, index=foreign)
-    with pytest.raises(ConfigError, match="contradicts"):
-        ItemKNNRecommender(tiny_table, k=2, use_index=False,
-                           index=tiny_table.matrix().neighbor_index())
 
 
 def test_lru_put_if_respects_invalidation_generation():

@@ -1,19 +1,38 @@
-"""Unit tests for the similarity metrics (repro.similarity)."""
+"""Unit tests for the similarity metrics (repro.similarity).
+
+Eq 6 is read where the recommenders read it, from the rows of the
+store's ``NeighborIndex``; Eq 1 from ``MatrixRatingStore.user_similarities``.
+"""
 
 import pytest
 
 from repro.data.ratings import Rating, RatingTable
 from repro.errors import SimilarityError
-from repro.similarity.adjusted_cosine import (
-    adjusted_cosine,
-    all_pairs_adjusted_cosine,
-)
-from repro.similarity.cosine import cosine
-from repro.similarity.pearson import pearson_items, pearson_users
+from repro.similarity.adjusted_cosine import all_pairs_adjusted_cosine
 from repro.similarity.significance import (
     normalized_significance,
     significance,
 )
+
+
+def eq6(table):
+    """Every Eq-6 similarity of *table* as its ``NeighborIndex`` rows
+    hold them, both ways round: ``{(i, j): sim}`` (no entry: 0)."""
+    store = table.matrix()
+    index = store.neighbor_index()
+    sims = {}
+    for i, item in enumerate(store.items):
+        ids, weights = index.row(i)
+        for j, weight in zip(ids.tolist(), weights.tolist()):
+            sims[item, store.items[j]] = weight
+    return sims
+
+
+def eq1(table, user):
+    """Eq 1 between *user* and every co-rater: ``{other: sim}``."""
+    store = table.matrix()
+    others, sims = store.user_similarities(user)
+    return {store.users[o]: sim for o, sim in zip(others.tolist(), sims.tolist())}
 
 
 class TestAdjustedCosine:
@@ -24,32 +43,33 @@ class TestAdjustedCosine:
             Rating("u2", "a", 4.0), Rating("u2", "b", 2.0)])
         # centered: u1 -> a:+1, b:-1 ; u2 -> a:+1, b:-1
         # numerator = -1 + -1 = -2; norms = sqrt(2)*sqrt(2) = 2
-        assert adjusted_cosine(table, "a", "b") == pytest.approx(-1.0)
+        assert eq6(table)["a", "b"] == pytest.approx(-1.0)
 
     def test_no_common_users_is_zero(self, scenario):
         merged = scenario.merged()
-        assert adjusted_cosine(merged, "interstellar", "forever-war") == 0.0
+        assert ("interstellar", "forever-war") not in eq6(merged)
 
     def test_symmetry(self, tiny_table):
-        assert adjusted_cosine(tiny_table, "a", "b") == pytest.approx(
-            adjusted_cosine(tiny_table, "b", "a"))
+        sims = eq6(tiny_table)
+        assert sims["a", "b"] == sims["b", "a"]
 
     def test_bounded(self, small_trace):
         merged = small_trace.merged()
-        items = sorted(merged.items)[:15]
-        for i in items:
-            for j in items:
-                if i < j:
-                    assert -1.0 <= adjusted_cosine(merged, i, j) <= 1.0
+        sims = eq6(merged)
+        assert sims
+        assert all(-1.0 <= sim <= 1.0 for sim in sims.values())
 
     def test_degenerate_constant_rater(self):
         # Single user rating everything identically: centered values 0.
         table = RatingTable([Rating("u", "a", 4.0), Rating("u", "b", 4.0)])
-        assert adjusted_cosine(table, "a", "b") == 0.0
+        assert eq6(table) == {}
 
     def test_all_pairs_matches_pointwise(self, tiny_table):
-        for item_i, item_j, sim in all_pairs_adjusted_cosine(tiny_table):
-            assert sim == pytest.approx(adjusted_cosine(tiny_table, item_i, item_j))
+        sims = eq6(tiny_table)
+        pairs = list(all_pairs_adjusted_cosine(tiny_table))
+        assert len(sims) == 2 * len(pairs)
+        for item_i, item_j, sim in pairs:
+            assert sim == sims[item_i, item_j]
 
     def test_all_pairs_yields_each_pair_once(self, tiny_table):
         pairs = [(i, j) for i, j, _ in all_pairs_adjusted_cosine(tiny_table)]
@@ -68,60 +88,27 @@ class TestAdjustedCosine:
         assert contributing <= {"a", "b", "d"}
 
 
-class TestCosine:
-    def test_positive_for_corated(self, tiny_table):
-        # raw cosine of co-rated items is positive (all ratings > 0)
-        assert cosine(tiny_table, "a", "b") > 0.0
-
-    def test_zero_without_common_users(self, scenario):
-        merged = scenario.merged()
-        assert cosine(merged, "interstellar", "forever-war") == 0.0
-
-    def test_bounded_and_symmetric(self, tiny_table):
-        value = cosine(tiny_table, "b", "c")
-        assert -1.0 <= value <= 1.0
-        assert value == pytest.approx(cosine(tiny_table, "c", "b"))
-
-
-class TestPearsonItems:
-    def test_needs_two_common_raters(self, tiny_table):
-        # items c and d share only u3.
-        assert pearson_items(tiny_table, "c", "d") == 0.0
-
-    def test_perfect_correlation(self):
-        table = RatingTable([
-            Rating("u1", "a", 1.0), Rating("u1", "b", 2.0),
-            Rating("u2", "a", 3.0), Rating("u2", "b", 4.0),
-            Rating("u3", "a", 5.0), Rating("u3", "b", 5.0)])
-        assert pearson_items(table, "a", "b") > 0.9
-
-    def test_degenerate_variance(self):
-        table = RatingTable([
-            Rating("u1", "a", 3.0), Rating("u1", "b", 2.0),
-            Rating("u2", "a", 3.0), Rating("u2", "b", 4.0)])
-        assert pearson_items(table, "a", "b") == 0.0
-
-
 class TestPearsonUsers:
     def test_symmetry(self, tiny_table):
-        assert pearson_users(tiny_table, "u1", "u2") == pytest.approx(
-            pearson_users(tiny_table, "u2", "u1"))
+        for a in tiny_table.users:
+            for b, sim in eq1(tiny_table, a).items():
+                assert eq1(tiny_table, b)[a] == sim
 
     def test_agreeing_users_positive(self, tiny_table):
         # u1 and u2 rate a high and b low relative to item means.
-        assert pearson_users(tiny_table, "u1", "u2") > 0.0
+        assert eq1(tiny_table, "u1")["u2"] > 0.0
 
     def test_no_common_items_zero(self):
         table = RatingTable([Rating("u1", "a", 5.0), Rating("u2", "b", 1.0)])
-        assert pearson_users(table, "u1", "u2") == 0.0
+        assert eq1(table, "u1") == {}
+        assert eq1(table, "ghost") == {}
 
     def test_bounded(self, small_trace):
         merged = small_trace.merged()
-        users = sorted(merged.users)[:10]
-        for a in users:
-            for b in users:
-                if a < b:
-                    assert -1.0 <= pearson_users(merged, a, b) <= 1.0
+        for a in sorted(merged.users)[:10]:
+            sims = eq1(merged, a)
+            assert a not in sims
+            assert all(-1.0 <= sim <= 1.0 and sim != 0.0 for sim in sims.values())
 
 
 class TestSignificance:
