@@ -20,7 +20,7 @@ Variants (matching the paper's naming):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.cf.item_knn import ItemKNNRecommender
@@ -110,16 +110,9 @@ class XMapConfig:
                        max_paths_per_item=self.max_paths_per_item).validated()
         return self
 
-    def with_overrides(self, **kwargs) -> "XMapConfig":
-        """Functional update helper for parameter sweeps."""
-        return replace(self, **kwargs).validated()
-
 
 class _PipelineBase:
     """Shared offline pipeline; subclasses choose generator + recommender."""
-
-    #: paper-style display name prefix, set by subclasses.
-    family = "?"
 
     def __init__(self, config: XMapConfig | None = None) -> None:
         self.config = (config or XMapConfig()).validated()
@@ -140,12 +133,6 @@ class _PipelineBase:
         raise NotImplementedError
 
     # -- pipeline ---------------------------------------------------------
-
-    @property
-    def variant_name(self) -> str:
-        """Paper-style name, e.g. ``X-Map-ib``."""
-        suffix = {"item": "ib", "user": "ub", "mf": "mf"}[self.config.mode]
-        return f"{self.family}-{suffix}"
 
     def fit(self, data: CrossDomainDataset,
             users: Iterable[str] | None = None) -> "_PipelineBase":
@@ -229,8 +216,6 @@ class NXMapRecommender(_PipelineBase):
     domain (with Eq 7 decay in item mode when ``alpha > 0``).
     """
 
-    family = "NX-Map"
-
     def _make_generator(self, xsim_map: XSimMap) -> AlterEgoGenerator:
         return AlterEgoGenerator(
             xsim_map, policy=ReplacementPolicy.NON_PRIVATE,
@@ -254,8 +239,6 @@ class XMapRecommender(_PipelineBase):
     PRS replacements (ε-DP AlterEgos) plus PNSA + PNCF recommendation
     (ε′-DP), with the spends recorded in :attr:`accountant`.
     """
-
-    family = "X-Map"
 
     def __init__(self, config: XMapConfig | None = None) -> None:
         super().__init__(config)

@@ -80,14 +80,6 @@ class Rating:
     value: float
     timestep: int = 0
 
-    def moved_to(self, item: str) -> "Rating":
-        """Return the same rating attached to a different item.
-
-        This is the primitive behind AlterEgo construction (§4.3): the
-        rating and its timestep travel, only the item id changes.
-        """
-        return Rating(self.user, item, self.value, self.timestep)
-
 
 class RatingColumns(NamedTuple):
     """A table's ratings as parallel columns: row *k* is ``(users[
@@ -420,11 +412,6 @@ class RatingTable:
         """Return a new table with every rating by *users* removed."""
         gone = set(users)
         return RatingTable((r for r in self if r.user not in gone), scale=self._scale)
-
-    def without_items(self, items: Iterable[str]) -> "RatingTable":
-        """Return a new table with every rating of *items* removed."""
-        gone = set(items)
-        return RatingTable((r for r in self if r.item not in gone), scale=self._scale)
 
     def without_pairs(self, pairs: Iterable[tuple[str, str]]) -> "RatingTable":
         """Return a new table with the given (user, item) ratings removed.

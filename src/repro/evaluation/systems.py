@@ -1,13 +1,15 @@
-"""Factories for every system the experiments evaluate.
+"""Factories for the competitor systems the experiments evaluate.
 
 Each factory takes the training split and returns a fitted
 :class:`~repro.cf.predictor.Recommender`, so experiment modules can
 sweep parameters without repeating wiring. Names follow the paper's
-figures: ``X-MAP-IB``, ``NX-MAP-UB``, ``ITEMAVERAGE``, ``REMOTEUSER``,
-``ITEM-BASED-KNN`` (= KNN-cd), ``KNN-SD``.
+figures: ``ITEMAVERAGE``, ``REMOTEUSER``, ``ITEM-BASED-KNN`` (= KNN-cd),
+``KNN-SD``. The X-Map and NX-Map variants share one offline fit per
+split, so the experiments' lab builds them
+(:mod:`repro.evaluation.experiments.common`).
 
-The paper's tuned privacy parameters (§6.3) are the defaults: X-Map-ib
-uses (ε = 0.3, ε′ = 0.8), X-Map-ub uses (ε = 0.6, ε′ = 0.3).
+:data:`TUNED_PRIVACY` holds the paper's tuned privacy parameters
+(§6.3): X-Map-ib uses (ε = 0.3, ε′ = 0.8), X-Map-ub (ε = 0.6, ε′ = 0.3).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from repro.competitors.linked_domain import (
     SingleDomainItemKNN,
 )
 from repro.competitors.remote_user import RemoteUserRecommender
-from repro.core.pipeline import NXMapRecommender, XMapConfig, XMapRecommender
 from repro.data.splits import TrainTestSplit
 
 #: factory signature shared by every system below.
@@ -29,29 +30,6 @@ SystemFactory = Callable[[TrainTestSplit], Recommender]
 
 #: the paper's tuned privacy parameters (§6.3).
 TUNED_PRIVACY = {"item": (0.3, 0.8), "user": (0.6, 0.3)}
-
-
-def make_nxmap(split: TrainTestSplit, mode: str = "item", k: int = 50,
-               prune_k: int = 50, alpha: float = 0.0,
-               seed: int = 0) -> Recommender:
-    """NX-Map (non-private), fitted for the split's test users."""
-    config = XMapConfig(mode=mode, cf_k=k, prune_k=prune_k, alpha=alpha, seed=seed)
-    return NXMapRecommender(config).fit(split.train, users=split.test_users)
-
-
-def make_xmap(split: TrainTestSplit, mode: str = "item", k: int = 50,
-              prune_k: int = 50, alpha: float = 0.0,
-              epsilon: float | None = None,
-              epsilon_prime: float | None = None,
-              seed: int = 0) -> Recommender:
-    """X-Map (private), defaults to the paper's tuned (ε, ε′)."""
-    tuned_eps, tuned_eps_prime = TUNED_PRIVACY[mode]
-    config = XMapConfig(
-        mode=mode, cf_k=k, prune_k=prune_k, alpha=alpha,
-        epsilon=epsilon if epsilon is not None else tuned_eps,
-        epsilon_prime=(epsilon_prime if epsilon_prime is not None else tuned_eps_prime),
-        seed=seed)
-    return XMapRecommender(config).fit(split.train, users=split.test_users)
 
 
 def make_item_average(split: TrainTestSplit) -> Recommender:

@@ -10,9 +10,7 @@ from repro.evaluation.systems import (
     make_item_average,
     make_knn_sd,
     make_linked_knn,
-    make_nxmap,
     make_remote_user,
-    make_xmap,
 )
 from repro.errors import EvaluationError
 
@@ -68,16 +66,6 @@ class TestSystemFactories:
             recommender = factory(small_split)
             user, item, _ = small_split.hidden_pairs()[0]
             assert 1.0 <= recommender.predict(user, item) <= 5.0
-
-    def test_nxmap_factory(self, small_split):
-        recommender = make_nxmap(small_split, k=10, prune_k=6)
-        user, item, _ = small_split.hidden_pairs()[0]
-        assert 1.0 <= recommender.predict(user, item) <= 5.0
-
-    def test_xmap_factory_uses_tuned_defaults(self, small_split):
-        recommender = make_xmap(small_split, mode="user", k=10, prune_k=6)
-        assert recommender.config.epsilon == 0.6
-        assert recommender.config.epsilon_prime == 0.3
 
 
 class TestReporting:

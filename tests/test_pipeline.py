@@ -22,13 +22,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             XMapConfig(cf_k=0).validated()
 
-    def test_with_overrides(self):
-        config = XMapConfig().with_overrides(cf_k=10, mode="user")
-        assert config.cf_k == 10
-        assert config.mode == "user"
-        with pytest.raises(ConfigError):
-            XMapConfig().with_overrides(cf_k=-1)
-
 
 class TestNXMapPipeline:
     @pytest.fixture(scope="class")
@@ -43,11 +36,6 @@ class TestNXMapPipeline:
             rec.predict("u", "i")
         with pytest.raises(ReproError):
             rec.item_mapping()
-
-    def test_variant_names(self):
-        assert NXMapRecommender(XMapConfig(mode="item")).variant_name == "NX-Map-ib"
-        assert NXMapRecommender(XMapConfig(mode="user")).variant_name == "NX-Map-ub"
-        assert XMapRecommender(XMapConfig(mode="user")).variant_name == "X-Map-ub"
 
     def test_predicts_in_scale(self, fitted, small_split):
         for user, item, _ in small_split.hidden_pairs()[:30]:
@@ -127,6 +115,5 @@ class TestMFMode:
         config = XMapConfig(prune_k=8, mode="mf", seed=1)
         fitted = NXMapRecommender(config).fit(
             small_split.train, users=small_split.test_users)
-        assert fitted.variant_name == "NX-Map-mf"
         for user, item, _ in small_split.hidden_pairs()[:10]:
             assert 1.0 <= fitted.predict(user, item) <= 5.0

@@ -96,10 +96,6 @@ class TestDerivation:
         assert len(reduced) == 7
         assert len(tiny_table) == 10  # original untouched
 
-    def test_without_items(self, tiny_table):
-        reduced = tiny_table.without_items(["a", "d"])
-        assert reduced.items == {"b", "c"}
-
     def test_without_pairs(self, tiny_table):
         reduced = tiny_table.without_pairs([("u1", "a"), ("u3", "d")])
         assert len(reduced) == 8
@@ -149,12 +145,6 @@ class TestClipAndMoved:
         assert tiny_table.clip(9.0) == 5.0
         assert tiny_table.clip(-2.0) == 1.0
         assert tiny_table.clip(3.3) == 3.3
-
-    def test_moved_to(self):
-        rating = Rating("u", "i", 4.0, 7)
-        moved = rating.moved_to("j")
-        assert moved == Rating("u", "j", 4.0, 7)
-        assert rating.item == "i"
 
     def test_rating_is_hashable_and_frozen(self):
         rating = Rating("u", "i", 4.0, 7)
