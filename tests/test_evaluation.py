@@ -6,7 +6,9 @@ from repro.cf.item_average import ItemAverageRecommender
 from repro.evaluation.harness import evaluate
 from repro.evaluation.metrics import mae, precision_at_n, rmse
 from repro.evaluation.reporting import ExperimentResult, format_table
+from repro.evaluation.experiments.common import XMapLab
 from repro.evaluation.systems import (
+    TUNED_PRIVACY,
     make_item_average,
     make_knn_sd,
     make_linked_knn,
@@ -66,6 +68,21 @@ class TestSystemFactories:
             recommender = factory(small_split)
             user, item, _ = small_split.hidden_pairs()[0]
             assert 1.0 <= recommender.predict(user, item) <= 5.0
+
+    # The X-Map variants share one offline fit: the experiments' lab
+    # is their factory.
+    def test_nxmap_factory(self, small_split):
+        recommender = XMapLab(small_split, prune_k=6).nx_recommender(k=10)
+        user, item, _ = small_split.hidden_pairs()[0]
+        assert 1.0 <= recommender.predict(user, item) <= 5.0
+
+    def test_xmap_factory_uses_tuned_defaults(self, small_split):
+        # §6.3's tuned (ε, ε′) per mode.
+        assert TUNED_PRIVACY == {"item": (0.3, 0.8), "user": (0.6, 0.3)}
+        lab = XMapLab(small_split, prune_k=6)
+        recommender = lab.x_recommender(*TUNED_PRIVACY["user"], mode="user", k=10)
+        assert recommender.epsilon_prime == 0.3
+        assert recommender.table is lab.private_table(0.6)
 
 
 class TestReporting:

@@ -196,8 +196,7 @@ def _pair_sensitivity_reference(vector_i, vector_j):
         best = max(best, term_contribution, term_renorm)
     if degenerate and best == 0.0:
         return 2.0
-    return min(best, 2.0) if best > 0.0 else (
-        2.0 if degenerate else max(best, 1e-12))
+    return min(best, 2.0) if best > 0.0 else (2.0 if degenerate else max(best, 1e-12))
 
 
 def _item_sensitivity_reference(table, item_i, item_j):
@@ -252,8 +251,7 @@ class TestSensitivityMatchesDictReference:
 
     def test_lone_corater_is_degenerate(self):
         # Both items have one rater: removing them empties both vectors.
-        table = RatingTable([
-            Rating("u1", "a", 5.0), Rating("u1", "b", 1.0)])
+        table = RatingTable([Rating("u1", "a", 5.0), Rating("u1", "b", 1.0)])
         assert item_similarity_sensitivity(table, "a", "b") == 2.0
         assert _item_sensitivity_reference(table, "a", "b") == 2.0
 
