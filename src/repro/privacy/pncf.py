@@ -109,18 +109,17 @@ class PrivateItemKNNRecommender(_PrivateKNNBase):
         if idx is None or u is None:
             return None
         ids, weights = self.neighbor_index().row(idx)
-        # Every rated, positively similar item: PNSA makes the k cut.
-        # Positive neighborhoods, matching ItemKNNRecommender — see its
-        # docstring for why negatives hurt on sparse data.
-        start, end = store._user_row(u)
-        keep = np.isin(ids, store.user_item_idx[start:end],
-                       assume_unique=True) & (weights > 0.0)
+        # Every rated, positively similar item (ItemKNNRecommender's
+        # docstring says why not the negatives); PNSA makes the k cut.
+        rated = store.user_item_idx[store.user_ptr[u]:store.user_ptr[u + 1]]
+        keep = np.isin(ids, rated, assume_unique=True) & (weights > 0.0)
         if not keep.any():
             return None
         items = store.items
         similarities = dict(zip([items[j] for j in ids[keep].tolist()],
                                 weights[keep].tolist()))
-        sensitivities = {rated: self._sensitivity(item, rated) for rated in similarities}
+        sensitivities = {
+            rated: self._sensitivity(item, rated) for rated in similarities}
         config = PNSAConfig(k=self.k, epsilon=self.selection_epsilon, rho=self.rho)
         neighbors = private_neighbor_selection(
             similarities, sensitivities, config, self.rng)

@@ -61,6 +61,7 @@ def _pair_sensitivity(index_column, centered, slice_a, slice_b) -> float:
     common_a = vector_a[at_a]
     common_b = vector_b[at_b]
     dot = math.fsum((common_a * common_b).tolist())
+    norms = math.sqrt(norm_sq_a) * math.sqrt(norm_sq_b)
 
     reduced_a = np.sqrt(np.maximum(0.0, norm_sq_a - common_a ** 2))
     reduced_b = np.sqrt(np.maximum(0.0, norm_sq_b - common_b ** 2))
@@ -73,7 +74,7 @@ def _pair_sensitivity(index_column, centered, slice_a, slice_b) -> float:
         contribution = np.abs(common_a[live] * common_b[live]) / reduced
         # (b) the renormalisation shift of the full dot product (a live
         # co-rater's reduced norms are nonzero, so the full ones are too)
-        renorm = np.abs(dot / reduced - dot / (math.sqrt(norm_sq_a) * math.sqrt(norm_sq_b)))
+        renorm = np.abs(dot / reduced - dot / norms)
         best = float(max(contribution.max(), renorm.max()))
     if best == 0.0:
         return _DEGENERATE_SENSITIVITY if degenerate else 1e-12
@@ -95,10 +96,11 @@ def item_similarity_sensitivity(table: RatingTable, item_i: str, item_j: str) ->
     store = table.matrix()
     i = store.item_index.get(item_i)
     j = store.item_index.get(item_j)
+    ptr = store.item_ptr
     return _pair_sensitivity(
         store.item_user_idx, store.item_centered,
-        None if i is None else store._item_col(i),
-        None if j is None else store._item_col(j))
+        None if i is None else (ptr[i], ptr[i + 1]),
+        None if j is None else (ptr[j], ptr[j + 1]))
 
 
 def user_similarity_sensitivity(table: RatingTable, user_a: str, user_b: str) -> float:
@@ -111,7 +113,8 @@ def user_similarity_sensitivity(table: RatingTable, user_a: str, user_b: str) ->
     store = table.matrix()
     a = store.user_index.get(user_a)
     b = store.user_index.get(user_b)
+    ptr = store.user_ptr
     return _pair_sensitivity(
         store.user_item_idx, store.user_item_centered,
-        None if a is None else store._user_row(a),
-        None if b is None else store._user_row(b))
+        None if a is None else (ptr[a], ptr[a + 1]),
+        None if b is None else (ptr[b], ptr[b + 1]))

@@ -228,7 +228,8 @@ class TestSensitivityMatchesDictReference:
         for n, i in enumerate(items):
             for j in items[n:]:
                 got = item_similarity_sensitivity(table, i, j)
-                assert got.hex() == _item_sensitivity_reference(table, i, j).hex(), (i, j)
+                want = _item_sensitivity_reference(table, i, j)
+                assert got.hex() == want.hex(), (i, j)
 
     def test_every_user_pair_bit_identical(self, small_trace):
         table = small_trace.target.ratings
@@ -236,7 +237,8 @@ class TestSensitivityMatchesDictReference:
         for n, a in enumerate(users):
             for b in users[n:]:
                 got = user_similarity_sensitivity(table, a, b)
-                assert got.hex() == _user_sensitivity_reference(table, a, b).hex(), (a, b)
+                want = _user_sensitivity_reference(table, a, b)
+                assert got.hex() == want.hex(), (a, b)
 
     def test_no_corater_and_unknown_ids(self):
         table = RatingTable([
