@@ -15,6 +15,11 @@ correctness at that size:
 * the augmented rows of a 50-user sample, read from the table's
   columns, ``==`` the per-rating fold (``alterego_profile``) under the
   real-ratings-win rule of footnote 6, and
+* a fresh Eq-6 accumulation (``pair_accumulation``) over the trace's
+  merged store, the sweep the fit's Baseliner runs, peaks at most
+  ``ACCUMULATION_PEAK_MB`` under ``tracemalloc`` — a count of bytes,
+  not a timing (one ``(key, value)`` pair per contribution traced
+  112 MB here), and
 * at the default seed, the fit's X-Sim map, replacement sets, augmented
   rows and item mapping hash to the ``trace_l`` digests committed in
   ``tests/golden/fit.json`` (``scripts/golden.py``; skipped with a note
@@ -27,6 +32,7 @@ import argparse
 import random
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import golden  # noqa: E402  (scripts/golden.py, beside this file)
 
 N_SAMPLE_USERS = 50
+ACCUMULATION_PEAK_MB = 40
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,6 +89,16 @@ def main(argv: list[str] | None = None) -> int:
                         f"per-rating fold, first {wrong[0]}")
     print(f"augmented table: {len(augmented)} ratings, "
           f"{len(got)} rows of {len(users)} users compared")
+
+    store = data.merged().matrix()
+    tracemalloc.start()
+    store.pair_accumulation()
+    peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    print(f"pair_accumulation traced peak: {peak_mb:.1f} MB "
+          f"(bound {ACCUMULATION_PEAK_MB} MB)")
+    if peak_mb > ACCUMULATION_PEAK_MB:
+        failures.append(f"pair_accumulation peaked at {peak_mb:.1f} MB")
 
     committed = golden.load()
     if args.seed != golden.SEED:

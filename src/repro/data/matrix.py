@@ -49,6 +49,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.similarity.knn import NeighborIndex
 
 
+#: The Eq-6 kernel's bounds (:meth:`MatrixRatingStore._accumulate`): dense
+#: cells one block of left codes holds (16 bytes a cell: sums and
+#: counts), and contributions one chunk adds into them at once.
+_BLOCK_CELLS = 1 << 18
+_CHUNK_PAIRS = 1 << 16
+
 #: Exact rating totals count units of ``2**-_TOTAL_SHIFT``: every finite
 #: double is a 53-bit integer mantissa times ``2**(e - 53)``, ``e ≥ -1073``.
 _TOTAL_SHIFT = 1126
@@ -107,7 +113,8 @@ class PairAccumulation:
 
     Produced by :meth:`MatrixRatingStore.pair_accumulation` (every
     eligible user) or :meth:`MatrixRatingStore.delta_pair_accumulation`
-    (the pairs an append touched). Pairs are encoded as
+    (the pairs an append touched), both through the one bounded Eq-6
+    kernel, :meth:`MatrixRatingStore._accumulate`. Pairs are encoded as
     ``left * n_items + right`` integer keys with ``left < right``.
 
     ``keys`` is a strictly-increasing int64 array and ``sums`` /
@@ -235,11 +242,10 @@ class MatrixRatingStore:
         "user_item_centered", "user_item_centered_norms",
         "item_ptr", "item_user_idx", "item_values", "item_centered",
         "item_likes", "item_centered_norms", "item_raw_norms",
-        "_triu_cache", "_like_dicts", "_value_total",
+        "_like_dicts", "_value_total",
     )
 
     def __init__(self, table: "RatingTable") -> None:
-        self._triu_cache: dict[int, tuple] = {}
         self._like_dicts: list[dict[int, bool] | None] | None = None
         # Exact rating total (_exact_total): seeded by the first append.
         self._value_total: int | None = None
@@ -501,16 +507,6 @@ class MatrixRatingStore:
     # All-pairs adjusted cosine (the Baseliner's Eq-6 sweep)
     # ------------------------------------------------------------------
 
-    def _triu(self, n: int):
-        """Cached upper-triangle index pair for a profile of length *n*
-        (profile lengths repeat heavily, so the cache removes most of the
-        per-user index-generation cost)."""
-        cached = self._triu_cache.get(n)
-        if cached is None:
-            cached = _np.triu_indices(n, 1)
-            self._triu_cache[n] = cached
-        return cached
-
     def all_pairs_adjusted_cosine(
             self, min_common_users: int = 1,
             max_profile_size: int | None = None,
@@ -524,9 +520,11 @@ class MatrixRatingStore:
         come out sorted by (i, j) with ``i < j`` (interning is
         lexicographic, so integer order is string order).
 
-        Peak memory is one ``(key, value)`` pair per
-        co-rating contribution (``Σ_u |X_u|²`` entries); cap skewed
-        profiles with *max_profile_size* as the paper's Spark job does.
+        Memory is the result plus the kernel's bounded blocks and
+        chunks (:meth:`_accumulate`), not one entry per co-rating
+        contribution (``Σ_u |X_u|²/2``); the work is still quadratic in
+        a profile, so cap skewed profiles with *max_profile_size* as the
+        paper's Spark job does.
         """
         left, right, similarities = self._pairs_from_accumulation(
             self.pair_accumulation(max_profile_size=max_profile_size),
@@ -535,95 +533,91 @@ class MatrixRatingStore:
         for a, b, sim in zip(left.tolist(), right.tolist(), similarities.tolist()):
             yield items[a], items[b], sim
 
-    def eligible_users(self, max_profile_size: int | None = None,
-                       users: Sequence[int] | None = None):
-        """User indexes that contribute Eq-6 pairs, in canonical sweep
-        order: profile-length groups ascending, user index ascending
-        within a group.
+    def _accumulate(self, users, item_codes, n_codes: int) -> PairAccumulation:
+        """The Eq-6 kernel every accumulation runs through.
 
-        *users* restricts to a subset (ascending) — the order of the
-        restricted sweep is the canonical order filtered to the subset,
-        so the delta re-accumulation visits its candidates exactly as
-        the full sweep would.
+        Sums ``c_ui · c_uj`` over the rows of *users* (ascending user
+        indexes) for every pair of their positions whose items have
+        codes ``item_codes[i] ≥ 0`` (``None``: the item index is the
+        code), keyed ``left * n_codes + right`` with ``left < right``.
+        Users are visited in one canonical order: profile length
+        ascending, user index ascending within a length.
+
+        Item-major: the positions are ordered by (left code, user rank)
+        and each emits its pairs with the later positions of its row, so
+        a pair's addends arrive in canonical user order and
+        ``np.add.at``, which adds in input order, gives the bits of one
+        sequential add per co-rating on every run. Memory is bounded,
+        not quadratic in a profile: left codes are cut into blocks of at
+        most ``_BLOCK_CELLS`` dense cells (one code at least), a block's
+        positions into chunks of at most ``_CHUNK_PAIRS`` contributions
+        (one position at least), each added into the block's dense
+        ``sums`` / ``counts``; a block emits its nonzero cells as
+        ascending keys.
         """
-        lengths = _np.diff(self.user_ptr)
-        if users is None:
-            mask = lengths >= 2
-            if max_profile_size is not None:
-                mask &= lengths <= max_profile_size
-            eligible = _np.nonzero(mask)[0]
-        else:
-            candidates = _np.asarray(users, dtype=_np.int64)
-            sub = lengths[candidates] if len(candidates) else candidates
-            mask = sub >= 2
-            if max_profile_size is not None:
-                mask &= sub <= max_profile_size
-            eligible = candidates[mask]
-        return eligible[_np.argsort(lengths[eligible], kind="stable")]
-
-    def _contribution_arrays(self, eligible):
-        """The batched Eq-6 fan-out over *eligible* (canonical order) as
-        aligned ``(pair key, numerator contribution)`` arrays.
-
-        Users are batched by profile length so each batch is one 2-D
-        gather + one broadcasted multiply instead of a per-user Python
-        iteration. The contribution order (length groups ascending,
-        users ascending within a group, triu pair order within a user)
-        is canonical, and bincount adds sequentially in input order —
-        hence the same sums, bit for bit, on every run.
-        """
-        n_items = len(self.items)
-        lengths = _np.diff(self.user_ptr)
-        group_lengths = lengths[eligible]
-        starts = self.user_ptr[eligible]
-        key_parts = []
-        value_parts = []
-        distinct, group_bounds = _np.unique(group_lengths, return_index=True)
-        group_bounds = list(group_bounds) + [len(eligible)]
-        for g, length in enumerate(distinct.tolist()):
-            batch_starts = starts[group_bounds[g]:group_bounds[g + 1]]
-            offsets = batch_starts[:, None] + _np.arange(length)
-            idx = self.user_item_idx[offsets]
-            centered = self.user_centered[offsets]
-            rows, cols = self._triu(length)
-            key_parts.append((idx[:, rows] * n_items + idx[:, cols]).ravel())
-            value_parts.append((centered[:, rows] * centered[:, cols]).ravel())
-        return _np.concatenate(key_parts), _np.concatenate(value_parts)
-
-    @staticmethod
-    def _reduce_contributions(keys, values, n_items: int) -> PairAccumulation:
-        """Group the contribution arrays by pair key (``left * n_items
-        + right``).
-
-        Two accumulation strategies with identical results (bincount
-        adds sequentially in input order either way): a dense m²-sized
-        accumulator when the item space is small relative to the
-        contribution count (no sort at all), else sort-based grouping
-        via np.unique. The 2²⁴ ceiling caps the dense accumulator at
-        ~256 MB for the two arrays.
-        """
-        if n_items * n_items <= max(1 << 20, min(4 * len(keys), 1 << 24)):
-            space = n_items * n_items
-            dense_counts = _np.bincount(keys, minlength=space)
-            dense_sums = _np.bincount(keys, weights=values, minlength=space)
-            uniq = _np.nonzero(dense_counts)[0]
-            counts = dense_counts[uniq]
-            sums = dense_sums[uniq]
-        else:
-            uniq, inverse, counts = _np.unique(
-                keys, return_inverse=True, return_counts=True)
-            sums = _np.bincount(inverse, weights=values, minlength=len(uniq))
-        return PairAccumulation(uniq, sums, counts)
+        firsts, ends = self.user_ptr[users], self.user_ptr[users + 1]
+        positions = _spans(firsts, ends)
+        rank = _np.repeat((ends - firsts) * self.n_users + users, ends - firsts)
+        codes = self.user_item_idx[positions]
+        if item_codes is not None:
+            codes = item_codes[codes]
+            kept = codes >= 0
+            positions, codes, rank = positions[kept], codes[kept], rank[kept]
+        if not len(positions):
+            return _empty_accumulation()
+        values = self.user_centered[positions]
+        # A row is one user's run of positions (CSR order, codes
+        # ascending): each position pairs with the rest of its run.
+        first = _np.flatnonzero(_np.diff(rank, prepend=-1))
+        sizes = _np.diff(first, append=len(rank))
+        order = _np.lexsort((rank, codes))
+        left_codes = codes[order]
+        left_values = values[order]
+        starts = order + 1
+        stops = _np.repeat(first + sizes, sizes)[order]
+        emitted = _np.cumsum(stops - starts)
+        rows = min(n_codes, max(1, _BLOCK_CELLS // n_codes))
+        sums = _np.zeros(rows * n_codes)
+        counts = _np.zeros(rows * n_codes, dtype=_np.int64)
+        bounds = _np.searchsorted(
+            left_codes, _np.arange(0, n_codes + rows, rows)).tolist()
+        keys, key_sums, key_counts = [], [], []
+        for block, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if lo == hi:
+                continue
+            base = block * rows
+            while lo < hi:
+                done = int(emitted[lo - 1]) if lo else 0
+                stop = min(hi, max(lo + 1, int(_np.searchsorted(
+                    emitted, done + _CHUNK_PAIRS, side="right"))))
+                fan = stops[lo:stop] - starts[lo:stop]
+                right = _spans(starts[lo:stop], stops[lo:stop])
+                cells = (_np.repeat((left_codes[lo:stop] - base) * n_codes, fan)
+                         + codes[right])
+                _np.add.at(sums, cells,
+                           _np.repeat(left_values[lo:stop], fan) * values[right])
+                _np.add.at(counts, cells, 1)
+                lo = stop
+            cells = _np.flatnonzero(counts != 0)  # bool: NumPy's fast nonzero
+            keys.append(cells + base * n_codes)
+            key_sums.append(sums[cells])
+            key_counts.append(counts[cells])
+            sums[cells] = 0.0
+            counts[cells] = 0
+        return PairAccumulation(_np.concatenate(keys), _np.concatenate(key_sums),
+                                _np.concatenate(key_counts))
 
     def pair_accumulation(self, max_profile_size: int | None = None
                           ) -> PairAccumulation:
-        """Reduced Eq-6 accumulation over every eligible user — the
-        Baseliner's pair sweep."""
-        eligible = self.eligible_users(max_profile_size)
-        if len(eligible) == 0:
-            return _empty_accumulation()
-        return self._reduce_contributions(
-            *self._contribution_arrays(eligible), len(self.items))
+        """Reduced Eq-6 accumulation over every eligible user (≥2
+        ratings, at most *max_profile_size*) — the Baseliner's pair
+        sweep: the kernel (:meth:`_accumulate`) over every eligible
+        position, keyed by item index."""
+        lengths = _np.diff(self.user_ptr)
+        eligible = lengths >= 2
+        if max_profile_size is not None:
+            eligible &= lengths <= max_profile_size
+        return self._accumulate(_np.flatnonzero(eligible), None, len(self.items))
 
     # ------------------------------------------------------------------
     # Incremental updates (append a rating batch without a rebuild)
@@ -735,7 +729,6 @@ class MatrixRatingStore:
         total -= _exact_total(self.user_values[[pos for pos, _ in replacements_csr]])
 
         new = MatrixRatingStore.__new__(MatrixRatingStore)
-        new._triu_cache = {}
         new._like_dicts = None
         new._value_total = total
         new.users = users_new
@@ -881,58 +874,28 @@ class MatrixRatingStore:
         ``delta.touched_items`` (a touched user's centered values feed
         them).
 
-        Contributing users are exactly the full sweep's for those pairs,
-        visited in the same canonical order; a pair receives at most one
-        contribution per user, so per-pair sums see the same addends in
-        the same sequence and folding the result over the old
-        accumulation (:meth:`apply_accumulation_delta`) reproduces a
-        from-scratch sweep **bit for bit** — even though each user's
-        contributions are generated from the *touched sub-profile* (the
-        fan-out is quadratic in ``|X_u ∩ touched|``, not ``|X_u|``,
-        which is what keeps a small batch's delta far below a full
-        sweep). The candidates are the users with ≥2 touched items in
-        their profile, found in one O(ratings) scan.
+        The kernel (:meth:`_accumulate`) runs over the touched-item
+        positions of the users with ≥2 touched items, in the touched items' own
+        ascending codes (``T²`` dense cells, not ``n_items²``); mapping
+        the keys back keeps their order. A pair's contributing users are
+        exactly the full sweep's, in the same canonical order, so
+        folding the result over the old accumulation
+        (:meth:`apply_accumulation_delta`) reproduces a from-scratch
+        sweep **bit for bit** — while the fan-out is quadratic in a
+        user's touched sub-profile, not in ``|X_u|``, which is what
+        keeps a small batch's delta far below a full sweep.
         """
-        n_items = len(self.items)
         if self.n_ratings == 0 or not delta.touched_items:
             return _empty_accumulation()
-        flags_it = _np.zeros(n_items, dtype=bool)
-        flags_it[delta.touched_items] = True
-        hits = _np.concatenate((
-            [0], _np.cumsum(flags_it[self.user_item_idx], dtype=_np.int64)))
-        it_count = hits[self.user_ptr[1:]] - hits[self.user_ptr[:-1]]
-        eligible = self.eligible_users(users=_np.nonzero(it_count >= 2)[0])
-        if len(eligible) == 0:
-            return _empty_accumulation()
-        ptr = self.user_ptr
-        idx_all = self.user_item_idx
-        centered_all = self.user_centered
-        # Keys are built over the touched items' own ascending indexes
-        # (T² cells, not n_items²), so the reduce can take its dense,
-        # sort-free path; mapping them back keeps their order.
+        n_items = len(self.items)
         touched = _np.asarray(delta.touched_items, dtype=_np.int64)
-        local = _np.cumsum(flags_it) - 1
-        n_local = len(touched)
-        key_parts = []
-        value_parts = []
-        for u in eligible.tolist():
-            start, end = int(ptr[u]), int(ptr[u + 1])
-            idx = idx_all[start:end]
-            # Only both-touched pairs are affected: the fan-out is
-            # quadratic in the touched sub-profile.
-            sub = _np.nonzero(flags_it[idx])[0]
-            if len(sub) < 2:
-                continue
-            rows, cols = self._triu(len(sub))
-            centered = centered_all[start:end][sub]
-            sub_local = local[idx[sub]]
-            key_parts.append(sub_local[rows] * n_local + sub_local[cols])
-            value_parts.append(centered[rows] * centered[cols])
-        if not key_parts:
-            return _empty_accumulation()
-        acc = self._reduce_contributions(
-            _np.concatenate(key_parts), _np.concatenate(value_parts), n_local)
-        left, right = _split_keys(acc.keys, n_local)
+        local = _np.full(n_items, -1, dtype=_np.int64)
+        local[touched] = _np.arange(len(touched))
+        raters = self.item_user_idx[_spans(self.item_ptr[touched],
+                                           self.item_ptr[touched + 1])]
+        users = _np.flatnonzero(_np.bincount(raters, minlength=self.n_users) >= 2)
+        acc = self._accumulate(users, local, len(touched))
+        left, right = _split_keys(acc.keys, len(touched))
         return PairAccumulation(
             touched[left] * n_items + touched[right], acc.sums, acc.counts)
 

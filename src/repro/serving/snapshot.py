@@ -218,7 +218,6 @@ def _store_from_arrays(
     """Rebuild a :class:`MatrixRatingStore` from loaded arrays — the
     constructor's end state without the construction pass."""
     store = MatrixRatingStore.__new__(MatrixRatingStore)
-    store._triu_cache = {}
     store._like_dicts = None
     store._value_total = None
     store.users = users
