@@ -15,7 +15,7 @@ hashing string tuples and re-deriving user means from objects.
 * CSR-style per-user rows and per-item columns of ``(index, value)``
   pairs, each with the user-mean-centered value (the Eq-6 building block)
   precomputed alongside;
-* per-user and per-item means, per-item centered/raw L2 norms, per-item
+* per-user and per-item means, per-item centered L2 norms, per-item
   like/dislike flags (Definition 2) and per-user item-centered norms
   (Eq 1), all computed once at construction.
 
@@ -241,8 +241,7 @@ class MatrixRatingStore:
         "user_ptr", "user_item_idx", "user_values", "user_centered",
         "user_item_centered", "user_item_centered_norms",
         "item_ptr", "item_user_idx", "item_values", "item_centered",
-        "item_likes", "item_centered_norms", "item_raw_norms",
-        "_like_dicts", "_value_total",
+        "item_likes", "item_centered_norms", "_like_dicts", "_value_total",
     )
 
     def __init__(self, table: "RatingTable") -> None:
@@ -314,7 +313,6 @@ class MatrixRatingStore:
         user_item_centered_sq = (
             self.user_item_centered * self.user_item_centered).tolist()
         item_centered_sq = (self.item_centered * self.item_centered).tolist()
-        item_raw_sq = (item_values_arr * item_values_arr).tolist()
 
         user_item_centered_norms = [
             math.sqrt(math.fsum(user_item_centered_sq[user_ptr[k]:user_ptr[k + 1]]))
@@ -322,13 +320,9 @@ class MatrixRatingStore:
         item_centered_norms = [
             math.sqrt(math.fsum(item_centered_sq[item_ptr[k]:item_ptr[k + 1]]))
             for k in range(len(items))]
-        item_raw_norms = [
-            math.sqrt(math.fsum(item_raw_sq[item_ptr[k]:item_ptr[k + 1]]))
-            for k in range(len(items))]
         self.user_item_centered_norms = _np.asarray(
             user_item_centered_norms, dtype=_np.float64)
         self.item_centered_norms = _np.asarray(item_centered_norms, dtype=_np.float64)
-        self.item_raw_norms = _np.asarray(item_raw_norms, dtype=_np.float64)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -799,7 +793,7 @@ class MatrixRatingStore:
                 (umap, n_users_new, "user_ptr", [u for u, _, _ in csr_inserts],
                  ("user_means", "user_item_centered_norms")),
                 (imap, n_items_new, "item_ptr", [i for i, _, _ in csc_inserts],
-                 ("item_means", "item_centered_norms", "item_raw_norms"))):
+                 ("item_means", "item_centered_norms"))):
             lengths = _np.zeros(size, dtype=_np.int64)
             lengths[space] = _np.diff(getattr(self, ptr))
             _np.add.at(lengths, _np.asarray(grown, dtype=_np.int64), 1)
@@ -838,13 +832,11 @@ class MatrixRatingStore:
             seg = self.item_centered[start:end]
             self.item_centered_norms[i] = math.sqrt(math.fsum((seg * seg).tolist()))
 
-        # Like flags and raw norms follow the batch items' new means.
+        # Like flags follow the batch items' new means.
         for i in batch_items:
             start, end = self._item_col(i)
-            mean = self.item_means[i]
-            self.item_likes[start:end] = self.item_values[start:end] >= mean
-            seg = self.item_values[start:end]
-            self.item_raw_norms[i] = math.sqrt(math.fsum((seg * seg).tolist()))
+            self.item_likes[start:end] = (
+                self.item_values[start:end] >= self.item_means[i])
 
         # Eq-1 centering (value − item mean) for every rating of a
         # batch item, then the affected users' norms: the touched users

@@ -78,7 +78,6 @@ _STORE_ARRAYS: tuple[tuple[str, str], ...] = (
     ("item_likes", "b1"),
     ("item_means", "f8"),
     ("item_centered_norms", "f8"),
-    ("item_raw_norms", "f8"),
 )
 #: Store array names alone (tests iterate these for equality checks).
 STORE_ARRAY_NAMES = tuple(name for name, _ in _STORE_ARRAYS)

@@ -60,7 +60,7 @@ _STORE_ARRAYS = (
     "user_means", "item_means", "user_ptr", "user_item_idx", "user_values",
     "user_centered", "user_item_centered", "user_item_centered_norms",
     "item_ptr", "item_user_idx", "item_values", "item_centered",
-    "item_likes", "item_centered_norms", "item_raw_norms")
+    "item_likes", "item_centered_norms")
 
 
 def _aslist(values):

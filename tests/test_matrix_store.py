@@ -108,7 +108,6 @@ def test_store_arrays_match_table_oracle(table):
         assert store.item_centered[slice(*store._item_col(k))].tolist() == centered
         assert store.item_centered_norms[k] == math.sqrt(
             math.fsum(c * c for c in centered))
-        assert store.item_raw_norms[k] == math.sqrt(math.fsum(v * v for v in values))
 
 
 @_common

@@ -339,7 +339,7 @@ _V1_ARRAYS = {
     "user_centered": "f8", "user_item_centered": "f8", "user_means": "f8",
     "user_item_centered_norms": "f8", "item_ptr": "i8", "item_user_idx": "i8",
     "item_values": "f8", "item_centered": "f8", "item_likes": "b1",
-    "item_means": "f8", "item_centered_norms": "f8", "item_raw_norms": "f8",
+    "item_means": "f8", "item_centered_norms": "f8",
     "index_ptr": "i8", "index_neighbor_ids": "i8", "index_weights": "f8",
 }
 _V1_FILES = {"MANIFEST.json", "users.txt", "items.txt"} \
@@ -421,6 +421,43 @@ def test_snapshot_written_with_bulk_significance_still_loads(tiny_table, tmp_pat
     users = sorted(tiny_table.users)
     assert RecommendationService(loaded).recommend_batch(users, 3) \
         == RecommendationService(snapshot).recommend_batch(users, 3)
+
+
+def test_snapshot_and_checkpoint_with_raw_norms_still_load(tiny_table, tmp_path):
+    """Format v1 before the store dropped ``item_raw_norms`` (it had no
+    reader): those directories carry ``item_raw_norms.bin`` and its
+    manifest entry. The loader fetches arrays by name, so a snapshot
+    and a durable checkpoint written then load exactly as the same ones
+    without the array."""
+    import numpy as np
+
+    from repro.durability.manager import CHECKPOINT_FILE, DurableSweep
+
+    def _add_raw_norms(directory):
+        n_items = len(tiny_table.items)
+        np.ones(n_items, dtype="<f8").tofile(directory / "item_raw_norms.bin")
+        _edit_manifest(directory, lambda manifest: manifest["arrays"].update(
+            item_raw_norms={"kind": "f8", "size": n_items}))
+
+    snapshot = _snapshot(tiny_table, k=3)
+    plain = snapshot.save(tmp_path / "plain")
+    old = snapshot.save(tmp_path / "old")
+    _add_raw_norms(old)
+    assert_snapshots_equal(ModelSnapshot.load(old), ModelSnapshot.load(plain))
+
+    states = []
+    for name in ("new-store", "old-store"):
+        DurableSweep(tmp_path / name, tiny_table).close()
+        if name == "old-store":
+            pointer = json.loads(
+                (tmp_path / name / CHECKPOINT_FILE).read_text(encoding="utf-8"))
+            _add_raw_norms(tmp_path / name / pointer["snapshot"])
+        with DurableSweep.recover(tmp_path / name) as recovered:
+            sweep = recovered.sweep
+            states.append((
+                [_aslist(getattr(sweep.store, a)) for a in STORE_ARRAY_NAMES],
+                _aslist(sweep.index.weights), _aslist(sweep.accumulation.sums)))
+    assert states[0] == states[1]
 
 
 # ----------------------------------------------------------------------
