@@ -549,9 +549,10 @@ class MatrixRatingStore:
         ``sums`` / ``counts``; a block emits its nonzero cells as
         ascending keys.
         """
-        firsts, ends = self.user_ptr[users], self.user_ptr[users + 1]
-        positions = _spans(firsts, ends)
-        rank = _np.repeat((ends - firsts) * self.n_users + users, ends - firsts)
+        begins, ends = self.user_ptr[users], self.user_ptr[users + 1]
+        positions = _spans(begins, ends)
+        # The canonical rank as one key: profile length, then user index.
+        rank = _np.repeat((ends - begins) * self.n_users + users, ends - begins)
         codes = self.user_item_idx[positions]
         if item_codes is not None:
             codes = item_codes[codes]
@@ -562,13 +563,13 @@ class MatrixRatingStore:
         values = self.user_centered[positions]
         # A row is one user's run of positions (CSR order, codes
         # ascending): each position pairs with the rest of its run.
-        first = _np.flatnonzero(_np.diff(rank, prepend=-1))
-        sizes = _np.diff(first, append=len(rank))
+        row_starts = _np.flatnonzero(_np.diff(rank, prepend=-1))
+        row_sizes = _np.diff(row_starts, append=len(rank))
         order = _np.lexsort((rank, codes))
         left_codes = codes[order]
         left_values = values[order]
         starts = order + 1
-        stops = _np.repeat(first + sizes, sizes)[order]
+        stops = _np.repeat(row_starts + row_sizes, row_sizes)[order]
         emitted = _np.cumsum(stops - starts)
         rows = min(n_codes, max(1, _BLOCK_CELLS // n_codes))
         sums = _np.zeros(rows * n_codes)
@@ -867,9 +868,10 @@ class MatrixRatingStore:
         them).
 
         The kernel (:meth:`_accumulate`) runs over the touched-item
-        positions of the users with ≥2 touched items, in the touched items' own
-        ascending codes (``T²`` dense cells, not ``n_items²``); mapping
-        the keys back keeps their order. A pair's contributing users are
+        positions of the users with ≥2 touched items (found from the
+        touched items' columns), in the touched items' own ascending
+        codes (``T²`` dense cells, not ``n_items²``); mapping the keys
+        back keeps their order. A pair's contributing users are
         exactly the full sweep's, in the same canonical order, so
         folding the result over the old accumulation
         (:meth:`apply_accumulation_delta`) reproduces a from-scratch

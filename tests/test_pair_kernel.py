@@ -90,7 +90,8 @@ def _budgets(cells, chunk):
 @pytest.mark.parametrize("cells, chunk", BUDGETS)
 @_common
 @given(base=ratings(), max_profile=st.sampled_from([None, 2, 3, 6]))
-def test_pair_accumulation_equals_naive_sum_bit_for_bit(cells, chunk, base, max_profile):
+def test_pair_accumulation_equals_naive_sum_bit_for_bit(
+        cells, chunk, base, max_profile):
     store = MatrixRatingStore(RatingTable(base))
     with _budgets(cells, chunk):
         got = _as_naive(store, store.pair_accumulation(max_profile_size=max_profile))
@@ -100,7 +101,8 @@ def test_pair_accumulation_equals_naive_sum_bit_for_bit(cells, chunk, base, max_
 @pytest.mark.parametrize("cells, chunk", BUDGETS)
 @_common
 @given(base=ratings(), batch=ratings(st.tuples(_batch_users, _batch_items), 1, 8, 100))
-def test_delta_accumulation_equals_naive_sum_over_touched_items(cells, chunk, base, batch):
+def test_delta_accumulation_equals_naive_sum_over_touched_items(
+        cells, chunk, base, batch):
     new_store, delta = MatrixRatingStore(RatingTable(base)).append_ratings(batch)
     with _budgets(cells, chunk):
         got = _as_naive(new_store, new_store.delta_pair_accumulation(delta))
