@@ -540,14 +540,21 @@ class MatrixRatingStore:
         Item-major: the positions are ordered by (left code, user rank)
         and each emits its pairs with the later positions of its row, so
         a pair's addends arrive in canonical user order and
-        ``np.add.at``, which adds in input order, gives the bits of one
-        sequential add per co-rating on every run. Memory is bounded,
-        not quadratic in a profile: left codes are cut into blocks of at
-        most ``_BLOCK_CELLS`` dense cells (one code at least), a block's
-        positions into chunks of at most ``_CHUNK_PAIRS`` contributions
-        (one position at least), each added into the block's dense
-        ``sums`` / ``counts``; a block emits its nonzero cells as
-        ascending keys.
+        ``np.add.at`` or ``np.bincount``, which add in input order, give
+        the bits of one sequential add per co-rating on every run. Memory is bounded,
+        not quadratic in a profile, and the work follows the
+        contributions, not ``n_codes²``. Left codes are walked in
+        blocks of at most ``_BLOCK_CELLS`` dense cells (one code at
+        least):
+
+        * a block holding at least one contribution per 32 cells is
+          summed in place: its positions in chunks of at most
+          ``_CHUNK_PAIRS`` contributions (one position at least), each
+          added into the block's dense ``sums`` / ``counts``, whose
+          nonzero cells it then emits as ascending keys;
+        * otherwise the run of whole left codes from the block's first
+          holding at most ``_CHUNK_PAIRS`` contributions (one code at
+          least) is summed over its own sorted cells (``np.unique``).
         """
         begins, ends = self.user_ptr[users], self.user_ptr[users + 1]
         positions = _spans(begins, ends)
@@ -570,35 +577,52 @@ class MatrixRatingStore:
         left_values = values[order]
         starts = order + 1
         stops = _np.repeat(row_starts + row_sizes, row_sizes)[order]
-        emitted = _np.cumsum(stops - starts)
+        fans = stops - starts
+        # Contributions before each position, and before each left code.
+        done = _np.concatenate(([0], _np.cumsum(fans)))
+        firsts = _np.searchsorted(left_codes, _np.arange(n_codes + 1))
+        code_done = done[firsts]
+
+        def pairs(lo, hi):
+            """Cells ``left * n_codes + right`` and addends of positions
+            ``[lo, hi)``, in input order."""
+            right = _spans(starts[lo:hi], stops[lo:hi])
+            return (_np.repeat(left_codes[lo:hi] * n_codes, fans[lo:hi]) + codes[right],
+                    _np.repeat(left_values[lo:hi], fans[lo:hi]) * values[right])
+
         rows = min(n_codes, max(1, _BLOCK_CELLS // n_codes))
         sums = _np.zeros(rows * n_codes)
         counts = _np.zeros(rows * n_codes, dtype=_np.int64)
-        bounds = _np.searchsorted(
-            left_codes, _np.arange(0, n_codes + rows, rows)).tolist()
         keys, key_sums, key_counts = [], [], []
-        for block, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            if lo == hi:
-                continue
-            base = block * rows
-            while lo < hi:
-                done = int(emitted[lo - 1]) if lo else 0
-                stop = min(hi, max(lo + 1, int(_np.searchsorted(
-                    emitted, done + _CHUNK_PAIRS, side="right"))))
-                fan = stops[lo:stop] - starts[lo:stop]
-                right = _spans(starts[lo:stop], stops[lo:stop])
-                cells = (_np.repeat((left_codes[lo:stop] - base) * n_codes, fan)
-                         + codes[right])
-                _np.add.at(sums, cells,
-                           _np.repeat(left_values[lo:stop], fan) * values[right])
-                _np.add.at(counts, cells, 1)
-                lo = stop
-            cells = _np.flatnonzero(counts != 0)  # bool: NumPy's fast nonzero
-            keys.append(cells + base * n_codes)
-            key_sums.append(sums[cells])
-            key_counts.append(counts[cells])
-            sums[cells] = 0.0
-            counts[cells] = 0
+        first = 0
+        while first < n_codes:
+            last = min(n_codes, first + rows)
+            lo, hi = int(firsts[first]), int(firsts[last])
+            if 32 * int(done[hi] - done[lo]) >= rows * n_codes:
+                base = first * n_codes
+                while lo < hi:
+                    stop = min(hi, max(lo + 1, int(_np.searchsorted(
+                        done, done[lo] + _CHUNK_PAIRS, side="right")) - 1))
+                    cells, addends = pairs(lo, stop)
+                    cells -= base
+                    _np.add.at(sums, cells, addends)
+                    _np.add.at(counts, cells, 1)
+                    lo = stop
+                cells = _np.flatnonzero(counts != 0)  # bool: NumPy's fast nonzero
+                keys.append(cells + base)
+                key_sums.append(sums[cells])
+                key_counts.append(counts[cells])
+                sums[cells] = 0.0
+                counts[cells] = 0
+            else:
+                last = max(first + 1, int(_np.searchsorted(
+                    code_done, code_done[first] + _CHUNK_PAIRS, side="right")) - 1)
+                cells, addends = pairs(lo, int(firsts[last]))
+                cells, at = _np.unique(cells, return_inverse=True)
+                keys.append(cells)
+                key_sums.append(_np.bincount(at, weights=addends, minlength=len(cells)))
+                key_counts.append(_np.bincount(at, minlength=len(cells)))
+            first = last
         return PairAccumulation(_np.concatenate(keys), _np.concatenate(key_sums),
                                 _np.concatenate(key_counts))
 

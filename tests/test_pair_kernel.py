@@ -8,7 +8,9 @@ promises. Keys, ``float.hex`` of the sums and the counts must match for
 the full sweep (``pair_accumulation``) and for an append's delta
 (``delta_pair_accumulation``, the naive sum restricted to the touched
 items), at the module's budgets and at budgets small enough that one
-left item's positions span several chunks and blocks cut rows apart.
+left item's positions span several chunks and blocks cut rows apart,
+on dense stores and on sparse catalogues, whose runs of left items are
+summed over their own sorted cells.
 """
 
 from __future__ import annotations
@@ -107,6 +109,22 @@ def test_delta_accumulation_equals_naive_sum_over_touched_items(
     with _budgets(cells, chunk):
         got = _as_naive(new_store, new_store.delta_pair_accumulation(delta))
     assert got == _naive_accumulation(new_store, items=set(delta.touched_items))
+
+
+@pytest.mark.parametrize("cells, chunk", BUDGETS)
+@_common
+@given(base=ratings(st.tuples(_users, st.one_of(
+    st.sampled_from(["h0", "h1", "h2"]), st.sampled_from([f"t{k}" for k in range(40)])))))
+def test_sparse_catalogue_accumulation_equals_naive_sum_bit_for_bit(cells, chunk, base):
+    """300 lone items, each rated by a one-rating user, make far more
+    dense cells than contributions: runs of whole left items are summed
+    over their own sorted cells, and the head items' pairs gather
+    several addends whose order shows in the bits."""
+    lone = [Rating(f"f{k:03d}", f"z{k:03d}", 3.0) for k in range(300)]
+    store = MatrixRatingStore(RatingTable(base + lone))
+    with _budgets(cells, chunk):
+        got = _as_naive(store, store.pair_accumulation())
+    assert got == _naive_accumulation(store)
 
 
 @pytest.mark.parametrize("cells, chunk", BUDGETS)
