@@ -591,8 +591,7 @@ class MatrixRatingStore:
                     _np.repeat(left_values[lo:hi], fans[lo:hi]) * values[right])
 
         rows = min(n_codes, max(1, _BLOCK_CELLS // n_codes))
-        sums = _np.zeros(rows * n_codes)
-        counts = _np.zeros(rows * n_codes, dtype=_np.int64)
+        sums = counts = None
         keys, key_sums, key_counts = [], [], []
         first = 0
         while first < n_codes:
@@ -600,6 +599,9 @@ class MatrixRatingStore:
             lo, hi = int(firsts[first]), int(firsts[last])
             if 32 * int(done[hi] - done[lo]) >= rows * n_codes:
                 base = first * n_codes
+                if sums is None:
+                    sums = _np.zeros(rows * n_codes)
+                    counts = _np.zeros(rows * n_codes, dtype=_np.int64)
                 while lo < hi:
                     stop = min(hi, max(lo + 1, int(_np.searchsorted(
                         done, done[lo] + _CHUNK_PAIRS, side="right")) - 1))
